@@ -11,11 +11,11 @@ Usage:
 """
 
 import argparse
-import json
 import time
 
 import numpy as np
 
+from qcrbsat import jsonio
 from qcrbsat.cli import cmd_sweep, build_parser
 
 
@@ -60,7 +60,7 @@ def main():
           f"{verdicts.count('SATURABLE_CERTIFIED')} certified saturable")
 
     with open(args.output, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        jsonio.dump(payload, fh.write)
     print(f"report written to {args.output}")
 
 

@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from . import fisher as fish
 from . import fixtures
+from . import jsonio
 from . import povm as povm_mod
 from .conditions import VERDICT_SATURABLE, evaluate_conditions
 from .errors import QcrbSatError
@@ -40,10 +41,6 @@ class NotCertifiedError(QcrbSatError):
     pass
 
 
-def _cmat(m) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
-
-
 def _jsonable_params(params):
     if not params:
         return {}
@@ -54,7 +51,10 @@ def _jsonable_params(params):
 
 
 def parse_params(text: str) -> dict:
-    """Parse "k=v,k=v" into typed values (int, float, complex, or string)."""
+    """Parse "k=v,k=v" into typed values (bool, int, float, complex, or string).
+
+    ``true`` and ``false``, in any case, are booleans.
+    """
     out = {}
     if not text:
         return out
@@ -62,6 +62,9 @@ def parse_params(text: str) -> dict:
         if "=" not in chunk:
             raise QcrbSatError(f"malformed parameter {chunk!r}, expected k=v")
         key, raw = chunk.split("=", 1)
+        if raw.strip().lower() in ("true", "false"):
+            out[key.strip()] = raw.strip().lower() == "true"
+            continue
         for cast in (int, float, complex):
             try:
                 out[key.strip()] = cast(raw)
@@ -111,16 +114,19 @@ def _load_state(args):
     return model, sp, witness
 
 
+def cond_tol(args, sp: StateAtPoint) -> float:
+    """The condition tolerance: ``--cond-tol`` when given, else the derivative scheme's."""
+    return args.cond_tol if args.cond_tol is not None else sp.deriv_tol
+
+
 def run_analysis(args, sp: StateAtPoint, model=None, witness=None):
     """The core pipeline: decomposition, SLDs, information, conditions."""
     rng = np.random.default_rng(args.seed)
+    tol = cond_tol(args, sp)
     dec = support_decomposition(sp, rank_tol=args.rank_tol)
-    sld_tol = args.cond_tol if args.cond_tol is not None else sp.deriv_tol
-    slds = compute_sld(dec, sp.drho, sld_tol=sld_tol)
+    slds = compute_sld(dec, sp.drho, sld_tol=tol)
     f_q = qfim(dec, slds)
-    report = evaluate_conditions(
-        sp, dec, slds, model=model, witness=witness, tol=args.cond_tol, rng=rng
-    )
+    report = evaluate_conditions(sp, dec, slds, model=model, witness=witness, tol=tol, rng=rng)
     return dec, slds, f_q, report
 
 
@@ -135,7 +141,7 @@ def base_report(args, sp: StateAtPoint, model, dec, f_q, report) -> dict:
             "theta": None if sp.theta is None else [float(x) for x in sp.theta],
             "scheme": sp.scheme_label(),
             "rank_tol": args.rank_tol,
-            "cond_tol": args.cond_tol if args.cond_tol is not None else sp.deriv_tol,
+            "cond_tol": cond_tol(args, sp),
             "seed": args.seed,
         },
         "support": {
@@ -150,12 +156,7 @@ def base_report(args, sp: StateAtPoint, model, dec, f_q, report) -> dict:
 
 
 def _emit(payload: dict, args) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    jsonio.write_json(payload, args.output or None)
 
 
 def _construct_from_report(dec, slds, report, seed):
@@ -190,16 +191,12 @@ def cmd_construct_povm(args) -> dict:
     model, sp, witness = _load_state(args)
     dec, slds, f_q, report = run_analysis(args, sp, model, witness)
     povm = _construct_from_report(dec, slds, report, args.seed)
-    cert = povm_mod.verify_saturation_structural(
-        povm, dec, slds, tol=args.cond_tol if args.cond_tol is not None else sp.deriv_tol
-    )
+    cert = povm_mod.verify_saturation_structural(povm, dec, slds, tol=cond_tol(args, sp))
     out = base_report(args, sp, model, dec, f_q, report)
     out["povm"] = povm_mod.povm_to_json(povm)
     out["saturation_certificate"] = cert.to_dict()
     if args.povm_output:
-        with open(args.povm_output, "w", encoding="utf-8") as fh:
-            json.dump(povm_mod.povm_to_json(povm), fh, indent=2)
-            fh.write("\n")
+        jsonio.write_json(out["povm"], args.povm_output, sort_keys=False)
     return out
 
 
@@ -208,16 +205,14 @@ def cmd_fisher(args) -> dict:
     dec, slds, f_q, report = run_analysis(args, sp, model, witness)
     povm = _resolve_povm(args, dec, slds, report)
     povm_mod.classify_elements(povm, sp.rho, dec)
-    cert = povm_mod.verify_saturation_structural(
-        povm, dec, slds, tol=args.cond_tol if args.cond_tol is not None else sp.deriv_tol
-    )
+    cert = povm_mod.verify_saturation_structural(povm, dec, slds, tol=cond_tol(args, sp))
     dist = fish.outcome_distribution(sp.rho, sp.drho, povm, dec)
     f_c = fish.classical_fim(dist)
     g = None
     if args.cost_matrix:
         with open(args.cost_matrix, "r", encoding="utf-8") as fh:
             g = np.array(json.load(fh), dtype=float)
-    comparison = fish.compare(f_c, f_q, g=g, tol=args.cond_tol if args.cond_tol else sp.deriv_tol)
+    comparison = fish.compare(f_c, f_q, g=g, tol=cond_tol(args, sp))
     out = base_report(args, sp, model, dec, f_q, report)
     out["povm"] = povm_mod.povm_to_json(povm)
     out["saturation_certificate"] = cert.to_dict()
@@ -247,7 +242,7 @@ def cmd_simulate(args) -> dict:
         )
     out = base_report(args, sp, model, dec, f_q, report)
     out["povm"] = povm_mod.povm_to_json(povm)
-    out["fisher"] = fish.compare(f_c, f_q, tol=args.cond_tol if args.cond_tol else sp.deriv_tol).to_dict()
+    out["fisher"] = fish.compare(f_c, f_q, tol=cond_tol(args, sp)).to_dict()
     out["monte_carlo"] = record.to_dict()
     return out
 
@@ -299,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="condition tolerance (default: per derivative scheme)")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--output", help="write the JSON report here instead of stdout")
-    common.add_argument("--format", default="json", choices=["json"])
 
     parser = argparse.ArgumentParser(
         prog="qcrbsat",

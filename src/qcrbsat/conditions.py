@@ -30,6 +30,7 @@ import numpy as np
 
 from . import numkernel as nk
 from .errors import QcrbSatError
+from .jsonio import ComplexMatrix
 from .model import StateAtPoint, StateModel, SupportDecomposition, decomposition_from_basis
 from .sld import SLDSet, compute_sld
 
@@ -173,7 +174,7 @@ class Cond4Result:
     def to_dict(self) -> dict:
         return {
             "status": self.status,
-            "W": _cmat(self.W) if self.W is not None else None,
+            "W": ComplexMatrix(self.W) if self.W is not None else None,
             "lambdas": None
             if self.lambdas is None
             else np.where(np.isnan(self.lambdas), None, self.lambdas).tolist(),
@@ -182,10 +183,6 @@ class Cond4Result:
             "tol": self.tol,
             "notes": list(self.notes),
         }
-
-
-def _cmat(m):
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
 
 
 def verify_condition4_with_w(

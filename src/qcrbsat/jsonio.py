@@ -1,0 +1,255 @@
+"""JSON codec of the reports.
+
+Complex matrices travel as nested ``[re, im]`` pairs. :class:`ComplexMatrix`
+is those nested lists together with the float array they were made from;
+:func:`dump` writes a payload piece by piece as exactly the text of
+``json.dumps(obj, indent=2, sort_keys=True)``, rendering each
+:class:`ComplexMatrix` from its array in one pass instead of float by float.
+:func:`parse_complex_matrix` reads a matrix back.
+"""
+
+from __future__ import annotations
+
+import sys
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
+
+import numpy as np
+
+from .errors import QcrbSatError
+
+INDENT = "  "
+# Pieces of small values gathered before one write.
+FLUSH_PARTS = 4096
+# Arrays with more axes than a matrix of [re, im] pairs are written one
+# leading-axis slice at a time, so no more than one matrix's text is held.
+LEAF_NDIM = 3
+_INF = float("inf")
+
+
+class SchemaError(QcrbSatError):
+    pass
+
+
+class ComplexMatrix(list):
+    """Nested ``[re, im]`` lists of a complex array (or stack of arrays).
+
+    Equal to, and serialized by ``json.dumps`` like, the plain nested lists.
+    ``pairs`` holds the same numbers as a float array of shape ``(..., 2)``;
+    :func:`dump` encodes ``pairs``, so edits made to the lists afterwards do
+    not reach its output.
+    """
+
+    __slots__ = ("pairs",)
+
+    def __init__(self, m):
+        a = np.asarray(m)
+        self.pairs = np.stack([a.real, a.imag], axis=-1).astype(float, copy=False)
+        super().__init__(self.pairs.tolist())
+
+
+def _floatstr(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _scalar_text(o):
+    """JSON text of a str, None, bool, int or float (subclasses too), else None."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _floatstr(o)
+    return None
+
+
+def _keystr(k) -> str:
+    """JSON text of a dict key: scalars other than strings become strings."""
+    text = k if isinstance(k, str) else _scalar_text(k)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+    return encode_basestring_ascii(text)
+
+
+def _layout(shape: tuple, level: int):
+    """Opening text, per-gap separators and closing text of a nested float array.
+
+    The separator between consecutive floats depends only on how many
+    trailing axes roll over there: ``r`` of them close ``r`` lists, put a
+    comma, and open ``r`` lists.
+    """
+    k = len(shape)
+    ind = ["\n" + INDENT * (level + d) for d in range(k + 1)]
+    close = [ind[k - 1 - j] + "]" for j in range(k)]
+    table = np.empty(k, dtype=object)
+    for r in range(k):
+        table[r] = "".join(close[:r]) + "," + ind[k - r] + "".join(
+            "[" + ind[k - j] for j in range(r - 1, -1, -1)
+        )
+    gaps = np.arange(1, int(np.prod(shape)))
+    rolled = np.zeros(len(gaps), dtype=np.intp)
+    stride = 1
+    for d in range(k - 1, 0, -1):
+        stride *= shape[d]
+        rolled += gaps % stride == 0
+    head = "".join("[" + ind[d + 1] for d in range(k))
+    return head, table[rolled].tolist(), "".join(close)
+
+
+def dump(obj, write, *, sort_keys: bool = True) -> None:
+    """Write ``obj`` through ``write`` as ``json.dumps(obj, indent=2, sort_keys=sort_keys)``.
+
+    The text goes out in pieces, so the whole document never exists as one
+    string. Values ``json.dumps`` refuses raise the same ``TypeError``.
+    """
+    parts: list = []
+    append = parts.append
+    layouts: dict = {}
+
+    def flush():
+        write("".join(parts))
+        parts.clear()
+
+    def leaf(a, level):
+        key = (a.shape, level)
+        if key not in layouts:
+            layouts[key] = _layout(a.shape, level)
+        head, seps, tail = layouts[key]
+        flat = a.ravel().tolist()
+        text = list(map(float.__repr__, flat))
+        if not np.isfinite(a).all():
+            for i in np.flatnonzero(~np.isfinite(a.ravel())).tolist():
+                text[i] = _floatstr(flat[i])
+        pieces = [None] * (2 * len(text) - 1)
+        pieces[::2] = text
+        pieces[1::2] = seps
+        append(head)
+        append("".join(pieces))
+        append(tail)
+        flush()
+
+    def array(a, level):
+        if a.ndim <= LEAF_NDIM:
+            leaf(a, level)
+            return
+        inner = "\n" + INDENT * (level + 1)
+        append("[" + inner)
+        for i, sub in enumerate(a):
+            if i:
+                append("," + inner)
+            array(sub, level + 1)
+        append("\n" + INDENT * level + "]")
+
+    def value(o, level):
+        text = _scalar_text(o)
+        if text is not None:
+            append(text)
+        elif isinstance(o, ComplexMatrix) and o.pairs.size:
+            array(o.pairs, level)
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                append("[]")
+                return
+            inner = "\n" + INDENT * (level + 1)
+            append("[" + inner)
+            for i, v in enumerate(o):
+                if i:
+                    append("," + inner)
+                value(v, level + 1)
+                if len(parts) >= FLUSH_PARTS:
+                    flush()
+            append("\n" + INDENT * level + "]")
+        elif isinstance(o, dict):
+            if not o:
+                append("{}")
+                return
+            inner = "\n" + INDENT * (level + 1)
+            append("{" + inner)
+            for i, (k, v) in enumerate(sorted(o.items()) if sort_keys else o.items()):
+                if i:
+                    append("," + inner)
+                append(_keystr(k) + ": ")
+                value(v, level + 1)
+                if len(parts) >= FLUSH_PARTS:
+                    flush()
+            append("\n" + INDENT * level + "}")
+        else:
+            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+    value(obj, 0)
+    flush()
+
+
+def write_json(obj, path=None, *, sort_keys: bool = True) -> None:
+    """Write ``obj`` and a newline to ``path``, or to stdout when ``path`` is None.
+
+    The bytes equal ``json.dumps(obj, indent=2, sort_keys=sort_keys) + "\\n"``.
+    """
+    if path is None:
+        dump(obj, sys.stdout.write, sort_keys=sort_keys)
+        sys.stdout.write("\n")
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        dump(obj, fh.write, sort_keys=sort_keys)
+        fh.write("\n")
+
+
+def _pairs_array(obj, n: int):
+    """The ``(n, n, 2)`` floats of a matrix the per-entry reader would accept, else None.
+
+    Every container and scalar is type-checked as that reader does, so
+    inputs it refuses (or whose conversion overflows) go to it and get its
+    error.
+    """
+    if not isinstance(obj, list) or len(obj) != n:
+        return None
+    if not all(isinstance(row, list) and len(row) == n for row in obj):
+        return None
+    entries = list(chain.from_iterable(obj))
+    if not all(map(isinstance, entries, repeat(list))) or set(map(len, entries)) != {2}:
+        return None
+    if not all(map(isinstance, chain.from_iterable(entries), repeat((int, float)))):
+        return None
+    try:
+        return np.array(entries, dtype=float).reshape(n, n, 2)
+    except OverflowError:
+        return None
+
+
+def parse_complex_matrix(obj, n: int, what: str) -> np.ndarray:
+    """Read an ``n x n`` matrix of ``[re, im]`` pairs; ``what`` names it in errors."""
+    pairs = _pairs_array(obj, n)
+    if pairs is not None:
+        out = np.empty((n, n), dtype=complex)
+        out.real = pairs[..., 0]
+        out.imag = pairs[..., 1]
+    else:
+        if not isinstance(obj, list) or len(obj) != n:
+            raise SchemaError(f"{what}: expected {n} rows")
+        out = np.zeros((n, n), dtype=complex)
+        for i, row in enumerate(obj):
+            if not isinstance(row, list) or len(row) != n:
+                raise SchemaError(f"{what}: row {i} must have {n} entries")
+            for j, entry in enumerate(row):
+                if (
+                    not isinstance(entry, list)
+                    or len(entry) != 2
+                    or not all(isinstance(x, (int, float)) for x in entry)
+                ):
+                    raise SchemaError(f"{what}: entry ({i},{j}) must be an [re, im] pair")
+                out[i, j] = complex(entry[0], entry[1])
+    if not np.all(np.isfinite(out.view(float))):
+        raise SchemaError(f"{what}: non-finite entries")
+    return out

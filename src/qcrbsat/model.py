@@ -18,6 +18,7 @@ import numpy as np
 
 from . import numkernel as nk
 from .errors import QcrbSatError
+from .jsonio import ComplexMatrix, SchemaError, parse_complex_matrix
 
 HERM_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -36,10 +37,6 @@ class InvalidStateError(QcrbSatError):
 
 
 class TraceNotOneError(InvalidStateError):
-    pass
-
-
-class SchemaError(QcrbSatError):
     pass
 
 
@@ -381,26 +378,6 @@ def decomposition_from_basis(
 # ---------------------------------------------------------------------------
 
 
-def _parse_complex_matrix(obj, n: int, what: str) -> np.ndarray:
-    if not isinstance(obj, list) or len(obj) != n:
-        raise SchemaError(f"{what}: expected {n} rows")
-    out = np.zeros((n, n), dtype=complex)
-    for i, row in enumerate(obj):
-        if not isinstance(row, list) or len(row) != n:
-            raise SchemaError(f"{what}: row {i} must have {n} entries")
-        for j, entry in enumerate(row):
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or not all(isinstance(x, (int, float)) for x in entry)
-            ):
-                raise SchemaError(f"{what}: entry ({i},{j}) must be an [re, im] pair")
-            out[i, j] = complex(entry[0], entry[1])
-    if not np.all(np.isfinite(out.view(float))):
-        raise SchemaError(f"{what}: non-finite entries")
-    return out
-
-
 def parse_numeric_model(source) -> StateAtPoint:
     """Parse a single-point numeric model from JSON.
 
@@ -428,10 +405,10 @@ def parse_numeric_model(source) -> StateAtPoint:
     if not isinstance(p, int) or p < 1:
         raise SchemaError("p must be a positive integer")
 
-    rho = _parse_complex_matrix(data["rho"], n, "rho")
+    rho = parse_complex_matrix(data["rho"], n, "rho")
     if not isinstance(data["drho"], list) or len(data["drho"]) != p:
         raise SchemaError(f"drho must hold {p} matrices")
-    drho = [_parse_complex_matrix(m, n, f"drho[{l}]") for l, m in enumerate(data["drho"])]
+    drho = [parse_complex_matrix(m, n, f"drho[{l}]") for l, m in enumerate(data["drho"])]
 
     rho = _validate_density(rho)
     drho = [_validate_drho(d, 1e-8, l) for l, d in enumerate(drho)]
@@ -440,13 +417,9 @@ def parse_numeric_model(source) -> StateAtPoint:
 
 def state_to_numeric_model(sp: StateAtPoint) -> dict:
     """Serialize a state point to the numeric-model JSON schema."""
-
-    def enc(m):
-        return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
-
     return {
         "n_s": sp.dim,
         "p": sp.n_params,
-        "rho": enc(sp.rho),
-        "drho": [enc(d) for d in sp.drho],
+        "rho": ComplexMatrix(sp.rho),
+        "drho": ComplexMatrix(sp.drho),
     }

@@ -165,6 +165,8 @@ def joint_eigenprojectors(
                     residuals=residuals,
                 )
 
+    scales = np.array([max(1.0, opnorm(a)) for a in mats])
+
     rng = rng if rng is not None else np.random.default_rng(0)
     coeffs = rng.standard_normal(len(mats))
     mixture = sum(c * a for c, a in zip(coeffs, mats))
@@ -177,8 +179,7 @@ def joint_eigenprojectors(
     # cluster that is degenerate for the members processed so far leave
     # those members scalar, so the final basis diagonalizes everyone.
     basis = np.array(basis)
-    for a in mats:
-        scale_a = max(1.0, opnorm(a))
+    for a, scale_a in zip(mats, scales):
         refined = []
         for sl in clusters:
             qk = basis[:, sl]
@@ -197,7 +198,7 @@ def joint_eigenprojectors(
             s = qk.conj().T @ a @ qk
             lam = float(np.mean(np.diag(s).real))
             off = fro(s - lam * np.eye(sl.stop - sl.start))
-            if off > 10 * tol * max(1.0, opnorm(a)):
+            if off > 10 * tol * scales[l]:
                 raise JointDiagonalizationError(
                     f"family member {l} is not scalar on cluster {k}: residual {off:.3e}",
                     member=l,
@@ -208,7 +209,6 @@ def joint_eigenprojectors(
 
     # Merge clusters whose label tuples coincide (a mixture collision that
     # survived refinement), then order deterministically by label tuple.
-    scales = np.array([max(1.0, opnorm(a)) for a in mats])
     merged: list[list[int]] = []
     for k in range(len(clusters)):
         for group in merged:

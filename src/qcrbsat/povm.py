@@ -20,6 +20,7 @@ import numpy as np
 
 from . import numkernel as nk
 from .errors import QcrbSatError
+from .jsonio import ComplexMatrix, SchemaError, parse_complex_matrix
 from .model import SupportDecomposition
 from .sld import SLDSet
 
@@ -75,23 +76,30 @@ def validate(povm: POVM, tol: float = 1e-10) -> dict:
 
     Returns a diagnostics dict and stamps ``povm.projective``; it never
     raises, so callers can report violations per element.
+    ``projectivity_residual`` bounds from above every ``||E_i^2 - E_i||``
+    and ``||[E_i, E_j]||`` (Frobenius). When the elements' eigenvalues above
+    1/2 number n in total, the commutators are bounded through one Gram
+    matrix of those eigenvectors (see :func:`_commutator_bound`); otherwise
+    each pair's commutator is computed.
     """
     n = povm.dim
     total = sum(povm.elements)
     completeness = nk.fro(total - np.eye(n))
-    min_eigs = []
-    herm_defects = []
-    for e in povm.elements:
-        herm_defects.append(nk.herm_defect(e))
-        min_eigs.append(float(np.linalg.eigvalsh(nk.hermitize(e))[0]))
+    stack = np.array(povm.elements)
+    herm_defects = [nk.herm_defect(e) for e in povm.elements]
+    w, v = np.linalg.eigh((stack + stack.conj().transpose(0, 2, 1)) / 2.0)
+    min_eigs = [float(x) for x in w[:, 0]]
     psd_ok = all(m >= -tol for m in min_eigs)
     complete = completeness <= tol * max(1.0, n)
 
-    proj_res = 0.0
-    for i, e in enumerate(povm.elements):
-        proj_res = max(proj_res, nk.fro(e @ e - e))
-        for j in range(i + 1, povm.n_outcomes):
-            proj_res = max(proj_res, nk.fro(e @ povm.elements[j] - povm.elements[j] @ e))
+    proj_res = float(np.max(np.linalg.norm(stack @ stack - stack, axis=(1, 2))))
+    upper = w > 0.5
+    if upper.sum() == n:
+        proj_res = max(proj_res, _commutator_bound(w, v, upper, np.array(herm_defects)))
+    else:
+        for i, e in enumerate(povm.elements):
+            for f in povm.elements[i + 1:]:
+                proj_res = max(proj_res, nk.fro(e @ f - f @ e))
     projective = proj_res <= tol * max(1.0, n)
     povm.projective = projective
 
@@ -106,6 +114,32 @@ def validate(povm: POVM, tol: float = 1e-10) -> dict:
         "valid": complete and psd_ok,
         "tol": tol,
     }
+
+
+def _commutator_bound(w, v, upper, herm_defects) -> float:
+    """Upper bound on ``max_{i<j} ||[E_i, E_j]||_F`` from the elements' eigendata.
+
+    ``w, v`` are the eigenvalues and eigenvectors of the Hermitian parts of
+    the elements, ``upper`` marks eigenvalues above 1/2. Write
+    ``E_i = P_i + D_i`` with ``P_i = B_i B_i^dag`` the projector onto those
+    eigenvectors; ``D_i`` holds the eigenvalues' distance to 0 or 1 plus the
+    anti-Hermitian part. Then
+    ``||[E_i, E_j]|| <= 2||B_i^dag B_j|| + 2||D_i|| + 2||D_j|| + 2||D_i||_op ||D_j||``,
+    and all blocks ``B_i^dag B_j`` come from one product ``B^dag B``.
+    """
+    m = len(w)
+    dev = np.abs(w - upper)
+    d_fro = np.sqrt(np.sum(dev**2, axis=1)) + herm_defects / 2.0
+    d_op = np.max(dev, axis=1) + herm_defects / 2.0
+    b = v.transpose(0, 2, 1)[upper]  # rows: the kept eigenvectors, element by element
+    owner = np.repeat(np.arange(m), upper.sum(axis=1))
+    pair = (owner[:, None] * m + owner[None, :]).ravel()
+    gram_sq = np.abs(b.conj() @ b.T) ** 2
+    overlap = np.sqrt(np.bincount(pair, weights=gram_sq.ravel(), minlength=m * m)).reshape(m, m)
+    cross = d_op[:, None] * d_fro[None, :]
+    bound = 2 * overlap + 2 * (d_fro[:, None] + d_fro[None, :]) + 2 * np.minimum(cross, cross.T)
+    np.fill_diagonal(bound, 0.0)  # symmetric: the largest entry off the diagonal is over i < j
+    return float(bound.max())
 
 
 def require_valid(povm: POVM, tol: float = 1e-10) -> dict:
@@ -349,20 +383,15 @@ def random_povm(n: int, m: int, rng: np.random.Generator) -> POVM:
 
 
 def povm_to_json(povm: POVM) -> dict:
-    def enc(m):
-        return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
-
     return {
         "n_s": povm.dim,
-        "elements": [enc(e) for e in povm.elements],
+        "elements": ComplexMatrix(povm.elements),
         "outcome_labels": povm.outcome_labels.tolist(),
         "classification": povm.classification,
     }
 
 
 def povm_from_json(source) -> POVM:
-    from .model import SchemaError, _parse_complex_matrix
-
     if isinstance(source, dict):
         data = source
     elif hasattr(source, "read"):
@@ -375,7 +404,7 @@ def povm_from_json(source) -> POVM:
             raise SchemaError(f"missing key {key!r}")
     n = data["n_s"]
     elements = [
-        _parse_complex_matrix(e, n, f"elements[{k}]") for k, e in enumerate(data["elements"])
+        parse_complex_matrix(e, n, f"elements[{k}]") for k, e in enumerate(data["elements"])
     ]
     labels = data.get("outcome_labels")
     return POVM(

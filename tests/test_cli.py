@@ -5,7 +5,7 @@ import pytest
 
 from qcrbsat import model as md
 from qcrbsat import povm as pv
-from qcrbsat.cli import main
+from qcrbsat.cli import main, parse_params
 
 
 def run(capsys, *argv):
@@ -199,3 +199,35 @@ class TestUsageErrors:
     def test_malformed_theta(self, capsys):
         code, rep = run(capsys, "analyze", "--model", "paper-qutrit", "--theta", "x,y")
         assert code == 1
+
+
+class TestOptions:
+    def test_cond_tol_zero_is_used(self, capsys, tmp_path):
+        base = ["--model", "diag-multinomial", "--params", "dims=3", "--theta", "0.2,0.3"]
+        povm_path = tmp_path / "povm.json"
+        assert main(["construct-povm", *base, "--povm-output", str(povm_path)]) == 0
+        capsys.readouterr()
+        for extra in ([], ["--povm", str(povm_path)]):
+            code, rep = run(capsys, "fisher", *base, "--cond-tol", "0", *extra)
+            assert code == 0
+            assert rep["inputs"]["cond_tol"] == 0.0
+            assert rep["conditions"]["tol"] == 0.0
+            assert rep["saturation_certificate"]["tol"] == 0.0
+            assert rep["fisher"]["tol"] == 0.0
+        code, rep = run(capsys, "simulate", *base, "--cond-tol", "0", "--trials", "1000")
+        assert code == 0
+        assert rep["fisher"]["tol"] == 0.0
+
+    def test_boolean_params(self, capsys):
+        assert parse_params("a=true,b=False,c=TRUE,d=1,e=x") == {
+            "a": True, "b": False, "c": True, "d": 1, "e": "x"}
+        sizes = "seed=3,n_s=6,r_plus=3,n_params=2"
+        code, rep = run(capsys, "analyze", "--model", "random-rank-r", "--theta", "0,0",
+                        "--params", f"{sizes},plant_cond1=False")
+        assert code == 0
+        assert rep["inputs"]["params"]["plant_cond1"] is False
+        assert rep["verdict"] == "NOT_SATURABLE"
+        assert rep["conditions"]["condition1"]["passed"] is False
+        code, rep = run(capsys, "analyze", "--model", "random-rank-r", "--theta", "0,0",
+                        "--params", f"{sizes},plant_cond1=true")
+        assert rep["verdict"] == "SATURABLE_CERTIFIED"

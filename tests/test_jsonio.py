@@ -1,0 +1,168 @@
+import io
+import json
+
+import numpy as np
+import pytest
+
+from qcrbsat import cli, jsonio
+from qcrbsat import model as md
+from qcrbsat.jsonio import ComplexMatrix, SchemaError, parse_complex_matrix
+
+QUTRIT = ["--model", "paper-qutrit", "--params", "d=0.6,c1=1,c2=0.7", "--theta", "0.3,0.5"]
+
+
+def dumped(obj, **kw) -> str:
+    buf = io.StringIO()
+    jsonio.dump(obj, buf.write, **kw)
+    return buf.getvalue()
+
+
+def reference(obj, sort_keys=True) -> str:
+    return json.dumps(obj, indent=2, sort_keys=sort_keys)
+
+
+def payload(*argv):
+    args = cli.build_parser().parse_args(list(argv))
+    return cli._COMMANDS[args.command](args)
+
+
+class TestWriterMatchesJsonDumps:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", *QUTRIT],
+            ["construct-povm", *QUTRIT],
+            ["fisher", *QUTRIT],
+            ["fisher", "--model", "random-rank-r", "--theta", "0,0,0",
+             "--params", "seed=4,n_s=8,r_plus=4,n_params=3"],
+            ["simulate", *QUTRIT, "--trials", "2000", "--batches", "2", "--estimator"],
+            ["sweep", "--model", "paper-qutrit", "--params", "d=0.6,c1=1,c2=0.7",
+             "--grid", "0.0:1.0:3,0.1:0.9:2"],
+        ],
+        ids=["analyze", "construct-povm", "fisher", "fisher-rank-r", "simulate", "sweep"],
+    )
+    def test_reports(self, argv):
+        obj = payload(*argv)
+        assert dumped(obj) == reference(obj)
+
+    def test_report_file_bytes(self, tmp_path):
+        obj = payload("construct-povm", *QUTRIT)
+        path = tmp_path / "r.json"
+        jsonio.write_json(obj, path)
+        assert path.read_bytes() == (reference(obj) + "\n").encode("utf-8")
+
+    def test_stdout(self, capsys):
+        obj = {"a": [1.5, None], "b": ComplexMatrix(np.eye(2))}
+        jsonio.write_json(obj)
+        assert capsys.readouterr().out == reference(obj) + "\n"
+
+    def test_edge_scalars(self):
+        values = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 1e16, 1e-7,
+                  0.1, 2**70, -3, True, False, None, "", "plain", "naïve ☃ \"q\"\n\t",
+                  np.float64(0.3), [], {}, [[]], [{}], {"e": {}}, (1, 2.5)]
+        for v in values:
+            assert dumped(v) == reference(v), v
+        obj = {"values": values, "nested": {"empty": {}, "list": [[], [[]], {"x": []}]}}
+        assert dumped(obj) == reference(obj)
+
+    def test_keys(self):
+        obj = {"b": 1, "a": {"d": 2, "c": 3}, "é": 4}
+        assert dumped(obj) == reference(obj)
+        assert dumped(obj, sort_keys=False) == reference(obj, sort_keys=False)
+        for keys in ([1, 2, -5], [0.5, 1e300], [True], [None]):
+            obj = {k: k for k in keys}
+            assert dumped(obj) == reference(obj)
+
+    def test_complex_matrices(self):
+        rng = np.random.default_rng(3)
+        z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        z[0, 0] = complex(float("nan"), float("inf"))
+        z[1, 2] = complex(-0.0, -float("inf"))
+        z[3, 3] = complex(5e-324, 1e16)
+        cases = [
+            z,
+            np.stack([z, z[::-1], z.conj()]),  # a stack is written slice by slice
+            rng.standard_normal((2, 3, 2, 2)),
+            np.eye(3),  # real input gets zero imaginary parts
+            np.array([[1 + 2j]]),
+            np.array([1j, 2.0]),
+            np.zeros((0, 0)),
+            np.zeros((2, 0)),
+            np.zeros((0, 3, 3), dtype=complex),
+        ]
+        for m in cases:
+            cm = ComplexMatrix(m)
+            if m.ndim == 2:
+                plain = [[[float(c.real), float(c.imag)] for c in row] for row in m]
+                assert json.dumps(cm) == json.dumps(plain)
+            for obj in (cm, {"m": cm, "n": [cm, 1]}, [[cm]]):
+                assert dumped(obj) == reference(obj)
+                assert dumped(obj, sort_keys=False) == reference(obj, sort_keys=False)
+
+    def test_unserializable_raises_like_json(self):
+        for bad in (np.array([1.0]), np.int64(3), np.float32(1.0), object(), {1, 2}):
+            with pytest.raises(TypeError):
+                json.dumps(bad, indent=2, sort_keys=True)
+            with pytest.raises(TypeError):
+                dumped({"x": [bad]})
+        with pytest.raises(TypeError):
+            dumped({(1, 2): 0})
+
+    def test_output_is_streamed(self):
+        pieces = []
+        obj = {"elements": ComplexMatrix(np.ones((3, 8, 8))), "rows": list(range(10000))}
+        jsonio.dump(obj, pieces.append)
+        assert "".join(pieces) == reference(obj)
+        assert len(pieces) > 3
+        assert max(map(len, pieces)) < len("".join(pieces)) / 2
+
+
+def loop_parse(obj):
+    """The per-entry reading the array path must agree with."""
+    return np.array([[complex(e[0], e[1]) for e in row] for row in obj], dtype=complex)
+
+
+class TestParseComplexMatrix:
+    def test_array_path_matches_entrywise(self, qutrit_point):
+        rng = np.random.default_rng(0)
+        z = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        z[0, 1] = complex(-0.0, 5e-324)
+        for m in (z, qutrit_point.rho, *qutrit_point.drho):
+            obj = json.loads(json.dumps(ComplexMatrix(m)))
+            out = parse_complex_matrix(obj, len(m), "m")
+            assert np.array_equal(out.view(float), loop_parse(obj).view(float))
+            assert np.array_equal(np.signbit(out.view(float)), np.signbit(m.view(float)))
+
+    def test_accepts_what_the_entry_reader_accepts(self):
+        obj = [[[1, 0], [True, 2.5]], [[0.5, False], [2**60, -1]]]
+        assert np.array_equal(parse_complex_matrix(obj, 2, "m"), loop_parse(obj))
+        assert np.array_equal(parse_complex_matrix(ComplexMatrix(np.eye(2)), 2, "m"), np.eye(2))
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ([[[1, 0], [0, 0]]], "m: expected 2 rows"),
+            ((([1, 0], [0, 0]), ([0, 0], [1, 0])), "m: expected 2 rows"),
+            ([[[1, 0], [0, 0]], [[0, 0]]], "m: row 1 must have 2 entries"),
+            ([[[1, 0], [0, 0]], ([0, 0], [1, 0])], "m: row 1 must have 2 entries"),
+            ([[[1, 0], (0, 0)], [[0, 0], [1, 0]]], r"m: entry \(0,1\) must be an \[re, im\] pair"),
+            ([[[1, 0], [0, 0, 0]], [[0, 0], [1, 0]]], r"m: entry \(0,1\) must be an \[re, im\] pair"),
+            ([[[1, 0], [0, 0]], [[0, "0"], [1, 0]]], r"m: entry \(1,0\) must be an \[re, im\] pair"),
+            ([[[1, 0], [0, 0]], [[0, 0], [1, np.float32(0)]]],
+             r"m: entry \(1,1\) must be an \[re, im\] pair"),
+            ([[[1, 0], [0, 0]], [[0, 0], [1, None]]], r"m: entry \(1,1\) must be an \[re, im\] pair"),
+            ([[[1, 0], [0, float("nan")]], [[0, 0], [1, 0]]], "m: non-finite entries"),
+        ],
+    )
+    def test_errors_unchanged(self, obj, message):
+        with pytest.raises(SchemaError, match=f"^{message}$"):
+            parse_complex_matrix(obj, 2, "m")
+
+    def test_overflow_unchanged(self):
+        with pytest.raises(OverflowError):
+            parse_complex_matrix([[[10**400, 0]]], 1, "m")
+
+    def test_numeric_model_roundtrip(self, qutrit_point):
+        sp = md.parse_numeric_model(json.loads(json.dumps(md.state_to_numeric_model(qutrit_point))))
+        assert np.array_equal(sp.rho, qutrit_point.rho)
+        assert np.array_equal(sp.drho, qutrit_point.drho)

@@ -148,3 +148,14 @@ class TestJointEigenprojectors:
         fam = [q @ np.diag(rng.integers(0, 3, 6).astype(float)) @ q.conj().T for _ in range(3)]
         spec = nk.joint_eigenprojectors(fam, rng=rng)
         assert sum(spec.block_dims) == 6
+
+    def test_one_spectral_norm_per_member(self, monkeypatch):
+        calls = []
+        opnorm = nk.opnorm
+        monkeypatch.setattr(nk, "opnorm", lambda a: calls.append(1) or opnorm(a))
+        rng = np.random.default_rng(3)
+        q = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))[0]
+        lab = np.array([[1.0, 1.0, 2.0, 2.0, 3.0], [0.5, 0.5, 0.5, 1.5, 1.5]])
+        spec = nk.joint_eigenprojectors([q @ np.diag(l) @ q.conj().T for l in lab])
+        assert spec.chi == 4
+        assert len(calls) == 2

@@ -37,6 +37,78 @@ class TestValidate:
         assert diag["valid"] and not diag["projective"]
 
 
+def pairwise_projectivity(povm):
+    """The per-pair commutator residual that validate's Gram bound replaces."""
+    res = max(nk.fro(e @ e - e) for e in povm.elements)
+    for i, e in enumerate(povm.elements):
+        for f in povm.elements[i + 1:]:
+            res = max(res, nk.fro(e @ f - f @ e))
+    return res
+
+
+def projectivity_cases(qutrit_point, qutrit_dec, qutrit_slds, multinomial_model):
+    rng = np.random.default_rng(11)
+    cases = [
+        pv.POVM(elements=[np.eye(2)]),
+        pv.POVM(elements=[np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]),
+        pv.POVM(elements=[0.6 * np.eye(2), 0.6 * np.eye(2)]),
+        pv.POVM(elements=[0.5 * np.eye(2), 0.5 * np.eye(2)]),
+        pv.POVM(elements=[np.diag(r).astype(complex) for r in np.eye(3)]),
+        pv.random_projective_povm(3, rng),
+        pv.random_projective_povm(8, rng),
+        pv.random_povm(3, 4, rng),
+        optimal_for(qutrit_point, qutrit_dec, qutrit_slds),
+    ]
+    sp = qs.evaluate(multinomial_model, multinomial_model.domain.lo + 0.1)
+    dec = qs.support_decomposition(sp)
+    cases.append(optimal_for(sp, dec, qs.compute_sld(dec, sp.drho)))
+    m = qs.get("random-rank-r", seed=2, n_s=8, r_plus=4, n_params=3)
+    sp = qs.evaluate(m, [0.0, 0.0, 0.0])
+    dec = qs.support_decomposition(sp)
+    cases.append(optimal_for(sp, dec, qs.compute_sld(dec, sp.drho)))
+    # Perturbed projective measurements, Hermitian and not, far on either side of tol.
+    base = pv.random_projective_povm(5, rng)
+    for eps in (1e-14, 1e-6):
+        for hermitian in (True, False):
+            noisy = []
+            for e in base.elements:
+                z = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+                noisy.append(e + eps * (nk.hermitize(z) if hermitian else z))
+            cases.append(pv.POVM(elements=noisy))
+    return cases
+
+
+class TestProjectivity:
+    def test_overlapping_idempotents_are_not_projective(self):
+        plus = np.full((2, 2), 0.5)
+        for elements in ([np.diag([1.0, 0.0]), plus],
+                         [np.diag([1.0, 0.0, 0.0]), np.pad(plus, (0, 1)), np.diag([0.0, 0.0, 1.0])]):
+            p = pv.POVM(elements=elements)
+            diag = pv.validate(p)
+            assert not diag["projective"] and p.projective is False
+            assert diag["projectivity_residual"] >= pairwise_projectivity(p) > 0.1
+
+    def test_decision_matches_pairwise_and_bound_is_never_looser(
+        self, qutrit_point, qutrit_dec, qutrit_slds, multinomial_model
+    ):
+        for p in projectivity_cases(qutrit_point, qutrit_dec, qutrit_slds, multinomial_model):
+            diag = pv.validate(p)
+            ref = pairwise_projectivity(p)
+            assert diag["projective"] == (ref <= 1e-10 * max(1.0, p.dim))
+            assert diag["projectivity_residual"] >= ref - 1e-15
+
+    def test_construct_refuses_non_projective(self):
+        m = qs.get("random-rank-r", seed=1, n_s=6, r_plus=3, n_params=2)
+        sp = qs.evaluate(m, [0.0, 0.0])
+        dec = qs.support_decomposition(sp)
+        slds = qs.compute_sld(dec, sp.drho)
+        w = qs.evaluate_conditions(sp, dec, slds).cond4.W
+        skewed = w @ np.array([[1.0, 0.3, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(pv.InvalidPOVMError) as err:
+            pv.construct_optimal(dec, slds, W=skewed / np.linalg.norm(skewed, axis=0))
+        assert err.value.detail["diagnostics"]["projective"] is False
+
+
 class TestClassify:
     def test_qutrit_optimal_classification(self, qutrit_point, qutrit_dec, qutrit_slds):
         povm = optimal_for(qutrit_point, qutrit_dec, qutrit_slds)
