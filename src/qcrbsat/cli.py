@@ -14,7 +14,6 @@ inputs reproduces it bit for bit.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -173,12 +172,33 @@ def _construct_from_report(dec, slds, report, seed):
     )
 
 
-def _resolve_povm(args, dec, slds, report):
-    if getattr(args, "povm", None):
-        p = povm_mod.povm_from_json(args.povm)
-        povm_mod.require_valid(p)
-        return p
-    return _construct_from_report(dec, slds, report, args.seed)
+def _supplied_povm(args, sp: StateAtPoint):
+    """The ``--povm`` measurement, checked against the state; None when not given."""
+    if not args.povm:
+        return None
+    p = povm_mod.povm_from_json(args.povm)
+    if p.dim != sp.dim:
+        raise povm_mod.InvalidPOVMError(
+            f"the measurement acts on dimension {p.dim}, the state on {sp.dim}",
+            povm_dim=p.dim,
+            state_dim=sp.dim,
+        )
+    povm_mod.require_valid(p)
+    return p
+
+
+def _cost_matrix(args, sp: StateAtPoint):
+    """The ``--cost-matrix``: a finite real p x p array; None when not given."""
+    if not args.cost_matrix:
+        return None
+    p = sp.n_params
+    try:
+        g = np.array(jsonio.load(args.cost_matrix))
+    except ValueError:  # ragged nesting
+        g = None
+    if g is None or g.dtype.kind not in "iuf" or g.shape != (p, p) or not np.isfinite(g).all():
+        raise jsonio.SchemaError(f"the cost matrix must be a finite real {p}x{p} array")
+    return g.astype(float)
 
 
 def cmd_analyze(args) -> dict:
@@ -202,16 +222,15 @@ def cmd_construct_povm(args) -> dict:
 
 def cmd_fisher(args) -> dict:
     model, sp, witness = _load_state(args)
+    povm = _supplied_povm(args, sp)
+    g = _cost_matrix(args, sp)
     dec, slds, f_q, report = run_analysis(args, sp, model, witness)
-    povm = _resolve_povm(args, dec, slds, report)
+    if povm is None:
+        povm = _construct_from_report(dec, slds, report, args.seed)
     povm_mod.classify_elements(povm, sp.rho, dec)
     cert = povm_mod.verify_saturation_structural(povm, dec, slds, tol=cond_tol(args, sp))
     dist = fish.outcome_distribution(sp.rho, sp.drho, povm, dec)
     f_c = fish.classical_fim(dist)
-    g = None
-    if args.cost_matrix:
-        with open(args.cost_matrix, "r", encoding="utf-8") as fh:
-            g = np.array(json.load(fh), dtype=float)
     comparison = fish.compare(f_c, f_q, g=g, tol=cond_tol(args, sp))
     out = base_report(args, sp, model, dec, f_q, report)
     out["povm"] = povm_mod.povm_to_json(povm)
@@ -222,8 +241,10 @@ def cmd_fisher(args) -> dict:
 
 def cmd_simulate(args) -> dict:
     model, sp, witness = _load_state(args)
+    povm = _supplied_povm(args, sp)
     dec, slds, f_q, report = run_analysis(args, sp, model, witness)
-    povm = _resolve_povm(args, dec, slds, report)
+    if povm is None:
+        povm = _construct_from_report(dec, slds, report, args.seed)
     povm_mod.classify_elements(povm, sp.rho, dec)
     dist = fish.outcome_distribution(sp.rho, sp.drho, povm, dec)
     f_c = fish.classical_fim(dist)
@@ -238,7 +259,7 @@ def cmd_simulate(args) -> dict:
 
         record.estimator = fish.estimator_study(
             prob_fn, dist, sp.theta, batches=args.batches,
-            batch_size=max(1, args.trials // args.batches), seed=args.seed,
+            batch_size=max(1, args.trials // max(1, args.batches)), seed=args.seed,
         )
     out = base_report(args, sp, model, dec, f_q, report)
     out["povm"] = povm_mod.povm_to_json(povm)
@@ -310,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf = sub.add_parser("fisher", parents=[common],
                         help="classical vs quantum information for a measurement")
     pf.add_argument("--povm", help="measurement JSON file (default: construct)")
-    pf.add_argument("--cost-matrix", help="JSON file with a positive-definite cost matrix")
+    pf.add_argument("--cost-matrix", help="JSON file with a real p x p cost matrix")
     ps = sub.add_parser("simulate", parents=[common], help="seeded Monte Carlo sampling")
     ps.add_argument("--povm", help="measurement JSON file (default: construct)")
     ps.add_argument("--trials", type=int, default=1_000_000)

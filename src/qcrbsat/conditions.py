@@ -32,7 +32,7 @@ from . import numkernel as nk
 from .errors import QcrbSatError
 from .jsonio import ComplexMatrix
 from .model import StateAtPoint, StateModel, SupportDecomposition, decomposition_from_basis
-from .sld import SLDSet, compute_sld
+from .sld import SLDSet, pairs, plus_null_blocks
 
 VERDICT_SATURABLE = "SATURABLE_CERTIFIED"
 VERDICT_NOT = "NOT_SATURABLE"
@@ -68,60 +68,64 @@ class CommCheck:
         }
 
 
-def _pairs(p: int):
-    return [(l, m) for l in range(p) for m in range(l + 1, p)]
+def _pair_scales(mats) -> list:
+    """``max(1, ||A_l|| ||A_m||)`` for every pair l < m of a family of matrices."""
+    norms = [nk.fro(a) for a in mats]
+    return [max(1.0, norms[l] * norms[m]) for l, m in pairs(len(norms))]
+
+
+def _worst_pair(p: int, residuals, scales) -> tuple:
+    """The pair with the largest ``residual / scale``, as (that ratio, (l, m), scale).
+
+    ``residuals`` and ``scales`` follow :func:`~qcrbsat.sld.pairs`. Ties keep
+    the first pair; with no positive ratio the result is ``(0.0, None, 1.0)``.
+    """
+    worst, worst_pair, worst_scale = 0.0, None, 1.0
+    for pair, r, s in zip(pairs(p), residuals, scales):
+        if r / s > worst:
+            worst, worst_pair, worst_scale = r / s, pair, s
+    return worst, worst_pair, worst_scale
+
+
+def _condition3(lpz) -> tuple:
+    """Condition 3: the worst ``||Lpz_l Lpz_m^dag - Lpz_m Lpz_l^dag||``, as :func:`_worst_pair`."""
+    p = len(lpz)
+    residuals = [nk.fro(lpz[l] @ lpz[m].conj().T - lpz[m] @ lpz[l].conj().T) for l, m in pairs(p)]
+    return _worst_pair(p, residuals, _pair_scales(lpz))
 
 
 def check_full_commutativity(slds: SLDSet, tol: float = 1e-8) -> CommCheck:
     """Pairwise commutators of the full-space SLDs (00 blocks set to zero)."""
-    worst, worst_pair, scale = 0.0, None, 1.0
-    for l, m in _pairs(slds.n_params):
-        s = max(1.0, nk.fro(slds.full[l]) * nk.fro(slds.full[m]))
-        r = nk.commutator_residual(slds.full[l], slds.full[m]) / s
-        if r > worst:
-            worst, worst_pair, scale = r, (l, m), s
-    return CommCheck(residual=worst, scale=scale, tol=tol, passed=worst <= tol, worst_pair=worst_pair)
+    residuals = [nk.fro(c) for c in slds.commutators]
+    worst, pair, scale = _worst_pair(slds.n_params, residuals, _pair_scales(slds.full))
+    return CommCheck(residual=worst, scale=scale, tol=tol, passed=worst <= tol, worst_pair=pair)
 
 
 def check_average_commutativity(rho: np.ndarray, slds: SLDSet, tol: float = 1e-8) -> CommCheck:
     """|tr(rho [L_l, L_m])| for every pair."""
     p = slds.n_params
+    traces = [abs(complex(np.trace(rho @ c))) for c in slds.commutators]
     vals = np.zeros((p, p))
-    worst, worst_pair = 0.0, None
-    for l, m in _pairs(p):
-        comm = slds.full[l] @ slds.full[m] - slds.full[m] @ slds.full[l]
-        v = abs(complex(np.trace(rho @ comm)))
+    for (l, m), v in zip(pairs(p), traces):
         vals[l, m] = vals[m, l] = v
-        s = max(1.0, nk.fro(slds.full[l]) * nk.fro(slds.full[m]))
-        if v / s > worst:
-            worst, worst_pair = v / s, (l, m)
+    worst, pair, _ = _worst_pair(p, traces, _pair_scales(slds.full))
     return CommCheck(
-        residual=worst, scale=1.0, tol=tol, passed=worst <= tol, worst_pair=worst_pair, values=vals
+        residual=worst, scale=1.0, tol=tol, passed=worst <= tol, worst_pair=pair, values=vals
     )
 
 
 def check_condition1(slds: SLDSet, tol: float = 1e-8) -> CommCheck:
     """Commutators of the ++ blocks."""
-    worst, worst_pair = 0.0, None
-    for l, m in _pairs(slds.n_params):
-        s = max(1.0, nk.fro(slds.Lpp[l]) * nk.fro(slds.Lpp[m]))
-        r = nk.fro(slds.Lpp[l] @ slds.Lpp[m] - slds.Lpp[m] @ slds.Lpp[l]) / s
-        if r > worst:
-            worst, worst_pair = r, (l, m)
-    return CommCheck(residual=worst, scale=1.0, tol=tol, passed=worst <= tol, worst_pair=worst_pair)
+    lpp = slds.Lpp
+    residuals = [nk.fro(lpp[l] @ lpp[m] - lpp[m] @ lpp[l]) for l, m in pairs(slds.n_params)]
+    worst, pair, _ = _worst_pair(slds.n_params, residuals, _pair_scales(lpp))
+    return CommCheck(residual=worst, scale=1.0, tol=tol, passed=worst <= tol, worst_pair=pair)
 
 
 def check_condition3(slds: SLDSet, tol: float = 1e-8) -> CommCheck:
     """Anti-Hermitian part of the +0 cross products."""
-    worst, worst_pair = 0.0, None
-    for l, m in _pairs(slds.n_params):
-        a = slds.Lpz[l] @ slds.Lpz[m].conj().T
-        b = slds.Lpz[m] @ slds.Lpz[l].conj().T
-        s = max(1.0, nk.fro(slds.Lpz[l]) * nk.fro(slds.Lpz[m]))
-        r = nk.fro(a - b) / s
-        if r > worst:
-            worst, worst_pair = r, (l, m)
-    return CommCheck(residual=worst, scale=1.0, tol=tol, passed=worst <= tol, worst_pair=worst_pair)
+    worst, pair, _ = _condition3(slds.Lpz)
+    return CommCheck(residual=worst, scale=1.0, tol=tol, passed=worst <= tol, worst_pair=pair)
 
 
 def check_partial_commutativity(
@@ -130,30 +134,28 @@ def check_partial_commutativity(
     """Support-projected commutators P+ [L_l, L_m] P+.
 
     Computed in block form ([Lpp_l, Lpp_m] plus the +0 cross-product
-    imbalance) and cross-checked against the direct full-space projection;
-    the two agree identically up to roundoff.
+    imbalance) and cross-checked against the direct projection of the
+    full-space commutators; the two agree identically up to roundoff.
     """
-    worst, worst_pair, crosscheck = 0.0, None, 0.0
-    for l, m in _pairs(slds.n_params):
+    lpp, lpz = slds.Lpp, slds.Lpz
+    scales = _pair_scales(slds.full)
+    residuals, crosscheck = [], 0.0
+    for (l, m), comm, s in zip(pairs(slds.n_params), slds.commutators, scales):
         block = (
-            slds.Lpp[l] @ slds.Lpp[m]
-            - slds.Lpp[m] @ slds.Lpp[l]
-            + slds.Lpz[l] @ slds.Lpz[m].conj().T
-            - slds.Lpz[m] @ slds.Lpz[l].conj().T
+            lpp[l] @ lpp[m] - lpp[m] @ lpp[l]
+            + lpz[l] @ lpz[m].conj().T - lpz[m] @ lpz[l].conj().T
         )
-        s = max(1.0, nk.fro(slds.full[l]) * nk.fro(slds.full[m]))
-        r = nk.fro(block) / s
-        comm = slds.full[l] @ slds.full[m] - slds.full[m] @ slds.full[l]
-        direct = nk.fro(dec.P_plus @ comm @ dec.P_plus) / s
-        crosscheck = max(crosscheck, abs(direct - r))
-        if r > worst:
-            worst, worst_pair = r, (l, m)
+        r = nk.fro(block)
+        direct = nk.fro(dec.P_plus @ comm @ dec.P_plus)
+        crosscheck = max(crosscheck, abs(direct / s - r / s))
+        residuals.append(r)
     if crosscheck > 1e-10:
         raise QcrbSatError(
             f"partial-commutativity block identity violated: {crosscheck:.3e}",
             crosscheck=crosscheck,
         )
-    return CommCheck(residual=worst, scale=1.0, tol=tol, passed=worst <= tol, worst_pair=worst_pair)
+    worst, pair, _ = _worst_pair(slds.n_params, residuals, scales)
+    return CommCheck(residual=worst, scale=1.0, tol=tol, passed=worst <= tol, worst_pair=pair)
 
 
 # ---------------------------------------------------------------------------
@@ -368,11 +370,7 @@ def find_w_condition4(
             notes=["no null directions"],
         )
 
-    cond3_res = 0.0
-    for l, m in _pairs(p):
-        a = lpz[l] @ lpz[m].conj().T - lpz[m] @ lpz[l].conj().T
-        s = max(1.0, nk.fro(lpz[l]) * nk.fro(lpz[m]))
-        cond3_res = max(cond3_res, nk.fro(a) / s)
+    cond3_res = _condition3(lpz)[0]
     cond3_fails = cond3_res > tol
 
     candidates = []
@@ -622,12 +620,12 @@ def verify_condition2prime(
                         res = nk.fro(lhs - c * rhs) / scale
                     null_compat_res = max(null_compat_res, res)
 
-    slds = compute_sld(dec, sp.drho, sld_tol=max(sp.deriv_tol, tol))
+    lpz = plus_null_blocks(dec, sp.drho)
     cross_res = 0.0
     for l in range(p):
         ident = 2.0 * dv[l].conj().T @ dec.Y
-        scale = max(1.0, nk.fro(slds.Lpz[l]) + nk.fro(ident))
-        cross_res = max(cross_res, nk.fro(slds.Lpz[l] - ident) / scale)
+        scale = max(1.0, nk.fro(lpz[l]) + nk.fro(ident))
+        cross_res = max(cross_res, nk.fro(lpz[l] - ident) / scale)
 
     checked = [pde_res, cross_res]
     if stationarity_res is not None:

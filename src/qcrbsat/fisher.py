@@ -29,6 +29,7 @@ from . import numkernel as nk
 from .errors import QcrbSatError
 from .model import SupportDecomposition
 from .povm import POVM
+from .sld import plus_null_blocks
 
 PROB_TOL = 1e-12
 
@@ -109,8 +110,8 @@ def outcome_distribution(
 
     null_info = []
     if dec is not None:
-        lpz = [2.0 * (dec.V.conj().T @ d @ dec.Y) / dec.q[:, None] for d in drho]
-        q_lpz = [dec.q[:, None] * L for L in lpz]
+        lpz = plus_null_blocks(dec, drho)
+        q_lpz = dec.q[:, None] * lpz
         for k in range(m):
             if support_mask[k] or k in singular:
                 continue
@@ -385,7 +386,12 @@ def estimator_study(
     seed: int,
     radius: float = 0.05,
 ) -> dict:
-    """Covariance of batched maximum-likelihood estimates around theta0."""
+    """Covariance of batched maximum-likelihood estimates around theta0.
+
+    Needs at least two batches: one estimate has no covariance.
+    """
+    if batches < 2:
+        raise QcrbSatError(f"the estimator study needs at least 2 batches, got {batches}")
     estimates = []
     for b in range(batches):
         counts = sample_outcomes(dist, batch_size, seed + b)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import numkernel as nk
 from .conditions import Cond2PrimeWitness
 from .errors import QcrbSatError
 from .model import StateModel, box
@@ -194,19 +195,12 @@ def pure_qubit_amp_phase() -> StateModel:
 # ---------------------------------------------------------------------------
 
 
-def _fixed_unitary(n: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def _ti_gauge_path(theta):
     return np.diag(np.exp(1j * np.array([theta[0], theta[1], 0.0]))).astype(complex)
 
 
 def theta_independent_support() -> StateModel:
-    b = _fixed_unitary(4, seed=71)[:, :3]
+    b = nk.haar_unitary(4, np.random.default_rng(71))[:, :3]
 
     def q_of(theta):
         return np.array([theta[0], theta[1], 1.0 - theta[0] - theta[1]])
@@ -304,14 +298,14 @@ def random_rank_r(
         raise ParameterError("planting column alignment needs r_zero <= r_plus")
     rng = np.random.default_rng(seed)
 
-    u = _fixed_unitary_from(rng, n_s)
+    u = nk.haar_unitary(n_s, rng)
     v, y = u[:, :r_plus], u[:, r_plus:]
     q = rng.uniform(0.5, 1.5, r_plus)
     q = q / q.sum()
 
     lpp = []
     if plant_cond1:
-        qb = _fixed_unitary_from(rng, r_plus)
+        qb = nk.haar_unitary(r_plus, rng)
         for _ in range(n_params):
             lam = rng.normal(size=r_plus)
             m = qb @ np.diag(lam).astype(complex) @ qb.conj().T
@@ -330,7 +324,7 @@ def random_rank_r(
     elif plant_cond4:
         z = rng.standard_normal((r_plus, r_zero)) + 1j * rng.standard_normal((r_plus, r_zero))
         frame = np.linalg.qr(z)[0]
-        w0 = _fixed_unitary_from(rng, r_zero)
+        w0 = nk.haar_unitary(r_zero, rng)
         mu = rng.uniform(0.2, 1.0, size=(n_params, r_zero)) * rng.choice(
             [-1.0, 1.0], size=(n_params, r_zero)
         )
@@ -372,12 +366,6 @@ def random_rank_r(
             "plant_cond4": plant_cond4,
         },
     )
-
-
-def _fixed_unitary_from(rng: np.random.Generator, n: int) -> np.ndarray:
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,13 @@ is those nested lists together with the float array they were made from;
 :func:`dump` writes a payload piece by piece as exactly the text of
 ``json.dumps(obj, indent=2, sort_keys=True)``, rendering each
 :class:`ComplexMatrix` from its array in one pass instead of float by float.
-:func:`parse_complex_matrix` reads a matrix back.
+:func:`parse_complex_matrix` reads a matrix back, and :func:`load` is the
+one reader of input files.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
@@ -204,6 +206,31 @@ def write_json(obj, path=None, *, sort_keys: bool = True) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         dump(obj, fh.write, sort_keys=sort_keys)
         fh.write("\n")
+
+
+def load(source):
+    """The JSON value of ``source``: a dict as given, else a stream or file path to parse.
+
+    A file that cannot be read or does not hold JSON raises :class:`SchemaError`.
+    """
+    if isinstance(source, dict):
+        return source
+    try:
+        if hasattr(source, "read"):
+            return json.load(source)
+        with open(source, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SchemaError(f"cannot read JSON input {source!r}: {exc}") from exc
+
+
+def require_keys(data, keys) -> None:
+    """Raise :class:`SchemaError` unless ``data`` is a JSON object holding every key."""
+    if not isinstance(data, dict):
+        raise SchemaError(f"expected a JSON object, got {type(data).__name__}")
+    for key in keys:
+        if key not in data:
+            raise SchemaError(f"missing key {key!r}")
 
 
 def _pairs_array(obj, n: int):

@@ -10,12 +10,12 @@ space, which is the coordinate system every downstream check works in.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from . import jsonio
 from . import numkernel as nk
 from .errors import QcrbSatError
 from .jsonio import ComplexMatrix, SchemaError, parse_complex_matrix
@@ -26,6 +26,11 @@ PSD_FLOOR = 1e-12
 DEFAULT_FD_STEP = 1e-5
 DEFAULT_RANK_TOL = 1e-10
 AMBIGUITY_FACTOR = 10.0
+
+
+def derivative_tol(scheme: str) -> float:
+    """Residual tolerance of a derivative scheme: 1e-8 analytic, 1e-4 finite differences."""
+    return 1e-8 if scheme == "analytic" else 1e-4
 
 
 class DomainError(QcrbSatError):
@@ -110,7 +115,7 @@ class StateAtPoint:
     @property
     def deriv_tol(self) -> float:
         """Residual tolerance appropriate for the derivative scheme."""
-        return 1e-8 if self.scheme == "analytic" else 1e-4
+        return derivative_tol(self.scheme)
 
     def scheme_label(self) -> str:
         if self.scheme == "analytic":
@@ -228,7 +233,7 @@ def evaluate(
 
     rho = _validate_density(model.state_fn(theta), model.dim)
 
-    tol = 1e-8 if scheme == "analytic" else 1e-4
+    tol = derivative_tol(scheme)
     drho = []
     for l in range(model.n_params):
         if scheme == "analytic":
@@ -258,6 +263,22 @@ def fix_phases(m: np.ndarray) -> np.ndarray:
         if abs(z) > 0:
             m[:, j] = col * (abs(z) / z)
     return m
+
+
+def _split(sp: StateAtPoint, q, V, Y, rank_tol: float) -> SupportDecomposition:
+    """The decomposition with support basis V and null basis Y, after checking
+    that every derivative vanishes on the null block (the rank is locally constant)."""
+    _check_fixed_rank(sp, Y)
+    return SupportDecomposition(
+        q=q,
+        V=V,
+        Y=Y,
+        P_plus=nk.hermitize(V @ V.conj().T),
+        P_zero=nk.hermitize(Y @ Y.conj().T),
+        r_plus=V.shape[1],
+        r_zero=Y.shape[1],
+        rank_tol=rank_tol,
+    )
 
 
 def _check_fixed_rank(sp: StateAtPoint, Y: np.ndarray) -> None:
@@ -303,20 +324,7 @@ def support_decomposition(sp: StateAtPoint, rank_tol: float = DEFAULT_RANK_TOL) 
 
     V = fix_phases(q_vecs[:, support_mask])
     Y = fix_phases(q_vecs[:, null_mask])
-    q = np.asarray(w[support_mask], dtype=float)
-
-    dec = SupportDecomposition(
-        q=q,
-        V=V,
-        Y=Y,
-        P_plus=nk.hermitize(V @ V.conj().T),
-        P_zero=nk.hermitize(Y @ Y.conj().T),
-        r_plus=V.shape[1],
-        r_zero=Y.shape[1],
-        rank_tol=rank_tol,
-    )
-    _check_fixed_rank(sp, Y)
-    return dec
+    return _split(sp, np.asarray(w[support_mask], dtype=float), V, Y, rank_tol)
 
 
 def decomposition_from_basis(
@@ -357,19 +365,7 @@ def decomposition_from_basis(
     Y = fix_phases(vecs[:, w > 0.5])
     if nk.fro(sp.rho @ Y) > basis_tol * max(1.0, nk.fro(sp.rho)):
         raise InvalidStateError("completed null basis is not annihilated by the state")
-
-    dec = SupportDecomposition(
-        q=q,
-        V=V,
-        Y=Y,
-        P_plus=nk.hermitize(V @ V.conj().T),
-        P_zero=nk.hermitize(Y @ Y.conj().T),
-        r_plus=V.shape[1],
-        r_zero=Y.shape[1],
-        rank_tol=rank_tol,
-    )
-    _check_fixed_rank(sp, Y)
-    return dec
+    return _split(sp, q, V, Y, rank_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -387,17 +383,8 @@ def parse_numeric_model(source) -> StateAtPoint:
     feed every downstream check but supports no re-evaluation at other
     parameter values.
     """
-    if isinstance(source, dict):
-        data = source
-    elif hasattr(source, "read"):
-        data = json.load(source)
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-
-    for key in ("n_s", "p", "rho", "drho"):
-        if key not in data:
-            raise SchemaError(f"missing key {key!r}")
+    data = jsonio.load(source)
+    jsonio.require_keys(data, ("n_s", "p", "rho", "drho"))
     n = data["n_s"]
     p = data["p"]
     if not isinstance(n, int) or n < 1:
@@ -411,7 +398,7 @@ def parse_numeric_model(source) -> StateAtPoint:
     drho = [parse_complex_matrix(m, n, f"drho[{l}]") for l, m in enumerate(data["drho"])]
 
     rho = _validate_density(rho)
-    drho = [_validate_drho(d, 1e-8, l) for l, d in enumerate(drho)]
+    drho = [_validate_drho(d, derivative_tol("analytic"), l) for l, d in enumerate(drho)]
     return StateAtPoint(theta=None, rho=rho, drho=np.array(drho), scheme="analytic")
 
 

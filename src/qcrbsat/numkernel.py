@@ -46,8 +46,8 @@ def opnorm(a: np.ndarray) -> float:
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Hermitian part (a + a^dag) / 2."""
-    return (a + a.conj().T) / 2.0
+    """Hermitian part (a + a^dag) / 2 of a matrix, or of each matrix of a stack."""
+    return (a + a.conj().swapaxes(-1, -2)) / 2.0
 
 
 def herm_defect(a: np.ndarray) -> float:
@@ -70,6 +70,13 @@ def commutator_residual(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ShapeError(f"shape mismatch {a.shape} vs {b.shape}")
     return fro(a @ b - b @ a)
+
+
+def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random n x n unitary: QR of a complex Gaussian matrix, phases fixed by R."""
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 @dataclass(frozen=True)

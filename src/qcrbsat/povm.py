@@ -12,7 +12,6 @@ imaginary residue as part of the failure residual.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -20,7 +19,8 @@ import numpy as np
 
 from . import numkernel as nk
 from .errors import QcrbSatError
-from .jsonio import ComplexMatrix, SchemaError, parse_complex_matrix
+from . import jsonio
+from .jsonio import ComplexMatrix, parse_complex_matrix
 from .model import SupportDecomposition
 from .sld import SLDSet
 
@@ -355,14 +355,8 @@ def verify_saturation_structural(
 # ---------------------------------------------------------------------------
 
 
-def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def random_projective_povm(n: int, rng: np.random.Generator) -> POVM:
-    u = haar_unitary(n, rng)
+    u = nk.haar_unitary(n, rng)
     return POVM(elements=[np.outer(u[:, k], u[:, k].conj()) for k in range(n)])
 
 
@@ -392,16 +386,9 @@ def povm_to_json(povm: POVM) -> dict:
 
 
 def povm_from_json(source) -> POVM:
-    if isinstance(source, dict):
-        data = source
-    elif hasattr(source, "read"):
-        data = json.load(source)
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    for key in ("n_s", "elements"):
-        if key not in data:
-            raise SchemaError(f"missing key {key!r}")
+    """Read a measurement from a dict, a stream or a path (see :func:`jsonio.load`)."""
+    data = jsonio.load(source)
+    jsonio.require_keys(data, ("n_s", "elements"))
     n = data["n_s"]
     elements = [
         parse_complex_matrix(e, n, f"elements[{k}]") for k, e in enumerate(data["elements"])

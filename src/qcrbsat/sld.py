@@ -4,14 +4,23 @@ information matrix.
 With the support split of the state, the defining equation
 ``(L rho + rho L) / 2 = d rho`` decouples: the ++ block is solved entrywise
 in the support eigenbasis (denominators q_j + q_k stay away from zero by
-construction), the +0 block is ``2 diag(q)^-1 (d rho)_{+0}``, and the 00
-block is unconstrained; it is set to zero here, which minimizes the
-operator norm and changes nothing downstream.
+construction), the +0 block is ``2 diag(q)^-1 V^dag (d rho) Y`` (see
+:func:`plus_null_blocks`), and the 00 block is unconstrained; it is set to
+zero here, which minimizes the operator norm and changes nothing
+downstream.
+
+An :class:`SLDSet` holds the p SLDs stacked: each block and the full-space
+observables are one complex ``(p, ., .)`` array, and every parameter is
+solved in one pass. The set also carries the full-space commutators
+``[L_l, L_m]`` of every pair ``l < m`` (:attr:`SLDSet.commutators`),
+computed once on first use and shared by the commutativity checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -26,7 +35,7 @@ class SLDInconsistentError(QcrbSatError):
 
 @dataclass(frozen=True)
 class BlockOperator:
-    """Blocks of an operator with respect to the support/null split."""
+    """Blocks of an operator (or of a stack of them) in the support/null split."""
 
     opp: np.ndarray  # (r+, r+)
     opz: np.ndarray  # (r+, r0)
@@ -58,28 +67,58 @@ def from_blocks(blocks: BlockOperator, dec: SupportDecomposition) -> np.ndarray:
     )
 
 
+def _assemble(lpp, lpz, lzz, dec: SupportDecomposition) -> np.ndarray:
+    """Full-space observables of stacked ++, +0 and 00 blocks."""
+    blocks = BlockOperator(lpp, lpz, lpz.conj().swapaxes(-1, -2), lzz)
+    return nk.hermitize(from_blocks(blocks, dec))
+
+
+def pairs(p: int):
+    """Parameter pairs (l, m), l < m, in the order every pairwise quantity uses."""
+    return combinations(range(p), 2)
+
+
+def plus_null_blocks(dec: SupportDecomposition, drho) -> np.ndarray:
+    """The +0 SLD blocks ``2 diag(q)^-1 V^dag (d rho) Y``, one per derivative."""
+    return 2.0 * (dec.V.conj().T @ np.asarray(drho, dtype=complex) @ dec.Y) / dec.q[:, None]
+
+
 @dataclass(frozen=True)
 class SLDSet:
-    """SLD observables for every parameter, in blocks and in full space."""
+    """SLD observables for every parameter, in blocks and in full space.
 
-    Lpp: tuple  # ++ blocks
-    Lpz: tuple  # +0 blocks
-    Lzz: tuple  # 00 blocks (zero by convention)
-    full: tuple  # full-space observables
+    ``Lpp``, ``Lpz`` and ``Lzz`` stack the ++, +0 and 00 blocks and ``full``
+    the full-space observables: complex arrays of shape ``(p, r+, r+)``,
+    ``(p, r+, r0)``, ``(p, r0, r0)`` and ``(p, n, n)``, indexed by parameter
+    first. Sequences of matrices given for them are stacked on construction.
+    """
+
+    Lpp: np.ndarray  # ++ blocks
+    Lpz: np.ndarray  # +0 blocks
+    Lzz: np.ndarray  # 00 blocks (zero by convention)
+    full: np.ndarray  # full-space observables
     residuals: np.ndarray  # defining-equation residuals, normalized
     sld_tol: float
+
+    def __post_init__(self):
+        for name in ("Lpp", "Lpz", "Lzz", "full"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=complex))
 
     @property
     def n_params(self) -> int:
         return len(self.full)
 
+    @cached_property
+    def commutators(self) -> np.ndarray:
+        """``[L_l, L_m]`` of the full-space observables, stacked in :func:`pairs` order."""
+        f, n = self.full, self.full.shape[-1]
+        comms = [f[l] @ f[m] - f[m] @ f[l] for l, m in pairs(self.n_params)]
+        return np.array(comms).reshape(len(comms), n, n)
+
     def with_lzz(self, lzz_list, dec: SupportDecomposition) -> "SLDSet":
         """Copy with replaced 00 blocks (they are free by construction)."""
-        full = []
-        for l, lzz in enumerate(lzz_list):
-            b = BlockOperator(self.Lpp[l], self.Lpz[l], self.Lpz[l].conj().T, np.asarray(lzz))
-            full.append(nk.hermitize(from_blocks(b, dec)))
-        return replace(self, Lzz=tuple(np.asarray(z) for z in lzz_list), full=tuple(full))
+        lzz = np.asarray(lzz_list, dtype=complex)
+        return replace(self, Lzz=lzz, full=_assemble(self.Lpp, self.Lpz, lzz, dec))
 
 
 def compute_sld(
@@ -92,42 +131,27 @@ def compute_sld(
     signals bad derivatives or a misdetected rank.
     """
     q = dec.q
-    v, y = dec.V, dec.Y
-    denom = q[:, None] + q[None, :]
+    v = dec.V
+    d = np.asarray(drho, dtype=complex)
+    lpp = nk.hermitize(2.0 * (v.conj().T @ d @ v) / (q[:, None] + q[None, :]))
+    lpz = plus_null_blocks(dec, d)
+    lzz = np.zeros((len(d), dec.r_zero, dec.r_zero), dtype=complex)
+    full = _assemble(lpp, lpz, lzz, dec)
 
-    lpp, lpz, lzz, full, residuals = [], [], [], [], []
-    for l in range(len(drho)):
-        d = np.asarray(drho[l], dtype=complex)
-        r = v.conj().T @ d @ v
-        lpp_l = nk.hermitize(2.0 * r / denom)
-        lpz_l = 2.0 * (v.conj().T @ d @ y) / q[:, None]
-        lzz_l = np.zeros((dec.r_zero, dec.r_zero), dtype=complex)
-        b = BlockOperator(lpp_l, lpz_l, lpz_l.conj().T, lzz_l)
-        l_full = nk.hermitize(from_blocks(b, dec))
-
-        rho = v @ np.diag(q).astype(complex) @ v.conj().T
-        res = nk.fro((l_full @ rho + rho @ l_full) / 2.0 - d) / max(1.0, nk.fro(d))
-        if res > sld_tol:
-            raise SLDInconsistentError(
-                f"SLD defining equation violated for parameter {l}: "
-                f"residual {res:.3e} > {sld_tol:.1e}",
-                param=l,
-                residual=res,
-            )
-        lpp.append(lpp_l)
-        lpz.append(lpz_l)
-        lzz.append(lzz_l)
-        full.append(l_full)
-        residuals.append(res)
-
-    return SLDSet(
-        Lpp=tuple(lpp),
-        Lpz=tuple(lpz),
-        Lzz=tuple(lzz),
-        full=tuple(full),
-        residuals=np.array(residuals),
-        sld_tol=sld_tol,
-    )
+    rho = v @ np.diag(q).astype(complex) @ v.conj().T
+    defect = (full @ rho + rho @ full) / 2.0 - d
+    scales = np.maximum(1.0, np.linalg.norm(d, axis=(1, 2)))
+    residuals = np.linalg.norm(defect, axis=(1, 2)) / scales
+    bad = np.flatnonzero(residuals > sld_tol)
+    if bad.size:
+        l = int(bad[0])
+        raise SLDInconsistentError(
+            f"SLD defining equation violated for parameter {l}: "
+            f"residual {residuals[l]:.3e} > {sld_tol:.1e}",
+            param=l,
+            residual=float(residuals[l]),
+        )
+    return SLDSet(Lpp=lpp, Lpz=lpz, Lzz=lzz, full=full, residuals=residuals, sld_tol=sld_tol)
 
 
 def qfim(dec: SupportDecomposition, slds: SLDSet) -> np.ndarray:

@@ -122,3 +122,84 @@ def cond4_grid_oracle(lpz, step=0.01, zero_frac=1e-6):
         [[c[best], -s[best] * np.conj(e[best])], [s[best] * e[best], c[best]]], dtype=complex
     )
     return float(worst[best]), w_best
+
+
+# ---------------------------------------------------------------------------
+# Per-pair loop versions of the commutativity-type checks, each computing its
+# own products from the SLD matrices. Each returns (residual, worst_pair,
+# scale) as the library's CommCheck reports them.
+# ---------------------------------------------------------------------------
+
+
+def _fro(a):
+    return float(np.linalg.norm(a))
+
+
+def _loop_pairs(p):
+    return [(l, m) for l in range(p) for m in range(l + 1, p)]
+
+
+def full_commutativity_loop(full):
+    worst, worst_pair, scale = 0.0, None, 1.0
+    for l, m in _loop_pairs(len(full)):
+        s = max(1.0, _fro(full[l]) * _fro(full[m]))
+        r = _fro(full[l] @ full[m] - full[m] @ full[l]) / s
+        if r > worst:
+            worst, worst_pair, scale = r, (l, m), s
+    return worst, worst_pair, scale
+
+
+def average_commutativity_loop(rho, full):
+    """Also returns the (p, p) matrix of |tr(rho [L_l, L_m])|."""
+    p = len(full)
+    vals = np.zeros((p, p))
+    worst, worst_pair = 0.0, None
+    for l, m in _loop_pairs(p):
+        comm = full[l] @ full[m] - full[m] @ full[l]
+        v = abs(complex(np.trace(rho @ comm)))
+        vals[l, m] = vals[m, l] = v
+        s = max(1.0, _fro(full[l]) * _fro(full[m]))
+        if v / s > worst:
+            worst, worst_pair = v / s, (l, m)
+    return worst, worst_pair, 1.0, vals
+
+
+def partial_commutativity_loop(p_plus, lpp, lpz, full):
+    """Block form, with the largest gap to the direct projection P+ [L_l, L_m] P+."""
+    worst, worst_pair, crosscheck = 0.0, None, 0.0
+    for l, m in _loop_pairs(len(full)):
+        block = (
+            lpp[l] @ lpp[m]
+            - lpp[m] @ lpp[l]
+            + lpz[l] @ lpz[m].conj().T
+            - lpz[m] @ lpz[l].conj().T
+        )
+        s = max(1.0, _fro(full[l]) * _fro(full[m]))
+        r = _fro(block) / s
+        comm = full[l] @ full[m] - full[m] @ full[l]
+        crosscheck = max(crosscheck, abs(_fro(p_plus @ comm @ p_plus) / s - r))
+        if r > worst:
+            worst, worst_pair = r, (l, m)
+    return worst, worst_pair, 1.0, crosscheck
+
+
+def condition1_loop(lpp):
+    worst, worst_pair = 0.0, None
+    for l, m in _loop_pairs(len(lpp)):
+        s = max(1.0, _fro(lpp[l]) * _fro(lpp[m]))
+        r = _fro(lpp[l] @ lpp[m] - lpp[m] @ lpp[l]) / s
+        if r > worst:
+            worst, worst_pair = r, (l, m)
+    return worst, worst_pair, 1.0
+
+
+def condition3_loop(lpz):
+    worst, worst_pair = 0.0, None
+    for l, m in _loop_pairs(len(lpz)):
+        a = lpz[l] @ lpz[m].conj().T
+        b = lpz[m] @ lpz[l].conj().T
+        s = max(1.0, _fro(lpz[l]) * _fro(lpz[m]))
+        r = _fro(a - b) / s
+        if r > worst:
+            worst, worst_pair = r, (l, m)
+    return worst, worst_pair, 1.0

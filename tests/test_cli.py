@@ -201,6 +201,74 @@ class TestUsageErrors:
         assert code == 1
 
 
+class TestInputFiles:
+    """Malformed or mismatched input files give a typed error report and exit code 1."""
+
+    @pytest.fixture
+    def files(self, tmp_path, qutrit_point):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(md.state_to_numeric_model(qutrit_point)))
+        povm = tmp_path / "povm.json"
+        trine = pv.random_projective_povm(3, np.random.default_rng(1))
+        povm.write_text(json.dumps(pv.povm_to_json(trine)))
+        cost = tmp_path / "g.json"
+        cost.write_text(json.dumps([[1.0, 0.0], [0.0, 1.0]]))
+        return {"--numeric-model": model, "--povm": povm, "--cost-matrix": cost}
+
+    @pytest.mark.parametrize("flag", ["--numeric-model", "--povm", "--cost-matrix"])
+    def test_truncated_file(self, capsys, tmp_path, files, flag):
+        text = files[flag].read_text()
+        files[flag].write_text(text[: len(text) // 2])
+        state = ["--numeric-model", str(files["--numeric-model"])]
+        extra = [] if flag == "--numeric-model" else [flag, str(files[flag])]
+        code, rep = run(capsys, "fisher", *state, *extra)
+        assert code == 1
+        assert rep["error"]["type"] == "SchemaError"
+
+    @pytest.mark.parametrize("flag", ["--numeric-model", "--povm"])
+    def test_not_a_json_object(self, capsys, files, flag):
+        files[flag].write_text("5")
+        code, rep = run(capsys, "fisher", "--numeric-model", str(files["--numeric-model"]),
+                        *([] if flag == "--numeric-model" else [flag, str(files[flag])]))
+        assert code == 1
+        assert rep["error"]["type"] == "SchemaError"
+
+    def test_missing_file(self, capsys, tmp_path):
+        code, rep = run(capsys, "fisher", *QUTRIT, "--povm", str(tmp_path / "absent.json"))
+        assert code == 1
+        assert rep["error"]["type"] == "SchemaError"
+
+    @pytest.mark.parametrize("command", [["fisher"], ["simulate", "--trials", "100"]])
+    def test_povm_of_another_dimension(self, capsys, tmp_path, command):
+        qubit = pv.random_projective_povm(2, np.random.default_rng(3))
+        path = tmp_path / "qubit.json"
+        path.write_text(json.dumps(pv.povm_to_json(qubit)))
+        code, rep = run(capsys, *command, *QUTRIT, "--povm", str(path))
+        assert code == 1
+        assert rep["error"]["type"] == "InvalidPOVMError"
+        assert rep["error"]["detail"] == {"povm_dim": 2, "state_dim": 3}
+
+    @pytest.mark.parametrize("matrix", [
+        [[1.0]], [[1.0, 0.0], [0.0]], [[1.0, 0.0], [0.0, float("nan")]],
+        [["1", 0], [0, 1]], [[True, False], [False, True]], {"g": 1},
+    ])
+    def test_cost_matrix_not_a_finite_p_by_p_array(self, capsys, tmp_path, matrix):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(matrix))
+        code, rep = run(capsys, "fisher", *QUTRIT, "--cost-matrix", str(path))
+        assert code == 1
+        assert rep["error"]["type"] == "SchemaError"
+
+    @pytest.mark.parametrize("batches", ["0", "-2", "1"])
+    def test_estimator_needs_two_batches(self, capsys, batches):
+        code, rep = run(capsys, "simulate", "--model", "diag-multinomial", "--params", "dims=3",
+                        "--theta", "0.3,0.45", "--trials", "1000", "--estimator",
+                        "--batches", batches)
+        assert code == 1
+        assert rep["error"]["type"] == "QcrbSatError"
+        assert "at least 2 batches" in rep["error"]["message"]
+
+
 class TestOptions:
     def test_cond_tol_zero_is_used(self, capsys, tmp_path):
         base = ["--model", "diag-multinomial", "--params", "dims=3", "--theta", "0.2,0.3"]

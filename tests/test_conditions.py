@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,14 @@ import qcrbsat as qs
 from qcrbsat import conditions as cond
 from qcrbsat import model as md
 from qcrbsat import numkernel as nk
-from oracles import pure_state_avg_comm
+from oracles import (
+    average_commutativity_loop,
+    condition1_loop,
+    condition3_loop,
+    full_commutativity_loop,
+    partial_commutativity_loop,
+    pure_state_avg_comm,
+)
 
 
 def pure_real_multinomial_point(theta=(0.3, 0.45)):
@@ -163,6 +172,75 @@ class TestScaleNormalization:
             cond.check_partial_commutativity(qutrit_dec, scaled).passed
             == cond.check_partial_commutativity(qutrit_dec, qutrit_slds).passed
         )
+
+
+def _random_family(p, n_s, r_plus, planted, seed):
+    model = qs.get("random-rank-r", seed=seed, n_s=n_s, r_plus=r_plus, n_params=p,
+                   plant_cond1=planted, plant_cond4=planted and n_s - r_plus <= r_plus)
+    sp = qs.evaluate(model, np.zeros(p))
+    dec = qs.support_decomposition(sp)
+    return sp, dec, qs.compute_sld(dec, sp.drho)
+
+
+# (p, n_s, r_plus, planted): p = 1 has no pairs; r_plus = n_s has no null space.
+FAMILIES = [
+    (1, 5, 3, False), (2, 4, 4, False), (2, 6, 3, False), (2, 6, 3, True),
+    (4, 6, 6, False), (4, 8, 4, False), (4, 8, 4, True),
+]
+
+
+class TestStackedAgainstReference:
+    """The checks on stacked SLDs decide like the per-pair loops they replaced."""
+
+    @staticmethod
+    def _variants(dec, slds, rng):
+        p, r0 = slds.n_params, dec.r_zero
+        z = rng.standard_normal((p, r0, r0)) + 1j * rng.standard_normal((p, r0, r0))
+        yield slds
+        yield slds.with_lzz([nk.hermitize(m) for m in z], dec)
+        yield dataclasses.replace(
+            slds,
+            Lpp=tuple(3.0 * L for L in slds.Lpp),
+            Lpz=tuple(3.0 * L for L in slds.Lpz),
+            full=tuple(3.0 * L for L in slds.full),
+        )
+
+    @staticmethod
+    def _same(check, ref, tol):
+        residual, worst_pair, scale = ref[:3]
+        assert check.passed == (residual <= tol)
+        assert check.worst_pair == worst_pair
+        assert check.scale == scale
+        assert abs(check.residual - residual) <= 1e-12 * max(1.0, abs(residual))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_checks_equal_loop_reference(self, family, seed):
+        sp, dec, slds = _random_family(*family, seed=seed)
+        tol = 1e-8
+        for s in self._variants(dec, slds, np.random.default_rng(seed)):
+            p, n = family[:2]
+            assert s.full.shape == (p, n, n) and s.commutators.shape == (p * (p - 1) // 2, n, n)
+            self._same(cond.check_full_commutativity(s, tol), full_commutativity_loop(s.full), tol)
+            avg = cond.check_average_commutativity(sp.rho, s, tol)
+            ref = average_commutativity_loop(sp.rho, s.full)
+            self._same(avg, ref, tol)
+            assert np.allclose(avg.values, ref[3], rtol=1e-12, atol=1e-12)
+            ref = partial_commutativity_loop(dec.P_plus, s.Lpp, s.Lpz, s.full)
+            assert ref[3] <= 1e-10
+            self._same(cond.check_partial_commutativity(dec, s, tol), ref, tol)
+            self._same(cond.check_condition1(s, tol), condition1_loop(s.Lpp), tol)
+            self._same(cond.check_condition3(s, tol), condition3_loop(s.Lpz), tol)
+        if family[0] == 1:
+            assert cond.check_full_commutativity(slds).worst_pair is None
+            assert cond.check_condition3(slds).residual == 0.0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_w_search_refutation_reports_condition3(self, seed):
+        sp, dec, slds = _random_family(3, 8, 4, False, seed)
+        res = cond.find_w_condition4(slds.Lpz)
+        assert res.status == cond.COND4_NO
+        assert res.residual == cond.check_condition3(slds).residual
 
 
 class TestImplicationChain:
