@@ -32,6 +32,7 @@ from .fisher import (
     compare,
     empirical_fim,
     outcome_distribution,
+    probabilities,
     sample_outcomes,
 )
 from .fixtures import get, get_witness, registry_names
@@ -43,6 +44,7 @@ from .model import (
     decomposition_from_basis,
     evaluate,
     parse_numeric_model,
+    state_at,
     support_decomposition,
 )
 from .numkernel import (
@@ -70,6 +72,7 @@ __all__ = [
     "StateAtPoint",
     "SupportDecomposition",
     "evaluate",
+    "state_at",
     "support_decomposition",
     "decomposition_from_basis",
     "parse_numeric_model",
@@ -104,6 +107,7 @@ __all__ = [
     "FisherComparison",
     "MonteCarloRecord",
     "outcome_distribution",
+    "probabilities",
     "classical_fim",
     "compare",
     "sample_outcomes",

@@ -29,6 +29,7 @@ from .model import (
     StateAtPoint,
     evaluate,
     parse_numeric_model,
+    state_at,
     support_decomposition,
 )
 from .sld import compute_sld, qfim
@@ -253,9 +254,10 @@ def cmd_simulate(args) -> dict:
         if model is None:
             raise QcrbSatError("the estimator study needs a registry model")
 
+        elements = np.stack(povm.elements)
+
         def prob_fn(theta):
-            s = evaluate(model, theta, scheme=sp.scheme if sp.scheme != "richardson" else "central_fd", h=args.fd_step)
-            return np.array([float(np.trace(s.rho @ e).real) for e in povm.elements])
+            return fish.probabilities(state_at(model, theta), elements)
 
         record.estimator = fish.estimator_study(
             prob_fn, dist, sp.theta, batches=args.batches,

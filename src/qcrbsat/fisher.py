@@ -66,6 +66,14 @@ class MeasurementDistribution:
         return self.dprobs.shape[0]
 
 
+def probabilities(rho: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """Re tr(rho E_k) for every element of a stacked (M, n, n) measurement.
+
+    Also gives the derivatives tr(d_l rho E_k) when passed d_l rho.
+    """
+    return np.trace(rho @ elements, axis1=1, axis2=2).real
+
+
 def outcome_distribution(
     rho: np.ndarray,
     drho: np.ndarray,
@@ -82,10 +90,9 @@ def outcome_distribution(
     """
     p = len(drho)
     m = povm.n_outcomes
-    probs = np.array([float(np.trace(rho @ e).real) for e in povm.elements])
-    dprobs = np.array(
-        [[float(np.trace(d @ e).real) for e in povm.elements] for d in drho]
-    )
+    elements = np.stack(povm.elements)
+    probs = probabilities(rho, elements)
+    dprobs = np.array([probabilities(d, elements) for d in drho])
     if np.any(probs < -1e-12):
         raise QcrbSatError(f"negative outcome probability {probs.min():.3e}")
     probs[(probs < 0.0) & (probs > -1e-12)] = 0.0
@@ -188,6 +195,12 @@ class FisherComparison:
         }
 
 
+def _singular(m: np.ndarray) -> bool:
+    """Whether a symmetric information matrix is too close to singular to invert."""
+    w = np.linalg.eigvalsh(m)
+    return bool(w[0] <= 1e-12 * max(1.0, w[-1]))
+
+
 def compare(
     f_c: np.ndarray,
     f_q: np.ndarray,
@@ -219,8 +232,7 @@ def compare(
         g = np.asarray(g, dtype=float)
 
         def inv_cost(m, name):
-            w = np.linalg.eigvalsh(m)
-            if w[0] <= 1e-12 * max(1.0, w[-1]):
+            if _singular(m):
                 notes.append(f"{name} information matrix is singular; scalar cost omitted")
                 return None
             return float(np.trace(g @ np.linalg.inv(m)))
@@ -388,7 +400,12 @@ def estimator_study(
 ) -> dict:
     """Covariance of batched maximum-likelihood estimates around theta0.
 
-    Needs at least two batches: one estimate has no covariance.
+    Needs at least two batches: one estimate has no covariance. Each
+    parameter's ``bound_ratio`` is N Var / [F_c^-1]_ll with N the batch size
+    and F_c the classical information of ``dist``; since F_c^-1 >= F_Q^-1, a
+    ratio below one also means beating the quantum bound. With B batches the
+    ratio scatters like chi^2_{B-1}/(B-1), so ``below_bound`` flags only a
+    ratio under that law's lower 1% point, ``bound_floor`` (Wilson-Hilferty).
     """
     if batches < 2:
         raise QcrbSatError(f"the estimator study needs at least 2 batches, got {batches}")
@@ -397,10 +414,26 @@ def estimator_study(
         counts = sample_outcomes(dist, batch_size, seed + b)
         estimates.append(max_likelihood_estimate(prob_fn, counts, theta0, radius=radius))
     est = np.array(estimates)
+    cov = np.cov(est.T, bias=False).reshape(len(theta0), len(theta0))
+    a = 2.0 / (9.0 * (batches - 1))
+    floor = (1.0 - a - 2.326 * np.sqrt(a)) ** 3
+    f_c = classical_fim(dist)
+    ratio = below = None
+    notes = []
+    if _singular(f_c):
+        notes.append("classical information matrix is singular; bound ratio omitted")
+    else:
+        ratio = batch_size * np.diag(cov) / np.diag(np.linalg.inv(f_c))
+        below = (ratio < floor).tolist()
+        ratio = ratio.tolist()
     return {
         "batches": batches,
         "batch_size": batch_size,
         "estimates": est.tolist(),
         "estimates_mean": est.mean(axis=0).tolist(),
-        "covariance": np.cov(est.T, bias=False).reshape(len(theta0), len(theta0)).tolist(),
+        "covariance": cov.tolist(),
+        "bound_ratio": ratio,
+        "bound_floor": float(floor),
+        "below_bound": below,
+        "notes": notes,
     }

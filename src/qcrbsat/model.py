@@ -3,7 +3,8 @@
 A :class:`StateModel` maps a real parameter vector to a density matrix and
 optionally provides analytic parameter derivatives and a smooth isometry
 whose columns track the support eigenbasis. :func:`evaluate` produces the
-state and its derivatives at a point; :func:`support_decomposition` splits
+state and its derivatives at a point, and :func:`state_at` the validated
+state alone (what a likelihood reads); :func:`support_decomposition` splits
 the Hilbert space into the support (positive eigenvalues) and the null
 space, which is the coordinate system every downstream check works in.
 """
@@ -205,6 +206,28 @@ def richardson_derivative(
     return (4.0 * d_h2 - d_h) / 3.0
 
 
+def _check_point(model: StateModel, theta) -> np.ndarray:
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (model.n_params,):
+        raise DomainError(
+            f"theta has shape {theta.shape}, expected ({model.n_params},)", theta=theta
+        )
+    if not model.domain.contains(theta):
+        raise DomainError(f"theta {theta.tolist()} outside the domain of {model.name}")
+    return theta
+
+
+def state_at(model: StateModel, theta) -> np.ndarray:
+    """The validated density matrix at a point of the open domain, without derivatives.
+
+    Checks the shape of ``theta`` and that it lies inside the domain, and that
+    the state is a Hermitian, unit-trace, positive semidefinite matrix of the
+    model's dimension; returns it hermitized.
+    """
+    theta = _check_point(model, theta)
+    return _validate_density(model.state_fn(theta), model.dim)
+
+
 def evaluate(
     model: StateModel,
     theta,
@@ -216,13 +239,7 @@ def evaluate(
     ``scheme`` is one of "auto", "analytic", "central_fd", "richardson";
     "auto" uses analytic derivatives when the model provides them.
     """
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (model.n_params,):
-        raise DomainError(
-            f"theta has shape {theta.shape}, expected ({model.n_params},)", theta=theta
-        )
-    if not model.domain.contains(theta):
-        raise DomainError(f"theta {theta.tolist()} outside the domain of {model.name}")
+    theta = _check_point(model, theta)
 
     if scheme == "auto":
         scheme = "analytic" if model.derivative_fn is not None else "central_fd"

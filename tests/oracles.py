@@ -1,11 +1,14 @@
 """Independent oracles used by the tests.
 
 Everything here is deliberately written from first principles (closed
-forms, brute-force grids) rather than through the library, so that
-expected values stay independent of the code paths they check.
+forms, brute-force grids) or kept as the plain code a faster library path
+replaced, so that expected values stay independent of the code paths they
+check.
 """
 
 import numpy as np
+
+from qcrbsat.model import evaluate
 
 
 def multinomial_fisher(theta):
@@ -203,3 +206,18 @@ def condition3_loop(lpz):
         if r > worst:
             worst, worst_pair = r, (l, m)
     return worst, worst_pair, 1.0
+
+
+# ---------------------------------------------------------------------------
+# The MLE study's likelihood callback as it was before the lean path: a full
+# `evaluate` (state and derivatives, all validated) per call, then one trace
+# per measurement element.
+# ---------------------------------------------------------------------------
+
+
+def evaluate_prob_fn(model, povm, scheme, h):
+    def prob_fn(theta):
+        s = evaluate(model, theta, scheme=scheme if scheme != "richardson" else "central_fd", h=h)
+        return np.array([float(np.trace(s.rho @ e).real) for e in povm.elements])
+
+    return prob_fn

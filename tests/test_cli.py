@@ -136,6 +136,16 @@ class TestSimulate:
         assert est["batches"] == 6
         assert np.allclose(est["estimates_mean"], [0.3, 0.45], atol=0.02)
 
+    def test_qutrit_study_flags_theta2_below_bound(self, capsys):
+        # A zero count of the null outcome pins theta_2, so its variance sits
+        # far below the bound; the report must say so.
+        code, rep = run(capsys, "simulate", *QUTRIT, "--trials", "200000", "--batches", "40",
+                        "--estimator", "--seed", "7")
+        assert code == 0
+        est = rep["monte_carlo"]["estimator"]
+        assert est["below_bound"] == [False, True]
+        assert est["bound_ratio"][1] < 0.3 < est["bound_floor"] < est["bound_ratio"][0]
+
 
 class TestSweep:
     def test_grid_all_certified(self, capsys):

@@ -4,7 +4,7 @@ import pytest
 import qcrbsat as qs
 from qcrbsat import fisher as fi
 from qcrbsat import povm as pv
-from oracles import classical_fim_bruteforce, multinomial_fisher
+from oracles import classical_fim_bruteforce, evaluate_prob_fn, multinomial_fisher
 
 
 @pytest.fixture()
@@ -250,3 +250,111 @@ class TestEstimatorStudy:
         crb = np.linalg.inv(f) / 20_000
         # loose agreement: a dozen batches only pins the scale
         assert cov[0, 0] == pytest.approx(crb[0, 0], rel=1.5)
+
+
+def _optimal(sp):
+    dec = qs.support_decomposition(sp)
+    slds = qs.compute_sld(dec, sp.drho)
+    rep = qs.evaluate_conditions(sp, dec, slds)
+    assert rep.verdict == "SATURABLE_CERTIFIED"
+    povm = pv.construct_optimal(dec, slds, W=rep.cond4.W, rng=np.random.default_rng(0))
+    return povm, fi.outcome_distribution(sp.rho, sp.drho, povm, dec)
+
+
+def _lean_prob_fn(model, povm):
+    elements = np.stack(povm.elements)
+    return lambda theta: fi.probabilities(qs.state_at(model, theta), elements)
+
+
+def _basis_povm(n):
+    return pv.POVM(elements=[np.diag(r).astype(complex) for r in np.eye(n)])
+
+
+class TestLeanLikelihood:
+    """The likelihood reads `state_at` and one stacked trace; it must give the
+    old `evaluate`-based callback's numbers exactly."""
+
+    def _assert_equal_on(self, model, theta0, povm, scheme, offsets):
+        lean = _lean_prob_fn(model, povm)
+        old = evaluate_prob_fn(model, povm, scheme, 1e-5)
+        for off in offsets:
+            theta = np.asarray(theta0) + off
+            assert np.array_equal(lean(theta), old(theta))
+
+    def test_qutrit_analytic(self, qutrit_model, qutrit_point):
+        povm, _ = _optimal(qutrit_point)
+        offsets = np.random.default_rng(1).uniform(-0.05, 0.05, size=(8, 2))
+        self._assert_equal_on(qutrit_model, [0.3, 0.5], povm, "analytic", offsets)
+
+    @pytest.mark.parametrize("scheme", ["central_fd", "richardson"])
+    def test_multinomial_finite_differences(self, multinomial_model, scheme):
+        offsets = np.random.default_rng(2).uniform(-0.05, 0.05, size=(8, 2))
+        self._assert_equal_on(multinomial_model, [0.3, 0.45], _basis_povm(3), scheme, offsets)
+
+    def test_planted_n32(self):
+        # The family is linear in theta and leaves the PSD cone off theta = 0,
+        # so the likelihood is compared there and the traces on drho as well.
+        model = qs.get("random-rank-r", seed=3, n_s=32, r_plus=16, n_params=3)
+        sp = qs.evaluate(model, np.zeros(3))
+        povm, dist = _optimal(sp)
+        self._assert_equal_on(model, np.zeros(3), povm, "analytic", np.zeros((1, 3)))
+        self._assert_distribution_is_the_loop(sp, povm, dist)
+
+    def test_outcome_distribution_traces(self, qutrit_point):
+        povm, dist = _optimal(qutrit_point)
+        self._assert_distribution_is_the_loop(qutrit_point, povm, dist)
+
+    @staticmethod
+    def _assert_distribution_is_the_loop(sp, povm, dist):
+        probs = np.array([float(np.trace(sp.rho @ e).real) for e in povm.elements])
+        probs[(probs < 0.0) & (probs > -1e-12)] = 0.0
+        dprobs = np.array([[float(np.trace(d @ e).real) for e in povm.elements] for d in sp.drho])
+        assert np.array_equal(dist.probs, probs)
+        assert np.array_equal(dist.dprobs, dprobs)
+
+    def test_study_estimates_equal_the_old_callback(self, qutrit_model, qutrit_point):
+        povm, dist = _optimal(qutrit_point)
+        theta = qutrit_point.theta
+        old = evaluate_prob_fn(qutrit_model, povm, "analytic", 1e-5)
+        lean = _lean_prob_fn(qutrit_model, povm)
+        kw = dict(batches=3, batch_size=2000, seed=11)
+        a = fi.estimator_study(lean, dist, theta, **kw)
+        b = fi.estimator_study(old, dist, theta, **kw)
+        assert a["estimates"] == b["estimates"]
+        assert a == b
+
+
+class TestBelowBoundFlag:
+    """The study flags a variance below the classical (hence quantum) bound by
+    more than 40-batch sampling noise explains."""
+
+    def test_floor_is_the_chi2_lower_percentile(self, multinomial_model):
+        sp = qs.evaluate(multinomial_model, [0.3, 0.45])
+        dist = fi.outcome_distribution(sp.rho, sp.drho, _basis_povm(3))
+        study = fi.estimator_study(
+            lambda t: np.array([t[0], t[1], 1.0 - t[0] - t[1]]), dist, sp.theta,
+            batches=40, batch_size=5000, seed=1,
+        )
+        assert study["bound_floor"] == pytest.approx(0.5488, abs=1e-4)
+        assert study["below_bound"] == [False, False]
+        assert study["notes"] == []
+        cov = np.array(study["covariance"])
+        expected = 5000 * np.diag(cov) / np.diag(np.linalg.inv(multinomial_fisher(sp.theta)))
+        assert np.allclose(study["bound_ratio"], expected, rtol=1e-9)
+
+    def test_qutrit_theta2_flagged(self, qutrit_model, qutrit_point):
+        povm, dist = _optimal(qutrit_point)
+        study = fi.estimator_study(_lean_prob_fn(qutrit_model, povm), dist,
+                                   qutrit_point.theta, batches=40, batch_size=5000, seed=1)
+        ratio = study["bound_ratio"]
+        assert study["below_bound"] == [False, True]
+        assert ratio[1] < 0.3 and ratio[0] > study["bound_floor"]
+
+    def test_singular_classical_information_gives_null(self, multinomial_model):
+        sp = qs.evaluate(multinomial_model, [0.3, 0.45])
+        trivial = pv.POVM(elements=[np.eye(3, dtype=complex)])
+        dist = fi.outcome_distribution(sp.rho, sp.drho, trivial)
+        study = fi.estimator_study(lambda t: np.ones(1), dist, sp.theta,
+                                   batches=2, batch_size=10, seed=0)
+        assert study["bound_ratio"] is None and study["below_bound"] is None
+        assert study["notes"] == ["classical information matrix is singular; bound ratio omitted"]

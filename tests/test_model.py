@@ -58,6 +58,49 @@ class TestEvaluate:
             qs.evaluate(m, [0.5])
 
 
+class TestStateAt:
+    """`state_at` is `evaluate` without the derivatives: same state, same checks."""
+
+    def test_equals_evaluate_rho(self, qutrit_model, multinomial_model, pure_qubit_model):
+        planted = qs.get("random-rank-r", seed=3, n_s=8, r_plus=4, n_params=2)
+        for model, theta in [
+            (qutrit_model, [0.3, 0.5]),
+            (qutrit_model, [0.71, 0.9]),
+            (multinomial_model, [0.3, 0.45]),
+            (pure_qubit_model, [0.7, 0.3]),
+            (planted, [0.0, 0.0]),
+        ]:
+            rho = md.state_at(model, theta)
+            assert np.array_equal(rho, qs.evaluate(model, theta).rho)
+            assert np.array_equal(rho, qs.evaluate(model, theta, scheme="central_fd").rho)
+
+    @pytest.mark.parametrize("theta", [[0.3], [0.3, 0.5, 0.1], [1.2, 0.5], [0.0, 0.5]])
+    def test_domain_errors_match_evaluate(self, qutrit_model, theta):
+        with pytest.raises(md.DomainError) as lean:
+            md.state_at(qutrit_model, theta)
+        with pytest.raises(md.DomainError) as full:
+            qs.evaluate(qutrit_model, theta)
+        assert lean.value.to_dict() == full.value.to_dict()
+
+    @staticmethod
+    def _model(state):
+        return md.StateModel(name="broken", dim=2, n_params=1,
+                             state_fn=lambda theta: state, domain=md.box([0], [1]))
+
+    def test_non_hermitian_state_refused(self):
+        state = np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)
+        with pytest.raises(md.InvalidStateError, match="not Hermitian"):
+            md.state_at(self._model(state), [0.5])
+
+    def test_trace_not_one_refused(self):
+        with pytest.raises(md.TraceNotOneError):
+            md.state_at(self._model(np.diag([0.7, 0.7]).astype(complex)), [0.5])
+
+    def test_non_psd_state_refused(self):
+        with pytest.raises(md.InvalidStateError, match="positive semidefinite"):
+            md.state_at(self._model(np.diag([1.2, -0.2]).astype(complex)), [0.5])
+
+
 class TestFiniteDifferences:
     def test_qutrit_phase_derivative_structure(self, qutrit_model):
         theta = np.array([0.3, 0.5])
