@@ -415,6 +415,7 @@ def estimator_study(
         estimates.append(max_likelihood_estimate(prob_fn, counts, theta0, radius=radius))
     est = np.array(estimates)
     cov = np.cov(est.T, bias=False).reshape(len(theta0), len(theta0))
+    # Wilson-Hilferty with z = 2.326, the standard normal lower 1% point.
     a = 2.0 / (9.0 * (batches - 1))
     floor = (1.0 - a - 2.326 * np.sqrt(a)) ** 3
     f_c = classical_fim(dist)
@@ -423,9 +424,8 @@ def estimator_study(
     if _singular(f_c):
         notes.append("classical information matrix is singular; bound ratio omitted")
     else:
-        ratio = batch_size * np.diag(cov) / np.diag(np.linalg.inv(f_c))
-        below = (ratio < floor).tolist()
-        ratio = ratio.tolist()
+        r = batch_size * np.diag(cov) / np.diag(np.linalg.inv(f_c))
+        ratio, below = r.tolist(), (r < floor).tolist()
     return {
         "batches": batches,
         "batch_size": batch_size,
