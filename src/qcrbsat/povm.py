@@ -12,6 +12,7 @@ imaginary residue as part of the failure residual.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -20,7 +21,7 @@ import numpy as np
 from . import numkernel as nk
 from .errors import QcrbSatError
 from . import jsonio
-from .jsonio import ComplexMatrix, parse_complex_matrix
+from .jsonio import ComplexMatrix, SchemaError, parse_complex_matrix
 from .model import SupportDecomposition
 from .sld import SLDSet
 
@@ -39,13 +40,22 @@ class MissingAlignmentError(QcrbSatError):
 
 @dataclass
 class POVM:
-    """A finite measurement: PSD elements summing to the identity."""
+    """A finite measurement: PSD elements summing to the identity.
+
+    A projective measurement built from one orthonormal basis also keeps
+    that ``basis`` (an ``n x n`` unitary) and the widths ``ranks`` of the
+    column blocks its elements project onto (see :func:`elements_from_basis`);
+    reports then write the basis instead of the elements. ``elements`` is
+    what every computation reads.
+    """
 
     elements: list
     outcome_labels: Optional[np.ndarray] = None
     classification: Optional[list] = None  # per element: "regular" | "null"
     projective: Optional[bool] = None
     meta: dict = field(default_factory=dict)
+    basis: Optional[np.ndarray] = None
+    ranks: Optional[tuple] = None
 
     def __post_init__(self):
         self.elements = [np.asarray(e, dtype=complex) for e in self.elements]
@@ -56,6 +66,15 @@ class POVM:
             if e.shape != (n, n):
                 raise InvalidPOVMError(
                     f"element {k} has shape {e.shape}, expected ({n}, {n})", element=k
+                )
+        if self.basis is not None:
+            self.basis = np.asarray(self.basis, dtype=complex)
+            self.ranks = tuple(int(r) for r in self.ranks)
+            if (self.basis.shape != (n, n) or len(self.ranks) != len(self.elements)
+                    or sum(self.ranks) != n):
+                raise InvalidPOVMError(
+                    f"a basis of shape {self.basis.shape} with blocks {self.ranks} "
+                    f"does not describe {len(self.elements)} elements of size {n}"
                 )
         if self.outcome_labels is None:
             self.outcome_labels = np.arange(len(self.elements), dtype=float)
@@ -153,6 +172,20 @@ def require_valid(povm: POVM, tol: float = 1e-10) -> dict:
     return diag
 
 
+def elements_from_basis(basis: np.ndarray, ranks) -> list:
+    """Projectors ``E_k = B_k B_k^dag`` onto consecutive column blocks of ``basis``.
+
+    ``B_k`` is the k-th block of ``ranks[k]`` columns. This is the one place
+    the elements of a basis measurement are made, so a measurement rebuilt
+    from its ``basis``/``ranks`` report equals the one that wrote it bit for bit.
+    """
+    edges = np.cumsum([0, *ranks])
+    return [
+        nk.hermitize(basis[:, a:b] @ basis[:, a:b].conj().T)
+        for a, b in zip(edges[:-1].tolist(), edges[1:].tolist())
+    ]
+
+
 def classify_elements(
     povm: POVM,
     rho: np.ndarray,
@@ -202,16 +235,13 @@ def construct_optimal(
 
     Regular elements project onto the joint eigenspaces of the ++ SLD
     blocks, pushed forward with the support isometry; null elements are the
-    rank-one projectors onto the columns of ``Y W``. Requires commuting ++
-    blocks, and ``W`` whenever the null space is nontrivial.
+    rank-one projectors onto the columns of ``Y W``. Together they are the
+    column blocks of one unitary ``[V Q, Y W]``, with ``Q`` the joint
+    eigenbasis of the ++ blocks. Requires commuting ++ blocks, and ``W``
+    whenever the null space is nontrivial.
     """
     spectrum = nk.joint_eigenprojectors(slds.Lpp, tol=tol, rng=rng)
-    elements = []
-    classification = []
-    for proj in spectrum.projectors:
-        elements.append(nk.hermitize(dec.V @ proj @ dec.V.conj().T))
-        classification.append("regular")
-
+    columns = [dec.V @ spectrum.basis]
     if dec.r_zero > 0:
         if W is None:
             raise MissingAlignmentError(
@@ -221,14 +251,15 @@ def construct_optimal(
         W = np.asarray(W, dtype=complex)
         if W.shape != (dec.r_zero, dec.r_zero):
             raise nk.ShapeError(f"W has shape {W.shape}, expected ({dec.r_zero}, {dec.r_zero})")
-        for j in range(dec.r_zero):
-            w = dec.Y @ W[:, j]
-            elements.append(nk.hermitize(np.outer(w, w.conj())))
-            classification.append("null")
+        columns.append(dec.Y @ W)
+    basis = np.hstack(columns)
+    ranks = spectrum.block_dims + (1,) * dec.r_zero
 
     povm = POVM(
-        elements=elements,
-        classification=classification,
+        elements=elements_from_basis(basis, ranks),
+        classification=["regular"] * spectrum.chi + ["null"] * dec.r_zero,
+        basis=basis,
+        ranks=ranks,
         meta={
             "regular_labels": spectrum.labels,
             "chi": spectrum.chi,
@@ -357,7 +388,8 @@ def verify_saturation_structural(
 
 def random_projective_povm(n: int, rng: np.random.Generator) -> POVM:
     u = nk.haar_unitary(n, rng)
-    return POVM(elements=[np.outer(u[:, k], u[:, k].conj()) for k in range(n)])
+    ranks = (1,) * n
+    return POVM(elements=elements_from_basis(u, ranks), basis=u, ranks=ranks)
 
 
 def random_povm(n: int, m: int, rng: np.random.Generator) -> POVM:
@@ -373,29 +405,85 @@ def random_povm(n: int, m: int, rng: np.random.Generator) -> POVM:
 
 # ---------------------------------------------------------------------------
 # JSON serialization (complex entries as [re, im] pairs).
+#
+# A measurement with a basis is written as that basis and its block widths,
+# ``{"n_s", "basis", "ranks", "outcome_labels", "classification"}``: n^2
+# numbers instead of M n^2. Any other measurement is written element by
+# element, ``{"n_s", "elements", "outcome_labels", "classification"}``. The
+# reader takes both.
 # ---------------------------------------------------------------------------
 
 
 def povm_to_json(povm: POVM) -> dict:
+    if povm.basis is None:
+        body = {"elements": ComplexMatrix(povm.elements)}
+    else:
+        body = {"basis": ComplexMatrix(povm.basis), "ranks": list(povm.ranks)}
     return {
         "n_s": povm.dim,
-        "elements": ComplexMatrix(povm.elements),
+        **body,
         "outcome_labels": povm.outcome_labels.tolist(),
         "classification": povm.classification,
     }
 
 
+def _is_count(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x > 0
+
+
+def _is_real(x) -> bool:
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def povm_from_json(source) -> POVM:
-    """Read a measurement from a dict, a stream or a path (see :func:`jsonio.load`)."""
+    """Read a measurement from a dict, a stream or a path (see :func:`jsonio.load`).
+
+    A file that breaks the schema raises :class:`SchemaError`. Whether the
+    elements form a valid POVM is left to :func:`require_valid`.
+    """
     data = jsonio.load(source)
-    jsonio.require_keys(data, ("n_s", "elements"))
+    jsonio.require_keys(data, ("n_s",))
     n = data["n_s"]
-    elements = [
-        parse_complex_matrix(e, n, f"elements[{k}]") for k, e in enumerate(data["elements"])
-    ]
+    if not _is_count(n):
+        raise SchemaError(f"n_s must be a positive integer, got {n!r}")
+    if ("elements" in data) == ("basis" in data):
+        raise SchemaError("a measurement holds exactly one of 'elements' and 'basis'")
+    if "basis" in data:
+        jsonio.require_keys(data, ("ranks",))
+        basis = parse_complex_matrix(data["basis"], n, "basis")
+        ranks = data["ranks"]
+        if not (isinstance(ranks, list) and ranks and all(map(_is_count, ranks))
+                and sum(ranks) == n):
+            raise SchemaError(f"ranks must be positive integers summing to n_s = {n}")
+        elements = elements_from_basis(basis, ranks)
+    else:
+        basis = ranks = None
+        if not isinstance(data["elements"], list):
+            raise SchemaError("elements must be a list of matrices")
+        elements = [
+            parse_complex_matrix(e, n, f"elements[{k}]") for k, e in enumerate(data["elements"])
+        ]
+    m = len(elements)
     labels = data.get("outcome_labels")
+    if labels is not None and not (
+        isinstance(labels, list) and len(labels) == m and all(map(_is_real, labels))
+    ):
+        raise SchemaError(f"outcome_labels must be {m} finite real numbers, one per element")
+    classification = data.get("classification")
+    if classification is not None and not (
+        isinstance(classification, list) and len(classification) == m
+        and all(c in ("regular", "null") for c in classification)
+    ):
+        raise SchemaError(f"classification must hold {m} entries, each 'regular' or 'null'")
     return POVM(
         elements=elements,
-        outcome_labels=None if labels is None else np.asarray(labels, dtype=float),
-        classification=data.get("classification"),
+        outcome_labels=labels,
+        classification=classification,
+        basis=basis,
+        ranks=ranks,
     )

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qcrbsat import fisher as fi
 from qcrbsat import model as md
 from qcrbsat import povm as pv
 from qcrbsat.cli import main, parse_params
@@ -70,7 +71,7 @@ class TestConstructPovm:
         povm_path = tmp_path / "povm.json"
         code, rep = run(capsys, "construct-povm", *QUTRIT, "--povm-output", str(povm_path))
         assert code == 0
-        assert len(rep["povm"]["elements"]) == 3
+        assert len(rep["povm"]["ranks"]) == 3
         assert rep["povm"]["classification"].count("regular") == 2
         assert rep["saturation_certificate"]["passed"] is True
         loaded = pv.povm_from_json(str(povm_path))
@@ -80,7 +81,7 @@ class TestConstructPovm:
         code, rep = run(capsys, "construct-povm", "--model", "diag-multinomial",
                         "--params", "dims=3", "--theta", "0.2,0.5")
         assert code == 0
-        assert len(rep["povm"]["elements"]) == 3
+        assert len(rep["povm"]["ranks"]) == 3
 
     def test_refusal_on_unsaturable_state(self, capsys):
         code, rep = run(capsys, "construct-povm", "--model", "pure-qubit-amp-phase",
@@ -107,6 +108,31 @@ class TestFisher:
         assert code == 0
         assert rep["fisher"]["saturated"] is False
         assert rep["fisher"]["psd_violation"] <= 1e-8
+
+    @pytest.mark.parametrize("state", [
+        QUTRIT,
+        ["--model", "random-rank-r", "--params", "seed=2,n_s=32,r_plus=16,n_params=3",
+         "--theta", "0,0,0"],
+    ], ids=["qutrit", "rank-r-32"])
+    def test_constructed_file_reproduces_the_report(self, capsys, tmp_path, state):
+        povm_path, plain, supplied = (tmp_path / n for n in ("p.json", "a.json", "b.json"))
+        assert main(["construct-povm", *state, "--povm-output", str(povm_path)]) == 0
+        assert "basis" in json.loads(povm_path.read_text())
+        assert main(["fisher", *state, "--output", str(plain)]) == 0
+        assert main(["fisher", *state, "--povm", str(povm_path), "--output", str(supplied)]) == 0
+        capsys.readouterr()
+        assert supplied.read_bytes() == plain.read_bytes()
+
+    def test_dense_file_reads(self, capsys, tmp_path, qutrit_point):
+        povm = pv.random_povm(3, 4, np.random.default_rng(2))
+        path = tmp_path / "dense.json"
+        path.write_text(json.dumps(pv.povm_to_json(povm)))
+        code, rep = run(capsys, "fisher", *QUTRIT, "--povm", str(path))
+        assert code == 0
+        assert len(rep["povm"]["elements"]) == 4 and "basis" not in rep["povm"]
+        dec = md.support_decomposition(qutrit_point)
+        dist = fi.outcome_distribution(qutrit_point.rho, qutrit_point.drho, povm, dec)
+        assert np.array_equal(np.array(rep["fisher"]["F_c"]), fi.classical_fim(dist))
 
     def test_cost_matrix(self, capsys, tmp_path):
         g = tmp_path / "g.json"
@@ -257,6 +283,33 @@ class TestInputFiles:
         assert code == 1
         assert rep["error"]["type"] == "InvalidPOVMError"
         assert rep["error"]["detail"] == {"povm_dim": 2, "state_dim": 3}
+
+    @pytest.mark.parametrize("edit", [
+        {"n_s": True}, {"outcome_labels": [0.0]}, {"outcome_labels": ["a", "b", "c"]},
+        {"classification": ["regular", "other", "null"]}, {"basis": None},
+        {"elements": [[[[1, 0]]]]}, {"ranks": [2, 2]}, {"ranks": [1, False, 2]},
+    ])
+    def test_malformed_measurement(self, capsys, files, edit):
+        payload = json.loads(files["--povm"].read_text())
+        for key, value in edit.items():
+            if value is None:
+                del payload[key]
+            else:
+                payload[key] = value
+        files["--povm"].write_text(json.dumps(payload))
+        code, rep = run(capsys, "fisher", *QUTRIT, "--povm", str(files["--povm"]))
+        assert code == 1
+        assert rep["error"]["type"] == "SchemaError"
+        assert all(key in rep["error"]["message"] for key in edit)  # names what is wrong
+
+    def test_non_unitary_basis(self, capsys, files):
+        payload = json.loads(files["--povm"].read_text())
+        payload["basis"][1][1] = [0.5, 0.0]
+        files["--povm"].write_text(json.dumps(payload))
+        code, rep = run(capsys, "fisher", *QUTRIT, "--povm", str(files["--povm"]))
+        assert code == 1
+        assert rep["error"]["type"] == "InvalidPOVMError"
+        assert rep["error"]["detail"]["completeness_residual"] > 0.1
 
     @pytest.mark.parametrize("matrix", [
         [[1.0]], [[1.0, 0.0], [0.0]], [[1.0, 0.0], [0.0, float("nan")]],

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ import qcrbsat as qs
 from qcrbsat import fisher as fi
 from qcrbsat import numkernel as nk
 from qcrbsat import povm as pv
+from qcrbsat.jsonio import SchemaError
 
 
 def optimal_for(sp, dec, slds, seed=0):
@@ -172,6 +175,18 @@ class TestConstructOptimal:
         assert nk.fro(povm.elements[0] - dec.P_plus) <= 1e-10
         assert povm.classification.count("null") == 2
 
+    def test_elements_are_made_from_the_basis(self, qutrit_point, qutrit_dec, qutrit_slds):
+        m = qs.get("random-rank-r", seed=4, n_s=8, r_plus=4, n_params=3)
+        sp = qs.evaluate(m, np.zeros(3))
+        dec = qs.support_decomposition(sp)
+        slds = qs.compute_sld(dec, sp.drho)
+        for povm in (optimal_for(qutrit_point, qutrit_dec, qutrit_slds), optimal_for(sp, dec, slds)):
+            n = povm.dim
+            assert nk.fro(povm.basis.conj().T @ povm.basis - np.eye(n)) <= 1e-10
+            assert sum(povm.ranks) == n and len(povm.ranks) == povm.n_outcomes
+            rebuilt = pv.elements_from_basis(povm.basis, povm.ranks)
+            assert all(np.array_equal(a, b) for a, b in zip(povm.elements, rebuilt))
+
     def test_missing_w_refused(self, qutrit_dec, qutrit_slds):
         with pytest.raises(pv.MissingAlignmentError):
             pv.construct_optimal(qutrit_dec, qutrit_slds, W=None)
@@ -241,18 +256,66 @@ class TestStructuralCertificate:
                     assert abs(np.trace(d @ e)) <= 1e-12
 
 
+def roundtrip(povm, form, tmp_path):
+    """Write ``povm`` to a file, check it took ``form``, and read it back unchanged."""
+    payload = pv.povm_to_json(povm)
+    assert form in payload and ("basis" in payload) != ("elements" in payload)
+    path = tmp_path / "povm.json"
+    path.write_text(json.dumps(payload))
+    loaded = pv.povm_from_json(str(path))
+    assert loaded.n_outcomes == povm.n_outcomes
+    for a, b in zip(loaded.elements, povm.elements):
+        assert np.array_equal(a, b)
+    assert loaded.classification == povm.classification
+    return loaded
+
+
 class TestSerialization:
     def test_json_roundtrip(self, qutrit_point, qutrit_dec, qutrit_slds, tmp_path):
         povm = optimal_for(qutrit_point, qutrit_dec, qutrit_slds)
-        path = tmp_path / "povm.json"
-        import json
+        loaded = roundtrip(povm, "basis", tmp_path)
+        assert np.array_equal(loaded.basis, povm.basis) and loaded.ranks == povm.ranks
 
-        path.write_text(json.dumps(pv.povm_to_json(povm)))
-        loaded = pv.povm_from_json(str(path))
-        assert loaded.n_outcomes == povm.n_outcomes
-        for a, b in zip(loaded.elements, povm.elements):
-            assert np.array_equal(a, b)
-        assert loaded.classification == povm.classification
+    def test_json_roundtrip_element_form(self, tmp_path):
+        povm = pv.random_povm(3, 4, np.random.default_rng(5))
+        assert roundtrip(povm, "elements", tmp_path).basis is None
+
+    @pytest.mark.parametrize("edit", [
+        {"n_s": True}, {"n_s": 0}, {"n_s": 3.0},
+        {"outcome_labels": [0.0]}, {"outcome_labels": ["a", "b", "c"]},
+        {"outcome_labels": [0.0, 1.0, float("nan")]}, {"outcome_labels": [True, 1.0, 2.0]},
+        {"outcome_labels": [0, 1, 10**400]},
+        {"classification": ["regular", "null"]}, {"classification": ["regular", "null", "x"]},
+        {"elements": []}, {"basis": None},
+        {"ranks": [1, 1]}, {"ranks": [True, 1, 1]}, {"ranks": [0, 1, 2]}, {"ranks": "111"},
+        {"ranks": None},
+    ])
+    def test_malformed_file_is_a_schema_error(self, edit):
+        payload = json.loads(json.dumps(pv.povm_to_json(
+            pv.random_projective_povm(3, np.random.default_rng(1)))))
+        for key, value in edit.items():
+            if value is None:
+                del payload[key]
+            else:
+                payload[key] = value
+        with pytest.raises(SchemaError):
+            pv.povm_from_json(payload)
+
+    def test_basis_must_describe_the_elements(self):
+        with pytest.raises(pv.InvalidPOVMError):
+            pv.POVM(elements=[np.eye(2)], basis=np.eye(2), ranks=(1, 1))
+
+    def test_dense_elements_must_be_a_list(self):
+        with pytest.raises(SchemaError):
+            pv.povm_from_json({"n_s": 2, "elements": 5})
+
+    def test_non_unitary_basis_fails_completeness(self):
+        payload = json.loads(json.dumps(pv.povm_to_json(
+            pv.random_projective_povm(3, np.random.default_rng(1)))))
+        payload["basis"][0][0] = [2.0, 0.0]
+        povm = pv.povm_from_json(payload)
+        with pytest.raises(pv.InvalidPOVMError):
+            pv.require_valid(povm)
 
 
 class TestRandomGenerators:
