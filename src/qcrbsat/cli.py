@@ -14,6 +14,7 @@ inputs reproduces it bit for bit.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -303,7 +304,13 @@ def _cartesian(axes):
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Parsing keeps no state in the parser: every ``parse_args`` call starts
+    from the declared defaults and returns a fresh namespace.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--model", help="registered model name")
     common.add_argument("--params", default="", help="model parameters, k=v,k=v")

@@ -486,12 +486,14 @@ class Cond2PrimeResult:
         }
 
 
-def _map_derivative(fn, theta: np.ndarray, l: int, h: float) -> np.ndarray:
-    e = np.zeros_like(theta)
-    e[l] = h
-    return (np.asarray(fn(theta + e), dtype=complex) - np.asarray(fn(theta - e), dtype=complex)) / (
-        2.0 * h
-    )
+def _stencil(fn, theta: np.ndarray, h: float) -> list:
+    """``fn`` at ``theta ± h e_l``, one ``(plus, minus)`` pair of complex arrays per parameter."""
+    out = []
+    for l in range(len(theta)):
+        e = np.zeros_like(theta)
+        e[l] = h
+        out.append((np.asarray(fn(theta + e), dtype=complex), np.asarray(fn(theta - e), dtype=complex)))
+    return out
 
 
 def verify_condition2prime(
@@ -514,7 +516,8 @@ def verify_condition2prime(
     supplied null measurement with the rotated basis derivatives; (e) the
     cross identity between the +0 SLD blocks and ``2 dV_l^dag Y``.
 
-    All map derivatives are central differences on the smooth maps.
+    All map derivatives are central differences on the smooth maps, from one
+    evaluation of each map per stencil point.
     """
     if model.support_basis_fn is None:
         return Cond2PrimeResult(
@@ -534,7 +537,8 @@ def verify_condition2prime(
     v = np.asarray(v_fn(theta), dtype=complex)
     dec = decomposition_from_basis(sp, v, rank_tol=rank_tol)
     r_plus = dec.r_plus
-    dv = [_map_derivative(v_fn, theta, l, h) for l in range(p)]
+    v_st = _stencil(v_fn, theta, h)
+    dv = [(vp - vm) / (2.0 * h) for vp, vm in v_st]
     a = [v.conj().T @ dv[l] for l in range(p)]  # V^dag dV_l, skew-Hermitian
 
     notes = []
@@ -573,7 +577,8 @@ def verify_condition2prime(
             defect=nk.fro(u.conj().T @ u - np.eye(r_plus)),
         )
     d_mats = witness.d_matrices(theta, p, r_plus)
-    du = [_map_derivative(witness.unitary_fn, theta, l, h) for l in range(p)]
+    u_st = _stencil(witness.unitary_fn, theta, h)
+    du = [(up - um) / (2.0 * h) for up, um in u_st]
 
     pde_res = 0.0
     for l in range(p):
@@ -587,10 +592,10 @@ def verify_condition2prime(
         path = "zero_generators"
 
     stationarity_res = None
-    vt_fn = lambda th: np.asarray(v_fn(th), dtype=complex) @ np.asarray(
-        witness.unitary_fn(th), dtype=complex
-    ).conj().T
-    dvt = [_map_derivative(vt_fn, theta, l, h) for l in range(p)]
+    dvt = [
+        (vp @ up.conj().T - vm @ um.conj().T) / (2.0 * h)
+        for (vp, vm), (up, um) in zip(v_st, u_st)
+    ]
     if d_all_zero:
         stationarity_res = 0.0
         for l in range(p):

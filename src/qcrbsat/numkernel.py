@@ -9,6 +9,7 @@ by the caller so runs are reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,8 +35,19 @@ class JointDiagonalizationError(QcrbSatError):
 
 
 def fro(a: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(a))
+    """Frobenius norm, equal bit for bit to ``float(np.linalg.norm(a))``.
+
+    complex128 and float64 arrays take numpy's own arithmetic (ravel in
+    memory order, sum of squares through ``dot``, square root) without the
+    dispatch of ``np.linalg.norm``; other dtypes go through it.
+    """
+    x = np.asarray(a).ravel(order="K")
+    if x.dtype.char == "D":
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    if x.dtype.char == "d":
+        return math.sqrt(x.dot(x))
+    return float(np.linalg.norm(x))
 
 
 def opnorm(a: np.ndarray) -> float:
@@ -125,6 +137,9 @@ class JointSpectrum:
         return len(self.projectors)
 
 
+_ONE = np.ones((1, 1), dtype=complex)
+
+
 def _split_by_gaps(values: np.ndarray, tol_abs: float) -> list:
     """Slice sorted values into clusters at gaps larger than tol_abs."""
     n = len(values)
@@ -157,12 +172,25 @@ def joint_eigenprojectors(
         if a.shape[0] != n:
             raise ShapeError(f"family[{i}] has shape {a.shape}, expected ({n}, {n})")
 
+    rng = rng if rng is not None else np.random.default_rng(0)
+    if n == 1:
+        # Scalars are jointly diagonal. The mixture coefficients are still
+        # drawn, so the caller's later draws from rng stay the same.
+        rng.standard_normal(len(mats))
+        return JointSpectrum(
+            projectors=(_ONE.copy(),),
+            labels=np.array([[a[0, 0].real for a in mats]]),
+            basis=_ONE.copy(),
+            block_dims=(1,),
+        )
+
+    norms = [fro(a) for a in mats]
     residuals = np.zeros((len(mats), len(mats)))
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
-            r = commutator_residual(mats[i], mats[j])
+            r = fro(mats[i] @ mats[j] - mats[j] @ mats[i])
             residuals[i, j] = residuals[j, i] = r
-            scale = max(1.0, fro(mats[i]) * fro(mats[j]))
+            scale = max(1.0, norms[i] * norms[j])
             if r > tol * scale:
                 raise NotCommutingError(
                     f"family members {i} and {j} do not commute: "
@@ -174,7 +202,6 @@ def joint_eigenprojectors(
 
     scales = np.array([max(1.0, opnorm(a)) for a in mats])
 
-    rng = rng if rng is not None else np.random.default_rng(0)
     coeffs = rng.standard_normal(len(mats))
     mixture = sum(c * a for c, a in zip(coeffs, mats))
 
@@ -189,6 +216,13 @@ def joint_eigenprojectors(
     for a, scale_a in zip(mats, scales):
         refined = []
         for sl in clusters:
+            if sl.stop - sl.start == 1:
+                # One column is an eigenvector already, and eigh of a 1x1
+                # matrix returns exactly [[1]]. Multiplying by that keeps the
+                # column's bits, signed zeros included, as the eigh path set them.
+                basis[:, sl] = basis[:, sl] @ _ONE
+                refined.append(sl)
+                continue
             qk = basis[:, sl]
             s = hermitize(qk.conj().T @ a @ qk)
             w2, r = np.linalg.eigh(s)

@@ -8,7 +8,10 @@ check.
 
 import numpy as np
 
-from qcrbsat.model import evaluate
+from qcrbsat import conditions as cond
+from qcrbsat import numkernel as nk
+from qcrbsat.model import decomposition_from_basis, evaluate
+from qcrbsat.sld import plus_null_blocks
 
 
 def multinomial_fisher(theta):
@@ -221,3 +224,266 @@ def evaluate_prob_fn(model, povm, scheme, h):
         return np.array([float(np.trace(s.rho @ e).real) for e in povm.elements])
 
     return prob_fn
+
+
+# ---------------------------------------------------------------------------
+# Joint diagonalization as it was before the small-family shortcuts: every
+# cluster, one column or more, is refined with its own `eigh`, and 1x1
+# families go through the mixture like any other.
+# ---------------------------------------------------------------------------
+
+
+def joint_eigenprojectors_loop(family, tol=1e-8, *, rng=None):
+    if len(family) == 0:
+        raise nk.ShapeError("empty family")
+    mats = [nk.hermitize(nk._require_square(a, f"family[{i}]")) for i, a in enumerate(family)]
+    n = mats[0].shape[0]
+    for i, a in enumerate(mats):
+        if a.shape[0] != n:
+            raise nk.ShapeError(f"family[{i}] has shape {a.shape}, expected ({n}, {n})")
+
+    residuals = np.zeros((len(mats), len(mats)))
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            r = _fro(mats[i] @ mats[j] - mats[j] @ mats[i])
+            residuals[i, j] = residuals[j, i] = r
+            scale = max(1.0, _fro(mats[i]) * _fro(mats[j]))
+            if r > tol * scale:
+                raise nk.NotCommutingError(
+                    f"family members {i} and {j} do not commute: "
+                    f"residual {r:.3e} > {tol:.1e} * {scale:.3e}",
+                    pair=[i, j],
+                    residual=r,
+                    residuals=residuals,
+                )
+
+    scales = np.array([max(1.0, float(np.linalg.norm(a, 2))) for a in mats])
+
+    rng = rng if rng is not None else np.random.default_rng(0)
+    coeffs = rng.standard_normal(len(mats))
+    mixture = sum(c * a for c, a in zip(coeffs, mats))
+
+    w, basis = np.linalg.eigh(nk.hermitize(mixture))
+    mix_scale = max(1.0, float(np.max(np.abs(w))))
+    clusters = nk._split_by_gaps(w, tol * mix_scale)
+
+    basis = np.array(basis)
+    for a, scale_a in zip(mats, scales):
+        refined = []
+        for sl in clusters:
+            qk = basis[:, sl]
+            s = nk.hermitize(qk.conj().T @ a @ qk)
+            w2, r = np.linalg.eigh(s)
+            basis[:, sl] = qk @ r
+            offset = sl.start
+            for sub in nk._split_by_gaps(w2, tol * scale_a):
+                refined.append(slice(offset + sub.start, offset + sub.stop))
+        clusters = refined
+
+    labels = np.zeros((len(clusters), len(mats)))
+    for k, sl in enumerate(clusters):
+        qk = basis[:, sl]
+        for l, a in enumerate(mats):
+            s = qk.conj().T @ a @ qk
+            lam = float(np.mean(np.diag(s).real))
+            off = _fro(s - lam * np.eye(sl.stop - sl.start))
+            if off > 10 * tol * scales[l]:
+                raise nk.JointDiagonalizationError(
+                    f"family member {l} is not scalar on cluster {k}: residual {off:.3e}",
+                    member=l,
+                    cluster=k,
+                    residual=off,
+                )
+            labels[k, l] = lam
+
+    merged = []
+    for k in range(len(clusters)):
+        for group in merged:
+            if np.all(np.abs(labels[group[0]] - labels[k]) <= tol * scales):
+                group.append(k)
+                break
+        else:
+            merged.append([k])
+
+    projectors, out_labels, col_groups = [], [], []
+    for group in merged:
+        cols = np.concatenate([np.arange(clusters[k].start, clusters[k].stop) for k in group])
+        qk = basis[:, cols]
+        projectors.append(nk.hermitize(qk @ qk.conj().T))
+        out_labels.append(np.mean(labels[group], axis=0))
+        col_groups.append(cols)
+
+    order = sorted(range(len(projectors)), key=lambda k: tuple(out_labels[k]))
+    projectors = [projectors[k] for k in order]
+    out_labels = np.array([out_labels[k] for k in order])
+    basis = np.concatenate([basis[:, col_groups[k]] for k in order], axis=1)
+    block_dims = tuple(len(col_groups[k]) for k in order)
+
+    for l, a in enumerate(mats):
+        rebuilt = sum(out_labels[k, l] * projectors[k] for k in range(len(projectors)))
+        err = _fro(a - rebuilt)
+        if err > 100 * tol * max(1.0, _fro(a)):
+            raise nk.JointDiagonalizationError(
+                f"reconstruction of member {l} failed: residual {err:.3e}",
+                member=l,
+                residual=err,
+            )
+
+    return nk.JointSpectrum(
+        projectors=tuple(projectors), labels=out_labels, basis=basis, block_dims=block_dims
+    )
+
+
+# ---------------------------------------------------------------------------
+# Condition 2' as it was before the shared stencil: every central difference
+# evaluates its map again, and d(V U^dag) re-evaluates both maps.
+# ---------------------------------------------------------------------------
+
+
+def _map_derivative_loop(fn, theta: np.ndarray, l: int, h: float) -> np.ndarray:
+    e = np.zeros_like(theta)
+    e[l] = h
+    return (np.asarray(fn(theta + e), dtype=complex) - np.asarray(fn(theta - e), dtype=complex)) / (
+        2.0 * h
+    )
+
+
+def verify_condition2prime_loop(
+    model,
+    sp,
+    witness=None,
+    *,
+    null_povm=None,
+    h: float = 1e-5,
+    tol: float = 1e-8,
+    rank_tol: float = 1e-10,
+):
+    """The condition-2' verifier with one map evaluation per difference quotient."""
+    if model.support_basis_fn is None:
+        return cond.Cond2PrimeResult(
+            status="NOT_CHECKED",
+            path="not_checked",
+            pde_residual=None,
+            stationarity_residual=None,
+            null_compat_residual=None,
+            cross_identity_residual=None,
+            tol=tol,
+            notes=["model exposes no smooth support-basis map"],
+        )
+
+    theta = np.asarray(sp.theta, dtype=float)
+    p = sp.n_params
+    v_fn = model.support_basis_fn
+    v = np.asarray(v_fn(theta), dtype=complex)
+    dec = decomposition_from_basis(sp, v, rank_tol=rank_tol)
+    r_plus = dec.r_plus
+    dv = [_map_derivative_loop(v_fn, theta, l, h) for l in range(p)]
+    a = [v.conj().T @ dv[l] for l in range(p)]  # V^dag dV_l, skew-Hermitian
+
+    notes = []
+    path = "not_checked"
+    if witness is None:
+        diag_res = max(_fro(x - np.diag(np.diag(x))) / max(1.0, _fro(x)) for x in a) if p else 0.0
+        if diag_res <= max(tol, 1e-6):
+            d_canon = [np.diag((1j * np.diag(x)).real) for x in a]
+            witness = cond.Cond2PrimeWitness(
+                unitary_fn=lambda _theta: np.eye(r_plus, dtype=complex),
+                generators=d_canon,
+                label="diagonal_VdV",
+            )
+            notes.append("canonical witness generated from diagonal V^dag dV")
+        else:
+            return cond.Cond2PrimeResult(
+                status="NOT_CHECKED",
+                path="not_checked",
+                pde_residual=None,
+                stationarity_residual=None,
+                null_compat_residual=None,
+                cross_identity_residual=None,
+                tol=tol,
+                notes=[
+                    "no witness supplied and V^dag dV is not diagonal "
+                    f"(residual {diag_res:.3e}); existence undecided"
+                ],
+            )
+
+    u = np.asarray(witness.unitary_fn(theta), dtype=complex)
+    if u.shape != (r_plus, r_plus) or _fro(u.conj().T @ u - np.eye(r_plus)) > 1e-10 * max(
+        1.0, r_plus
+    ):
+        raise cond.InvalidWitnessError(
+            "witness map is not unitary at this point",
+            defect=_fro(u.conj().T @ u - np.eye(r_plus)),
+        )
+    d_mats = witness.d_matrices(theta, p, r_plus)
+    du = [_map_derivative_loop(witness.unitary_fn, theta, l, h) for l in range(p)]
+
+    pde_res = 0.0
+    for l in range(p):
+        rhs = u @ (a[l] + 1j * d_mats[l])
+        scale = max(1.0, _fro(du[l]) + _fro(a[l]) + _fro(d_mats[l]))
+        pde_res = max(pde_res, _fro(du[l] - rhs) / scale)
+
+    d_all_zero = all(_fro(d) <= 1e-12 for d in d_mats)
+    path = witness.label
+    if witness.label == "user_supplied_U" and d_all_zero:
+        path = "zero_generators"
+
+    stationarity_res = None
+    vt_fn = lambda th: np.asarray(v_fn(th), dtype=complex) @ np.asarray(
+        witness.unitary_fn(th), dtype=complex
+    ).conj().T
+    dvt = [_map_derivative_loop(vt_fn, theta, l, h) for l in range(p)]
+    if d_all_zero:
+        stationarity_res = 0.0
+        for l in range(p):
+            scale = max(1.0, _fro(dvt[l]))
+            stationarity_res = max(stationarity_res, _fro(dec.P_plus @ dvt[l]) / scale)
+
+    null_compat_res = None
+    if null_povm is not None and len(null_povm) and dec.r_zero > 0:
+        null_compat_res = 0.0
+        y = dec.Y
+        blocks = [y.conj().T @ dvt[l] for l in range(p)]
+        for e in null_povm:
+            e00 = y.conj().T @ np.asarray(e, dtype=complex) @ y
+            for l in range(p):
+                for m in range(p):
+                    if l == m:
+                        continue
+                    lhs = e00 @ blocks[l]
+                    rhs = e00 @ blocks[m]
+                    scale = max(1.0, _fro(e00) * max(_fro(blocks[l]), _fro(blocks[m])))
+                    if _fro(rhs) <= tol * scale:
+                        res = 0.0 if _fro(lhs) <= tol * scale else _fro(lhs) / scale
+                    else:
+                        c = float(np.vdot(rhs.ravel(), lhs.ravel()).real) / float(
+                            np.vdot(rhs.ravel(), rhs.ravel()).real
+                        )
+                        res = _fro(lhs - c * rhs) / scale
+                    null_compat_res = max(null_compat_res, res)
+
+    lpz = plus_null_blocks(dec, sp.drho)
+    cross_res = 0.0
+    for l in range(p):
+        ident = 2.0 * dv[l].conj().T @ dec.Y
+        scale = max(1.0, _fro(lpz[l]) + _fro(ident))
+        cross_res = max(cross_res, _fro(lpz[l] - ident) / scale)
+
+    checked = [pde_res, cross_res]
+    if stationarity_res is not None:
+        checked.append(stationarity_res)
+    if null_compat_res is not None:
+        checked.append(null_compat_res)
+    status = "PASSED" if all(r <= tol for r in checked) else "FAILED"
+    return cond.Cond2PrimeResult(
+        status=status,
+        path=path,
+        pde_residual=pde_res,
+        stationarity_residual=stationarity_res,
+        null_compat_residual=null_compat_res,
+        cross_identity_residual=cross_res,
+        tol=tol,
+        notes=notes,
+    )
+

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qcrbsat import cli
 from qcrbsat import fisher as fi
 from qcrbsat import model as md
 from qcrbsat import povm as pv
@@ -362,3 +363,29 @@ class TestOptions:
         code, rep = run(capsys, "analyze", "--model", "random-rank-r", "--theta", "0,0",
                         "--params", f"{sizes},plant_cond1=true")
         assert rep["verdict"] == "SATURABLE_CERTIFIED"
+
+
+class TestParserReuse:
+    def test_reused_parser_leaks_no_state(self, capsys, tmp_path, monkeypatch):
+        base = ["analyze", "--model", "diag-multinomial", "--params", "dims=3", "--theta", "0.2,0.3"]
+        assert cli.build_parser() is cli.build_parser()
+        first = tmp_path / "a.json"
+        assert main([*base, "--seed", "5", "--cond-tol", "0", "--output", str(first)]) == 0
+        assert json.loads(first.read_text())["inputs"]["seed"] == 5
+        assert json.loads(first.read_text())["inputs"]["cond_tol"] == 0.0
+        assert main(base) == 0
+        reused = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            main([*base, "--scheme", "bogus"])
+        capsys.readouterr()
+        assert main(base) == 0
+        after_error = capsys.readouterr().out
+
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        assert main(base) == 0
+        fresh = capsys.readouterr().out
+        assert reused == fresh
+        assert after_error == fresh
+        rep = json.loads(fresh)
+        assert rep["inputs"]["seed"] == 0
+        assert rep["inputs"]["cond_tol"] == md.derivative_tol("analytic") > 0

@@ -14,6 +14,7 @@ from oracles import (
     full_commutativity_loop,
     partial_commutativity_loop,
     pure_state_avg_comm,
+    verify_condition2prime_loop,
 )
 
 
@@ -388,3 +389,47 @@ class TestGaugeInvariance:
             slds2.Lpz, t.conj().T @ rep.cond4.W
         )
         assert ok and worst <= 1e-10
+
+
+class TestCondition2PrimeStencil:
+    """One evaluation of each map per stencil point, and the same result as before."""
+
+    @staticmethod
+    def _counted(fn, counts, key):
+        def wrapped(theta):
+            counts[key] += 1
+            return fn(theta)
+
+        return wrapped
+
+    @pytest.mark.parametrize("with_witness", [False, True])
+    def test_each_map_runs_once_per_stencil_point(self, qutrit_model, qutrit_point, with_witness):
+        counts = {"V": 0, "U": 0}
+        model = dataclasses.replace(
+            qutrit_model, support_basis_fn=self._counted(qutrit_model.support_basis_fn, counts, "V"))
+        witness = None
+        if with_witness:
+            w = qs.get_witness("qutrit-phase-mixture", d=0.6, c1=1.0, c2=0.7)
+            witness = dataclasses.replace(w, unitary_fn=self._counted(w.unitary_fn, counts, "U"))
+        res = cond.verify_condition2prime(model, qutrit_point, witness)
+        assert res.status == "PASSED"
+        p = qutrit_point.n_params
+        assert counts == {"V": 1 + 2 * p, "U": 1 + 2 * p if with_witness else 0}
+
+    @pytest.mark.parametrize("case", ["canonical", "witness", "witness+null"])
+    def test_matches_per_derivative_oracle(self, qutrit_model, qutrit_point, qutrit_dec,
+                                           qutrit_slds, case):
+        from qcrbsat import povm as pv
+
+        witness, nulls = None, None
+        if case != "canonical":
+            witness = qs.get_witness("qutrit-phase-mixture", d=0.6, c1=1.0, c2=0.7)
+        if case == "witness+null":
+            rep = qs.evaluate_conditions(qutrit_point, qutrit_dec, qutrit_slds)
+            popt = pv.construct_optimal(qutrit_dec, qutrit_slds, W=rep.cond4.W,
+                                        rng=np.random.default_rng(0))
+            nulls = [e for e, k in zip(popt.elements, popt.classification) if k == "null"]
+        new = cond.verify_condition2prime(qutrit_model, qutrit_point, witness, null_povm=nulls)
+        old = verify_condition2prime_loop(qutrit_model, qutrit_point, witness, null_povm=nulls)
+        assert dataclasses.asdict(new) == dataclasses.asdict(old)
+        assert (new.null_compat_residual is not None) == (case == "witness+null")

@@ -1,10 +1,16 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays, from_dtype
 
+import qcrbsat as qs
+from qcrbsat import conditions as cond
 from qcrbsat import numkernel as nk
+from qcrbsat import povm as pv
+from oracles import joint_eigenprojectors_loop
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -159,3 +165,145 @@ class TestJointEigenprojectors:
         spec = nk.joint_eigenprojectors([q @ np.diag(l) @ q.conj().T for l in lab])
         assert spec.chi == 4
         assert len(calls) == 2
+
+
+class TestFro:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_equals_numpy_norm_bit_for_bit(self, data):
+        dtype = np.dtype(data.draw(st.sampled_from(
+            [np.complex128, np.float64, np.complex64, np.float32])))
+        a = data.draw(arrays(dtype, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=6),
+                             elements=from_dtype(dtype, allow_nan=False)))
+        layout = data.draw(st.sampled_from(["C", "F", "step", "reversed", "transposed"]))
+        if layout == "F":
+            a = np.asfortranarray(a)
+        elif layout == "step" and a.ndim:
+            a = a[::2]
+        elif layout == "reversed" and a.ndim:
+            a = a[..., ::-1]
+        elif layout == "transposed":
+            a = a.T
+        with np.errstate(over="ignore"):  # huge entries: both sides overflow to inf alike
+            assert nk.fro(a) == float(np.linalg.norm(a))
+
+    def test_empty_and_stacked(self):
+        rng = np.random.default_rng(2)
+        stack = rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5))
+        for a in (np.zeros((0, 0), dtype=complex), np.zeros(0), stack, stack[:, ::2, 1:],
+                  np.asfortranarray(stack), stack.real.copy()):
+            assert nk.fro(a) == float(np.linalg.norm(a))
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def _assert_matches_loop(family, tol=1e-8, rng=None):
+    """Projectors, labels, basis, block sizes and the generator's next draw, bit for bit."""
+    rng = rng if rng is not None else np.random.default_rng(0)
+    rng_new, rng_old = copy.deepcopy(rng), copy.deepcopy(rng)
+    new = nk.joint_eigenprojectors(family, tol, rng=rng_new)
+    old = joint_eigenprojectors_loop(family, tol, rng=rng_old)
+    assert [_bits(p) for p in new.projectors] == [_bits(p) for p in old.projectors]
+    assert _bits(new.labels) == _bits(old.labels)
+    assert _bits(new.basis) == _bits(old.basis)
+    assert new.block_dims == old.block_dims
+    assert _bits(rng_new.standard_normal(3)) == _bits(rng_old.standard_normal(3))
+    return new
+
+
+def _same_error(exc_type, family, tol=1e-8):
+    with pytest.raises(exc_type) as new:
+        nk.joint_eigenprojectors(family, tol, rng=np.random.default_rng(0))
+    with pytest.raises(exc_type) as old:
+        joint_eigenprojectors_loop(family, tol, rng=np.random.default_rng(0))
+    assert str(new.value) == str(old.value)
+    assert new.value.to_dict() == old.value.to_dict()
+
+
+def _rotated(labels, seed):
+    """Hermitian family ``Q diag(labels[i]) Q^dag`` in a seeded random unitary basis."""
+    labels = np.asarray(labels, dtype=float)
+    q = nk.haar_unitary(labels.shape[1], np.random.default_rng(seed))
+    return [q @ np.diag(row) @ q.conj().T for row in labels]
+
+
+class TestJointEigenprojectorsMatchLoop:
+    """The small-family shortcuts return what the per-cluster `eigh` loop returned."""
+
+    @pytest.mark.parametrize("values", [
+        [2.5], [0.0, -0.0], [1.0, -2.0, 0.0, 3.5],
+        [complex(-0.0, 3.0), complex(0.0, -3.0), complex(-1.0, -0.0), -0.0],
+    ])
+    def test_one_by_one(self, values):
+        spec = _assert_matches_loop([np.array([[v]], dtype=complex) for v in values])
+        assert spec.chi == 1 and spec.block_dims == (1,)
+
+    @pytest.mark.parametrize("family", [
+        [np.diag([1.0, 2.0, 3.0, 4.0])],
+        [np.diag([0.5, -1.0, 2.0]), np.diag([3.0, 1.0, 1.0])],
+        _rotated([[1.0, 2.0, 3.0, 4.0, 5.0]], seed=1),
+        _rotated([[1.0, 1.0, 2.0, 2.0], [3.0, 4.0, 3.0, 4.0]], seed=2),
+    ], ids=["diag", "diag-pair", "rotated", "rotated-pair"])
+    def test_all_singleton_clusters(self, family):
+        assert _assert_matches_loop(family, rng=np.random.default_rng(5)).block_dims == (1,) * len(family[0])
+
+    @pytest.mark.parametrize("family", [
+        [np.diag([1.0, 1.0, 2.0, 3.0, 3.0, 3.0])],
+        [np.diag([1.0, 1.0, 2.0]), np.diag([2.0, 2.0, 3.0])],
+        _rotated([[1.0, 1.0, 2.0, 2.0, 3.0], [0.5, 0.5, 0.5, 1.5, 1.5]], seed=3),
+        _rotated([[1.0, 2.0, 2.0, 3.0, 3.0, 3.0], [0.0, 0.0, 1.0, 1.0, 1.0, 2.0],
+                  [4.0, 4.0, 4.0, 4.0, 4.0, 4.0]], seed=4),
+    ], ids=["diag", "diag-pair", "rotated-pair", "rotated-triple"])
+    def test_mixed_degenerate_clusters(self, family):
+        spec = _assert_matches_loop(family, rng=np.random.default_rng(6))
+        assert 1 in spec.block_dims and max(spec.block_dims) > 1
+
+    @pytest.mark.parametrize("name, params, theta, n_w", [
+        ("qutrit-phase-mixture", dict(d=0.6, c1=1.0, c2=0.7), [0.3, 0.5], 1),
+        ("qutrit-phase-mixture", dict(d=0.6, c1=1.0, c2=0.7), [0.8, 0.1], 1),
+        ("random-rank-r", dict(seed=3, n_s=8, r_plus=4, n_params=3), [0.0] * 3, 4),
+        ("random-rank-r", dict(seed=3, n_s=32, r_plus=16, n_params=3), [0.0] * 3, 16),
+    ])
+    def test_w_search_and_plus_plus_families(self, monkeypatch, name, params, theta, n_w):
+        calls = []
+        loop = nk.joint_eigenprojectors
+
+        def record(family, tol=1e-8, *, rng=None):
+            calls.append(([np.array(a) for a in family], tol, copy.deepcopy(rng)))
+            return loop(family, tol, rng=rng)
+
+        monkeypatch.setattr(nk, "joint_eigenprojectors", record)
+        sp = qs.evaluate(qs.get(name, **params), theta)
+        dec = qs.support_decomposition(sp)
+        slds = qs.compute_sld(dec, sp.drho)
+        rep = qs.evaluate_conditions(sp, dec, slds, rng=np.random.default_rng(0))
+        assert rep.verdict == cond.VERDICT_SATURABLE
+        pv.construct_optimal(dec, slds, W=rep.cond4.W, lambdas=rep.cond4.lambdas,
+                             rng=np.random.default_rng(0))
+        monkeypatch.undo()
+        # the W search's pinv family, then the ++ blocks of the construction
+        assert [c[0][0].shape for c in calls] == [(n_w, n_w), (dec.r_plus, dec.r_plus)]
+        for family, tol, rng in calls:
+            _assert_matches_loop(family, tol, rng)
+
+    def test_same_refusals(self):
+        _same_error(nk.NotCommutingError, [X, Z])
+        _same_error(nk.NotCommutingError, _rotated([[1.0, 2.0, 3.0]], seed=7) + [np.kron(X, X)[:3, :3]])
+        # eigenvalues closer than tol never split, yet spread far beyond it
+        chain = [np.diag(0.9e-3 * np.arange(40))]
+        _same_error(nk.JointDiagonalizationError, chain, tol=1e-3)
+        with pytest.raises(nk.JointDiagonalizationError) as exc:
+            nk.joint_eigenprojectors(chain, 1e-3)
+        assert exc.value.detail["cluster"] == 0
+
+    @pytest.mark.parametrize("family", [
+        [np.array([[np.nan]])],
+        [np.array([[1.0]]), np.eye(2)],
+        [np.array([[1.0, 2.0]])],
+        [np.array([[np.inf + 0j]]), np.array([[1.0]])],
+    ])
+    def test_one_by_one_still_checks_its_input(self, family):
+        _same_error(nk.ShapeError, family)
