@@ -25,7 +25,7 @@ from . import fixtures
 from . import jsonio
 from . import povm as povm_mod
 from .conditions import VERDICT_SATURABLE, evaluate_conditions
-from .errors import QcrbSatError
+from .errors import QcrbSatError, jsonable
 from .model import (
     StateAtPoint,
     evaluate,
@@ -40,15 +40,6 @@ SCHEMA_VERSION = 1
 
 class NotCertifiedError(QcrbSatError):
     pass
-
-
-def _jsonable_params(params):
-    if not params:
-        return {}
-    out = {}
-    for k, v in params.items():
-        out[k] = [v.real, v.imag] if isinstance(v, complex) else v
-    return out
 
 
 def parse_params(text: str) -> dict:
@@ -88,10 +79,11 @@ def parse_grid(text: str):
     """Per-axis "start:stop:count" specs, comma separated."""
     axes = []
     for chunk in text.split(","):
-        parts = chunk.split(":")
-        if len(parts) != 3:
-            raise QcrbSatError(f"malformed grid axis {chunk!r}, expected start:stop:count")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        try:
+            start, stop, count = chunk.split(":")
+            start, stop, count = float(start), float(stop), int(count)
+        except ValueError:  # not three fields, or not two reals and an integer
+            raise QcrbSatError(f"malformed grid axis {chunk!r}, expected start:stop:count") from None
         if count < 1:
             raise QcrbSatError(f"grid axis needs at least one point, got {count}")
         axes.append(np.linspace(start, stop, count))
@@ -121,11 +113,14 @@ def cond_tol(args, sp: StateAtPoint) -> float:
 
 
 def run_analysis(args, sp: StateAtPoint, model=None, witness=None):
-    """The core pipeline: decomposition, SLDs, information, conditions."""
+    """The core pipeline: decomposition, SLDs, information, conditions.
+
+    The SLD solve is checked at the condition tolerance or the scheme's, whichever is looser.
+    """
     rng = np.random.default_rng(args.seed)
     tol = cond_tol(args, sp)
     dec = support_decomposition(sp, rank_tol=args.rank_tol)
-    slds = compute_sld(dec, sp.drho, sld_tol=tol)
+    slds = compute_sld(dec, sp.drho, sld_tol=max(tol, sp.deriv_tol))
     f_q = qfim(dec, slds)
     report = evaluate_conditions(sp, dec, slds, model=model, witness=witness, tol=tol, rng=rng)
     return dec, slds, f_q, report
@@ -137,7 +132,7 @@ def base_report(args, sp: StateAtPoint, model, dec, f_q, report) -> dict:
         "tool": {"name": "qcrbsat", "version": __version__},
         "inputs": {
             "model": model.name if model is not None else None,
-            "params": _jsonable_params(model.params) if model is not None else None,
+            "params": jsonable(model.params) if model is not None else None,
             "numeric_model": bool(args.numeric_model),
             "theta": None if sp.theta is None else [float(x) for x in sp.theta],
             "scheme": sp.scheme_label(),
@@ -281,7 +276,8 @@ def cmd_sweep(args) -> dict:
     if len(axes) != model.n_params:
         raise QcrbSatError(f"grid has {len(axes)} axes, model has {model.n_params} parameters")
 
-    points = [np.array(t) for t in _cartesian(axes)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    points = [np.array(t) for t in np.stack([m.ravel() for m in mesh], axis=1)]
     reports = []
     for theta in points:
         try:
@@ -297,11 +293,6 @@ def cmd_sweep(args) -> dict:
         "grid": args.grid,
         "model": model.name,
     }
-
-
-def _cartesian(axes):
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
 
 
 @functools.cache

@@ -502,9 +502,7 @@ def verify_condition2prime(
     witness: Optional[Cond2PrimeWitness] = None,
     *,
     null_povm: Optional[Sequence[np.ndarray]] = None,
-    h: float = 1e-5,
     tol: float = 1e-8,
-    rank_tol: float = 1e-10,
 ) -> Cond2PrimeResult:
     """Verify a witness for the support-basis PDE condition at one point.
 
@@ -516,8 +514,8 @@ def verify_condition2prime(
     supplied null measurement with the rotated basis derivatives; (e) the
     cross identity between the +0 SLD blocks and ``2 dV_l^dag Y``.
 
-    All map derivatives are central differences on the smooth maps, from one
-    evaluation of each map per stencil point.
+    All map derivatives are central differences with step 1e-5 on the smooth
+    maps, from one evaluation of each map per stencil point.
     """
     if model.support_basis_fn is None:
         return Cond2PrimeResult(
@@ -535,8 +533,9 @@ def verify_condition2prime(
     p = sp.n_params
     v_fn = model.support_basis_fn
     v = np.asarray(v_fn(theta), dtype=complex)
-    dec = decomposition_from_basis(sp, v, rank_tol=rank_tol)
+    dec = decomposition_from_basis(sp, v)
     r_plus = dec.r_plus
+    h = 1e-5
     v_st = _stencil(v_fn, theta, h)
     dv = [(vp - vm) / (2.0 * h) for vp, vm in v_st]
     a = [v.conj().T @ dv[l] for l in range(p)]  # V^dag dV_l, skew-Hermitian
@@ -731,7 +730,6 @@ def evaluate_conditions(
     *,
     model: Optional[StateModel] = None,
     witness: Optional[Cond2PrimeWitness] = None,
-    null_povm: Optional[Sequence[np.ndarray]] = None,
     tol: Optional[float] = None,
     rng: np.random.Generator | None = None,
 ) -> ConditionReport:
@@ -750,8 +748,6 @@ def evaluate_conditions(
         tol=tol,
     )
     if model is not None and sp.theta is not None:
-        report.cond2prime = verify_condition2prime(
-            model, sp, witness, null_povm=null_povm, tol=max(tol, 1e-8)
-        )
+        report.cond2prime = verify_condition2prime(model, sp, witness, tol=max(tol, 1e-8))
     report.verdict, report.reasoning = verdict(report, dec.r_plus, dec.r_zero)
     return report

@@ -17,11 +17,12 @@ class QcrbSatError(Exception):
         return {
             "type": type(self).__name__,
             "message": str(self),
-            "detail": {k: _jsonable(v) for k, v in self.detail.items()},
+            "detail": {k: jsonable(v) for k, v in self.detail.items()},
         }
 
 
-def _jsonable(v):
+def jsonable(v):
+    """``v`` with numpy values, arrays and complex numbers as plain JSON values."""
     import numpy as np
 
     if isinstance(v, np.ndarray):
@@ -31,7 +32,7 @@ def _jsonable(v):
     if isinstance(v, complex):
         return [v.real, v.imag]
     if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
+        return [jsonable(x) for x in v]
     if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
+        return {k: jsonable(x) for k, x in v.items()}
     return v

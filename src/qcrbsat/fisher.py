@@ -28,10 +28,8 @@ import numpy as np
 from . import numkernel as nk
 from .errors import QcrbSatError
 from .model import SupportDecomposition
-from .povm import POVM
+from .povm import POVM, PROB_TOL
 from .sld import plus_null_blocks
-
-PROB_TOL = 1e-12
 
 
 class SingularOutcomeError(QcrbSatError):
@@ -79,9 +77,6 @@ def outcome_distribution(
     drho: np.ndarray,
     povm: POVM,
     dec: Optional[SupportDecomposition] = None,
-    prob_tol: float = PROB_TOL,
-    deriv_tol: Optional[float] = None,
-    rank1_tol: float = 1e-8,
 ) -> MeasurementDistribution:
     """Probabilities p_k = tr(rho E_k) and derivatives tr(drho_l E_k).
 
@@ -93,9 +88,9 @@ def outcome_distribution(
     elements = np.stack(povm.elements)
     probs = probabilities(rho, elements)
     dprobs = np.array([probabilities(d, elements) for d in drho])
-    if np.any(probs < -1e-12):
+    if np.any(probs < -PROB_TOL):
         raise QcrbSatError(f"negative outcome probability {probs.min():.3e}")
-    probs[(probs < 0.0) & (probs > -1e-12)] = 0.0
+    probs[(probs < 0.0) & (probs > -PROB_TOL)] = 0.0
     if abs(probs.sum() - 1.0) > 1e-10:
         raise QcrbSatError(f"probabilities sum to {probs.sum()!r}")
     dp_sums = np.abs(dprobs.sum(axis=1))
@@ -105,10 +100,8 @@ def outcome_distribution(
             f"probability derivatives do not sum to zero: {dp_sums.tolist()}"
         )
 
-    if deriv_tol is None:
-        deriv_tol = 1e-8 * max(1.0, max(nk.fro(d) for d in drho))
-
-    support_mask = probs > prob_tol
+    deriv_tol = 1e-8 * max(1.0, max(nk.fro(d) for d in drho))
+    support_mask = probs > PROB_TOL
     singular = [
         int(k)
         for k in range(m)
@@ -130,7 +123,7 @@ def outcome_distribution(
                     info[l, mm] = info[mm, l] = val
             w = np.linalg.eigvalsh(info)
             top = max(w[-1], 0.0)
-            rank1 = bool(w[-2] <= max(1e-12, rank1_tol * top)) if p > 1 else True
+            rank1 = bool(w[-2] <= max(1e-12, 1e-8 * top)) if p > 1 else True
             null_info.append(NullOutcomeInfo(index=k, info=info, rank1=rank1))
 
     return MeasurementDistribution(
@@ -139,7 +132,7 @@ def outcome_distribution(
         support_mask=support_mask,
         singular=singular,
         null_info=null_info,
-        prob_tol=prob_tol,
+        prob_tol=PROB_TOL,
         deriv_tol=deriv_tol,
     )
 
@@ -345,12 +338,12 @@ def simulate(dist: MeasurementDistribution, trials: int, seed: int) -> MonteCarl
 # ---------------------------------------------------------------------------
 
 
-def _golden_section(f: Callable[[float], float], lo: float, hi: float, iters: int = 40):
+def _golden_section(f: Callable[[float], float], lo: float, hi: float):
     phi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c, d = b - phi * (b - a), a + phi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(40):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - phi * (b - a)
@@ -367,9 +360,8 @@ def max_likelihood_estimate(
     counts: np.ndarray,
     theta0: np.ndarray,
     radius: float = 0.05,
-    sweeps: int = 4,
 ) -> np.ndarray:
-    """Local maximum-likelihood fit by coordinate golden-section search."""
+    """Local maximum-likelihood fit: four sweeps of golden-section search per coordinate."""
     counts = np.asarray(counts, dtype=float)
 
     def nll(theta):
@@ -377,7 +369,7 @@ def max_likelihood_estimate(
         return -float(np.dot(counts, np.log(p)))
 
     theta = np.asarray(theta0, dtype=float).copy()
-    for _ in range(sweeps):
+    for _ in range(4):
         for i in range(len(theta)):
 
             def f1(x, i=i):

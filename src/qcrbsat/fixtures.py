@@ -11,6 +11,8 @@ at the center point only.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from . import numkernel as nk
@@ -27,11 +29,27 @@ class ParameterError(QcrbSatError):
     pass
 
 
-def _as_complex(value) -> complex:
+def _convert(name: str, value, cast, kind: str):
+    """``cast(value)`` for a model parameter; refused for booleans, or if it changes the value."""
     try:
-        return complex(value)
-    except (TypeError, ValueError):
-        raise ParameterError(f"cannot interpret {value!r} as a complex number")
+        out = None if isinstance(value, bool) else cast(value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or out != value:  # 2.5 as an int, a string, NaN
+        raise ParameterError(f"parameter {name!r} must be {kind}, got {value!r}", parameter=name)
+    return out
+
+
+def _as_int(name: str, value) -> int:
+    return _convert(name, value, int, "an integer")
+
+
+def _as_real(name: str, value) -> float:
+    return _convert(name, value, float, "a real number")
+
+
+def _as_complex(name: str, value) -> complex:
+    return _convert(name, value, complex, "a complex number")
 
 
 # ---------------------------------------------------------------------------
@@ -43,8 +61,8 @@ def _as_complex(value) -> complex:
 
 
 def qutrit_phase_mixture(d=0.6, c1=1.0, c2=0.7) -> StateModel:
-    d = _as_complex(d)
-    c1, c2 = float(c1), float(c2)
+    d = _as_complex("d", d)
+    c1, c2 = _as_real("c1", c1), _as_real("c2", c2)
     if not (0.0 < abs(d) < 1.0):
         raise ParameterError(f"need 0 < |d| < 1, got |d| = {abs(d)}")
     if c1 == 0.0 or c2 == 0.0:
@@ -102,7 +120,7 @@ def qutrit_phase_mixture(d=0.6, c1=1.0, c2=0.7) -> StateModel:
 
 def qutrit_null_basis(d=0.6, c1=1.0, c2=0.7):
     """Closed-form smooth null-space basis of the qutrit family."""
-    d = _as_complex(d)
+    d = _as_complex("d", d)
     s = np.sqrt(1.0 - abs(d) ** 2)
 
     def y(theta):
@@ -113,7 +131,7 @@ def qutrit_null_basis(d=0.6, c1=1.0, c2=0.7):
 
 
 def _qutrit_witness(d=0.6, c1=1.0, c2=0.7) -> Cond2PrimeWitness:
-    d = _as_complex(d)
+    d = _as_complex("d", d)
     dd = abs(d) ** 2
 
     def u(theta):
@@ -128,7 +146,7 @@ def _qutrit_witness(d=0.6, c1=1.0, c2=0.7) -> Cond2PrimeWitness:
 
 
 def diag_multinomial(dims=3) -> StateModel:
-    dims = int(dims)
+    dims = _as_int("dims", dims)
     if dims < 2:
         raise ParameterError(f"need dims >= 2, got {dims}")
     p = dims - 1
@@ -235,7 +253,7 @@ def theta_independent_support() -> StateModel:
 
 
 def stationary_basis(c1=1.0, c2=0.7) -> StateModel:
-    c1, c2 = float(c1), float(c2)
+    c1, c2 = _as_real("c1", c1), _as_real("c2", c2)
     if c1 == 0.0 or c2 == 0.0:
         raise ParameterError("c1 and c2 must be nonzero")
     g = np.zeros((4, 4), dtype=complex)
@@ -289,8 +307,9 @@ def random_rank_r(
     plant_cond4=True,
     vanish_columns=0,
 ) -> StateModel:
-    seed, n_s, r_plus, n_params = int(seed), int(n_s), int(r_plus), int(n_params)
-    vanish_columns = int(vanish_columns)
+    seed, n_s, r_plus = _as_int("seed", seed), _as_int("n_s", n_s), _as_int("r_plus", r_plus)
+    n_params = _as_int("n_params", n_params)
+    vanish_columns = _as_int("vanish_columns", vanish_columns)
     r_zero = n_s - r_plus
     if r_plus < 1 or r_zero < 0:
         raise ParameterError(f"invalid sizes n_s={n_s}, r_plus={r_plus}")
@@ -386,6 +405,8 @@ _ALIASES = {
     "corrigendum-lcss": "qutrit-phase-mixture",
 }
 
+_PARAMETERS = {key: frozenset(inspect.signature(b).parameters) for key, b in _REGISTRY.items()}
+
 
 def registry_names() -> list:
     return sorted(_REGISTRY)
@@ -397,6 +418,13 @@ def get(name: str, **params) -> StateModel:
     if key not in _REGISTRY:
         raise UnknownModelError(
             f"unknown model {name!r}; available: {', '.join(registry_names())}"
+        )
+    unknown = sorted(params.keys() - _PARAMETERS[key])
+    if unknown:
+        raise ParameterError(
+            f"model {key!r} takes no parameter {unknown[0]!r}; "
+            f"accepted: {', '.join(sorted(_PARAMETERS[key])) or 'none'}",
+            parameter=unknown[0],
         )
     return _REGISTRY[key](**params)
 

@@ -233,39 +233,27 @@ def require_keys(data, keys) -> None:
             raise SchemaError(f"missing key {key!r}")
 
 
-def _pairs_array(obj, n: int):
-    """The ``(n, n, 2)`` floats of a matrix the per-entry reader would accept, else None.
-
-    Every container and scalar is type-checked as that reader does, so
-    inputs it refuses (or whose conversion overflows) go to it and get its
-    error.
-    """
-    if not isinstance(obj, list) or len(obj) != n:
-        return None
-    if not all(isinstance(row, list) and len(row) == n for row in obj):
-        return None
-    entries = list(chain.from_iterable(obj))
-    if not all(map(isinstance, entries, repeat(list))) or set(map(len, entries)) != {2}:
-        return None
-    if not all(map(isinstance, chain.from_iterable(entries), repeat((int, float)))):
-        return None
-    try:
-        return np.array(entries, dtype=float).reshape(n, n, 2)
-    except OverflowError:
-        return None
+def is_count(x) -> bool:
+    """Whether ``x`` is a JSON positive integer (booleans are not counts)."""
+    return isinstance(x, int) and not isinstance(x, bool) and x > 0
 
 
 def parse_complex_matrix(obj, n: int, what: str) -> np.ndarray:
-    """Read an ``n x n`` matrix of ``[re, im]`` pairs; ``what`` names it in errors."""
-    pairs = _pairs_array(obj, n)
-    if pairs is not None:
-        out = np.empty((n, n), dtype=complex)
-        out.real = pairs[..., 0]
-        out.imag = pairs[..., 1]
-    else:
-        if not isinstance(obj, list) or len(obj) != n:
-            raise SchemaError(f"{what}: expected {n} rows")
-        out = np.zeros((n, n), dtype=complex)
+    """Read an ``n x n`` matrix of ``[re, im]`` pairs; ``what`` names it in errors.
+
+    The checks run on all rows and entries at once. When one fails, the rows
+    are scanned in order, with the same checks, to name the first offender.
+    """
+    if not isinstance(obj, list) or len(obj) != n:
+        raise SchemaError(f"{what}: expected {n} rows")
+    rows_ok = all(map(isinstance, obj, repeat(list))) and set(map(len, obj)) <= {n}
+    entries = list(chain.from_iterable(obj)) if rows_ok else []
+    if not (
+        rows_ok
+        and all(map(isinstance, entries, repeat(list)))
+        and set(map(len, entries)) <= {2}
+        and all(map(isinstance, chain.from_iterable(entries), repeat((int, float))))
+    ):
         for i, row in enumerate(obj):
             if not isinstance(row, list) or len(row) != n:
                 raise SchemaError(f"{what}: row {i} must have {n} entries")
@@ -276,7 +264,13 @@ def parse_complex_matrix(obj, n: int, what: str) -> np.ndarray:
                     or not all(isinstance(x, (int, float)) for x in entry)
                 ):
                     raise SchemaError(f"{what}: entry ({i},{j}) must be an [re, im] pair")
-                out[i, j] = complex(entry[0], entry[1])
-    if not np.all(np.isfinite(out.view(float))):
+    try:
+        pairs = np.array(entries, dtype=float).reshape(n, n, 2)
+    except OverflowError:  # an integer beyond the float range
+        raise SchemaError(f"{what}: entries beyond the float range") from None
+    if not np.isfinite(pairs).all():
         raise SchemaError(f"{what}: non-finite entries")
+    out = np.empty((n, n), dtype=complex)
+    out.real = pairs[..., 0]
+    out.imag = pairs[..., 1]
     return out

@@ -348,7 +348,6 @@ def decomposition_from_basis(
     sp: StateAtPoint,
     V: np.ndarray,
     rank_tol: float = DEFAULT_RANK_TOL,
-    basis_tol: float = 1e-8,
 ) -> SupportDecomposition:
     """Support decomposition in the gauge of a supplied support eigenbasis.
 
@@ -368,7 +367,7 @@ def decomposition_from_basis(
     m = V.conj().T @ sp.rho @ V
     q = np.diag(m).real.copy()
     off = nk.fro(m - np.diag(q))
-    if off > basis_tol * max(1.0, nk.fro(sp.rho)):
+    if off > 1e-8 * max(1.0, nk.fro(sp.rho)):
         raise InvalidStateError(
             f"supplied basis does not diagonalize the state (residual {off:.3e})",
             residual=off,
@@ -380,7 +379,7 @@ def decomposition_from_basis(
     comp = np.eye(n) - V @ V.conj().T
     w, vecs = np.linalg.eigh(nk.hermitize(comp))
     Y = fix_phases(vecs[:, w > 0.5])
-    if nk.fro(sp.rho @ Y) > basis_tol * max(1.0, nk.fro(sp.rho)):
+    if nk.fro(sp.rho @ Y) > 1e-8 * max(1.0, nk.fro(sp.rho)):
         raise InvalidStateError("completed null basis is not annihilated by the state")
     return _split(sp, q, V, Y, rank_tol)
 
@@ -404,9 +403,9 @@ def parse_numeric_model(source) -> StateAtPoint:
     jsonio.require_keys(data, ("n_s", "p", "rho", "drho"))
     n = data["n_s"]
     p = data["p"]
-    if not isinstance(n, int) or n < 1:
+    if not jsonio.is_count(n):
         raise SchemaError("n_s must be a positive integer")
-    if not isinstance(p, int) or p < 1:
+    if not jsonio.is_count(p):
         raise SchemaError("p must be a positive integer")
 
     rho = parse_complex_matrix(data["rho"], n, "rho")

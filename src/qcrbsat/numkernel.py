@@ -168,6 +168,8 @@ def joint_eigenprojectors(
         raise ShapeError("empty family")
     mats = [hermitize(_require_square(a, f"family[{i}]")) for i, a in enumerate(family)]
     n = mats[0].shape[0]
+    if n == 0:
+        raise ShapeError("family members are 0 x 0 matrices")
     for i, a in enumerate(mats):
         if a.shape[0] != n:
             raise ShapeError(f"family[{i}] has shape {a.shape}, expected ({n}, {n})")

@@ -26,6 +26,10 @@ from .model import SupportDecomposition
 from .sld import SLDSet
 
 
+# Outcomes with probability at most this are zero-probability (null) outcomes.
+PROB_TOL = 1e-12
+
+
 class InvalidPOVMError(QcrbSatError):
     pass
 
@@ -161,8 +165,8 @@ def _commutator_bound(w, v, upper, herm_defects) -> float:
     return float(bound.max())
 
 
-def require_valid(povm: POVM, tol: float = 1e-10) -> dict:
-    diag = validate(povm, tol)
+def require_valid(povm: POVM) -> dict:
+    diag = validate(povm)
     if not diag["valid"]:
         raise InvalidPOVMError(
             "POVM violates completeness or positivity",
@@ -186,14 +190,8 @@ def elements_from_basis(basis: np.ndarray, ranks) -> list:
     ]
 
 
-def classify_elements(
-    povm: POVM,
-    rho: np.ndarray,
-    dec: SupportDecomposition,
-    tol: float = 1e-12,
-    structure_tol: float = 1e-8,
-) -> list:
-    """Label elements regular (positive probability) or null.
+def classify_elements(povm: POVM, rho: np.ndarray, dec: SupportDecomposition) -> list:
+    """Label elements regular (probability above :data:`PROB_TOL`) or null.
 
     Null elements must vanish on the ++ and +0 blocks (anything else is
     incompatible with positivity at zero probability); a violation raises
@@ -202,13 +200,13 @@ def classify_elements(
     labels = []
     for k, e in enumerate(povm.elements):
         prob = float(np.trace(rho @ e).real)
-        if prob > tol:
+        if prob > PROB_TOL:
             labels.append("regular")
             continue
         scale = max(1.0, nk.fro(e))
         epp = dec.V.conj().T @ e @ dec.V
         epz = dec.V.conj().T @ e @ dec.Y
-        if nk.fro(epp) > structure_tol * scale or nk.fro(epz) > structure_tol * scale:
+        if nk.fro(epp) > 1e-8 * scale or nk.fro(epz) > 1e-8 * scale:
             raise StructureViolationError(
                 f"element {k} has zero probability but support blocks "
                 f"(++ {nk.fro(epp):.3e}, +0 {nk.fro(epz):.3e}); "
@@ -266,7 +264,7 @@ def construct_optimal(
             "cond4_lambdas": lambdas,
         },
     )
-    diag = validate(povm, tol=1e-10)
+    diag = validate(povm)
     if not (diag["valid"] and diag["projective"]):
         raise InvalidPOVMError("constructed measurement failed validation", diagnostics=diag)
     return povm
@@ -427,10 +425,6 @@ def povm_to_json(povm: POVM) -> dict:
     }
 
 
-def _is_count(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool) and x > 0
-
-
 def _is_real(x) -> bool:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         return False
@@ -449,7 +443,7 @@ def povm_from_json(source) -> POVM:
     data = jsonio.load(source)
     jsonio.require_keys(data, ("n_s",))
     n = data["n_s"]
-    if not _is_count(n):
+    if not jsonio.is_count(n):
         raise SchemaError(f"n_s must be a positive integer, got {n!r}")
     if ("elements" in data) == ("basis" in data):
         raise SchemaError("a measurement holds exactly one of 'elements' and 'basis'")
@@ -457,7 +451,7 @@ def povm_from_json(source) -> POVM:
         jsonio.require_keys(data, ("ranks",))
         basis = parse_complex_matrix(data["basis"], n, "basis")
         ranks = data["ranks"]
-        if not (isinstance(ranks, list) and ranks and all(map(_is_count, ranks))
+        if not (isinstance(ranks, list) and ranks and all(map(jsonio.is_count, ranks))
                 and sum(ranks) == n):
             raise SchemaError(f"ranks must be positive integers summing to n_s = {n}")
         elements = elements_from_basis(basis, ranks)

@@ -6,10 +6,13 @@ replaced, so that expected values stay independent of the code paths they
 check.
 """
 
+from itertools import chain, repeat
+
 import numpy as np
 
 from qcrbsat import conditions as cond
 from qcrbsat import numkernel as nk
+from qcrbsat.jsonio import SchemaError
 from qcrbsat.model import decomposition_from_basis, evaluate
 from qcrbsat.sld import plus_null_blocks
 
@@ -487,3 +490,51 @@ def verify_condition2prime_loop(
         notes=notes,
     )
 
+
+
+# ---------------------------------------------------------------------------
+# The complex-matrix reader as it was before one path replaced it: a bulk
+# array path, and a per-entry loop for every input that path declines.
+# ---------------------------------------------------------------------------
+
+
+def _pairs_array_loop(obj, n: int):
+    if not isinstance(obj, list) or len(obj) != n:
+        return None
+    if not all(isinstance(row, list) and len(row) == n for row in obj):
+        return None
+    entries = list(chain.from_iterable(obj))
+    if not all(map(isinstance, entries, repeat(list))) or set(map(len, entries)) != {2}:
+        return None
+    if not all(map(isinstance, chain.from_iterable(entries), repeat((int, float)))):
+        return None
+    try:
+        return np.array(entries, dtype=float).reshape(n, n, 2)
+    except OverflowError:
+        return None
+
+
+def parse_complex_matrix_loop(obj, n: int, what: str) -> np.ndarray:
+    pairs = _pairs_array_loop(obj, n)
+    if pairs is not None:
+        out = np.empty((n, n), dtype=complex)
+        out.real = pairs[..., 0]
+        out.imag = pairs[..., 1]
+    else:
+        if not isinstance(obj, list) or len(obj) != n:
+            raise SchemaError(f"{what}: expected {n} rows")
+        out = np.zeros((n, n), dtype=complex)
+        for i, row in enumerate(obj):
+            if not isinstance(row, list) or len(row) != n:
+                raise SchemaError(f"{what}: row {i} must have {n} entries")
+            for j, entry in enumerate(row):
+                if (
+                    not isinstance(entry, list)
+                    or len(entry) != 2
+                    or not all(isinstance(x, (int, float)) for x in entry)
+                ):
+                    raise SchemaError(f"{what}: entry ({i},{j}) must be an [re, im] pair")
+                out[i, j] = complex(entry[0], entry[1])
+    if not np.all(np.isfinite(out.view(float))):
+        raise SchemaError(f"{what}: non-finite entries")
+    return out

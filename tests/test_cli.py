@@ -237,6 +237,30 @@ class TestUsageErrors:
         code, rep = run(capsys, "analyze", "--model", "paper-qutrit", "--theta", "x,y")
         assert code == 1
 
+    @pytest.mark.parametrize("grid", ["0.1:0.9:x,0.1:0.9:3", "0.1:0.9:2.5,0.1:0.9:3",
+                                      "a:0.9:3,0.1:0.9:3"])
+    def test_malformed_grid(self, capsys, grid):
+        code, rep = run(capsys, "sweep", "--model", "paper-qutrit", "--grid", grid)
+        assert code == 1
+        assert rep["error"]["type"] == "QcrbSatError"
+        assert "malformed grid axis" in rep["error"]["message"]
+
+    @pytest.mark.parametrize("model, params, theta, name", [
+        ("random-rank-r", "seed=abc", "0,0", "seed"),
+        ("paper-qutrit", "c1=x", "0.3,0.5", "c1"),
+        ("paper-qutrit", "d=x", "0.3,0.5", "d"),
+        ("paper-qutrit", "bogus=1", "0.3,0.5", "bogus"),
+        ("pure-qubit-amp-phase", "bogus=1", "0.7,0.2", "bogus"),
+        ("diag-multinomial", "dims=2.5", "0.3", "dims"),
+        ("diag-multinomial", "dims=true", "0.3", "dims"),
+    ])
+    def test_malformed_model_parameter(self, capsys, model, params, theta, name):
+        code, rep = run(capsys, "analyze", "--model", model, "--params", params, "--theta", theta)
+        assert code == 1
+        assert rep["error"]["type"] == "ParameterError"
+        assert rep["error"]["detail"] == {"parameter": name}
+        assert repr(name) in rep["error"]["message"]
+
 
 class TestInputFiles:
     """Malformed or mismatched input files give a typed error report and exit code 1."""
@@ -303,6 +327,30 @@ class TestInputFiles:
         assert rep["error"]["type"] == "SchemaError"
         assert all(key in rep["error"]["message"] for key in edit)  # names what is wrong
 
+    @pytest.mark.parametrize("key", ["n_s", "p"])
+    def test_boolean_count_in_numeric_model(self, capsys, files, key):
+        payload = json.loads(files["--numeric-model"].read_text())
+        payload[key] = True
+        files["--numeric-model"].write_text(json.dumps(payload))
+        code, rep = run(capsys, "analyze", "--numeric-model", str(files["--numeric-model"]))
+        assert code == 1
+        assert rep["error"]["type"] == "SchemaError"
+        assert rep["error"]["message"] == f"{key} must be a positive integer"
+
+    @pytest.mark.parametrize("flag, key", [
+        ("--numeric-model", "rho"), ("--numeric-model", "drho"), ("--povm", "basis"),
+    ])
+    def test_number_beyond_the_float_range(self, capsys, files, flag, key):
+        payload = json.loads(files[flag].read_text())
+        matrix = payload[key][0] if key == "drho" else payload[key]
+        matrix[0][0][0] = 10**400
+        files[flag].write_text(json.dumps(payload))
+        extra = [flag, str(files[flag])] if flag == "--povm" else []
+        code, rep = run(capsys, "fisher", "--numeric-model", str(files["--numeric-model"]), *extra)
+        assert code == 1
+        assert rep["error"]["type"] == "SchemaError"
+        assert rep["error"]["message"].endswith("entries beyond the float range")
+
     def test_non_unitary_basis(self, capsys, files):
         payload = json.loads(files["--povm"].read_text())
         payload["basis"][1][1] = [0.5, 0.0]
@@ -349,6 +397,17 @@ class TestOptions:
         code, rep = run(capsys, "simulate", *base, "--cond-tol", "0", "--trials", "1000")
         assert code == 0
         assert rep["fisher"]["tol"] == 0.0
+
+    def test_cond_tol_below_the_scheme_tolerance(self, capsys):
+        code, rep = run(capsys, "analyze", *QUTRIT, "--cond-tol", "0")
+        assert code == 0
+        assert rep["inputs"]["cond_tol"] == 0.0
+        assert rep["conditions"]["tol"] == 0.0
+        # the SLD solve is checked at the scheme's tolerance, so nothing else moves
+        code, base = run(capsys, "analyze", *QUTRIT)
+        assert code == 0
+        assert rep["qfim"] == base["qfim"]
+        assert rep["support"] == base["support"]
 
     def test_boolean_params(self, capsys):
         assert parse_params("a=true,b=False,c=TRUE,d=1,e=x") == {

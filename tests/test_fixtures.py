@@ -36,6 +36,26 @@ class TestRegistry:
         with pytest.raises(fx.ParameterError):
             qs.get("diag-multinomial", dims=1)
 
+    @pytest.mark.parametrize("name, params", [
+        ("diag-multinomial", {"dims": 2.5}), ("diag-multinomial", {"dims": True}),
+        ("diag-multinomial", {"dims": "3"}), ("random-rank-r", {"seed": float("nan")}),
+        ("random-rank-r", {"n_s": 1j}), ("stationary-basis", {"c1": "x"}),
+        ("qutrit-phase-mixture", {"c2": False}), ("qutrit-phase-mixture", {"d": None}),
+        ("qutrit-phase-mixture", {"dims": 3}), ("theta-independent-support", {"seed": 1}),
+    ])
+    def test_parameter_type_and_name(self, name, params):
+        with pytest.raises(fx.ParameterError) as exc:
+            qs.get(name, **params)
+        assert exc.value.detail == {"parameter": next(iter(params))}
+
+    def test_integral_values_convert(self):
+        a = qs.get("diag-multinomial", dims=3)
+        for dims in (3.0, np.int64(3), np.float64(3.0)):
+            m = qs.get("diag-multinomial", dims=dims)
+            assert m.params == a.params and type(m.params["dims"]) is int
+        b = qs.get("stationary-basis", c1=np.float32(0.5), c2=2)
+        assert b.params == {"c1": 0.5, "c2": 2.0}
+
     def test_witnesses_exposed(self):
         for name in ("paper-qutrit", "theta-independent-support", "stationary-basis"):
             assert qs.get_witness(name) is not None

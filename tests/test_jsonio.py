@@ -1,12 +1,16 @@
 import io
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcrbsat import cli, jsonio
 from qcrbsat import model as md
 from qcrbsat.jsonio import ComplexMatrix, SchemaError, parse_complex_matrix
+from oracles import parse_complex_matrix_loop
 
 QUTRIT = ["--model", "paper-qutrit", "--params", "d=0.6,c1=1,c2=0.7", "--theta", "0.3,0.5"]
 
@@ -122,6 +126,28 @@ def loop_parse(obj):
     return np.array([[complex(e[0], e[1]) for e in row] for row in obj], dtype=complex)
 
 
+def _assert_same_reading(obj, n=2):
+    """The reader returns what the loop reader returns, or raises its first message."""
+    try:
+        expected = parse_complex_matrix_loop(obj, n, "m")
+    except SchemaError as exc:
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(exc))}$"):
+            parse_complex_matrix(obj, n, "m")
+    else:
+        assert np.array_equal(parse_complex_matrix(obj, n, "m").view(float), expected.view(float))
+
+
+# Scalars within the float range (the loop reader crashes beyond it).
+_SCALARS = st.one_of(
+    st.integers(-(2**70), 2**70), st.floats(), st.booleans(), st.none(), st.text(max_size=1)
+)
+_ANY = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3), max_leaves=20)
+# Mostly well-formed 2 x 2 matrices, so that single defects are reached too.
+_ENTRIES = st.one_of(st.lists(st.one_of(st.floats(-9, 9), st.integers(-9, 9)), min_size=2,
+                              max_size=2), _ANY)
+_MATRICES = st.lists(st.lists(_ENTRIES, min_size=1, max_size=3), min_size=1, max_size=3)
+
+
 class TestParseComplexMatrix:
     def test_array_path_matches_entrywise(self, qutrit_point):
         rng = np.random.default_rng(0)
@@ -159,8 +185,38 @@ class TestParseComplexMatrix:
             parse_complex_matrix(obj, 2, "m")
 
     def test_overflow_unchanged(self):
-        with pytest.raises(OverflowError):
+        with pytest.raises(SchemaError, match=r"^m: entries beyond the float range$"):
             parse_complex_matrix([[[10**400, 0]]], 1, "m")
+
+    def test_malformed_entries_are_named_before_overflow(self):
+        with pytest.raises(SchemaError, match=r"^m: entry \(1,1\) must be an \[re, im\] pair$"):
+            parse_complex_matrix([[[10**400, 0], [0, 0]], [[0, 0], [1, "0"]]], 2, "m")
+
+    @pytest.mark.parametrize("obj", [
+        # wrong row counts
+        [], [[[1, 0], [0, 0]]], [[[1, 0], [0, 0]]] * 3, None, "ab", {"0": [[1, 0], [0, 0]]},
+        # ragged rows
+        [[[1, 0]], [[0, 0], [1, 0]]], [[[1, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]],
+        [[[1, 0], [0, 0]], None], [[[1, 0], [0, 0]], "ab"], [[[1, 0], [0, 0]], []],
+        # entries that are not [re, im] pairs
+        [[[1, 0], []], [[0, 0], [1, 0]]], [[[1], [0, 0]], [[0, 0], [1, 0]]],
+        [[[1, 0], 1.5], [[0, 0], [1, 0]]], [[[1, 0], [0, 0]], [{"re": 0}, [1, 0]]],
+        # strings, None, booleans, non-finite values
+        [[["1", 0], [0, 0]], [[0, 0], [1, 0]]], [[[1, 0], [0, None]], [[0, 0], [1, 0]]],
+        [[[True, False], [0, 0]], [[0, 0], [False, True]]],
+        [[[1, float("inf")], [0, 0]], [[0, 0], [1, 0]]],
+        [[[1, 0], [0, 0]], [[0, float("-nan")], [1, 0]]],
+        # the first offender, row by row, is named
+        [[[1, 0], [0]], [[0, 0]]], [[[1, 0]], [[0, 0], [1, "0"]]],
+        [[[float("nan"), 0], [0, 0]], [[None, 0], [1, 0]]],
+    ])
+    def test_malformed_matrices_match_the_loop_reader(self, obj):
+        _assert_same_reading(obj)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_MATRICES, _ANY))
+    def test_any_nesting_matches_the_loop_reader(self, obj):
+        _assert_same_reading(obj)
 
     def test_numeric_model_roundtrip(self, qutrit_point):
         sp = md.parse_numeric_model(json.loads(json.dumps(md.state_to_numeric_model(qutrit_point))))

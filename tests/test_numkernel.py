@@ -143,6 +143,10 @@ class TestJointEigenprojectors:
         for p1, p2 in zip(s1.projectors, s2.projectors):
             assert np.array_equal(p1, p2)
 
+    def test_family_of_empty_matrices(self):
+        with pytest.raises(nk.ShapeError, match="0 x 0"):
+            nk.joint_eigenprojectors([np.zeros((0, 0))])
+
     def test_zero_family_single_projector(self):
         spec = nk.joint_eigenprojectors([np.zeros((3, 3))])
         assert spec.chi == 1
