@@ -252,12 +252,13 @@ def cmd_simulate(args) -> dict:
 
         elements = np.stack(povm.elements)
 
-        def prob_fn(theta):
-            return fish.probabilities(state_at(model, theta), elements)
+        def likelihood(thetas):
+            return fish.probabilities(state_at(model, thetas), elements)
 
         record.estimator = fish.estimator_study(
-            prob_fn, dist, sp.theta, batches=args.batches,
+            likelihood, dist, sp.theta, batches=args.batches,
             batch_size=max(1, args.trials // max(1, args.batches)), seed=args.seed,
+            stacked=True,
         )
     out = base_report(args, sp, model, dec, f_q, report)
     out["povm"] = povm_mod.povm_to_json(povm)

@@ -64,12 +64,24 @@ class MeasurementDistribution:
         return self.dprobs.shape[0]
 
 
+# Entries of the largest (rows, M, n, n) product a stack of states is traced
+# through at once (1 MB); longer stacks go in chunks of rows.
+STACK_ENTRIES = 1 << 16
+
+
 def probabilities(rho: np.ndarray, elements: np.ndarray) -> np.ndarray:
     """Re tr(rho E_k) for every element of a stacked (M, n, n) measurement.
 
-    Also gives the derivatives tr(d_l rho E_k) when passed d_l rho.
+    A (B, n, n) stack of states gives the (B, M) probabilities, row b equal
+    bit for bit to the single-state call on rho_b. Also gives the
+    derivatives tr(d_l rho E_k) when passed d_l rho.
     """
-    return np.trace(rho @ elements, axis1=1, axis2=2).real
+    step = max(1, STACK_ENTRIES // elements.size)
+    if rho.ndim == 3 and len(rho) > step:
+        return np.concatenate(
+            [probabilities(rho[i:i + step], elements) for i in range(0, len(rho), step)]
+        )
+    return np.trace(rho[..., None, :, :] @ elements, axis1=-2, axis2=-1).real
 
 
 def outcome_distribution(
@@ -334,50 +346,62 @@ def simulate(dist: MeasurementDistribution, trials: int, seed: int) -> MonteCarl
 
 
 # ---------------------------------------------------------------------------
-# Optional estimator study: batched maximum likelihood.
+# Optional estimator study: batched maximum likelihood, every batch fitted at
+# once. A likelihood maps a (B, p) stack of points to the (B, M) outcome
+# probabilities, so each step of the search is one call on a stack.
 # ---------------------------------------------------------------------------
 
 
-def _golden_section(f: Callable[[float], float], lo: float, hi: float):
+def _golden_section(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray):
+    """Golden-section minimum of each row's function over its bracket [lo_b, hi_b].
+
+    ``f`` maps a (B,) vector of abscissae to the (B,) values; each of the 40
+    steps evaluates it once, at the one new interior point of every bracket,
+    so row b follows exactly the scalar search on its own bracket.
+    """
     phi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c, d = b - phi * (b - a), a + phi * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(40):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = f(d)
+        left = fc < fd  # the minimum lies in [a, d]: d becomes the new b
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        x = np.where(left, b - phi * (b - a), a + phi * (b - a))
+        fx = f(x)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
     return (a + b) / 2.0
 
 
 def max_likelihood_estimate(
-    prob_fn: Callable[[np.ndarray], np.ndarray],
+    likelihood: Callable[[np.ndarray], np.ndarray],
     counts: np.ndarray,
     theta0: np.ndarray,
     radius: float = 0.05,
 ) -> np.ndarray:
-    """Local maximum-likelihood fit: four sweeps of golden-section search per coordinate."""
+    """Local maximum-likelihood fits of a (B, M) counts stack, one per row.
+
+    Four sweeps of golden-section search per coordinate, every row started
+    at ``theta0``; returns the (B, p) estimates. Each row's negative
+    log-likelihood is its own ``np.dot``, so the fits equal one-batch fits
+    bit for bit.
+    """
     counts = np.asarray(counts, dtype=float)
 
-    def nll(theta):
-        p = np.clip(np.asarray(prob_fn(theta), dtype=float), 1e-300, None)
-        return -float(np.dot(counts, np.log(p)))
+    def nll(thetas):
+        logp = np.log(np.clip(np.asarray(likelihood(thetas), dtype=float), 1e-300, None))
+        return -np.array([np.dot(c, lp) for c, lp in zip(counts, logp)])
 
-    theta = np.asarray(theta0, dtype=float).copy()
+    theta = np.tile(np.asarray(theta0, dtype=float), (len(counts), 1))
     for _ in range(4):
-        for i in range(len(theta)):
+        for i in range(theta.shape[1]):
 
             def f1(x, i=i):
                 t = theta.copy()
-                t[i] = x
+                t[:, i] = x
                 return nll(t)
 
-            theta[i] = _golden_section(f1, theta[i] - radius, theta[i] + radius)
+            theta[:, i] = _golden_section(f1, theta[:, i] - radius, theta[:, i] + radius)
     return theta
 
 
@@ -389,8 +413,17 @@ def estimator_study(
     batch_size: int,
     seed: int,
     radius: float = 0.05,
+    *,
+    stacked: bool = False,
 ) -> dict:
     """Covariance of batched maximum-likelihood estimates around theta0.
+
+    All batches are fitted together (``max_likelihood_estimate``).
+    ``prob_fn`` maps one (p,) point to its (M,) outcome probabilities, and
+    is called point by point; with ``stacked=True`` it already maps a (B, p)
+    stack to (B, M), which is how the CLI calls it (``state_at`` and
+    ``probabilities`` on stacks). The per-point form remains for callers
+    that time the likelihood call by call.
 
     Needs at least two batches: one estimate has no covariance. Each
     parameter's ``bound_ratio`` is N Var / [F_c^-1]_ll with N the batch size
@@ -401,11 +434,9 @@ def estimator_study(
     """
     if batches < 2:
         raise QcrbSatError(f"the estimator study needs at least 2 batches, got {batches}")
-    estimates = []
-    for b in range(batches):
-        counts = sample_outcomes(dist, batch_size, seed + b)
-        estimates.append(max_likelihood_estimate(prob_fn, counts, theta0, radius=radius))
-    est = np.array(estimates)
+    likelihood = prob_fn if stacked else (lambda ts: np.stack([prob_fn(t) for t in ts]))
+    counts = np.stack([sample_outcomes(dist, batch_size, seed + b) for b in range(batches)])
+    est = max_likelihood_estimate(likelihood, counts, theta0, radius=radius)
     cov = np.cov(est.T, bias=False).reshape(len(theta0), len(theta0))
     # Wilson-Hilferty with z = 2.326, the standard normal lower 1% point.
     a = 2.0 / (9.0 * (batches - 1))

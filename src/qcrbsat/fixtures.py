@@ -52,6 +52,13 @@ def _as_complex(name: str, value) -> complex:
     return _convert(name, value, complex, "a complex number")
 
 
+def _as_bool(name: str, value) -> bool:
+    """A flag; only a boolean is one (``"no"``, ``"False"``, 0 and 2 are refused)."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ParameterError(f"parameter {name!r} must be a boolean, got {value!r}", parameter=name)
+    return bool(value)
+
+
 # ---------------------------------------------------------------------------
 # Rank-2 qutrit: a mixture of a basis state with a phase-carrying pure state.
 # The support rotates with theta only through the relative phase
@@ -310,6 +317,8 @@ def random_rank_r(
     seed, n_s, r_plus = _as_int("seed", seed), _as_int("n_s", n_s), _as_int("r_plus", r_plus)
     n_params = _as_int("n_params", n_params)
     vanish_columns = _as_int("vanish_columns", vanish_columns)
+    plant_cond1 = _as_bool("plant_cond1", plant_cond1)
+    plant_cond4 = _as_bool("plant_cond4", plant_cond4)
     r_zero = n_s - r_plus
     if r_plus < 1 or r_zero < 0:
         raise ParameterError(f"invalid sizes n_s={n_s}, r_plus={r_plus}")

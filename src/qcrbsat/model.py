@@ -4,7 +4,8 @@ A :class:`StateModel` maps a real parameter vector to a density matrix and
 optionally provides analytic parameter derivatives and a smooth isometry
 whose columns track the support eigenbasis. :func:`evaluate` produces the
 state and its derivatives at a point, and :func:`state_at` the validated
-state alone (what a likelihood reads); :func:`support_decomposition` splits
+state alone at a point or at each point of a stack (what a likelihood
+reads); :func:`support_decomposition` splits
 the Hilbert space into the support (positive eigenvalues) and the null
 space, which is the coordinate system every downstream check works in.
 """
@@ -166,6 +167,30 @@ def _validate_density(rho: np.ndarray, dim: int | None = None) -> np.ndarray:
     return rho
 
 
+def _validate_densities(states: list, dim: int) -> np.ndarray:
+    """``_validate_density`` on each of a list of states, as one (B, n, n) stack.
+
+    The Hermitian, trace and PSD checks run once over the stack (one
+    ``eigvalsh``) with the same per-matrix thresholds; a flagged or
+    misshapen state is handed to ``_validate_density`` alone, so it raises
+    exactly the error a single-point call would.
+    """
+    rho = [np.asarray(r, dtype=complex) for r in states]
+    for r in rho:
+        if r.shape != (dim, dim):
+            _validate_density(r, dim)
+    rho = np.stack(rho)
+    adj = rho.conj().swapaxes(1, 2)
+    scale = np.maximum(1.0, np.linalg.norm(rho, axis=(1, 2)))
+    bad = np.linalg.norm(rho - adj, axis=(1, 2)) > HERM_TOL * scale
+    herm = (rho + adj) / 2.0
+    bad |= np.abs(np.trace(herm, axis1=1, axis2=2).real - 1.0) > TRACE_TOL
+    bad |= np.linalg.eigvalsh(herm)[:, 0] < -PSD_FLOOR
+    for k in np.flatnonzero(bad):
+        _validate_density(rho[k], dim)
+    return herm
+
+
 def _validate_drho(d: np.ndarray, tol: float, which: int) -> np.ndarray:
     d = np.asarray(d, dtype=complex)
     scale = max(1.0, nk.fro(d))
@@ -217,13 +242,31 @@ def _check_point(model: StateModel, theta) -> np.ndarray:
     return theta
 
 
+def _check_points(model: StateModel, theta: np.ndarray) -> None:
+    """``_check_point`` on each row of a (B, p) stack, with one domain test."""
+    if theta.shape[0] == 0 or theta.shape[1] != model.n_params:
+        raise DomainError(
+            f"theta stack has shape {theta.shape}, expected (B, {model.n_params})", theta=theta
+        )
+    if not model.domain.contains(theta):
+        for row in theta:
+            _check_point(model, row)
+
+
 def state_at(model: StateModel, theta) -> np.ndarray:
     """The validated density matrix at a point of the open domain, without derivatives.
 
     Checks the shape of ``theta`` and that it lies inside the domain, and that
     the state is a Hermitian, unit-trace, positive semidefinite matrix of the
-    model's dimension; returns it hermitized.
+    model's dimension; returns it hermitized. A (B, p) stack of points gives
+    the (B, n, n) stack of states, each equal bit for bit to its single-point
+    value; the checks run once over the stack, and a failing point raises the
+    error it raises alone.
     """
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim == 2:
+        _check_points(model, theta)
+        return _validate_densities([model.state_fn(t) for t in theta], model.dim)
     theta = _check_point(model, theta)
     return _validate_density(model.state_fn(theta), model.dim)
 

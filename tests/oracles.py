@@ -230,6 +230,50 @@ def evaluate_prob_fn(model, povm, scheme, h):
 
 
 # ---------------------------------------------------------------------------
+# The maximum-likelihood fit as it was before batches were fitted in lock
+# step: one batch at a time, one scalar golden-section search per coordinate
+# and sweep, the likelihood called point by point.
+# ---------------------------------------------------------------------------
+
+
+def golden_section_loop(f, lo, hi):
+    phi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c, d = b - phi * (b - a), a + phi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(40):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + phi * (b - a)
+            fd = f(d)
+    return (a + b) / 2.0
+
+
+def max_likelihood_estimate_loop(prob_fn, counts, theta0, radius=0.05):
+    counts = np.asarray(counts, dtype=float)
+
+    def nll(theta):
+        p = np.clip(np.asarray(prob_fn(theta), dtype=float), 1e-300, None)
+        return -float(np.dot(counts, np.log(p)))
+
+    theta = np.asarray(theta0, dtype=float).copy()
+    for _ in range(4):
+        for i in range(len(theta)):
+
+            def f1(x, i=i):
+                t = theta.copy()
+                t[i] = x
+                return nll(t)
+
+            theta[i] = golden_section_loop(f1, theta[i] - radius, theta[i] + radius)
+    return theta
+
+
+# ---------------------------------------------------------------------------
 # Joint diagonalization as it was before the small-family shortcuts: every
 # cluster, one column or more, is refined with its own `eigh`, and 1x1
 # families go through the mixture like any other.

@@ -253,6 +253,8 @@ class TestUsageErrors:
         ("pure-qubit-amp-phase", "bogus=1", "0.7,0.2", "bogus"),
         ("diag-multinomial", "dims=2.5", "0.3", "dims"),
         ("diag-multinomial", "dims=true", "0.3", "dims"),
+        ("random-rank-r", "seed=3,n_s=6,r_plus=3,plant_cond1=no", "0,0", "plant_cond1"),
+        ("random-rank-r", "seed=3,n_s=6,r_plus=3,plant_cond4=0", "0,0", "plant_cond4"),
     ])
     def test_malformed_model_parameter(self, capsys, model, params, theta, name):
         code, rep = run(capsys, "analyze", "--model", model, "--params", params, "--theta", theta)

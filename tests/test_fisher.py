@@ -4,7 +4,13 @@ import pytest
 import qcrbsat as qs
 from qcrbsat import fisher as fi
 from qcrbsat import povm as pv
-from oracles import classical_fim_bruteforce, evaluate_prob_fn, multinomial_fisher
+from qcrbsat.model import DomainError
+from oracles import (
+    classical_fim_bruteforce,
+    evaluate_prob_fn,
+    max_likelihood_estimate_loop,
+    multinomial_fisher,
+)
 
 
 @pytest.fixture()
@@ -322,6 +328,71 @@ class TestLeanLikelihood:
         b = fi.estimator_study(old, dist, theta, **kw)
         assert a["estimates"] == b["estimates"]
         assert a == b
+
+
+def _stacked_likelihood(model, povm):
+    elements = np.stack(povm.elements)
+    return lambda thetas: fi.probabilities(qs.state_at(model, thetas), elements)
+
+
+class TestLockStepFit:
+    """All batches are fitted at once; each estimate must equal the one-batch
+    scalar fit of the oracle exactly, on the stacked and the per-point path."""
+
+    @staticmethod
+    def _assert_study_is_the_loop(model, povm, dist, theta0, batches, batch_size, seed):
+        per_point = _lean_prob_fn(model, povm)
+        expected = [
+            max_likelihood_estimate_loop(
+                per_point, fi.sample_outcomes(dist, batch_size, seed + b), theta0
+            ).tolist()
+            for b in range(batches)
+        ]
+        kw = dict(batches=batches, batch_size=batch_size, seed=seed)
+        stacked = fi.estimator_study(_stacked_likelihood(model, povm), dist, theta0,
+                                     stacked=True, **kw)
+        adapted = fi.estimator_study(per_point, dist, theta0, **kw)
+        assert stacked["estimates"] == expected
+        assert stacked == adapted
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_qutrit_forty_batches(self, qutrit_model, qutrit_point, seed):
+        povm, dist = _optimal(qutrit_point)
+        self._assert_study_is_the_loop(qutrit_model, povm, dist, qutrit_point.theta,
+                                       40, 5000, seed)
+
+    def test_qutrit_two_batches(self, qutrit_model, qutrit_point):
+        povm, dist = _optimal(qutrit_point)
+        self._assert_study_is_the_loop(qutrit_model, povm, dist, qutrit_point.theta,
+                                       2, 1000, 0)
+
+    def test_multinomial(self, multinomial_model):
+        sp = qs.evaluate(multinomial_model, [0.3, 0.45])
+        povm = _basis_povm(3)
+        dist = fi.outcome_distribution(sp.rho, sp.drho, povm)
+        self._assert_study_is_the_loop(multinomial_model, povm, dist, sp.theta, 6, 10_000, 3)
+
+    def test_fit_leaving_the_domain_raises_on_both_paths(self, qutrit_model, qutrit_point):
+        povm, dist = _optimal(qutrit_point)
+        kw = dict(batches=3, batch_size=1000, seed=0, radius=2.0)  # first point at -0.17
+        with pytest.raises(DomainError):
+            fi.estimator_study(_stacked_likelihood(qutrit_model, povm), dist,
+                               qutrit_point.theta, stacked=True, **kw)
+        with pytest.raises(DomainError):
+            fi.estimator_study(_lean_prob_fn(qutrit_model, povm), dist,
+                               qutrit_point.theta, **kw)
+
+    @pytest.mark.parametrize("stack_entries", [fi.STACK_ENTRIES, 54, 1])
+    def test_stacked_probabilities_are_the_rows(self, qutrit_model, qutrit_point,
+                                                stack_entries, monkeypatch):
+        monkeypatch.setattr(fi, "STACK_ENTRIES", stack_entries)  # 54: chunks of 2 rows
+        povm, _ = _optimal(qutrit_point)
+        elements = np.stack(povm.elements)
+        thetas = qutrit_point.theta + np.random.default_rng(4).uniform(-0.05, 0.05, (5, 2))
+        probs = fi.probabilities(qs.state_at(qutrit_model, thetas), elements)
+        assert probs.shape == (5, 3)
+        for theta, row in zip(thetas, probs):
+            assert np.array_equal(row, fi.probabilities(qs.state_at(qutrit_model, theta), elements))
 
 
 class TestBelowBoundFlag:

@@ -48,6 +48,18 @@ class TestRegistry:
             qs.get(name, **params)
         assert exc.value.detail == {"parameter": next(iter(params))}
 
+    @pytest.mark.parametrize("flag", ["plant_cond1", "plant_cond4"])
+    @pytest.mark.parametrize("value", ["no", "False", "true", 0, 1, 2, None, 1.0])
+    def test_plant_flags_must_be_booleans(self, flag, value):
+        with pytest.raises(fx.ParameterError) as exc:
+            qs.get("random-rank-r", seed=3, n_s=6, r_plus=3, **{flag: value})
+        assert exc.value.detail == {"parameter": flag}
+
+    def test_plant_flags_take_booleans(self):
+        for value in (False, np.False_):
+            m = qs.get("random-rank-r", seed=3, n_s=6, r_plus=3, plant_cond1=value)
+            assert m.params["plant_cond1"] is False
+
     def test_integral_values_convert(self):
         a = qs.get("diag-multinomial", dims=3)
         for dims in (3.0, np.int64(3), np.float64(3.0)):

@@ -101,6 +101,61 @@ class TestStateAt:
             md.state_at(self._model(np.diag([1.2, -0.2]).astype(complex)), [0.5])
 
 
+class TestStateAtStack:
+    """A (B, p) stack of points gives the stack of the single-point states, and
+    a stack with one bad row raises that row's own error."""
+
+    def test_rows_equal_single_points(self, qutrit_model, multinomial_model, pure_qubit_model):
+        planted = qs.get("random-rank-r", seed=3, n_s=8, r_plus=4, n_params=2)
+        rng = np.random.default_rng(5)
+        for model, theta, spread in [
+            (qutrit_model, [0.3, 0.5], 0.05),
+            (qutrit_model, [0.71, 0.9], 0.05),
+            (multinomial_model, [0.3, 0.45], 0.05),
+            (pure_qubit_model, [0.7, 0.3], 0.05),
+            (planted, [0.0, 0.0], 0.0),  # linear family, PSD only at 0
+        ]:
+            thetas = np.asarray(theta) + rng.uniform(-spread, spread, size=(4, 2))
+            rho = md.state_at(model, thetas)
+            assert rho.shape == (4, model.dim, model.dim)
+            for t, r in zip(thetas, rho):
+                assert np.array_equal(r, md.state_at(model, t))
+                assert np.array_equal(r, qs.evaluate(model, t).rho)
+
+    @staticmethod
+    def _model(bad_state):
+        """A qubit that is maximally mixed for theta < 0.5 and ``bad_state`` above."""
+        good = np.eye(2, dtype=complex) / 2.0
+        return md.StateModel(name="half-broken", dim=2, n_params=1, domain=md.box([0], [1]),
+                             state_fn=lambda theta: good if theta[0] < 0.5 else bad_state)
+
+    @pytest.mark.parametrize("bad_state, error", [
+        (np.eye(3, dtype=complex) / 3.0, md.InvalidStateError),
+        (np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex), md.InvalidStateError),
+        (np.diag([0.7, 0.7]).astype(complex), md.TraceNotOneError),
+        (np.diag([1.2, -0.2]).astype(complex), md.InvalidStateError),
+    ], ids=["shape", "non-hermitian", "trace", "non-psd"])
+    def test_one_bad_state_raises_its_own_error(self, bad_state, error):
+        model = self._model(bad_state)
+        with pytest.raises(error) as alone:
+            md.state_at(model, [0.7])
+        with pytest.raises(error) as stacked:
+            md.state_at(model, [[0.2], [0.7], [0.3]])
+        assert stacked.value.to_dict() == alone.value.to_dict()
+
+    def test_one_point_outside_the_domain(self, qutrit_model):
+        with pytest.raises(md.DomainError) as alone:
+            md.state_at(qutrit_model, [1.2, 0.5])
+        with pytest.raises(md.DomainError) as stacked:
+            md.state_at(qutrit_model, [[0.3, 0.5], [1.2, 0.5]])
+        assert stacked.value.to_dict() == alone.value.to_dict()
+
+    @pytest.mark.parametrize("thetas", [np.zeros((2, 3)), np.zeros((2, 1)), np.zeros((0, 2))])
+    def test_bad_stack_shape(self, qutrit_model, thetas):
+        with pytest.raises(md.DomainError, match="theta stack has shape"):
+            md.state_at(qutrit_model, thetas)
+
+
 class TestFiniteDifferences:
     def test_qutrit_phase_derivative_structure(self, qutrit_model):
         theta = np.array([0.3, 0.5])
