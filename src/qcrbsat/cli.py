@@ -258,7 +258,7 @@ def cmd_simulate(args) -> dict:
         record.estimator = fish.estimator_study(
             likelihood, dist, sp.theta, batches=args.batches,
             batch_size=max(1, args.trials // max(1, args.batches)), seed=args.seed,
-            stacked=True,
+            stacked=True, domain=model.domain,
         )
     out = base_report(args, sp, model, dec, f_q, report)
     out["povm"] = povm_mod.povm_to_json(povm)

@@ -25,9 +25,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import basisform
 from . import numkernel as nk
 from .errors import QcrbSatError
-from .model import SupportDecomposition
+from .model import Box, SupportDecomposition
 from .povm import POVM, PROB_TOL
 from .sld import plus_null_blocks
 
@@ -94,12 +95,18 @@ def outcome_distribution(
 
     With a support decomposition available, the limiting information of
     structurally null outcomes is computed as well (see module docstring).
+    A basis measurement is read through its basis (:mod:`basisform`); any
+    other element by element.
     """
     p = len(drho)
     m = povm.n_outcomes
-    elements = np.stack(povm.elements)
-    probs = probabilities(rho, elements)
-    dprobs = np.array([probabilities(d, elements) for d in drho])
+    if povm.basis is not None:
+        traces = basisform.traces(povm.basis, povm.ranks, np.concatenate([rho[None], drho]))
+        probs, dprobs = traces[0], traces[1:]
+    else:
+        elements = np.stack(povm.elements)
+        probs = probabilities(rho, elements)
+        dprobs = np.array([probabilities(d, elements) for d in drho])
     if np.any(probs < -PROB_TOL):
         raise QcrbSatError(f"negative outcome probability {probs.min():.3e}")
     probs[(probs < 0.0) & (probs > -PROB_TOL)] = 0.0
@@ -123,16 +130,15 @@ def outcome_distribution(
     null_info = []
     if dec is not None:
         lpz = plus_null_blocks(dec, drho)
-        q_lpz = dec.q[:, None] * lpz
-        for k in range(m):
-            if support_mask[k] or k in singular:
-                continue
-            e00 = dec.Y.conj().T @ povm.elements[k] @ dec.Y
-            info = np.zeros((p, p))
-            for l in range(p):
-                for mm in range(l, p):
-                    val = float(np.trace(lpz[l].conj().T @ q_lpz[mm] @ e00).real)
-                    info[l, mm] = info[mm, l] = val
+        structural = ~support_mask
+        structural[singular] = False
+        if povm.basis is not None:
+            infos = _basis_null_infos(povm, dec, lpz, structural)
+        else:
+            q_lpz = dec.q[:, None] * lpz
+            infos = (_element_null_info(povm.elements[k], dec, lpz, q_lpz)
+                     for k in np.flatnonzero(structural).tolist())
+        for k, info in zip(np.flatnonzero(structural).tolist(), infos):
             w = np.linalg.eigvalsh(info)
             top = max(w[-1], 0.0)
             rank1 = bool(w[-2] <= max(1e-12, 1e-8 * top)) if p > 1 else True
@@ -147,6 +153,32 @@ def outcome_distribution(
         prob_tol=PROB_TOL,
         deriv_tol=deriv_tol,
     )
+
+
+def _element_null_info(e, dec: SupportDecomposition, lpz, q_lpz) -> np.ndarray:
+    """``Re tr(Lpz_l^dag diag(q) Lpz_m E_00)`` of one dense element; ``q_lpz = diag(q) Lpz``."""
+    p = len(lpz)
+    e00 = dec.Y.conj().T @ e @ dec.Y
+    info = np.zeros((p, p))
+    for l in range(p):
+        for mm in range(l, p):
+            val = float(np.trace(lpz[l].conj().T @ q_lpz[mm] @ e00).real)
+            info[l, mm] = info[mm, l] = val
+    return info
+
+
+def _basis_null_infos(povm: POVM, dec: SupportDecomposition, lpz: np.ndarray, keep) -> np.ndarray:
+    """The null information of the basis elements ``keep`` marks, in element order.
+
+    With ``Z_l = C^dag Lpz_l^dag`` the rows of :func:`basisform.null_terms`,
+    ``tr(Lpz_l^dag diag(q) Lpz_m C C^dag) = sum_ij Z_l[i, j] q_j conj(Z_m[i, j])``;
+    the upper triangle is mirrored, as on the element path.
+    """
+    infos = np.zeros((povm.n_outcomes, len(lpz), len(lpz)))
+    for idx, _, z in basisform.null_terms(povm.basis, povm.ranks, dec, lpz, keep):
+        full = np.einsum("lkij,mkij->klm", z * dec.q, z.conj()).real
+        infos[idx] = np.triu(full) + np.triu(full, 1).swapaxes(1, 2)
+    return infos[keep]
 
 
 def classical_fim(dist: MeasurementDistribution) -> np.ndarray:
@@ -378,13 +410,16 @@ def max_likelihood_estimate(
     counts: np.ndarray,
     theta0: np.ndarray,
     radius: float = 0.05,
+    domain: Optional[Box] = None,
 ) -> np.ndarray:
     """Local maximum-likelihood fits of a (B, M) counts stack, one per row.
 
     Four sweeps of golden-section search per coordinate, every row started
-    at ``theta0``; returns the (B, p) estimates. Each row's negative
-    log-likelihood is its own ``np.dot``, so the fits equal one-batch fits
-    bit for bit.
+    at ``theta0``; returns the (B, p) estimates. Each bracket is the
+    coordinate +/- ``radius``, cut to the ``domain`` box when one is given;
+    the search evaluates only points strictly inside its bracket, so it
+    never leaves the open box. Each row's negative log-likelihood is its own
+    ``np.dot``, so the fits equal one-batch fits bit for bit.
     """
     counts = np.asarray(counts, dtype=float)
 
@@ -401,7 +436,10 @@ def max_likelihood_estimate(
                 t[:, i] = x
                 return nll(t)
 
-            theta[:, i] = _golden_section(f1, theta[:, i] - radius, theta[:, i] + radius)
+            lo, hi = theta[:, i] - radius, theta[:, i] + radius
+            if domain is not None:
+                lo, hi = np.maximum(lo, domain.lo[i]), np.minimum(hi, domain.hi[i])
+            theta[:, i] = _golden_section(f1, lo, hi)
     return theta
 
 
@@ -415,6 +453,7 @@ def estimator_study(
     radius: float = 0.05,
     *,
     stacked: bool = False,
+    domain: Optional[Box] = None,
 ) -> dict:
     """Covariance of batched maximum-likelihood estimates around theta0.
 
@@ -423,7 +462,8 @@ def estimator_study(
     is called point by point; with ``stacked=True`` it already maps a (B, p)
     stack to (B, M), which is how the CLI calls it (``state_at`` and
     ``probabilities`` on stacks). The per-point form remains for callers
-    that time the likelihood call by call.
+    that time the likelihood call by call. ``domain``, the model's
+    parameter box, cuts each search bracket (see ``max_likelihood_estimate``).
 
     Needs at least two batches: one estimate has no covariance. Each
     parameter's ``bound_ratio`` is N Var / [F_c^-1]_ll with N the batch size
@@ -436,7 +476,7 @@ def estimator_study(
         raise QcrbSatError(f"the estimator study needs at least 2 batches, got {batches}")
     likelihood = prob_fn if stacked else (lambda ts: np.stack([prob_fn(t) for t in ts]))
     counts = np.stack([sample_outcomes(dist, batch_size, seed + b) for b in range(batches)])
-    est = max_likelihood_estimate(likelihood, counts, theta0, radius=radius)
+    est = max_likelihood_estimate(likelihood, counts, theta0, radius=radius, domain=domain)
     cov = np.cov(est.T, bias=False).reshape(len(theta0), len(theta0))
     # Wilson-Hilferty with z = 2.326, the standard normal lower 1% point.
     a = 2.0 / (9.0 * (batches - 1))

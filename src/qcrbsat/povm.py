@@ -8,6 +8,10 @@ constants, and null elements (zero probability) must relate the SLDs
 pairwise, ``E_00 (Lpz_l^dag - c Lpz_m^dag) = 0`` with real constants. The
 certificate below fits those constants by least squares and treats any
 imaginary residue as part of the failure residual.
+
+A measurement comes in one of two forms. A projective measurement built
+from one basis keeps it, and every check reads that basis through
+:mod:`basisform`; any other measurement is checked element by element.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import basisform
 from . import numkernel as nk
 from .errors import QcrbSatError
 from . import jsonio
@@ -46,14 +51,17 @@ class MissingAlignmentError(QcrbSatError):
 class POVM:
     """A finite measurement: PSD elements summing to the identity.
 
-    A projective measurement built from one orthonormal basis also keeps
-    that ``basis`` (an ``n x n`` unitary) and the widths ``ranks`` of the
-    column blocks its elements project onto (see :func:`elements_from_basis`);
-    reports then write the basis instead of the elements. ``elements`` is
-    what every computation reads.
+    A projective measurement built from one basis also keeps that ``basis``
+    (an ``n x n`` matrix, unitary when the measurement is valid) and the
+    widths ``ranks`` of the column blocks its elements project onto, and is
+    given by those alone: its ``elements`` are made here as the blocks'
+    projectors (see :func:`elements_from_basis`). Validation,
+    classification, the certificate and the outcome distribution of such a
+    measurement read the basis; reports write it instead of the elements.
+    A measurement without a basis is read element by element.
     """
 
-    elements: list
+    elements: Optional[list] = None
     outcome_labels: Optional[np.ndarray] = None
     classification: Optional[list] = None  # per element: "regular" | "null"
     projective: Optional[bool] = None
@@ -62,7 +70,19 @@ class POVM:
     ranks: Optional[tuple] = None
 
     def __post_init__(self):
-        self.elements = [np.asarray(e, dtype=complex) for e in self.elements]
+        if self.basis is not None:
+            if self.elements is not None:
+                raise InvalidPOVMError("a measurement is given by its elements or by a basis, not both")
+            self.basis = np.asarray(self.basis, dtype=complex)
+            self.ranks = tuple(int(r) for r in self.ranks)
+            n = len(self.basis)
+            if self.basis.shape != (n, n) or sum(self.ranks) != n or min(self.ranks) < 1:
+                raise InvalidPOVMError(
+                    f"a basis of shape {self.basis.shape} with blocks {self.ranks} "
+                    "does not describe a measurement"
+                )
+            self.elements = elements_from_basis(self.basis, self.ranks)
+        self.elements = [np.asarray(e, dtype=complex) for e in self.elements or ()]
         if not self.elements:
             raise InvalidPOVMError("a measurement needs at least one element")
         n = self.elements[0].shape[0]
@@ -70,15 +90,6 @@ class POVM:
             if e.shape != (n, n):
                 raise InvalidPOVMError(
                     f"element {k} has shape {e.shape}, expected ({n}, {n})", element=k
-                )
-        if self.basis is not None:
-            self.basis = np.asarray(self.basis, dtype=complex)
-            self.ranks = tuple(int(r) for r in self.ranks)
-            if (self.basis.shape != (n, n) or len(self.ranks) != len(self.elements)
-                    or sum(self.ranks) != n):
-                raise InvalidPOVMError(
-                    f"a basis of shape {self.basis.shape} with blocks {self.ranks} "
-                    f"does not describe {len(self.elements)} elements of size {n}"
                 )
         if self.outcome_labels is None:
             self.outcome_labels = np.arange(len(self.elements), dtype=float)
@@ -100,29 +111,33 @@ def validate(povm: POVM, tol: float = 1e-10) -> dict:
     Returns a diagnostics dict and stamps ``povm.projective``; it never
     raises, so callers can report violations per element.
     ``projectivity_residual`` bounds from above every ``||E_i^2 - E_i||``
-    and ``||[E_i, E_j]||`` (Frobenius). When the elements' eigenvalues above
-    1/2 number n in total, the commutators are bounded through one Gram
-    matrix of those eigenvectors (see :func:`_commutator_bound`); otherwise
-    each pair's commutator is computed.
+    and ``||[E_i, E_j]||`` (Frobenius). A basis measurement is read from its
+    Gram matrix (see :func:`basisform.validate`). Otherwise, when the elements'
+    eigenvalues above 1/2 number n in total, the commutators are bounded
+    through one Gram matrix of those eigenvectors (see
+    :func:`_commutator_bound`); failing that each pair's commutator is
+    computed.
     """
     n = povm.dim
-    total = sum(povm.elements)
-    completeness = nk.fro(total - np.eye(n))
-    stack = np.array(povm.elements)
-    herm_defects = [nk.herm_defect(e) for e in povm.elements]
-    w, v = np.linalg.eigh((stack + stack.conj().transpose(0, 2, 1)) / 2.0)
-    min_eigs = [float(x) for x in w[:, 0]]
+    if povm.basis is not None:
+        completeness, min_eigs, herm_defects, proj_res = basisform.validate(povm.basis, povm.ranks)
+    else:
+        total = sum(povm.elements)
+        completeness = nk.fro(total - np.eye(n))
+        stack = np.array(povm.elements)
+        herm_defects = [nk.herm_defect(e) for e in povm.elements]
+        w, v = np.linalg.eigh((stack + stack.conj().transpose(0, 2, 1)) / 2.0)
+        min_eigs = [float(x) for x in w[:, 0]]
+        proj_res = float(np.max(np.linalg.norm(stack @ stack - stack, axis=(1, 2))))
+        upper = w > 0.5
+        if upper.sum() == n:
+            proj_res = max(proj_res, _commutator_bound(w, v, upper, np.array(herm_defects)))
+        else:
+            for i, e in enumerate(povm.elements):
+                for f in povm.elements[i + 1:]:
+                    proj_res = max(proj_res, nk.fro(e @ f - f @ e))
     psd_ok = all(m >= -tol for m in min_eigs)
     complete = completeness <= tol * max(1.0, n)
-
-    proj_res = float(np.max(np.linalg.norm(stack @ stack - stack, axis=(1, 2))))
-    upper = w > 0.5
-    if upper.sum() == n:
-        proj_res = max(proj_res, _commutator_bound(w, v, upper, np.array(herm_defects)))
-    else:
-        for i, e in enumerate(povm.elements):
-            for f in povm.elements[i + 1:]:
-                proj_res = max(proj_res, nk.fro(e @ f - f @ e))
     projective = proj_res <= tol * max(1.0, n)
     povm.projective = projective
 
@@ -194,28 +209,32 @@ def classify_elements(povm: POVM, rho: np.ndarray, dec: SupportDecomposition) ->
     """Label elements regular (probability above :data:`PROB_TOL`) or null.
 
     Null elements must vanish on the ++ and +0 blocks (anything else is
-    incompatible with positivity at zero probability); a violation raises
-    :class:`StructureViolationError`.
+    incompatible with positivity at zero probability); the first violation
+    raises :class:`StructureViolationError`. A basis measurement takes its
+    probabilities and blocks from :mod:`basisform`.
     """
-    labels = []
-    for k, e in enumerate(povm.elements):
-        prob = float(np.trace(rho @ e).real)
-        if prob > PROB_TOL:
-            labels.append("regular")
-            continue
-        scale = max(1.0, nk.fro(e))
-        epp = dec.V.conj().T @ e @ dec.V
-        epz = dec.V.conj().T @ e @ dec.Y
-        if nk.fro(epp) > 1e-8 * scale or nk.fro(epz) > 1e-8 * scale:
+    if povm.basis is not None:
+        null = basisform.traces(povm.basis, povm.ranks, rho[None])[0] <= PROB_TOL
+        blocks = basisform.support_block_norms(povm.basis, povm.ranks, dec, null)
+    else:
+        null, blocks = [], []
+        for k, e in enumerate(povm.elements):
+            null.append(float(np.trace(rho @ e).real) <= PROB_TOL)
+            if null[-1]:
+                epp = dec.V.conj().T @ e @ dec.V
+                epz = dec.V.conj().T @ e @ dec.Y
+                blocks.append((k, nk.fro(epp), nk.fro(epz), max(1.0, nk.fro(e))))
+    for k, pp, pz, scale in blocks:
+        if pp > 1e-8 * scale or pz > 1e-8 * scale:
             raise StructureViolationError(
                 f"element {k} has zero probability but support blocks "
-                f"(++ {nk.fro(epp):.3e}, +0 {nk.fro(epz):.3e}); "
+                f"(++ {pp:.3e}, +0 {pz:.3e}); "
                 "not a positive semidefinite null element",
                 element=k,
-                pp_residual=nk.fro(epp),
-                pz_residual=nk.fro(epz),
+                pp_residual=pp,
+                pz_residual=pz,
             )
-        labels.append("null")
+    labels = ["null" if z else "regular" for z in null]
     povm.classification = labels
     return labels
 
@@ -254,7 +273,6 @@ def construct_optimal(
     ranks = spectrum.block_dims + (1,) * dec.r_zero
 
     povm = POVM(
-        elements=elements_from_basis(basis, ranks),
         classification=["regular"] * spectrum.chi + ["null"] * dec.r_zero,
         basis=basis,
         ranks=ranks,
@@ -322,61 +340,67 @@ def verify_saturation_structural(
     Regular elements are tested in full space against
     ``E L_l P+ = c E P+``; null elements against the reduced pairwise
     relation on the +0 blocks. Constraints whose right-hand side vanishes
-    are recorded as vacuous rather than pass/fail.
+    are recorded as vacuous rather than pass/fail. A basis measurement is
+    fitted on row blocks (see :func:`basisform.fits`).
     """
     if povm.classification is None:
         rho = dec.V @ np.diag(dec.q).astype(complex) @ dec.V.conj().T
         classify_elements(povm, rho, dec)
 
+    if povm.basis is not None:
+        fits = basisform.fits(povm.basis, povm.ranks, povm.classification, dec, slds, tol)
+    else:
+        fits = [_element_fit(e, kind, dec, slds, tol)
+                for e, kind in zip(povm.elements, povm.classification)]
+    records = [
+        ElementCertificate(index=k, kind=kind, constants=constants, residuals=residuals,
+                           vacuous=vacuous, passed=passed)
+        for k, (kind, (constants, residuals, vacuous, passed))
+        in enumerate(zip(povm.classification, fits))
+    ]
+    return SaturationCertificate(records=records, passed=all(r.passed for r in records), tol=tol)
+
+
+def _element_fit(e, kind, dec, slds, tol):
+    """One element's ``(constants, residuals, vacuous, passed)``, from the dense element."""
     p = slds.n_params
-    records = []
-    all_pass = True
-    for k, e in enumerate(povm.elements):
-        kind = povm.classification[k]
-        constants, residuals, vacuous = {}, {}, []
-        passed = True
-        if kind == "regular":
-            b = e @ dec.P_plus
-            for l in range(p):
-                a = e @ slds.full[l] @ dec.P_plus
-                scale = max(1.0, nk.fro(e) * max(1.0, nk.fro(slds.full[l])))
-                if nk.fro(b) <= tol * max(1.0, nk.fro(e)):
-                    vacuous.append(l)
+    constants, residuals, vacuous = {}, {}, []
+    passed = True
+    if kind == "regular":
+        b = e @ dec.P_plus
+        for l in range(p):
+            a = e @ slds.full[l] @ dec.P_plus
+            scale = max(1.0, nk.fro(e) * max(1.0, nk.fro(slds.full[l])))
+            if nk.fro(b) <= tol * max(1.0, nk.fro(e)):
+                vacuous.append(l)
+                continue
+            c, res = _fit_real(a, b)
+            constants[l] = c
+            residuals[l] = res / scale
+            if res / scale > tol:
+                passed = False
+    else:
+        e00 = dec.Y.conj().T @ e @ dec.Y
+        scale0 = max(1.0, nk.fro(e00) * max(1.0, max((nk.fro(L) for L in slds.Lpz), default=1.0)))
+        for l in range(p):
+            for m in range(p):
+                if l == m:
+                    continue
+                a = e00 @ slds.Lpz[l].conj().T
+                b = e00 @ slds.Lpz[m].conj().T
+                if nk.fro(b) <= tol * scale0:
+                    if nk.fro(a) <= tol * scale0:
+                        vacuous.append((l, m))
+                    else:
+                        residuals[(l, m)] = nk.fro(a) / scale0
+                        passed = False
                     continue
                 c, res = _fit_real(a, b)
-                constants[l] = c
-                residuals[l] = res / scale
-                if res / scale > tol:
+                constants[(l, m)] = c
+                residuals[(l, m)] = res / scale0
+                if res / scale0 > tol:
                     passed = False
-        else:
-            e00 = dec.Y.conj().T @ e @ dec.Y
-            scale0 = max(1.0, nk.fro(e00) * max(1.0, max((nk.fro(L) for L in slds.Lpz), default=1.0)))
-            for l in range(p):
-                for m in range(p):
-                    if l == m:
-                        continue
-                    a = e00 @ slds.Lpz[l].conj().T
-                    b = e00 @ slds.Lpz[m].conj().T
-                    if nk.fro(b) <= tol * scale0:
-                        if nk.fro(a) <= tol * scale0:
-                            vacuous.append((l, m))
-                        else:
-                            residuals[(l, m)] = nk.fro(a) / scale0
-                            passed = False
-                        continue
-                    c, res = _fit_real(a, b)
-                    constants[(l, m)] = c
-                    residuals[(l, m)] = res / scale0
-                    if res / scale0 > tol:
-                        passed = False
-        records.append(
-            ElementCertificate(
-                index=k, kind=kind, constants=constants, residuals=residuals,
-                vacuous=vacuous, passed=passed,
-            )
-        )
-        all_pass = all_pass and passed
-    return SaturationCertificate(records=records, passed=all_pass, tol=tol)
+    return constants, residuals, vacuous, passed
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +411,7 @@ def verify_saturation_structural(
 def random_projective_povm(n: int, rng: np.random.Generator) -> POVM:
     u = nk.haar_unitary(n, rng)
     ranks = (1,) * n
-    return POVM(elements=elements_from_basis(u, ranks), basis=u, ranks=ranks)
+    return POVM(basis=u, ranks=ranks)
 
 
 def random_povm(n: int, m: int, rng: np.random.Generator) -> POVM:
@@ -454,7 +478,8 @@ def povm_from_json(source) -> POVM:
         if not (isinstance(ranks, list) and ranks and all(map(jsonio.is_count, ranks))
                 and sum(ranks) == n):
             raise SchemaError(f"ranks must be positive integers summing to n_s = {n}")
-        elements = elements_from_basis(basis, ranks)
+        elements = None
+        m = len(ranks)
     else:
         basis = ranks = None
         if not isinstance(data["elements"], list):
@@ -462,7 +487,7 @@ def povm_from_json(source) -> POVM:
         elements = [
             parse_complex_matrix(e, n, f"elements[{k}]") for k, e in enumerate(data["elements"])
         ]
-    m = len(elements)
+        m = len(elements)
     labels = data.get("outcome_labels")
     if labels is not None and not (
         isinstance(labels, list) and len(labels) == m and all(map(_is_real, labels))

@@ -12,6 +12,7 @@ import numpy as np
 
 from qcrbsat import conditions as cond
 from qcrbsat import numkernel as nk
+from qcrbsat import povm as pv
 from qcrbsat.jsonio import SchemaError
 from qcrbsat.model import decomposition_from_basis, evaluate
 from qcrbsat.sld import plus_null_blocks
@@ -582,3 +583,145 @@ def parse_complex_matrix_loop(obj, n: int, what: str) -> np.ndarray:
     if not np.all(np.isfinite(out.view(float))):
         raise SchemaError(f"{what}: non-finite entries")
     return out
+
+
+# ---------------------------------------------------------------------------
+# The measurement checks as they were before basis measurements were read
+# through their basis: every one works on the M dense elements, whatever
+# form the measurement has.
+# ---------------------------------------------------------------------------
+
+
+def validate_loop(povm, tol=1e-10):
+    n = povm.dim
+    total = sum(povm.elements)
+    completeness = nk.fro(total - np.eye(n))
+    stack = np.array(povm.elements)
+    herm_defects = [nk.herm_defect(e) for e in povm.elements]
+    w, v = np.linalg.eigh((stack + stack.conj().transpose(0, 2, 1)) / 2.0)
+    min_eigs = [float(x) for x in w[:, 0]]
+    psd_ok = all(m >= -tol for m in min_eigs)
+    complete = completeness <= tol * max(1.0, n)
+    proj_res = float(np.max(np.linalg.norm(stack @ stack - stack, axis=(1, 2))))
+    upper = w > 0.5
+    if upper.sum() == n:
+        proj_res = max(proj_res, pv._commutator_bound(w, v, upper, np.array(herm_defects)))
+    else:
+        for i, e in enumerate(povm.elements):
+            for f in povm.elements[i + 1:]:
+                proj_res = max(proj_res, nk.fro(e @ f - f @ e))
+    projective = proj_res <= tol * max(1.0, n)
+    return {
+        "complete": complete,
+        "completeness_residual": completeness,
+        "psd_ok": psd_ok,
+        "min_eigenvalues": min_eigs,
+        "herm_defects": herm_defects,
+        "projective": projective,
+        "projectivity_residual": proj_res,
+        "valid": complete and psd_ok,
+        "tol": tol,
+    }
+
+
+def classify_elements_loop(povm, rho, dec):
+    labels = []
+    for k, e in enumerate(povm.elements):
+        prob = float(np.trace(rho @ e).real)
+        if prob > pv.PROB_TOL:
+            labels.append("regular")
+            continue
+        scale = max(1.0, nk.fro(e))
+        epp = dec.V.conj().T @ e @ dec.V
+        epz = dec.V.conj().T @ e @ dec.Y
+        if nk.fro(epp) > 1e-8 * scale or nk.fro(epz) > 1e-8 * scale:
+            raise pv.StructureViolationError(f"element {k}", element=k)
+        labels.append("null")
+    return labels
+
+
+def _fit_real_loop(a, b):
+    denom = float(np.vdot(b.ravel(), b.ravel()).real)
+    c = float(np.vdot(b.ravel(), a.ravel()).real) / denom
+    return c, float(np.linalg.norm(a - c * b))
+
+
+def verify_saturation_structural_loop(povm, classification, dec, slds, tol=1e-8):
+    """Per element: (kind, constants, residuals, vacuous, passed)."""
+    p = slds.n_params
+    records = []
+    for k, e in enumerate(povm.elements):
+        kind = classification[k]
+        constants, residuals, vacuous = {}, {}, []
+        passed = True
+        if kind == "regular":
+            b = e @ dec.P_plus
+            for l in range(p):
+                a = e @ slds.full[l] @ dec.P_plus
+                scale = max(1.0, nk.fro(e) * max(1.0, nk.fro(slds.full[l])))
+                if nk.fro(b) <= tol * max(1.0, nk.fro(e)):
+                    vacuous.append(l)
+                    continue
+                c, res = _fit_real_loop(a, b)
+                constants[l] = c
+                residuals[l] = res / scale
+                if res / scale > tol:
+                    passed = False
+        else:
+            e00 = dec.Y.conj().T @ e @ dec.Y
+            scale0 = max(1.0, nk.fro(e00) * max(1.0, max((nk.fro(L) for L in slds.Lpz), default=1.0)))
+            for l in range(p):
+                for m in range(p):
+                    if l == m:
+                        continue
+                    a = e00 @ slds.Lpz[l].conj().T
+                    b = e00 @ slds.Lpz[m].conj().T
+                    if nk.fro(b) <= tol * scale0:
+                        if nk.fro(a) <= tol * scale0:
+                            vacuous.append((l, m))
+                        else:
+                            residuals[(l, m)] = nk.fro(a) / scale0
+                            passed = False
+                        continue
+                    c, res = _fit_real_loop(a, b)
+                    constants[(l, m)] = c
+                    residuals[(l, m)] = res / scale0
+                    if res / scale0 > tol:
+                        passed = False
+        records.append((kind, constants, residuals, vacuous, passed))
+    return records
+
+
+def outcome_distribution_loop(rho, drho, povm, dec):
+    """(probs, dprobs, singular, {outcome: (info, rank1)}) element by element."""
+    p = len(drho)
+    probs = np.array([float(np.trace(rho @ e).real) for e in povm.elements])
+    dprobs = np.array([[float(np.trace(d @ e).real) for e in povm.elements] for d in drho])
+    probs[(probs < 0.0) & (probs > -pv.PROB_TOL)] = 0.0
+    deriv_tol = 1e-8 * max(1.0, max(nk.fro(d) for d in drho))
+    support = probs > pv.PROB_TOL
+    singular = [k for k in range(len(probs))
+                if not support[k] and np.max(np.abs(dprobs[:, k])) > deriv_tol]
+    lpz = plus_null_blocks(dec, drho)
+    q_lpz = dec.q[:, None] * lpz
+    null_info = {}
+    for k, e in enumerate(povm.elements):
+        if support[k] or k in singular:
+            continue
+        e00 = dec.Y.conj().T @ e @ dec.Y
+        info = np.zeros((p, p))
+        for l in range(p):
+            for m in range(l, p):
+                info[l, m] = info[m, l] = float(np.trace(lpz[l].conj().T @ q_lpz[m] @ e00).real)
+        w = np.linalg.eigvalsh(info)
+        rank1 = bool(w[-2] <= max(1e-12, 1e-8 * max(w[-1], 0.0))) if p > 1 else True
+        null_info[k] = (info, rank1)
+    return probs, dprobs, singular, null_info
+
+
+def classical_fim_loop(probs, dprobs, null_info):
+    f = classical_fim_bruteforce(probs, dprobs, pv.PROB_TOL)
+    for info, rank1 in null_info.values():
+        if rank1:
+            f = f + info
+    return (f + f.T) / 2.0

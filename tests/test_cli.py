@@ -153,6 +153,15 @@ class TestSimulate:
         assert rep1["monte_carlo"] == rep2["monte_carlo"]
         assert sum(rep1["monte_carlo"]["counts"]) == 200000
 
+    def test_estimator_study_at_the_domain_boundary(self, capsys):
+        code, rep = run(
+            capsys, "simulate", "--model", "diag-multinomial", "--params", "dims=3",
+            "--theta", "0.02,0.5", "--trials", "4000", "--batches", "4", "--estimator",
+        )
+        assert code == 0
+        est = np.array(rep["monte_carlo"]["estimator"]["estimates"])
+        assert np.all(est > 0.0) and np.all(np.abs(est - [0.02, 0.5]) <= 0.05)
+
     def test_estimator_study_on_multinomial(self, capsys):
         code, rep = run(
             capsys, "simulate", "--model", "diag-multinomial", "--params", "dims=3",

@@ -312,11 +312,17 @@ class TestLeanLikelihood:
 
     @staticmethod
     def _assert_distribution_is_the_loop(sp, povm, dist):
+        """The element form traces each element exactly as the loop does; the
+        basis form (``dist``, read through the basis) agrees to rounding."""
         probs = np.array([float(np.trace(sp.rho @ e).real) for e in povm.elements])
         probs[(probs < 0.0) & (probs > -1e-12)] = 0.0
         dprobs = np.array([[float(np.trace(d @ e).real) for e in povm.elements] for d in sp.drho])
-        assert np.array_equal(dist.probs, probs)
-        assert np.array_equal(dist.dprobs, dprobs)
+        dense = fi.outcome_distribution(sp.rho, sp.drho, pv.POVM(elements=povm.elements))
+        assert np.array_equal(dense.probs, probs)
+        assert np.array_equal(dense.dprobs, dprobs)
+        assert povm.basis is not None
+        assert np.max(np.abs(dist.probs - probs)) <= 1e-15
+        assert np.max(np.abs(dist.dprobs - dprobs)) <= 1e-14
 
     def test_study_estimates_equal_the_old_callback(self, qutrit_model, qutrit_point):
         povm, dist = _optimal(qutrit_point)
@@ -381,6 +387,28 @@ class TestLockStepFit:
         with pytest.raises(DomainError):
             fi.estimator_study(_lean_prob_fn(qutrit_model, povm), dist,
                                qutrit_point.theta, **kw)
+
+    def test_brackets_inside_the_domain_are_unchanged(self, qutrit_model, qutrit_point):
+        povm, dist = _optimal(qutrit_point)
+        kw = dict(batches=4, batch_size=2000, seed=3, stacked=True)
+        likelihood = _stacked_likelihood(qutrit_model, povm)
+        assert fi.estimator_study(likelihood, dist, qutrit_point.theta,
+                                  domain=qutrit_model.domain, **kw) == \
+            fi.estimator_study(likelihood, dist, qutrit_point.theta, **kw)
+
+    def test_bracket_is_cut_to_the_domain(self, multinomial_model):
+        theta0 = np.array([0.02, 0.5])  # theta0 - radius leaves the box
+        sp = qs.evaluate(multinomial_model, theta0)
+        povm = _basis_povm(3)
+        dist = fi.outcome_distribution(sp.rho, sp.drho, povm)
+        kw = dict(batches=4, batch_size=1000, seed=0, stacked=True)
+        likelihood = _stacked_likelihood(multinomial_model, povm)
+        with pytest.raises(DomainError):
+            fi.estimator_study(likelihood, dist, theta0, **kw)
+        study = fi.estimator_study(likelihood, dist, theta0, domain=multinomial_model.domain, **kw)
+        est = np.array(study["estimates"])
+        assert np.all(est > multinomial_model.domain.lo) and np.all(est < multinomial_model.domain.hi)
+        assert np.all(np.abs(est - theta0) <= 0.05)
 
     @pytest.mark.parametrize("stack_entries", [fi.STACK_ENTRIES, 54, 1])
     def test_stacked_probabilities_are_the_rows(self, qutrit_model, qutrit_point,

@@ -305,6 +305,13 @@ class TestSerialization:
         with pytest.raises(pv.InvalidPOVMError):
             pv.POVM(elements=[np.eye(2)], basis=np.eye(2), ranks=(1, 1))
 
+    @pytest.mark.parametrize("basis, ranks", [
+        (np.eye(2), (1,)), (np.eye(2), (2, 0)), (np.ones((2, 3)), (1, 1)), (np.ones(2), (1, 1)),
+    ])
+    def test_basis_must_describe_a_measurement(self, basis, ranks):
+        with pytest.raises(pv.InvalidPOVMError):
+            pv.POVM(basis=basis, ranks=ranks)
+
     def test_dense_elements_must_be_a_list(self):
         with pytest.raises(SchemaError):
             pv.povm_from_json({"n_s": 2, "elements": 5})
