@@ -13,12 +13,12 @@ quantum Cramér-Rao bound hinges on the structure of the SLD blocks:
   a first-order PDE system tied to a smooth support-basis map
   ("condition 2'", verified here for supplied or canonical witnesses only).
 
-Every check reports a scale-normalized residual next to its tolerance, and
-the verdict function assembles them into SATURABLE_CERTIFIED /
-NOT_SATURABLE / INCONCLUSIVE with an explicit reasoning trace. The searches
-(for ``W``, for canonical witnesses) are heuristic; only the verifier's
-residuals certify anything, so a failed search degrades to UNKNOWN rather
-than a refutation.
+Every check reports a scale-normalized residual next to its tolerance. The
+verdict (see :func:`verdict`) reads conditions 1, 3 and 4 only; full,
+average and partial (support-projected) commutativity of the SLDs are
+reported diagnostics. The searches (for ``W``, for canonical witnesses) are
+heuristic; only the verifier's residuals certify anything, so a failed
+search degrades to UNKNOWN rather than a refutation.
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import numkernel as nk
-from .errors import QcrbSatError
+from .errors import QcrbSatError, require_tolerance
 from .jsonio import ComplexMatrix
 from .model import StateAtPoint, StateModel, SupportDecomposition, decomposition_from_basis
-from .sld import SLDSet, pairs, plus_null_blocks
+from .sld import SLDSet, pairs, plus_null_blocks, plus_null_products
 
 VERDICT_SATURABLE = "SATURABLE_CERTIFIED"
 VERDICT_NOT = "NOT_SATURABLE"
@@ -87,11 +87,11 @@ def _worst_pair(p: int, residuals, scales) -> tuple:
     return worst, worst_pair, worst_scale
 
 
-def _condition3(lpz) -> tuple:
-    """Condition 3: the worst ``||Lpz_l Lpz_m^dag - Lpz_m Lpz_l^dag||``, as :func:`_worst_pair`."""
-    p = len(lpz)
-    residuals = [nk.fro(lpz[l] @ lpz[m].conj().T - lpz[m] @ lpz[l].conj().T) for l, m in pairs(p)]
-    return _worst_pair(p, residuals, _pair_scales(lpz))
+def _imbalance(products, mats) -> tuple:
+    """Worst ``||products[l, m] - products[m, l]||`` over pairs l < m, as :func:`_worst_pair`."""
+    p = len(mats)
+    residuals = [nk.fro(products[l, m] - products[m, l]) for l, m in pairs(p)]
+    return _worst_pair(p, residuals, _pair_scales(mats))
 
 
 def check_full_commutativity(slds: SLDSet, tol: float = 1e-8) -> CommCheck:
@@ -115,46 +115,28 @@ def check_average_commutativity(rho: np.ndarray, slds: SLDSet, tol: float = 1e-8
 
 
 def check_condition1(slds: SLDSet, tol: float = 1e-8) -> CommCheck:
-    """Commutators of the ++ blocks."""
-    lpp = slds.Lpp
-    residuals = [nk.fro(lpp[l] @ lpp[m] - lpp[m] @ lpp[l]) for l, m in pairs(slds.n_params)]
-    worst, pair, _ = _worst_pair(slds.n_params, residuals, _pair_scales(lpp))
+    """Commutators of the ++ blocks, ``A_lm - A_ml`` of the pair products."""
+    worst, pair, _ = _imbalance(slds.pair_products[0], slds.Lpp)
     return CommCheck(residual=worst, scale=1.0, tol=tol, passed=worst <= tol, worst_pair=pair)
 
 
 def check_condition3(slds: SLDSet, tol: float = 1e-8) -> CommCheck:
-    """Anti-Hermitian part of the +0 cross products."""
-    worst, pair, _ = _condition3(slds.Lpz)
+    """Anti-Hermitian part of the +0 cross products, ``B_lm - B_ml``."""
+    worst, pair, _ = _imbalance(slds.pair_products[1], slds.Lpz)
     return CommCheck(residual=worst, scale=1.0, tol=tol, passed=worst <= tol, worst_pair=pair)
 
 
 def check_partial_commutativity(
     dec: SupportDecomposition, slds: SLDSet, tol: float = 1e-8
 ) -> CommCheck:
-    """Support-projected commutators P+ [L_l, L_m] P+.
+    """Support-projected commutators P+ [L_l, L_m] P+, as ``A_lm - A_ml + B_lm - B_ml``.
 
-    Computed in block form ([Lpp_l, Lpp_m] plus the +0 cross-product
-    imbalance) and cross-checked against the direct projection of the
-    full-space commutators; the two agree identically up to roundoff.
+    The identity holds by construction, since ``full`` is assembled from
+    the same blocks. ``dec`` is not read.
     """
-    lpp, lpz = slds.Lpp, slds.Lpz
-    scales = _pair_scales(slds.full)
-    residuals, crosscheck = [], 0.0
-    for (l, m), comm, s in zip(pairs(slds.n_params), slds.commutators, scales):
-        block = (
-            lpp[l] @ lpp[m] - lpp[m] @ lpp[l]
-            + lpz[l] @ lpz[m].conj().T - lpz[m] @ lpz[l].conj().T
-        )
-        r = nk.fro(block)
-        direct = nk.fro(dec.P_plus @ comm @ dec.P_plus)
-        crosscheck = max(crosscheck, abs(direct / s - r / s))
-        residuals.append(r)
-    if crosscheck > 1e-10:
-        raise QcrbSatError(
-            f"partial-commutativity block identity violated: {crosscheck:.3e}",
-            crosscheck=crosscheck,
-        )
-    worst, pair, _ = _worst_pair(slds.n_params, residuals, scales)
+    a, b = slds.pair_products
+    residuals = [nk.fro(a[l, m] - a[m, l] + b[l, m] - b[m, l]) for l, m in pairs(slds.n_params)]
+    worst, pair, _ = _worst_pair(slds.n_params, residuals, _pair_scales(slds.full))
     return CommCheck(residual=worst, scale=1.0, tol=tol, passed=worst <= tol, worst_pair=pair)
 
 
@@ -370,9 +352,6 @@ def find_w_condition4(
             notes=["no null directions"],
         )
 
-    cond3_res = _condition3(lpz)[0]
-    cond3_fails = cond3_res > tol
-
     candidates = []
     if max(nk.fro(L) for L in lpz) <= tol * max(1.0, scale_floor):
         candidates.append(np.eye(r0, dtype=complex))
@@ -403,7 +382,8 @@ def find_w_condition4(
                 notes=notes,
             )
 
-    if cond3_fails:
+    cond3_res = _imbalance(plus_null_products(np.array(lpz)), lpz)[0]
+    if cond3_res > tol:
         notes.append(
             f"refuted through the necessary cross-product condition "
             f"(residual {cond3_res:.3e} > {tol:.1e})"
@@ -685,37 +665,29 @@ class ConditionReport:
 
 
 def verdict(report: ConditionReport, r_plus: int, r_zero: int):
-    """Fold the condition flags into a certified verdict.
+    """Fold conditions 1, 3 and 4 into a certified verdict.
 
     One-dimensional support: conditions 1 and 3 decide saturability both
-    ways. Full rank: full commutativity decides it. Otherwise conditions
-    1 + 4 certify saturability; a failed necessary condition refutes it;
-    anything else is inconclusive (the PDE condition stays undecided).
+    ways. Otherwise conditions 1 + 4 certify it, a failed condition 1 or 3
+    refutes it, and anything else is inconclusive (the PDE condition stays
+    undecided). At full rank condition 4 holds vacuously and condition 1 is
+    full commutativity. The commutativity diagnostics are not read:
+    conditions 1 and 3 imply partial commutativity.
     """
-    trace = []
     c1, c3 = report.cond1.passed, report.cond3.passed
+    line1 = f"condition 1 {'pass' if c1 else 'fail'} (residual {report.cond1.residual:.3e})"
+    line3 = f"condition 3 {'pass' if c3 else 'fail'} (residual {report.cond3.residual:.3e})"
     if r_plus == 1:
-        trace.append("support is one-dimensional: conditions 1 and 3 are decisive")
-        trace.append(f"condition 1 {'pass' if c1 else 'fail'} (residual {report.cond1.residual:.3e})")
-        trace.append(f"condition 3 {'pass' if c3 else 'fail'} (residual {report.cond3.residual:.3e})")
+        trace = ["support is one-dimensional: conditions 1 and 3 are decisive", line1, line3]
         return (VERDICT_SATURABLE if (c1 and c3) else VERDICT_NOT), trace
-    if r_zero == 0:
-        ok = report.full_comm.passed
-        trace.append("state is full rank: full SLD commutativity is decisive")
-        trace.append(f"full commutativity {'pass' if ok else 'fail'} (residual {report.full_comm.residual:.3e})")
-        return (VERDICT_SATURABLE if ok else VERDICT_NOT), trace
 
-    trace.append("rank-deficient state: certifying through conditions 1 and 4")
-    trace.append(f"condition 1 {'pass' if c1 else 'fail'} (residual {report.cond1.residual:.3e})")
-    trace.append(f"condition 4 status {report.cond4.status}")
+    state = "rank-deficient" if r_zero else "full-rank"
+    trace = [f"{state} state: certifying through conditions 1 and 4", line1,
+             f"condition 4 status {report.cond4.status}"]
     if c1 and report.cond4.status == COND4_YES:
         return VERDICT_SATURABLE, trace
-    trace.append(f"condition 3 {'pass' if c3 else 'fail'} (residual {report.cond3.residual:.3e})")
-    trace.append(
-        f"partial commutativity {'pass' if report.partial_comm.passed else 'fail'} "
-        f"(residual {report.partial_comm.residual:.3e})"
-    )
-    if not (c1 and c3 and report.partial_comm.passed):
+    trace.append(line3)
+    if not (c1 and c3):
         trace.append("a necessary condition fails")
         return VERDICT_NOT, trace
     trace.append("necessary conditions hold but no sufficiency certificate was found "
@@ -733,8 +705,9 @@ def evaluate_conditions(
     tol: Optional[float] = None,
     rng: np.random.Generator | None = None,
 ) -> ConditionReport:
-    """Run every saturability check and assemble the verdict."""
+    """Run every saturability check and assemble the verdict (``tol`` must be finite and >= 0)."""
     tol = tol if tol is not None else sp.deriv_tol
+    require_tolerance("cond_tol", tol)
     sld_scale = max(nk.fro(full) for full in slds.full) if slds.n_params else 1.0
     report = ConditionReport(
         regime="pure" if dec.r_plus == 1 else ("full_rank" if dec.r_zero == 0 else "rank_deficient"),

@@ -21,6 +21,18 @@ class QcrbSatError(Exception):
         }
 
 
+class InvalidToleranceError(QcrbSatError):
+    pass
+
+
+def require_tolerance(name: str, value) -> None:
+    """Refuse a tolerance that is not a finite number >= 0 (zero is valid)."""
+    if not 0.0 <= value < float("inf"):
+        text = repr(float(value))
+        raise InvalidToleranceError(f"{name} must be finite and >= 0, got {text}",
+                                    tolerance=name, value=text)
+
+
 def jsonable(v):
     """``v`` with numpy values, arrays and complex numbers as plain JSON values."""
     import numpy as np

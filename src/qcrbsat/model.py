@@ -19,7 +19,7 @@ import numpy as np
 
 from . import jsonio
 from . import numkernel as nk
-from .errors import QcrbSatError
+from .errors import QcrbSatError, require_tolerance
 from .jsonio import ComplexMatrix, SchemaError, parse_complex_matrix
 
 HERM_TOL = 1e-12
@@ -363,8 +363,10 @@ def support_decomposition(sp: StateAtPoint, rank_tol: float = DEFAULT_RANK_TOL) 
     assigned to the null space and those above ``10 * rank_tol`` to the
     support; anything in between is refused as ambiguous rather than decided
     silently. The fixed-rank consistency P0 (d rho) P0 = 0 is verified for
-    every parameter.
+    every parameter. A non-finite or negative ``rank_tol`` raises
+    ``InvalidToleranceError``.
     """
+    require_tolerance("rank_tol", rank_tol)
     eig = nk.eig_hermitian(sp.rho, herm_tol=1e-10)
     w, q_vecs = eig.eigenvalues, eig.eigenvectors
     lam_max = float(w[-1])

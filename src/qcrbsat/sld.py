@@ -11,9 +11,10 @@ downstream.
 
 An :class:`SLDSet` holds the p SLDs stacked: each block and the full-space
 observables are one complex ``(p, ., .)`` array, and every parameter is
-solved in one pass. The set also carries the full-space commutators
-``[L_l, L_m]`` of every pair ``l < m`` (:attr:`SLDSet.commutators`),
-computed once on first use and shared by the commutativity checks.
+solved in one pass. Computed once on first use, it carries the pair products
+``A[j, k] = Lpp_j Lpp_k`` and ``B[j, k] = Lpz_j Lpz_k^dag`` that the QFIM,
+conditions 1 and 3 and partial commutativity read, and the full-space
+commutators that the full and average commutativity checks read.
 """
 
 from __future__ import annotations
@@ -83,6 +84,11 @@ def plus_null_blocks(dec: SupportDecomposition, drho) -> np.ndarray:
     return 2.0 * (dec.V.conj().T @ np.asarray(drho, dtype=complex) @ dec.Y) / dec.q[:, None]
 
 
+def plus_null_products(lpz: np.ndarray) -> np.ndarray:
+    """``Lpz_j Lpz_k^dag`` for every pair (j, k) of a +0 block stack, as ``(p, p, r+, r+)``."""
+    return lpz[:, None] @ lpz.conj().swapaxes(-1, -2)[None, :]
+
+
 @dataclass(frozen=True)
 class SLDSet:
     """SLD observables for every parameter, in blocks and in full space.
@@ -114,6 +120,11 @@ class SLDSet:
         f, n = self.full, self.full.shape[-1]
         comms = [f[l] @ f[m] - f[m] @ f[l] for l, m in pairs(self.n_params)]
         return np.array(comms).reshape(len(comms), n, n)
+
+    @cached_property
+    def pair_products(self) -> tuple:
+        """``(A, B)`` with ``A[j, k] = Lpp_j Lpp_k`` and ``B[j, k] = Lpz_j Lpz_k^dag``."""
+        return self.Lpp[:, None] @ self.Lpp[None, :], plus_null_products(self.Lpz)
 
     def with_lzz(self, lzz_list, dec: SupportDecomposition) -> "SLDSet":
         """Copy with replaced 00 blocks (they are free by construction)."""
@@ -157,15 +168,11 @@ def compute_sld(
 def qfim(dec: SupportDecomposition, slds: SLDSet) -> np.ndarray:
     """Quantum Fisher information matrix F_jk = Re tr(rho L_j L_k).
 
-    Computed in blocks; the 00 blocks never enter because rho vanishes
-    outside the support.
+    Read off the pair products, ``F_jk = Re sum_i q_i (A_jk + B_jk)_ii``;
+    the 00 blocks never enter because rho vanishes outside the support.
+    The entries j <= k are mirrored below the diagonal.
     """
-    p = slds.n_params
-    q = dec.q
-    f = np.zeros((p, p))
-    for j in range(p):
-        for k in range(j, p):
-            m = slds.Lpp[j] @ slds.Lpp[k] + slds.Lpz[j] @ slds.Lpz[k].conj().T
-            val = float(np.sum(q * np.diag(m).real))
-            f[j, k] = f[k, j] = val
-    return (f + f.T) / 2.0
+    a, b = slds.pair_products
+    diag = np.diagonal(a, axis1=-2, axis2=-1) + np.diagonal(b, axis1=-2, axis2=-1)
+    f = np.sum(dec.q * diag.real, axis=-1)
+    return np.where(np.triu(np.ones(f.shape, dtype=bool)), f, f.T)

@@ -135,9 +135,9 @@ def cond4_grid_oracle(lpz, step=0.01, zero_frac=1e-6):
 
 
 # ---------------------------------------------------------------------------
-# Per-pair loop versions of the commutativity-type checks, each computing its
-# own products from the SLD matrices. Each returns (residual, worst_pair,
-# scale) as the library's CommCheck reports them.
+# Per-pair loop versions of the commutativity-type checks and of the QFIM,
+# each computing its own products from the SLD matrices. The checks return
+# (residual, worst_pair, scale) as the library's CommCheck reports them.
 # ---------------------------------------------------------------------------
 
 
@@ -213,6 +213,18 @@ def condition3_loop(lpz):
         if r > worst:
             worst, worst_pair = r, (l, m)
     return worst, worst_pair, 1.0
+
+
+def qfim_loop(q, lpp, lpz):
+    """F_jk = Re sum_i q_i (Lpp_j Lpp_k + Lpz_j Lpz_k^dag)_ii for j <= k, mirrored."""
+    p = len(lpp)
+    f = np.zeros((p, p))
+    for j in range(p):
+        for k in range(j, p):
+            m = lpp[j] @ lpp[k] + lpz[j] @ lpz[k].conj().T
+            val = float(np.sum(q * np.diag(m).real))
+            f[j, k] = f[k, j] = val
+    return (f + f.T) / 2.0
 
 
 # ---------------------------------------------------------------------------

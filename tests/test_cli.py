@@ -420,6 +420,23 @@ class TestOptions:
         assert rep["qfim"] == base["qfim"]
         assert rep["support"] == base["support"]
 
+    @pytest.mark.parametrize("command", ["analyze", "fisher"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--cond-tol", "inf"), ("--cond-tol", "nan"), ("--cond-tol", "-1"),
+        ("--rank-tol", "nan"), ("--rank-tol", "-1"),
+    ])
+    def test_malformed_tolerance(self, capsys, command, flag, value):
+        # unrefused, inf would certify the pure qubit and nan or -1 refute the certified qutrit
+        for state in (QUTRIT, ["--model", "pure-qubit-amp-phase", "--theta", "0.7,0.3"]):
+            code = main([command, *state, flag, value])
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.err == ""
+            error = json.loads(captured.out)["error"]
+            assert error["type"] == "InvalidToleranceError"
+            assert error["detail"] == {"tolerance": flag[2:].replace("-", "_"),
+                                       "value": repr(float(value))}
+
     def test_boolean_params(self, capsys):
         assert parse_params("a=true,b=False,c=TRUE,d=1,e=x") == {
             "a": True, "b": False, "c": True, "d": 1, "e": "x"}

@@ -1,4 +1,5 @@
 import dataclasses
+from itertools import product
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import qcrbsat as qs
 from qcrbsat import conditions as cond
 from qcrbsat import model as md
 from qcrbsat import numkernel as nk
+from qcrbsat.errors import InvalidToleranceError
 from oracles import (
     average_commutativity_loop,
     condition1_loop,
@@ -14,6 +16,7 @@ from oracles import (
     full_commutativity_loop,
     partial_commutativity_loop,
     pure_state_avg_comm,
+    qfim_loop,
     verify_condition2prime_loop,
 )
 
@@ -191,7 +194,7 @@ FAMILIES = [
 
 
 class TestStackedAgainstReference:
-    """The checks on stacked SLDs decide like the per-pair loops they replaced."""
+    """The checks and the QFIM read off the pair-product stack equal the per-pair loops bit for bit."""
 
     @staticmethod
     def _variants(dec, slds, rng):
@@ -212,7 +215,7 @@ class TestStackedAgainstReference:
         assert check.passed == (residual <= tol)
         assert check.worst_pair == worst_pair
         assert check.scale == scale
-        assert abs(check.residual - residual) <= 1e-12 * max(1.0, abs(residual))
+        assert check.residual == residual
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("seed", [0, 1])
@@ -232,6 +235,7 @@ class TestStackedAgainstReference:
             self._same(cond.check_partial_commutativity(dec, s, tol), ref, tol)
             self._same(cond.check_condition1(s, tol), condition1_loop(s.Lpp), tol)
             self._same(cond.check_condition3(s, tol), condition3_loop(s.Lpz), tol)
+            assert qs.qfim(dec, s).tobytes() == qfim_loop(dec.q, s.Lpp, s.Lpz).tobytes()
         if family[0] == 1:
             assert cond.check_full_commutativity(slds).worst_pair is None
             assert cond.check_condition3(slds).residual == 0.0
@@ -352,6 +356,9 @@ class TestVerdict:
         assert rep.cond1.passed and rep.cond3.passed and rep.partial_comm.passed
         assert rep.cond4.status == cond.COND4_UNKNOWN
         assert rep.verdict == cond.VERDICT_INCONCLUSIVE
+        failed = dataclasses.replace(rep.partial_comm, passed=False)
+        flipped = dataclasses.replace(rep, partial_comm=failed)
+        assert cond.verdict(flipped, dec.r_plus, dec.r_zero)[0] == cond.VERDICT_INCONCLUSIVE
 
     def test_not_saturable_on_necessary_failure(self):
         m = qs.get("random-rank-r", seed=31, n_s=4, r_plus=2, plant_cond1=False, plant_cond4=False)
@@ -364,6 +371,73 @@ class TestVerdict:
     def test_reasoning_trace_present(self, qutrit_point, qutrit_dec, qutrit_slds):
         rep = qs.evaluate_conditions(qutrit_point, qutrit_dec, qutrit_slds)
         assert any("condition 4" in line for line in rep.reasoning)
+
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0])
+    def test_malformed_tolerance_refused(self, qutrit_point, qutrit_dec, qutrit_slds, tol):
+        with pytest.raises(InvalidToleranceError) as exc:
+            qs.evaluate_conditions(qutrit_point, qutrit_dec, qutrit_slds, tol=tol)
+        assert exc.value.detail == {"tolerance": "cond_tol", "value": repr(tol)}
+
+    def test_zero_tolerance_accepted(self, qutrit_point, qutrit_dec, qutrit_slds):
+        assert qs.evaluate_conditions(qutrit_point, qutrit_dec, qutrit_slds, tol=0.0).tol == 0.0
+
+
+def _flagged(passed: bool) -> cond.CommCheck:
+    return cond.CommCheck(residual=0.0 if passed else 1.0, scale=1.0, tol=1e-8, passed=passed)
+
+
+def _report(c1, c3, c4, diagnostics=(True, True, True)) -> cond.ConditionReport:
+    """A hand-built report: condition flags, condition-4 status, and full/average/partial flags."""
+    full, avg, partial = (_flagged(d) for d in diagnostics)
+    return cond.ConditionReport(
+        regime="rank_deficient", full_comm=full, avg_comm=avg, partial_comm=partial,
+        cond1=_flagged(c1), cond3=_flagged(c3),
+        cond4=cond.Cond4Result(status=c4, W=None, lambdas=None, column_status=None,
+                               residual=0.0, tol=1e-8),
+        cond2prime=None,
+    )
+
+
+class TestVerdictFold:
+    """The verdict reads conditions 1, 3 and 4 and nothing else."""
+
+    STATUSES = (cond.COND4_YES, cond.COND4_NO, cond.COND4_UNKNOWN)
+
+    @pytest.mark.parametrize("r_plus, r_zero", [(1, 2), (2, 1), (3, 0)])
+    def test_diagnostics_never_change_the_verdict(self, r_plus, r_zero):
+        for c1, c3, c4 in product((True, False), (True, False), self.STATUSES):
+            base = cond.verdict(_report(c1, c3, c4), r_plus, r_zero)
+            for diagnostics in product((True, False), repeat=3):
+                assert cond.verdict(_report(c1, c3, c4, diagnostics), r_plus, r_zero) == base
+
+    def test_one_dimensional_support_decided_by_conditions_1_and_3(self):
+        for c1, c3, c4 in product((True, False), (True, False), self.STATUSES):
+            expected = cond.VERDICT_SATURABLE if c1 and c3 else cond.VERDICT_NOT
+            assert cond.verdict(_report(c1, c3, c4), 1, 2)[0] == expected
+
+    def test_rank_deficient_fold(self):
+        for c1, c3, c4 in product((True, False), (True, False), self.STATUSES):
+            if c1 and c4 == cond.COND4_YES:
+                expected = cond.VERDICT_SATURABLE
+            elif not (c1 and c3):
+                expected = cond.VERDICT_NOT
+            else:
+                expected = cond.VERDICT_INCONCLUSIVE
+            assert cond.verdict(_report(c1, c3, c4), 2, 1)[0] == expected
+
+    def test_partial_failure_alone_is_inconclusive(self):
+        rep = _report(True, True, cond.COND4_UNKNOWN, diagnostics=(True, True, False))
+        assert cond.verdict(rep, 2, 1)[0] == cond.VERDICT_INCONCLUSIVE
+
+    @pytest.mark.parametrize("c1", [True, False])
+    def test_full_rank_decided_by_condition1(self, c1):
+        # no null space: condition 4 holds vacuously and condition 3 is empty
+        for diagnostics in product((True, False), repeat=3):
+            rep = _report(c1, True, cond.COND4_YES, diagnostics)
+            expected = cond.VERDICT_SATURABLE if c1 else cond.VERDICT_NOT
+            verdict, trace = cond.verdict(rep, 3, 0)
+            assert verdict == expected
+            assert trace[0] == "full-rank state: certifying through conditions 1 and 4"
 
 
 class TestGaugeInvariance:

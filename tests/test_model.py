@@ -6,6 +6,7 @@ import pytest
 import qcrbsat as qs
 from qcrbsat import model as md
 from qcrbsat import numkernel as nk
+from qcrbsat.errors import InvalidToleranceError
 
 
 class TestEvaluate:
@@ -230,6 +231,16 @@ class TestSupportDecomposition:
         dec = qs.support_decomposition(sp)
         assert dec.r_plus == 1
         assert dec.q == pytest.approx([1.0], abs=1e-12)
+
+    @pytest.mark.parametrize("rank_tol", [float("inf"), float("nan"), -1.0])
+    def test_malformed_rank_tol_refused(self, qutrit_point, rank_tol):
+        with pytest.raises(InvalidToleranceError) as exc:
+            qs.support_decomposition(qutrit_point, rank_tol=rank_tol)
+        assert exc.value.detail == {"tolerance": "rank_tol", "value": repr(rank_tol)}
+
+    def test_zero_rank_tol_accepted(self, multinomial_model):
+        sp = qs.evaluate(multinomial_model, [0.2, 0.3])
+        assert qs.support_decomposition(sp, rank_tol=0.0).r_zero == 0
 
     def test_rank_ambiguity_band(self):
         lam = 3e-10  # inside (1e-10, 1e-9) relative to the top eigenvalue ~ 1
