@@ -237,6 +237,14 @@ def cmd_fisher(args) -> dict:
 
 
 def cmd_simulate(args) -> dict:
+    if args.estimator and args.trials < args.batches:
+        # trials // batches would be 0, and each batch would draw a trial not asked for
+        raise QcrbSatError(
+            f"the estimator study needs at least one trial per batch: "
+            f"--trials {args.trials} is below --batches {args.batches}",
+            trials=args.trials,
+            batches=args.batches,
+        )
     model, sp, witness = _load_state(args)
     povm = _supplied_povm(args, sp)
     dec, slds, f_q, report = run_analysis(args, sp, model, witness)

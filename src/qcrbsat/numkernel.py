@@ -9,6 +9,7 @@ by the caller so runs are reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -50,8 +51,10 @@ def fro(a: np.ndarray) -> float:
     return float(np.linalg.norm(x))
 
 
-def opnorm(a: np.ndarray) -> float:
-    """Spectral (2-) norm."""
+def opnorm(a: np.ndarray):
+    """Spectral (2-) norm of a matrix, or the array of them for a stack of matrices."""
+    if a.ndim > 2:
+        return np.linalg.norm(a, 2, axis=(-2, -1))
     if a.size == 0:
         return 0.0
     return float(np.linalg.norm(a, 2))
@@ -122,19 +125,26 @@ def eig_hermitian(a: np.ndarray, herm_tol: float = 1e-8) -> HermitianEigen:
 class JointSpectrum:
     """Common spectral data of a commuting Hermitian family.
 
-    ``projectors[k]`` is the orthogonal projector onto the k-th joint
-    eigenspace and ``labels[k, l]`` the eigenvalue of family member ``l`` on
-    it, so every member equals ``sum_k labels[k, l] * projectors[k]``.
+    ``basis`` is unitary, and its consecutive column blocks, ``block_dims[k]``
+    wide, span the joint eigenspaces; ``labels[k, l]`` is the eigenvalue of
+    family member ``l`` on the k-th one. ``projectors[k]``, the orthogonal
+    projector onto it, is made from its block on first read, so every member
+    equals ``sum_k labels[k, l] * projectors[k]``.
     """
 
-    projectors: tuple
     labels: np.ndarray  # (chi, n_members)
-    basis: np.ndarray  # unitary; column blocks span the projectors
+    basis: np.ndarray
     block_dims: tuple
 
     @property
     def chi(self) -> int:
-        return len(self.projectors)
+        return len(self.block_dims)
+
+    @functools.cached_property
+    def projectors(self) -> tuple:
+        edges = np.cumsum([0, *self.block_dims]).tolist()
+        blocks = (self.basis[:, np.arange(a, b)] for a, b in zip(edges[:-1], edges[1:]))
+        return tuple(hermitize(qk @ qk.conj().T) for qk in blocks)
 
 
 _ONE = np.ones((1, 1), dtype=complex)
@@ -157,40 +167,48 @@ def joint_eigenprojectors(
     *,
     rng: np.random.Generator | None = None,
 ) -> JointSpectrum:
-    """Joint eigenprojectors of a family of commuting Hermitian matrices.
+    """Joint eigenspaces of a family of commuting Hermitian matrices.
 
     A random real mixture of the family is diagonalized first; its eigenvalue
     clusters are then refined member by member, which keeps already-resolved
     members scalar on every block. Pairwise commutator residuals above
-    ``tol`` (relative to the product of norms) are refused.
+    ``tol`` (relative to the product of norms) are refused, and so is a
+    member that is not scalar on a block or that its labels do not rebuild.
+
+    The family is handled as one ``(m, n, n)`` stack: one product stack for
+    the commutators, one stacked spectral norm for the scales, one stacked
+    ``q^dag S q`` per cluster for the labels and the scalar check, and one
+    ``Q diag(labels) Q^dag`` per member for the reconstruction check. Basis,
+    labels, refusals and their residuals are those of the member-by-member
+    loop, bit for bit. The projectors are made on first read (see
+    :class:`JointSpectrum`).
     """
     if len(family) == 0:
         raise ShapeError("empty family")
-    mats = [hermitize(_require_square(a, f"family[{i}]")) for i, a in enumerate(family)]
-    n = mats[0].shape[0]
+    squares = [_require_square(a, f"family[{i}]") for i, a in enumerate(family)]
+    n = squares[0].shape[0]
     if n == 0:
         raise ShapeError("family members are 0 x 0 matrices")
-    for i, a in enumerate(mats):
+    for i, a in enumerate(squares):
         if a.shape[0] != n:
             raise ShapeError(f"family[{i}] has shape {a.shape}, expected ({n}, {n})")
+    stack = hermitize(np.array(squares))
+    m = len(stack)
 
     rng = rng if rng is not None else np.random.default_rng(0)
     if n == 1:
         # Scalars are jointly diagonal. The mixture coefficients are still
         # drawn, so the caller's later draws from rng stay the same.
-        rng.standard_normal(len(mats))
-        return JointSpectrum(
-            projectors=(_ONE.copy(),),
-            labels=np.array([[a[0, 0].real for a in mats]]),
-            basis=_ONE.copy(),
-            block_dims=(1,),
-        )
+        rng.standard_normal(m)
+        return JointSpectrum(labels=stack[None, :, 0, 0].real.copy(), basis=_ONE.copy(),
+                             block_dims=(1,))
 
-    norms = [fro(a) for a in mats]
-    residuals = np.zeros((len(mats), len(mats)))
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            r = fro(mats[i] @ mats[j] - mats[j] @ mats[i])
+    norms = [fro(a) for a in stack]
+    products = stack[:, None] @ stack[None, :]
+    residuals = np.zeros((m, m))
+    for i in range(m):
+        for j in range(i + 1, m):
+            r = fro(products[i, j] - products[j, i])
             residuals[i, j] = residuals[j, i] = r
             scale = max(1.0, norms[i] * norms[j])
             if r > tol * scale:
@@ -202,10 +220,10 @@ def joint_eigenprojectors(
                     residuals=residuals,
                 )
 
-    scales = np.array([max(1.0, opnorm(a)) for a in mats])
+    scales = np.maximum(1.0, opnorm(stack))
 
-    coeffs = rng.standard_normal(len(mats))
-    mixture = sum(c * a for c, a in zip(coeffs, mats))
+    coeffs = rng.standard_normal(m)
+    mixture = sum(c * a for c, a in zip(coeffs, stack))
 
     w, basis = np.linalg.eigh(hermitize(mixture))
     mix_scale = max(1.0, float(np.max(np.abs(w))))
@@ -215,14 +233,15 @@ def joint_eigenprojectors(
     # cluster that is degenerate for the members processed so far leave
     # those members scalar, so the final basis diagonalizes everyone.
     basis = np.array(basis)
-    for a, scale_a in zip(mats, scales):
+    for a, scale_a in zip(stack, scales):
+        # One column is an eigenvector already, and eigh of a 1x1 matrix
+        # returns exactly [[1]]. Multiplying every such column by that, all
+        # at once, keeps its bits, signed zeros included, as the eigh path set them.
+        ones = [sl.start for sl in clusters if sl.stop - sl.start == 1]
+        basis[:, ones] = (basis[:, ones, None] @ _ONE)[..., 0]
         refined = []
         for sl in clusters:
             if sl.stop - sl.start == 1:
-                # One column is an eigenvector already, and eigh of a 1x1
-                # matrix returns exactly [[1]]. Multiplying by that keeps the
-                # column's bits, signed zeros included, as the eigh path set them.
-                basis[:, sl] = basis[:, sl] @ _ONE
                 refined.append(sl)
                 continue
             qk = basis[:, sl]
@@ -234,62 +253,70 @@ def joint_eigenprojectors(
                 refined.append(slice(offset + sub.start, offset + sub.stop))
         clusters = refined
 
-    labels = np.zeros((len(clusters), len(mats)))
+    # Each member's label on a cluster is the mean of the diagonal of
+    # S = q^dag a q, and S minus that times I must vanish.
+    labels = np.empty((len(clusters), m))
+    off_bound = 10 * tol * scales
     for k, sl in enumerate(clusters):
         qk = basis[:, sl]
-        for l, a in enumerate(mats):
-            s = qk.conj().T @ a @ qk
-            lam = float(np.mean(np.diag(s).real))
-            off = fro(s - lam * np.eye(sl.stop - sl.start))
-            if off > 10 * tol * scales[l]:
-                raise JointDiagonalizationError(
-                    f"family member {l} is not scalar on cluster {k}: residual {off:.3e}",
-                    member=l,
-                    cluster=k,
-                    residual=off,
-                )
-            labels[k, l] = lam
+        s = qk.conj().T @ stack @ qk
+        if sl.stop - sl.start == 1:
+            # the mean of one value is that value, and the residual |Im S| (as fro forms it)
+            lam, off = s[:, 0, 0].real, np.sqrt(s[:, 0, 0].imag ** 2)
+        else:
+            lam = np.array([np.mean(np.diag(x).real) for x in s])
+            off = np.array([fro(x - v * np.eye(len(x))) for x, v in zip(s, lam)])
+        bad = np.flatnonzero(off > off_bound)
+        if bad.size:
+            l = int(bad[0])
+            raise JointDiagonalizationError(
+                f"family member {l} is not scalar on cluster {k}: residual {off[l]:.3e}",
+                member=l,
+                cluster=k,
+                residual=float(off[l]),
+            )
+        labels[k] = lam
 
     # Merge clusters whose label tuples coincide (a mixture collision that
     # survived refinement), then order deterministically by label tuple.
+    close = np.all(np.abs(labels[:, None] - labels[None]) <= tol * scales, axis=-1).tolist()
     merged: list[list[int]] = []
     for k in range(len(clusters)):
         for group in merged:
-            if np.all(np.abs(labels[group[0]] - labels[k]) <= tol * scales):
+            if close[group[0]][k]:
                 group.append(k)
                 break
         else:
             merged.append([k])
 
-    projectors = []
-    out_labels = []
-    col_groups = []
-    for group in merged:
-        cols = np.concatenate([np.arange(clusters[k].start, clusters[k].stop) for k in group])
-        qk = basis[:, cols]
-        projectors.append(hermitize(qk @ qk.conj().T))
-        out_labels.append(np.mean(labels[group], axis=0))
-        col_groups.append(cols)
+    col_groups = [np.concatenate([np.arange(clusters[k].start, clusters[k].stop) for k in group])
+                  for group in merged]
+    out_labels = [labels[group[0]] if len(group) == 1 else np.mean(labels[group], axis=0)
+                  for group in merged]
+    keys = [row.tolist() for row in out_labels]
+    order = sorted(range(len(merged)), key=keys.__getitem__)
+    spectrum = JointSpectrum(
+        labels=np.array([out_labels[k] for k in order]),
+        # in C order: the bits of products with the basis depend on its layout
+        basis=np.ascontiguousarray(basis[:, np.concatenate([col_groups[k] for k in order])]),
+        block_dims=tuple(len(col_groups[k]) for k in order),
+    )
 
-    order = sorted(range(len(projectors)), key=lambda k: tuple(out_labels[k]))
-    projectors = [projectors[k] for k in order]
-    out_labels = np.array([out_labels[k] for k in order])
-    basis = np.concatenate([basis[:, col_groups[k]] for k in order], axis=1)
-    block_dims = tuple(len(col_groups[k]) for k in order)
-
-    for l, a in enumerate(mats):
-        rebuilt = sum(out_labels[k, l] * projectors[k] for k in range(len(projectors)))
-        err = fro(a - rebuilt)
-        if err > 100 * tol * max(1.0, fro(a)):
+    # Reconstruction: each member against Q diag(its labels) Q^dag. Its
+    # residual and the one against the projector sum sum_k labels[k, l] P_k
+    # differ by rounding, O(n eps ||a||), far below half the bound for any
+    # tol well above eps. So a member within half the bound here is within
+    # it there too; any other member is decided by the projector sum.
+    basis, out_labels = spectrum.basis, spectrum.labels
+    per_column = np.repeat(out_labels, spectrum.block_dims, axis=0).T  # (m, n)
+    rebuilt = hermitize((basis * per_column[:, None, :]) @ basis.conj().T)
+    bound = 100 * tol * np.maximum(1.0, norms)
+    for l in np.flatnonzero(np.linalg.norm(stack - rebuilt, axis=(1, 2)) > bound / 2).tolist():
+        err = fro(stack[l] - sum(out_labels[k, l] * p for k, p in enumerate(spectrum.projectors)))
+        if err > bound[l]:
             raise JointDiagonalizationError(
                 f"reconstruction of member {l} failed: residual {err:.3e}",
                 member=l,
                 residual=err,
             )
-
-    return JointSpectrum(
-        projectors=tuple(projectors),
-        labels=out_labels,
-        basis=basis,
-        block_dims=block_dims,
-    )
+    return spectrum

@@ -47,6 +47,20 @@ class MissingAlignmentError(QcrbSatError):
     pass
 
 
+class _Elements:
+    """The ``elements`` field of :class:`POVM`: a basis measurement makes them on first read."""
+
+    def __get__(self, povm, owner=None):
+        if povm is None:
+            return None  # the field's default
+        if povm._elements is None and povm.basis is not None:
+            povm._elements = elements_from_basis(povm.basis, povm.ranks)
+        return povm._elements
+
+    def __set__(self, povm, value):
+        povm._elements = value
+
+
 @dataclass
 class POVM:
     """A finite measurement: PSD elements summing to the identity.
@@ -54,14 +68,15 @@ class POVM:
     A projective measurement built from one basis also keeps that ``basis``
     (an ``n x n`` matrix, unitary when the measurement is valid) and the
     widths ``ranks`` of the column blocks its elements project onto, and is
-    given by those alone: its ``elements`` are made here as the blocks'
-    projectors (see :func:`elements_from_basis`). Validation,
+    given by those alone: its ``elements``, the blocks' projectors (see
+    :func:`elements_from_basis`), are made on first read. Validation,
     classification, the certificate and the outcome distribution of such a
-    measurement read the basis; reports write it instead of the elements.
+    measurement read the basis, and reports write it instead of the
+    elements, so none of them makes the elements.
     A measurement without a basis is read element by element.
     """
 
-    elements: Optional[list] = None
+    elements: Optional[list] = _Elements()
     outcome_labels: Optional[np.ndarray] = None
     classification: Optional[list] = None  # per element: "regular" | "null"
     projective: Optional[bool] = None
@@ -71,7 +86,7 @@ class POVM:
 
     def __post_init__(self):
         if self.basis is not None:
-            if self.elements is not None:
+            if self._elements is not None:
                 raise InvalidPOVMError("a measurement is given by its elements or by a basis, not both")
             self.basis = np.asarray(self.basis, dtype=complex)
             self.ranks = tuple(int(r) for r in self.ranks)
@@ -81,28 +96,28 @@ class POVM:
                     f"a basis of shape {self.basis.shape} with blocks {self.ranks} "
                     "does not describe a measurement"
                 )
-            self.elements = elements_from_basis(self.basis, self.ranks)
-        self.elements = [np.asarray(e, dtype=complex) for e in self.elements or ()]
-        if not self.elements:
-            raise InvalidPOVMError("a measurement needs at least one element")
-        n = self.elements[0].shape[0]
-        for k, e in enumerate(self.elements):
-            if e.shape != (n, n):
-                raise InvalidPOVMError(
-                    f"element {k} has shape {e.shape}, expected ({n}, {n})", element=k
-                )
+        else:
+            self.elements = [np.asarray(e, dtype=complex) for e in self.elements or ()]
+            if not self.elements:
+                raise InvalidPOVMError("a measurement needs at least one element")
+            n = self.elements[0].shape[0]
+            for k, e in enumerate(self.elements):
+                if e.shape != (n, n):
+                    raise InvalidPOVMError(
+                        f"element {k} has shape {e.shape}, expected ({n}, {n})", element=k
+                    )
         if self.outcome_labels is None:
-            self.outcome_labels = np.arange(len(self.elements), dtype=float)
+            self.outcome_labels = np.arange(self.n_outcomes, dtype=float)
         else:
             self.outcome_labels = np.asarray(self.outcome_labels, dtype=float)
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.elements)
+        return len(self.ranks) if self.basis is not None else len(self.elements)
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return len(self.basis) if self.basis is not None else self.elements[0].shape[0]
 
 
 def validate(povm: POVM, tol: float = 1e-10) -> dict:

@@ -6,6 +6,7 @@ replaced, so that expected values stay independent of the code paths they
 check.
 """
 
+from dataclasses import dataclass
 from itertools import chain, repeat
 
 import numpy as np
@@ -287,10 +288,22 @@ def max_likelihood_estimate_loop(prob_fn, counts, theta0, radius=0.05):
 
 
 # ---------------------------------------------------------------------------
-# Joint diagonalization as it was before the small-family shortcuts: every
-# cluster, one column or more, is refined with its own `eigh`, and 1x1
-# families go through the mixture like any other.
+# Joint diagonalization as it was before the small-family shortcuts and the
+# stacked passes: every cluster, one column or more, is refined with its own
+# `eigh`, 1x1 families go through the mixture like any other, each member is
+# checked and labelled on its own, and the projectors are made eagerly and
+# rebuild each member.
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LoopSpectrum:
+    """What the loop returns: its projectors are made eagerly, here."""
+
+    projectors: tuple
+    labels: np.ndarray
+    basis: np.ndarray
+    block_dims: tuple
 
 
 def joint_eigenprojectors_loop(family, tol=1e-8, *, rng=None):
@@ -389,7 +402,7 @@ def joint_eigenprojectors_loop(family, tol=1e-8, *, rng=None):
                 residual=err,
             )
 
-    return nk.JointSpectrum(
+    return LoopSpectrum(
         projectors=tuple(projectors), labels=out_labels, basis=basis, block_dims=block_dims
     )
 

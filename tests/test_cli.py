@@ -391,6 +391,16 @@ class TestInputFiles:
         assert rep["error"]["type"] == "QcrbSatError"
         assert "at least 2 batches" in rep["error"]["message"]
 
+    def test_estimator_needs_a_trial_per_batch(self, capsys, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(fi, "sample_outcomes", lambda *a: drawn.append(a))
+        code, rep = run(capsys, "simulate", *QUTRIT, "--trials", "10", "--batches", "20",
+                        "--estimator")
+        assert code == 1
+        assert rep["error"]["type"] == "QcrbSatError"
+        assert rep["error"]["detail"] == {"trials": 10, "batches": 20}
+        assert drawn == []
+
 
 class TestOptions:
     def test_cond_tol_zero_is_used(self, capsys, tmp_path):

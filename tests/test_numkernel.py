@@ -162,13 +162,24 @@ class TestJointEigenprojectors:
     def test_one_spectral_norm_per_member(self, monkeypatch):
         calls = []
         opnorm = nk.opnorm
-        monkeypatch.setattr(nk, "opnorm", lambda a: calls.append(1) or opnorm(a))
+
+        def record(a):
+            calls.append((np.array(a), opnorm(a)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(nk, "opnorm", record)
         rng = np.random.default_rng(3)
         q = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))[0]
-        lab = np.array([[1.0, 1.0, 2.0, 2.0, 3.0], [0.5, 0.5, 0.5, 1.5, 1.5]])
-        spec = nk.joint_eigenprojectors([q @ np.diag(l) @ q.conj().T for l in lab])
+        lab = np.array([[1.0, 1.0, 2.0, 2.0, 3.0], [0.5, 0.5, 0.5, 1.5, 1.5], [0.0] * 5])
+        family = [q @ np.diag(l) @ q.conj().T for l in lab]
+        spec = nk.joint_eigenprojectors(family)
+        monkeypatch.undo()
         assert spec.chi == 4
-        assert len(calls) == 2
+        [(stack, norms)] = calls  # one stacked call for the whole family
+        assert stack.shape == (3, 5, 5)
+        for a, member, norm in zip(family, stack, norms):
+            assert _bits(member) == _bits(nk.hermitize(a))
+            assert _bits(norm) == _bits(np.float64(nk.opnorm(member)))
 
 
 class TestFro:
@@ -270,6 +281,7 @@ class TestJointEigenprojectorsMatchLoop:
         ("qutrit-phase-mixture", dict(d=0.6, c1=1.0, c2=0.7), [0.8, 0.1], 1),
         ("random-rank-r", dict(seed=3, n_s=8, r_plus=4, n_params=3), [0.0] * 3, 4),
         ("random-rank-r", dict(seed=3, n_s=32, r_plus=16, n_params=3), [0.0] * 3, 16),
+        ("random-rank-r", dict(seed=3, n_s=64, r_plus=32, n_params=4), [0.0] * 4, 32),
     ])
     def test_w_search_and_plus_plus_families(self, monkeypatch, name, params, theta, n_w):
         calls = []
@@ -303,6 +315,29 @@ class TestJointEigenprojectorsMatchLoop:
             nk.joint_eigenprojectors(chain, 1e-3)
         assert exc.value.detail["cluster"] == 0
 
+    def test_same_scalar_refusal_on_a_later_member_and_cluster(self):
+        # member 1 spreads on the second block only, in steps below tol
+        steps = 0.9e-3 * np.arange(20)
+        family = [np.diag(np.repeat([0.0, 5.0], 20)), np.diag(np.concatenate([0 * steps, steps]))]
+        _same_error(nk.JointDiagonalizationError, family, tol=1e-3)
+        with pytest.raises(nk.JointDiagonalizationError) as exc:
+            nk.joint_eigenprojectors(family, 1e-3)
+        assert (exc.value.detail["member"], exc.value.detail["cluster"]) == (1, 1)
+
+    def test_same_reconstruction_refusal(self):
+        # I + 1e-5 (I x Z) passes the commutator check against 5e-5 (D x X)
+        # under the max(1, .) floor, yet the mixture's eigenbasis is mostly the
+        # second member's, so the first is scalar on each one-column cluster
+        # but its labels do not rebuild it. Its residual against the projector
+        # sum differs in the last bits from the one against Q diag(labels) Q^dag.
+        u = nk.haar_unitary(6, np.random.default_rng(0))
+        family = [u @ (np.eye(6) + 1e-5 * np.kron(np.eye(3), Z)) @ u.conj().T,
+                  5e-5 * u @ np.kron(np.diag([1.0, 2.0, 3.0]), X) @ u.conj().T]
+        _same_error(nk.JointDiagonalizationError, family)
+        with pytest.raises(nk.JointDiagonalizationError, match="reconstruction") as exc:
+            nk.joint_eigenprojectors(family)
+        assert exc.value.detail["member"] == 0
+
     @pytest.mark.parametrize("family", [
         [np.array([[np.nan]])],
         [np.array([[1.0]]), np.eye(2)],
@@ -311,3 +346,40 @@ class TestJointEigenprojectorsMatchLoop:
     ])
     def test_one_by_one_still_checks_its_input(self, family):
         _same_error(nk.ShapeError, family)
+
+
+@st.composite
+def commuting_families(draw):
+    """Commuting Hermitian families shaped like the ones the certifier diagonalizes.
+
+    Members share a Haar-random eigenbasis and are constant on planted blocks
+    of 1-3 columns, with labels from a short list so that blocks coincide and
+    clusters merge. As in the W search's pinv family, a member may be the
+    identity or zero up to rounding-size Hermitian noise.
+    """
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=6)
+                 .filter(lambda s: sum(s) <= 12))
+    n = sum(sizes)
+    kinds = draw(st.lists(st.sampled_from(["labels", "labels", "identity", "zero"]),
+                          min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = nk.haar_unitary(n, rng)
+    family = []
+    for kind in kinds:
+        noise = 1e-15 * nk.hermitize(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        if kind == "labels":
+            values = draw(st.lists(st.sampled_from([-1.5, -0.5, 0.0, 0.5, 1.0, 2.0]),
+                                   min_size=len(sizes), max_size=len(sizes)))
+            family.append(q @ np.diag(np.repeat(values, sizes)) @ q.conj().T)
+        else:
+            family.append((np.eye(n) if kind == "identity" else 0.0) + noise)
+    return family
+
+
+class TestJointEigenprojectorsProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(family=commuting_families(), tol=st.sampled_from([1e-8, 1e-10]),
+           seed=st.integers(0, 2**16))
+    def test_matches_loop(self, family, tol, seed):
+        spec = _assert_matches_loop(family, tol, np.random.default_rng(seed))
+        assert sum(spec.block_dims) == len(family[0])

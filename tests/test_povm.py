@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qcrbsat as qs
+from qcrbsat import cli
 from qcrbsat import fisher as fi
 from qcrbsat import numkernel as nk
 from qcrbsat import povm as pv
@@ -199,6 +200,49 @@ class TestConstructOptimal:
         slds = qs.compute_sld(dec, sp.drho)
         with pytest.raises(nk.NotCommutingError):
             pv.construct_optimal(dec, slds, W=np.eye(2))
+
+
+class TestElementsOnDemand:
+    """A basis measurement makes its dense elements on first read, and only then."""
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        builds = []
+        build = pv.elements_from_basis
+        monkeypatch.setattr(pv, "elements_from_basis",
+                            lambda basis, ranks: builds.append(1) or build(basis, ranks))
+        return builds
+
+    def test_fisher_never_builds_them(self, monkeypatch, capsys):
+        builds = self._count_builds(monkeypatch)
+        code = cli.main(["fisher", "--model", "random-rank-r",
+                         "--params", "seed=3,n_s=32,r_plus=16,n_params=3", "--theta", "0,0,0"])
+        rep = json.loads(capsys.readouterr().out)
+        assert code == 0 and rep["verdict"] == "SATURABLE_CERTIFIED"
+        assert rep["saturation_certificate"]["passed"] and rep["fisher"]["saturated"]
+        assert len(rep["povm"]["ranks"]) == 32
+        assert builds == []
+
+    def test_first_read_builds_them_once(self, monkeypatch, qutrit_point, qutrit_dec,
+                                         qutrit_slds):
+        povm = optimal_for(qutrit_point, qutrit_dec, qutrit_slds)
+        builds = self._count_builds(monkeypatch)
+        assert (povm.dim, povm.n_outcomes) == (3, 3)
+        assert builds == []
+        first = povm.elements
+        assert builds == [1] and povm.elements is first
+        expected = pv.elements_from_basis(povm.basis, povm.ranks)
+        assert [(e.dtype, e.shape, e.tobytes()) for e in first] == \
+            [(e.dtype, e.shape, e.tobytes()) for e in expected]
+
+    def test_basis_file_reads_without_them(self, monkeypatch, qutrit_point, qutrit_dec,
+                                           qutrit_slds):
+        data = pv.povm_to_json(optimal_for(qutrit_point, qutrit_dec, qutrit_slds))
+        builds = self._count_builds(monkeypatch)
+        povm = pv.povm_from_json(json.loads(json.dumps(data)))
+        assert pv.require_valid(povm)["valid"] and povm.dim == 3
+        assert "elements" not in pv.povm_to_json(povm)
+        assert builds == []
 
 
 class TestStructuralCertificate:
