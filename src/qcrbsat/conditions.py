@@ -13,17 +13,19 @@ quantum Cramér-Rao bound hinges on the structure of the SLD blocks:
   a first-order PDE system tied to a smooth support-basis map
   ("condition 2'", verified here for supplied or canonical witnesses only).
 
-Every check reports a scale-normalized residual next to its tolerance. The
-verdict (see :func:`verdict`) reads conditions 1, 3 and 4 only; full,
-average and partial (support-projected) commutativity of the SLDs are
-reported diagnostics. The searches (for ``W``, for canonical witnesses) are
-heuristic; only the verifier's residuals certify anything, so a failed
-search degrades to UNKNOWN rather than a refutation.
+Every check reports a scale-normalized residual next to its tolerance; the
+pairwise checks read pair (l, m) relative to ``s_l s_m`` of
+:attr:`~qcrbsat.sld.SLDSet.scales`. The verdict (see :func:`verdict`) reads
+conditions 1, 3 and 4 only; full, average and partial (support-projected)
+commutativity of the SLDs are reported diagnostics. The searches (for
+``W``, for canonical witnesses) are heuristic; only the verifier's residuals
+certify anything, so a failed search degrades to UNKNOWN, and condition 4
+is refuted only through a failed condition 3.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -32,7 +34,7 @@ from . import numkernel as nk
 from .errors import QcrbSatError, require_tolerance
 from .jsonio import ComplexMatrix
 from .model import StateAtPoint, StateModel, SupportDecomposition, decomposition_from_basis
-from .sld import SLDSet, pairs, plus_null_blocks, plus_null_products
+from .sld import SLDSet, pairs, plus_null_blocks
 
 VERDICT_SATURABLE = "SATURABLE_CERTIFIED"
 VERDICT_NOT = "NOT_SATURABLE"
@@ -68,37 +70,32 @@ class CommCheck:
         }
 
 
-def _pair_scales(mats) -> list:
-    """``max(1, ||A_l|| ||A_m||)`` for every pair l < m of a family of matrices."""
-    norms = [nk.fro(a) for a in mats]
-    return [max(1.0, norms[l] * norms[m]) for l, m in pairs(len(norms))]
+def _pair_check(slds: SLDSet, residuals, tol: float, values=None) -> CommCheck:
+    """The worst pair of ``residuals[l, m] / (s_l s_m)``, with ``s`` = :attr:`SLDSet.scales`.
 
-
-def _worst_pair(p: int, residuals, scales) -> tuple:
-    """The pair with the largest ``residual / scale``, as (that ratio, (l, m), scale).
-
-    ``residuals`` and ``scales`` follow :func:`~qcrbsat.sld.pairs`. Ties keep
-    the first pair; with no positive ratio the result is ``(0.0, None, 1.0)``.
+    ``residuals`` follow :func:`~qcrbsat.sld.pairs`. A pair with
+    ``s_l s_m = 0`` has vanishing support rows and reads 0. Ties keep the
+    first pair; with no positive ratio the worst pair is None and the
+    scale 1.0.
     """
+    s = slds.scales
     worst, worst_pair, worst_scale = 0.0, None, 1.0
-    for pair, r, s in zip(pairs(p), residuals, scales):
-        if r / s > worst:
-            worst, worst_pair, worst_scale = r / s, pair, s
-    return worst, worst_pair, worst_scale
+    for (l, m), r in zip(pairs(slds.n_params), residuals):
+        scale = float(s[l] * s[m])
+        if scale and r / scale > worst:
+            worst, worst_pair, worst_scale = r / scale, (l, m), scale
+    return CommCheck(residual=worst, scale=worst_scale, tol=tol, passed=worst <= tol,
+                     worst_pair=worst_pair, values=values)
 
 
-def _imbalance(products, mats) -> tuple:
-    """Worst ``||products[l, m] - products[m, l]||`` over pairs l < m, as :func:`_worst_pair`."""
-    p = len(mats)
-    residuals = [nk.fro(products[l, m] - products[m, l]) for l, m in pairs(p)]
-    return _worst_pair(p, residuals, _pair_scales(mats))
+def _imbalance(products) -> list:
+    """``||products[l, m] - products[m, l]||`` for every pair l < m."""
+    return [nk.fro(products[l, m] - products[m, l]) for l, m in pairs(len(products))]
 
 
 def check_full_commutativity(slds: SLDSet, tol: float = 1e-8) -> CommCheck:
     """Pairwise commutators of the full-space SLDs (00 blocks set to zero)."""
-    residuals = [nk.fro(c) for c in slds.commutators]
-    worst, pair, scale = _worst_pair(slds.n_params, residuals, _pair_scales(slds.full))
-    return CommCheck(residual=worst, scale=scale, tol=tol, passed=worst <= tol, worst_pair=pair)
+    return _pair_check(slds, [nk.fro(c) for c in slds.commutators], tol)
 
 
 def check_average_commutativity(rho: np.ndarray, slds: SLDSet, tol: float = 1e-8) -> CommCheck:
@@ -108,22 +105,17 @@ def check_average_commutativity(rho: np.ndarray, slds: SLDSet, tol: float = 1e-8
     vals = np.zeros((p, p))
     for (l, m), v in zip(pairs(p), traces):
         vals[l, m] = vals[m, l] = v
-    worst, pair, _ = _worst_pair(p, traces, _pair_scales(slds.full))
-    return CommCheck(
-        residual=worst, scale=1.0, tol=tol, passed=worst <= tol, worst_pair=pair, values=vals
-    )
+    return _pair_check(slds, traces, tol, vals)
 
 
 def check_condition1(slds: SLDSet, tol: float = 1e-8) -> CommCheck:
     """Commutators of the ++ blocks, ``A_lm - A_ml`` of the pair products."""
-    worst, pair, _ = _imbalance(slds.pair_products[0], slds.Lpp)
-    return CommCheck(residual=worst, scale=1.0, tol=tol, passed=worst <= tol, worst_pair=pair)
+    return _pair_check(slds, _imbalance(slds.pair_products[0]), tol)
 
 
 def check_condition3(slds: SLDSet, tol: float = 1e-8) -> CommCheck:
     """Anti-Hermitian part of the +0 cross products, ``B_lm - B_ml``."""
-    worst, pair, _ = _imbalance(slds.pair_products[1], slds.Lpz)
-    return CommCheck(residual=worst, scale=1.0, tol=tol, passed=worst <= tol, worst_pair=pair)
+    return _pair_check(slds, _imbalance(slds.pair_products[1]), tol)
 
 
 def check_partial_commutativity(
@@ -136,8 +128,7 @@ def check_partial_commutativity(
     """
     a, b = slds.pair_products
     residuals = [nk.fro(a[l, m] - a[m, l] + b[l, m] - b[m, l]) for l, m in pairs(slds.n_params)]
-    worst, pair, _ = _worst_pair(slds.n_params, residuals, _pair_scales(slds.full))
-    return CommCheck(residual=worst, scale=1.0, tol=tol, passed=worst <= tol, worst_pair=pair)
+    return _pair_check(slds, residuals, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +287,7 @@ def _candidate_w_totally_real(lpz, tol, rng) -> Optional[np.ndarray]:
         for e in basis:
             w = w - np.vdot(e, w).real * e
         nrm = np.linalg.norm(w)
-        if nrm > tol * max(1.0, np.linalg.norm(v)):
+        if nrm > tol * np.linalg.norm(v):
             basis.append(w / nrm)
     k = len(basis)
     if k == 0:
@@ -331,8 +322,9 @@ def find_w_condition4(
     """Decide the column-alignment condition on the +0 blocks.
 
     CERTIFIED_YES comes with a unitary ``W`` and the fitted real ratios,
-    verified directly; CERTIFIED_NO is returned only when the necessary
-    condition 3 fails (a sound refutation); everything else is UNKNOWN.
+    verified directly; everything else is UNKNOWN. The refutation
+    (CERTIFIED_NO) is condition 3's: :class:`ConditionReport` reads it off
+    a failed condition 3.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     lpz = [np.asarray(L, dtype=complex) for L in lpz]
@@ -353,7 +345,7 @@ def find_w_condition4(
         )
 
     candidates = []
-    if max(nk.fro(L) for L in lpz) <= tol * max(1.0, scale_floor):
+    if max(nk.fro(L) for L in lpz) <= tol * scale_floor:
         candidates.append(np.eye(r0, dtype=complex))
     else:
         c = _candidate_w_pinv(lpz, tol, rng)
@@ -382,21 +374,6 @@ def find_w_condition4(
                 notes=notes,
             )
 
-    cond3_res = _imbalance(plus_null_products(np.array(lpz)), lpz)[0]
-    if cond3_res > tol:
-        notes.append(
-            f"refuted through the necessary cross-product condition "
-            f"(residual {cond3_res:.3e} > {tol:.1e})"
-        )
-        return Cond4Result(
-            status=COND4_NO,
-            W=None,
-            lambdas=None,
-            column_status=None,
-            residual=cond3_res,
-            tol=tol,
-            notes=notes,
-        )
     notes.append("search exhausted without a verified W; existence undecided")
     return Cond4Result(
         status=COND4_UNKNOWN,
@@ -647,6 +624,17 @@ class ConditionReport:
     verdict: str = ""
     reasoning: list = field(default_factory=list)
     tol: float = 1e-8
+
+    def __post_init__(self):
+        # Condition 3 is necessary for condition 4, so its failure refutes an undecided search.
+        if self.cond4.status == COND4_UNKNOWN and not self.cond3.passed:
+            self.cond4 = replace(
+                self.cond4,
+                status=COND4_NO,
+                residual=self.cond3.residual,
+                notes=["refuted through the necessary cross-product condition "
+                       f"(residual {self.cond3.residual:.3e} > {self.cond3.tol:.1e})"],
+            )
 
     def to_dict(self) -> dict:
         return {

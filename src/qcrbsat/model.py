@@ -209,8 +209,8 @@ def finite_difference_derivative(
     model: StateModel, theta: np.ndarray, l: int, h: float = DEFAULT_FD_STEP
 ) -> np.ndarray:
     """Central difference (rho(theta + h e_l) - rho(theta - h e_l)) / 2h."""
-    if h <= 0:
-        raise DomainError(f"step must be positive, got {h}")
+    if not (np.isfinite(h) and h > 0):
+        raise DomainError(f"finite-difference step must be a finite positive number, got {h}")
     theta = np.asarray(theta, dtype=float)
     if not model.domain.contains(theta, margin=h):
         raise DomainError(

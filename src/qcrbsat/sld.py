@@ -13,8 +13,9 @@ An :class:`SLDSet` holds the p SLDs stacked: each block and the full-space
 observables are one complex ``(p, ., .)`` array, and every parameter is
 solved in one pass. Computed once on first use, it carries the pair products
 ``A[j, k] = Lpp_j Lpp_k`` and ``B[j, k] = Lpz_j Lpz_k^dag`` that the QFIM,
-conditions 1 and 3 and partial commutativity read, and the full-space
-commutators that the full and average commutativity checks read.
+conditions 1 and 3 and partial commutativity read, the full-space
+commutators that the full and average commutativity checks read, and the
+per-parameter scales that every pairwise check divides by.
 """
 
 from __future__ import annotations
@@ -84,11 +85,6 @@ def plus_null_blocks(dec: SupportDecomposition, drho) -> np.ndarray:
     return 2.0 * (dec.V.conj().T @ np.asarray(drho, dtype=complex) @ dec.Y) / dec.q[:, None]
 
 
-def plus_null_products(lpz: np.ndarray) -> np.ndarray:
-    """``Lpz_j Lpz_k^dag`` for every pair (j, k) of a +0 block stack, as ``(p, p, r+, r+)``."""
-    return lpz[:, None] @ lpz.conj().swapaxes(-1, -2)[None, :]
-
-
 @dataclass(frozen=True)
 class SLDSet:
     """SLD observables for every parameter, in blocks and in full space.
@@ -124,7 +120,17 @@ class SLDSet:
     @cached_property
     def pair_products(self) -> tuple:
         """``(A, B)`` with ``A[j, k] = Lpp_j Lpp_k`` and ``B[j, k] = Lpz_j Lpz_k^dag``."""
-        return self.Lpp[:, None] @ self.Lpp[None, :], plus_null_products(self.Lpz)
+        lpp, lpz = self.Lpp, self.Lpz
+        return lpp[:, None] @ lpp[None, :], lpz[:, None] @ lpz.conj().swapaxes(-1, -2)[None, :]
+
+    @cached_property
+    def scales(self) -> np.ndarray:
+        """``s_l = (||Lpp_l||^2 + ||Lpz_l||^2)^(1/2)``, the norm of each SLD's support rows.
+
+        Neither the free 00 block nor a change of support or null basis moves
+        it, and it vanishes only where ``d_l rho = 0``.
+        """
+        return np.linalg.norm(np.concatenate([self.Lpp, self.Lpz], axis=-1), axis=(-2, -1))
 
     def with_lzz(self, lzz_list, dec: SupportDecomposition) -> "SLDSet":
         """Copy with replaced 00 blocks (they are free by construction)."""

@@ -137,8 +137,9 @@ def cond4_grid_oracle(lpz, step=0.01, zero_frac=1e-6):
 
 # ---------------------------------------------------------------------------
 # Per-pair loop versions of the commutativity-type checks and of the QFIM,
-# each computing its own products from the SLD matrices. The checks return
-# (residual, worst_pair, scale) as the library's CommCheck reports them.
+# each computing its own products from the SLD matrices. The checks divide
+# pair (l, m) by scales[l] * scales[m] and return (residual, worst_pair,
+# scale) as the library's CommCheck reports them.
 # ---------------------------------------------------------------------------
 
 
@@ -150,34 +151,39 @@ def _loop_pairs(p):
     return [(l, m) for l in range(p) for m in range(l + 1, p)]
 
 
-def full_commutativity_loop(full):
+def support_norms_loop(lpp, lpz):
+    """(||Lpp_l||^2 + ||Lpz_l||^2)^(1/2) per parameter."""
+    return np.array([np.sqrt(_fro(a) ** 2 + _fro(b) ** 2) for a, b in zip(lpp, lpz)])
+
+
+def full_commutativity_loop(full, scales):
     worst, worst_pair, scale = 0.0, None, 1.0
     for l, m in _loop_pairs(len(full)):
-        s = max(1.0, _fro(full[l]) * _fro(full[m]))
+        s = scales[l] * scales[m]
         r = _fro(full[l] @ full[m] - full[m] @ full[l]) / s
         if r > worst:
             worst, worst_pair, scale = r, (l, m), s
     return worst, worst_pair, scale
 
 
-def average_commutativity_loop(rho, full):
+def average_commutativity_loop(rho, full, scales):
     """Also returns the (p, p) matrix of |tr(rho [L_l, L_m])|."""
     p = len(full)
     vals = np.zeros((p, p))
-    worst, worst_pair = 0.0, None
+    worst, worst_pair, scale = 0.0, None, 1.0
     for l, m in _loop_pairs(p):
         comm = full[l] @ full[m] - full[m] @ full[l]
         v = abs(complex(np.trace(rho @ comm)))
         vals[l, m] = vals[m, l] = v
-        s = max(1.0, _fro(full[l]) * _fro(full[m]))
+        s = scales[l] * scales[m]
         if v / s > worst:
-            worst, worst_pair = v / s, (l, m)
-    return worst, worst_pair, 1.0, vals
+            worst, worst_pair, scale = v / s, (l, m), s
+    return worst, worst_pair, scale, vals
 
 
-def partial_commutativity_loop(p_plus, lpp, lpz, full):
+def partial_commutativity_loop(p_plus, lpp, lpz, full, scales):
     """Block form, with the largest gap to the direct projection P+ [L_l, L_m] P+."""
-    worst, worst_pair, crosscheck = 0.0, None, 0.0
+    worst, worst_pair, scale, crosscheck = 0.0, None, 1.0, 0.0
     for l, m in _loop_pairs(len(full)):
         block = (
             lpp[l] @ lpp[m]
@@ -185,35 +191,35 @@ def partial_commutativity_loop(p_plus, lpp, lpz, full):
             + lpz[l] @ lpz[m].conj().T
             - lpz[m] @ lpz[l].conj().T
         )
-        s = max(1.0, _fro(full[l]) * _fro(full[m]))
+        s = scales[l] * scales[m]
         r = _fro(block) / s
         comm = full[l] @ full[m] - full[m] @ full[l]
         crosscheck = max(crosscheck, abs(_fro(p_plus @ comm @ p_plus) / s - r))
         if r > worst:
-            worst, worst_pair = r, (l, m)
-    return worst, worst_pair, 1.0, crosscheck
+            worst, worst_pair, scale = r, (l, m), s
+    return worst, worst_pair, scale, crosscheck
 
 
-def condition1_loop(lpp):
-    worst, worst_pair = 0.0, None
+def condition1_loop(lpp, scales):
+    worst, worst_pair, scale = 0.0, None, 1.0
     for l, m in _loop_pairs(len(lpp)):
-        s = max(1.0, _fro(lpp[l]) * _fro(lpp[m]))
+        s = scales[l] * scales[m]
         r = _fro(lpp[l] @ lpp[m] - lpp[m] @ lpp[l]) / s
         if r > worst:
-            worst, worst_pair = r, (l, m)
-    return worst, worst_pair, 1.0
+            worst, worst_pair, scale = r, (l, m), s
+    return worst, worst_pair, scale
 
 
-def condition3_loop(lpz):
-    worst, worst_pair = 0.0, None
+def condition3_loop(lpz, scales):
+    worst, worst_pair, scale = 0.0, None, 1.0
     for l, m in _loop_pairs(len(lpz)):
         a = lpz[l] @ lpz[m].conj().T
         b = lpz[m] @ lpz[l].conj().T
-        s = max(1.0, _fro(lpz[l]) * _fro(lpz[m]))
+        s = scales[l] * scales[m]
         r = _fro(a - b) / s
         if r > worst:
-            worst, worst_pair = r, (l, m)
-    return worst, worst_pair, 1.0
+            worst, worst_pair, scale = r, (l, m), s
+    return worst, worst_pair, scale
 
 
 def qfim_loop(q, lpp, lpz):

@@ -254,6 +254,15 @@ class TestUsageErrors:
         assert rep["error"]["type"] == "QcrbSatError"
         assert "malformed grid axis" in rep["error"]["message"]
 
+    @pytest.mark.parametrize("step", ["nan", "inf", "0", "-1"])
+    def test_bad_fd_step_blames_the_step(self, capsys, step):
+        code, rep = run(capsys, "analyze", "--model", "paper-qutrit", "--theta", "0.3,0.5",
+                        "--scheme", "central_fd", f"--fd-step={step}")
+        assert code == 1
+        assert rep["error"]["type"] == "DomainError"
+        assert rep["error"]["message"].startswith("finite-difference step must be")
+        assert "theta" not in rep["error"]["message"]
+
     @pytest.mark.parametrize("model, params, theta, name", [
         ("random-rank-r", "seed=abc", "0,0", "seed"),
         ("paper-qutrit", "c1=x", "0.3,0.5", "c1"),
