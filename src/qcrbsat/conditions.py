@@ -20,7 +20,10 @@ conditions 1, 3 and 4 only; full, average and partial (support-projected)
 commutativity of the SLDs are reported diagnostics. The searches (for
 ``W``, for canonical witnesses) are heuristic; only the verifier's residuals
 certify anything, so a failed search degrades to UNKNOWN, and condition 4
-is refuted only through a failed condition 3.
+is refuted only through a failed condition 3. The W search tries two
+constructions on the stacked ``(p, r+, r0)`` +0 blocks, a pseudo-inverse
+one and, for r+ = 1, a real-rows one, and then the identity; every
+candidate, unitarity included, goes through :func:`verify_condition4_with_w`.
 """
 
 from __future__ import annotations
@@ -165,151 +168,94 @@ def verify_condition4_with_w(
 ):
     """Check the column-proportionality condition for a candidate W.
 
-    Returns ``(ok, lambdas, column_status, worst_residual)``. Per column the
-    rotated blocks must either vanish simultaneously (below ``tol`` times
-    the overall scale) or be real scalar multiples of one another; a column
-    that vanishes for some parameters but not others fails. ``scale_floor``
-    lets callers anchor the scale to the full SLD norms so that +0 blocks
-    consisting of pure roundoff count as vanished.
+    Returns ``(ok, lambdas, column_status, worst_residual)``. ``W`` must be
+    unitary, ``||W^dag W - I|| <= 1e-8``; otherwise ``ok`` is False and the
+    residual is at least that defect. Per column the rotated blocks must
+    either vanish simultaneously (below ``tol`` times the overall scale) or
+    be real multiples of the block with the largest column norm; a column
+    that vanishes for some parameters but not others is mixed, fails, and
+    reads its largest norm as residual. ``scale_floor`` lets callers anchor
+    the scale to the full SLD norms so that +0 blocks consisting of pure
+    roundoff count as vanished. Every column of every block is checked at
+    once, on the stack ``lpz @ W``.
     """
-    p = len(lpz)
-    r0 = lpz[0].shape[1]
+    lpz = np.asarray(lpz, dtype=complex)
+    p, r0 = len(lpz), lpz.shape[-1]
     w = np.asarray(w, dtype=complex)
     if w.shape != (r0, r0):
         raise nk.ShapeError(f"W has shape {w.shape}, expected ({r0}, {r0})")
-    rotated = [np.asarray(L, dtype=complex) @ w for L in lpz]
+    cols = lpz @ w  # column s of block l is cols[l, :, s]
+    norms = np.linalg.norm(cols, axis=1)  # (p, r0)
+    top = float(norms.max(initial=0.0))
+    # all-zero blocks read every column vacuous against any positive scale
+    scale = max(top, float(scale_floor)) or 1.0
 
-    norms = np.array([[np.linalg.norm(rotated[l][:, s]) for s in range(r0)] for l in range(p)])
-    scale = max(float(norms.max(initial=0.0)), float(scale_floor))
-    if scale == 0.0 or float(norms.max(initial=0.0)) <= tol * scale:
-        lam = np.full((p, p, r0), np.nan)
-        return True, lam, ["vacuous"] * r0, 0.0
-
-    zero_cut = tol * scale
-    lam = np.full((p, p, r0), np.nan)
-    column_status = []
-    worst = 0.0
-    ok = True
-    for s in range(r0):
-        live = [l for l in range(p) if norms[l, s] > zero_cut]
-        if not live:
-            column_status.append("vacuous")
-            continue
-        if len(live) < p:
-            # mixed zero / nonzero column: no real constant can relate them
-            column_status.append("mixed")
-            worst = max(worst, float(norms[:, s].max()) / scale)
-            ok = False
-            continue
-        ref = int(np.argmax(norms[:, s]))
-        ref_col = rotated[ref][:, s]
-        ratios = np.zeros(p)
-        for l in range(p):
-            col = rotated[l][:, s]
-            ratios[l] = float(np.vdot(ref_col, col).real) / float(np.vdot(ref_col, ref_col).real)
-            res = float(np.linalg.norm(col - ratios[l] * ref_col)) / scale
-            worst = max(worst, res)
-            if res > tol:
-                ok = False
-        for l in range(p):
-            for m in range(p):
-                lam[l, m, s] = ratios[l] / ratios[m] if ratios[m] != 0 else np.nan
-        column_status.append("proportional")
-    return ok, lam, column_status, worst
+    live = norms > tol * scale
+    proportional = live.all(axis=0)
+    mixed = live.any(axis=0) & ~proportional
+    ref_index, column = norms.argmax(axis=0), np.arange(r0)
+    ref = cols[ref_index, :, column].T  # (r+, r0): column s of its block with the largest norm
+    inner = (ref.conj() * cols).sum(axis=1).real  # Re <ref_s, column s of block l>
+    # ratios vanish off the proportional columns, so there a residual is the column's norm
+    ratios = inner / np.where(proportional, inner[ref_index, column], np.inf)
+    residuals = np.linalg.norm(cols - ratios[:, None] * ref, axis=1) / scale
+    worst = float((residuals * live).max(initial=0.0))  # a mixed column's is its largest norm
+    lam = ratios[:, None] / np.where(ratios != 0, ratios, np.nan)
+    column_status = ["proportional" if a else "mixed" if b else "vacuous"
+                     for a, b in zip(proportional.tolist(), mixed.tolist())]
+    defect = nk.fro(w.conj().T @ w - np.eye(r0))
+    if defect > 1e-8:
+        return False, lam, column_status, max(worst, defect)
+    return worst <= tol and not mixed.any(), lam, column_status, worst
 
 
-def _joint_kernel(lpz: Sequence[np.ndarray], tol: float) -> np.ndarray:
-    """Orthonormal basis of the common kernel of the +0 blocks."""
-    stacked = np.concatenate([np.asarray(L, dtype=complex) for L in lpz], axis=0)
-    if stacked.shape[1] == 0:
-        return np.zeros((0, 0), dtype=complex)
-    u, s, vh = np.linalg.svd(stacked)
-    cut = tol * (s[0] if len(s) else 1.0)
-    rank = int(np.sum(s > cut))
-    return vh[rank:].conj().T  # (r0, r0 - rank)
+def _candidate_w_pinv(lpz: np.ndarray, ref: int, tol: float, rng) -> Optional[np.ndarray]:
+    """A joint eigenbasis of ``M_l = pinv(Lpz_ref) Lpz_l`` on all of C^{r0}.
 
-
-def _candidate_w_pinv(lpz, tol, rng) -> Optional[np.ndarray]:
-    """Search a W via joint diagonalization of pinv(Lpz_ref) Lpz_l.
-
-    When the condition holds these matrices form a commuting Hermitian
-    family whose common eigenbasis (padded with the joint kernel) is a valid
-    W; when it does not, the joint diagonalization refuses and the search
-    reports no candidate.
+    Suppose ``L_l = C Λ_l W^dag`` with every Λ_l real diagonal, no mixed
+    column (one that vanishes for some parameters but not all) and C
+    injective on the columns where Λ_ref is nonzero. Then ker ``Lpz_ref``
+    is the joint kernel, and ``M_l = W Λ_ref^+ Λ_l W^dag``: a commuting
+    Hermitian family, diagonal in W, whose all-zero cluster is the joint
+    kernel. Any joint eigenbasis then groups columns with equal ratio tuples
+    (the kernel among them) and is a valid W. When the family does not
+    commute or is not scalar on a cluster, the joint diagonalization
+    refuses and there is no candidate.
     """
-    r0 = lpz[0].shape[1]
-    norms = [nk.fro(L) for L in lpz]
-    ref = int(np.argmax(norms))
-    if norms[ref] == 0:
-        return np.eye(r0, dtype=complex)
-
-    kernel = _joint_kernel(lpz, tol=1e-10)
-    k0 = kernel.shape[1]
-    if k0 == r0:
-        return np.eye(r0, dtype=complex)
-    if k0:
-        comp = np.linalg.svd(np.eye(r0) - kernel @ kernel.conj().T)[0][:, : r0 - k0]
-    else:
-        comp = np.eye(r0, dtype=complex)
-    reduced = [np.asarray(L, dtype=complex) @ comp for L in lpz]
-
-    pinv_ref = np.linalg.pinv(reduced[ref], rcond=1e-12)
-    herm_family = []
-    for L in reduced:
-        m = pinv_ref @ L
-        herm_family.append(nk.hermitize(m))
-        herm_family.append((m - m.conj().T) / 2j)
+    m = np.linalg.pinv(lpz[ref], rcond=1e-10) @ lpz
+    # each M_l enters as its Hermitian and anti-Hermitian parts, in turn
+    family = np.stack([nk.hermitize(m), (m - m.conj().swapaxes(-1, -2)) / 2j], axis=1)
     try:
-        spectrum = nk.joint_eigenprojectors(herm_family, tol=max(tol, 1e-10), rng=rng)
+        spectrum = nk.joint_eigenprojectors(family.reshape(-1, *m.shape[1:]),
+                                            tol=max(tol, 1e-10), rng=rng)
     except (nk.NotCommutingError, nk.JointDiagonalizationError):
         return None
-    w_comp = comp @ spectrum.basis
-    if k0:
-        return np.concatenate([w_comp, kernel], axis=1)
-    return w_comp
+    return spectrum.basis
 
 
-def _candidate_w_totally_real(lpz, tol, rng) -> Optional[np.ndarray]:
-    """For a one-dimensional support the rows can be rotated entrywise real.
+def _candidate_w_totally_real(rows: np.ndarray, tol: float, rng) -> Optional[np.ndarray]:
+    """For a one-dimensional support, a W that makes every row real.
 
-    Works whenever the rows have pairwise real inner products (exactly
-    condition 3 for r+ = 1): real-orthonormalizing their real span yields a
-    complex-orthonormal set, and the conjugate of any unitary completion
-    maps every row to a real vector. A generic real rotation afterwards
-    avoids accidental zero entries, which the verifier treats as mixed
-    columns.
+    ``rows`` is the ``(p, r0)`` stack R of the blocks. Condition 3 for
+    r+ = 1 says ``R R^dag`` is real; then ``R R^dag = X X^T`` with
+    ``X = [Re R, Im R]``, and for ``X = U Σ V^T`` the columns
+    ``R^dag u_j / σ_j = a_j - i b_j``, with ``(a_j, b_j) = v_j``, are
+    orthonormal and ``R R^dag u_j / σ_j = σ_j u_j`` is real. Their
+    orthogonal complement is ker R, so the rows vanish there. A random real
+    rotation of the real columns avoids accidental zero entries, which the
+    verifier reads as mixed columns.
     """
-    r0 = lpz[0].shape[1]
-    vecs = [np.asarray(L, dtype=complex).ravel() for L in lpz]
-    basis: list[np.ndarray] = []
-    for v in vecs:
-        w = v.copy()
-        for e in basis:
-            w = w - np.vdot(e, w).real * e
-        nrm = np.linalg.norm(w)
-        if nrm > tol * np.linalg.norm(v):
-            basis.append(w / nrm)
-    k = len(basis)
-    if k == 0:
-        return np.eye(r0, dtype=complex)
-    e_mat = np.stack(basis, axis=1)  # (r0, k)
-    gram = e_mat.conj().T @ e_mat
-    if nk.fro(gram - np.eye(k)) > 1e-8:
-        return None  # real span is not totally real: condition 3 fails here
-    full, _ = np.linalg.qr(
-        np.concatenate([e_mat, rng.standard_normal((r0, r0)) + 1j * rng.standard_normal((r0, r0))], axis=1)
-    )
-    q = full[:, :r0]
-    # Align the leading columns with e_mat (qr may re-phase them).
-    for j in range(k):
-        z = np.vdot(q[:, j], e_mat[:, j])
-        if abs(z) > 0:
-            q[:, j] = q[:, j] * (z / abs(z))
-    rot = np.eye(r0)
-    if k > 1:
-        sub, _ = np.linalg.qr(rng.standard_normal((k, k)))
-        rot[:k, :k] = sub
-    return q.conj() @ rot
+    r0 = rows.shape[1]
+    gram = rows @ rows.conj().T
+    d = np.sqrt(gram.diagonal().real)
+    if np.any(np.abs(gram.imag) > 1e-8 * np.outer(d, d)):
+        return None  # the rows' inner products are not real: condition 3 fails
+    _, sigma, vt = np.linalg.svd(np.concatenate([rows.real, rows.imag], axis=1))
+    k = int(np.clip(np.sum(sigma > max(tol, 1e-10) * sigma[0]), 1, r0))
+    real = (vt[:k, :r0] - 1j * vt[:k, r0:]).T  # (r0, k)
+    complement = np.linalg.svd(real.conj().T)[2][k:].conj().T  # (r0, r0 - k)
+    rotation = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    return np.concatenate([real @ rotation, complement], axis=1)
 
 
 def find_w_condition4(
@@ -321,16 +267,18 @@ def find_w_condition4(
 ) -> Cond4Result:
     """Decide the column-alignment condition on the +0 blocks.
 
-    CERTIFIED_YES comes with a unitary ``W`` and the fitted real ratios,
-    verified directly; everything else is UNKNOWN. The refutation
-    (CERTIFIED_NO) is condition 3's: :class:`ConditionReport` reads it off
-    a failed condition 3.
+    Candidates are the pinv construction (see :func:`_candidate_w_pinv`),
+    for r+ = 1 the real-rows construction (see
+    :func:`_candidate_w_totally_real`), and the identity; when every block
+    is below ``tol * scale_floor`` the identity alone. CERTIFIED_YES comes
+    with the first candidate :func:`verify_condition4_with_w` accepts,
+    unitarity included, and its fitted real ratios; everything else is
+    UNKNOWN. The refutation (CERTIFIED_NO) is condition 3's:
+    :class:`ConditionReport` reads it off a failed condition 3.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
-    lpz = [np.asarray(L, dtype=complex) for L in lpz]
-    p = len(lpz)
-    r0 = lpz[0].shape[1]
-    notes = []
+    lpz = np.asarray(lpz, dtype=complex)
+    p, r_plus, r0 = lpz.shape
 
     if r0 == 0:
         lam = np.full((p, p, 0), np.nan)
@@ -344,25 +292,21 @@ def find_w_condition4(
             notes=["no null directions"],
         )
 
-    candidates = []
-    if max(nk.fro(L) for L in lpz) <= tol * scale_floor:
-        candidates.append(np.eye(r0, dtype=complex))
-    else:
-        c = _candidate_w_pinv(lpz, tol, rng)
-        if c is not None:
-            candidates.append(c)
-        if lpz[0].shape[0] == 1:
-            c = _candidate_w_totally_real(lpz, tol, rng)
-            if c is not None:
-                candidates.append(c)
-        candidates.append(np.eye(r0, dtype=complex))
+    identity = np.eye(r0, dtype=complex)
+    norms = np.linalg.norm(lpz, axis=(1, 2))
+    candidates = [identity]
+    if norms.max() > tol * scale_floor:
+        candidates = [
+            _candidate_w_pinv(lpz, int(norms.argmax()), tol, rng),
+            _candidate_w_totally_real(lpz[:, 0], tol, rng) if r_plus == 1 else None,
+            identity,
+        ]
 
-    best_res = np.inf
+    residuals = []
     for w in candidates:
-        if nk.fro(w.conj().T @ w - np.eye(r0)) > 1e-8:
+        if w is None:
             continue
         ok, lam, column_status, res = verify_condition4_with_w(lpz, w, tol, scale_floor)
-        best_res = min(best_res, res)
         if ok:
             return Cond4Result(
                 status=COND4_YES,
@@ -371,18 +315,17 @@ def find_w_condition4(
                 column_status=column_status,
                 residual=res,
                 tol=tol,
-                notes=notes,
             )
+        residuals.append(res)
 
-    notes.append("search exhausted without a verified W; existence undecided")
     return Cond4Result(
         status=COND4_UNKNOWN,
         W=None,
         lambdas=None,
         column_status=None,
-        residual=float(best_res if np.isfinite(best_res) else 0.0),
+        residual=min(residuals),
         tol=tol,
-        notes=notes,
+        notes=["search exhausted without a verified W; existence undecided"],
     )
 
 

@@ -8,6 +8,7 @@ check.
 
 from dataclasses import dataclass
 from itertools import chain, repeat
+from typing import Sequence
 
 import numpy as np
 
@@ -133,6 +134,70 @@ def cond4_grid_oracle(lpz, step=0.01, zero_frac=1e-6):
         [[c[best], -s[best] * np.conj(e[best])], [s[best] * e[best], c[best]]], dtype=complex
     )
     return float(worst[best]), w_best
+
+
+# ---------------------------------------------------------------------------
+# The condition-4 verifier as it was before it checked every column at once:
+# one Python pass per column and parameter.
+# ---------------------------------------------------------------------------
+
+
+def verify_condition4_with_w_loop(
+    lpz: Sequence[np.ndarray], w: np.ndarray, tol: float = 1e-8, scale_floor: float = 0.0
+):
+    """Check the column-proportionality condition for a candidate W.
+
+    Returns ``(ok, lambdas, column_status, worst_residual)``. Per column the
+    rotated blocks must either vanish simultaneously (below ``tol`` times
+    the overall scale) or be real scalar multiples of one another; a column
+    that vanishes for some parameters but not others fails. ``scale_floor``
+    lets callers anchor the scale to the full SLD norms so that +0 blocks
+    consisting of pure roundoff count as vanished.
+    """
+    p = len(lpz)
+    r0 = lpz[0].shape[1]
+    w = np.asarray(w, dtype=complex)
+    if w.shape != (r0, r0):
+        raise nk.ShapeError(f"W has shape {w.shape}, expected ({r0}, {r0})")
+    rotated = [np.asarray(L, dtype=complex) @ w for L in lpz]
+
+    norms = np.array([[np.linalg.norm(rotated[l][:, s]) for s in range(r0)] for l in range(p)])
+    scale = max(float(norms.max(initial=0.0)), float(scale_floor))
+    if scale == 0.0 or float(norms.max(initial=0.0)) <= tol * scale:
+        lam = np.full((p, p, r0), np.nan)
+        return True, lam, ["vacuous"] * r0, 0.0
+
+    zero_cut = tol * scale
+    lam = np.full((p, p, r0), np.nan)
+    column_status = []
+    worst = 0.0
+    ok = True
+    for s in range(r0):
+        live = [l for l in range(p) if norms[l, s] > zero_cut]
+        if not live:
+            column_status.append("vacuous")
+            continue
+        if len(live) < p:
+            # mixed zero / nonzero column: no real constant can relate them
+            column_status.append("mixed")
+            worst = max(worst, float(norms[:, s].max()) / scale)
+            ok = False
+            continue
+        ref = int(np.argmax(norms[:, s]))
+        ref_col = rotated[ref][:, s]
+        ratios = np.zeros(p)
+        for l in range(p):
+            col = rotated[l][:, s]
+            ratios[l] = float(np.vdot(ref_col, col).real) / float(np.vdot(ref_col, ref_col).real)
+            res = float(np.linalg.norm(col - ratios[l] * ref_col)) / scale
+            worst = max(worst, res)
+            if res > tol:
+                ok = False
+        for l in range(p):
+            for m in range(p):
+                lam[l, m, s] = ratios[l] / ratios[m] if ratios[m] != 0 else np.nan
+        column_status.append("proportional")
+    return ok, lam, column_status, worst
 
 
 # ---------------------------------------------------------------------------

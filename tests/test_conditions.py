@@ -3,6 +3,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcrbsat as qs
 from qcrbsat import conditions as cond
@@ -11,6 +13,7 @@ from qcrbsat import numkernel as nk
 from qcrbsat.errors import InvalidToleranceError
 from oracles import (
     average_commutativity_loop,
+    cond4_grid_oracle,
     condition1_loop,
     condition3_loop,
     full_commutativity_loop,
@@ -19,6 +22,7 @@ from oracles import (
     qfim_loop,
     support_norms_loop,
     verify_condition2prime_loop,
+    verify_condition4_with_w_loop,
 )
 
 
@@ -396,6 +400,209 @@ class TestImplicationChain:
             assert rep.partial_comm.passed
         if rep.full_comm.passed:
             assert rep.partial_comm.passed
+
+
+def _planted_blocks(rng, p, r_plus, r0, vanish=0, spread=0.0):
+    """+0 blocks ``L_l = C Λ_l W0^dag`` and the planted ratios ``Λ_l / Λ_m``.
+
+    C is a complex r+ x r0 matrix and Λ_l real diagonal with entries of
+    modulus 0.2-1. The first ``vanish`` columns of every Λ_l vanish, and
+    parameter l is scaled by ``10**e_l`` with the e_l spread over
+    ``spread`` decades.
+    """
+    c = rng.standard_normal((r_plus, r0)) + 1j * rng.standard_normal((r_plus, r0))
+    w0 = nk.haar_unitary(r0, rng)
+    mu = rng.uniform(0.2, 1.0, (p, r0)) * rng.choice([-1.0, 1.0], (p, r0))
+    mu[:, :vanish] = 0.0
+    mu *= 10.0 ** rng.uniform(-spread / 2, spread / 2, (p, 1))
+    lpz = np.array([(c * mu[l]) @ w0.conj().T for l in range(p)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = mu[:, None] / mu[None]
+    lam[:, :, :vanish] = np.nan
+    return lpz, w0, lam
+
+
+def _same_columns(got, planted, rtol):
+    """The (p, p) ratio columns of ``got`` are those of ``planted`` up to column order."""
+    unused = list(range(planted.shape[-1]))
+    for s in range(got.shape[-1]):
+        match = [t for t in unused if np.allclose(got[..., s], planted[..., t], rtol=rtol,
+                                                  atol=0, equal_nan=True)]
+        assert match, (s, got[..., s])
+        unused.remove(match[0])
+
+
+def _mixed_blocks(rng):
+    """Planted blocks whose first column vanishes for parameter 0 only: no W aligns them."""
+    lpz, w0, _ = _planted_blocks(rng, 3, 3, 2)
+    c0 = lpz[0] @ w0
+    c0[:, 0] = 0.0
+    lpz[0] = c0 @ w0.conj().T
+    return lpz, w0
+
+
+class TestCondition4Verifier:
+    """The stacked verifier against the per-column loop it replaced, and its unitarity check."""
+
+    @staticmethod
+    def _same(lpz, w, tol=1e-8, scale_floor=0.0):
+        ok, lam, status, worst = cond.verify_condition4_with_w(lpz, w, tol, scale_floor)
+        ok_ref, lam_ref, status_ref, worst_ref = verify_condition4_with_w_loop(
+            list(lpz), w, tol, scale_floor)
+        assert (ok, status) == (ok_ref, status_ref)
+        np.testing.assert_allclose(lam, lam_ref, rtol=1e-14, atol=0)
+        assert worst == pytest.approx(worst_ref, rel=1e-14, abs=1e-14)
+        return ok, status
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(5)
+        for family in FAMILIES:
+            yield f"family{family}", _random_family(*family, seed=1)[2].Lpz
+        for vanish in (1, 2):
+            m = qs.get("random-rank-r", seed=9, n_s=6, r_plus=3, n_params=3, vanish_columns=vanish)
+            sp = qs.evaluate(m, np.zeros(3))
+            yield f"vanish{vanish}", qs.compute_sld(qs.support_decomposition(sp), sp.drho).Lpz
+        yield "mixed", _mixed_blocks(rng)[0]
+        yield "crafted", np.array(crafted_cond3_pass_cond4_fail())
+        yield "planted-spread", _planted_blocks(rng, 3, 4, 3, vanish=1, spread=6.0)[0]
+
+    def test_equals_loop_reference(self):
+        rng = np.random.default_rng(11)
+        seen = set()
+        for name, lpz in self._cases():
+            r0 = lpz.shape[-1]
+            if r0 == 0:
+                continue
+            ws = [np.eye(r0), nk.haar_unitary(r0, rng)]
+            found = cond.find_w_condition4(lpz)
+            if found.W is not None:
+                ws.append(found.W)
+            for w in ws:
+                for scale_floor in (0.0, 10.0 * nk.fro(lpz)):
+                    ok, status = self._same(lpz, w, scale_floor=scale_floor)
+                    seen.update(status)
+                    seen.add(ok)
+        assert seen == {True, False, "proportional", "vacuous", "mixed"}
+
+    def test_mixed_column_fails_with_its_norm(self):
+        lpz, w0 = _mixed_blocks(np.random.default_rng(2))
+        ok, lam, status, worst = cond.verify_condition4_with_w(lpz, w0)
+        assert not ok and status == ["mixed", "proportional"]
+        norms = np.linalg.norm(lpz @ w0, axis=1)
+        assert worst == pytest.approx(norms[:, 0].max() / norms.max(), rel=1e-12)
+        assert np.isnan(lam[..., 0]).all() and not np.isnan(lam[..., 1]).any()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
+           st.sampled_from(["planted", "random", "mixed"]), st.booleans(),
+           st.sampled_from([0.0, 1e-10, 1e-8, 1e-6]), st.sampled_from([0.0, 1.0, 1e3]))
+    def test_equals_loop_reference_on_draws(self, seed, p, r_plus, r0, kind, planted_w, tol,
+                                            floor):
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            shape = (p, r_plus, r0)
+            lpz = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            w = nk.haar_unitary(r0, rng)
+        else:
+            lpz, w, _ = _planted_blocks(rng, p, r_plus, r0, vanish=int(rng.integers(0, r0 + 1)),
+                                        spread=float(rng.uniform(0, 6)))
+            if kind == "mixed":
+                lpz[0] = lpz[0] @ w @ np.diag(rng.integers(0, 2, r0)) @ w.conj().T
+            if not planted_w:
+                w = nk.haar_unitary(r0, rng)
+        self._same(lpz, w, tol, floor * nk.fro(lpz))
+
+    @pytest.mark.parametrize("case", ["zero", "tiny", "rank-1", "rank-1 planted", "stretched"])
+    def test_non_unitary_w_is_refused(self, case):
+        # the search finds no W here and condition 3 fails; a zero or tiny W
+        # once read every column vacuous, and on planted blocks a projector
+        # onto one aligning column or a stretched W0 reads every column
+        # proportional
+        m = qs.get("random-rank-r", seed=3, n_s=6, r_plus=3, n_params=2, plant_cond4=False)
+        sp = qs.evaluate(m, np.zeros(2))
+        lpz = qs.compute_sld(qs.support_decomposition(sp), sp.drho).Lpz
+        rng = np.random.default_rng(4)
+        v = nk.haar_unitary(3, rng)[:, :1]
+        floor = 0.0
+        if case == "zero":
+            w = np.zeros((3, 3))
+        elif case == "tiny":
+            w, floor = 1e-9 * np.eye(3), 1.0
+        elif case == "rank-1":
+            w = v @ v.conj().T
+        else:
+            lpz, w0, _ = _planted_blocks(rng, 2, 3, 3)
+            w = w0[:, :1] @ w0[:, :1].conj().T if case == "rank-1 planted" else (1 + 1e-6) * w0
+            assert verify_condition4_with_w_loop(list(lpz), w)[0]
+        ok, _, _, worst = cond.verify_condition4_with_w(lpz, w, scale_floor=floor)
+        assert not ok
+        assert worst >= nk.fro(w.conj().T @ w - np.eye(3)) > 1e-8
+
+
+class TestWSearchProperties:
+    """Planted ``C Λ_l W0^dag`` families are certified through each construction."""
+
+    @staticmethod
+    def _certified(lpz):
+        res = cond.find_w_condition4(lpz)
+        assert res.status == cond.COND4_YES
+        r0 = lpz.shape[-1]
+        assert nk.fro(res.W.conj().T @ res.W - np.eye(r0)) <= 1e-10
+        ok, _, _, worst = verify_condition4_with_w_loop(list(lpz), res.W)
+        assert ok and worst <= 1e-8
+        return res
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 4), st.integers(0, 2),
+           st.integers(0, 6))
+    def test_pinv_construction(self, seed, p, r0, extra, spread):
+        # r+ >= r0: C is injective, so pinv(Lpz_ref) Lpz_l is diagonal in W0
+        rng = np.random.default_rng(seed)
+        vanish = int(rng.integers(0, r0))
+        lpz, _, lam = _planted_blocks(rng, p, r0 + extra, r0, vanish, float(spread))
+        w = cond._candidate_w_pinv(lpz, int(np.argmax(np.linalg.norm(lpz, axis=(1, 2)))),
+                                   1e-8, rng)
+        assert w is not None and cond.verify_condition4_with_w(lpz, w)[0]
+        res = self._certified(lpz)
+        _same_columns(res.lambdas, lam, rtol=1e-6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(1, 6), st.integers(0, 6))
+    def test_real_rows_construction(self, seed, p, r0, spread):
+        # r+ = 1: the rows are real under W0 up to one phase per column
+        rng = np.random.default_rng(seed)
+        vanish = int(rng.integers(0, r0))
+        lpz, _, _ = _planted_blocks(rng, p, 1, r0, vanish, float(spread))
+        w = cond._candidate_w_totally_real(lpz[:, 0], 1e-8, rng)
+        assert w is not None and cond.verify_condition4_with_w(lpz, w)[0]
+        res = self._certified(lpz)
+        # any real rotation of the real columns aligns the rows, so only the
+        # vanishing columns are fixed: the rows' real rank is r0 - vanish
+        assert res.column_status.count("vacuous") >= vanish
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 3), st.integers(1, 3), st.booleans())
+    def test_agrees_with_grid_oracle(self, seed, p, r_plus, planted):
+        rng = np.random.default_rng(seed)
+        if planted:
+            lpz = _planted_blocks(rng, p, r_plus, 2, int(rng.integers(0, 2)))[0]
+        else:
+            shape = (p, r_plus, 2)
+            lpz = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        certified = cond.find_w_condition4(lpz).status == cond.COND4_YES
+        oracle_res, _ = cond4_grid_oracle(lpz)
+        if certified:
+            assert oracle_res <= 0.05
+        if oracle_res > 0.05:
+            assert not certified
+        if planted and r_plus >= 2:
+            assert certified
+
+    def test_crafted_case_stays_unknown(self):
+        lpz = crafted_cond3_pass_cond4_fail()
+        assert cond4_grid_oracle(lpz)[0] > 0.05
+        assert cond.find_w_condition4(lpz).status == cond.COND4_UNKNOWN
 
 
 class TestCondition2Prime:
