@@ -195,7 +195,10 @@ def verify_condition4_with_w(
     mixed = live.any(axis=0) & ~proportional
     ref_index, column = norms.argmax(axis=0), np.arange(r0)
     ref = cols[ref_index, :, column].T  # (r+, r0): column s of its block with the largest norm
-    inner = (ref.conj() * cols).sum(axis=1).real  # Re <ref_s, column s of block l>
+    # Re <ref_s, column s of block l>, one BLAS dot product per column as
+    # np.vdot takes it: a summation of its own would move the ratios' digits
+    # wherever the inner product cancels
+    inner = (ref.T.conj()[:, None, :] @ cols.swapaxes(1, 2)[..., None])[..., 0, 0].real
     # ratios vanish off the proportional columns, so there a residual is the column's norm
     ratios = inner / np.where(proportional, inner[ref_index, column], np.inf)
     residuals = np.linalg.norm(cols - ratios[:, None] * ref, axis=1) / scale
