@@ -45,6 +45,12 @@ def _rank_groups(ranks, keep=None):
     return groups
 
 
+def _relative(residual, scale):
+    """``residual / scale`` elementwise; a zero scale reads as a vanishing residual."""
+    return np.divide(residual, scale, out=np.zeros(np.broadcast(residual, scale).shape),
+                     where=scale > 0)
+
+
 def _block_inner(g, a, b):
     """``Re tr(a^dag g b)`` over stacked blocks: ``g`` (..., r, r), ``a``, ``b`` (..., r, x)."""
     gb = g @ b
@@ -150,26 +156,27 @@ def fits(u: np.ndarray, ranks, classification, dec: SupportDecomposition, slds: 
     ``Re tr(Z_l^dag C^dag C Z_m)``. Each residual is formed from the
     difference ``S_l - c R`` (``Z_l - c Z_m``), never from a difference of
     squared norms. The scales and thresholds are those of
-    :func:`povm.verify_saturation_structural` on the dense elements.
+    :func:`povm.verify_saturation_structural` on the dense elements:
+    ``||E|| s_l`` and ``||E_00|| s_l``, with ``s`` = :attr:`SLDSet.scales`.
     """
     p = slds.n_params
+    s = slds.scales
     out = [None] * len(ranks)
     regular = np.array(classification) == "regular"
     if regular.any():
         g = u.conj().T @ u
         up = u.conj().T @ dec.P_plus
         ul = u.conj().T @ (slds.full @ dec.P_plus)
-        l_scale = np.maximum(1.0, np.linalg.norm(slds.full, axis=(1, 2)))
         for idx, cols in _rank_groups(ranks, regular):
             gkk = g[cols[:, :, None], cols[:, None, :]]
             rr, ss = up[cols], ul[:, cols]  # (count, r, n), (p, count, r, n)
             e_norm = np.linalg.norm(gkk, axis=(1, 2))
             bb = _block_inner(gkk, rr, rr)  # ||E P+||^2
-            vac = np.sqrt(np.maximum(bb, 0.0)) <= tol * np.maximum(1.0, e_norm)
+            vac = np.sqrt(np.maximum(bb, 0.0)) <= tol * e_norm
             c = _block_inner(gkk, rr, ss) / np.where(vac, 1.0, bb)  # (p, count)
             d = ss - c[..., None, None] * rr
             res = np.sqrt(np.maximum(_block_inner(gkk, d, d), 0.0))
-            res = res / np.maximum(1.0, e_norm[None, :] * l_scale[:, None])
+            res = _relative(res, e_norm[None, :] * s[:, None])
             failed = (res > tol).any(axis=0)
             for j, k in enumerate(idx.tolist()):
                 if vac[j]:
@@ -179,21 +186,20 @@ def fits(u: np.ndarray, ranks, classification, dec: SupportDecomposition, slds: 
                               dict(enumerate(res[:, j].tolist())), [], not failed[j].item())
     null = ~regular
     if null.any():
-        lpz_scale = max(1.0, max((nk.fro(L) for L in slds.Lpz), default=1.0))
         pairs = [(l, mm) for l in range(p) for mm in range(p) if l != mm]
         li, mi = (np.array([x[i] for x in pairs], dtype=int) for i in (0, 1))
         for idx, gram, z in null_terms(u, ranks, dec, slds.Lpz, null):
-            scale0 = np.maximum(1.0, np.linalg.norm(gram, axis=(1, 2)) * lpz_scale)
+            e00_norm = np.linalg.norm(gram, axis=(1, 2))[:, None]
             zt = z.swapaxes(0, 1)  # (count, p, r, r+)
             q = np.einsum("klij,kmij->klm", zt.conj(), gram[:, None] @ zt).real
             norms = np.sqrt(np.maximum(np.diagonal(q, axis1=1, axis2=2), 0.0))  # ||E_00 Lpz_l^dag||
             na, nb = norms[:, li], norms[:, mi]
-            fit = nb > tol * scale0[:, None]
+            fit = nb > tol * e00_norm * s[mi]
             c = q[:, li, mi] / np.where(fit, q[:, mi, mi], 1.0)
             d = zt[:, li] - c[..., None, None] * zt[:, mi]
             res = np.sqrt(np.maximum(_block_inner(gram[:, None], d, d), 0.0))
-            res = np.where(fit, res, na) / scale0[:, None]
-            vac = ~fit & (na <= tol * scale0[:, None])
+            res = _relative(np.where(fit, res, na), e00_norm * s[li])
+            vac = ~fit & (res <= tol)
             failed = (~vac & (~fit | (res > tol))).any(axis=1)
             for j, k in enumerate(idx.tolist()):
                 constants, residuals, vacuous = {}, {}, []

@@ -185,7 +185,11 @@ def _supplied_povm(args, sp: StateAtPoint):
 
 
 def _cost_matrix(args, sp: StateAtPoint):
-    """The ``--cost-matrix``: a finite real p x p array; None when not given."""
+    """The ``--cost-matrix``: a finite real symmetric positive-semidefinite p x p array.
+
+    None when not given. Symmetry is exact; an eigenvalue below
+    ``-1e-12`` times the largest modulus is negative.
+    """
     if not args.cost_matrix:
         return None
     p = sp.n_params
@@ -195,7 +199,23 @@ def _cost_matrix(args, sp: StateAtPoint):
         g = None
     if g is None or g.dtype.kind not in "iuf" or g.shape != (p, p) or not np.isfinite(g).all():
         raise jsonio.SchemaError(f"the cost matrix must be a finite real {p}x{p} array")
-    return g.astype(float)
+    g = g.astype(float)
+    w = np.linalg.eigvalsh(g)
+    if not np.array_equal(g, g.T) or w[0] < -1e-12 * np.abs(w).max():
+        # tr(G F^-1) of an indefinite G can fall below the quantum cost without beating any bound
+        raise jsonio.SchemaError("the cost matrix must be symmetric positive semidefinite")
+    return g
+
+
+def _compare(dist, f_q, g, tol) -> fish.FisherComparison:
+    """Classical against quantum information, with a note naming the null outcomes F_c drops."""
+    comparison = fish.compare(fish.classical_fim(dist), f_q, g=g, tol=tol)
+    if dist.dropped:
+        comparison.notes.append(
+            f"null outcome(s) {dist.dropped} have curvature of rank above one; "
+            "their information is left out of F_c"
+        )
+    return comparison
 
 
 def cmd_analyze(args) -> dict:
@@ -227,8 +247,7 @@ def cmd_fisher(args) -> dict:
     povm_mod.classify_elements(povm, sp.rho, dec)
     cert = povm_mod.verify_saturation_structural(povm, dec, slds, tol=cond_tol(args, sp))
     dist = fish.outcome_distribution(sp.rho, sp.drho, povm, dec)
-    f_c = fish.classical_fim(dist)
-    comparison = fish.compare(f_c, f_q, g=g, tol=cond_tol(args, sp))
+    comparison = _compare(dist, f_q, g, cond_tol(args, sp))
     out = base_report(args, sp, model, dec, f_q, report)
     out["povm"] = povm_mod.povm_to_json(povm)
     out["saturation_certificate"] = cert.to_dict()
@@ -252,7 +271,7 @@ def cmd_simulate(args) -> dict:
         povm = _construct_from_report(dec, slds, report, args.seed)
     povm_mod.classify_elements(povm, sp.rho, dec)
     dist = fish.outcome_distribution(sp.rho, sp.drho, povm, dec)
-    f_c = fish.classical_fim(dist)
+    comparison = _compare(dist, f_q, None, cond_tol(args, sp))
     record = fish.simulate(dist, trials=args.trials, seed=args.seed)
     if args.estimator:
         if model is None:
@@ -270,7 +289,7 @@ def cmd_simulate(args) -> dict:
         )
     out = base_report(args, sp, model, dec, f_q, report)
     out["povm"] = povm_mod.povm_to_json(povm)
-    out["fisher"] = fish.compare(f_c, f_q, tol=cond_tol(args, sp)).to_dict()
+    out["fisher"] = comparison.to_dict()
     out["monte_carlo"] = record.to_dict()
     return out
 

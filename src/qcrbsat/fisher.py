@@ -14,8 +14,15 @@ which is computable from first-order data alone. Measurements built from
 the saturation certificates have exactly rank-one null curvature, and this
 term is what closes the gap to the quantum Fisher information. Null
 outcomes whose curvature is not rank one have no direction-independent
-limit; they are flagged and contribute nothing (which can only
-underestimate the information, keeping the quantum bound valid).
+limit; they contribute nothing (which can only underestimate the
+information, keeping the quantum bound valid), and the ``fisher`` and
+``simulate`` reports name them (:attr:`MeasurementDistribution.dropped`).
+
+Every cut reads the problem's own scale, never an absolute floor: the
+derivative sums and the singular-outcome cut read ``||d_l rho||`` per
+parameter, the rank-one cut is relative to the outcome's largest
+curvature, and invertibility is read on the information matrix's
+correlation form.
 """
 
 from __future__ import annotations
@@ -58,11 +65,16 @@ class MeasurementDistribution:
     singular: list  # outcomes with p ~ 0 but dp != 0 (information undefined)
     null_info: list  # NullOutcomeInfo for structurally null outcomes
     prob_tol: float
-    deriv_tol: float
+    deriv_tol: np.ndarray  # (p,) singular-outcome cut per parameter, 1e-8 ||d_l rho||
 
     @property
     def n_params(self) -> int:
         return self.dprobs.shape[0]
+
+    @property
+    def dropped(self) -> list:
+        """Null outcomes whose curvature is not rank one: :func:`classical_fim` leaves them out."""
+        return [rec.index for rec in self.null_info if not rec.rank1]
 
 
 # Entries of the largest (rows, M, n, n) product a stack of states is traced
@@ -99,7 +111,6 @@ def outcome_distribution(
     other element by element.
     """
     p = len(drho)
-    m = povm.n_outcomes
     if povm.basis is not None:
         traces = basisform.traces(povm.basis, povm.ranks, np.concatenate([rho[None], drho]))
         probs, dprobs = traces[0], traces[1:]
@@ -112,20 +123,18 @@ def outcome_distribution(
     probs[(probs < 0.0) & (probs > -PROB_TOL)] = 0.0
     if abs(probs.sum() - 1.0) > 1e-10:
         raise QcrbSatError(f"probabilities sum to {probs.sum()!r}")
+    d_norms = np.linalg.norm(np.asarray(drho), axis=(1, 2))
     dp_sums = np.abs(dprobs.sum(axis=1))
-    dp_scale = max(1.0, float(np.abs(dprobs).max(initial=0.0)))
-    if np.any(dp_sums > 1e-10 * dp_scale):
+    if np.any(dp_sums > 1e-10 * d_norms):
         raise QcrbSatError(
             f"probability derivatives do not sum to zero: {dp_sums.tolist()}"
         )
 
-    deriv_tol = 1e-8 * max(1.0, max(nk.fro(d) for d in drho))
+    deriv_tol = 1e-8 * d_norms
     support_mask = probs > PROB_TOL
-    singular = [
-        int(k)
-        for k in range(m)
-        if not support_mask[k] and np.max(np.abs(dprobs[:, k])) > deriv_tol
-    ]
+    singular = np.flatnonzero(
+        ~support_mask & np.any(np.abs(dprobs) > deriv_tol[:, None], axis=0)
+    ).tolist()
 
     null_info = []
     if dec is not None:
@@ -140,8 +149,7 @@ def outcome_distribution(
                      for k in np.flatnonzero(structural).tolist())
         for k, info in zip(np.flatnonzero(structural).tolist(), infos):
             w = np.linalg.eigvalsh(info)
-            top = max(w[-1], 0.0)
-            rank1 = bool(w[-2] <= max(1e-12, 1e-8 * top)) if p > 1 else True
+            rank1 = bool(w[-2] <= 1e-8 * max(w[-1], 0.0)) if p > 1 else True
             null_info.append(NullOutcomeInfo(index=k, info=info, rank1=rank1))
 
     return MeasurementDistribution(
@@ -233,9 +241,17 @@ class FisherComparison:
 
 
 def _singular(m: np.ndarray) -> bool:
-    """Whether a symmetric information matrix is too close to singular to invert."""
-    w = np.linalg.eigvalsh(m)
-    return bool(w[0] <= 1e-12 * max(1.0, w[-1]))
+    """Whether a symmetric information matrix is too close to singular to invert.
+
+    Read on its correlation form ``D^-1/2 m D^-1/2``, ``D = diag(m)``, so that
+    neither a common nor a per-parameter scale moves the decision; a
+    parameter without information makes the matrix singular.
+    """
+    d = np.diag(m)
+    if np.any(d <= 0.0):
+        return True
+    r = np.sqrt(d)
+    return bool(np.linalg.eigvalsh(m / np.outer(r, r))[0] <= 1e-12)
 
 
 def compare(
@@ -254,12 +270,12 @@ def compare(
     f_c = np.asarray(f_c, dtype=float)
     f_q = np.asarray(f_q, dtype=float)
     for name, m in (("classical", f_c), ("quantum", f_q)):
-        if m.shape != f_c.shape or np.linalg.norm(m - m.T) > 1e-8 * max(1.0, np.linalg.norm(m)):
+        if m.shape != f_c.shape or np.linalg.norm(m - m.T) > 1e-8 * np.linalg.norm(m):
             raise QcrbSatError(f"{name} information matrix is not symmetric")
     diff = f_q - f_c
     gap = nk.opnorm(diff)
     scale = nk.opnorm(f_q)
-    saturated = gap <= tol * scale if scale > 0 else gap <= tol
+    saturated = gap <= tol * scale
     wmin = float(np.linalg.eigvalsh((diff + diff.T) / 2.0)[0])
     psd_violation = max(0.0, -wmin)
 

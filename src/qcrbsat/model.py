@@ -192,8 +192,9 @@ def _validate_densities(states: list, dim: int) -> np.ndarray:
 
 
 def _validate_drho(d: np.ndarray, tol: float, which: int) -> np.ndarray:
+    """The hermitized derivative; its Hermitian defect and trace are judged against ``||d||``."""
     d = np.asarray(d, dtype=complex)
-    scale = max(1.0, nk.fro(d))
+    scale = nk.fro(d)
     if nk.herm_defect(d) > tol * scale:
         raise InvalidStateError(
             f"derivative {which} is not Hermitian to tolerance", defect=nk.herm_defect(d)
@@ -342,10 +343,11 @@ def _split(sp: StateAtPoint, q, V, Y, rank_tol: float) -> SupportDecomposition:
 
 
 def _check_fixed_rank(sp: StateAtPoint, Y: np.ndarray) -> None:
+    """Refuse a derivative whose null block exceeds the scheme's tolerance times ``||d_l rho||``."""
     tol = sp.deriv_tol
     for l in range(sp.n_params):
         block = Y.conj().T @ sp.drho[l] @ Y
-        scale = max(1.0, nk.fro(sp.drho[l]))
+        scale = nk.fro(sp.drho[l])
         if nk.fro(block) > tol * scale:
             raise RankNotLocallyConstantError(
                 f"null-block of derivative {l} is nonzero "

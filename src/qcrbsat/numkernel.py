@@ -175,6 +175,12 @@ def joint_eigenprojectors(
     ``tol`` (relative to the product of norms) are refused, and so is a
     member that is not scalar on a block or that its labels do not rebuild.
 
+    Every threshold is ``tol`` times a norm of the family floored at 1, so
+    the family is expected at unit scale: ``tol`` is relative for members
+    of norm about 1 and absolute for smaller ones. A caller whose family
+    carries a scale of its own divides it out first, as
+    :func:`~qcrbsat.povm.construct_optimal` does with the SLD support norms.
+
     The family is handled as one ``(m, n, n)`` stack: one product stack for
     the commutators, one stacked spectral norm for the scales, one stacked
     ``q^dag S q`` per cluster for the labels and the scalar check, and one

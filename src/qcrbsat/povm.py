@@ -271,8 +271,18 @@ def construct_optimal(
     column blocks of one unitary ``[V Q, Y W]``, with ``Q`` the joint
     eigenbasis of the ++ blocks. Requires commuting ++ blocks, and ``W``
     whenever the null space is nontrivial.
+
+    The ++ blocks are joint-diagonalized as ``Lpp_l / s_l``, with ``s`` the
+    SLD support norms of :attr:`~qcrbsat.sld.SLDSet.scales` (1 where
+    ``s_l = 0``), and the labels are multiplied back by ``s_l``. That family
+    has unit scale, where :func:`~qcrbsat.numkernel.joint_eigenprojectors`
+    reads ``tol`` as relative, so commutation is tested as condition 1 tests
+    it, and the clusters do not depend on how the parameters are scaled.
+    Each block is divided by its parameter's ``s_l``, not by its own norm:
+    a ++ block that is rounding noise next to ``s_l`` stays noise.
     """
-    spectrum = nk.joint_eigenprojectors(slds.Lpp, tol=tol, rng=rng)
+    s = np.where(slds.scales > 0, slds.scales, 1.0)
+    spectrum = nk.joint_eigenprojectors(slds.Lpp / s[:, None, None], tol=tol, rng=rng)
     columns = [dec.V @ spectrum.basis]
     if dec.r_zero > 0:
         if W is None:
@@ -292,7 +302,7 @@ def construct_optimal(
         basis=basis,
         ranks=ranks,
         meta={
-            "regular_labels": spectrum.labels,
+            "regular_labels": spectrum.labels * s,
             "chi": spectrum.chi,
             "cond4_lambdas": lambdas,
         },
@@ -376,45 +386,53 @@ def verify_saturation_structural(
     return SaturationCertificate(records=records, passed=all(r.passed for r in records), tol=tol)
 
 
+def _relative(residual: float, scale: float) -> float:
+    """``residual / scale``; a zero scale reads as a vanishing residual."""
+    return residual / scale if scale else 0.0
+
+
 def _element_fit(e, kind, dec, slds, tol):
-    """One element's ``(constants, residuals, vacuous, passed)``, from the dense element."""
+    """One element's ``(constants, residuals, vacuous, passed)``, from the dense element.
+
+    Scales are the element's norm times the SLD support norms ``s_l`` of
+    :attr:`~qcrbsat.sld.SLDSet.scales`: ``||E L_l P+|| <= ||E|| s_l`` for a
+    regular element, and ``||E_00 Lpz_l^dag|| <= ||E_00|| s_l`` for a null one.
+    """
     p = slds.n_params
+    s = slds.scales.tolist()
     constants, residuals, vacuous = {}, {}, []
     passed = True
     if kind == "regular":
         b = e @ dec.P_plus
+        e_norm = nk.fro(e)
+        if nk.fro(b) <= tol * e_norm:
+            return constants, residuals, list(range(p)), passed
         for l in range(p):
-            a = e @ slds.full[l] @ dec.P_plus
-            scale = max(1.0, nk.fro(e) * max(1.0, nk.fro(slds.full[l])))
-            if nk.fro(b) <= tol * max(1.0, nk.fro(e)):
-                vacuous.append(l)
-                continue
-            c, res = _fit_real(a, b)
+            c, res = _fit_real(e @ slds.full[l] @ dec.P_plus, b)
             constants[l] = c
-            residuals[l] = res / scale
-            if res / scale > tol:
-                passed = False
+            residuals[l] = _relative(res, e_norm * s[l])
+            passed = passed and residuals[l] <= tol
     else:
         e00 = dec.Y.conj().T @ e @ dec.Y
-        scale0 = max(1.0, nk.fro(e00) * max(1.0, max((nk.fro(L) for L in slds.Lpz), default=1.0)))
+        e00_norm = nk.fro(e00)
         for l in range(p):
             for m in range(p):
                 if l == m:
                     continue
                 a = e00 @ slds.Lpz[l].conj().T
                 b = e00 @ slds.Lpz[m].conj().T
-                if nk.fro(b) <= tol * scale0:
-                    if nk.fro(a) <= tol * scale0:
+                if nk.fro(b) <= tol * e00_norm * s[m]:
+                    res = _relative(nk.fro(a), e00_norm * s[l])
+                    if res <= tol:
                         vacuous.append((l, m))
                     else:
-                        residuals[(l, m)] = nk.fro(a) / scale0
+                        residuals[(l, m)] = res
                         passed = False
                     continue
                 c, res = _fit_real(a, b)
                 constants[(l, m)] = c
-                residuals[(l, m)] = res / scale0
-                if res / scale0 > tol:
-                    passed = False
+                residuals[(l, m)] = _relative(res, e00_norm * s[l])
+                passed = passed and residuals[(l, m)] <= tol
     return constants, residuals, vacuous, passed
 
 

@@ -144,8 +144,9 @@ def compute_sld(
     """Solve the SLD defining equation for every parameter.
 
     Raises :class:`SLDInconsistentError` when the assembled observable does
-    not reproduce the derivative to ``sld_tol`` (relative); that typically
-    signals bad derivatives or a misdetected rank.
+    not reproduce the derivative to ``sld_tol`` relative to ``||d_l rho||``
+    (a vanishing derivative has a vanishing SLD and residual 0); that
+    typically signals bad derivatives or a misdetected rank.
     """
     q = dec.q
     v = dec.V
@@ -157,8 +158,8 @@ def compute_sld(
 
     rho = v @ np.diag(q).astype(complex) @ v.conj().T
     defect = (full @ rho + rho @ full) / 2.0 - d
-    scales = np.maximum(1.0, np.linalg.norm(d, axis=(1, 2)))
-    residuals = np.linalg.norm(defect, axis=(1, 2)) / scales
+    scales = np.linalg.norm(d, axis=(1, 2))
+    residuals = np.linalg.norm(defect, axis=(1, 2)) / np.where(scales > 0, scales, 1.0)
     bad = np.flatnonzero(residuals > sld_tol)
     if bad.size:
         l = int(bad[0])

@@ -743,8 +743,14 @@ def _fit_real_loop(a, b):
 
 
 def verify_saturation_structural_loop(povm, classification, dec, slds, tol=1e-8):
-    """Per element: (kind, constants, residuals, vacuous, passed)."""
+    """Per element: (kind, constants, residuals, vacuous, passed).
+
+    Residuals are relative to ||E|| s_l (regular) and ||E_00|| s_l (null),
+    a vanishing null right-hand side to ||E_00|| s_m, with s_l the SLD
+    support norms; a zero scale reads as a zero residual.
+    """
     p = slds.n_params
+    s = slds.scales.tolist()
     records = []
     for k, e in enumerate(povm.elements):
         kind = classification[k]
@@ -754,50 +760,56 @@ def verify_saturation_structural_loop(povm, classification, dec, slds, tol=1e-8)
             b = e @ dec.P_plus
             for l in range(p):
                 a = e @ slds.full[l] @ dec.P_plus
-                scale = max(1.0, nk.fro(e) * max(1.0, nk.fro(slds.full[l])))
-                if nk.fro(b) <= tol * max(1.0, nk.fro(e)):
+                scale = nk.fro(e) * s[l]
+                if nk.fro(b) <= tol * nk.fro(e):
                     vacuous.append(l)
                     continue
                 c, res = _fit_real_loop(a, b)
                 constants[l] = c
-                residuals[l] = res / scale
-                if res / scale > tol:
+                residuals[l] = res / scale if scale else 0.0
+                if residuals[l] > tol:
                     passed = False
         else:
             e00 = dec.Y.conj().T @ e @ dec.Y
-            scale0 = max(1.0, nk.fro(e00) * max(1.0, max((nk.fro(L) for L in slds.Lpz), default=1.0)))
             for l in range(p):
                 for m in range(p):
                     if l == m:
                         continue
                     a = e00 @ slds.Lpz[l].conj().T
                     b = e00 @ slds.Lpz[m].conj().T
-                    if nk.fro(b) <= tol * scale0:
-                        if nk.fro(a) <= tol * scale0:
+                    scale = nk.fro(e00) * s[l]
+                    if nk.fro(b) <= tol * nk.fro(e00) * s[m]:
+                        ra = nk.fro(a) / scale if scale else 0.0
+                        if ra <= tol:
                             vacuous.append((l, m))
                         else:
-                            residuals[(l, m)] = nk.fro(a) / scale0
+                            residuals[(l, m)] = ra
                             passed = False
                         continue
                     c, res = _fit_real_loop(a, b)
                     constants[(l, m)] = c
-                    residuals[(l, m)] = res / scale0
-                    if res / scale0 > tol:
+                    residuals[(l, m)] = res / scale if scale else 0.0
+                    if residuals[(l, m)] > tol:
                         passed = False
         records.append((kind, constants, residuals, vacuous, passed))
     return records
 
 
 def outcome_distribution_loop(rho, drho, povm, dec):
-    """(probs, dprobs, singular, {outcome: (info, rank1)}) element by element."""
+    """(probs, dprobs, singular, {outcome: (info, rank1)}) element by element.
+
+    An outcome is singular when some |d_l p| exceeds 1e-8 ||d_l rho||; a null
+    outcome's curvature is rank one when its second eigenvalue is at most
+    1e-8 times its largest.
+    """
     p = len(drho)
     probs = np.array([float(np.trace(rho @ e).real) for e in povm.elements])
     dprobs = np.array([[float(np.trace(d @ e).real) for e in povm.elements] for d in drho])
     probs[(probs < 0.0) & (probs > -pv.PROB_TOL)] = 0.0
-    deriv_tol = 1e-8 * max(1.0, max(nk.fro(d) for d in drho))
+    deriv_tol = [1e-8 * nk.fro(d) for d in drho]
     support = probs > pv.PROB_TOL
     singular = [k for k in range(len(probs))
-                if not support[k] and np.max(np.abs(dprobs[:, k])) > deriv_tol]
+                if not support[k] and any(abs(dprobs[l, k]) > deriv_tol[l] for l in range(p))]
     lpz = plus_null_blocks(dec, drho)
     q_lpz = dec.q[:, None] * lpz
     null_info = {}
@@ -810,7 +822,7 @@ def outcome_distribution_loop(rho, drho, povm, dec):
             for m in range(l, p):
                 info[l, m] = info[m, l] = float(np.trace(lpz[l].conj().T @ q_lpz[m] @ e00).real)
         w = np.linalg.eigvalsh(info)
-        rank1 = bool(w[-2] <= max(1e-12, 1e-8 * max(w[-1], 0.0))) if p > 1 else True
+        rank1 = bool(w[-2] <= 1e-8 * max(w[-1], 0.0)) if p > 1 else True
         null_info[k] = (info, rank1)
     return probs, dprobs, singular, null_info
 

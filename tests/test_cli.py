@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import qcrbsat as qs
 from qcrbsat import cli
 from qcrbsat import fisher as fi
 from qcrbsat import model as md
@@ -143,6 +144,25 @@ class TestFisher:
         assert rep["fisher"]["cost_classical"] == pytest.approx(
             rep["fisher"]["cost_quantum"], rel=1e-9
         )
+
+    def test_dropped_null_outcomes_are_noted(self, capsys, tmp_path):
+        """W = I does not align the null basis of this certified point: four null
+        outcomes have curvature of rank two, and F_c leaves their information out."""
+        params = "seed=0,n_s=8,r_plus=4,n_params=2"
+        sp = qs.evaluate(qs.get("random-rank-r", seed=0, n_s=8, r_plus=4, n_params=2), [0.0, 0.0])
+        dec = qs.support_decomposition(sp)
+        povm = pv.construct_optimal(dec, qs.compute_sld(dec, sp.drho), W=np.eye(4))
+        path = tmp_path / "unaligned.json"
+        path.write_text(json.dumps(pv.povm_to_json(povm)))
+        state = ["--model", "random-rank-r", "--params", params, "--theta", "0,0", "--povm", str(path)]
+        for command in (["fisher"], ["simulate", "--trials", "1000"]):
+            code, rep = run(capsys, *command, *state)
+            assert code == 0
+            assert rep["fisher"]["notes"] == [
+                "null outcome(s) [4, 5, 6, 7] have curvature of rank above one; "
+                "their information is left out of F_c"
+            ]
+            assert rep["fisher"]["saturated"] is False
 
 
 class TestSimulate:
@@ -383,6 +403,7 @@ class TestInputFiles:
     @pytest.mark.parametrize("matrix", [
         [[1.0]], [[1.0, 0.0], [0.0]], [[1.0, 0.0], [0.0, float("nan")]],
         [["1", 0], [0, 1]], [[True, False], [False, True]], {"g": 1},
+        [[1, 0], [0, -1]], [[1, 5], [-5, 1]],
     ])
     def test_cost_matrix_not_a_finite_p_by_p_array(self, capsys, tmp_path, matrix):
         path = tmp_path / "g.json"

@@ -1,9 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
 import qcrbsat as qs
 from qcrbsat import fisher as fi
+from qcrbsat import model as md
 from qcrbsat import povm as pv
+from qcrbsat.cli import main
 from qcrbsat.model import DomainError
 from oracles import (
     classical_fim_bruteforce,
@@ -457,3 +461,80 @@ class TestBelowBoundFlag:
                                    batches=2, batch_size=10, seed=0)
         assert study["bound_ratio"] is None and study["below_bound"] is None
         assert study["notes"] == ["classical information matrix is singular; bound ratio omitted"]
+
+
+SCALES = [1e-9, 1e-7, 1e-6, 1e-3, 1.0, 1e3, 1e6]
+
+
+def _scaled(sp, factors):
+    """``sp`` with each ``d_l rho`` multiplied by ``factors[l]``: theta_l -> theta_l / factors[l]."""
+    drho = np.asarray(factors, dtype=float)[:, None, None] * sp.drho
+    return md.StateAtPoint(theta=None, rho=sp.rho, drho=drho, scheme="analytic")
+
+
+def _fisher_report(tmp_path, sp, *flags):
+    """Exit code and report of ``fisher --numeric-model`` on ``sp``."""
+    model, report = tmp_path / "model.json", tmp_path / "report.json"
+    model.write_text(json.dumps(md.state_to_numeric_model(sp)))
+    code = main(["fisher", "--numeric-model", str(model), *flags, "--output", str(report)])
+    return code, json.loads(report.read_text())
+
+
+class TestScaleInvariance:
+    """theta -> theta / s multiplies every d_l rho by s. The constructed measurement,
+    its certificate and F_c = F_Q must not depend on s, and a measurement that does
+    not saturate must not pass at any s."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("inputs")
+        g, haar = d / "g.json", d / "haar.json"
+        g.write_text(json.dumps(np.eye(2).tolist()))
+        haar.write_text(json.dumps(pv.povm_to_json(
+            pv.random_projective_povm(3, np.random.default_rng(5)))))
+        return {"g": str(g), "haar": str(haar)}
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_qutrit_measurement_saturates(self, tmp_path, files, qutrit_point, qutrit_dec,
+                                          qutrit_slds, s):
+        code, rep = _fisher_report(tmp_path, _scaled(qutrit_point, [s, s]),
+                                   "--cost-matrix", files["g"])
+        assert code == 0
+        key = (rep["verdict"], rep["saturation_certificate"]["passed"], rep["fisher"]["saturated"])
+        assert key == ("SATURABLE_CERTIFIED", True, True)
+        assert len(rep["povm"]["ranks"]) == 3
+        fisher = rep["fisher"]
+        assert fisher["notes"] == []
+        assert fisher["cost_classical"] == pytest.approx(fisher["cost_quantum"], rel=1e-6)
+        f_q = qs.qfim(qutrit_dec, qutrit_slds)
+        assert np.abs(np.array(fisher["F_c"]) / s**2 - f_q).max() <= 1e-8 * np.abs(f_q).max()
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_haar_measurement_fails(self, tmp_path, files, qutrit_point, s):
+        code, rep = _fisher_report(tmp_path, _scaled(qutrit_point, [s, s]), "--povm", files["haar"])
+        assert code == 0
+        assert rep["saturation_certificate"]["passed"] is False
+        assert rep["fisher"]["saturated"] is False
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_rank_change_refused(self, tmp_path, qutrit_point, qutrit_dec, s):
+        """d_0 rho gains a null block of 6.7e-4 ||d_0 rho|| (traceless on the support)."""
+        drho = qutrit_point.drho.copy()
+        c = 6.7e-4 * np.linalg.norm(drho[0])
+        drho[0] += c * (qutrit_dec.P_zero - qutrit_dec.P_plus / qutrit_dec.r_plus)
+        sp = md.StateAtPoint(theta=None, rho=qutrit_point.rho, drho=drho, scheme="analytic")
+        code, rep = _fisher_report(tmp_path, _scaled(sp, [s, s]))
+        assert code == 1
+        assert rep["error"]["type"] == "RankNotLocallyConstantError"
+
+    @pytest.mark.parametrize("factors", [(1e3, 1e-3), (1e-3, 1e3)])
+    def test_planted_per_parameter_scaling(self, tmp_path, files, factors):
+        sp = qs.evaluate(qs.get("random-rank-r", seed=0, n_s=8, r_plus=4, n_params=2), [0.0, 0.0])
+        code, rep = _fisher_report(tmp_path, _scaled(sp, factors), "--cost-matrix", files["g"])
+        assert code == 0
+        key = (rep["verdict"], rep["saturation_certificate"]["passed"], rep["fisher"]["saturated"])
+        assert key == ("SATURABLE_CERTIFIED", True, True)
+        assert len(rep["povm"]["ranks"]) == 8
+        fisher = rep["fisher"]
+        assert fisher["notes"] == []
+        assert fisher["cost_classical"] == pytest.approx(fisher["cost_quantum"], rel=1e-6)
