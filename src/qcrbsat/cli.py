@@ -90,6 +90,12 @@ def parse_grid(text: str):
     return axes
 
 
+def _registry_model(args):
+    """The ``--model`` built from ``--params``, and its condition-2' witness (or None)."""
+    params = parse_params(args.params)
+    return fixtures.get(args.model, **params), fixtures.get_witness(args.model, **params)
+
+
 def _load_state(args):
     """Resolve the state source; returns (model_or_None, state_point, witness)."""
     if args.numeric_model:
@@ -97,9 +103,7 @@ def _load_state(args):
         return None, sp, None
     if not args.model:
         raise QcrbSatError("either --model or --numeric-model is required")
-    params = parse_params(args.params)
-    model = fixtures.get(args.model, **params)
-    witness = fixtures.get_witness(args.model, **params)
+    model, witness = _registry_model(args)
     if args.theta is None:
         raise QcrbSatError("--theta is required with --model")
     theta = parse_theta(args.theta)
@@ -149,10 +153,6 @@ def base_report(args, sp: StateAtPoint, model, dec, f_q, report) -> dict:
         "conditions": report.to_dict(),
         "verdict": report.verdict,
     }
-
-
-def _emit(payload: dict, args) -> None:
-    jsonio.write_json(payload, args.output or None)
 
 
 def _construct_from_report(dec, slds, report, seed):
@@ -297,9 +297,7 @@ def cmd_simulate(args) -> dict:
 def cmd_sweep(args) -> dict:
     if not args.model:
         raise QcrbSatError("sweep requires --model (numeric models are single-point)")
-    params = parse_params(args.params)
-    model = fixtures.get(args.model, **params)
-    witness = fixtures.get_witness(args.model, **params)
+    model, witness = _registry_model(args)
     axes = parse_grid(args.grid)
     if len(axes) != model.n_params:
         raise QcrbSatError(f"grid has {len(axes)} axes, model has {model.n_params} parameters")
@@ -385,9 +383,10 @@ def main(argv=None) -> int:
     try:
         payload = _COMMANDS[args.command](args)
     except QcrbSatError as exc:
-        _emit({"schema_version": SCHEMA_VERSION, "error": exc.to_dict()}, args)
+        jsonio.write_json({"schema_version": SCHEMA_VERSION, "error": exc.to_dict()},
+                          args.output or None)
         return 1
-    _emit(payload, args)
+    jsonio.write_json(payload, args.output or None)
     return 0
 
 

@@ -28,7 +28,7 @@ candidate, unitarity included, goes through :func:`verify_condition4_with_w`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -273,27 +273,16 @@ def find_w_condition4(
     Candidates are the pinv construction (see :func:`_candidate_w_pinv`),
     for r+ = 1 the real-rows construction (see
     :func:`_candidate_w_totally_real`), and the identity; when every block
-    is below ``tol * scale_floor`` the identity alone. CERTIFIED_YES comes
-    with the first candidate :func:`verify_condition4_with_w` accepts,
-    unitarity included, and its fitted real ratios; everything else is
-    UNKNOWN. The refutation (CERTIFIED_NO) is condition 3's:
+    is below ``tol * scale_floor``, an empty null space included, the
+    identity alone. CERTIFIED_YES comes with the first candidate
+    :func:`verify_condition4_with_w` accepts, unitarity included, and its
+    fitted real ratios; everything else is UNKNOWN. The refutation
+    (CERTIFIED_NO) is condition 3's:
     :class:`ConditionReport` reads it off a failed condition 3.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     lpz = np.asarray(lpz, dtype=complex)
-    p, r_plus, r0 = lpz.shape
-
-    if r0 == 0:
-        lam = np.full((p, p, 0), np.nan)
-        return Cond4Result(
-            status=COND4_YES,
-            W=np.zeros((0, 0), dtype=complex),
-            lambdas=lam,
-            column_status=[],
-            residual=0.0,
-            tol=tol,
-            notes=["no null directions"],
-        )
+    _, r_plus, r0 = lpz.shape
 
     identity = np.eye(r0, dtype=complex)
     norms = np.linalg.norm(lpz, axis=(1, 2))
@@ -318,6 +307,7 @@ def find_w_condition4(
                 column_status=column_status,
                 residual=res,
                 tol=tol,
+                notes=[] if r0 else ["no null directions"],
             )
         residuals.append(res)
 
@@ -377,16 +367,21 @@ class Cond2PrimeResult:
     notes: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "path": self.path,
-            "pde_residual": self.pde_residual,
-            "stationarity_residual": self.stationarity_residual,
-            "null_compat_residual": self.null_compat_residual,
-            "cross_identity_residual": self.cross_identity_residual,
-            "tol": self.tol,
-            "notes": list(self.notes),
-        }
+        return asdict(self)
+
+
+def _not_checked(tol: float, note: str) -> Cond2PrimeResult:
+    """The record of a condition 2' left undecided, with the reason."""
+    return Cond2PrimeResult(
+        status="NOT_CHECKED",
+        path="not_checked",
+        pde_residual=None,
+        stationarity_residual=None,
+        null_compat_residual=None,
+        cross_identity_residual=None,
+        tol=tol,
+        notes=[note],
+    )
 
 
 def _stencil(fn, theta: np.ndarray, h: float) -> list:
@@ -421,16 +416,7 @@ def verify_condition2prime(
     maps, from one evaluation of each map per stencil point.
     """
     if model.support_basis_fn is None:
-        return Cond2PrimeResult(
-            status="NOT_CHECKED",
-            path="not_checked",
-            pde_residual=None,
-            stationarity_residual=None,
-            null_compat_residual=None,
-            cross_identity_residual=None,
-            tol=tol,
-            notes=["model exposes no smooth support-basis map"],
-        )
+        return _not_checked(tol, "model exposes no smooth support-basis map")
 
     theta = np.asarray(sp.theta, dtype=float)
     p = sp.n_params
@@ -444,7 +430,6 @@ def verify_condition2prime(
     a = [v.conj().T @ dv[l] for l in range(p)]  # V^dag dV_l, skew-Hermitian
 
     notes = []
-    path = "not_checked"
     if witness is None:
         diag_res = max(nk.fro(x - np.diag(np.diag(x))) / max(1.0, nk.fro(x)) for x in a) if p else 0.0
         if diag_res <= max(tol, 1e-6):
@@ -456,19 +441,8 @@ def verify_condition2prime(
             )
             notes.append("canonical witness generated from diagonal V^dag dV")
         else:
-            return Cond2PrimeResult(
-                status="NOT_CHECKED",
-                path="not_checked",
-                pde_residual=None,
-                stationarity_residual=None,
-                null_compat_residual=None,
-                cross_identity_residual=None,
-                tol=tol,
-                notes=[
-                    "no witness supplied and V^dag dV is not diagonal "
-                    f"(residual {diag_res:.3e}); existence undecided"
-                ],
-            )
+            return _not_checked(tol, "no witness supplied and V^dag dV is not diagonal "
+                                f"(residual {diag_res:.3e}); existence undecided")
 
     u = np.asarray(witness.unitary_fn(theta), dtype=complex)
     if u.shape != (r_plus, r_plus) or nk.fro(u.conj().T @ u - np.eye(r_plus)) > 1e-10 * max(
@@ -602,13 +576,16 @@ def verdict(report: ConditionReport, r_plus: int, r_zero: int):
     """Fold conditions 1, 3 and 4 into a certified verdict.
 
     One-dimensional support: conditions 1 and 3 decide saturability both
-    ways. Otherwise conditions 1 + 4 certify it, a failed condition 1 or 3
-    refutes it, and anything else is inconclusive (the PDE condition stays
-    undecided). At full rank condition 4 holds vacuously and condition 1 is
+    ways. Otherwise conditions 1, 3 and 4 together certify it, and a failed
+    condition 1 or 3 refutes it. Condition 4 implies condition 3, so a
+    verified W beside a failing condition 3 is a rounding contradiction and
+    reads inconclusive, as does anything else undecided (the PDE condition
+    stays open). At full rank condition 4 holds vacuously and condition 1 is
     full commutativity. The commutativity diagnostics are not read:
     conditions 1 and 3 imply partial commutativity.
     """
     c1, c3 = report.cond1.passed, report.cond3.passed
+    c4 = report.cond4.status == COND4_YES
     line1 = f"condition 1 {'pass' if c1 else 'fail'} (residual {report.cond1.residual:.3e})"
     line3 = f"condition 3 {'pass' if c3 else 'fail'} (residual {report.cond3.residual:.3e})"
     if r_plus == 1:
@@ -618,9 +595,13 @@ def verdict(report: ConditionReport, r_plus: int, r_zero: int):
     state = "rank-deficient" if r_zero else "full-rank"
     trace = [f"{state} state: certifying through conditions 1 and 4", line1,
              f"condition 4 status {report.cond4.status}"]
-    if c1 and report.cond4.status == COND4_YES:
+    if c1 and c3 and c4:
         return VERDICT_SATURABLE, trace
     trace.append(line3)
+    if c1 and c4:
+        trace.append("condition 4 holds but its necessary condition 3 fails: "
+                     "a rounding contradiction, so nothing is certified")
+        return VERDICT_INCONCLUSIVE, trace
     if not (c1 and c3):
         trace.append("a necessary condition fails")
         return VERDICT_NOT, trace

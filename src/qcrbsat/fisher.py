@@ -111,23 +111,23 @@ def outcome_distribution(
     other element by element.
     """
     p = len(drho)
+    states = np.concatenate([rho[None], drho])
     if povm.basis is not None:
-        traces = basisform.traces(povm.basis, povm.ranks, np.concatenate([rho[None], drho]))
-        probs, dprobs = traces[0], traces[1:]
+        traces = basisform.traces(povm.basis, povm.ranks, states)
     else:
-        elements = np.stack(povm.elements)
-        probs = probabilities(rho, elements)
-        dprobs = np.array([probabilities(d, elements) for d in drho])
+        traces = probabilities(states, np.stack(povm.elements))
+    probs, dprobs = traces[0], traces[1:]
     if np.any(probs < -PROB_TOL):
         raise QcrbSatError(f"negative outcome probability {probs.min():.3e}")
     probs[(probs < 0.0) & (probs > -PROB_TOL)] = 0.0
     if abs(probs.sum() - 1.0) > 1e-10:
         raise QcrbSatError(f"probabilities sum to {probs.sum()!r}")
     d_norms = np.linalg.norm(np.asarray(drho), axis=(1, 2))
-    dp_sums = np.abs(dprobs.sum(axis=1))
-    if np.any(dp_sums > 1e-10 * d_norms):
+    # completeness: sum_k d_l p_k = tr d_l rho, whose own size the state's validation judged
+    dp_defects = np.abs(dprobs.sum(axis=1) - np.trace(drho, axis1=1, axis2=2).real)
+    if np.any(dp_defects > 1e-10 * d_norms):
         raise QcrbSatError(
-            f"probability derivatives do not sum to zero: {dp_sums.tolist()}"
+            f"probability derivatives do not sum to the derivative traces: {dp_defects.tolist()}"
         )
 
     deriv_tol = 1e-8 * d_norms

@@ -144,66 +144,72 @@ class SupportDecomposition:
     rank_tol: float
 
 
-def _validate_density(rho: np.ndarray, dim: int | None = None) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise InvalidStateError(f"state must be square, got {rho.shape}")
-    if dim is not None and rho.shape[0] != dim:
-        raise InvalidStateError(f"state has dimension {rho.shape[0]}, expected {dim}")
-    scale = max(1.0, nk.fro(rho))
-    if nk.herm_defect(rho) > HERM_TOL * scale:
-        raise InvalidStateError(
-            "state is not Hermitian", defect=nk.herm_defect(rho), tol=HERM_TOL
-        )
-    rho = nk.hermitize(rho)
-    tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise TraceNotOneError(f"state trace is {tr!r}, expected 1", trace=tr)
-    wmin = float(np.linalg.eigvalsh(rho)[0])
-    if wmin < -PSD_FLOOR:
-        raise InvalidStateError(
-            f"state is not positive semidefinite: min eigenvalue {wmin:.3e}", min_eig=wmin
-        )
-    return rho
+def _fro_stack(a: np.ndarray) -> np.ndarray:
+    """:func:`~qcrbsat.numkernel.fro` of each matrix of a stack, bit for bit, in one pass:
+    each sum of squares is a stacked (1, k) @ (k, 1) product, one BLAS dot as ``fro`` takes it."""
+    x = a.reshape(len(a), 1, -1)
+    return np.sqrt(x.real @ x.real.swapaxes(1, 2) + x.imag @ x.imag.swapaxes(1, 2))[:, 0, 0]
 
 
 def _validate_densities(states: list, dim: int) -> np.ndarray:
-    """``_validate_density`` on each of a list of states, as one (B, n, n) stack.
+    """The states as one hermitized (B, n, n) stack, each checked as a density matrix.
 
-    The Hermitian, trace and PSD checks run once over the stack (one
-    ``eigvalsh``) with the same per-matrix thresholds; a flagged or
-    misshapen state is handed to ``_validate_density`` alone, so it raises
-    exactly the error a single-point call would.
+    Each state must be an ``n x n`` matrix with ``n = dim``, Hermitian to
+    ``HERM_TOL`` times ``max(1, ||rho||)``, of unit trace and positive
+    semidefinite. The residuals of the whole stack are computed once (one
+    ``eigvalsh``), and the first failing state raises the error of its first
+    failing check from those same numbers; a single state is a stack of one.
     """
     rho = [np.asarray(r, dtype=complex) for r in states]
     for r in rho:
-        if r.shape != (dim, dim):
-            _validate_density(r, dim)
-    rho = np.stack(rho)
+        if r.ndim != 2 or r.shape[0] != r.shape[1]:
+            raise InvalidStateError(f"state must be square, got {r.shape}")
+        if r.shape[0] != dim:
+            raise InvalidStateError(f"state has dimension {r.shape[0]}, expected {dim}")
+    rho = np.array(rho)
     adj = rho.conj().swapaxes(1, 2)
-    scale = np.maximum(1.0, np.linalg.norm(rho, axis=(1, 2)))
-    bad = np.linalg.norm(rho - adj, axis=(1, 2)) > HERM_TOL * scale
+    defect = _fro_stack(rho - adj)
+    not_herm = defect > HERM_TOL * np.maximum(1.0, _fro_stack(rho))
     herm = (rho + adj) / 2.0
-    bad |= np.abs(np.trace(herm, axis1=1, axis2=2).real - 1.0) > TRACE_TOL
-    bad |= np.linalg.eigvalsh(herm)[:, 0] < -PSD_FLOOR
-    for k in np.flatnonzero(bad):
-        _validate_density(rho[k], dim)
+    trace = herm.trace(axis1=1, axis2=2).real
+    off_trace = np.abs(trace - 1.0) > TRACE_TOL
+    wmin = np.linalg.eigvalsh(herm)[:, 0]
+    bad = not_herm | off_trace | (wmin < -PSD_FLOOR)
+    if bad.any():
+        k = int(bad.argmax())
+        if not_herm[k]:
+            raise InvalidStateError("state is not Hermitian", defect=float(defect[k]), tol=HERM_TOL)
+        if off_trace[k]:
+            tr = float(trace[k])
+            raise TraceNotOneError(f"state trace is {tr!r}, expected 1", trace=tr)
+        raise InvalidStateError(
+            f"state is not positive semidefinite: min eigenvalue {wmin[k]:.3e}",
+            min_eig=float(wmin[k]),
+        )
     return herm
 
 
-def _validate_drho(d: np.ndarray, tol: float, which: int) -> np.ndarray:
-    """The hermitized derivative; its Hermitian defect and trace are judged against ``||d||``."""
-    d = np.asarray(d, dtype=complex)
-    scale = nk.fro(d)
-    if nk.herm_defect(d) > tol * scale:
+def _validate_drho(drho: np.ndarray, tol: float) -> np.ndarray:
+    """The hermitized (p, n, n) derivatives; each one's Hermitian defect and
+    trace are judged against ``tol * ||d_l rho||``, for the whole stack at once."""
+    drho = np.asarray(drho, dtype=complex)
+    adj = drho.conj().swapaxes(1, 2)
+    bound = tol * _fro_stack(drho)
+    defect = _fro_stack(drho - adj)
+    herm = (drho + adj) / 2.0
+    trace = np.abs(herm.trace(axis1=1, axis2=2))
+    not_herm = defect > bound
+    bad = not_herm | (trace > bound)
+    if bad.any():
+        l = int(bad.argmax())
+        if not_herm[l]:
+            raise InvalidStateError(
+                f"derivative {l} is not Hermitian to tolerance", defect=float(defect[l])
+            )
         raise InvalidStateError(
-            f"derivative {which} is not Hermitian to tolerance", defect=nk.herm_defect(d)
+            f"derivative {l} is not traceless: |tr| = {trace[l]:.3e}", trace=float(trace[l])
         )
-    d = nk.hermitize(d)
-    tr = abs(complex(np.trace(d)))
-    if tr > tol * scale:
-        raise InvalidStateError(f"derivative {which} is not traceless: |tr| = {tr:.3e}", trace=tr)
-    return d
+    return herm
 
 
 def finite_difference_derivative(
@@ -232,26 +238,27 @@ def richardson_derivative(
     return (4.0 * d_h2 - d_h) / 3.0
 
 
-def _check_point(model: StateModel, theta) -> np.ndarray:
+def _check_points(model: StateModel, theta) -> np.ndarray:
+    """The (B, p) stack of points, each inside the open domain.
+
+    A point of shape (p,) is a stack of one. The domain test runs once over
+    the stack, and the first point outside raises.
+    """
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (model.n_params,):
+    p = model.n_params
+    if theta.ndim == 2:
+        if theta.shape[0] == 0 or theta.shape[1] != p:
+            raise DomainError(f"theta stack has shape {theta.shape}, expected (B, {p})",
+                              theta=theta)
+    elif theta.shape != (p,):
+        raise DomainError(f"theta has shape {theta.shape}, expected ({p},)", theta=theta)
+    stack = theta if theta.ndim == 2 else theta[None]
+    inside = ((stack > model.domain.lo) & (stack < model.domain.hi)).all(axis=1)
+    if not inside.all():
         raise DomainError(
-            f"theta has shape {theta.shape}, expected ({model.n_params},)", theta=theta
+            f"theta {stack[inside.argmin()].tolist()} outside the domain of {model.name}"
         )
-    if not model.domain.contains(theta):
-        raise DomainError(f"theta {theta.tolist()} outside the domain of {model.name}")
-    return theta
-
-
-def _check_points(model: StateModel, theta: np.ndarray) -> None:
-    """``_check_point`` on each row of a (B, p) stack, with one domain test."""
-    if theta.shape[0] == 0 or theta.shape[1] != model.n_params:
-        raise DomainError(
-            f"theta stack has shape {theta.shape}, expected (B, {model.n_params})", theta=theta
-        )
-    if not model.domain.contains(theta):
-        for row in theta:
-            _check_point(model, row)
+    return stack
 
 
 def state_at(model: StateModel, theta) -> np.ndarray:
@@ -265,11 +272,8 @@ def state_at(model: StateModel, theta) -> np.ndarray:
     error it raises alone.
     """
     theta = np.asarray(theta, dtype=float)
-    if theta.ndim == 2:
-        _check_points(model, theta)
-        return _validate_densities([model.state_fn(t) for t in theta], model.dim)
-    theta = _check_point(model, theta)
-    return _validate_density(model.state_fn(theta), model.dim)
+    rho = _validate_densities([model.state_fn(t) for t in _check_points(model, theta)], model.dim)
+    return rho if theta.ndim == 2 else rho[0]
 
 
 def evaluate(
@@ -283,7 +287,7 @@ def evaluate(
     ``scheme`` is one of "auto", "analytic", "central_fd", "richardson";
     "auto" uses analytic derivatives when the model provides them.
     """
-    theta = _check_point(model, theta)
+    theta = _check_points(model, theta)[0]
 
     if scheme == "auto":
         scheme = "analytic" if model.derivative_fn is not None else "central_fd"
@@ -292,23 +296,17 @@ def evaluate(
     if scheme not in ("analytic", "central_fd", "richardson"):
         raise DomainError(f"unknown derivative scheme {scheme!r}")
 
-    rho = _validate_density(model.state_fn(theta), model.dim)
-
-    tol = derivative_tol(scheme)
-    drho = []
-    for l in range(model.n_params):
-        if scheme == "analytic":
-            d = np.asarray(model.derivative_fn(theta, l), dtype=complex)
-        elif scheme == "central_fd":
-            d = finite_difference_derivative(model, theta, l, h)
-        else:
-            d = richardson_derivative(model, theta, l, h)
-        drho.append(_validate_drho(d, tol, l))
+    rho = _validate_densities([model.state_fn(theta)], model.dim)[0]
+    if scheme == "analytic":
+        drho = [model.derivative_fn(theta, l) for l in range(model.n_params)]
+    else:
+        step = finite_difference_derivative if scheme == "central_fd" else richardson_derivative
+        drho = [step(model, theta, l, h) for l in range(model.n_params)]
 
     return StateAtPoint(
         theta=theta,
         rho=rho,
-        drho=np.array(drho),
+        drho=_validate_drho(np.array(drho, dtype=complex), derivative_tol(scheme)),
         scheme=scheme,
         fd_step=None if scheme == "analytic" else h,
     )
@@ -343,19 +341,21 @@ def _split(sp: StateAtPoint, q, V, Y, rank_tol: float) -> SupportDecomposition:
 
 
 def _check_fixed_rank(sp: StateAtPoint, Y: np.ndarray) -> None:
-    """Refuse a derivative whose null block exceeds the scheme's tolerance times ``||d_l rho||``."""
+    """Refuse a derivative whose null block ``Y^dag d_l rho Y`` exceeds the scheme's
+    tolerance times ``||d_l rho||``; the blocks of all parameters form one stack."""
     tol = sp.deriv_tol
-    for l in range(sp.n_params):
-        block = Y.conj().T @ sp.drho[l] @ Y
-        scale = nk.fro(sp.drho[l])
-        if nk.fro(block) > tol * scale:
-            raise RankNotLocallyConstantError(
-                f"null-block of derivative {l} is nonzero "
-                f"({nk.fro(block):.3e} > {tol:.1e} * {scale:.3e}); "
-                "the rank of the family is not locally constant at this point",
-                param=l,
-                residual=nk.fro(block),
-            )
+    residual = _fro_stack(Y.conj().T @ sp.drho @ Y)
+    scale = _fro_stack(sp.drho)
+    bad = residual > tol * scale
+    if bad.any():
+        l = int(bad.argmax())
+        raise RankNotLocallyConstantError(
+            f"null-block of derivative {l} is nonzero "
+            f"({residual[l]:.3e} > {tol:.1e} * {scale[l]:.3e}); "
+            "the rank of the family is not locally constant at this point",
+            param=l,
+            residual=float(residual[l]),
+        )
 
 
 def support_decomposition(sp: StateAtPoint, rank_tol: float = DEFAULT_RANK_TOL) -> SupportDecomposition:
@@ -460,9 +460,9 @@ def parse_numeric_model(source) -> StateAtPoint:
         raise SchemaError(f"drho must hold {p} matrices")
     drho = [parse_complex_matrix(m, n, f"drho[{l}]") for l, m in enumerate(data["drho"])]
 
-    rho = _validate_density(rho)
-    drho = [_validate_drho(d, derivative_tol("analytic"), l) for l, d in enumerate(drho)]
-    return StateAtPoint(theta=None, rho=rho, drho=np.array(drho), scheme="analytic")
+    rho = _validate_densities([rho], n)[0]
+    drho = _validate_drho(np.array(drho), derivative_tol("analytic"))
+    return StateAtPoint(theta=None, rho=rho, drho=drho, scheme="analytic")
 
 
 def state_to_numeric_model(sp: StateAtPoint) -> dict:

@@ -460,6 +460,19 @@ class TestOptions:
         assert rep["qfim"] == base["qfim"]
         assert rep["support"] == base["support"]
 
+    def test_rounding_contradiction_certifies_nothing(self, capsys):
+        # condition 3's residual 1.8e-16 exceeds the tolerance beside a verified W
+        code, rep = run(capsys, "analyze", *QUTRIT, "--cond-tol", "1e-16")
+        assert code == 0
+        conditions = rep["conditions"]
+        assert conditions["condition3"]["passed"] is False
+        assert conditions["condition4"]["status"] == "CERTIFIED_YES"
+        assert rep["verdict"] == "INCONCLUSIVE"
+        assert "rounding contradiction" in conditions["reasoning"][-1]
+        code, rep = run(capsys, "fisher", *QUTRIT, "--cond-tol", "1e-16")
+        assert code == 1
+        assert rep["error"]["type"] == "NotCertifiedError"
+
     @pytest.mark.parametrize("command", ["analyze", "fisher"])
     @pytest.mark.parametrize("flag, value", [
         ("--cond-tol", "inf"), ("--cond-tol", "nan"), ("--cond-tol", "-1"),

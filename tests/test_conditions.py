@@ -754,7 +754,8 @@ class TestVerdictFold:
     def test_rank_deficient_fold(self):
         for c1, c3, c4 in product((True, False), (True, False), self.STATUSES):
             if c1 and c4 == cond.COND4_YES:
-                expected = cond.VERDICT_SATURABLE
+                # a verified W beside a failing condition 3 is a rounding contradiction
+                expected = cond.VERDICT_SATURABLE if c3 else cond.VERDICT_INCONCLUSIVE
             elif not (c1 and c3):
                 expected = cond.VERDICT_NOT
             else:
@@ -774,6 +775,20 @@ class TestVerdictFold:
             verdict, trace = cond.verdict(rep, 3, 0)
             assert verdict == expected
             assert trace[0] == "full-rank state: certifying through conditions 1 and 4"
+
+
+class TestVerdictSoundness:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 19), st.integers(1, 19), st.floats(-16.0, -6.0))
+    def test_certified_implies_condition3(self, qutrit_model, i, j, log_tol):
+        # condition 4 implies condition 3 only in exact arithmetic; below the checks'
+        # rounding a verified W can sit beside a failing condition 3
+        tol = 10.0 ** log_tol
+        sp = qs.evaluate(qutrit_model, [i / 20, j / 20])
+        dec = qs.support_decomposition(sp)
+        slds = qs.compute_sld(dec, sp.drho, sld_tol=max(tol, sp.deriv_tol))
+        rep = qs.evaluate_conditions(sp, dec, slds, tol=tol)
+        assert rep.verdict != cond.VERDICT_SATURABLE or rep.cond3.passed
 
 
 class TestGaugeInvariance:

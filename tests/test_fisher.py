@@ -49,6 +49,17 @@ class TestOutcomeDistribution:
         assert not dist.support_mask[null_idx]
         assert null_idx not in dist.singular
 
+    def test_derivative_trace_judged_once(self, tmp_path, qutrit_point):
+        # a trace of 1e-9 ||d_0 rho|| passes the state's validation, so the derivative
+        # sums reproduce it instead of refusing the measurement
+        drho = qutrit_point.drho.copy()
+        drho[0] += 1e-9 * np.linalg.norm(drho[0]) * np.eye(3) / np.sqrt(3)
+        sp = md.StateAtPoint(theta=None, rho=qutrit_point.rho, drho=drho, scheme="analytic")
+        code, rep = _fisher_report(tmp_path, sp)
+        assert code == 0
+        key = (rep["verdict"], rep["saturation_certificate"]["passed"], rep["fisher"]["saturated"])
+        assert key == ("SATURABLE_CERTIFIED", True, True)
+
     def test_singular_outcome_detected_and_refused(self):
         dist = fi.MeasurementDistribution(
             probs=np.array([1.0, 0.0]),

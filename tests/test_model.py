@@ -58,6 +58,25 @@ class TestEvaluate:
         with pytest.raises(md.TraceNotOneError):
             qs.evaluate(m, [0.5])
 
+    @pytest.mark.parametrize("bump, message, key", [
+        (np.array([[0.0, 0.1], [0.0, 0.0]]), "derivative 1 is not Hermitian", "defect"),
+        (0.1 * np.eye(2), "derivative 1 is not traceless", "trace"),
+    ], ids=["non-hermitian", "trace"])
+    def test_bad_derivative_named(self, bump, message, key):
+        sigma_z = np.diag([0.1, -0.1])
+        m = md.StateModel(
+            name="bumped",
+            dim=2,
+            n_params=2,
+            state_fn=lambda theta: np.eye(2, dtype=complex) / 2.0,
+            domain=md.box([0, 0], [1, 1]),
+            derivative_fn=lambda theta, l: (sigma_z + l * bump).astype(complex),
+        )
+        with pytest.raises(md.InvalidStateError, match=message) as exc:
+            qs.evaluate(m, [0.5, 0.5])
+        assert type(exc.value) is md.InvalidStateError
+        assert set(exc.value.detail) == {key}
+
 
 class TestStateAt:
     """`state_at` is `evaluate` without the derivatives: same state, same checks."""
@@ -279,23 +298,30 @@ class TestNumericModel:
         assert np.array_equal(sp.rho, qutrit_point.rho)
         assert np.array_equal(sp.drho, qutrit_point.drho)
 
-    def test_trace_not_one(self, qutrit_point):
-        payload = md.state_to_numeric_model(qutrit_point)
-        payload["rho"][0][0][0] -= 0.1
-        with pytest.raises(md.TraceNotOneError):
-            qs.parse_numeric_model(payload)
-
     def test_ragged_rows(self, qutrit_point):
         payload = md.state_to_numeric_model(qutrit_point)
         payload["rho"][1] = payload["rho"][1][:2]
         with pytest.raises(md.SchemaError):
             qs.parse_numeric_model(payload)
 
-    def test_non_hermitian_payload(self, qutrit_point):
-        payload = md.state_to_numeric_model(qutrit_point)
-        payload["rho"][0][1] = [0.3, 0.0]
-        with pytest.raises(md.InvalidStateError):
-            qs.parse_numeric_model(payload)
+    @pytest.mark.parametrize("edit, error, message, keys", [
+        (lambda rho, drho: (rho + 0.3 * np.eye(3, k=1), drho),
+         md.InvalidStateError, "state is not Hermitian", {"defect", "tol"}),
+        (lambda rho, drho: (rho - np.diag([0.1, 0, 0]), drho),
+         md.TraceNotOneError, "state trace is", {"trace"}),
+        (lambda rho, drho: (np.diag([0.6, 0.5, -0.1]), drho),
+         md.InvalidStateError, "state is not positive semidefinite", {"min_eig"}),
+        (lambda rho, drho: (rho, drho + 1e-3 * np.array([0, 1])[:, None, None] * np.eye(3)),
+         md.InvalidStateError, "derivative 1 is not traceless", {"trace"}),
+    ], ids=["non-hermitian", "trace", "non-psd", "derivative-trace"])
+    def test_invalid_payload_typed(self, qutrit_point, edit, error, message, keys):
+        rho, drho = edit(qutrit_point.rho, qutrit_point.drho)
+        bad = md.StateAtPoint(theta=None, rho=rho.astype(complex), drho=drho.astype(complex),
+                              scheme="analytic")
+        with pytest.raises(error, match=message) as exc:
+            qs.parse_numeric_model(md.state_to_numeric_model(bad))
+        assert type(exc.value) is error
+        assert set(exc.value.detail) == keys
 
     def test_missing_key(self):
         with pytest.raises(md.SchemaError):
