@@ -47,13 +47,7 @@ from .model import (
     state_at,
     support_decomposition,
 )
-from .numkernel import (
-    HermitianEigen,
-    JointSpectrum,
-    commutator_residual,
-    eig_hermitian,
-    joint_eigenprojectors,
-)
+from .numkernel import JointSpectrum, joint_eigenprojectors
 from .povm import (
     POVM,
     SaturationCertificate,
@@ -76,11 +70,8 @@ __all__ = [
     "support_decomposition",
     "decomposition_from_basis",
     "parse_numeric_model",
-    "HermitianEigen",
     "JointSpectrum",
-    "eig_hermitian",
     "joint_eigenprojectors",
-    "commutator_residual",
     "BlockOperator",
     "SLDSet",
     "to_blocks",

@@ -28,7 +28,7 @@ candidate, unitarity included, goes through :func:`verify_condition4_with_w`.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -36,7 +36,7 @@ import numpy as np
 from . import numkernel as nk
 from .errors import QcrbSatError, require_tolerance
 from .jsonio import ComplexMatrix
-from .model import StateAtPoint, StateModel, SupportDecomposition, decomposition_from_basis
+from .model import StateAtPoint, StateModel, SupportDecomposition, decomposition_from_basis, stencil
 from .sld import SLDSet, pairs, plus_null_blocks
 
 VERDICT_SATURABLE = "SATURABLE_CERTIFIED"
@@ -367,7 +367,7 @@ class Cond2PrimeResult:
     notes: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**vars(self), "notes": list(self.notes)}
 
 
 def _not_checked(tol: float, note: str) -> Cond2PrimeResult:
@@ -382,16 +382,6 @@ def _not_checked(tol: float, note: str) -> Cond2PrimeResult:
         tol=tol,
         notes=[note],
     )
-
-
-def _stencil(fn, theta: np.ndarray, h: float) -> list:
-    """``fn`` at ``theta ± h e_l``, one ``(plus, minus)`` pair of complex arrays per parameter."""
-    out = []
-    for l in range(len(theta)):
-        e = np.zeros_like(theta)
-        e[l] = h
-        out.append((np.asarray(fn(theta + e), dtype=complex), np.asarray(fn(theta - e), dtype=complex)))
-    return out
 
 
 def verify_condition2prime(
@@ -425,8 +415,8 @@ def verify_condition2prime(
     dec = decomposition_from_basis(sp, v)
     r_plus = dec.r_plus
     h = 1e-5
-    v_st = _stencil(v_fn, theta, h)
-    dv = [(vp - vm) / (2.0 * h) for vp, vm in v_st]
+    v_plus, v_minus = (np.asarray(x, dtype=complex) for x in stencil(v_fn, theta, h))
+    dv = (v_plus - v_minus) / (2.0 * h)
     a = [v.conj().T @ dv[l] for l in range(p)]  # V^dag dV_l, skew-Hermitian
 
     notes = []
@@ -453,8 +443,8 @@ def verify_condition2prime(
             defect=nk.fro(u.conj().T @ u - np.eye(r_plus)),
         )
     d_mats = witness.d_matrices(theta, p, r_plus)
-    u_st = _stencil(witness.unitary_fn, theta, h)
-    du = [(up - um) / (2.0 * h) for up, um in u_st]
+    u_plus, u_minus = (np.asarray(x, dtype=complex) for x in stencil(witness.unitary_fn, theta, h))
+    du = (u_plus - u_minus) / (2.0 * h)
 
     pde_res = 0.0
     for l in range(p):
@@ -470,7 +460,7 @@ def verify_condition2prime(
     stationarity_res = None
     dvt = [
         (vp @ up.conj().T - vm @ um.conj().T) / (2.0 * h)
-        for (vp, vm), (up, um) in zip(v_st, u_st)
+        for vp, vm, up, um in zip(v_plus, v_minus, u_plus, u_minus)
     ]
     if d_all_zero:
         stationarity_res = 0.0

@@ -125,18 +125,6 @@ def qutrit_phase_mixture(d=0.6, c1=1.0, c2=0.7) -> StateModel:
     )
 
 
-def qutrit_null_basis(d=0.6, c1=1.0, c2=0.7):
-    """Closed-form smooth null-space basis of the qutrit family."""
-    d = _as_complex("d", d)
-    s = np.sqrt(1.0 - abs(d) ** 2)
-
-    def y(theta):
-        e = np.exp(-1j * (c1 * theta[0] + c2 * theta[1]))
-        return np.array([[s], [0.0], [-np.conj(d) * e]], dtype=complex)
-
-    return y
-
-
 def _qutrit_witness(d=0.6, c1=1.0, c2=0.7) -> Cond2PrimeWitness:
     d = _as_complex("d", d)
     dd = abs(d) ** 2
@@ -312,11 +300,9 @@ def random_rank_r(
     n_params=2,
     plant_cond1=True,
     plant_cond4=True,
-    vanish_columns=0,
 ) -> StateModel:
     seed, n_s, r_plus = _as_int("seed", seed), _as_int("n_s", n_s), _as_int("r_plus", r_plus)
     n_params = _as_int("n_params", n_params)
-    vanish_columns = _as_int("vanish_columns", vanish_columns)
     plant_cond1 = _as_bool("plant_cond1", plant_cond1)
     plant_cond4 = _as_bool("plant_cond4", plant_cond4)
     r_zero = n_s - r_plus
@@ -356,7 +342,6 @@ def random_rank_r(
         mu = rng.uniform(0.2, 1.0, size=(n_params, r_zero)) * rng.choice(
             [-1.0, 1.0], size=(n_params, r_zero)
         )
-        mu[:, : max(0, vanish_columns)] = 0.0
         for l in range(n_params):
             lpz.append((frame * mu[l]) @ w0.conj().T)
     else:

@@ -62,10 +62,6 @@ class Box:
     lo: np.ndarray
     hi: np.ndarray
 
-    def contains(self, theta: np.ndarray, margin: float = 0.0) -> bool:
-        theta = np.asarray(theta, dtype=float)
-        return bool(np.all(theta > self.lo + margin) and np.all(theta < self.hi - margin))
-
 
 def box(lo, hi) -> Box:
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
@@ -98,13 +94,25 @@ class StateModel:
 
 @dataclass
 class StateAtPoint:
-    """The state, its parameter derivatives, and how they were obtained."""
+    """The state, its parameter derivatives, and how they were obtained.
+
+    A state point is valid by construction: ``rho`` must be a finite, square,
+    Hermitian, unit-trace, positive semidefinite matrix and ``drho`` a finite
+    ``(p, n, n)`` stack of Hermitian, traceless matrices, judged at the
+    scheme's :func:`derivative_tol`. Both are stored hermitized; an invalid
+    input raises :class:`InvalidStateError` (or :class:`TraceNotOneError`).
+    """
 
     theta: Optional[np.ndarray]
     rho: np.ndarray
     drho: np.ndarray  # (p, n, n)
     scheme: str  # "analytic" | "central_fd" | "richardson"
     fd_step: Optional[float] = None
+
+    def __post_init__(self):
+        rho = np.asarray(self.rho)
+        self.rho = _validate_densities([rho], rho.shape[-1] if rho.ndim else 0)[0]
+        self.drho = _validate_drho(self.drho, self.dim, derivative_tol(self.scheme))
 
     @property
     def dim(self) -> int:
@@ -154,8 +162,8 @@ def _fro_stack(a: np.ndarray) -> np.ndarray:
 def _validate_densities(states: list, dim: int) -> np.ndarray:
     """The states as one hermitized (B, n, n) stack, each checked as a density matrix.
 
-    Each state must be an ``n x n`` matrix with ``n = dim``, Hermitian to
-    ``HERM_TOL`` times ``max(1, ||rho||)``, of unit trace and positive
+    Each state must be a finite ``n x n`` matrix with ``n = dim``, Hermitian
+    to ``HERM_TOL`` times ``max(1, ||rho||)``, of unit trace and positive
     semidefinite. The residuals of the whole stack are computed once (one
     ``eigvalsh``), and the first failing state raises the error of its first
     failing check from those same numbers; a single state is a stack of one.
@@ -167,6 +175,9 @@ def _validate_densities(states: list, dim: int) -> np.ndarray:
         if r.shape[0] != dim:
             raise InvalidStateError(f"state has dimension {r.shape[0]}, expected {dim}")
     rho = np.array(rho)
+    finite = np.isfinite(rho).all(axis=(1, 2))
+    if not finite.all():
+        rho = np.where(finite[:, None, None], rho, 0.0)  # the finite states are judged below
     adj = rho.conj().swapaxes(1, 2)
     defect = _fro_stack(rho - adj)
     not_herm = defect > HERM_TOL * np.maximum(1.0, _fro_stack(rho))
@@ -174,9 +185,11 @@ def _validate_densities(states: list, dim: int) -> np.ndarray:
     trace = herm.trace(axis1=1, axis2=2).real
     off_trace = np.abs(trace - 1.0) > TRACE_TOL
     wmin = np.linalg.eigvalsh(herm)[:, 0]
-    bad = not_herm | off_trace | (wmin < -PSD_FLOOR)
+    bad = ~finite | not_herm | off_trace | (wmin < -PSD_FLOOR)
     if bad.any():
         k = int(bad.argmax())
+        if not finite[k]:
+            raise InvalidStateError("state has non-finite entries")
         if not_herm[k]:
             raise InvalidStateError("state is not Hermitian", defect=float(defect[k]), tol=HERM_TOL)
         if off_trace[k]:
@@ -189,19 +202,27 @@ def _validate_densities(states: list, dim: int) -> np.ndarray:
     return herm
 
 
-def _validate_drho(drho: np.ndarray, tol: float) -> np.ndarray:
-    """The hermitized (p, n, n) derivatives; each one's Hermitian defect and
-    trace are judged against ``tol * ||d_l rho||``, for the whole stack at once."""
+def _validate_drho(drho, dim: int, tol: float) -> np.ndarray:
+    """The hermitized (p, n, n) derivatives, ``n = dim``; each must be finite, and
+    its Hermitian defect and trace are judged against ``tol * ||d_l rho||``, for
+    the whole stack at once."""
     drho = np.asarray(drho, dtype=complex)
+    if drho.ndim != 3 or drho.shape[1:] != (dim, dim):
+        raise InvalidStateError(f"derivatives have shape {drho.shape}, expected (p, {dim}, {dim})")
+    finite = np.isfinite(drho).all(axis=(1, 2))
+    if not finite.all():
+        drho = np.where(finite[:, None, None], drho, 0.0)  # the finite ones are judged below
     adj = drho.conj().swapaxes(1, 2)
     bound = tol * _fro_stack(drho)
     defect = _fro_stack(drho - adj)
     herm = (drho + adj) / 2.0
     trace = np.abs(herm.trace(axis1=1, axis2=2))
     not_herm = defect > bound
-    bad = not_herm | (trace > bound)
+    bad = ~finite | not_herm | (trace > bound)
     if bad.any():
         l = int(bad.argmax())
+        if not finite[l]:
+            raise InvalidStateError(f"derivative {l} has non-finite entries")
         if not_herm[l]:
             raise InvalidStateError(
                 f"derivative {l} is not Hermitian to tolerance", defect=float(defect[l])
@@ -212,30 +233,11 @@ def _validate_drho(drho: np.ndarray, tol: float) -> np.ndarray:
     return herm
 
 
-def finite_difference_derivative(
-    model: StateModel, theta: np.ndarray, l: int, h: float = DEFAULT_FD_STEP
-) -> np.ndarray:
-    """Central difference (rho(theta + h e_l) - rho(theta - h e_l)) / 2h."""
-    if not (np.isfinite(h) and h > 0):
-        raise DomainError(f"finite-difference step must be a finite positive number, got {h}")
-    theta = np.asarray(theta, dtype=float)
-    if not model.domain.contains(theta, margin=h):
-        raise DomainError(
-            f"theta {theta.tolist()} +/- {h} leaves the domain of {model.name}", theta=theta
-        )
-    e = np.zeros_like(theta)
-    e[l] = h
-    d = (model.state_fn(theta + e) - model.state_fn(theta - e)) / (2.0 * h)
-    return nk.hermitize(np.asarray(d, dtype=complex))
-
-
-def richardson_derivative(
-    model: StateModel, theta: np.ndarray, l: int, h: float = DEFAULT_FD_STEP
-) -> np.ndarray:
-    """Richardson-extrapolated central difference, O(h^4)."""
-    d_h = finite_difference_derivative(model, theta, l, h)
-    d_h2 = finite_difference_derivative(model, theta, l, h / 2.0)
-    return (4.0 * d_h2 - d_h) / 3.0
+def stencil(fn, theta: np.ndarray, h: float) -> tuple:
+    """The ``(p, ...)`` stacks of ``fn(theta + h e_l)`` and of ``fn(theta - h e_l)``,
+    l = 0..p-1: one call of ``fn`` per stencil point and no check of its own."""
+    steps = h * np.eye(len(theta))
+    return np.array([fn(t) for t in theta + steps]), np.array([fn(t) for t in theta - steps])
 
 
 def _check_points(model: StateModel, theta) -> np.ndarray:
@@ -285,7 +287,13 @@ def evaluate(
     """Evaluate rho and all parameter derivatives at a point.
 
     ``scheme`` is one of "auto", "analytic", "central_fd", "richardson";
-    "auto" uses analytic derivatives when the model provides them.
+    "auto" uses analytic derivatives when the model provides them. The
+    finite-difference schemes check once that ``h`` is a finite positive
+    step and that ``theta +/- h`` stays inside the open domain, then take
+    every central difference ``(rho(theta + h e_l) - rho(theta - h e_l)) / 2h``
+    from one :func:`stencil`; "richardson" combines the stencils at ``h`` and
+    ``h / 2`` into ``(4 D(h/2) - D(h)) / 3``. The state and its derivatives
+    are validated where the returned :class:`StateAtPoint` is made.
     """
     theta = _check_points(model, theta)[0]
 
@@ -296,17 +304,29 @@ def evaluate(
     if scheme not in ("analytic", "central_fd", "richardson"):
         raise DomainError(f"unknown derivative scheme {scheme!r}")
 
-    rho = _validate_densities([model.state_fn(theta)], model.dim)[0]
+    rho = model.state_fn(theta)
     if scheme == "analytic":
         drho = [model.derivative_fn(theta, l) for l in range(model.n_params)]
     else:
-        step = finite_difference_derivative if scheme == "central_fd" else richardson_derivative
-        drho = [step(model, theta, l, h) for l in range(model.n_params)]
+        if not (np.isfinite(h) and h > 0):
+            raise DomainError(f"finite-difference step must be a finite positive number, got {h}")
+        if not (np.all(theta > model.domain.lo + h) and np.all(theta < model.domain.hi - h)):
+            raise DomainError(
+                f"theta {theta.tolist()} +/- {h} leaves the domain of {model.name}", theta=theta
+            )
+
+        def central(step):
+            plus, minus = stencil(model.state_fn, theta, step)
+            return nk.hermitize(np.asarray((plus - minus) / (2.0 * step), dtype=complex))
+
+        drho = central(h)
+        if scheme == "richardson":
+            drho = (4.0 * central(h / 2.0) - drho) / 3.0
 
     return StateAtPoint(
         theta=theta,
         rho=rho,
-        drho=_validate_drho(np.array(drho, dtype=complex), derivative_tol(scheme)),
+        drho=drho,
         scheme=scheme,
         fd_step=None if scheme == "analytic" else h,
     )
@@ -365,15 +385,14 @@ def support_decomposition(sp: StateAtPoint, rank_tol: float = DEFAULT_RANK_TOL) 
     assigned to the null space and those above ``10 * rank_tol`` to the
     support; anything in between is refused as ambiguous rather than decided
     silently. The fixed-rank consistency P0 (d rho) P0 = 0 is verified for
-    every parameter. A non-finite or negative ``rank_tol`` raises
+    every parameter. ``sp.rho`` is diagonalized as stored: a
+    :class:`StateAtPoint` is a validated, hermitized state, so nothing here
+    judges it again. A non-finite or negative ``rank_tol`` raises
     ``InvalidToleranceError``.
     """
     require_tolerance("rank_tol", rank_tol)
-    eig = nk.eig_hermitian(sp.rho, herm_tol=1e-10)
-    w, q_vecs = eig.eigenvalues, eig.eigenvectors
+    w, q_vecs = np.linalg.eigh(sp.rho)
     lam_max = float(w[-1])
-    if lam_max <= 0:
-        raise InvalidStateError("state has no positive eigenvalue")
     cut = rank_tol * lam_max
     null_mask = w <= cut
     support_mask = w >= AMBIGUITY_FACTOR * cut
@@ -441,10 +460,10 @@ def parse_numeric_model(source) -> StateAtPoint:
     """Parse a single-point numeric model from JSON.
 
     Schema: ``{"n_s": int, "p": int, "rho": [[[re, im], ...]], "drho":
-    [matrix, ...]}`` with p derivative matrices. The payload is validated as
-    a density matrix with Hermitian traceless derivatives; the result can
-    feed every downstream check but supports no re-evaluation at other
-    parameter values.
+    [matrix, ...]}`` with p derivative matrices. The result is validated,
+    as every :class:`StateAtPoint` is, as a density matrix with Hermitian
+    traceless derivatives; it can feed every downstream check but supports
+    no re-evaluation at other parameter values.
     """
     data = jsonio.load(source)
     jsonio.require_keys(data, ("n_s", "p", "rho", "drho"))
@@ -459,9 +478,6 @@ def parse_numeric_model(source) -> StateAtPoint:
     if not isinstance(data["drho"], list) or len(data["drho"]) != p:
         raise SchemaError(f"drho must hold {p} matrices")
     drho = [parse_complex_matrix(m, n, f"drho[{l}]") for l, m in enumerate(data["drho"])]
-
-    rho = _validate_densities([rho], n)[0]
-    drho = _validate_drho(np.array(drho), derivative_tol("analytic"))
     return StateAtPoint(theta=None, rho=rho, drho=drho, scheme="analytic")
 
 

@@ -1,7 +1,7 @@
 """Dense complex matrix kernel.
 
-Hermitian eigendecompositions, joint eigenprojectors of commuting Hermitian
-families, and the residual metrics the saturability checks are built on.
+Joint eigenprojectors of commuting Hermitian families, and the norms and
+residual metrics the saturability checks are built on.
 Everything here is a pure function of its arguments; randomness (the mixing
 coefficients used for joint diagonalization) comes from a generator supplied
 by the caller so runs are reproducible.
@@ -20,10 +20,6 @@ from .errors import QcrbSatError
 
 
 class ShapeError(QcrbSatError):
-    pass
-
-
-class NonHermitianError(QcrbSatError):
     pass
 
 
@@ -78,47 +74,11 @@ def _require_square(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     return a
 
 
-def commutator_residual(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius norm of the commutator [a, b]."""
-    a = _require_square(a, "first operand")
-    b = _require_square(b, "second operand")
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch {a.shape} vs {b.shape}")
-    return fro(a @ b - b @ a)
-
-
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random n x n unitary: QR of a complex Gaussian matrix, phases fixed by R."""
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-@dataclass(frozen=True)
-class HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # unitary; columns are eigenvectors
-
-
-def eig_hermitian(a: np.ndarray, herm_tol: float = 1e-8) -> HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix.
-
-    The input is symmetrized before decomposition; inputs whose Hermitian
-    defect exceeds ``herm_tol`` relative to the matrix norm are refused.
-    """
-    a = _require_square(a, "input")
-    scale = max(1.0, fro(a))
-    defect = herm_defect(a)
-    if defect > herm_tol * scale:
-        raise NonHermitianError(
-            f"matrix is not Hermitian: defect {defect:.3e} > {herm_tol:.1e} * {scale:.3e}",
-            defect=defect,
-            tol=herm_tol,
-        )
-    w, q = np.linalg.eigh(hermitize(a))
-    return HermitianEigen(eigenvalues=w, eigenvectors=q)
 
 
 @dataclass(frozen=True)

@@ -315,6 +315,30 @@ def evaluate_prob_fn(model, povm, scheme, h):
 
 
 # ---------------------------------------------------------------------------
+# Finite-difference derivatives as `evaluate` took them before the shared
+# stencil: one central difference per parameter, each hermitized, and
+# Richardson's (4 D(h/2) - D(h)) / 3 built from two of them; the stack is
+# hermitized once more, as the state point's validation stores it.
+# ---------------------------------------------------------------------------
+
+
+def central_difference_loop(model, theta, h, richardson=False):
+    theta = np.asarray(theta, dtype=float)
+
+    def one(l, step):
+        e = np.zeros_like(theta)
+        e[l] = step
+        d = (model.state_fn(theta + e) - model.state_fn(theta - e)) / (2.0 * step)
+        return nk.hermitize(np.asarray(d, dtype=complex))
+
+    out = []
+    for l in range(len(theta)):
+        d = one(l, h)
+        out.append((4.0 * one(l, h / 2.0) - d) / 3.0 if richardson else d)
+    return nk.hermitize(np.array(out, dtype=complex))
+
+
+# ---------------------------------------------------------------------------
 # The maximum-likelihood fit as it was before batches were fitted in lock
 # step: one batch at a time, one scalar golden-section search per coordinate
 # and sweep, the likelihood called point by point.

@@ -142,8 +142,8 @@ class TestCondition4:
         assert res.status == cond.COND4_UNKNOWN
 
     def test_vanishing_columns(self):
-        m = qs.get("random-rank-r", seed=9, n_s=5, r_plus=3, n_params=3, vanish_columns=1)
-        sp = qs.evaluate(m, [0.0, 0.0, 0.0])
+        lpz = _planted_blocks(np.random.default_rng(9), 3, 3, 2, vanish=1)[0]
+        sp = _point_from_plus_null(lpz, np.random.default_rng(9))
         dec = qs.support_decomposition(sp)
         slds = qs.compute_sld(dec, sp.drho)
         rep = qs.evaluate_conditions(sp, dec, slds)
@@ -422,6 +422,19 @@ def _planted_blocks(rng, p, r_plus, r0, vanish=0, spread=0.0):
     return lpz, w0, lam
 
 
+def _point_from_plus_null(lpz, rng):
+    """A state point at a random support of dimension r+ whose SLDs have the
+    +0 blocks ``lpz`` (p, r+, r0) up to the gauge, and vanishing ++ blocks."""
+    p, r_plus, r0 = lpz.shape
+    u = nk.haar_unitary(r_plus + r0, rng)
+    v, y = u[:, :r_plus], u[:, r_plus:]
+    q = rng.uniform(0.5, 1.5, r_plus)
+    q /= q.sum()
+    cross = v @ (0.5 * q[:, None] * lpz) @ y.conj().T
+    return md.StateAtPoint(theta=np.zeros(p), rho=(v * q) @ v.conj().T,
+                           drho=cross + cross.conj().swapaxes(1, 2), scheme="analytic")
+
+
 def _same_columns(got, planted, rtol):
     """The (p, p) ratio columns of ``got`` are those of ``planted`` up to column order."""
     unused = list(range(planted.shape[-1]))
@@ -460,9 +473,7 @@ class TestCondition4Verifier:
         for family in FAMILIES:
             yield f"family{family}", _random_family(*family, seed=1)[2].Lpz
         for vanish in (1, 2):
-            m = qs.get("random-rank-r", seed=9, n_s=6, r_plus=3, n_params=3, vanish_columns=vanish)
-            sp = qs.evaluate(m, np.zeros(3))
-            yield f"vanish{vanish}", qs.compute_sld(qs.support_decomposition(sp), sp.drho).Lpz
+            yield f"vanish{vanish}", _planted_blocks(np.random.default_rng(9), 3, 3, 3, vanish)[0]
         yield "mixed", _mixed_blocks(rng)[0]
         yield "crafted", np.array(crafted_cond3_pass_cond4_fail())
         yield "planted-spread", _planted_blocks(rng, 3, 4, 3, vanish=1, spread=6.0)[0]
@@ -840,6 +851,13 @@ class TestCondition2PrimeStencil:
         assert res.status == "PASSED"
         p = qutrit_point.n_params
         assert counts == {"V": 1 + 2 * p, "U": 1 + 2 * p if with_witness else 0}
+
+    def test_to_dict_copies_the_notes_only(self, qutrit_model, qutrit_point):
+        res = cond.verify_condition2prime(qutrit_model, qutrit_point)
+        d = res.to_dict()
+        assert d == dataclasses.asdict(res) and d["notes"]
+        d["notes"].append("edited")
+        assert "edited" not in res.notes
 
     @pytest.mark.parametrize("case", ["canonical", "witness", "witness+null"])
     def test_matches_per_derivative_oracle(self, qutrit_model, qutrit_point, qutrit_dec,

@@ -90,13 +90,6 @@ class TestQutritFamily:
         rep = qs.evaluate_conditions(sp, dec, slds)
         assert rep.verdict == "SATURABLE_CERTIFIED"
 
-    def test_smooth_null_basis_matches(self, qutrit_model):
-        theta = np.array([0.3, 0.5])
-        y = fx.qutrit_null_basis(d=0.6, c1=1.0, c2=0.7)(theta)
-        sp = qs.evaluate(qutrit_model, theta)
-        assert nk.fro(sp.rho @ y) <= 1e-12
-        assert np.vdot(y[:, 0], y[:, 0]).real == pytest.approx(1.0, abs=1e-12)
-
 
 class TestSyntheticFamilies:
     @pytest.mark.parametrize("seed", range(20))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -7,6 +8,8 @@ import qcrbsat as qs
 from qcrbsat import model as md
 from qcrbsat import numkernel as nk
 from qcrbsat.errors import InvalidToleranceError
+from qcrbsat.jsonio import ComplexMatrix
+from oracles import central_difference_loop
 
 
 class TestEvaluate:
@@ -57,6 +60,15 @@ class TestEvaluate:
         )
         with pytest.raises(md.TraceNotOneError):
             qs.evaluate(m, [0.5])
+
+    def test_non_finite_derivative_refused(self, pure_qubit_model):
+        # the pure qubit cannot saturate; a NaN tangent must not let it through
+        model = dataclasses.replace(
+            pure_qubit_model,
+            derivative_fn=lambda theta, l: (np.full((2, 2), np.nan) if l == 1
+                                            else pure_qubit_model.derivative_fn(theta, l)))
+        with pytest.raises(md.InvalidStateError, match="derivative 1 has non-finite entries"):
+            qs.evaluate(model, [0.7, 0.3])
 
     @pytest.mark.parametrize("bump, message, key", [
         (np.array([[0.0, 0.1], [0.0, 0.0]]), "derivative 1 is not Hermitian", "defect"),
@@ -154,7 +166,8 @@ class TestStateAtStack:
         (np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex), md.InvalidStateError),
         (np.diag([0.7, 0.7]).astype(complex), md.TraceNotOneError),
         (np.diag([1.2, -0.2]).astype(complex), md.InvalidStateError),
-    ], ids=["shape", "non-hermitian", "trace", "non-psd"])
+        (np.array([[0.5, np.nan], [np.nan, 0.5]], dtype=complex), md.InvalidStateError),
+    ], ids=["shape", "non-hermitian", "trace", "non-psd", "nan"])
     def test_one_bad_state_raises_its_own_error(self, bad_state, error):
         model = self._model(bad_state)
         with pytest.raises(error) as alone:
@@ -177,9 +190,45 @@ class TestStateAtStack:
 
 
 class TestFiniteDifferences:
+    @pytest.mark.parametrize("scheme", ["central_fd", "richardson"])
+    @pytest.mark.parametrize("name, params, theta", [
+        ("qutrit-phase-mixture", {"d": 0.6, "c1": 1.0, "c2": 0.7}, [0.3, 0.5]),
+        ("stationary-basis", {}, [0.3, -0.4]),
+        ("theta-independent-support", {}, [0.3, 0.6]),
+        ("diag-multinomial", {"dims": 4}, [0.2, 0.3, 0.25]),
+    ])
+    def test_equals_per_parameter_loop(self, name, params, theta, scheme):
+        model = qs.get(name, **params)
+        for h in (1e-5, 1e-3):
+            got = qs.evaluate(model, theta, scheme=scheme, h=h).drho
+            ref = central_difference_loop(model, theta, h, richardson=scheme == "richardson")
+            assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("scheme, calls_per_param", [("central_fd", 2), ("richardson", 4)])
+    def test_state_map_runs_once_per_stencil_point(self, qutrit_model, scheme, calls_per_param):
+        calls = []
+        model = dataclasses.replace(
+            qutrit_model, state_fn=lambda theta: calls.append(1) or qutrit_model.state_fn(theta))
+        qs.evaluate(model, [0.3, 0.5], scheme=scheme)
+        assert len(calls) == 1 + calls_per_param * model.n_params
+
+    @pytest.mark.parametrize("scheme", ["analytic", "central_fd", "richardson"])
+    def test_each_check_runs_once(self, monkeypatch, qutrit_model, scheme):
+        counts = {"_validate_densities": 0, "_validate_drho": 0}
+        for name in counts:
+            check = getattr(md, name)
+
+            def counted(*args, _name=name, _check=check):
+                counts[_name] += 1
+                return _check(*args)
+
+            monkeypatch.setattr(md, name, counted)
+        qs.evaluate(qutrit_model, [0.3, 0.5], scheme=scheme)
+        assert counts == {"_validate_densities": 1, "_validate_drho": 1}
+
     def test_qutrit_phase_derivative_structure(self, qutrit_model):
         theta = np.array([0.3, 0.5])
-        d = md.finite_difference_derivative(qutrit_model, theta, 1, h=1e-5)
+        d = qs.evaluate(qutrit_model, theta, scheme="central_fd", h=1e-5).drho[1]
         expected = 1j * 0.7 * 0.7 * 0.6 * 0.8 * np.exp(0.65j)  # i c2 (1-t1) d s e^{i phi}
         mask = np.zeros((3, 3), bool)
         mask[0, 2] = mask[2, 0] = True
@@ -194,9 +243,13 @@ class TestFiniteDifferences:
             return np.array([[c**2, c * s], [c * s, s**2]], dtype=complex)
 
         m = md.StateModel(name="trig", dim=2, n_params=1, state_fn=state, domain=md.box([-2], [2]))
-        exact = md.finite_difference_derivative(m, np.array([0.4]), 0, h=1e-8)
-        err_h = nk.fro(md.finite_difference_derivative(m, np.array([0.4]), 0, h=1e-3) - exact)
-        err_h2 = nk.fro(md.finite_difference_derivative(m, np.array([0.4]), 0, h=5e-4) - exact)
+
+        def fd(h):
+            return qs.evaluate(m, [0.4], scheme="central_fd", h=h).drho[0]
+
+        exact = fd(1e-8)
+        err_h = nk.fro(fd(1e-3) - exact)
+        err_h2 = nk.fro(fd(5e-4) - exact)
         assert err_h / err_h2 == pytest.approx(4.0, rel=0.15)
 
     def test_richardson_beats_plain_fd(self, qutrit_model):
@@ -289,6 +342,49 @@ class TestSupportDecomposition:
         assert nk.fro(dec.V - v) == 0.0
 
 
+# Edits of the qutrit point that make it invalid, with the error each one raises.
+INVALID_POINTS = pytest.mark.parametrize("edit, error, message, keys", [
+    (lambda rho, drho: (rho + 0.3 * np.eye(3, k=1), drho),
+     md.InvalidStateError, "state is not Hermitian", {"defect", "tol"}),
+    (lambda rho, drho: (rho - np.diag([0.1, 0, 0]), drho),
+     md.TraceNotOneError, "state trace is", {"trace"}),
+    (lambda rho, drho: (np.diag([0.6, 0.5, -0.1]), drho),
+     md.InvalidStateError, "state is not positive semidefinite", {"min_eig"}),
+    (lambda rho, drho: (rho, drho + 1e-3 * np.array([0, 1])[:, None, None] * np.eye(3)),
+     md.InvalidStateError, "derivative 1 is not traceless", {"trace"}),
+], ids=["non-hermitian", "trace", "non-psd", "derivative-trace"])
+
+
+class TestStateAtPoint:
+    """A state point is validated where it is made, with the errors the loaders raise."""
+
+    @INVALID_POINTS
+    def test_invalid_point_refused(self, qutrit_point, edit, error, message, keys):
+        rho, drho = edit(qutrit_point.rho, qutrit_point.drho)
+        with pytest.raises(error, match=message) as exc:
+            md.StateAtPoint(theta=None, rho=rho, drho=drho, scheme="analytic")
+        assert type(exc.value) is error
+        assert set(exc.value.detail) == keys
+
+    def test_stores_the_hermitized_arrays(self, qutrit_point):
+        skew = 1e-14 * np.array([[0, 1j, 0], [0, 0, 0], [0, 0, 0]])
+        sp = md.StateAtPoint(theta=None, rho=qutrit_point.rho + skew,
+                             drho=qutrit_point.drho + skew, scheme="analytic")
+        assert np.array_equal(sp.rho, nk.hermitize(qutrit_point.rho + skew))
+        assert np.array_equal(sp.drho, nk.hermitize(qutrit_point.drho + skew))
+
+    @pytest.mark.parametrize("rho, drho, message", [
+        (np.eye(2) / 2, np.zeros((1, 3, 3)), "derivatives have shape"),
+        (np.eye(2) / 2, np.zeros((2, 2)), "derivatives have shape"),
+        (np.full((2, 2), np.inf), np.zeros((1, 2, 2)), "state has non-finite entries"),
+        (np.eye(2) / 2, [np.zeros((2, 2)), np.full((2, 2), np.nan)],
+         "derivative 1 has non-finite entries"),
+    ], ids=["dimension", "unstacked", "inf-state", "nan-derivative"])
+    def test_malformed_point_refused(self, rho, drho, message):
+        with pytest.raises(md.InvalidStateError, match=message):
+            md.StateAtPoint(theta=None, rho=rho, drho=drho, scheme="analytic")
+
+
 class TestNumericModel:
     def test_roundtrip_bit_for_bit(self, qutrit_point, tmp_path):
         payload = md.state_to_numeric_model(qutrit_point)
@@ -304,22 +400,12 @@ class TestNumericModel:
         with pytest.raises(md.SchemaError):
             qs.parse_numeric_model(payload)
 
-    @pytest.mark.parametrize("edit, error, message, keys", [
-        (lambda rho, drho: (rho + 0.3 * np.eye(3, k=1), drho),
-         md.InvalidStateError, "state is not Hermitian", {"defect", "tol"}),
-        (lambda rho, drho: (rho - np.diag([0.1, 0, 0]), drho),
-         md.TraceNotOneError, "state trace is", {"trace"}),
-        (lambda rho, drho: (np.diag([0.6, 0.5, -0.1]), drho),
-         md.InvalidStateError, "state is not positive semidefinite", {"min_eig"}),
-        (lambda rho, drho: (rho, drho + 1e-3 * np.array([0, 1])[:, None, None] * np.eye(3)),
-         md.InvalidStateError, "derivative 1 is not traceless", {"trace"}),
-    ], ids=["non-hermitian", "trace", "non-psd", "derivative-trace"])
+    @INVALID_POINTS
     def test_invalid_payload_typed(self, qutrit_point, edit, error, message, keys):
         rho, drho = edit(qutrit_point.rho, qutrit_point.drho)
-        bad = md.StateAtPoint(theta=None, rho=rho.astype(complex), drho=drho.astype(complex),
-                              scheme="analytic")
+        bad = {"n_s": 3, "p": 2, "rho": ComplexMatrix(rho), "drho": ComplexMatrix(drho)}
         with pytest.raises(error, match=message) as exc:
-            qs.parse_numeric_model(md.state_to_numeric_model(bad))
+            qs.parse_numeric_model(bad)
         assert type(exc.value) is error
         assert set(exc.value.detail) == keys
 

@@ -16,67 +16,6 @@ X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def hermitian_matrices(max_dim=6):
-    def build(draw):
-        n = draw(st.integers(2, max_dim))
-        re = draw(arrays(float, (n, n), elements=st.floats(-1, 1)))
-        im = draw(arrays(float, (n, n), elements=st.floats(-1, 1)))
-        return nk.hermitize(re + 1j * im)
-
-    return st.composite(build)()
-
-
-class TestEigHermitian:
-    def test_identity(self):
-        res = nk.eig_hermitian(np.eye(3))
-        assert np.allclose(res.eigenvalues, [1, 1, 1])
-        q = res.eigenvectors
-        assert np.allclose(q.conj().T @ q, np.eye(3), atol=1e-12)
-
-    def test_pauli_x(self):
-        res = nk.eig_hermitian(X)
-        assert np.allclose(res.eigenvalues, [-1, 1])
-
-    @settings(max_examples=60, deadline=None)
-    @given(hermitian_matrices())
-    def test_reconstruction(self, a):
-        res = nk.eig_hermitian(a)
-        rebuilt = res.eigenvectors @ np.diag(res.eigenvalues) @ res.eigenvectors.conj().T
-        assert nk.fro(a - rebuilt) <= 1e-12 * max(1.0, nk.fro(a))
-        q = res.eigenvectors
-        assert nk.fro(q.conj().T @ q - np.eye(a.shape[0])) <= 1e-12 * a.shape[0]
-
-    def test_rejects_non_square(self):
-        with pytest.raises(nk.ShapeError):
-            nk.eig_hermitian(np.ones((2, 3)))
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(nk.NonHermitianError):
-            nk.eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
-
-    def test_symmetrizes_small_defects(self):
-        a = nk.hermitize(np.random.default_rng(1).standard_normal((4, 4)))
-        res = nk.eig_hermitian(a + 1e-10 * np.array([[0, 1], [0, 0]]).repeat(2, 0).repeat(2, 1))
-        assert np.all(np.imag(res.eigenvalues) == 0)
-
-
-class TestCommutatorResidual:
-    def test_identity_commutes_with_anything(self):
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        assert nk.commutator_residual(np.eye(4), a) == 0.0
-
-    def test_diagonal_matrices_commute(self):
-        assert nk.commutator_residual(np.diag([1.0, 2.0]), np.diag([3.0, 4.0])) == 0.0
-
-    def test_pauli_pair(self):
-        assert nk.commutator_residual(X, Z) == pytest.approx(2 * np.sqrt(2), abs=1e-14)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(nk.ShapeError):
-            nk.commutator_residual(np.eye(2), np.eye(3))
-
-
 class TestJointEigenprojectors:
     def test_single_diagonal(self):
         spec = nk.joint_eigenprojectors([np.diag([1.0, 1.0, 2.0])])
