@@ -36,7 +36,8 @@ import numpy as np
 from . import numkernel as nk
 from .errors import QcrbSatError, require_tolerance
 from .jsonio import ComplexMatrix
-from .model import StateAtPoint, StateModel, SupportDecomposition, decomposition_from_basis, stencil
+from .model import (DomainError, StateAtPoint, StateModel, SupportDecomposition,
+                    decomposition_from_basis, stencil)
 from .sld import SLDSet, pairs, plus_null_blocks
 
 VERDICT_SATURABLE = "SATURABLE_CERTIFIED"
@@ -331,57 +332,33 @@ def find_w_condition4(
 class Cond2PrimeWitness:
     """A candidate solution of the support-basis PDE system.
 
-    ``unitary_fn(theta)`` is the unitary path U(theta); ``generators`` gives
-    the real diagonal matrices D_l (one per parameter), either as a static
-    sequence or as a function of theta. ``None`` means all zero.
+    ``unitary_fn(theta)`` is the unitary path U(theta). ``generators`` holds
+    the real diagonal matrices D_l at the point checked as one real
+    ``(p, r+)`` array, row l the diagonal of D_l; ``None`` means all zero.
+    :func:`verify_condition2prime` refuses any other form with
+    :class:`InvalidWitnessError`.
     """
 
     unitary_fn: Callable[[np.ndarray], np.ndarray]
-    generators: object = None
+    generators: Optional[np.ndarray] = None
     label: str = "user_supplied_U"
-
-    def d_matrices(self, theta: np.ndarray, p: int, r_plus: int) -> list:
-        if self.generators is None:
-            return [np.zeros((r_plus, r_plus)) for _ in range(p)]
-        gens = self.generators(theta) if callable(self.generators) else self.generators
-        out = []
-        for l, d in enumerate(gens):
-            d = np.asarray(d, dtype=float)
-            if d.ndim == 1:
-                d = np.diag(d)
-            if d.shape != (r_plus, r_plus) or nk.fro(d - np.diag(np.diag(d))) > 1e-12:
-                raise InvalidWitnessError(f"generator {l} is not a real diagonal matrix")
-            out.append(d)
-        return out
 
 
 @dataclass
 class Cond2PrimeResult:
-    status: str  # PASSED | FAILED | NOT_CHECKED
-    path: str  # diagonal_VdV | user_supplied_U | zero_generators | not_checked
-    pde_residual: Optional[float]
-    stationarity_residual: Optional[float]
-    null_compat_residual: Optional[float]
-    cross_identity_residual: Optional[float]
-    tol: float
+    """Condition 2' residuals; the defaults record it undecided, with the reason in ``notes``."""
+
+    status: str = "NOT_CHECKED"  # PASSED | FAILED | NOT_CHECKED
+    path: str = "not_checked"  # diagonal_VdV | user_supplied_U | zero_generators | not_checked
+    pde_residual: Optional[float] = None
+    stationarity_residual: Optional[float] = None
+    null_compat_residual: Optional[float] = None
+    cross_identity_residual: Optional[float] = None
+    tol: float = 1e-8
     notes: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {**vars(self), "notes": list(self.notes)}
-
-
-def _not_checked(tol: float, note: str) -> Cond2PrimeResult:
-    """The record of a condition 2' left undecided, with the reason."""
-    return Cond2PrimeResult(
-        status="NOT_CHECKED",
-        path="not_checked",
-        pde_residual=None,
-        stationarity_residual=None,
-        null_compat_residual=None,
-        cross_identity_residual=None,
-        tol=tol,
-        notes=[note],
-    )
 
 
 def verify_condition2prime(
@@ -403,117 +380,100 @@ def verify_condition2prime(
     cross identity between the +0 SLD blocks and ``2 dV_l^dag Y``.
 
     All map derivatives are central differences with step 1e-5 on the smooth
-    maps, from one evaluation of each map per stencil point.
+    maps, from one :func:`~qcrbsat.model.stencil` of each map; when that
+    stencil would leave the model's domain, the condition is NOT_CHECKED.
+    Every per-parameter quantity is one ``(p, ...)`` stack, normed by
+    :func:`~qcrbsat.numkernel.fro_stack`.
     """
     if model.support_basis_fn is None:
-        return _not_checked(tol, "model exposes no smooth support-basis map")
+        return Cond2PrimeResult(tol=tol, notes=["model exposes no smooth support-basis map"])
 
+    fro = nk.fro_stack
     theta = np.asarray(sp.theta, dtype=float)
-    p = sp.n_params
-    v_fn = model.support_basis_fn
-    v = np.asarray(v_fn(theta), dtype=complex)
+    p, h = sp.n_params, 1e-5
+    v = np.asarray(model.support_basis_fn(theta), dtype=complex)
     dec = decomposition_from_basis(sp, v)
     r_plus = dec.r_plus
-    h = 1e-5
-    v_plus, v_minus = (np.asarray(x, dtype=complex) for x in stencil(v_fn, theta, h))
+    try:
+        v_plus, v_minus = (np.asarray(x, dtype=complex)
+                           for x in stencil(model, model.support_basis_fn, theta, h))
+    except DomainError:
+        return Cond2PrimeResult(tol=tol, notes=[f"the stencil theta +/- h with h = {h:g} leaves "
+                                                f"the domain of {model.name}; existence undecided"])
     dv = (v_plus - v_minus) / (2.0 * h)
-    a = [v.conj().T @ dv[l] for l in range(p)]  # V^dag dV_l, skew-Hermitian
+    a = v.conj().T @ dv  # V^dag dV_l, skew-Hermitian
 
     notes = []
     if witness is None:
-        diag_res = max(nk.fro(x - np.diag(np.diag(x))) / max(1.0, nk.fro(x)) for x in a) if p else 0.0
-        if diag_res <= max(tol, 1e-6):
-            d_canon = [np.diag((1j * np.diag(x)).real) for x in a]
-            witness = Cond2PrimeWitness(
-                unitary_fn=lambda _theta: np.eye(r_plus, dtype=complex),
-                generators=d_canon,
-                label="diagonal_VdV",
-            )
-            notes.append("canonical witness generated from diagonal V^dag dV")
-        else:
-            return _not_checked(tol, "no witness supplied and V^dag dV is not diagonal "
-                                f"(residual {diag_res:.3e}); existence undecided")
+        off_diagonal, whole = fro(np.array([np.where(np.eye(r_plus, dtype=bool), 0.0, a), a]))
+        diag_res = float((off_diagonal / np.maximum(1.0, whole)).max(initial=0.0))
+        if diag_res > max(tol, 1e-6):
+            note = f"no witness supplied and V^dag dV is not diagonal (residual {diag_res:.3e})"
+            return Cond2PrimeResult(tol=tol, notes=[f"{note}; existence undecided"])
+        witness = Cond2PrimeWitness(
+            unitary_fn=lambda _theta: np.eye(r_plus, dtype=complex),
+            generators=(1j * a.diagonal(axis1=1, axis2=2)).real,
+            label="diagonal_VdV",
+        )
+        notes.append("canonical witness generated from diagonal V^dag dV")
 
     u = np.asarray(witness.unitary_fn(theta), dtype=complex)
-    if u.shape != (r_plus, r_plus) or nk.fro(u.conj().T @ u - np.eye(r_plus)) > 1e-10 * max(
-        1.0, r_plus
-    ):
-        raise InvalidWitnessError(
-            "witness map is not unitary at this point",
-            defect=nk.fro(u.conj().T @ u - np.eye(r_plus)),
-        )
-    d_mats = witness.d_matrices(theta, p, r_plus)
-    u_plus, u_minus = (np.asarray(x, dtype=complex) for x in stencil(witness.unitary_fn, theta, h))
+    if u.shape != (r_plus, r_plus):
+        raise InvalidWitnessError(f"witness map has shape {u.shape}, expected ({r_plus}, {r_plus})")
+    defect = nk.fro(u.conj().T @ u - np.eye(r_plus))
+    if defect > 1e-10 * max(1.0, r_plus):
+        raise InvalidWitnessError("witness map is not unitary at this point", defect=defect)
+    gens = np.zeros((p, r_plus)) if witness.generators is None else np.asarray(witness.generators)
+    if gens.shape != (p, r_plus) or gens.dtype.kind not in "fiu":
+        raise InvalidWitnessError(f"generators must be a real ({p}, {r_plus}) array of the "
+                                  f"diagonals of D_l, got {gens.dtype} of shape {gens.shape}")
+    d = gens[:, :, None] * np.eye(r_plus)  # the D_l, (p, r+, r+)
+    u_plus, u_minus = (np.asarray(x, dtype=complex)
+                       for x in stencil(model, witness.unitary_fn, theta, h))
     du = (u_plus - u_minus) / (2.0 * h)
 
-    pde_res = 0.0
-    for l in range(p):
-        rhs = u @ (a[l] + 1j * d_mats[l])
-        scale = max(1.0, nk.fro(du[l]) + nk.fro(a[l]) + nk.fro(d_mats[l]))
-        pde_res = max(pde_res, nk.fro(du[l] - rhs) / scale)
+    pde, du_norm, a_norm = fro(np.array([du - u @ (a + 1j * d), du, a]))
+    d_norm = fro(d)
+    pde_res = float((pde / np.maximum(1.0, du_norm + a_norm + d_norm)).max(initial=0.0))
+    d_all_zero = bool((d_norm <= 1e-12).all())
+    path = "zero_generators" if witness.label == "user_supplied_U" and d_all_zero else witness.label
 
-    d_all_zero = all(nk.fro(d) <= 1e-12 for d in d_mats)
-    path = witness.label
-    if witness.label == "user_supplied_U" and d_all_zero:
-        path = "zero_generators"
-
+    dvt = (v_plus @ u_plus.conj().swapaxes(1, 2)
+           - v_minus @ u_minus.conj().swapaxes(1, 2)) / (2.0 * h)  # d(V U^dag)_l
     stationarity_res = None
-    dvt = [
-        (vp @ up.conj().T - vm @ um.conj().T) / (2.0 * h)
-        for vp, vm, up, um in zip(v_plus, v_minus, u_plus, u_minus)
-    ]
     if d_all_zero:
-        stationarity_res = 0.0
-        for l in range(p):
-            scale = max(1.0, nk.fro(dvt[l]))
-            stationarity_res = max(stationarity_res, nk.fro(dec.P_plus @ dvt[l]) / scale)
+        projected, dvt_norm = fro(np.array([dec.P_plus @ dvt, dvt]))
+        stationarity_res = float((projected / np.maximum(1.0, dvt_norm)).max(initial=0.0))
 
     null_compat_res = None
     if null_povm is not None and len(null_povm) and dec.r_zero > 0:
-        null_compat_res = 0.0
         y = dec.Y
-        blocks = [y.conj().T @ dvt[l] for l in range(p)]
-        for e in null_povm:
-            e00 = y.conj().T @ np.asarray(e, dtype=complex) @ y
-            for l in range(p):
-                for m in range(p):
-                    if l == m:
-                        continue
-                    lhs = e00 @ blocks[l]
-                    rhs = e00 @ blocks[m]
-                    scale = max(1.0, nk.fro(e00) * max(nk.fro(blocks[l]), nk.fro(blocks[m])))
-                    if nk.fro(rhs) <= tol * scale:
-                        res = 0.0 if nk.fro(lhs) <= tol * scale else nk.fro(lhs) / scale
-                    else:
-                        c = float(np.vdot(rhs.ravel(), lhs.ravel()).real) / float(
-                            np.vdot(rhs.ravel(), rhs.ravel()).real
-                        )
-                        res = nk.fro(lhs - c * rhs) / scale
-                    null_compat_res = max(null_compat_res, res)
+        blocks = y.conj().T @ dvt  # (p, r0, r+)
+        e00 = y.conj().T @ np.asarray(null_povm, dtype=complex) @ y  # (k, r0, r0)
+        prod = e00[:, None] @ blocks  # (k, p, r0, r+): pair (l, m) compares prod[:, l], prod[:, m]
+        norms, b_norms = fro(prod), fro(blocks)
+        scale = np.maximum(1.0, fro(e00)[:, None, None] * np.maximum.outer(b_norms, b_norms))
+        lhs_small = norms[:, :, None] <= tol * scale
+        rhs_small = norms[:, None, :] <= tol * scale
+        # Re <prod_m, prod_l>, one BLAS dot product per pair as np.vdot takes it
+        flat = prod.reshape(*norms.shape, 1, -1)
+        inner = (flat.conj()[:, None] @ flat.swapaxes(-1, -2)[:, :, None])[..., 0, 0].real
+        ratio = inner / np.where(rhs_small, 1.0, inner.diagonal(axis1=1, axis2=2)[:, None, :])
+        fit = fro(prod[:, :, None] - ratio[..., None, None] * prod[:, None, :]) / scale
+        res = np.where(rhs_small, np.where(lhs_small, 0.0, norms[:, :, None] / scale), fit)
+        null_compat_res = float(np.where(np.eye(p, dtype=bool), 0.0, res).max(initial=0.0))
 
     lpz = plus_null_blocks(dec, sp.drho)
-    cross_res = 0.0
-    for l in range(p):
-        ident = 2.0 * dv[l].conj().T @ dec.Y
-        scale = max(1.0, nk.fro(lpz[l]) + nk.fro(ident))
-        cross_res = max(cross_res, nk.fro(lpz[l] - ident) / scale)
+    ident = 2.0 * dv.conj().swapaxes(1, 2) @ dec.Y
+    cross, lpz_norm, ident_norm = fro(np.array([lpz - ident, lpz, ident]))
+    cross_res = float((cross / np.maximum(1.0, lpz_norm + ident_norm)).max(initial=0.0))
 
-    checked = [pde_res, cross_res]
-    if stationarity_res is not None:
-        checked.append(stationarity_res)
-    if null_compat_res is not None:
-        checked.append(null_compat_res)
-    status = "PASSED" if all(r <= tol for r in checked) else "FAILED"
+    checked = (pde_res, cross_res, stationarity_res, null_compat_res)
+    status = "PASSED" if all(r <= tol for r in checked if r is not None) else "FAILED"
     return Cond2PrimeResult(
-        status=status,
-        path=path,
-        pde_residual=pde_res,
-        stationarity_residual=stationarity_res,
-        null_compat_residual=null_compat_res,
-        cross_identity_residual=cross_res,
-        tol=tol,
-        notes=notes,
-    )
+        status=status, path=path, pde_residual=pde_res, stationarity_residual=stationarity_res,
+        null_compat_residual=null_compat_res, cross_identity_residual=cross_res, tol=tol,
+        notes=notes)
 
 
 # ---------------------------------------------------------------------------

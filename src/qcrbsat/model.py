@@ -152,13 +152,6 @@ class SupportDecomposition:
     rank_tol: float
 
 
-def _fro_stack(a: np.ndarray) -> np.ndarray:
-    """:func:`~qcrbsat.numkernel.fro` of each matrix of a stack, bit for bit, in one pass:
-    each sum of squares is a stacked (1, k) @ (k, 1) product, one BLAS dot as ``fro`` takes it."""
-    x = a.reshape(len(a), 1, -1)
-    return np.sqrt(x.real @ x.real.swapaxes(1, 2) + x.imag @ x.imag.swapaxes(1, 2))[:, 0, 0]
-
-
 def _validate_densities(states: list, dim: int) -> np.ndarray:
     """The states as one hermitized (B, n, n) stack, each checked as a density matrix.
 
@@ -179,8 +172,8 @@ def _validate_densities(states: list, dim: int) -> np.ndarray:
     if not finite.all():
         rho = np.where(finite[:, None, None], rho, 0.0)  # the finite states are judged below
     adj = rho.conj().swapaxes(1, 2)
-    defect = _fro_stack(rho - adj)
-    not_herm = defect > HERM_TOL * np.maximum(1.0, _fro_stack(rho))
+    defect = nk.fro_stack(rho - adj)
+    not_herm = defect > HERM_TOL * np.maximum(1.0, nk.fro_stack(rho))
     herm = (rho + adj) / 2.0
     trace = herm.trace(axis1=1, axis2=2).real
     off_trace = np.abs(trace - 1.0) > TRACE_TOL
@@ -213,8 +206,8 @@ def _validate_drho(drho, dim: int, tol: float) -> np.ndarray:
     if not finite.all():
         drho = np.where(finite[:, None, None], drho, 0.0)  # the finite ones are judged below
     adj = drho.conj().swapaxes(1, 2)
-    bound = tol * _fro_stack(drho)
-    defect = _fro_stack(drho - adj)
+    bound = tol * nk.fro_stack(drho)
+    defect = nk.fro_stack(drho - adj)
     herm = (drho + adj) / 2.0
     trace = np.abs(herm.trace(axis1=1, axis2=2))
     not_herm = defect > bound
@@ -233,9 +226,20 @@ def _validate_drho(drho, dim: int, tol: float) -> np.ndarray:
     return herm
 
 
-def stencil(fn, theta: np.ndarray, h: float) -> tuple:
+def stencil(model: StateModel, fn, theta: np.ndarray, h: float) -> tuple:
     """The ``(p, ...)`` stacks of ``fn(theta + h e_l)`` and of ``fn(theta - h e_l)``,
-    l = 0..p-1: one call of ``fn`` per stencil point and no check of its own."""
+    l = 0..p-1, with one call of ``fn`` per stencil point.
+
+    ``fn`` is a map on the parameters of ``model``. Before any call, ``h``
+    must be a finite positive step and every stencil point must lie inside
+    the open domain of ``model``; otherwise :class:`DomainError` is raised.
+    """
+    if not (np.isfinite(h) and h > 0):
+        raise DomainError(f"finite-difference step must be a finite positive number, got {h}")
+    if not ((theta > model.domain.lo + h) & (theta < model.domain.hi - h)).all():
+        raise DomainError(
+            f"theta {theta.tolist()} +/- {h} leaves the domain of {model.name}", theta=theta
+        )
     steps = h * np.eye(len(theta))
     return np.array([fn(t) for t in theta + steps]), np.array([fn(t) for t in theta - steps])
 
@@ -288,12 +292,12 @@ def evaluate(
 
     ``scheme`` is one of "auto", "analytic", "central_fd", "richardson";
     "auto" uses analytic derivatives when the model provides them. The
-    finite-difference schemes check once that ``h`` is a finite positive
-    step and that ``theta +/- h`` stays inside the open domain, then take
-    every central difference ``(rho(theta + h e_l) - rho(theta - h e_l)) / 2h``
-    from one :func:`stencil`; "richardson" combines the stencils at ``h`` and
-    ``h / 2`` into ``(4 D(h/2) - D(h)) / 3``. The state and its derivatives
-    are validated where the returned :class:`StateAtPoint` is made.
+    finite-difference schemes take every central difference
+    ``(rho(theta + h e_l) - rho(theta - h e_l)) / 2h`` from one
+    :func:`stencil`, which first checks the step and that ``theta +/- h``
+    stays inside the open domain; "richardson" combines the stencils at
+    ``h`` and ``h / 2`` into ``(4 D(h/2) - D(h)) / 3``. The state and its
+    derivatives are validated where the returned :class:`StateAtPoint` is made.
     """
     theta = _check_points(model, theta)[0]
 
@@ -308,15 +312,8 @@ def evaluate(
     if scheme == "analytic":
         drho = [model.derivative_fn(theta, l) for l in range(model.n_params)]
     else:
-        if not (np.isfinite(h) and h > 0):
-            raise DomainError(f"finite-difference step must be a finite positive number, got {h}")
-        if not (np.all(theta > model.domain.lo + h) and np.all(theta < model.domain.hi - h)):
-            raise DomainError(
-                f"theta {theta.tolist()} +/- {h} leaves the domain of {model.name}", theta=theta
-            )
-
         def central(step):
-            plus, minus = stencil(model.state_fn, theta, step)
+            plus, minus = stencil(model, model.state_fn, theta, step)
             return nk.hermitize(np.asarray((plus - minus) / (2.0 * step), dtype=complex))
 
         drho = central(h)
@@ -364,8 +361,8 @@ def _check_fixed_rank(sp: StateAtPoint, Y: np.ndarray) -> None:
     """Refuse a derivative whose null block ``Y^dag d_l rho Y`` exceeds the scheme's
     tolerance times ``||d_l rho||``; the blocks of all parameters form one stack."""
     tol = sp.deriv_tol
-    residual = _fro_stack(Y.conj().T @ sp.drho @ Y)
-    scale = _fro_stack(sp.drho)
+    residual = nk.fro_stack(Y.conj().T @ sp.drho @ Y)
+    scale = nk.fro_stack(sp.drho)
     bad = residual > tol * scale
     if bad.any():
         l = int(bad.argmax())

@@ -47,6 +47,20 @@ def fro(a: np.ndarray) -> float:
     return float(np.linalg.norm(x))
 
 
+def fro_stack(a: np.ndarray) -> np.ndarray:
+    """:func:`fro` of every matrix of a stack ``(..., m, n)``, bit for bit, in one pass.
+
+    The stack is read C-contiguous, so each norm equals ``fro`` of the
+    C-contiguous copy of its matrix: its sum of squares is a stacked
+    ``(1, mn) @ (mn, 1)`` product, one BLAS dot with the strides ``fro`` takes.
+    Returns the ``(...)`` array of norms.
+    """
+    a = np.ascontiguousarray(a)
+    x = a.reshape(*a.shape[:-2], 1, a.shape[-2] * a.shape[-1])
+    re, im = x.real, x.imag
+    return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0]
+
+
 def opnorm(a: np.ndarray):
     """Spectral (2-) norm of a matrix, or the array of them for a stack of matrices."""
     if a.ndim > 2:

@@ -121,10 +121,12 @@ class POVM:
 
 
 def validate(povm: POVM, tol: float = 1e-10) -> dict:
-    """Completeness, positivity and projectivity diagnostics.
+    """Completeness, Hermiticity, positivity and projectivity diagnostics.
 
     Returns a diagnostics dict and stamps ``povm.projective``; it never
-    raises, so callers can report violations per element.
+    raises, so callers can report violations per element. Element k counts
+    as Hermitian when ``||E_k - E_k^dag|| <= tol ||E_k||``, and a valid
+    measurement is complete, Hermitian and positive semidefinite.
     ``projectivity_residual`` bounds from above every ``||E_i^2 - E_i||``
     and ``||[E_i, E_j]||`` (Frobenius). A basis measurement is read from its
     Gram matrix (see :func:`basisform.validate`). Otherwise, when the elements'
@@ -136,11 +138,13 @@ def validate(povm: POVM, tol: float = 1e-10) -> dict:
     n = povm.dim
     if povm.basis is not None:
         completeness, min_eigs, herm_defects, proj_res = basisform.validate(povm.basis, povm.ranks)
+        hermitian = [True] * len(herm_defects)  # B_k B_k^dag is stored hermitized
     else:
         total = sum(povm.elements)
         completeness = nk.fro(total - np.eye(n))
         stack = np.array(povm.elements)
         herm_defects = [nk.herm_defect(e) for e in povm.elements]
+        hermitian = (np.array(herm_defects) <= tol * nk.fro_stack(stack)).tolist()
         w, v = np.linalg.eigh((stack + stack.conj().transpose(0, 2, 1)) / 2.0)
         min_eigs = [float(x) for x in w[:, 0]]
         proj_res = float(np.max(np.linalg.norm(stack @ stack - stack, axis=(1, 2))))
@@ -162,9 +166,10 @@ def validate(povm: POVM, tol: float = 1e-10) -> dict:
         "psd_ok": psd_ok,
         "min_eigenvalues": min_eigs,
         "herm_defects": herm_defects,
+        "hermitian": hermitian,
         "projective": projective,
         "projectivity_residual": proj_res,
-        "valid": complete and psd_ok,
+        "valid": complete and psd_ok and all(hermitian),
         "tol": tol,
     }
 
@@ -197,6 +202,15 @@ def _commutator_bound(w, v, upper, herm_defects) -> float:
 
 def require_valid(povm: POVM) -> dict:
     diag = validate(povm)
+    if not all(diag["hermitian"]):
+        k = diag["hermitian"].index(False)
+        defect = diag["herm_defects"][k]
+        raise InvalidPOVMError(
+            f"POVM element {k} is not Hermitian: ||E - E^dag|| = {defect:.3e} "
+            f"exceeds {diag['tol']:g} ||E||",
+            element=k,
+            herm_defect=defect,
+        )
     if not diag["valid"]:
         raise InvalidPOVMError(
             "POVM violates completeness or positivity",

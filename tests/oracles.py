@@ -553,7 +553,7 @@ def verify_condition2prime_loop(
     if witness is None:
         diag_res = max(_fro(x - np.diag(np.diag(x))) / max(1.0, _fro(x)) for x in a) if p else 0.0
         if diag_res <= max(tol, 1e-6):
-            d_canon = [np.diag((1j * np.diag(x)).real) for x in a]
+            d_canon = np.array([(1j * np.diag(x)).real for x in a])
             witness = cond.Cond2PrimeWitness(
                 unitary_fn=lambda _theta: np.eye(r_plus, dtype=complex),
                 generators=d_canon,
@@ -583,7 +583,8 @@ def verify_condition2prime_loop(
             "witness map is not unitary at this point",
             defect=_fro(u.conj().T @ u - np.eye(r_plus)),
         )
-    d_mats = witness.d_matrices(theta, p, r_plus)
+    gens = np.zeros((p, r_plus)) if witness.generators is None else witness.generators
+    d_mats = [np.diag(np.asarray(g, dtype=float)) for g in gens]
     du = [_map_derivative_loop(witness.unitary_fn, theta, l, h) for l in range(p)]
 
     pde_res = 0.0
@@ -718,6 +719,7 @@ def validate_loop(povm, tol=1e-10):
     completeness = nk.fro(total - np.eye(n))
     stack = np.array(povm.elements)
     herm_defects = [nk.herm_defect(e) for e in povm.elements]
+    hermitian = [d <= tol * nk.fro(e) for d, e in zip(herm_defects, povm.elements)]
     w, v = np.linalg.eigh((stack + stack.conj().transpose(0, 2, 1)) / 2.0)
     min_eigs = [float(x) for x in w[:, 0]]
     psd_ok = all(m >= -tol for m in min_eigs)
@@ -737,9 +739,10 @@ def validate_loop(povm, tol=1e-10):
         "psd_ok": psd_ok,
         "min_eigenvalues": min_eigs,
         "herm_defects": herm_defects,
+        "hermitian": hermitian,
         "projective": projective,
         "projectivity_residual": proj_res,
-        "valid": complete and psd_ok,
+        "valid": complete and psd_ok and all(hermitian),
         "tol": tol,
     }
 

@@ -18,6 +18,7 @@ def run(capsys, *argv):
 
 
 QUTRIT = ["--model", "paper-qutrit", "--params", "d=0.6,c1=1,c2=0.7", "--theta", "0.3,0.5"]
+PURE_QUBIT = ["--model", "pure-qubit-amp-phase", "--theta", "0.7,0.3"]
 
 
 class TestAnalyze:
@@ -349,12 +350,21 @@ class TestInputFiles:
         assert rep["error"]["type"] == "InvalidPOVMError"
         assert rep["error"]["detail"] == {"povm_dim": 2, "state_dim": 3}
 
-    @pytest.mark.parametrize("edit", [
-        {"n_s": True}, {"outcome_labels": [0.0]}, {"outcome_labels": ["a", "b", "c"]},
-        {"classification": ["regular", "other", "null"]}, {"basis": None},
-        {"elements": [[[[1, 0]]]]}, {"ranks": [2, 2]}, {"ranks": [1, False, 2]},
+    @pytest.mark.parametrize("state, edit, error", [
+        *((QUTRIT, edit, "SchemaError") for edit in (
+            {"n_s": True}, {"outcome_labels": [0.0]}, {"outcome_labels": ["a", "b", "c"]},
+            {"classification": ["regular", "other", "null"]}, {"basis": None},
+            {"elements": [[[[1, 0]]]]}, {"ranks": [2, 2]}, {"ranks": [1, False, 2]},
+        )),
+        # a qubit pair |0><0| + 0.3i sigma_x, |1><1| - 0.3i sigma_x: complete and with a
+        # positive Hermitian part, but element 0 is not Hermitian
+        (PURE_QUBIT, {"n_s": 2, "basis": None, "ranks": None, "outcome_labels": None,
+                      "classification": None,
+                      "elements": [[[[1, 0], [0, 0.3]], [[0, 0.3], [0, 0]]],
+                                   [[[0, 0], [0, -0.3]], [[0, -0.3], [1, 0]]]]},
+         "InvalidPOVMError"),
     ])
-    def test_malformed_measurement(self, capsys, files, edit):
+    def test_malformed_measurement(self, capsys, files, state, edit, error):
         payload = json.loads(files["--povm"].read_text())
         for key, value in edit.items():
             if value is None:
@@ -362,10 +372,15 @@ class TestInputFiles:
             else:
                 payload[key] = value
         files["--povm"].write_text(json.dumps(payload))
-        code, rep = run(capsys, "fisher", *QUTRIT, "--povm", str(files["--povm"]))
+        code, rep = run(capsys, "fisher", *state, "--povm", str(files["--povm"]))
         assert code == 1
-        assert rep["error"]["type"] == "SchemaError"
-        assert all(key in rep["error"]["message"] for key in edit)  # names what is wrong
+        assert rep["error"]["type"] == error
+        if error == "SchemaError":
+            assert all(key in rep["error"]["message"] for key in edit)  # names what is wrong
+        else:
+            assert rep["error"]["message"].startswith("POVM element 0 is not Hermitian")
+            assert rep["error"]["detail"]["element"] == 0
+            assert rep["error"]["detail"]["herm_defect"] == pytest.approx(0.6 * np.sqrt(2))
 
     @pytest.mark.parametrize("key", ["n_s", "p"])
     def test_boolean_count_in_numeric_model(self, capsys, files, key):

@@ -616,6 +616,23 @@ class TestWSearchProperties:
         assert cond.find_w_condition4(lpz).status == cond.COND4_UNKNOWN
 
 
+def constant_basis_model():
+    """A p = 1 family on a fixed support basis: V^dag dV = 0, so the canonical witness has D = 0."""
+    b = np.eye(3, dtype=complex)[:, :2]
+
+    def state(theta):
+        q = np.array([theta[0], 1.0 - theta[0]])
+        return b @ np.diag(q).astype(complex) @ b.conj().T
+
+    def deriv(theta, l):
+        return b @ np.diag([1.0, -1.0]).astype(complex) @ b.conj().T
+
+    return md.StateModel(
+        name="fixed-basis", dim=3, n_params=1, state_fn=state, derivative_fn=deriv,
+        domain=md.box([0.0], [1.0]), support_basis_fn=lambda theta: b,
+    )
+
+
 class TestCondition2Prime:
     def test_lcss_witness(self, qutrit_model, qutrit_point):
         witness = qs.get_witness("corrigendum-lcss", d=0.6, c1=1.0, c2=0.7)
@@ -627,19 +644,7 @@ class TestCondition2Prime:
         assert res.cross_identity_residual <= 1e-8
 
     def test_constant_basis_trivial(self):
-        b = np.eye(3, dtype=complex)[:, :2]
-
-        def state(theta):
-            q = np.array([theta[0], 1.0 - theta[0]])
-            return b @ np.diag(q).astype(complex) @ b.conj().T
-
-        def deriv(theta, l):
-            return b @ np.diag([1.0, -1.0]).astype(complex) @ b.conj().T
-
-        m = md.StateModel(
-            name="fixed-basis", dim=3, n_params=1, state_fn=state, derivative_fn=deriv,
-            domain=md.box([0.0], [1.0]), support_basis_fn=lambda theta: b,
-        )
+        m = constant_basis_model()
         sp = qs.evaluate(m, [0.3])
         res = cond.verify_condition2prime(m, sp, None)
         assert res.status == "PASSED"
@@ -675,6 +680,25 @@ class TestCondition2Prime:
         bad = cond.Cond2PrimeWitness(unitary_fn=lambda theta: np.diag([1.0, 2.0]).astype(complex))
         with pytest.raises(cond.InvalidWitnessError):
             cond.verify_condition2prime(qutrit_model, qutrit_point, bad)
+
+    @pytest.mark.parametrize("generators", [
+        np.zeros(2), np.zeros((2, 3)), np.zeros((1, 2)), np.zeros((2, 2, 2)),
+        [np.eye(2), np.eye(2)], np.zeros((2, 2), dtype=complex), np.zeros((2, 2), dtype=bool),
+    ])
+    def test_generators_of_another_form_rejected(self, qutrit_model, qutrit_point, generators):
+        # the one form is a real (p, r+) array of the diagonals of D_l; here p = r+ = 2
+        witness = dataclasses.replace(qs.get_witness("paper-qutrit"), generators=generators)
+        with pytest.raises(cond.InvalidWitnessError, match=r"real \(2, 2\) array"):
+            cond.verify_condition2prime(qutrit_model, qutrit_point, witness)
+
+    def test_real_generators_enter_the_pde(self, qutrit_model, qutrit_point):
+        base = qs.get_witness("paper-qutrit")
+        zero = cond.verify_condition2prime(qutrit_model, qutrit_point, base)
+        shifted = cond.verify_condition2prime(
+            qutrit_model, qutrit_point, dataclasses.replace(base, generators=np.ones((2, 2))))
+        assert zero.status == "PASSED" and zero.path == "zero_generators"
+        assert shifted.status == "FAILED" and shifted.path == "user_supplied_U"
+        assert shifted.stationarity_residual is None and shifted.pde_residual > 0.1
 
 
 class TestVerdict:
@@ -859,20 +883,52 @@ class TestCondition2PrimeStencil:
         d["notes"].append("edited")
         assert "edited" not in res.notes
 
+    @pytest.mark.parametrize("name, theta", [
+        ("qutrit-phase-mixture", [0.3, 0.5]),
+        ("theta-independent-support", [0.3, 0.6]),
+        ("stationary-basis", [0.3, -0.4]),
+        ("fixed-basis", [0.3]),
+    ])
     @pytest.mark.parametrize("case", ["canonical", "witness", "witness+null"])
-    def test_matches_per_derivative_oracle(self, qutrit_model, qutrit_point, qutrit_dec,
-                                           qutrit_slds, case):
+    def test_matches_per_derivative_oracle(self, name, theta, case):
         from qcrbsat import povm as pv
 
+        model = constant_basis_model() if name == "fixed-basis" else qs.get(name)
+        sp = qs.evaluate(model, theta)
         witness, nulls = None, None
         if case != "canonical":
-            witness = qs.get_witness("qutrit-phase-mixture", d=0.6, c1=1.0, c2=0.7)
+            witness = qs.get_witness(name) if name != "fixed-basis" else cond.Cond2PrimeWitness(
+                unitary_fn=lambda _theta: np.eye(2, dtype=complex))
         if case == "witness+null":
-            rep = qs.evaluate_conditions(qutrit_point, qutrit_dec, qutrit_slds)
-            popt = pv.construct_optimal(qutrit_dec, qutrit_slds, W=rep.cond4.W,
-                                        rng=np.random.default_rng(0))
+            dec = qs.support_decomposition(sp)
+            slds = qs.compute_sld(dec, sp.drho)
+            rep = qs.evaluate_conditions(sp, dec, slds)
+            popt = pv.construct_optimal(dec, slds, W=rep.cond4.W, rng=np.random.default_rng(0))
             nulls = [e for e, k in zip(popt.elements, popt.classification) if k == "null"]
-        new = cond.verify_condition2prime(qutrit_model, qutrit_point, witness, null_povm=nulls)
-        old = verify_condition2prime_loop(qutrit_model, qutrit_point, witness, null_povm=nulls)
+        new = cond.verify_condition2prime(model, sp, witness, null_povm=nulls)
+        old = verify_condition2prime_loop(model, sp, witness, null_povm=nulls)
+        assert new.status == "PASSED"
         assert dataclasses.asdict(new) == dataclasses.asdict(old)
         assert (new.null_compat_residual is not None) == (case == "witness+null")
+
+    def test_stencil_at_the_boundary_is_not_checked(self, qutrit_model):
+        # theta - h e_0 would leave the box (0, 1)^2; no map may be called there
+        theta = [5e-6, 0.5]
+        seen = []
+
+        def recorded(fn):
+            return lambda th: seen.append(np.array(th)) or fn(th)
+
+        model = dataclasses.replace(qutrit_model,
+                                    support_basis_fn=recorded(qutrit_model.support_basis_fn))
+        w = qs.get_witness("qutrit-phase-mixture", d=0.6, c1=1.0, c2=0.7)
+        witness = dataclasses.replace(w, unitary_fn=recorded(w.unitary_fn))
+        sp = qs.evaluate(model, theta)
+        dec = qs.support_decomposition(sp)
+        rep = qs.evaluate_conditions(sp, dec, qs.compute_sld(dec, sp.drho), model=model,
+                                     witness=witness)
+        res = rep.cond2prime
+        assert res.status == "NOT_CHECKED" and res.path == "not_checked"
+        assert "h = 1e-05" in res.notes[0] and res.pde_residual is None
+        assert seen and all(np.all((t > 0.0) & (t < 1.0)) for t in seen)
+        assert rep.verdict == "SATURABLE_CERTIFIED"

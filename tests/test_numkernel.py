@@ -149,6 +149,27 @@ class TestFro:
             assert nk.fro(a) == float(np.linalg.norm(a))
 
 
+class TestFroStack:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_equals_fro_of_each_matrix_bit_for_bit(self, data):
+        dtype = np.dtype(data.draw(st.sampled_from([np.complex128, np.float64])))
+        a = data.draw(arrays(dtype, array_shapes(min_dims=2, max_dims=4, min_side=0, max_side=6),
+                             elements=from_dtype(dtype, allow_nan=False)))
+        layout = data.draw(st.sampled_from(["C", "F", "step", "transposed"]))
+        if layout == "F":
+            a = np.asfortranarray(a)
+        elif layout == "step":
+            a = a[..., ::2, :]
+        elif layout == "transposed":
+            a = a.swapaxes(-1, -2)
+        with np.errstate(over="ignore"):  # huge entries: both sides overflow to inf alike
+            got = nk.fro_stack(a)
+            assert got.shape == a.shape[:-2]
+            for index in np.ndindex(*a.shape[:-2]):
+                assert got[index] == nk.fro(np.ascontiguousarray(a[index]))
+
+
 def _bits(a):
     a = np.asarray(a)
     return a.dtype.str, a.shape, a.tobytes()

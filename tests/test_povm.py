@@ -35,6 +35,18 @@ class TestValidate:
         with pytest.raises(pv.InvalidPOVMError):
             pv.require_valid(p)
 
+    def test_non_hermitian_elements_are_invalid(self):
+        # complete, with a positive semidefinite Hermitian part, and ||E_k - E_k^dag|| = 0.85
+        skew = 0.3j * np.array([[0.0, 1.0], [1.0, 0.0]])
+        p = pv.POVM(elements=[np.diag([1.0, 0.0]) + skew, np.diag([0.0, 1.0]) - skew])
+        diag = pv.validate(p)
+        assert diag["complete"] and diag["psd_ok"]
+        assert diag["hermitian"] == [False, False] and not diag["valid"]
+        with pytest.raises(pv.InvalidPOVMError, match="element 0 is not Hermitian") as err:
+            pv.require_valid(p)
+        assert err.value.detail == {"element": 0, "herm_defect": diag["herm_defects"][0]}
+        assert diag["herm_defects"][0] == pytest.approx(0.6 * np.sqrt(2))
+
     def test_non_projective_but_valid(self):
         p = pv.POVM(elements=[0.5 * np.eye(2), 0.5 * np.eye(2)])
         diag = pv.validate(p)
