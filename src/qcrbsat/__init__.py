@@ -56,7 +56,7 @@ from .povm import (
     validate,
     verify_saturation_structural,
 )
-from .sld import BlockOperator, SLDSet, compute_sld, qfim, to_blocks
+from .sld import SLDSet, compute_sld, qfim
 
 __all__ = [
     "__version__",
@@ -72,9 +72,7 @@ __all__ = [
     "parse_numeric_model",
     "JointSpectrum",
     "joint_eigenprojectors",
-    "BlockOperator",
     "SLDSet",
-    "to_blocks",
     "compute_sld",
     "qfim",
     "ConditionReport",

@@ -381,6 +381,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:  # refused here, not by the first generator a command seeds
+            raise QcrbSatError(f"--seed must be a non-negative integer, got {args.seed}",
+                               option="--seed", value=args.seed)
         payload = _COMMANDS[args.command](args)
     except QcrbSatError as exc:
         jsonio.write_json({"schema_version": SCHEMA_VERSION, "error": exc.to_dict()},

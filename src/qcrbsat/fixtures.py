@@ -303,6 +303,8 @@ def random_rank_r(
 ) -> StateModel:
     seed, n_s, r_plus = _as_int("seed", seed), _as_int("n_s", n_s), _as_int("r_plus", r_plus)
     n_params = _as_int("n_params", n_params)
+    if seed < 0:
+        raise ParameterError(f"parameter 'seed' must be non-negative, got {seed}", parameter="seed")
     plant_cond1 = _as_bool("plant_cond1", plant_cond1)
     plant_cond4 = _as_bool("plant_cond4", plant_cond4)
     r_zero = n_s - r_plus

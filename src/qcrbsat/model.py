@@ -146,10 +146,8 @@ class SupportDecomposition:
     V: np.ndarray
     Y: np.ndarray
     P_plus: np.ndarray
-    P_zero: np.ndarray
     r_plus: int
     r_zero: int
-    rank_tol: float
 
 
 def _validate_densities(states: list, dim: int) -> np.ndarray:
@@ -341,7 +339,7 @@ def fix_phases(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _split(sp: StateAtPoint, q, V, Y, rank_tol: float) -> SupportDecomposition:
+def _split(sp: StateAtPoint, q, V, Y) -> SupportDecomposition:
     """The decomposition with support basis V and null basis Y, after checking
     that every derivative vanishes on the null block (the rank is locally constant)."""
     _check_fixed_rank(sp, Y)
@@ -350,10 +348,8 @@ def _split(sp: StateAtPoint, q, V, Y, rank_tol: float) -> SupportDecomposition:
         V=V,
         Y=Y,
         P_plus=nk.hermitize(V @ V.conj().T),
-        P_zero=nk.hermitize(Y @ Y.conj().T),
         r_plus=V.shape[1],
         r_zero=Y.shape[1],
-        rank_tol=rank_tol,
     )
 
 
@@ -404,7 +400,7 @@ def support_decomposition(sp: StateAtPoint, rank_tol: float = DEFAULT_RANK_TOL) 
 
     V = fix_phases(q_vecs[:, support_mask])
     Y = fix_phases(q_vecs[:, null_mask])
-    return _split(sp, np.asarray(w[support_mask], dtype=float), V, Y, rank_tol)
+    return _split(sp, np.asarray(w[support_mask], dtype=float), V, Y)
 
 
 def decomposition_from_basis(
@@ -444,7 +440,7 @@ def decomposition_from_basis(
     Y = fix_phases(vecs[:, w > 0.5])
     if nk.fro(sp.rho @ Y) > 1e-8 * max(1.0, nk.fro(sp.rho)):
         raise InvalidStateError("completed null basis is not annihilated by the state")
-    return _split(sp, q, V, Y, rank_tol)
+    return _split(sp, q, V, Y)
 
 
 # ---------------------------------------------------------------------------

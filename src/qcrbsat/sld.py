@@ -5,9 +5,10 @@ With the support split of the state, the defining equation
 ``(L rho + rho L) / 2 = d rho`` decouples: the ++ block is solved entrywise
 in the support eigenbasis (denominators q_j + q_k stay away from zero by
 construction), the +0 block is ``2 diag(q)^-1 V^dag (d rho) Y`` (see
-:func:`plus_null_blocks`), and the 00 block is unconstrained; it is set to
-zero here, which minimizes the operator norm and changes nothing
-downstream.
+:func:`plus_null_blocks`), and the 00 block is unconstrained. An SLD is
+represented by its support rows alone, the ++ and +0 blocks (the projected
+SLDs the saturation conditions are stated in); its full-space observable has
+a zero 00 block by construction, which minimizes the operator norm.
 
 An :class:`SLDSet` holds the p SLDs stacked: each block and the full-space
 observables are one complex ``(p, ., .)`` array, and every parameter is
@@ -20,7 +21,7 @@ per-parameter scales that every pairwise check divides by.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
@@ -35,44 +36,12 @@ class SLDInconsistentError(QcrbSatError):
     pass
 
 
-@dataclass(frozen=True)
-class BlockOperator:
-    """Blocks of an operator (or of a stack of them) in the support/null split."""
-
-    opp: np.ndarray  # (r+, r+)
-    opz: np.ndarray  # (r+, r0)
-    ozp: np.ndarray  # (r0, r+)
-    ozz: np.ndarray  # (r0, r0)
-
-
-def to_blocks(op: np.ndarray, dec: SupportDecomposition) -> BlockOperator:
-    op = np.asarray(op, dtype=complex)
-    n = dec.V.shape[0]
-    if op.shape != (n, n):
-        raise nk.ShapeError(f"operator has shape {op.shape}, expected ({n}, {n})")
+def _assemble(lpp: np.ndarray, lpz: np.ndarray, dec: SupportDecomposition) -> np.ndarray:
+    """Full-space observables ``V Lpp V^dag + V Lpz Y^dag + Y Lpz^dag V^dag`` of
+    stacked ++ and +0 blocks, hermitized; their 00 block is zero."""
     v, y = dec.V, dec.Y
-    return BlockOperator(
-        opp=v.conj().T @ op @ v,
-        opz=v.conj().T @ op @ y,
-        ozp=y.conj().T @ op @ v,
-        ozz=y.conj().T @ op @ y,
-    )
-
-
-def from_blocks(blocks: BlockOperator, dec: SupportDecomposition) -> np.ndarray:
-    v, y = dec.V, dec.Y
-    return (
-        v @ blocks.opp @ v.conj().T
-        + v @ blocks.opz @ y.conj().T
-        + y @ blocks.ozp @ v.conj().T
-        + y @ blocks.ozz @ y.conj().T
-    )
-
-
-def _assemble(lpp, lpz, lzz, dec: SupportDecomposition) -> np.ndarray:
-    """Full-space observables of stacked ++, +0 and 00 blocks."""
-    blocks = BlockOperator(lpp, lpz, lpz.conj().swapaxes(-1, -2), lzz)
-    return nk.hermitize(from_blocks(blocks, dec))
+    vh = v.conj().T
+    return nk.hermitize(v @ lpp @ vh + v @ lpz @ y.conj().T + y @ lpz.conj().swapaxes(-1, -2) @ vh)
 
 
 def pairs(p: int):
@@ -87,24 +56,19 @@ def plus_null_blocks(dec: SupportDecomposition, drho) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SLDSet:
-    """SLD observables for every parameter, in blocks and in full space.
+    """SLD observables for every parameter: their support rows and full space.
 
-    ``Lpp``, ``Lpz`` and ``Lzz`` stack the ++, +0 and 00 blocks and ``full``
-    the full-space observables: complex arrays of shape ``(p, r+, r+)``,
-    ``(p, r+, r0)``, ``(p, r0, r0)`` and ``(p, n, n)``, indexed by parameter
-    first. Sequences of matrices given for them are stacked on construction.
+    ``Lpp`` and ``Lpz`` stack the ++ and +0 blocks and ``full`` the
+    full-space observables, whose 00 blocks are zero: complex arrays of shape
+    ``(p, r+, r+)``, ``(p, r+, r0)`` and ``(p, n, n)``, indexed by parameter
+    first.
     """
 
     Lpp: np.ndarray  # ++ blocks
     Lpz: np.ndarray  # +0 blocks
-    Lzz: np.ndarray  # 00 blocks (zero by convention)
-    full: np.ndarray  # full-space observables
+    full: np.ndarray  # full-space observables, 00 blocks zero
     residuals: np.ndarray  # defining-equation residuals, normalized
     sld_tol: float
-
-    def __post_init__(self):
-        for name in ("Lpp", "Lpz", "Lzz", "full"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=complex))
 
     @property
     def n_params(self) -> int:
@@ -127,15 +91,10 @@ class SLDSet:
     def scales(self) -> np.ndarray:
         """``s_l = (||Lpp_l||^2 + ||Lpz_l||^2)^(1/2)``, the norm of each SLD's support rows.
 
-        Neither the free 00 block nor a change of support or null basis moves
-        it, and it vanishes only where ``d_l rho = 0``.
+        A change of support or null basis does not move it, and it vanishes
+        only where ``d_l rho = 0``.
         """
         return np.linalg.norm(np.concatenate([self.Lpp, self.Lpz], axis=-1), axis=(-2, -1))
-
-    def with_lzz(self, lzz_list, dec: SupportDecomposition) -> "SLDSet":
-        """Copy with replaced 00 blocks (they are free by construction)."""
-        lzz = np.asarray(lzz_list, dtype=complex)
-        return replace(self, Lzz=lzz, full=_assemble(self.Lpp, self.Lpz, lzz, dec))
 
 
 def compute_sld(
@@ -153,8 +112,7 @@ def compute_sld(
     d = np.asarray(drho, dtype=complex)
     lpp = nk.hermitize(2.0 * (v.conj().T @ d @ v) / (q[:, None] + q[None, :]))
     lpz = plus_null_blocks(dec, d)
-    lzz = np.zeros((len(d), dec.r_zero, dec.r_zero), dtype=complex)
-    full = _assemble(lpp, lpz, lzz, dec)
+    full = _assemble(lpp, lpz, dec)
 
     rho = v @ np.diag(q).astype(complex) @ v.conj().T
     defect = (full @ rho + rho @ full) / 2.0 - d
@@ -169,14 +127,14 @@ def compute_sld(
             param=l,
             residual=float(residuals[l]),
         )
-    return SLDSet(Lpp=lpp, Lpz=lpz, Lzz=lzz, full=full, residuals=residuals, sld_tol=sld_tol)
+    return SLDSet(Lpp=lpp, Lpz=lpz, full=full, residuals=residuals, sld_tol=sld_tol)
 
 
 def qfim(dec: SupportDecomposition, slds: SLDSet) -> np.ndarray:
     """Quantum Fisher information matrix F_jk = Re tr(rho L_j L_k).
 
     Read off the pair products, ``F_jk = Re sum_i q_i (A_jk + B_jk)_ii``;
-    the 00 blocks never enter because rho vanishes outside the support.
+    only the support rows enter because rho vanishes outside the support.
     The entries j <= k are mirrored below the diagonal.
     """
     a, b = slds.pair_products

@@ -286,6 +286,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("model, params, theta, name", [
         ("random-rank-r", "seed=abc", "0,0", "seed"),
+        ("random-rank-r", "seed=-1", "0,0", "seed"),
         ("paper-qutrit", "c1=x", "0.3,0.5", "c1"),
         ("paper-qutrit", "d=x", "0.3,0.5", "d"),
         ("paper-qutrit", "bogus=1", "0.3,0.5", "bogus"),
@@ -504,6 +505,21 @@ class TestOptions:
             assert error["type"] == "InvalidToleranceError"
             assert error["detail"] == {"tolerance": flag[2:].replace("-", "_"),
                                        "value": repr(float(value))}
+
+    @pytest.mark.parametrize("command, extra", [
+        ("analyze", QUTRIT), ("construct-povm", QUTRIT), ("fisher", QUTRIT),
+        ("simulate", [*QUTRIT, "--trials", "100"]),
+        ("sweep", ["--model", "paper-qutrit", "--grid", "0.1:0.9:2,0.1:0.9:2"]),
+    ])
+    def test_negative_seed_refused(self, capsys, command, extra):
+        code = main([command, *extra, "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        error = json.loads(captured.out)["error"]
+        assert error["type"] == "QcrbSatError"
+        assert error["detail"] == {"option": "--seed", "value": -1}
+        assert "--seed" in error["message"]
 
     def test_boolean_params(self, capsys):
         assert parse_params("a=true,b=False,c=TRUE,d=1,e=x") == {

@@ -532,7 +532,8 @@ class TestScaleInvariance:
         """d_0 rho gains a null block of 6.7e-4 ||d_0 rho|| (traceless on the support)."""
         drho = qutrit_point.drho.copy()
         c = 6.7e-4 * np.linalg.norm(drho[0])
-        drho[0] += c * (qutrit_dec.P_zero - qutrit_dec.P_plus / qutrit_dec.r_plus)
+        y = qutrit_dec.Y
+        drho[0] += c * (y @ y.conj().T - qutrit_dec.P_plus / qutrit_dec.r_plus)
         sp = md.StateAtPoint(theta=None, rho=qutrit_point.rho, drho=drho, scheme="analytic")
         code, rep = _fisher_report(tmp_path, _scaled(sp, [s, s]))
         assert code == 1

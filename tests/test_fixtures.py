@@ -39,7 +39,8 @@ class TestRegistry:
     @pytest.mark.parametrize("name, params", [
         ("diag-multinomial", {"dims": 2.5}), ("diag-multinomial", {"dims": True}),
         ("diag-multinomial", {"dims": "3"}), ("random-rank-r", {"seed": float("nan")}),
-        ("random-rank-r", {"n_s": 1j}), ("stationary-basis", {"c1": "x"}),
+        ("random-rank-r", {"seed": -1}), ("random-rank-r", {"n_s": 1j}),
+        ("stationary-basis", {"c1": "x"}),
         ("qutrit-phase-mixture", {"c2": False}), ("qutrit-phase-mixture", {"d": None}),
         ("qutrit-phase-mixture", {"dims": 3}), ("theta-independent-support", {"seed": 1}),
     ])

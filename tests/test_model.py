@@ -282,7 +282,7 @@ class TestSupportDecomposition:
 
     def test_projector_algebra(self, qutrit_dec):
         d = qutrit_dec
-        assert nk.fro(d.P_plus + d.P_zero - np.eye(3)) <= 1e-12
+        assert nk.fro(d.P_plus + d.Y @ d.Y.conj().T - np.eye(3)) <= 1e-12
         assert nk.fro(d.V.conj().T @ d.V - np.eye(2)) <= 1e-12
         assert nk.fro(d.Y.conj().T @ d.Y - np.eye(1)) <= 1e-12
         assert nk.fro(d.V.conj().T @ d.Y) <= 1e-12
@@ -340,6 +340,19 @@ class TestSupportDecomposition:
         dec = qs.decomposition_from_basis(qutrit_point, v)
         assert np.allclose(dec.q, [0.3, 0.7], atol=1e-12)  # map column order
         assert nk.fro(dec.V - v) == 0.0
+
+    @pytest.mark.parametrize("basis, message", [
+        (lambda v, y: 2.0 * v, "support basis is not an isometry"),
+        (lambda v, y: np.stack([v[:, 0] + v[:, 1], v[:, 0] - v[:, 1]], axis=1) / np.sqrt(2),
+         "supplied basis does not diagonalize the state"),
+        (lambda v, y: np.stack([v[:, 0], y[:, 0]], axis=1), "supplied basis includes null directions"),
+        (lambda v, y: v[:, :1], "completed null basis is not annihilated by the state"),
+    ], ids=["not-isometry", "not-diagonalizing", "null-direction", "null-completion"])
+    def test_from_basis_refusals(self, qutrit_model, qutrit_point, qutrit_dec, basis, message):
+        v = qutrit_model.support_basis_fn(qutrit_point.theta)
+        with pytest.raises(md.InvalidStateError) as exc:
+            qs.decomposition_from_basis(qutrit_point, basis(v, qutrit_dec.Y))
+        assert str(exc.value).startswith(message)
 
 
 # Edits of the qutrit point that make it invalid, with the error each one raises.
