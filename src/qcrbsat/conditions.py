@@ -37,7 +37,7 @@ from . import numkernel as nk
 from .errors import QcrbSatError, require_tolerance
 from .jsonio import ComplexMatrix
 from .model import (DomainError, StateAtPoint, StateModel, SupportDecomposition,
-                    decomposition_from_basis, stencil)
+                    decomposition_from_basis, stencil, values_at)
 from .sld import SLDSet, pairs, plus_null_blocks
 
 VERDICT_SATURABLE = "SATURABLE_CERTIFIED"
@@ -332,7 +332,10 @@ def find_w_condition4(
 class Cond2PrimeWitness:
     """A candidate solution of the support-basis PDE system.
 
-    ``unitary_fn(theta)`` is the unitary path U(theta). ``generators`` holds
+    ``unitary_fn(theta)`` is the unitary path U(theta); like the model's maps it
+    broadcasts over the leading axes of theta, a ``(..., p)`` stack of points
+    mapping to the ``(..., r+, r+)`` unitaries (see
+    :class:`~qcrbsat.model.StateModel`). ``generators`` holds
     the real diagonal matrices D_l at the point checked as one real
     ``(p, r+)`` array, row l the diagonal of D_l; ``None`` means all zero.
     :func:`verify_condition2prime` refuses any other form with
@@ -342,6 +345,13 @@ class Cond2PrimeWitness:
     unitary_fn: Callable[[np.ndarray], np.ndarray]
     generators: Optional[np.ndarray] = None
     label: str = "user_supplied_U"
+
+
+def identity_path(theta, r: int) -> np.ndarray:
+    """The constant path U = I (r x r) at a point or a ``(..., p)`` stack of points."""
+    u = np.zeros(np.shape(theta)[:-1] + (r, r), dtype=complex)
+    u[..., np.arange(r), np.arange(r)] = 1.0
+    return u
 
 
 @dataclass
@@ -395,8 +405,8 @@ def verify_condition2prime(
     dec = decomposition_from_basis(sp, v)
     r_plus = dec.r_plus
     try:
-        v_plus, v_minus = (np.asarray(x, dtype=complex)
-                           for x in stencil(model, model.support_basis_fn, theta, h))
+        v_plus, v_minus = stencil(model, model.support_basis_fn, theta, h, v.shape,
+                                  what="support basis")
     except DomainError:
         return Cond2PrimeResult(tol=tol, notes=[f"the stencil theta +/- h with h = {h:g} leaves "
                                                 f"the domain of {model.name}; existence undecided"])
@@ -411,15 +421,13 @@ def verify_condition2prime(
             note = f"no witness supplied and V^dag dV is not diagonal (residual {diag_res:.3e})"
             return Cond2PrimeResult(tol=tol, notes=[f"{note}; existence undecided"])
         witness = Cond2PrimeWitness(
-            unitary_fn=lambda _theta: np.eye(r_plus, dtype=complex),
+            unitary_fn=lambda t: identity_path(t, r_plus),
             generators=(1j * a.diagonal(axis1=1, axis2=2)).real,
             label="diagonal_VdV",
         )
         notes.append("canonical witness generated from diagonal V^dag dV")
 
-    u = np.asarray(witness.unitary_fn(theta), dtype=complex)
-    if u.shape != (r_plus, r_plus):
-        raise InvalidWitnessError(f"witness map has shape {u.shape}, expected ({r_plus}, {r_plus})")
+    u = values_at(witness.unitary_fn, theta, (r_plus, r_plus), InvalidWitnessError, "witness")
     defect = nk.fro(u.conj().T @ u - np.eye(r_plus))
     if defect > 1e-10 * max(1.0, r_plus):
         raise InvalidWitnessError("witness map is not unitary at this point", defect=defect)
@@ -428,8 +436,8 @@ def verify_condition2prime(
         raise InvalidWitnessError(f"generators must be a real ({p}, {r_plus}) array of the "
                                   f"diagonals of D_l, got {gens.dtype} of shape {gens.shape}")
     d = gens[:, :, None] * np.eye(r_plus)  # the D_l, (p, r+, r+)
-    u_plus, u_minus = (np.asarray(x, dtype=complex)
-                       for x in stencil(model, witness.unitary_fn, theta, h))
+    u_plus, u_minus = stencil(model, witness.unitary_fn, theta, h, u.shape, InvalidWitnessError,
+                              "witness")
     du = (u_plus - u_minus) / (2.0 * h)
 
     pde, du_norm, a_norm = fro(np.array([du - u @ (a + 1j * d), du, a]))

@@ -421,6 +421,17 @@ def _golden_section(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: n
     return (a + b) / 2.0
 
 
+def negative_log_likelihood(counts: np.ndarray, probs) -> np.ndarray:
+    """-sum_k n_bk log p_bk for each row b of (B, M) counts and probabilities.
+
+    Probabilities are cut at 1e-300 below. Each row is one BLAS dot product,
+    all taken by one stacked ``(B, 1, M) @ (B, M, 1)`` matmul, so a row equals
+    its own ``np.dot`` bit for bit.
+    """
+    logp = np.log(np.clip(np.asarray(probs, dtype=float), 1e-300, None))
+    return -(counts[:, None, :] @ logp[:, :, None])[:, 0, 0]
+
+
 def max_likelihood_estimate(
     likelihood: Callable[[np.ndarray], np.ndarray],
     counts: np.ndarray,
@@ -435,13 +446,13 @@ def max_likelihood_estimate(
     coordinate +/- ``radius``, cut to the ``domain`` box when one is given;
     the search evaluates only points strictly inside its bracket, so it
     never leaves the open box. Each row's negative log-likelihood is its own
-    ``np.dot``, so the fits equal one-batch fits bit for bit.
+    dot product (see ``negative_log_likelihood``), so the fits equal one-batch
+    fits bit for bit.
     """
     counts = np.asarray(counts, dtype=float)
 
     def nll(thetas):
-        logp = np.log(np.clip(np.asarray(likelihood(thetas), dtype=float), 1e-300, None))
-        return -np.array([np.dot(c, lp) for c, lp in zip(counts, logp)])
+        return negative_log_likelihood(counts, likelihood(thetas))
 
     theta = np.tile(np.asarray(theta0, dtype=float), (len(counts), 1))
     for _ in range(4):

@@ -16,7 +16,7 @@ import inspect
 import numpy as np
 
 from . import numkernel as nk
-from .conditions import Cond2PrimeWitness
+from .conditions import Cond2PrimeWitness, identity_path
 from .errors import QcrbSatError
 from .model import StateModel, box
 
@@ -75,21 +75,27 @@ def qutrit_phase_mixture(d=0.6, c1=1.0, c2=0.7) -> StateModel:
     if c1 == 0.0 or c2 == 0.0:
         raise ParameterError("c1 and c2 must be nonzero")
     s = np.sqrt(1.0 - abs(d) ** 2)
+    arg = float(np.angle(d))
 
     def phi(theta):
-        return c1 * theta[0] + c2 * theta[1]
+        return c1 * theta[..., 0] + c2 * theta[..., 1]
+
+    def phase(theta):
+        # d e^{i phi} = |d| e^{i (phi + arg d)}, so the maps multiply complex numbers by real
+        # ones only: numpy's vectorized complex-by-complex product can round differently from
+        # its scalar one, which would make a stacked value differ from its single-point value
+        return np.exp(1j * (phi(theta) + arg))
 
     def state(theta):
-        t1 = theta[0]
-        e = np.exp(1j * phi(theta))
-        return np.array(
-            [
-                [abs(d) ** 2 * (1 - t1), 0.0, (1 - t1) * d * s * e],
-                [0.0, t1, 0.0],
-                [(1 - t1) * np.conj(d) * s * np.conj(e), 0.0, (1 - t1) * (1 - abs(d) ** 2)],
-            ],
-            dtype=complex,
-        )
+        t1 = theta[..., 0]
+        e = phase(theta)
+        rho = np.zeros(t1.shape + (3, 3), dtype=complex)
+        rho[..., 0, 0] = abs(d) ** 2 * (1 - t1)
+        rho[..., 0, 2] = (1 - t1) * abs(d) * s * e
+        rho[..., 1, 1] = t1
+        rho[..., 2, 0] = (1 - t1) * abs(d) * s * np.conj(e)
+        rho[..., 2, 2] = (1 - t1) * (1 - abs(d) ** 2)
+        return rho
 
     def derivative(theta, l):
         t1 = theta[0]
@@ -110,8 +116,12 @@ def qutrit_phase_mixture(d=0.6, c1=1.0, c2=0.7) -> StateModel:
         )
 
     def support_basis(theta):
-        e = np.exp(1j * phi(theta))
-        return np.array([[0.0, d * e], [1.0, 0.0], [0.0, s]], dtype=complex)
+        e = phase(theta)
+        v = np.zeros(e.shape + (3, 2), dtype=complex)
+        v[..., 0, 1] = abs(d) * e
+        v[..., 1, 0] = 1.0
+        v[..., 2, 1] = s
+        return v
 
     return StateModel(
         name="qutrit-phase-mixture",
@@ -130,7 +140,11 @@ def _qutrit_witness(d=0.6, c1=1.0, c2=0.7) -> Cond2PrimeWitness:
     dd = abs(d) ** 2
 
     def u(theta):
-        return np.diag([1.0, np.exp(1j * dd * (c1 * theta[0] + c2 * theta[1]))]).astype(complex)
+        phase = np.exp(1j * dd * (c1 * theta[..., 0] + c2 * theta[..., 1]))
+        out = np.zeros(phase.shape + (2, 2), dtype=complex)
+        out[..., 0, 0] = 1.0
+        out[..., 1, 1] = phase
+        return out
 
     return Cond2PrimeWitness(unitary_fn=u, generators=None, label="user_supplied_U")
 
@@ -147,8 +161,10 @@ def diag_multinomial(dims=3) -> StateModel:
     p = dims - 1
 
     def state(theta):
-        probs = np.concatenate([theta, [1.0 - float(np.sum(theta))]])
-        return np.diag(probs).astype(complex)
+        rho = np.zeros(theta.shape[:-1] + (dims, dims), dtype=complex)
+        rho[..., np.arange(p), np.arange(p)] = theta
+        rho[..., p, p] = 1.0 - np.sum(theta, axis=-1)
+        return rho
 
     def derivative(theta, l):
         d = np.zeros(dims)
@@ -175,7 +191,9 @@ def diag_multinomial(dims=3) -> StateModel:
 
 def pure_qubit_amp_phase() -> StateModel:
     def psi(theta):
-        return np.array([np.cos(theta[0]), np.exp(1j * theta[1]) * np.sin(theta[0])])
+        return np.stack(
+            [np.cos(theta[..., 0]), np.exp(1j * theta[..., 1]) * np.sin(theta[..., 0])], axis=-1
+        )
 
     def dpsi(theta, l):
         if l == 0:
@@ -184,7 +202,7 @@ def pure_qubit_amp_phase() -> StateModel:
 
     def state(theta):
         v = psi(theta)
-        return np.outer(v, v.conj())
+        return v[..., :, None] * v.conj()[..., None, :]
 
     def derivative(theta, l):
         v, dv = psi(theta), dpsi(theta, l)
@@ -208,18 +226,27 @@ def pure_qubit_amp_phase() -> StateModel:
 # ---------------------------------------------------------------------------
 
 
+def _diag(entries) -> np.ndarray:
+    """The ``(..., k, k)`` complex diagonal matrices of a ``(..., k)`` stack of diagonals."""
+    k = entries.shape[-1]
+    out = np.zeros(entries.shape + (k,), dtype=complex)
+    out[..., np.arange(k), np.arange(k)] = entries
+    return out
+
+
 def _ti_gauge_path(theta):
-    return np.diag(np.exp(1j * np.array([theta[0], theta[1], 0.0]))).astype(complex)
+    return _diag(np.exp(1j * np.stack([theta[..., 0], theta[..., 1], np.zeros(theta.shape[:-1])],
+                                      axis=-1)))
 
 
 def theta_independent_support() -> StateModel:
     b = nk.haar_unitary(4, np.random.default_rng(71))[:, :3]
 
     def q_of(theta):
-        return np.array([theta[0], theta[1], 1.0 - theta[0] - theta[1]])
+        return np.stack([theta[..., 0], theta[..., 1], 1.0 - theta[..., 0] - theta[..., 1]], axis=-1)
 
     def state(theta):
-        return b @ np.diag(q_of(theta)).astype(complex) @ b.conj().T
+        return b @ _diag(q_of(theta)) @ b.conj().T
 
     def derivative(theta, l):
         dq = np.array([1.0, 0.0, -1.0]) if l == 0 else np.array([0.0, 1.0, -1.0])
@@ -259,15 +286,15 @@ def stationary_basis(c1=1.0, c2=0.7) -> StateModel:
     q0 = np.array([0.65, 0.35])
 
     def rot(theta):
-        phase = c1 * theta[0] + c2 * theta[1]
-        return gv @ np.diag(np.exp(1j * phase * gw)) @ gv.conj().T
+        phase = c1 * theta[..., 0] + c2 * theta[..., 1]
+        return gv @ _diag(np.exp(1j * phase[..., None] * gw)) @ gv.conj().T
 
     def support_basis(theta):
         return rot(theta) @ v0
 
     def state(theta):
         v = support_basis(theta)
-        return v @ np.diag(q0).astype(complex) @ v.conj().T
+        return v @ np.diag(q0).astype(complex) @ v.conj().swapaxes(-1, -2)
 
     def derivative(theta, l):
         rho = state(theta)
@@ -361,7 +388,7 @@ def random_rank_r(
         drho.append((d + d.conj().T) / 2.0)
 
     def state(theta):
-        return rho0 + sum(theta[l] * drho[l] for l in range(n_params))
+        return rho0 + sum(theta[..., l, None, None] * drho[l] for l in range(n_params))
 
     def derivative(theta, l):
         return drho[l]
@@ -433,5 +460,5 @@ def get_witness(name: str, **params):
     if key == "theta-independent-support":
         return Cond2PrimeWitness(unitary_fn=_ti_gauge_path, generators=None)
     if key == "stationary-basis":
-        return Cond2PrimeWitness(unitary_fn=lambda theta: np.eye(2, dtype=complex), generators=None)
+        return Cond2PrimeWitness(unitary_fn=lambda theta: identity_path(theta, 2), generators=None)
     return None

@@ -1,11 +1,11 @@
 """Parameterized density-matrix families and their support/null decomposition.
 
-A :class:`StateModel` maps a real parameter vector to a density matrix and
-optionally provides analytic parameter derivatives and a smooth isometry
-whose columns track the support eigenbasis. :func:`evaluate` produces the
-state and its derivatives at a point, and :func:`state_at` the validated
-state alone at a point or at each point of a stack (what a likelihood
-reads); :func:`support_decomposition` splits
+A :class:`StateModel` maps a real parameter vector, or a stack of them, to
+a density matrix and optionally provides analytic parameter derivatives and
+a smooth isometry whose columns track the support eigenbasis.
+:func:`evaluate` produces the state and its derivatives at a point, and
+:func:`state_at` the validated state alone at a point or at each point of a
+stack (what a likelihood reads); :func:`support_decomposition` splits
 the Hilbert space into the support (positive eigenvalues) and the null
 space, which is the coordinate system every downstream check works in.
 """
@@ -75,11 +75,22 @@ def box(lo, hi) -> Box:
 class StateModel:
     """A smooth family theta -> rho(theta) of density matrices.
 
+    ``state_fn`` and ``support_basis_fn`` broadcast over the leading axes of
+    theta: a ``(..., p)`` array of points maps to the ``(..., n, n)`` states
+    and to the ``(..., n, r+)`` support bases, and a bare ``(p,)`` point to one
+    value. :func:`state_at` hands ``state_fn`` a whole stack of likelihood
+    points in one call, and :func:`stencil` hands either map the ``(p, p)``
+    stack of its points ``theta +/- h e_l``. A map written with
+    ``theta[..., l]`` for parameter l, and with stacked entries filled by
+    index (``out[..., i, j] = ...``), broadcasts; each stacked value must
+    equal the single-point value bit for bit. A map that returns another
+    shape for a stack raises :class:`InvalidStateError` naming that shape.
+
     ``derivative_fn(theta, l)`` returns the analytic derivative wrt the l-th
-    parameter when available. ``support_basis_fn(theta)`` returns a smooth
-    isometry whose columns are support eigenvectors; derivatives of that map
-    are always taken by central differences on the map itself, never from
-    per-point eigenvectors (whose gauge is arbitrary).
+    parameter at one ``(p,)`` point when available. ``support_basis_fn(theta)``
+    returns a smooth isometry whose columns are support eigenvectors;
+    derivatives of that map are always taken by central differences on the
+    map itself, never from per-point eigenvectors (whose gauge is arbitrary).
     """
 
     name: str
@@ -111,7 +122,9 @@ class StateAtPoint:
 
     def __post_init__(self):
         rho = np.asarray(self.rho)
-        self.rho = _validate_densities([rho], rho.shape[-1] if rho.ndim else 0)[0]
+        n = rho.shape[-1] if rho.ndim else 0
+        self.rho = _validate_densities(_require_shape(rho, (), (n, n), InvalidStateError,
+                                                     "state")[None])[0]
         self.drho = _validate_drho(self.drho, self.dim, derivative_tol(self.scheme))
 
     @property
@@ -150,22 +163,54 @@ class SupportDecomposition:
     r_zero: int
 
 
-def _validate_densities(states: list, dim: int) -> np.ndarray:
-    """The states as one hermitized (B, n, n) stack, each checked as a density matrix.
+def _require_shape(values, lead: tuple, shape: tuple, error: type, what: str) -> np.ndarray:
+    """``values`` as a complex array of shape ``lead + shape``: the value of a map
+    at a stack of points whose leading shape is ``lead`` (``()`` for one point).
 
-    Each state must be a finite ``n x n`` matrix with ``n = dim``, Hermitian
-    to ``HERM_TOL`` times ``max(1, ||rho||)``, of unit trace and positive
-    semidefinite. The residuals of the whole stack are computed once (one
-    ``eigvalsh``), and the first failing state raises the error of its first
-    failing check from those same numbers; a single state is a stack of one.
+    Any other shape raises ``error`` naming it: the shape of each value when
+    the leading axes match, else the whole shape, as a map returns it when it
+    does not broadcast over the stack.
     """
-    rho = [np.asarray(r, dtype=complex) for r in states]
-    for r in rho:
-        if r.ndim != 2 or r.shape[0] != r.shape[1]:
-            raise InvalidStateError(f"state must be square, got {r.shape}")
-        if r.shape[0] != dim:
-            raise InvalidStateError(f"state has dimension {r.shape[0]}, expected {dim}")
-    rho = np.array(rho)
+    values = np.asarray(values, dtype=complex)
+    if values.shape == lead + shape:
+        return values
+    k = len(lead)
+    if values.shape[:k] == lead:
+        got = values.shape[k:]
+        raise error(f"{what} has shape {got}, expected {shape}", shape=list(got))
+    raise error(
+        f"{what} map returned shape {values.shape} for points of leading shape {lead}, "
+        f"expected {lead + shape}: the map must broadcast over the leading axes of theta",
+        shape=list(values.shape),
+    )
+
+
+def values_at(fn, points: np.ndarray, shape: tuple, error: type = InvalidStateError,
+              what: str = "state") -> np.ndarray:
+    """``fn(points)`` from one call, as a complex ``points.shape[:-1] + shape`` array.
+
+    ``points`` is one ``(p,)`` point or a ``(..., p)`` stack of them. A map that
+    fails on the stack with a bare numpy error (``ValueError``, ``IndexError``,
+    ``TypeError``), or returns another shape, raises ``error`` naming it.
+    """
+    try:
+        values = fn(points)
+    except (ValueError, IndexError, TypeError) as exc:
+        raise error(f"{what} map failed on points of shape {points.shape} ({exc}): the map "
+                    "must broadcast over the leading axes of theta") from exc
+    return _require_shape(values, points.shape[:-1], shape, error, what)
+
+
+def _validate_densities(rho: np.ndarray) -> np.ndarray:
+    """The complex (B, n, n) stack of states hermitized, each checked as a density matrix.
+
+    Each state must be finite, Hermitian to ``HERM_TOL`` times
+    ``max(1, ||rho||)``, of unit trace and positive semidefinite. The
+    residuals of the whole stack are computed once (one ``eigvalsh``), and
+    the first failing state raises the error of its first failing check from
+    those same numbers; a single state is a stack of one. The caller has
+    checked the shape (:func:`_require_shape`).
+    """
     finite = np.isfinite(rho).all(axis=(1, 2))
     if not finite.all():
         rho = np.where(finite[:, None, None], rho, 0.0)  # the finite states are judged below
@@ -224,13 +269,16 @@ def _validate_drho(drho, dim: int, tol: float) -> np.ndarray:
     return herm
 
 
-def stencil(model: StateModel, fn, theta: np.ndarray, h: float) -> tuple:
-    """The ``(p, ...)`` stacks of ``fn(theta + h e_l)`` and of ``fn(theta - h e_l)``,
-    l = 0..p-1, with one call of ``fn`` per stencil point.
+def stencil(model: StateModel, fn, theta: np.ndarray, h: float, shape: tuple,
+            error: type = InvalidStateError, what: str = "state") -> tuple:
+    """The ``(p, *shape)`` stacks of ``fn(theta + h e_l)`` and of ``fn(theta - h e_l)``,
+    l = 0..p-1, each from one call of ``fn`` on the ``(p, p)`` stack of points.
 
-    ``fn`` is a map on the parameters of ``model``. Before any call, ``h``
-    must be a finite positive step and every stencil point must lie inside
-    the open domain of ``model``; otherwise :class:`DomainError` is raised.
+    ``fn`` is a map on the parameters of ``model`` that broadcasts over the
+    leading axes of theta (see :func:`values_at`, which checks what it returns
+    and raises ``error`` otherwise). Before any call, ``h`` must be a finite
+    positive step and every stencil point must lie inside the open domain of
+    ``model``; otherwise :class:`DomainError` is raised.
     """
     if not (np.isfinite(h) and h > 0):
         raise DomainError(f"finite-difference step must be a finite positive number, got {h}")
@@ -239,7 +287,8 @@ def stencil(model: StateModel, fn, theta: np.ndarray, h: float) -> tuple:
             f"theta {theta.tolist()} +/- {h} leaves the domain of {model.name}", theta=theta
         )
     steps = h * np.eye(len(theta))
-    return np.array([fn(t) for t in theta + steps]), np.array([fn(t) for t in theta - steps])
+    return (values_at(fn, theta + steps, shape, error, what),
+            values_at(fn, theta - steps, shape, error, what))
 
 
 def _check_points(model: StateModel, theta) -> np.ndarray:
@@ -271,12 +320,13 @@ def state_at(model: StateModel, theta) -> np.ndarray:
     Checks the shape of ``theta`` and that it lies inside the domain, and that
     the state is a Hermitian, unit-trace, positive semidefinite matrix of the
     model's dimension; returns it hermitized. A (B, p) stack of points gives
-    the (B, n, n) stack of states, each equal bit for bit to its single-point
-    value; the checks run once over the stack, and a failing point raises the
-    error it raises alone.
+    the (B, n, n) stack of states from one call of ``state_fn`` on the stack,
+    each equal bit for bit to its single-point value; the checks run once
+    over the stack, and a failing point raises the error it raises alone.
     """
     theta = np.asarray(theta, dtype=float)
-    rho = _validate_densities([model.state_fn(t) for t in _check_points(model, theta)], model.dim)
+    stack = _check_points(model, theta)
+    rho = _validate_densities(values_at(model.state_fn, stack, (model.dim, model.dim)))
     return rho if theta.ndim == 2 else rho[0]
 
 
@@ -311,8 +361,8 @@ def evaluate(
         drho = [model.derivative_fn(theta, l) for l in range(model.n_params)]
     else:
         def central(step):
-            plus, minus = stencil(model, model.state_fn, theta, step)
-            return nk.hermitize(np.asarray((plus - minus) / (2.0 * step), dtype=complex))
+            plus, minus = stencil(model, model.state_fn, theta, step, (model.dim, model.dim))
+            return nk.hermitize((plus - minus) / (2.0 * step))
 
         drho = central(h)
         if scheme == "richardson":
@@ -417,7 +467,7 @@ def decomposition_from_basis(
     """
     V = np.asarray(V, dtype=complex)
     n = sp.dim
-    if V.shape[0] != n or V.shape[1] > n:
+    if V.ndim != 2 or V.shape[0] != n or V.shape[1] > n:
         raise InvalidStateError(f"basis has shape {V.shape}, expected ({n}, r<= {n})")
     gram = V.conj().T @ V
     if nk.fro(gram - np.eye(V.shape[1])) > 1e-10 * max(1.0, V.shape[1]):

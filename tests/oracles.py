@@ -362,6 +362,12 @@ def golden_section_loop(f, lo, hi):
     return (a + b) / 2.0
 
 
+def negative_log_likelihood_loop(counts, probs):
+    """The lock-step fit's negative log-likelihood as it was taken: one ``np.dot`` per row."""
+    logp = np.log(np.clip(np.asarray(probs, dtype=float), 1e-300, None))
+    return -np.array([np.dot(c, lp) for c, lp in zip(counts, logp)])
+
+
 def max_likelihood_estimate_loop(prob_fn, counts, theta0, radius=0.05):
     counts = np.asarray(counts, dtype=float)
 

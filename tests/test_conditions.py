@@ -608,15 +608,16 @@ def constant_basis_model():
     b = np.eye(3, dtype=complex)[:, :2]
 
     def state(theta):
-        q = np.array([theta[0], 1.0 - theta[0]])
-        return b @ np.diag(q).astype(complex) @ b.conj().T
+        q = np.stack([theta[..., 0], 1.0 - theta[..., 0]], axis=-1)
+        return (b * q[..., None, :]) @ b.conj().T
 
     def deriv(theta, l):
         return b @ np.diag([1.0, -1.0]).astype(complex) @ b.conj().T
 
     return md.StateModel(
         name="fixed-basis", dim=3, n_params=1, state_fn=state, derivative_fn=deriv,
-        domain=md.box([0.0], [1.0]), support_basis_fn=lambda theta: b,
+        domain=md.box([0.0], [1.0]),
+        support_basis_fn=lambda theta: np.broadcast_to(b, np.shape(theta)[:-1] + b.shape),
     )
 
 
@@ -839,7 +840,8 @@ class TestGaugeInvariance:
 
 
 class TestCondition2PrimeStencil:
-    """One evaluation of each map per stencil point, and the same result as before."""
+    """One evaluation of each map at the point and one per side of the stencil, and the
+    same result as before."""
 
     @staticmethod
     def _counted(fn, counts, key):
@@ -860,8 +862,29 @@ class TestCondition2PrimeStencil:
             witness = dataclasses.replace(w, unitary_fn=self._counted(w.unitary_fn, counts, "U"))
         res = cond.verify_condition2prime(model, qutrit_point, witness)
         assert res.status == "PASSED"
-        p = qutrit_point.n_params
-        assert counts == {"V": 1 + 2 * p, "U": 1 + 2 * p if with_witness else 0}
+        # one call at the point, and one on each (p, p) stack of stencil points theta +/- h e_l
+        assert counts == {"V": 3, "U": 3 if with_witness else 0}
+
+    def test_support_basis_that_ignores_the_stack(self, qutrit_model, qutrit_point):
+        fixed = qutrit_model.support_basis_fn(qutrit_point.theta)
+        model = dataclasses.replace(qutrit_model, support_basis_fn=lambda theta: fixed)
+        with pytest.raises(md.InvalidStateError, match=r"support basis map returned shape \(3, 2\)"):
+            cond.verify_condition2prime(model, qutrit_point)
+
+    def test_support_basis_of_another_shape_at_the_point(self, qutrit_model, qutrit_point):
+        model = dataclasses.replace(qutrit_model, support_basis_fn=lambda theta: np.ones(3))
+        with pytest.raises(md.InvalidStateError, match=r"basis has shape \(3,\)"):
+            cond.verify_condition2prime(model, qutrit_point)
+
+    def test_witness_written_for_one_point(self, qutrit_model, qutrit_point):
+        # the witness as a per-point map: on the (p, p) stencil stack np.diag gets rows
+        def u(theta):
+            return np.diag([1.0, np.exp(1j * 0.36 * (theta[0] + 0.7 * theta[1]))]).astype(complex)
+
+        witness = cond.Cond2PrimeWitness(unitary_fn=u)
+        with pytest.raises(cond.InvalidWitnessError, match="witness map failed") as exc:
+            cond.verify_condition2prime(qutrit_model, qutrit_point, witness)
+        assert isinstance(exc.value.__cause__, ValueError)
 
     def test_to_dict_copies_the_notes_only(self, qutrit_model, qutrit_point):
         res = cond.verify_condition2prime(qutrit_model, qutrit_point)
@@ -885,7 +908,7 @@ class TestCondition2PrimeStencil:
         witness, nulls = None, None
         if case != "canonical":
             witness = qs.get_witness(name) if name != "fixed-basis" else cond.Cond2PrimeWitness(
-                unitary_fn=lambda _theta: np.eye(2, dtype=complex))
+                unitary_fn=lambda theta: cond.identity_path(theta, 2))
         if case == "witness+null":
             dec = qs.support_decomposition(sp)
             slds = qs.compute_sld(dec, sp.drho)

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcrbsat as qs
 from qcrbsat import fisher as fi
@@ -14,6 +16,7 @@ from oracles import (
     evaluate_prob_fn,
     max_likelihood_estimate_loop,
     multinomial_fisher,
+    negative_log_likelihood_loop,
 )
 
 
@@ -354,6 +357,22 @@ class TestLeanLikelihood:
 def _stacked_likelihood(model, povm):
     elements = np.stack(povm.elements)
     return lambda thetas: fi.probabilities(qs.state_at(model, thetas), elements)
+
+
+class TestNegativeLogLikelihood:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 50), st.integers(1, 80),
+           st.sampled_from([0.0, 1e-320, 1e-12]))
+    def test_equals_one_dot_per_row(self, seed, rows, outcomes, floor):
+        # the likelihood rows come from a (B, M) probability stack, some entries at or
+        # below the 1e-300 cut; every row must be the loop's np.dot bit for bit
+        rng = np.random.default_rng(seed)
+        counts = rng.multinomial(rng.integers(1, 10**5), np.full(outcomes, 1 / outcomes),
+                                 size=rows).astype(float)
+        probs = rng.dirichlet(np.full(outcomes, 0.5), size=rows)
+        probs[rng.uniform(size=probs.shape) < 0.05] = floor
+        got = fi.negative_log_likelihood(counts, probs)
+        assert got.tobytes() == negative_log_likelihood_loop(counts, probs).tobytes()
 
 
 class TestLockStepFit:

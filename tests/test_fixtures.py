@@ -1,9 +1,70 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcrbsat as qs
+from qcrbsat import conditions as cond
 from qcrbsat import fixtures as fx
+from qcrbsat import model as md
 from qcrbsat import numkernel as nk
+
+# Every registry model (aliases included), at its defaults and at the sizes the
+# CLI tests run, with a complex d for the qutrit and p > 4 for the planted family.
+MAP_CASES = [
+    ("qutrit-phase-mixture", {}), ("paper-qutrit", {}), ("corrigendum-lcss", {}),
+    ("qutrit-phase-mixture", {"d": 0.5 - 0.4j, "c1": -1.3, "c2": 0.2}),
+    ("qutrit-phase-mixture", {"d": -0.6}),
+    ("diag-multinomial", {}), ("diag-multinomial", {"dims": 24}),
+    ("pure-qubit-amp-phase", {}), ("theta-independent-support", {}), ("stationary-basis", {}),
+    ("random-rank-r", {}), ("random-rank-r", {"seed": 3, "n_s": 8, "r_plus": 4, "n_params": 5}),
+]
+
+
+def _maps(name, params):
+    """The model and its maps that take stacks: the state, the support basis and the
+    shipped witness where the model has them, and the canonical witness U = I."""
+    model = qs.get(name, **params)
+    maps = {"state": model.state_fn, "canonical witness": lambda t: cond.identity_path(t, 3)}
+    if model.support_basis_fn is not None:
+        maps["support basis"] = model.support_basis_fn
+    witness = qs.get_witness(name, **params)
+    if witness is not None:
+        maps["witness"] = witness.unitary_fn
+    return model, maps
+
+
+class TestMapsBroadcast:
+    """A (B, p) stack of points maps to the stack of the single-point values, bit for bit,
+    and a bare (p,) point to one value."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(MAP_CASES), st.sampled_from([1, 2, 7]), st.integers(0, 2**32 - 1))
+    def test_stack_equals_points(self, case, size, seed):
+        model, maps = _maps(*case)
+        lo, hi = model.domain.lo, model.domain.hi
+        thetas = lo + (hi - lo) * np.random.default_rng(seed).uniform(
+            0.01, 0.99, size=(size, model.n_params))
+        for what, fn in maps.items():
+            stacked = np.asarray(fn(thetas))
+            points = np.array([fn(t) for t in thetas])
+            assert stacked.shape == points.shape and stacked.dtype == complex, what
+            assert stacked.tobytes() == points.tobytes(), what
+            one = np.asarray(fn(thetas[0]))
+            assert one.shape == points.shape[1:] and one.tobytes() == points[0].tobytes(), what
+
+    @pytest.mark.parametrize("case", MAP_CASES)
+    def test_stencil_stacks_equal_points(self, case):
+        # the (p, p) stacks that `stencil` hands each map, against one call per point
+        model, maps = _maps(*case)
+        theta = (model.domain.lo + model.domain.hi) / 2.0
+        h = 1e-3 * np.min(model.domain.hi - model.domain.lo)
+        for what, fn in maps.items():
+            shape = np.shape(fn(theta))
+            plus, minus = md.stencil(model, fn, theta, h, shape)
+            for stack, sign in ((plus, 1.0), (minus, -1.0)):
+                points = np.array([fn(t) for t in theta + sign * h * np.eye(len(theta))])
+                assert stack.tobytes() == points.astype(complex).tobytes(), what
 
 
 class TestRegistry:

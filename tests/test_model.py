@@ -12,6 +12,12 @@ from qcrbsat.jsonio import ComplexMatrix
 from oracles import central_difference_loop
 
 
+def constant(state):
+    """A state map with the value ``state`` at every point of a stack, as maps broadcast."""
+    state = np.asarray(state, dtype=complex)
+    return lambda theta: np.broadcast_to(state, np.shape(theta)[:-1] + state.shape)
+
+
 class TestEvaluate:
     def test_qutrit_frozen_values(self, qutrit_point):
         rho = qutrit_point.rho
@@ -23,7 +29,7 @@ class TestEvaluate:
             name="constant",
             dim=3,
             n_params=2,
-            state_fn=lambda theta: np.eye(3, dtype=complex) / 3.0,
+            state_fn=constant(np.eye(3) / 3.0),
             domain=md.box([-1, -1], [1, 1]),
         )
         sp = qs.evaluate(m, [0.1, 0.2])
@@ -36,7 +42,8 @@ class TestEvaluate:
             name="affine",
             dim=2,
             n_params=1,
-            state_fn=lambda theta: np.diag([0.5, 0.5]).astype(complex) + theta[0] * delta,
+            state_fn=lambda theta: (np.diag([0.5, 0.5]).astype(complex)
+                                    + theta[..., 0, None, None] * delta),
             domain=md.box([-0.2], [0.2]),
         )
         sp = qs.evaluate(m, [0.05])
@@ -55,7 +62,7 @@ class TestEvaluate:
             name="broken",
             dim=2,
             n_params=1,
-            state_fn=lambda theta: np.diag([0.7, 0.7]).astype(complex),
+            state_fn=constant(np.diag([0.7, 0.7])),
             domain=md.box([0], [1]),
         )
         with pytest.raises(md.TraceNotOneError):
@@ -80,7 +87,7 @@ class TestEvaluate:
             name="bumped",
             dim=2,
             n_params=2,
-            state_fn=lambda theta: np.eye(2, dtype=complex) / 2.0,
+            state_fn=constant(np.eye(2) / 2.0),
             domain=md.box([0, 0], [1, 1]),
             derivative_fn=lambda theta, l: (sigma_z + l * bump).astype(complex),
         )
@@ -117,7 +124,7 @@ class TestStateAt:
     @staticmethod
     def _model(state):
         return md.StateModel(name="broken", dim=2, n_params=1,
-                             state_fn=lambda theta: state, domain=md.box([0], [1]))
+                             state_fn=constant(state), domain=md.box([0], [1]))
 
     def test_non_hermitian_state_refused(self):
         state = np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)
@@ -156,10 +163,12 @@ class TestStateAtStack:
 
     @staticmethod
     def _model(bad_state):
-        """A qubit that is maximally mixed for theta < 0.5 and ``bad_state`` above."""
-        good = np.eye(2, dtype=complex) / 2.0
+        """A qubit that is maximally mixed for theta < 0.5 and ``bad_state`` above; a
+        ``bad_state`` of another shape makes the map return that shape at every point
+        (maximally mixed below 0.5)."""
+        good = np.eye(len(bad_state), dtype=complex) / len(bad_state)
         return md.StateModel(name="half-broken", dim=2, n_params=1, domain=md.box([0], [1]),
-                             state_fn=lambda theta: good if theta[0] < 0.5 else bad_state)
+                             state_fn=lambda theta: np.where(theta[..., None] < 0.5, good, bad_state))
 
     @pytest.mark.parametrize("bad_state, error", [
         (np.eye(3, dtype=complex) / 3.0, md.InvalidStateError),
@@ -189,6 +198,32 @@ class TestStateAtStack:
             md.state_at(qutrit_model, thetas)
 
 
+class TestMapsThatIgnoreTheStack:
+    """A state map must broadcast over the leading axes of theta; one that does not
+    is refused with a typed error naming what it returned, never a bare numpy error."""
+
+    @staticmethod
+    def _model(state_fn):
+        return md.StateModel(name="per-point", dim=2, n_params=1, state_fn=state_fn,
+                             domain=md.box([0], [1]))
+
+    def test_constant_value(self):
+        model = self._model(lambda theta: np.eye(2, dtype=complex) / 2.0)
+        with pytest.raises(md.InvalidStateError, match=r"returned shape \(2, 2\)") as exc:
+            md.state_at(model, [[0.2], [0.3], [0.4]])
+        assert exc.value.detail == {"shape": [2, 2]}
+        with pytest.raises(md.InvalidStateError, match=r"returned shape \(2, 2\)"):
+            qs.evaluate(model, [0.5], scheme="central_fd")  # the (1, 1) stencil stacks
+
+    def test_numpy_error_on_a_stack(self):
+        # written for one point: on a stack, theta[0] is a row and np.array raises
+        model = self._model(
+            lambda theta: np.array([[theta[0], 0.0], [0.0, 1.0 - theta[0]]], dtype=complex))
+        with pytest.raises(md.InvalidStateError, match="must broadcast") as exc:
+            md.state_at(model, [[0.2], [0.3], [0.4]])
+        assert isinstance(exc.value.__cause__, ValueError)
+
+
 class TestFiniteDifferences:
     @pytest.mark.parametrize("scheme", ["central_fd", "richardson"])
     @pytest.mark.parametrize("name, params, theta", [
@@ -204,13 +239,14 @@ class TestFiniteDifferences:
             ref = central_difference_loop(model, theta, h, richardson=scheme == "richardson")
             assert got.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("scheme, calls_per_param", [("central_fd", 2), ("richardson", 4)])
-    def test_state_map_runs_once_per_stencil_point(self, qutrit_model, scheme, calls_per_param):
+    @pytest.mark.parametrize("scheme, stencil_calls", [("central_fd", 2), ("richardson", 4)])
+    def test_state_map_runs_once_per_stencil_point(self, qutrit_model, scheme, stencil_calls):
+        # one call at the point, and one on each (p, p) stack of stencil points theta +/- h e_l
         calls = []
         model = dataclasses.replace(
             qutrit_model, state_fn=lambda theta: calls.append(1) or qutrit_model.state_fn(theta))
         qs.evaluate(model, [0.3, 0.5], scheme=scheme)
-        assert len(calls) == 1 + calls_per_param * model.n_params
+        assert len(calls) == 1 + stencil_calls
 
     @pytest.mark.parametrize("scheme", ["analytic", "central_fd", "richardson"])
     def test_each_check_runs_once(self, monkeypatch, qutrit_model, scheme):
@@ -239,8 +275,8 @@ class TestFiniteDifferences:
         # central differences are exact on quadratics, so use a smooth
         # trigonometric family to see the O(h^2) error drop
         def state(theta):
-            c, s = np.cos(theta[0]), np.sin(theta[0])
-            return np.array([[c**2, c * s], [c * s, s**2]], dtype=complex)
+            c, s = np.cos(theta[..., 0]), np.sin(theta[..., 0])
+            return np.stack([np.stack([c**2, c * s], -1), np.stack([c * s, s**2], -1)], -2)
 
         m = md.StateModel(name="trig", dim=2, n_params=1, state_fn=state, domain=md.box([-2], [2]))
 
