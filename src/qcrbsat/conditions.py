@@ -58,7 +58,7 @@ class CommCheck:
     """A residual-based pass/fail record for one commutativity-type check."""
 
     residual: float  # worst normalized residual
-    scale: float
+    scale: Optional[float]  # the worst pair's s_l s_m; None when there is no worst pair
     tol: float
     passed: bool
     worst_pair: Optional[tuple] = None
@@ -79,11 +79,10 @@ def _pair_check(slds: SLDSet, residuals, tol: float, values=None) -> CommCheck:
 
     ``residuals`` follow :func:`~qcrbsat.sld.pairs`. A pair with
     ``s_l s_m = 0`` has vanishing support rows and reads 0. Ties keep the
-    first pair; with no positive ratio the worst pair is None and the
-    scale 1.0.
+    first pair; with no positive ratio the worst pair and the scale are None.
     """
     s = slds.scales
-    worst, worst_pair, worst_scale = 0.0, None, 1.0
+    worst, worst_pair, worst_scale = 0.0, None, None
     for (l, m), r in zip(pairs(slds.n_params), residuals):
         scale = float(s[l] * s[m])
         if scale and r / scale > worst:

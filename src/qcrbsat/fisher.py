@@ -61,11 +61,9 @@ class MeasurementDistribution:
 
     probs: np.ndarray  # (M,)
     dprobs: np.ndarray  # (p, M)
-    support_mask: np.ndarray  # probs > prob_tol
+    support_mask: np.ndarray  # probs > PROB_TOL
     singular: list  # outcomes with p ~ 0 but dp != 0 (information undefined)
     null_info: list  # NullOutcomeInfo for structurally null outcomes
-    prob_tol: float
-    deriv_tol: np.ndarray  # (p,) singular-outcome cut per parameter, 1e-8 ||d_l rho||
 
     @property
     def n_params(self) -> int:
@@ -101,12 +99,12 @@ def outcome_distribution(
     rho: np.ndarray,
     drho: np.ndarray,
     povm: POVM,
-    dec: Optional[SupportDecomposition] = None,
+    dec: SupportDecomposition,
 ) -> MeasurementDistribution:
     """Probabilities p_k = tr(rho E_k) and derivatives tr(drho_l E_k).
 
-    With a support decomposition available, the limiting information of
-    structurally null outcomes is computed as well (see module docstring).
+    The support decomposition ``dec`` of rho gives the limiting information
+    of structurally null outcomes as well (see module docstring).
     A basis measurement is read through its basis (:mod:`basisform`); any
     other element by element.
     """
@@ -136,21 +134,20 @@ def outcome_distribution(
         ~support_mask & np.any(np.abs(dprobs) > deriv_tol[:, None], axis=0)
     ).tolist()
 
+    lpz = plus_null_blocks(dec, drho)
+    structural = ~support_mask
+    structural[singular] = False
+    if povm.basis is not None:
+        infos = _basis_null_infos(povm, dec, lpz, structural)
+    else:
+        q_lpz = dec.q[:, None] * lpz
+        infos = (_element_null_info(povm.elements[k], dec, lpz, q_lpz)
+                 for k in np.flatnonzero(structural).tolist())
     null_info = []
-    if dec is not None:
-        lpz = plus_null_blocks(dec, drho)
-        structural = ~support_mask
-        structural[singular] = False
-        if povm.basis is not None:
-            infos = _basis_null_infos(povm, dec, lpz, structural)
-        else:
-            q_lpz = dec.q[:, None] * lpz
-            infos = (_element_null_info(povm.elements[k], dec, lpz, q_lpz)
-                     for k in np.flatnonzero(structural).tolist())
-        for k, info in zip(np.flatnonzero(structural).tolist(), infos):
-            w = np.linalg.eigvalsh(info)
-            rank1 = bool(w[-2] <= 1e-8 * max(w[-1], 0.0)) if p > 1 else True
-            null_info.append(NullOutcomeInfo(index=k, info=info, rank1=rank1))
+    for k, info in zip(np.flatnonzero(structural).tolist(), infos):
+        w = np.linalg.eigvalsh(info)
+        rank1 = bool(w[-2] <= 1e-8 * max(w[-1], 0.0)) if p > 1 else True
+        null_info.append(NullOutcomeInfo(index=k, info=info, rank1=rank1))
 
     return MeasurementDistribution(
         probs=probs,
@@ -158,8 +155,6 @@ def outcome_distribution(
         support_mask=support_mask,
         singular=singular,
         null_info=null_info,
-        prob_tol=PROB_TOL,
-        deriv_tol=deriv_tol,
     )
 
 

@@ -59,6 +59,11 @@ def _as_bool(name: str, value) -> bool:
     return bool(value)
 
 
+def _constant(values: np.ndarray):
+    """A map with the value ``values`` at every point of a stack of points."""
+    return lambda theta: np.broadcast_to(values, np.shape(theta)[:-1] + values.shape)
+
+
 # ---------------------------------------------------------------------------
 # Rank-2 qutrit: a mixture of a basis state with a phase-carrying pure state.
 # The support rotates with theta only through the relative phase
@@ -97,23 +102,19 @@ def qutrit_phase_mixture(d=0.6, c1=1.0, c2=0.7) -> StateModel:
         rho[..., 2, 2] = (1 - t1) * (1 - abs(d) ** 2)
         return rho
 
-    def derivative(theta, l):
-        t1 = theta[0]
-        e = np.exp(1j * phi(theta))
-        if l == 0:
-            top = d * s * (-1.0 + 1j * c1 * (1 - t1)) * e
-            return np.array(
-                [
-                    [-abs(d) ** 2, 0.0, top],
-                    [0.0, 1.0, 0.0],
-                    [np.conj(top), 0.0, -(1 - abs(d) ** 2)],
-                ],
-                dtype=complex,
-            )
-        top = 1j * c2 * (1 - t1) * d * s * e
-        return np.array(
-            [[0.0, 0.0, top], [0.0, 0.0, 0.0], [np.conj(top), 0.0, 0.0]], dtype=complex
-        )
+    def derivative(theta):
+        t1 = theta[..., 0]
+        e = phase(theta)
+        ds = abs(d) * s
+        top0 = -ds * e + ds * (c1 * (1 - t1)) * (1j * e)
+        top1 = ((c2 * (1 - t1)) * abs(d)) * s * (1j * e)
+        out = np.zeros(t1.shape + (2, 3, 3), dtype=complex)
+        out[..., 0, 0, 0] = -abs(d) ** 2
+        out[..., 0, 1, 1] = 1.0
+        out[..., 0, 2, 2] = -(1 - abs(d) ** 2)
+        out[..., 0, 0, 2], out[..., 0, 2, 0] = top0, np.conj(top0)
+        out[..., 1, 0, 2], out[..., 1, 2, 0] = top1, np.conj(top1)
+        return out
 
     def support_basis(theta):
         e = phase(theta)
@@ -166,17 +167,16 @@ def diag_multinomial(dims=3) -> StateModel:
         rho[..., p, p] = 1.0 - np.sum(theta, axis=-1)
         return rho
 
-    def derivative(theta, l):
-        d = np.zeros(dims)
-        d[l], d[-1] = 1.0, -1.0
-        return np.diag(d).astype(complex)
+    drho = np.zeros((p, dims, dims), dtype=complex)
+    drho[np.arange(p), np.arange(p), np.arange(p)] = 1.0
+    drho[:, p, p] = -1.0
 
     return StateModel(
         name="diag-multinomial",
         dim=dims,
         n_params=p,
         state_fn=state,
-        derivative_fn=derivative,
+        derivative_fn=_constant(drho),
         domain=box([0.0] * p, [1.0] * p),
         params={"dims": dims},
     )
@@ -195,18 +195,19 @@ def pure_qubit_amp_phase() -> StateModel:
             [np.cos(theta[..., 0]), np.exp(1j * theta[..., 1]) * np.sin(theta[..., 0])], axis=-1
         )
 
-    def dpsi(theta, l):
-        if l == 0:
-            return np.array([-np.sin(theta[0]), np.exp(1j * theta[1]) * np.cos(theta[0])])
-        return np.array([0.0, 1j * np.exp(1j * theta[1]) * np.sin(theta[0])])
-
     def state(theta):
         v = psi(theta)
         return v[..., :, None] * v.conj()[..., None, :]
 
-    def derivative(theta, l):
-        v, dv = psi(theta), dpsi(theta, l)
-        return np.outer(dv, v.conj()) + np.outer(v, dv.conj())
+    def derivative(theta):
+        # row l of dv is d_l psi; d_l rho = d_l psi psi^dag + psi d_l psi^dag
+        t0, e = theta[..., 0], np.exp(1j * theta[..., 1])
+        dv = np.zeros(t0.shape + (2, 2), dtype=complex)
+        dv[..., 0, 0] = -np.sin(t0)
+        dv[..., 0, 1] = e * np.cos(t0)
+        dv[..., 1, 1] = 1j * e * np.sin(t0)
+        v = psi(theta)[..., None, :]
+        return dv[..., :, None] * v.conj()[..., None, :] + v[..., :, None] * dv.conj()[..., None, :]
 
     return StateModel(
         name="pure-qubit-amp-phase",
@@ -248,9 +249,7 @@ def theta_independent_support() -> StateModel:
     def state(theta):
         return b @ _diag(q_of(theta)) @ b.conj().T
 
-    def derivative(theta, l):
-        dq = np.array([1.0, 0.0, -1.0]) if l == 0 else np.array([0.0, 1.0, -1.0])
-        return b @ np.diag(dq).astype(complex) @ b.conj().T
+    drho = b @ _diag(np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])) @ b.conj().T
 
     def support_basis(theta):
         return b @ _ti_gauge_path(theta)
@@ -260,7 +259,7 @@ def theta_independent_support() -> StateModel:
         dim=4,
         n_params=2,
         state_fn=state,
-        derivative_fn=derivative,
+        derivative_fn=_constant(drho),
         support_basis_fn=support_basis,
         domain=box([0.0, 0.0], [1.0, 1.0]),
         params={},
@@ -296,10 +295,11 @@ def stationary_basis(c1=1.0, c2=0.7) -> StateModel:
         v = support_basis(theta)
         return v @ np.diag(q0).astype(complex) @ v.conj().swapaxes(-1, -2)
 
-    def derivative(theta, l):
-        rho = state(theta)
-        c = c1 if l == 0 else c2
-        return 1j * c * (g @ rho - rho @ g)
+    ic = 1j * np.array([c1, c2])[:, None, None]
+
+    def derivative(theta):
+        rho = state(theta)[..., None, :, :]
+        return ic * (g @ rho - rho @ g)
 
     return StateModel(
         name="stationary-basis",
@@ -390,15 +390,12 @@ def random_rank_r(
     def state(theta):
         return rho0 + sum(theta[..., l, None, None] * drho[l] for l in range(n_params))
 
-    def derivative(theta, l):
-        return drho[l]
-
     return StateModel(
         name=f"random-rank-r(seed={seed})",
         dim=n_s,
         n_params=n_params,
         state_fn=state,
-        derivative_fn=derivative,
+        derivative_fn=_constant(np.array(drho)),
         domain=box([-0.1] * n_params, [0.1] * n_params),
         params={
             "seed": seed,

@@ -75,22 +75,22 @@ def box(lo, hi) -> Box:
 class StateModel:
     """A smooth family theta -> rho(theta) of density matrices.
 
-    ``state_fn`` and ``support_basis_fn`` broadcast over the leading axes of
-    theta: a ``(..., p)`` array of points maps to the ``(..., n, n)`` states
-    and to the ``(..., n, r+)`` support bases, and a bare ``(p,)`` point to one
-    value. :func:`state_at` hands ``state_fn`` a whole stack of likelihood
-    points in one call, and :func:`stencil` hands either map the ``(p, p)``
-    stack of its points ``theta +/- h e_l``. A map written with
-    ``theta[..., l]`` for parameter l, and with stacked entries filled by
-    index (``out[..., i, j] = ...``), broadcasts; each stacked value must
-    equal the single-point value bit for bit. A map that returns another
-    shape for a stack raises :class:`InvalidStateError` naming that shape.
+    Every map takes a stack of points: ``state_fn``, ``derivative_fn`` and
+    ``support_basis_fn`` broadcast over the leading axes of theta, so a
+    ``(..., p)`` array of points maps to the ``(..., n, n)`` states, the
+    ``(..., p, n, n)`` derivatives (row l wrt the l-th parameter) and the
+    ``(..., n, r+)`` support bases, and a bare ``(p,)`` point to one value.
+    A map written with ``theta[..., l]`` for parameter l, and with stacked
+    entries filled by index (``out[..., i, j] = ...``), broadcasts; each
+    stacked value must equal the single-point value bit for bit.
+    :func:`evaluate`, :func:`state_at` and :func:`stencil` call the maps
+    through :func:`values_at`, which refuses another shape or a bare numpy
+    error with an :class:`InvalidStateError` naming the map.
 
-    ``derivative_fn(theta, l)`` returns the analytic derivative wrt the l-th
-    parameter at one ``(p,)`` point when available. ``support_basis_fn(theta)``
-    returns a smooth isometry whose columns are support eigenvectors;
-    derivatives of that map are always taken by central differences on the
-    map itself, never from per-point eigenvectors (whose gauge is arbitrary).
+    ``derivative_fn`` is optional; finite differences of ``state_fn`` stand in
+    for it. ``support_basis_fn`` returns a smooth isometry whose columns are
+    support eigenvectors; its derivatives are always central differences of
+    the map itself, never from per-point eigenvectors (whose gauge is arbitrary).
     """
 
     name: str
@@ -98,7 +98,7 @@ class StateModel:
     n_params: int
     state_fn: Callable[[np.ndarray], np.ndarray]
     domain: Box
-    derivative_fn: Optional[Callable[[np.ndarray, int], np.ndarray]] = None
+    derivative_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     support_basis_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     params: dict | None = None
 
@@ -340,7 +340,11 @@ def evaluate(
 
     ``scheme`` is one of "auto", "analytic", "central_fd", "richardson";
     "auto" uses analytic derivatives when the model provides them. The
-    finite-difference schemes take every central difference
+    state and the analytic derivatives come from one call each of
+    ``state_fn`` and ``derivative_fn`` through :func:`values_at`, which
+    refuses a value of another shape or a bare numpy error with an
+    :class:`InvalidStateError` naming the map. The finite-difference schemes
+    take every central difference
     ``(rho(theta + h e_l) - rho(theta - h e_l)) / 2h`` from one
     :func:`stencil`, which first checks the step and that ``theta +/- h``
     stays inside the open domain; "richardson" combines the stencils at
@@ -356,12 +360,13 @@ def evaluate(
     if scheme not in ("analytic", "central_fd", "richardson"):
         raise DomainError(f"unknown derivative scheme {scheme!r}")
 
-    rho = model.state_fn(theta)
+    n = model.dim
+    rho = values_at(model.state_fn, theta, (n, n))
     if scheme == "analytic":
-        drho = [model.derivative_fn(theta, l) for l in range(model.n_params)]
+        drho = values_at(model.derivative_fn, theta, (model.n_params, n, n), what="derivative")
     else:
         def central(step):
-            plus, minus = stencil(model, model.state_fn, theta, step, (model.dim, model.dim))
+            plus, minus = stencil(model, model.state_fn, theta, step, (n, n))
             return nk.hermitize((plus - minus) / (2.0 * step))
 
         drho = central(h)

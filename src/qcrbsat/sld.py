@@ -67,8 +67,6 @@ class SLDSet:
     Lpp: np.ndarray  # ++ blocks
     Lpz: np.ndarray  # +0 blocks
     full: np.ndarray  # full-space observables, 00 blocks zero
-    residuals: np.ndarray  # defining-equation residuals, normalized
-    sld_tol: float
 
     @property
     def n_params(self) -> int:
@@ -127,7 +125,7 @@ def compute_sld(
             param=l,
             residual=float(residuals[l]),
         )
-    return SLDSet(Lpp=lpp, Lpz=lpz, full=full, residuals=residuals, sld_tol=sld_tol)
+    return SLDSet(Lpp=lpp, Lpz=lpz, full=full)
 
 
 def qfim(dec: SupportDecomposition, slds: SLDSet) -> np.ndarray:

@@ -204,7 +204,8 @@ def verify_condition4_with_w_loop(
 # Per-pair loop versions of the commutativity-type checks and of the QFIM,
 # each computing its own products from the SLD matrices. The checks divide
 # pair (l, m) by scales[l] * scales[m] and return (residual, worst_pair,
-# scale) as the library's CommCheck reports them.
+# scale) as the library's CommCheck reports them: with no positive ratio, the
+# worst pair and the scale are None.
 # ---------------------------------------------------------------------------
 
 
@@ -222,7 +223,7 @@ def support_norms_loop(lpp, lpz):
 
 
 def full_commutativity_loop(full, scales):
-    worst, worst_pair, scale = 0.0, None, 1.0
+    worst, worst_pair, scale = 0.0, None, None
     for l, m in _loop_pairs(len(full)):
         s = scales[l] * scales[m]
         r = _fro(full[l] @ full[m] - full[m] @ full[l]) / s
@@ -235,7 +236,7 @@ def average_commutativity_loop(rho, full, scales):
     """Also returns the (p, p) matrix of |tr(rho [L_l, L_m])|."""
     p = len(full)
     vals = np.zeros((p, p))
-    worst, worst_pair, scale = 0.0, None, 1.0
+    worst, worst_pair, scale = 0.0, None, None
     for l, m in _loop_pairs(p):
         comm = full[l] @ full[m] - full[m] @ full[l]
         v = abs(complex(np.trace(rho @ comm)))
@@ -248,7 +249,7 @@ def average_commutativity_loop(rho, full, scales):
 
 def partial_commutativity_loop(p_plus, lpp, lpz, full, scales):
     """Block form, with the largest gap to the direct projection P+ [L_l, L_m] P+."""
-    worst, worst_pair, scale, crosscheck = 0.0, None, 1.0, 0.0
+    worst, worst_pair, scale, crosscheck = 0.0, None, None, 0.0
     for l, m in _loop_pairs(len(full)):
         block = (
             lpp[l] @ lpp[m]
@@ -266,7 +267,7 @@ def partial_commutativity_loop(p_plus, lpp, lpz, full, scales):
 
 
 def condition1_loop(lpp, scales):
-    worst, worst_pair, scale = 0.0, None, 1.0
+    worst, worst_pair, scale = 0.0, None, None
     for l, m in _loop_pairs(len(lpp)):
         s = scales[l] * scales[m]
         r = _fro(lpp[l] @ lpp[m] - lpp[m] @ lpp[l]) / s
@@ -276,7 +277,7 @@ def condition1_loop(lpp, scales):
 
 
 def condition3_loop(lpz, scales):
-    worst, worst_pair, scale = 0.0, None, 1.0
+    worst, worst_pair, scale = 0.0, None, None
     for l, m in _loop_pairs(len(lpz)):
         a = lpz[l] @ lpz[m].conj().T
         b = lpz[m] @ lpz[l].conj().T

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -274,6 +275,22 @@ class TestUsageErrors:
         assert code == 1
         assert rep["error"]["type"] == "QcrbSatError"
         assert "malformed grid axis" in rep["error"]["message"]
+
+    def test_map_error_is_a_report(self, capsys, monkeypatch, qutrit_model):
+        # a derivative map that fails with a bare numpy error ends in a typed report,
+        # and a sweep records it per point
+        def derivative(theta):
+            raise IndexError("index 2 is out of bounds for axis 0 with size 2")
+
+        broken = dataclasses.replace(qutrit_model, derivative_fn=derivative)
+        monkeypatch.setattr(cli.fixtures, "get", lambda name, **params: broken)
+        code, rep = run(capsys, "analyze", *QUTRIT)
+        assert code == 1
+        assert rep["error"]["type"] == "InvalidStateError"
+        assert rep["error"]["message"].startswith("derivative map failed")
+        code, rep = run(capsys, "sweep", *QUTRIT[:-2], "--grid", "0.3:0.3:1,0.5:0.5:1")
+        assert code == 0
+        assert rep["sweep"][0]["error"]["type"] == "InvalidStateError"
 
     @pytest.mark.parametrize("step", ["nan", "inf", "0", "-1"])
     def test_bad_fd_step_blames_the_step(self, capsys, step):

@@ -359,6 +359,19 @@ class TestStackedAgainstReference:
             assert cond.check_full_commutativity(slds).worst_pair is None
             assert cond.check_condition3(slds).residual == 0.0
 
+    @pytest.mark.parametrize("name, theta, checks", [
+        ("diag-multinomial", [0.3, 0.45], ("full_commutativity", "average_commutativity",
+                                           "partial_commutativity", "condition1", "condition3")),
+        ("qutrit-phase-mixture", [0.3, 0.5], ("condition1",)),
+    ])
+    def test_no_worst_pair_no_scale(self, name, theta, checks):
+        # with no pair of positive ratio, no s_l s_m is the worst one: the scale is null
+        sp = qs.evaluate(qs.get(name), theta)
+        dec = qs.support_decomposition(sp)
+        report = qs.evaluate_conditions(sp, dec, qs.compute_sld(dec, sp.drho)).to_dict()
+        for key in checks:
+            assert report[key]["worst_pair"] is None and report[key]["scale"] is None, key
+
     @pytest.mark.parametrize("seed", range(3))
     def test_w_search_refutation_reports_condition3(self, seed):
         sp, dec, slds = _random_family(3, 8, 4, False, seed)
@@ -611,11 +624,11 @@ def constant_basis_model():
         q = np.stack([theta[..., 0], 1.0 - theta[..., 0]], axis=-1)
         return (b * q[..., None, :]) @ b.conj().T
 
-    def deriv(theta, l):
-        return b @ np.diag([1.0, -1.0]).astype(complex) @ b.conj().T
+    drho = b @ np.diag([1.0, -1.0]).astype(complex) @ b.conj().T
 
     return md.StateModel(
-        name="fixed-basis", dim=3, n_params=1, state_fn=state, derivative_fn=deriv,
+        name="fixed-basis", dim=3, n_params=1, state_fn=state,
+        derivative_fn=lambda theta: np.broadcast_to(drho, np.shape(theta)[:-1] + (1, 3, 3)),
         domain=md.box([0.0], [1.0]),
         support_basis_fn=lambda theta: np.broadcast_to(b, np.shape(theta)[:-1] + b.shape),
     )
@@ -742,7 +755,7 @@ class TestVerdict:
 
 
 def _flagged(passed: bool) -> cond.CommCheck:
-    return cond.CommCheck(residual=0.0 if passed else 1.0, scale=1.0, tol=1e-8, passed=passed)
+    return cond.CommCheck(residual=0.0 if passed else 1.0, scale=None, tol=1e-8, passed=passed)
 
 
 def _report(c1, c3, c4, diagnostics=(True, True, True)) -> cond.ConditionReport:

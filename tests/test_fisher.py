@@ -70,8 +70,6 @@ class TestOutcomeDistribution:
             support_mask=np.array([True, False]),
             singular=[1],
             null_info=[],
-            prob_tol=1e-12,
-            deriv_tol=1e-8,
         )
         with pytest.raises(fi.SingularOutcomeError):
             fi.classical_fim(dist)
@@ -204,8 +202,6 @@ class TestSampling:
             support_mask=np.array([True]),
             singular=[],
             null_info=[],
-            prob_tol=1e-12,
-            deriv_tol=1e-8,
         )
         assert fi.sample_outcomes(dist, 500, seed=1).tolist() == [500]
 
@@ -216,8 +212,6 @@ class TestSampling:
             support_mask=np.array([True, True]),
             singular=[],
             null_info=[],
-            prob_tol=1e-12,
-            deriv_tol=1e-8,
         )
         n = 1_000_000
         counts = fi.sample_outcomes(dist, n, seed=7)
@@ -335,7 +329,8 @@ class TestLeanLikelihood:
         probs = np.array([float(np.trace(sp.rho @ e).real) for e in povm.elements])
         probs[(probs < 0.0) & (probs > -1e-12)] = 0.0
         dprobs = np.array([[float(np.trace(d @ e).real) for e in povm.elements] for d in sp.drho])
-        dense = fi.outcome_distribution(sp.rho, sp.drho, pv.POVM(elements=povm.elements))
+        dense = fi.outcome_distribution(sp.rho, sp.drho, pv.POVM(elements=povm.elements),
+                                        qs.support_decomposition(sp))
         assert np.array_equal(dense.probs, probs)
         assert np.array_equal(dense.dprobs, dprobs)
         assert povm.basis is not None
@@ -409,7 +404,7 @@ class TestLockStepFit:
     def test_multinomial(self, multinomial_model):
         sp = qs.evaluate(multinomial_model, [0.3, 0.45])
         povm = _basis_povm(3)
-        dist = fi.outcome_distribution(sp.rho, sp.drho, povm)
+        dist = fi.outcome_distribution(sp.rho, sp.drho, povm, qs.support_decomposition(sp))
         self._assert_study_is_the_loop(multinomial_model, povm, dist, sp.theta, 6, 10_000, 3)
 
     def test_fit_leaving_the_domain_raises_on_both_paths(self, qutrit_model, qutrit_point):
@@ -434,7 +429,7 @@ class TestLockStepFit:
         theta0 = np.array([0.02, 0.5])  # theta0 - radius leaves the box
         sp = qs.evaluate(multinomial_model, theta0)
         povm = _basis_povm(3)
-        dist = fi.outcome_distribution(sp.rho, sp.drho, povm)
+        dist = fi.outcome_distribution(sp.rho, sp.drho, povm, qs.support_decomposition(sp))
         kw = dict(batches=4, batch_size=1000, seed=0, stacked=True)
         likelihood = _stacked_likelihood(multinomial_model, povm)
         with pytest.raises(DomainError):
@@ -463,7 +458,7 @@ class TestBelowBoundFlag:
 
     def test_floor_is_the_chi2_lower_percentile(self, multinomial_model):
         sp = qs.evaluate(multinomial_model, [0.3, 0.45])
-        dist = fi.outcome_distribution(sp.rho, sp.drho, _basis_povm(3))
+        dist = fi.outcome_distribution(sp.rho, sp.drho, _basis_povm(3), qs.support_decomposition(sp))
         study = fi.estimator_study(
             lambda t: np.array([t[0], t[1], 1.0 - t[0] - t[1]]), dist, sp.theta,
             batches=40, batch_size=5000, seed=1,
@@ -486,7 +481,7 @@ class TestBelowBoundFlag:
     def test_singular_classical_information_gives_null(self, multinomial_model):
         sp = qs.evaluate(multinomial_model, [0.3, 0.45])
         trivial = pv.POVM(elements=[np.eye(3, dtype=complex)])
-        dist = fi.outcome_distribution(sp.rho, sp.drho, trivial)
+        dist = fi.outcome_distribution(sp.rho, sp.drho, trivial, qs.support_decomposition(sp))
         study = fi.estimator_study(lambda t: np.ones(1), dist, sp.theta,
                                    batches=2, batch_size=10, seed=0)
         assert study["bound_ratio"] is None and study["below_bound"] is None

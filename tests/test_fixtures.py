@@ -22,10 +22,11 @@ MAP_CASES = [
 
 
 def _maps(name, params):
-    """The model and its maps that take stacks: the state, the support basis and the
-    shipped witness where the model has them, and the canonical witness U = I."""
+    """The model and its maps that take stacks: the state, the derivatives, the support
+    basis and the shipped witness where the model has them, and the canonical witness U = I."""
     model = qs.get(name, **params)
-    maps = {"state": model.state_fn, "canonical witness": lambda t: cond.identity_path(t, 3)}
+    maps = {"state": model.state_fn, "derivative": model.derivative_fn,
+            "canonical witness": lambda t: cond.identity_path(t, 3)}
     if model.support_basis_fn is not None:
         maps["support basis"] = model.support_basis_fn
     witness = qs.get_witness(name, **params)

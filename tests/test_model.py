@@ -68,12 +68,43 @@ class TestEvaluate:
         with pytest.raises(md.TraceNotOneError):
             qs.evaluate(m, [0.5])
 
+    @pytest.mark.parametrize("scheme", ["analytic", "central_fd"])
+    def test_state_map_error_typed(self, qutrit_model, scheme):
+        def state(theta):
+            raise ValueError("operands could not be broadcast together")
+
+        model = dataclasses.replace(qutrit_model, state_fn=state)
+        with pytest.raises(md.InvalidStateError, match="state map failed") as exc:
+            qs.evaluate(model, [0.3, 0.5], scheme=scheme)
+        assert isinstance(exc.value.__cause__, ValueError)
+
+    def test_derivative_map_error_typed(self, qutrit_model):
+        model = dataclasses.replace(qutrit_model, derivative_fn=lambda theta: theta[2])
+        with pytest.raises(md.InvalidStateError, match="derivative map failed") as exc:
+            qs.evaluate(model, [0.3, 0.5])
+        assert isinstance(exc.value.__cause__, IndexError)
+
+    def test_one_call_of_each_map(self, qutrit_model):
+        # the analytic scheme reads the state and all p derivatives from one call each
+        calls = {"state": 0, "derivative": 0}
+
+        def counted(what, fn):
+            return lambda theta: calls.__setitem__(what, calls[what] + 1) or fn(theta)
+
+        model = dataclasses.replace(
+            qutrit_model, state_fn=counted("state", qutrit_model.state_fn),
+            derivative_fn=counted("derivative", qutrit_model.derivative_fn))
+        qs.evaluate(model, [0.3, 0.5], scheme="analytic")
+        assert calls == {"state": 1, "derivative": 1}
+
     def test_non_finite_derivative_refused(self, pure_qubit_model):
         # the pure qubit cannot saturate; a NaN tangent must not let it through
-        model = dataclasses.replace(
-            pure_qubit_model,
-            derivative_fn=lambda theta, l: (np.full((2, 2), np.nan) if l == 1
-                                            else pure_qubit_model.derivative_fn(theta, l)))
+        def derivative(theta):
+            drho = pure_qubit_model.derivative_fn(theta).copy()
+            drho[..., 1, :, :] = np.nan
+            return drho
+
+        model = dataclasses.replace(pure_qubit_model, derivative_fn=derivative)
         with pytest.raises(md.InvalidStateError, match="derivative 1 has non-finite entries"):
             qs.evaluate(model, [0.7, 0.3])
 
@@ -89,7 +120,7 @@ class TestEvaluate:
             n_params=2,
             state_fn=constant(np.eye(2) / 2.0),
             domain=md.box([0, 0], [1, 1]),
-            derivative_fn=lambda theta, l: (sigma_z + l * bump).astype(complex),
+            derivative_fn=constant(np.stack([sigma_z, sigma_z + bump])),
         )
         with pytest.raises(md.InvalidStateError, match=message) as exc:
             qs.evaluate(m, [0.5, 0.5])
@@ -222,6 +253,15 @@ class TestMapsThatIgnoreTheStack:
         with pytest.raises(md.InvalidStateError, match="must broadcast") as exc:
             md.state_at(model, [[0.2], [0.3], [0.4]])
         assert isinstance(exc.value.__cause__, ValueError)
+
+    def test_derivative_map_that_ignores_the_stack(self):
+        # written for one point: theta[0] of the bare point is a number, and np.diag
+        # makes the one (2, 2) derivative where the map owes the (1, 2, 2) stack
+        model = dataclasses.replace(self._model(constant(np.eye(2) / 2.0)),
+                                    derivative_fn=lambda theta: np.diag([1.0, -1.0]) * theta[0])
+        with pytest.raises(md.InvalidStateError, match=r"derivative has shape \(2, 2\)") as exc:
+            qs.evaluate(model, [0.5])
+        assert exc.value.detail == {"shape": [2, 2]}
 
 
 class TestFiniteDifferences:
