@@ -62,7 +62,6 @@ class CommCheck:
     tol: float
     passed: bool
     worst_pair: Optional[tuple] = None
-    values: Optional[np.ndarray] = None
 
     def to_dict(self) -> dict:
         return {
@@ -74,7 +73,7 @@ class CommCheck:
         }
 
 
-def _pair_check(slds: SLDSet, residuals, tol: float, values=None) -> CommCheck:
+def _pair_check(slds: SLDSet, residuals, tol: float) -> CommCheck:
     """The worst pair of ``residuals[l, m] / (s_l s_m)``, with ``s`` = :attr:`SLDSet.scales`.
 
     ``residuals`` follow :func:`~qcrbsat.sld.pairs`. A pair with
@@ -88,7 +87,7 @@ def _pair_check(slds: SLDSet, residuals, tol: float, values=None) -> CommCheck:
         if scale and r / scale > worst:
             worst, worst_pair, worst_scale = r / scale, (l, m), scale
     return CommCheck(residual=worst, scale=worst_scale, tol=tol, passed=worst <= tol,
-                     worst_pair=worst_pair, values=values)
+                     worst_pair=worst_pair)
 
 
 def _imbalance(products) -> list:
@@ -103,12 +102,7 @@ def check_full_commutativity(slds: SLDSet, tol: float = 1e-8) -> CommCheck:
 
 def check_average_commutativity(rho: np.ndarray, slds: SLDSet, tol: float = 1e-8) -> CommCheck:
     """|tr(rho [L_l, L_m])| for every pair."""
-    p = slds.n_params
-    traces = [abs(complex(np.trace(rho @ c))) for c in slds.commutators]
-    vals = np.zeros((p, p))
-    for (l, m), v in zip(pairs(p), traces):
-        vals[l, m] = vals[m, l] = v
-    return _pair_check(slds, traces, tol, vals)
+    return _pair_check(slds, [abs(complex(np.trace(rho @ c))) for c in slds.commutators], tol)
 
 
 def check_condition1(slds: SLDSet, tol: float = 1e-8) -> CommCheck:
@@ -400,7 +394,7 @@ def verify_condition2prime(
     fro = nk.fro_stack
     theta = np.asarray(sp.theta, dtype=float)
     p, h = sp.n_params, 1e-5
-    v = np.asarray(model.support_basis_fn(theta), dtype=complex)
+    v = values_at(model.support_basis_fn, theta, None, what="support basis")
     dec = decomposition_from_basis(sp, v)
     r_plus = dec.r_plus
     try:

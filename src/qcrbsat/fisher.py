@@ -22,7 +22,10 @@ Every cut reads the problem's own scale, never an absolute floor: the
 derivative sums and the singular-outcome cut read ``||d_l rho||`` per
 parameter, the rank-one cut is relative to the outcome's largest
 curvature, and invertibility is read on the information matrix's
-correlation form.
+correlation form. The completeness cuts (probability sums, derivative sums,
+negative probabilities) are the ones a valid measurement meets
+(:data:`~qcrbsat.povm.VALID_TOL`, scaled as :func:`~qcrbsat.povm.validate`
+scales it), so a measurement that passes validation passes them.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from . import basisform
 from . import numkernel as nk
 from .errors import QcrbSatError
 from .model import Box, SupportDecomposition
-from .povm import POVM, PROB_TOL
+from .povm import POVM, PROB_TOL, VALID_TOL
 from .sld import plus_null_blocks
 
 
@@ -115,17 +118,24 @@ def outcome_distribution(
     else:
         traces = probabilities(states, np.stack(povm.elements))
     probs, dprobs = traces[0], traces[1:]
-    if np.any(probs < -PROB_TOL):
-        raise QcrbSatError(f"negative outcome probability {probs.min():.3e}")
-    probs[(probs < 0.0) & (probs > -PROB_TOL)] = 0.0
-    if abs(probs.sum() - 1.0) > 1e-10:
-        raise QcrbSatError(f"probabilities sum to {probs.sum()!r}")
+    # |tr(X (sum_k E_k - I))| <= ||X|| ||sum_k E_k - I||, and tr(rho E_k) >= min eig(E_k)
+    sum_tol = VALID_TOL * max(1.0, len(rho))
+    if np.any(probs < -VALID_TOL):
+        k = int(probs.argmin())
+        raise QcrbSatError(f"negative outcome probability {float(probs[k]):.3e} of outcome {k}",
+                           outcome=k, probability=float(probs[k]), tol=VALID_TOL)
+    probs[probs < 0.0] = 0.0
+    total = float(probs.sum())
+    if abs(total - 1.0) > sum_tol:
+        raise QcrbSatError(f"probabilities sum to {total!r}, not 1 to {sum_tol:g}",
+                           probability_sum=total, tol=sum_tol)
     d_norms = np.linalg.norm(np.asarray(drho), axis=(1, 2))
     # completeness: sum_k d_l p_k = tr d_l rho, whose own size the state's validation judged
     dp_defects = np.abs(dprobs.sum(axis=1) - np.trace(drho, axis1=1, axis2=2).real)
-    if np.any(dp_defects > 1e-10 * d_norms):
+    if np.any(dp_defects > sum_tol * d_norms):
         raise QcrbSatError(
-            f"probability derivatives do not sum to the derivative traces: {dp_defects.tolist()}"
+            f"probability derivatives do not sum to the derivative traces: {dp_defects.tolist()}",
+            defects=dp_defects, tol=sum_tol,
         )
 
     deriv_tol = 1e-8 * d_norms

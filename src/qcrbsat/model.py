@@ -185,19 +185,22 @@ def _require_shape(values, lead: tuple, shape: tuple, error: type, what: str) ->
     )
 
 
-def values_at(fn, points: np.ndarray, shape: tuple, error: type = InvalidStateError,
+def values_at(fn, points: np.ndarray, shape: Optional[tuple], error: type = InvalidStateError,
               what: str = "state") -> np.ndarray:
     """``fn(points)`` from one call, as a complex ``points.shape[:-1] + shape`` array.
 
     ``points`` is one ``(p,)`` point or a ``(..., p)`` stack of them. A map that
     fails on the stack with a bare numpy error (``ValueError``, ``IndexError``,
-    ``TypeError``), or returns another shape, raises ``error`` naming it.
+    ``TypeError``), or returns another shape, raises ``error`` naming it;
+    ``shape=None`` leaves the shape to the caller.
     """
     try:
         values = fn(points)
     except (ValueError, IndexError, TypeError) as exc:
         raise error(f"{what} map failed on points of shape {points.shape} ({exc}): the map "
                     "must broadcast over the leading axes of theta") from exc
+    if shape is None:
+        return np.asarray(values, dtype=complex)
     return _require_shape(values, points.shape[:-1], shape, error, what)
 
 
@@ -277,11 +280,16 @@ def stencil(model: StateModel, fn, theta: np.ndarray, h: float, shape: tuple,
     ``fn`` is a map on the parameters of ``model`` that broadcasts over the
     leading axes of theta (see :func:`values_at`, which checks what it returns
     and raises ``error`` otherwise). Before any call, ``h`` must be a finite
-    positive step and every stencil point must lie inside the open domain of
-    ``model``; otherwise :class:`DomainError` is raised.
+    positive step that moves every parameter both ways (``theta_l +/- h``
+    differs from ``theta_l`` in floating point), and every stencil point must
+    lie inside the open domain of ``model``; otherwise :class:`DomainError`
+    is raised.
     """
     if not (np.isfinite(h) and h > 0):
         raise DomainError(f"finite-difference step must be a finite positive number, got {h}")
+    if ((theta + h == theta) | (theta - h == theta)).any():
+        raise DomainError(f"finite-difference step {h:g} does not move theta {theta.tolist()}: "
+                          "theta +/- h rounds to theta", theta=theta, step=h)
     if not ((theta > model.domain.lo + h) & (theta < model.domain.hi - h)).all():
         raise DomainError(
             f"theta {theta.tolist()} +/- {h} leaves the domain of {model.name}", theta=theta

@@ -16,7 +16,6 @@ from one basis keeps it, and every check reads that basis through
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -33,6 +32,10 @@ from .sld import SLDSet
 
 # Outcomes with probability at most this are zero-probability (null) outcomes.
 PROB_TOL = 1e-12
+
+# A valid measurement is complete to VALID_TOL max(1, n) and its elements'
+# eigenvalues are at least -VALID_TOL (see :func:`validate`).
+VALID_TOL = 1e-10
 
 
 class InvalidPOVMError(QcrbSatError):
@@ -77,9 +80,7 @@ class POVM:
     """
 
     elements: Optional[list] = _Elements()
-    outcome_labels: Optional[np.ndarray] = None
     classification: Optional[list] = None  # per element: "regular" | "null"
-    projective: Optional[bool] = None
     meta: dict = field(default_factory=dict)
     basis: Optional[np.ndarray] = None
     ranks: Optional[tuple] = None
@@ -106,10 +107,6 @@ class POVM:
                     raise InvalidPOVMError(
                         f"element {k} has shape {e.shape}, expected ({n}, {n})", element=k
                     )
-        if self.outcome_labels is None:
-            self.outcome_labels = np.arange(self.n_outcomes, dtype=float)
-        else:
-            self.outcome_labels = np.asarray(self.outcome_labels, dtype=float)
 
     @property
     def n_outcomes(self) -> int:
@@ -120,10 +117,10 @@ class POVM:
         return len(self.basis) if self.basis is not None else self.elements[0].shape[0]
 
 
-def validate(povm: POVM, tol: float = 1e-10) -> dict:
+def validate(povm: POVM, tol: float = VALID_TOL) -> dict:
     """Completeness, Hermiticity, positivity and projectivity diagnostics.
 
-    Returns a diagnostics dict and stamps ``povm.projective``; it never
+    Returns a diagnostics dict and leaves ``povm`` as it is; it never
     raises, so callers can report violations per element. Element k counts
     as Hermitian when ``||E_k - E_k^dag|| <= tol ||E_k||``, and a valid
     measurement is complete, Hermitian and positive semidefinite.
@@ -158,7 +155,6 @@ def validate(povm: POVM, tol: float = 1e-10) -> dict:
     psd_ok = all(m >= -tol for m in min_eigs)
     complete = completeness <= tol * max(1.0, n)
     projective = proj_res <= tol * max(1.0, n)
-    povm.projective = projective
 
     return {
         "complete": complete,
@@ -476,10 +472,10 @@ def random_povm(n: int, m: int, rng: np.random.Generator) -> POVM:
 # JSON serialization (complex entries as [re, im] pairs).
 #
 # A measurement with a basis is written as that basis and its block widths,
-# ``{"n_s", "basis", "ranks", "outcome_labels", "classification"}``: n^2
-# numbers instead of M n^2. Any other measurement is written element by
-# element, ``{"n_s", "elements", "outcome_labels", "classification"}``. The
-# reader takes both.
+# ``{"n_s", "basis", "ranks", "classification"}``: n^2 numbers instead of
+# M n^2. Any other measurement is written element by element,
+# ``{"n_s", "elements", "classification"}``. The reader takes both and
+# ignores any other key.
 # ---------------------------------------------------------------------------
 
 
@@ -491,18 +487,8 @@ def povm_to_json(povm: POVM) -> dict:
     return {
         "n_s": povm.dim,
         **body,
-        "outcome_labels": povm.outcome_labels.tolist(),
         "classification": povm.classification,
     }
-
-
-def _is_real(x) -> bool:
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        return False
-    try:
-        return math.isfinite(x)
-    except OverflowError:  # an integer beyond the float range
-        return False
 
 
 def povm_from_json(source) -> POVM:
@@ -535,11 +521,6 @@ def povm_from_json(source) -> POVM:
             parse_complex_matrix(e, n, f"elements[{k}]") for k, e in enumerate(data["elements"])
         ]
         m = len(elements)
-    labels = data.get("outcome_labels")
-    if labels is not None and not (
-        isinstance(labels, list) and len(labels) == m and all(map(_is_real, labels))
-    ):
-        raise SchemaError(f"outcome_labels must be {m} finite real numbers, one per element")
     classification = data.get("classification")
     if classification is not None and not (
         isinstance(classification, list) and len(classification) == m
@@ -548,7 +529,6 @@ def povm_from_json(source) -> POVM:
         raise SchemaError(f"classification must hold {m} entries, each 'regular' or 'null'")
     return POVM(
         elements=elements,
-        outcome_labels=labels,
         classification=classification,
         basis=basis,
         ranks=ranks,

@@ -67,7 +67,7 @@ def measurements(optimal):
 
 
 def element_form(povm):
-    return pv.POVM(elements=povm.elements, outcome_labels=povm.outcome_labels)
+    return pv.POVM(elements=povm.elements)
 
 
 def test_validate_agrees(instance):
@@ -155,8 +155,7 @@ def test_fisher_reports_agree_in_both_forms(capsys, tmp_path, name):
     assert main(["construct-povm", *args, "--povm-output", str(basis_file),
                  "--output", str(tmp_path / "c.json")]) == 0
     povm = pv.povm_from_json(str(basis_file))
-    dense = pv.POVM(elements=povm.elements, outcome_labels=povm.outcome_labels,
-                    classification=povm.classification)
+    dense = pv.POVM(elements=povm.elements, classification=povm.classification)
     element_file.write_text(json.dumps(pv.povm_to_json(dense)))
     reports = []
     for path in (basis_file, element_file):

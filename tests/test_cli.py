@@ -301,6 +301,16 @@ class TestUsageErrors:
         assert rep["error"]["message"].startswith("finite-difference step must be")
         assert "theta" not in rep["error"]["message"]
 
+    @pytest.mark.parametrize("step", ["1e-300", "1e-17"])
+    def test_fd_step_that_does_not_move_theta(self, capsys, step):
+        # theta +/- h rounds to theta: every difference would be 0 and the QFIM the zero matrix
+        code, rep = run(capsys, "analyze", *QUTRIT, "--scheme", "central_fd", f"--fd-step={step}")
+        assert code == 1
+        assert rep["error"]["type"] == "DomainError"
+        assert rep["error"]["message"].startswith(f"finite-difference step {float(step):g} ")
+        assert "does not move theta [0.3, 0.5]" in rep["error"]["message"]
+        assert rep["error"]["detail"] == {"theta": [0.3, 0.5], "step": float(step)}
+
     @pytest.mark.parametrize("model, params, theta, name", [
         ("random-rank-r", "seed=abc", "0,0", "seed"),
         ("random-rank-r", "seed=-1", "0,0", "seed"),
@@ -370,14 +380,12 @@ class TestInputFiles:
 
     @pytest.mark.parametrize("state, edit, error", [
         *((QUTRIT, edit, "SchemaError") for edit in (
-            {"n_s": True}, {"outcome_labels": [0.0]}, {"outcome_labels": ["a", "b", "c"]},
-            {"classification": ["regular", "other", "null"]}, {"basis": None},
+            {"n_s": True}, {"classification": ["regular", "other", "null"]}, {"basis": None},
             {"elements": [[[[1, 0]]]]}, {"ranks": [2, 2]}, {"ranks": [1, False, 2]},
         )),
         # a qubit pair |0><0| + 0.3i sigma_x, |1><1| - 0.3i sigma_x: complete and with a
         # positive Hermitian part, but element 0 is not Hermitian
-        (PURE_QUBIT, {"n_s": 2, "basis": None, "ranks": None, "outcome_labels": None,
-                      "classification": None,
+        (PURE_QUBIT, {"n_s": 2, "basis": None, "ranks": None, "classification": None,
                       "elements": [[[[1, 0], [0, 0.3]], [[0, 0.3], [0, 0]]],
                                    [[[0, 0], [0, -0.3]], [[0, -0.3], [1, 0]]]]},
          "InvalidPOVMError"),

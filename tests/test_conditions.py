@@ -11,6 +11,7 @@ from qcrbsat import conditions as cond
 from qcrbsat import model as md
 from qcrbsat import numkernel as nk
 from qcrbsat.errors import InvalidToleranceError
+from qcrbsat.sld import SLDSet
 from oracles import (
     average_commutativity_loop,
     cond4_grid_oracle,
@@ -76,13 +77,14 @@ class TestElementaryChecks:
         assert not cond.check_full_commutativity(slds).passed
         avg = cond.check_average_commutativity(sp.rho, slds)
         assert not avg.passed
-        assert avg.values[0, 1] == pytest.approx(4.0, abs=1e-10)
+        assert avg.worst_pair == (0, 1)  # the only pair
+        assert avg.residual * avg.scale == pytest.approx(4.0, abs=1e-10)
         psi = np.array([np.cos(theta[0]), np.exp(1j * theta[1]) * np.sin(theta[0])])
         dpsi = [
             np.array([-np.sin(theta[0]), np.exp(1j * theta[1]) * np.cos(theta[0])]),
             np.array([0.0, 1j * np.exp(1j * theta[1]) * np.sin(theta[0])]),
         ]
-        assert avg.values[0, 1] == pytest.approx(
+        assert avg.residual * avg.scale == pytest.approx(
             pure_state_avg_comm(psi, dpsi[0], dpsi[1]), abs=1e-10
         )
 
@@ -102,6 +104,18 @@ class TestElementaryChecks:
         full = cond.check_full_commutativity(slds)
         part = cond.check_partial_commutativity(dec, slds)
         assert abs(full.residual - part.residual) <= 1e-12
+
+    def test_ties_keep_the_first_pair(self):
+        # L = (sigma_z, sigma_z, sigma_x) on a full-rank qubit: pair (0, 1) commutes, and
+        # (0, 2) and (1, 2) have the same commutator and the same scale s_l s_m = 2
+        z, x = np.diag([1.0, -1.0]).astype(complex), np.array([[0, 1], [1, 0]], dtype=complex)
+        lpp = np.array([z, z, x])
+        slds = SLDSet(Lpp=lpp, Lpz=np.zeros((3, 2, 0), dtype=complex), full=lpp)
+        for check in (cond.check_condition1(slds), cond.check_full_commutativity(slds),
+                      cond.check_partial_commutativity(None, slds)):
+            assert check.worst_pair == (0, 2)
+            assert check.scale == pytest.approx(2.0, rel=1e-15)
+            assert check.residual == pytest.approx(np.sqrt(8.0) / 2.0, rel=1e-15)
 
 
 class TestCondition4:
@@ -348,7 +362,8 @@ class TestStackedAgainstReference:
             avg = cond.check_average_commutativity(sp.rho, s, tol)
             ref = average_commutativity_loop(sp.rho, s.full, scales)
             self._same(avg, ref, tol)
-            assert np.allclose(avg.values, ref[3], rtol=1e-12, atol=1e-12)
+            if avg.worst_pair is not None:
+                assert avg.residual * avg.scale == pytest.approx(ref[3][avg.worst_pair], rel=1e-12)
             ref = partial_commutativity_loop(dec.P_plus, s.Lpp, s.Lpz, s.full, scales)
             assert ref[3] <= 1e-10
             self._same(cond.check_partial_commutativity(dec, s, tol), ref, tol)
@@ -888,6 +903,18 @@ class TestCondition2PrimeStencil:
         model = dataclasses.replace(qutrit_model, support_basis_fn=lambda theta: np.ones(3))
         with pytest.raises(md.InvalidStateError, match=r"basis has shape \(3,\)"):
             cond.verify_condition2prime(model, qutrit_point)
+
+    def test_support_basis_failing_at_the_point_is_typed(self, qutrit_model, qutrit_point,
+                                                          qutrit_dec, qutrit_slds):
+        def basis(theta):  # works on the stencil stacks, fails at the point alone
+            if np.ndim(theta) == 1:
+                raise ValueError("boom")
+            return qutrit_model.support_basis_fn(theta)
+
+        model = dataclasses.replace(qutrit_model, support_basis_fn=basis)
+        with pytest.raises(md.InvalidStateError, match="support basis map failed") as exc:
+            qs.evaluate_conditions(qutrit_point, qutrit_dec, qutrit_slds, model=model)
+        assert isinstance(exc.value.__cause__, ValueError) and str(exc.value.__cause__) == "boom"
 
     def test_witness_written_for_one_point(self, qutrit_model, qutrit_point):
         # the witness as a per-point map: on the (p, p) stencil stack np.diag gets rows

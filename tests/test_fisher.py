@@ -63,6 +63,35 @@ class TestOutcomeDistribution:
         key = (rep["verdict"], rep["saturation_certificate"]["passed"], rep["fisher"]["saturated"])
         assert key == ("SATURABLE_CERTIFIED", True, True)
 
+    def test_measurement_complete_to_its_tolerance_is_read(self, tmp_path):
+        # E_0 scaled by 1 + 2.5e-10: validation accepts the completeness residual 2.5e-10
+        # (<= 1e-10 * 3), so the outcome distribution's sums accept it too
+        q = ["--model", "qutrit-phase-mixture", "--params", "d=0.6,c1=1,c2=0.7",
+             "--theta", "0.3,0.5"]
+        basis_file, element_file, out = (tmp_path / n for n in ("p.json", "pe.json", "f.json"))
+        assert main(["construct-povm", *q, "--povm-output", str(basis_file),
+                     "--output", str(tmp_path / "c.json")]) == 0
+        elements = pv.povm_from_json(str(basis_file)).elements
+        elements[0] = elements[0] * (1 + 2.5e-10)
+        povm = pv.POVM(elements=elements)
+        diag = pv.validate(povm)
+        assert diag["valid"] and diag["completeness_residual"] > 1e-10
+        element_file.write_text(json.dumps(pv.povm_to_json(povm)))
+        assert main(["fisher", *q, "--povm", str(element_file), "--output", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        key = (rep["verdict"], rep["saturation_certificate"]["passed"], rep["fisher"]["saturated"])
+        assert key == ("SATURABLE_CERTIFIED", True, True)
+        assert rep["fisher"]["gap_opnorm"] <= 1e-9
+
+    def test_incomplete_measurement_refused_with_plain_numbers(self, qutrit_point, qutrit_dec):
+        povm = pv.POVM(elements=[(1 + 1e-9) * np.eye(3)])
+        with pytest.raises(qs.QcrbSatError, match=r"^probabilities sum to 1\.0000000") as exc:
+            fi.outcome_distribution(qutrit_point.rho, qutrit_point.drho, povm, qutrit_dec)
+        assert "np." not in str(exc.value)
+        detail = exc.value.to_dict()["detail"]
+        assert type(detail["probability_sum"]) is float
+        assert detail["tol"] == pytest.approx(3e-10)
+
     def test_singular_outcome_detected_and_refused(self):
         dist = fi.MeasurementDistribution(
             probs=np.array([1.0, 0.0]),

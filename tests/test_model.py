@@ -288,6 +288,17 @@ class TestFiniteDifferences:
         qs.evaluate(model, [0.3, 0.5], scheme=scheme)
         assert len(calls) == 1 + stencil_calls
 
+    @pytest.mark.parametrize("scheme, h, refused", [
+        ("central_fd", 1e-300, 1e-300), ("central_fd", 1e-17, 1e-17),
+        # 0.3 +/- 4e-17 rounds to a neighbour of 0.3, but richardson's h/2 rounds back to 0.3
+        ("richardson", 4e-17, 2e-17),
+    ])
+    def test_step_that_does_not_move_theta_refused(self, qutrit_model, scheme, h, refused):
+        with pytest.raises(md.DomainError, match="^finite-difference step") as exc:
+            qs.evaluate(qutrit_model, [0.3, 0.3], scheme=scheme, h=h)
+        assert exc.value.detail["step"] == refused
+        assert "does not move theta [0.3, 0.3]" in str(exc.value)
+
     @pytest.mark.parametrize("scheme", ["analytic", "central_fd", "richardson"])
     def test_each_check_runs_once(self, monkeypatch, qutrit_model, scheme):
         counts = {"_validate_densities": 0, "_validate_drho": 0}
