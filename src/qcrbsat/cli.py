@@ -24,18 +24,22 @@ from . import fisher as fish
 from . import fixtures
 from . import jsonio
 from . import povm as povm_mod
-from .conditions import VERDICT_SATURABLE, evaluate_conditions
+from .conditions import VERDICT_SATURABLE, condition_reports, evaluate_conditions
 from .errors import QcrbSatError, jsonable
 from .model import (
     StateAtPoint,
     evaluate,
+    evaluate_points,
     parse_numeric_model,
+    split_support,
     state_at,
     support_decomposition,
 )
 from .sld import compute_sld, qfim
 
 SCHEMA_VERSION = 1
+# Bound on the complex entries of any array a sweep stacks over one chunk of grid points.
+SWEEP_ENTRIES = 1 << 16
 
 
 class NotCertifiedError(QcrbSatError):
@@ -128,6 +132,29 @@ def run_analysis(args, sp: StateAtPoint, model=None, witness=None):
     f_q = qfim(dec, slds)
     report = evaluate_conditions(sp, dec, slds, model=model, witness=witness, tol=tol, rng=rng)
     return dec, slds, f_q, report
+
+
+def run_analyses(args, model, witness, thetas) -> list:
+    """:func:`run_analysis` at each point of a (B, p) stack, as one stacked pass.
+
+    Evaluation, the support split, the SLDs, the QFIM, the pairwise checks
+    and condition 2' run once per group of points with equal (r+, r0); the W
+    search and the verdict run per point. Returns ``(sp, dec, f_q, report)``
+    per point, each equal to the single-point analysis. The first point that
+    fails a check raises the error it raises alone.
+    """
+    points = evaluate_points(model, thetas, scheme=args.scheme, h=args.fd_step)
+    tol = cond_tol(args, points)
+    out = [None] * len(thetas)
+    for rows, dec in split_support(points.rho, points.drho, points.deriv_tol, args.rank_tol):
+        group = points.row(rows)
+        slds = compute_sld(dec, group.drho, sld_tol=max(tol, points.deriv_tol))
+        f_q = qfim(dec, slds)
+        reports = condition_reports(group, dec, slds, model=model, witness=witness, tol=tol,
+                                    rngs=(np.random.default_rng(args.seed) for _ in rows))
+        for i, (k, report) in enumerate(zip(rows.tolist(), reports)):
+            out[k] = (group.row(i), dec.row(i), f_q[i], report)
+    return out
 
 
 def base_report(args, sp: StateAtPoint, model, dec, f_q, report) -> dict:
@@ -246,7 +273,7 @@ def cmd_fisher(args) -> dict:
         povm = _construct_from_report(dec, slds, report, args.seed)
     povm_mod.classify_elements(povm, sp.rho, dec)
     cert = povm_mod.verify_saturation_structural(povm, dec, slds, tol=cond_tol(args, sp))
-    dist = fish.outcome_distribution(sp.rho, sp.drho, povm, dec)
+    dist = fish.outcome_distribution(sp.rho, sp.drho, povm, dec, deriv_tol=sp.deriv_tol)
     comparison = _compare(dist, f_q, g, cond_tol(args, sp))
     out = base_report(args, sp, model, dec, f_q, report)
     out["povm"] = povm_mod.povm_to_json(povm)
@@ -270,7 +297,7 @@ def cmd_simulate(args) -> dict:
     if povm is None:
         povm = _construct_from_report(dec, slds, report, args.seed)
     povm_mod.classify_elements(povm, sp.rho, dec)
-    dist = fish.outcome_distribution(sp.rho, sp.drho, povm, dec)
+    dist = fish.outcome_distribution(sp.rho, sp.drho, povm, dec, deriv_tol=sp.deriv_tol)
     comparison = _compare(dist, f_q, None, cond_tol(args, sp))
     record = fish.simulate(dist, trials=args.trials, seed=args.seed)
     if args.estimator:
@@ -294,7 +321,34 @@ def cmd_simulate(args) -> dict:
     return out
 
 
+def _sweep_entries(args, model, witness, thetas) -> list:
+    """The sweep entries of a (B, p) stack of grid points.
+
+    The stack is analyzed in one pass (:func:`run_analyses`). If any point
+    fails, each half is analyzed again on its own, down to single points,
+    which run the `analyze` path: a failing point's entry is the error it
+    raises alone, and every other entry is its report.
+    """
+    if len(thetas) > 1:
+        try:
+            return [base_report(args, sp, model, dec, f_q, report)
+                    for sp, dec, f_q, report in run_analyses(args, model, witness, thetas)]
+        except QcrbSatError:
+            half = len(thetas) // 2
+            return (_sweep_entries(args, model, witness, thetas[:half])
+                    + _sweep_entries(args, model, witness, thetas[half:]))
+    theta = thetas[0]
+    try:
+        sp = evaluate(model, theta, scheme=args.scheme, h=args.fd_step)
+        dec, slds, f_q, report = run_analysis(args, sp, model, witness)
+        return [base_report(args, sp, model, dec, f_q, report)]
+    except QcrbSatError as exc:
+        return [{"theta": [float(x) for x in theta], "error": exc.to_dict()}]
+
+
 def cmd_sweep(args) -> dict:
+    """Analyze every point of the grid, in chunks of at most :data:`SWEEP_ENTRIES`
+    stacked entries (see :func:`_sweep_entries`)."""
     if not args.model:
         raise QcrbSatError("sweep requires --model (numeric models are single-point)")
     model, witness = _registry_model(args)
@@ -303,15 +357,13 @@ def cmd_sweep(args) -> dict:
         raise QcrbSatError(f"grid has {len(axes)} axes, model has {model.n_params} parameters")
 
     mesh = np.meshgrid(*axes, indexing="ij")
-    points = [np.array(t) for t in np.stack([m.ravel() for m in mesh], axis=1)]
+    points = np.stack([m.ravel() for m in mesh], axis=1)
+    # the largest per-point stacks: the Richardson stencil (4p states) and the pair products
+    p, n = model.n_params, model.dim
+    chunk = max(1, SWEEP_ENTRIES // ((4 + p) * p * n * n))
     reports = []
-    for theta in points:
-        try:
-            sp = evaluate(model, theta, scheme=args.scheme, h=args.fd_step)
-            dec, slds, f_q, report = run_analysis(args, sp, model, witness)
-            reports.append(base_report(args, sp, model, dec, f_q, report))
-        except QcrbSatError as exc:
-            reports.append({"theta": [float(x) for x in theta], "error": exc.to_dict()})
+    for start in range(0, len(points), chunk):
+        reports += _sweep_entries(args, model, witness, points[start:start + chunk])
     return {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "qcrbsat", "version": __version__},

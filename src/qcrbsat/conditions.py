@@ -28,6 +28,7 @@ candidate, unitarity included, goes through :func:`verify_condition4_with_w`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
@@ -36,9 +37,9 @@ import numpy as np
 from . import numkernel as nk
 from .errors import QcrbSatError, require_tolerance
 from .jsonio import ComplexMatrix
-from .model import (DomainError, StateAtPoint, StateModel, SupportDecomposition,
-                    decomposition_from_basis, stencil, values_at)
-from .sld import SLDSet, pairs, plus_null_blocks
+from .model import (DEFAULT_RANK_TOL, DomainError, StateAtPoint, StateModel,
+                    SupportDecomposition, _basis_split, stencil, values_at)
+from .sld import SLDSet, pair_index, pairs, plus_null_blocks
 
 VERDICT_SATURABLE = "SATURABLE_CERTIFIED"
 VERDICT_NOT = "NOT_SATURABLE"
@@ -73,59 +74,96 @@ class CommCheck:
         }
 
 
-def _pair_check(slds: SLDSet, residuals, tol: float) -> CommCheck:
-    """The worst pair of ``residuals[l, m] / (s_l s_m)``, with ``s`` = :attr:`SLDSet.scales`.
+def _pair_checks(slds: SLDSet, residuals: np.ndarray, tol: float) -> list:
+    """The worst pair of ``residuals[..., (l, m)] / (s_l s_m)``, with ``s`` = :attr:`SLDSet.scales`.
 
-    ``residuals`` follow :func:`~qcrbsat.sld.pairs`. A pair with
-    ``s_l s_m = 0`` has vanishing support rows and reads 0. Ties keep the
-    first pair; with no positive ratio the worst pair and the scale are None.
+    ``residuals`` follow :func:`~qcrbsat.sld.pairs` on the last axis, and
+    their leading axes end in those of the SLDs. A pair with ``s_l s_m = 0``
+    has vanishing support rows and reads 0. Ties keep the first pair; with
+    no positive ratio the worst pair and the scale are None. Returns the
+    :class:`CommCheck` of every leading index, in C order.
     """
+    ls, ms = pair_index(slds.n_params)
     s = slds.scales
-    worst, worst_pair, worst_scale = 0.0, None, None
-    for (l, m), r in zip(pairs(slds.n_params), residuals):
-        scale = float(s[l] * s[m])
-        if scale and r / scale > worst:
-            worst, worst_pair, worst_scale = r / scale, (l, m), scale
-    return CommCheck(residual=worst, scale=worst_scale, tol=tol, passed=worst <= tol,
-                     worst_pair=worst_pair)
+    pair_scales = (s[..., ls] * s[..., ms]).reshape(math.prod(s.shape[:-1]), len(ls)).tolist()
+    rows = residuals.reshape(math.prod(residuals.shape[:-1]), len(ls)).tolist()
+    pair = list(pairs(slds.n_params))
+    checks = []
+    for row, scales in zip(rows, pair_scales * (len(rows) // len(pair_scales))):
+        worst, worst_pair, worst_scale = 0.0, None, None
+        for k, (r, scale) in enumerate(zip(row, scales)):
+            if scale and r / scale > worst:
+                worst, worst_pair, worst_scale = r / scale, pair[k], scale
+        checks.append(CommCheck(residual=worst, scale=worst_scale, tol=tol, passed=worst <= tol,
+                                worst_pair=worst_pair))
+    return checks
 
 
-def _imbalance(products) -> list:
-    """``||products[l, m] - products[m, l]||`` for every pair l < m."""
-    return [nk.fro(products[l, m] - products[m, l]) for l, m in pairs(len(products))]
+def _checks(slds: SLDSet, residuals: np.ndarray, tol: float):
+    """One :class:`CommCheck`, or for a stack of points the list of them."""
+    checks = _pair_checks(slds, residuals, tol)
+    return checks if residuals.ndim > 1 else checks[0]
 
 
-def check_full_commutativity(slds: SLDSet, tol: float = 1e-8) -> CommCheck:
+def _average_residuals(rho: np.ndarray, slds: SLDSet) -> np.ndarray:
+    """|tr(rho [L_l, L_m])| for every pair.
+
+    Each modulus is Python's, as the complex scalar takes it: numpy's array
+    modulus rounds differently.
+    """
+    traces = np.trace(rho[..., None, :, :] @ slds.commutators, axis1=-2, axis2=-1)
+    return np.array([abs(t) for t in traces.reshape(-1).tolist()]).reshape(traces.shape)
+
+
+def _block_residuals(slds: SLDSet) -> np.ndarray:
+    """The ``(3, ..., pairs)`` residuals read off the pair products: partial
+    commutativity ``||A_lm - A_ml + B_lm - B_ml||``, condition 1
+    ``||A_lm - A_ml||`` and condition 3 ``||B_lm - B_ml||``."""
+    a, b = slds.pair_products
+    ls, ms = pair_index(slds.n_params)
+    a_diff = a[..., ls, ms, :, :] - a[..., ms, ls, :, :]
+    b_lm, b_ml = b[..., ls, ms, :, :], b[..., ms, ls, :, :]
+    return nk.fro_stack(np.stack([a_diff + b_lm - b_ml, a_diff, b_lm - b_ml]))
+
+
+def check_full_commutativity(slds: SLDSet, tol: float = 1e-8):
     """Pairwise commutators of the full-space SLDs (00 blocks set to zero)."""
-    return _pair_check(slds, [nk.fro(c) for c in slds.commutators], tol)
+    return _checks(slds, nk.fro_stack(slds.commutators), tol)
 
 
-def check_average_commutativity(rho: np.ndarray, slds: SLDSet, tol: float = 1e-8) -> CommCheck:
+def check_average_commutativity(rho: np.ndarray, slds: SLDSet, tol: float = 1e-8):
     """|tr(rho [L_l, L_m])| for every pair."""
-    return _pair_check(slds, [abs(complex(np.trace(rho @ c))) for c in slds.commutators], tol)
+    return _checks(slds, _average_residuals(rho, slds), tol)
 
 
-def check_condition1(slds: SLDSet, tol: float = 1e-8) -> CommCheck:
+def check_condition1(slds: SLDSet, tol: float = 1e-8):
     """Commutators of the ++ blocks, ``A_lm - A_ml`` of the pair products."""
-    return _pair_check(slds, _imbalance(slds.pair_products[0]), tol)
+    return _checks(slds, _block_residuals(slds)[1], tol)
 
 
-def check_condition3(slds: SLDSet, tol: float = 1e-8) -> CommCheck:
+def check_condition3(slds: SLDSet, tol: float = 1e-8):
     """Anti-Hermitian part of the +0 cross products, ``B_lm - B_ml``."""
-    return _pair_check(slds, _imbalance(slds.pair_products[1]), tol)
+    return _checks(slds, _block_residuals(slds)[2], tol)
 
 
-def check_partial_commutativity(
-    dec: SupportDecomposition, slds: SLDSet, tol: float = 1e-8
-) -> CommCheck:
+def check_partial_commutativity(dec: SupportDecomposition, slds: SLDSet, tol: float = 1e-8):
     """Support-projected commutators P+ [L_l, L_m] P+, as ``A_lm - A_ml + B_lm - B_ml``.
 
     The identity holds by construction, since ``full`` is assembled from
     the same blocks. ``dec`` is not read.
     """
-    a, b = slds.pair_products
-    residuals = [nk.fro(a[l, m] - a[m, l] + b[l, m] - b[m, l]) for l, m in pairs(slds.n_params)]
-    return _pair_check(slds, residuals, tol)
+    return _checks(slds, _block_residuals(slds)[0], tol)
+
+
+def _all_pair_checks(rho: np.ndarray, slds: SLDSet, tol: float) -> list:
+    """The five pairwise checks of every point, in one pass: for each point, the
+    full, average and partial commutativity and conditions 1 and 3, as the
+    ``check_*`` functions give them."""
+    residuals = np.concatenate([nk.fro_stack(slds.commutators)[None],
+                                _average_residuals(rho, slds)[None], _block_residuals(slds)])
+    checks = _pair_checks(slds, residuals, tol)
+    n = len(checks) // 5
+    return list(zip(*(checks[i * n:(i + 1) * n] for i in range(5))))
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +409,7 @@ def verify_condition2prime(
     *,
     null_povm: Optional[Sequence[np.ndarray]] = None,
     tol: float = 1e-8,
-) -> Cond2PrimeResult:
+):
     """Verify a witness for the support-basis PDE condition at one point.
 
     Checks, each reported as a normalized residual: (a) the PDE
@@ -387,94 +425,147 @@ def verify_condition2prime(
     stencil would leave the model's domain, the condition is NOT_CHECKED.
     Every per-parameter quantity is one ``(p, ...)`` stack, normed by
     :func:`~qcrbsat.numkernel.fro_stack`.
+
+    On a stack of points (``sp`` from :func:`~qcrbsat.model.evaluate_points`)
+    it returns the list of results, one per point and each equal to the
+    single-point result: each map runs once at the points and once on one
+    stencil of them all, and the points whose stencil leaves the domain are
+    left out of it. The first point that fails a check raises the error it
+    raises alone.
     """
+    theta = np.asarray(sp.theta, dtype=float)
+    if theta.ndim == 1:
+        return _condition2prime(model, theta[None], sp.rho[None], sp.drho[None], sp.deriv_tol,
+                                witness, null_povm, tol)[0]
+    return _condition2prime(model, theta, sp.rho, sp.drho, sp.deriv_tol, witness, null_povm, tol)
+
+
+def _stencil_fits(model: StateModel, theta: np.ndarray, h: float) -> np.ndarray:
+    """Per point of a (B, p) stack: ``theta +/- h`` moves every parameter and stays inside
+    the domain."""
+    moves = ((theta + h != theta) & (theta - h != theta)).all(axis=1)
+    return moves & ((theta > model.domain.lo + h) & (theta < model.domain.hi - h)).all(axis=1)
+
+
+def _condition2prime(model, theta, rho, drho, deriv_tol, witness, null_povm, tol) -> list:
+    """:func:`verify_condition2prime` at the (B, p) stack ``theta``, whose states and
+    derivatives are ``rho`` and ``drho``."""
     if model.support_basis_fn is None:
-        return Cond2PrimeResult(tol=tol, notes=["model exposes no smooth support-basis map"])
+        return [Cond2PrimeResult(tol=tol, notes=["model exposes no smooth support-basis map"])
+                for _ in theta]
 
     fro = nk.fro_stack
-    theta = np.asarray(sp.theta, dtype=float)
-    p, h = sp.n_params, 1e-5
+    p, h = drho.shape[-3], 1e-5
     v = values_at(model.support_basis_fn, theta, None, what="support basis")
-    dec = decomposition_from_basis(sp, v)
+    dec = _basis_split(rho, drho, deriv_tol, v, DEFAULT_RANK_TOL)
     r_plus = dec.r_plus
+    results: list = [None] * len(theta)
+    rows = np.arange(len(theta))
     try:
-        v_plus, v_minus = stencil(model, model.support_basis_fn, theta, h, v.shape,
+        v_plus, v_minus = stencil(model, model.support_basis_fn, theta, h, v.shape[1:],
                                   what="support basis")
-    except DomainError:
-        return Cond2PrimeResult(tol=tol, notes=[f"the stencil theta +/- h with h = {h:g} leaves "
-                                                f"the domain of {model.name}; existence undecided"])
+    except DomainError:  # leave out the points whose stencil leaves the domain
+        fits = _stencil_fits(model, theta, h)
+        for k in np.flatnonzero(~fits).tolist():
+            results[k] = Cond2PrimeResult(tol=tol, notes=[
+                f"the stencil theta +/- h with h = {h:g} leaves the domain of {model.name}; "
+                "existence undecided"])
+        if not fits.any():
+            return results
+        rows, theta, v, drho, dec = rows[fits], theta[fits], v[fits], drho[fits], dec.row(fits)
+        v_plus, v_minus = stencil(model, model.support_basis_fn, theta, h, v.shape[1:],
+                                  what="support basis")
     dv = (v_plus - v_minus) / (2.0 * h)
-    a = v.conj().T @ dv  # V^dag dV_l, skew-Hermitian
+    a = v[:, None].conj().swapaxes(-1, -2) @ dv  # V^dag dV_l, skew-Hermitian
 
     notes = []
-    if witness is None:
+    canonical = witness is None
+    if canonical:
         off_diagonal, whole = fro(np.array([np.where(np.eye(r_plus, dtype=bool), 0.0, a), a]))
-        diag_res = float((off_diagonal / np.maximum(1.0, whole)).max(initial=0.0))
-        if diag_res > max(tol, 1e-6):
-            note = f"no witness supplied and V^dag dV is not diagonal (residual {diag_res:.3e})"
-            return Cond2PrimeResult(tol=tol, notes=[f"{note}; existence undecided"])
-        witness = Cond2PrimeWitness(
-            unitary_fn=lambda t: identity_path(t, r_plus),
-            generators=(1j * a.diagonal(axis1=1, axis2=2)).real,
-            label="diagonal_VdV",
-        )
+        diag_res = (off_diagonal / np.maximum(1.0, whole)).max(axis=-1, initial=0.0)
+        undecided = diag_res > max(tol, 1e-6)
+        if undecided.any():
+            for k, res in zip(rows[undecided].tolist(), diag_res[undecided].tolist()):
+                note = f"no witness supplied and V^dag dV is not diagonal (residual {res:.3e})"
+                results[k] = Cond2PrimeResult(tol=tol, notes=[f"{note}; existence undecided"])
+            keep = ~undecided
+            rows, theta, drho, dec = rows[keep], theta[keep], drho[keep], dec.row(keep)
+            v_plus, v_minus, dv, a = v_plus[keep], v_minus[keep], dv[keep], a[keep]
+            if not rows.size:
+                return results
+        witness = Cond2PrimeWitness(unitary_fn=lambda t: identity_path(t, r_plus),
+                                    generators=(1j * a.diagonal(axis1=-2, axis2=-1)).real,
+                                    label="diagonal_VdV")
         notes.append("canonical witness generated from diagonal V^dag dV")
 
     u = values_at(witness.unitary_fn, theta, (r_plus, r_plus), InvalidWitnessError, "witness")
-    defect = nk.fro(u.conj().T @ u - np.eye(r_plus))
-    if defect > 1e-10 * max(1.0, r_plus):
-        raise InvalidWitnessError("witness map is not unitary at this point", defect=defect)
+    defect = fro(u.conj().swapaxes(-1, -2) @ u - np.eye(r_plus))
+    not_unitary = defect > 1e-10 * max(1.0, r_plus)
+    if not_unitary.any():
+        raise InvalidWitnessError("witness map is not unitary at this point",
+                                  defect=float(defect[not_unitary.argmax()]))
     gens = np.zeros((p, r_plus)) if witness.generators is None else np.asarray(witness.generators)
-    if gens.shape != (p, r_plus) or gens.dtype.kind not in "fiu":
-        raise InvalidWitnessError(f"generators must be a real ({p}, {r_plus}) array of the "
-                                  f"diagonals of D_l, got {gens.dtype} of shape {gens.shape}")
-    d = gens[:, :, None] * np.eye(r_plus)  # the D_l, (p, r+, r+)
-    u_plus, u_minus = stencil(model, witness.unitary_fn, theta, h, u.shape, InvalidWitnessError,
-                              "witness")
+    if not canonical:
+        if gens.shape != (p, r_plus) or gens.dtype.kind not in "fiu":
+            raise InvalidWitnessError(f"generators must be a real ({p}, {r_plus}) array of the "
+                                      f"diagonals of D_l, got {gens.dtype} of shape {gens.shape}")
+        gens = np.repeat(gens[None], len(rows), axis=0)
+    d = gens[..., :, None] * np.eye(r_plus)  # the D_l, (R, p, r+, r+)
+    u_plus, u_minus = stencil(model, witness.unitary_fn, theta, h, (r_plus, r_plus),
+                              InvalidWitnessError, "witness")
     du = (u_plus - u_minus) / (2.0 * h)
 
-    pde, du_norm, a_norm = fro(np.array([du - u @ (a + 1j * d), du, a]))
+    pde, du_norm, a_norm = fro(np.array([du - u[:, None] @ (a + 1j * d), du, a]))
     d_norm = fro(d)
-    pde_res = float((pde / np.maximum(1.0, du_norm + a_norm + d_norm)).max(initial=0.0))
-    d_all_zero = bool((d_norm <= 1e-12).all())
-    path = "zero_generators" if witness.label == "user_supplied_U" and d_all_zero else witness.label
+    pde_res = (pde / np.maximum(1.0, du_norm + a_norm + d_norm)).max(axis=-1, initial=0.0)
+    d_all_zero = (d_norm <= 1e-12).all(axis=-1)
+    zero_path = "zero_generators" if witness.label == "user_supplied_U" else witness.label
 
-    dvt = (v_plus @ u_plus.conj().swapaxes(1, 2)
-           - v_minus @ u_minus.conj().swapaxes(1, 2)) / (2.0 * h)  # d(V U^dag)_l
-    stationarity_res = None
-    if d_all_zero:
-        projected, dvt_norm = fro(np.array([dec.P_plus @ dvt, dvt]))
-        stationarity_res = float((projected / np.maximum(1.0, dvt_norm)).max(initial=0.0))
+    dvt = (v_plus @ u_plus.conj().swapaxes(-1, -2)
+           - v_minus @ u_minus.conj().swapaxes(-1, -2)) / (2.0 * h)  # d(V U^dag)_l
+    projected, dvt_norm = fro(np.array([dec.P_plus[:, None] @ dvt, dvt]))
+    stationarity = (projected / np.maximum(1.0, dvt_norm)).max(axis=-1, initial=0.0)
 
-    null_compat_res = None
+    null_compat = [None] * len(rows)
     if null_povm is not None and len(null_povm) and dec.r_zero > 0:
-        y = dec.Y
-        blocks = y.conj().T @ dvt  # (p, r0, r+)
-        e00 = y.conj().T @ np.asarray(null_povm, dtype=complex) @ y  # (k, r0, r0)
-        prod = e00[:, None] @ blocks  # (k, p, r0, r+): pair (l, m) compares prod[:, l], prod[:, m]
+        y = dec.Y[:, None]
+        yh = y.conj().swapaxes(-1, -2)
+        blocks = yh @ dvt  # (R, p, r0, r+)
+        e00 = yh @ np.asarray(null_povm, dtype=complex) @ y  # (R, k, r0, r0)
+        # (R, k, p, r0, r+): pair (l, m) compares prod[..., l, :, :] and prod[..., m, :, :]
+        prod = e00[:, :, None] @ blocks[:, None]
         norms, b_norms = fro(prod), fro(blocks)
-        scale = np.maximum(1.0, fro(e00)[:, None, None] * np.maximum.outer(b_norms, b_norms))
-        lhs_small = norms[:, :, None] <= tol * scale
-        rhs_small = norms[:, None, :] <= tol * scale
+        outer = np.maximum(b_norms[:, :, None], b_norms[:, None, :])
+        scale = np.maximum(1.0, fro(e00)[..., None, None] * outer[:, None])
+        lhs_small = norms[..., :, None] <= tol * scale
+        rhs_small = norms[..., None, :] <= tol * scale
         # Re <prod_m, prod_l>, one BLAS dot product per pair as np.vdot takes it
         flat = prod.reshape(*norms.shape, 1, -1)
-        inner = (flat.conj()[:, None] @ flat.swapaxes(-1, -2)[:, :, None])[..., 0, 0].real
-        ratio = inner / np.where(rhs_small, 1.0, inner.diagonal(axis1=1, axis2=2)[:, None, :])
-        fit = fro(prod[:, :, None] - ratio[..., None, None] * prod[:, None, :]) / scale
-        res = np.where(rhs_small, np.where(lhs_small, 0.0, norms[:, :, None] / scale), fit)
-        null_compat_res = float(np.where(np.eye(p, dtype=bool), 0.0, res).max(initial=0.0))
+        inner = (flat.conj()[..., None, :, :, :]
+                 @ flat.swapaxes(-1, -2)[..., :, None, :, :])[..., 0, 0].real
+        ratio = inner / np.where(rhs_small, 1.0, inner.diagonal(axis1=-2, axis2=-1)[..., None, :])
+        fit = fro(prod[..., :, None, :, :]
+                  - ratio[..., None, None] * prod[..., None, :, :, :]) / scale
+        res = np.where(rhs_small, np.where(lhs_small, 0.0, norms[..., :, None] / scale), fit)
+        null_compat = np.where(np.eye(p, dtype=bool), 0.0, res).max(
+            axis=(-3, -2, -1), initial=0.0).tolist()
 
-    lpz = plus_null_blocks(dec, sp.drho)
-    ident = 2.0 * dv.conj().swapaxes(1, 2) @ dec.Y
+    lpz = plus_null_blocks(dec, drho)
+    ident = 2.0 * dv.conj().swapaxes(-1, -2) @ dec.Y[:, None]
     cross, lpz_norm, ident_norm = fro(np.array([lpz - ident, lpz, ident]))
-    cross_res = float((cross / np.maximum(1.0, lpz_norm + ident_norm)).max(initial=0.0))
+    cross_res = (cross / np.maximum(1.0, lpz_norm + ident_norm)).max(axis=-1, initial=0.0)
 
-    checked = (pde_res, cross_res, stationarity_res, null_compat_res)
-    status = "PASSED" if all(r <= tol for r in checked if r is not None) else "FAILED"
-    return Cond2PrimeResult(
-        status=status, path=path, pde_residual=pde_res, stationarity_residual=stationarity_res,
-        null_compat_residual=null_compat_res, cross_identity_residual=cross_res, tol=tol,
-        notes=notes)
+    for k, pde_r, cross_r, stat_r, null_r, zero in zip(
+            rows.tolist(), pde_res.tolist(), cross_res.tolist(), stationarity.tolist(),
+            null_compat, d_all_zero.tolist()):
+        stat_r = stat_r if zero else None
+        checked = (pde_r, cross_r, stat_r, null_r)
+        results[k] = Cond2PrimeResult(
+            status="PASSED" if all(r <= tol for r in checked if r is not None) else "FAILED",
+            path=zero_path if zero else witness.label, pde_residual=pde_r,
+            stationarity_residual=stat_r, null_compat_residual=null_r,
+            cross_identity_residual=cross_r, tol=tol, notes=list(notes))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -571,22 +662,55 @@ def evaluate_conditions(
     tol: Optional[float] = None,
     rng: np.random.Generator | None = None,
 ) -> ConditionReport:
-    """Run every saturability check and assemble the verdict (``tol`` must be finite and >= 0)."""
+    """Run every saturability check and assemble the verdict (``tol`` must be finite and >= 0).
+
+    This is :func:`condition_reports` at one point.
+    """
+    return condition_reports(sp, dec, slds, model=model, witness=witness, tol=tol, rngs=[rng])[0]
+
+
+def condition_reports(
+    sp: StateAtPoint,
+    dec: SupportDecomposition,
+    slds: SLDSet,
+    *,
+    model: Optional[StateModel] = None,
+    witness: Optional[Cond2PrimeWitness] = None,
+    tol: Optional[float] = None,
+    rngs=None,
+) -> list:
+    """The condition reports of one point, or of each point of a stack.
+
+    ``sp``, ``dec`` and ``slds`` hold one point, or a stack of points with
+    equal ``(r_plus, r_zero)`` (see :func:`~qcrbsat.model.split_support`).
+    The five pairwise checks and condition 2' run once on the stack; the W
+    search, its report and the verdict run per point, the W search of point
+    i drawing from ``rngs[i]`` (an iterable of generators, one per point;
+    None draws each from ``default_rng(0)``). Each report equals the one
+    :func:`evaluate_conditions` gives at that point. The first point that
+    fails a check raises the error it raises alone.
+    """
     tol = tol if tol is not None else sp.deriv_tol
     require_tolerance("cond_tol", tol)
-    sld_scale = max(nk.fro(full) for full in slds.full) if slds.n_params else 1.0
-    report = ConditionReport(
-        regime="pure" if dec.r_plus == 1 else ("full_rank" if dec.r_zero == 0 else "rank_deficient"),
-        full_comm=check_full_commutativity(slds, tol),
-        avg_comm=check_average_commutativity(sp.rho, slds, tol),
-        partial_comm=check_partial_commutativity(dec, slds, tol),
-        cond1=check_condition1(slds, tol),
-        cond3=check_condition3(slds, tol),
-        cond4=find_w_condition4(slds.Lpz, tol, rng=rng, scale_floor=sld_scale),
-        cond2prime=None,
-        tol=tol,
-    )
+    stacked = slds.full.ndim == 4
+    checks = _all_pair_checks(sp.rho, slds, tol)
+    lpz = slds.Lpz if stacked else slds.Lpz[None]
+    n_points = len(lpz)
+    full = slds.full if stacked else slds.full[None]
+    sld_scales = nk.fro_stack(full).max(axis=-1).tolist() if slds.n_params else [1.0] * n_points
+    rngs = rngs if rngs is not None else [None] * n_points
+    regime = "pure" if dec.r_plus == 1 else ("full_rank" if dec.r_zero == 0 else "rank_deficient")
+    reports = [
+        ConditionReport(
+            regime=regime, full_comm=full_c, avg_comm=avg, partial_comm=partial, cond1=c1,
+            cond3=c3, cond4=find_w_condition4(lpz_i, tol, rng=rng, scale_floor=scale),
+            cond2prime=None, tol=tol)
+        for (full_c, avg, partial, c1, c3), lpz_i, rng, scale in zip(checks, lpz, rngs, sld_scales)
+    ]
     if model is not None and sp.theta is not None:
-        report.cond2prime = verify_condition2prime(model, sp, witness, tol=max(tol, 1e-8))
-    report.verdict, report.reasoning = verdict(report, dec.r_plus, dec.r_zero)
-    return report
+        c2p = verify_condition2prime(model, sp, witness, tol=max(tol, 1e-8))
+        for report, result in zip(reports, c2p if stacked else [c2p]):
+            report.cond2prime = result
+    for report in reports:
+        report.verdict, report.reasoning = verdict(report, dec.r_plus, dec.r_zero)
+    return reports

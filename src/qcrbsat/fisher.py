@@ -103,11 +103,15 @@ def outcome_distribution(
     drho: np.ndarray,
     povm: POVM,
     dec: SupportDecomposition,
+    deriv_tol: float = 1e-8,
 ) -> MeasurementDistribution:
     """Probabilities p_k = tr(rho E_k) and derivatives tr(drho_l E_k).
 
     The support decomposition ``dec`` of rho gives the limiting information
-    of structurally null outcomes as well (see module docstring).
+    of structurally null outcomes as well (see module docstring). A null
+    outcome is singular when some ``|d_l p_k|`` exceeds ``deriv_tol`` times
+    ``||d_l rho||``: the derivative scheme's tolerance, the cut every other
+    layer judges derivatives at.
     A basis measurement is read through its basis (:mod:`basisform`); any
     other element by element.
     """
@@ -138,10 +142,10 @@ def outcome_distribution(
             defects=dp_defects, tol=sum_tol,
         )
 
-    deriv_tol = 1e-8 * d_norms
+    cut = deriv_tol * d_norms
     support_mask = probs > PROB_TOL
     singular = np.flatnonzero(
-        ~support_mask & np.any(np.abs(dprobs) > deriv_tol[:, None], axis=0)
+        ~support_mask & np.any(np.abs(dprobs) > cut[:, None], axis=0)
     ).tolist()
 
     lpz = plus_null_blocks(dec, drho)

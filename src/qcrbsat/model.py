@@ -8,10 +8,15 @@ a smooth isometry whose columns track the support eigenbasis.
 stack (what a likelihood reads); :func:`support_decomposition` splits
 the Hilbert space into the support (positive eigenvalues) and the null
 space, which is the coordinate system every downstream check works in.
+
+Each layer is one kernel on a stack of points: :func:`evaluate_points` and
+:func:`split_support` take a whole stack, and :func:`evaluate` and
+:func:`support_decomposition` are those kernels on a stack of one point.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -103,6 +108,18 @@ class StateModel:
     params: dict | None = None
 
 
+def _row(value, i, fields: tuple):
+    """``value`` with each of its array ``fields`` indexed by ``i``: point i of a
+    stack, or the sub-stack at an index array. Nothing is judged again, since
+    a row of a checked stack is checked; ``value`` holds nothing but its
+    dataclass fields."""
+    out = object.__new__(type(value))
+    state = value.__dict__
+    out.__dict__.update(state)
+    out.__dict__.update({name: state[name][i] for name in fields if state[name] is not None})
+    return out
+
+
 @dataclass
 class StateAtPoint:
     """The state, its parameter derivatives, and how they were obtained.
@@ -112,6 +129,11 @@ class StateAtPoint:
     ``(p, n, n)`` stack of Hermitian, traceless matrices, judged at the
     scheme's :func:`derivative_tol`. Both are stored hermitized; an invalid
     input raises :class:`InvalidStateError` (or :class:`TraceNotOneError`).
+
+    A stack of B points (what :func:`evaluate_points` returns) has one more
+    leading axis on every array: ``theta`` ``(B, p)``, ``rho`` ``(B, n, n)``
+    and ``drho`` ``(B, p, n, n)``, checked as one stack; the first failing
+    point raises the error it raises alone. :meth:`row` gives point i.
     """
 
     theta: Optional[np.ndarray]
@@ -123,17 +145,28 @@ class StateAtPoint:
     def __post_init__(self):
         rho = np.asarray(self.rho)
         n = rho.shape[-1] if rho.ndim else 0
-        self.rho = _validate_densities(_require_shape(rho, (), (n, n), InvalidStateError,
-                                                     "state")[None])[0]
-        self.drho = _validate_drho(self.drho, self.dim, derivative_tol(self.scheme))
+        lead = rho.shape[:1] if rho.ndim == 3 else ()
+        rho = _require_shape(rho, lead, (n, n), InvalidStateError, "state")
+        rho = _validate_densities(rho.reshape(-1, n, n))
+        drho = np.asarray(self.drho, dtype=complex)
+        if drho.shape[:len(lead)] != lead or drho.ndim != len(lead) + 3 \
+                or drho.shape[-2:] != (n, n):
+            raise InvalidStateError(f"derivatives have shape {drho.shape[len(lead):]}, "
+                                    f"expected (p, {n}, {n})")
+        drho = _validate_drho(drho.reshape(-1, *drho.shape[-3:]), derivative_tol(self.scheme))
+        self.rho, self.drho = (rho, drho) if lead else (rho[0], drho[0])
 
     @property
     def dim(self) -> int:
-        return self.rho.shape[0]
+        return self.rho.shape[-1]
 
     @property
     def n_params(self) -> int:
-        return self.drho.shape[0]
+        return self.drho.shape[-3]
+
+    def row(self, i) -> "StateAtPoint":
+        """Point ``i`` of a stack (an index array gives a sub-stack)."""
+        return _row(self, i, ("theta", "rho", "drho"))
 
     @property
     def deriv_tol(self) -> float:
@@ -152,7 +185,10 @@ class SupportDecomposition:
 
     ``V`` (n x r_plus) holds the support eigenvectors with eigenvalues ``q``
     (ascending), ``Y`` (n x r_zero) an orthonormal basis of the null space.
-    Operators are expressed in this split as ++, +0, 0+, 00 blocks.
+    Operators are expressed in this split as ++, +0, 0+, 00 blocks. The
+    split of a stack of points with equal ``(r_plus, r_zero)`` (see
+    :func:`split_support`) has one more leading axis on every array, and
+    :meth:`row` gives point i.
     """
 
     q: np.ndarray
@@ -161,6 +197,10 @@ class SupportDecomposition:
     P_plus: np.ndarray
     r_plus: int
     r_zero: int
+
+    def row(self, i) -> "SupportDecomposition":
+        """Point ``i`` of a stack (an index array gives a sub-stack)."""
+        return _row(self, i, ("q", "V", "Y", "P_plus"))
 
 
 def _require_shape(values, lead: tuple, shape: tuple, error: type, what: str) -> np.ndarray:
@@ -189,19 +229,25 @@ def values_at(fn, points: np.ndarray, shape: Optional[tuple], error: type = Inva
               what: str = "state") -> np.ndarray:
     """``fn(points)`` from one call, as a complex ``points.shape[:-1] + shape`` array.
 
-    ``points`` is one ``(p,)`` point or a ``(..., p)`` stack of them. A map that
-    fails on the stack with a bare numpy error (``ValueError``, ``IndexError``,
-    ``TypeError``), or returns another shape, raises ``error`` naming it;
-    ``shape=None`` leaves the shape to the caller.
+    ``points`` is one ``(p,)`` point or a ``(..., p)`` stack of them; a ``(1, p)``
+    stack is handed to the map as its one point, so a single point reaches a
+    map the same way whether or not it comes as a stack. A map that fails with
+    a bare numpy error (``ValueError``, ``IndexError``, ``TypeError``), or
+    returns another shape, raises ``error`` naming it; ``shape=None`` leaves
+    the shape to the caller.
     """
+    one = points.ndim == 2 and len(points) == 1
+    arg = points[0] if one else points
     try:
-        values = fn(points)
+        values = fn(arg)
     except (ValueError, IndexError, TypeError) as exc:
-        raise error(f"{what} map failed on points of shape {points.shape} ({exc}): the map "
+        raise error(f"{what} map failed on points of shape {arg.shape} ({exc}): the map "
                     "must broadcast over the leading axes of theta") from exc
     if shape is None:
-        return np.asarray(values, dtype=complex)
-    return _require_shape(values, points.shape[:-1], shape, error, what)
+        values = np.asarray(values, dtype=complex)
+    else:
+        values = _require_shape(values, arg.shape[:-1], shape, error, what)
+    return values[None] if one else values
 
 
 def _validate_densities(rho: np.ndarray) -> np.ndarray:
@@ -241,62 +287,78 @@ def _validate_densities(rho: np.ndarray) -> np.ndarray:
     return herm
 
 
-def _validate_drho(drho, dim: int, tol: float) -> np.ndarray:
-    """The hermitized (p, n, n) derivatives, ``n = dim``; each must be finite, and
-    its Hermitian defect and trace are judged against ``tol * ||d_l rho||``, for
-    the whole stack at once."""
-    drho = np.asarray(drho, dtype=complex)
-    if drho.ndim != 3 or drho.shape[1:] != (dim, dim):
-        raise InvalidStateError(f"derivatives have shape {drho.shape}, expected (p, {dim}, {dim})")
-    finite = np.isfinite(drho).all(axis=(1, 2))
+def _validate_drho(drho: np.ndarray, tol: float) -> np.ndarray:
+    """The hermitized (B, p, n, n) derivatives of a stack of points, each judged as
+    :func:`_validate_densities` judges the states: every ``d_l rho`` must be
+    finite, and its Hermitian defect and trace are judged against
+    ``tol * ||d_l rho||``. The first failing point raises for its first
+    failing derivative."""
+    finite = np.isfinite(drho).all(axis=(-2, -1))
     if not finite.all():
-        drho = np.where(finite[:, None, None], drho, 0.0)  # the finite ones are judged below
-    adj = drho.conj().swapaxes(1, 2)
+        drho = np.where(finite[..., None, None], drho, 0.0)  # the finite ones are judged below
+    adj = drho.conj().swapaxes(-1, -2)
     bound = tol * nk.fro_stack(drho)
     defect = nk.fro_stack(drho - adj)
     herm = (drho + adj) / 2.0
-    trace = np.abs(herm.trace(axis1=1, axis2=2))
+    trace = np.abs(herm.trace(axis1=-2, axis2=-1))
     not_herm = defect > bound
     bad = ~finite | not_herm | (trace > bound)
     if bad.any():
-        l = int(bad.argmax())
-        if not finite[l]:
+        k, l = np.unravel_index(int(bad.argmax()), bad.shape)
+        if not finite[k, l]:
             raise InvalidStateError(f"derivative {l} has non-finite entries")
-        if not_herm[l]:
+        if not_herm[k, l]:
             raise InvalidStateError(
-                f"derivative {l} is not Hermitian to tolerance", defect=float(defect[l])
+                f"derivative {l} is not Hermitian to tolerance", defect=float(defect[k, l])
             )
         raise InvalidStateError(
-            f"derivative {l} is not traceless: |tr| = {trace[l]:.3e}", trace=float(trace[l])
+            f"derivative {l} is not traceless: |tr| = {trace[k, l]:.3e}", trace=float(trace[k, l])
         )
     return herm
 
 
-def stencil(model: StateModel, fn, theta: np.ndarray, h: float, shape: tuple,
-            error: type = InvalidStateError, what: str = "state") -> tuple:
-    """The ``(p, *shape)`` stacks of ``fn(theta + h e_l)`` and of ``fn(theta - h e_l)``,
-    l = 0..p-1, each from one call of ``fn`` on the ``(p, p)`` stack of points.
+def _first(theta: np.ndarray, bad: np.ndarray) -> np.ndarray:
+    """The first point of the stack ``theta`` whose flag in ``bad`` is set."""
+    return theta.reshape(-1, theta.shape[-1])[bad.argmax()]
 
-    ``fn`` is a map on the parameters of ``model`` that broadcasts over the
-    leading axes of theta (see :func:`values_at`, which checks what it returns
-    and raises ``error`` otherwise). Before any call, ``h`` must be a finite
-    positive step that moves every parameter both ways (``theta_l +/- h``
-    differs from ``theta_l`` in floating point), and every stencil point must
-    lie inside the open domain of ``model``; otherwise :class:`DomainError`
-    is raised.
+
+def stencil(model: StateModel, fn, theta: np.ndarray, h, shape: tuple,
+            error: type = InvalidStateError, what: str = "state") -> tuple:
+    """The stacks of ``fn(theta + s e_l)`` and of ``fn(theta - s e_l)``, l = 0..p-1,
+    for every step ``s`` of ``h``, from one call of ``fn`` on all of their points.
+
+    ``theta`` is one ``(p,)`` point or a ``(..., p)`` stack of them and ``h`` one
+    step or an array of steps; each returned stack has shape
+    ``h.shape + theta.shape[:-1] + (p,) + shape``. ``fn`` is a map on the
+    parameters of ``model`` that broadcasts over the leading axes of theta
+    (see :func:`values_at`, which checks what it returns and raises ``error``
+    otherwise). Before the call, step by step, each ``s`` must be a finite
+    positive number that moves every parameter of every point both ways
+    (``theta_l +/- s`` differs from ``theta_l`` in floating point), and every
+    stencil point must lie inside the open domain of ``model``; otherwise
+    :class:`DomainError` is raised for the first failing point.
     """
-    if not (np.isfinite(h) and h > 0):
-        raise DomainError(f"finite-difference step must be a finite positive number, got {h}")
-    if ((theta + h == theta) | (theta - h == theta)).any():
-        raise DomainError(f"finite-difference step {h:g} does not move theta {theta.tolist()}: "
-                          "theta +/- h rounds to theta", theta=theta, step=h)
-    if not ((theta > model.domain.lo + h) & (theta < model.domain.hi - h)).all():
-        raise DomainError(
-            f"theta {theta.tolist()} +/- {h} leaves the domain of {model.name}", theta=theta
-        )
-    steps = h * np.eye(len(theta))
-    return (values_at(fn, theta + steps, shape, error, what),
-            values_at(fn, theta - steps, shape, error, what))
+    theta = np.asarray(theta, dtype=float)
+    steps = np.asarray(h, dtype=float)
+    for s in steps.reshape(-1).tolist():
+        if not (math.isfinite(s) and s > 0):
+            raise DomainError(f"finite-difference step must be a finite positive number, got {s}")
+        still = (theta + s == theta) | (theta - s == theta)
+        if still.any():
+            t = _first(theta, still.reshape(-1, theta.shape[-1]).any(axis=1))
+            raise DomainError(f"finite-difference step {s:g} does not move theta {t.tolist()}: "
+                              "theta +/- h rounds to theta", theta=t, step=s)
+        inside = (theta > model.domain.lo + s) & (theta < model.domain.hi - s)
+        if not inside.all():
+            t = _first(theta, ~inside.reshape(-1, theta.shape[-1]).all(axis=1))
+            raise DomainError(f"theta {t.tolist()} +/- {s} leaves the domain of {model.name}",
+                              theta=t)
+    p = theta.shape[-1]
+    offsets = (steps[..., None, None] * np.eye(p)).reshape(
+        steps.shape + (1,) * (theta.ndim - 1) + (p, p))
+    base = theta[..., None, :]
+    values = values_at(fn, np.array([base + offsets, base - offsets]), shape, error, what)
+    return values[0], values[1]
 
 
 def _check_points(model: StateModel, theta) -> np.ndarray:
@@ -338,6 +400,52 @@ def state_at(model: StateModel, theta) -> np.ndarray:
     return rho if theta.ndim == 2 else rho[0]
 
 
+def _evaluate_stack(model: StateModel, thetas: np.ndarray, scheme: str, h: float) -> StateAtPoint:
+    """The state points at a checked (B, p) stack of points (see :func:`evaluate_points`)."""
+    if scheme == "auto":
+        scheme = "analytic" if model.derivative_fn is not None else "central_fd"
+    if scheme == "analytic" and model.derivative_fn is None:
+        raise DomainError(f"model {model.name} has no analytic derivatives")
+    if scheme not in ("analytic", "central_fd", "richardson"):
+        raise DomainError(f"unknown derivative scheme {scheme!r}")
+
+    n = model.dim
+    rho = values_at(model.state_fn, thetas, (n, n))
+    if scheme == "analytic":
+        drho = values_at(model.derivative_fn, thetas, (model.n_params, n, n), what="derivative")
+    else:
+        steps = np.array([h] if scheme == "central_fd" else [h, h / 2.0])
+        plus, minus = stencil(model, model.state_fn, thetas, steps, (n, n))
+        central = nk.hermitize((plus - minus) / (2.0 * steps)[:, None, None, None, None])
+        drho = central[0] if scheme == "central_fd" else (4.0 * central[1] - central[0]) / 3.0
+
+    return StateAtPoint(
+        theta=thetas,
+        rho=rho,
+        drho=drho,
+        scheme=scheme,
+        fd_step=None if scheme == "analytic" else h,
+    )
+
+
+def evaluate_points(
+    model: StateModel,
+    thetas,
+    scheme: str = "auto",
+    h: float = DEFAULT_FD_STEP,
+) -> StateAtPoint:
+    """The state points at a (B, p) stack of points, as one stacked :class:`StateAtPoint`.
+
+    Row i equals ``evaluate(model, thetas[i], scheme, h)`` bit for bit. Each
+    map runs once on the stack: ``state_fn`` and ``derivative_fn``, or one
+    :func:`stencil` of ``state_fn`` that holds every finite-difference point
+    (both steps of "richardson"); the states and derivatives are checked as
+    one stack. The first point that fails a check raises the error it raises
+    alone.
+    """
+    return _evaluate_stack(model, _check_points(model, thetas), scheme, h)
+
+
 def evaluate(
     model: StateModel,
     theta,
@@ -355,83 +463,113 @@ def evaluate(
     take every central difference
     ``(rho(theta + h e_l) - rho(theta - h e_l)) / 2h`` from one
     :func:`stencil`, which first checks the step and that ``theta +/- h``
-    stays inside the open domain; "richardson" combines the stencils at
-    ``h`` and ``h / 2`` into ``(4 D(h/2) - D(h)) / 3``. The state and its
-    derivatives are validated where the returned :class:`StateAtPoint` is made.
+    stays inside the open domain; "richardson" takes the steps ``h`` and
+    ``h / 2`` in that one stencil and combines them into
+    ``(4 D(h/2) - D(h)) / 3``. The state and its derivatives are validated
+    where the returned :class:`StateAtPoint` is made. This is
+    :func:`evaluate_points` on a stack of one point.
     """
-    theta = _check_points(model, theta)[0]
-
-    if scheme == "auto":
-        scheme = "analytic" if model.derivative_fn is not None else "central_fd"
-    if scheme == "analytic" and model.derivative_fn is None:
-        raise DomainError(f"model {model.name} has no analytic derivatives")
-    if scheme not in ("analytic", "central_fd", "richardson"):
-        raise DomainError(f"unknown derivative scheme {scheme!r}")
-
-    n = model.dim
-    rho = values_at(model.state_fn, theta, (n, n))
-    if scheme == "analytic":
-        drho = values_at(model.derivative_fn, theta, (model.n_params, n, n), what="derivative")
-    else:
-        def central(step):
-            plus, minus = stencil(model, model.state_fn, theta, step, (n, n))
-            return nk.hermitize((plus - minus) / (2.0 * step))
-
-        drho = central(h)
-        if scheme == "richardson":
-            drho = (4.0 * central(h / 2.0) - drho) / 3.0
-
-    return StateAtPoint(
-        theta=theta,
-        rho=rho,
-        drho=drho,
-        scheme=scheme,
-        fd_step=None if scheme == "analytic" else h,
-    )
+    return _evaluate_stack(model, _check_points(model, theta)[:1], scheme, h).row(0)
 
 
 def fix_phases(m: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-modulus entry is real positive."""
+    """Rotate each column so its largest-modulus entry is real positive.
+
+    ``m`` is one matrix or a stack of them. Each phase ``|z| / z`` is taken in
+    numpy's complex scalar arithmetic, one column at a time: the array
+    division and modulus round differently, and the rotated columns feed
+    every later bit of the split.
+    """
     m = np.array(m, dtype=complex)
-    for j in range(m.shape[1]):
-        col = m[:, j]
-        i = int(np.argmax(np.abs(col)))
-        z = col[i]
-        if abs(z) > 0:
-            m[:, j] = col * (abs(z) / z)
-    return m
+    if not m.size:
+        return m
+    stack = m.reshape(-1, *m.shape[-2:])
+    k, r = len(stack), m.shape[-1]
+    top = stack[np.arange(k)[:, None], np.abs(stack).argmax(axis=-2), np.arange(r)]
+    phase = np.array([abs(z) / z if abs(z) > 0 else 1.0 for z in top.reshape(-1)], dtype=complex)
+    return m * phase.reshape(*m.shape[:-2], 1, r)
 
 
-def _split(sp: StateAtPoint, q, V, Y) -> SupportDecomposition:
-    """The decomposition with support basis V and null basis Y, after checking
-    that every derivative vanishes on the null block (the rank is locally constant)."""
-    _check_fixed_rank(sp, Y)
+def _columns(m: np.ndarray) -> np.ndarray:
+    """Phase-fixed columns of each matrix of a stack (see :func:`fix_phases`),
+    each matrix stored column by column, as numpy stores the columns it picks
+    from a matrix by a mask: the products downstream read that layout, and
+    their bits depend on it."""
+    return fix_phases(np.ascontiguousarray(m.swapaxes(-1, -2)).swapaxes(-1, -2))
+
+
+def _split(drho, tol: float, q, V, Y) -> SupportDecomposition:
+    """The decompositions of a stack with support bases V and null bases Y, after
+    checking that every derivative vanishes on the null block (the rank is
+    locally constant), at the scheme tolerance ``tol``."""
+    _check_fixed_rank(drho, Y, tol)
     return SupportDecomposition(
         q=q,
         V=V,
         Y=Y,
-        P_plus=nk.hermitize(V @ V.conj().T),
-        r_plus=V.shape[1],
-        r_zero=Y.shape[1],
+        P_plus=nk.hermitize(V @ V.conj().swapaxes(-1, -2)),
+        r_plus=V.shape[-1],
+        r_zero=Y.shape[-1],
     )
 
 
-def _check_fixed_rank(sp: StateAtPoint, Y: np.ndarray) -> None:
-    """Refuse a derivative whose null block ``Y^dag d_l rho Y`` exceeds the scheme's
-    tolerance times ``||d_l rho||``; the blocks of all parameters form one stack."""
-    tol = sp.deriv_tol
-    residual = nk.fro_stack(Y.conj().T @ sp.drho @ Y)
-    scale = nk.fro_stack(sp.drho)
+def _check_fixed_rank(drho: np.ndarray, Y: np.ndarray, tol: float) -> None:
+    """Refuse a derivative whose null block ``Y^dag d_l rho Y`` exceeds ``tol``
+    times ``||d_l rho||``; the blocks of all points and parameters form one stack."""
+    residual = nk.fro_stack(Y.conj().swapaxes(-1, -2)[:, None] @ drho @ Y[:, None])
+    scale = nk.fro_stack(drho)
     bad = residual > tol * scale
     if bad.any():
-        l = int(bad.argmax())
+        k, l = np.unravel_index(int(bad.argmax()), bad.shape)
         raise RankNotLocallyConstantError(
             f"null-block of derivative {l} is nonzero "
-            f"({residual[l]:.3e} > {tol:.1e} * {scale[l]:.3e}); "
+            f"({residual[k, l]:.3e} > {tol:.1e} * {scale[k, l]:.3e}); "
             "the rank of the family is not locally constant at this point",
-            param=l,
-            residual=float(residual[l]),
+            param=int(l),
+            residual=float(residual[k, l]),
         )
+
+
+def split_support(rho: np.ndarray, drho: np.ndarray, deriv_tol: float,
+                  rank_tol: float = DEFAULT_RANK_TOL) -> list:
+    """The support split of a (B, n, n) stack of states with (B, p, n, n) derivatives.
+
+    One stacked ``eigh`` diagonalizes every state, and the points are grouped
+    by ``(r_plus, r_zero)``: returns a list of ``(rows, dec)``, ``rows`` the
+    ascending indices of a group's points and ``dec`` their stacked
+    :class:`SupportDecomposition`, whose row i equals
+    ``support_decomposition`` at point ``rows[i]`` bit for bit. The first
+    point that fails a check raises the error it raises alone (see
+    :func:`support_decomposition`).
+    """
+    require_tolerance("rank_tol", rank_tol)
+    w, vecs = np.linalg.eigh(rho)
+    cut = rank_tol * w[:, -1]
+    # eigenvalues ascend, so the null space takes the first r0 columns and the support the last r+
+    n = rho.shape[-1]
+    r0 = (w <= cut[:, None]).sum(axis=1)
+    rp = (w >= AMBIGUITY_FACTOR * cut[:, None]).sum(axis=1)
+    if (r0 + rp < n).any():
+        k = int((r0 + rp < n).argmax())
+        c = float(cut[k])
+        amb = w[k][r0[k]:n - rp[k]]
+        raise RankAmbiguousError(
+            "eigenvalue(s) inside the rank ambiguity band "
+            f"({c:.3e}, {AMBIGUITY_FACTOR * c:.3e}): {amb.tolist()}",
+            eigenvalues=amb,
+            band=[c, AMBIGUITY_FACTOR * c],
+        )
+
+    keys = r0 * (n + 1) + rp
+    groups = []
+    for key in [int(keys[0])] if (keys == keys[0]).all() else np.unique(keys).tolist():
+        rows = np.flatnonzero(keys == key)
+        z, r = divmod(key, n + 1)
+        w_g, vecs_g, drho_g = (w, vecs, drho) if len(rows) == len(keys) else (
+            w[rows], vecs[rows], drho[rows])
+        V, Y = _columns(vecs_g[..., n - r:]), _columns(vecs_g[..., :z])
+        groups.append((rows, _split(drho_g, deriv_tol, w_g[:, n - r:], V, Y)))
+    return groups
 
 
 def support_decomposition(sp: StateAtPoint, rank_tol: float = DEFAULT_RANK_TOL) -> SupportDecomposition:
@@ -444,26 +582,48 @@ def support_decomposition(sp: StateAtPoint, rank_tol: float = DEFAULT_RANK_TOL) 
     every parameter. ``sp.rho`` is diagonalized as stored: a
     :class:`StateAtPoint` is a validated, hermitized state, so nothing here
     judges it again. A non-finite or negative ``rank_tol`` raises
-    ``InvalidToleranceError``.
+    ``InvalidToleranceError``. This is :func:`split_support` on a stack of
+    one point.
     """
-    require_tolerance("rank_tol", rank_tol)
-    w, q_vecs = np.linalg.eigh(sp.rho)
-    lam_max = float(w[-1])
-    cut = rank_tol * lam_max
-    null_mask = w <= cut
-    support_mask = w >= AMBIGUITY_FACTOR * cut
-    amb = ~(null_mask | support_mask)
-    if np.any(amb):
-        raise RankAmbiguousError(
-            "eigenvalue(s) inside the rank ambiguity band "
-            f"({cut:.3e}, {AMBIGUITY_FACTOR * cut:.3e}): {w[amb].tolist()}",
-            eigenvalues=w[amb],
-            band=[cut, AMBIGUITY_FACTOR * cut],
-        )
+    (_, dec), = split_support(sp.rho[None], sp.drho[None], sp.deriv_tol, rank_tol)
+    return dec.row(0)
 
-    V = fix_phases(q_vecs[:, support_mask])
-    Y = fix_phases(q_vecs[:, null_mask])
-    return _split(sp, np.asarray(w[support_mask], dtype=float), V, Y)
+
+def _basis_split(rho, drho, deriv_tol: float, V, rank_tol: float) -> SupportDecomposition:
+    """:func:`decomposition_from_basis` for a (B, n, n) stack of states and a
+    (B, n, r) stack of bases, checked as one stack: the first failing point
+    raises the error it raises alone."""
+    V = np.asarray(V, dtype=complex)
+    B, n = rho.shape[:2]
+    if V.ndim != 3 or V.shape[0] != B or V.shape[1] != n or V.shape[2] > n:
+        raise InvalidStateError(f"basis has shape {V.shape[1:]}, expected ({n}, r<= {n})")
+    r = V.shape[-1]
+    vh = V.conj().swapaxes(-1, -2)
+    m = vh @ rho @ V
+    q = np.diagonal(m, axis1=-2, axis2=-1).real.copy()
+    diag = np.zeros(m.shape)
+    diag[:, np.arange(r), np.arange(r)] = q
+    defect, off = nk.fro_stack(np.array([vh @ V - np.eye(r), m - diag]))
+    if (defect > 1e-10 * max(1.0, r)).any():
+        raise InvalidStateError("support basis is not an isometry")
+    rho_scale = 1e-8 * np.maximum(1.0, nk.fro_stack(rho))
+    bad = off > rho_scale
+    if bad.any():
+        k = int(bad.argmax())
+        raise InvalidStateError(
+            f"supplied basis does not diagonalize the state (residual {off[k]:.3e})",
+            residual=float(off[k]),
+        )
+    nulls = (q <= rank_tol * q.max(axis=-1, initial=-np.inf)[:, None]).any(axis=-1)
+    if nulls.any():
+        raise InvalidStateError("supplied basis includes null directions", q=q[nulls.argmax()])
+
+    # the completion I - V V^dag is a projector: its eigenvalues near 1 (above 0.5) come last
+    _, vecs = np.linalg.eigh(nk.hermitize(np.eye(n) - V @ vh))
+    Y = _columns(vecs[..., r:])
+    if (nk.fro_stack(rho @ Y) > rho_scale).any():
+        raise InvalidStateError("completed null basis is not annihilated by the state")
+    return _split(drho, deriv_tol, q, V, Y)
 
 
 def decomposition_from_basis(
@@ -479,31 +639,7 @@ def decomposition_from_basis(
     completed orthonormally.
     """
     V = np.asarray(V, dtype=complex)
-    n = sp.dim
-    if V.ndim != 2 or V.shape[0] != n or V.shape[1] > n:
-        raise InvalidStateError(f"basis has shape {V.shape}, expected ({n}, r<= {n})")
-    gram = V.conj().T @ V
-    if nk.fro(gram - np.eye(V.shape[1])) > 1e-10 * max(1.0, V.shape[1]):
-        raise InvalidStateError("support basis is not an isometry")
-
-    m = V.conj().T @ sp.rho @ V
-    q = np.diag(m).real.copy()
-    off = nk.fro(m - np.diag(q))
-    if off > 1e-8 * max(1.0, nk.fro(sp.rho)):
-        raise InvalidStateError(
-            f"supplied basis does not diagonalize the state (residual {off:.3e})",
-            residual=off,
-        )
-    lam_max = float(np.max(q))
-    if np.any(q <= rank_tol * lam_max):
-        raise InvalidStateError("supplied basis includes null directions", q=q)
-
-    comp = np.eye(n) - V @ V.conj().T
-    w, vecs = np.linalg.eigh(nk.hermitize(comp))
-    Y = fix_phases(vecs[:, w > 0.5])
-    if nk.fro(sp.rho @ Y) > 1e-8 * max(1.0, nk.fro(sp.rho)):
-        raise InvalidStateError("completed null basis is not annihilated by the state")
-    return _split(sp, q, V, Y)
+    return _basis_split(sp.rho[None], sp.drho[None], sp.deriv_tol, V[None], rank_tol).row(0)
 
 
 # ---------------------------------------------------------------------------

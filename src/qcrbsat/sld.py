@@ -22,7 +22,7 @@ per-parameter scales that every pairwise check divides by.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 
 import numpy as np
@@ -39,9 +39,10 @@ class SLDInconsistentError(QcrbSatError):
 def _assemble(lpp: np.ndarray, lpz: np.ndarray, dec: SupportDecomposition) -> np.ndarray:
     """Full-space observables ``V Lpp V^dag + V Lpz Y^dag + Y Lpz^dag V^dag`` of
     stacked ++ and +0 blocks, hermitized; their 00 block is zero."""
-    v, y = dec.V, dec.Y
-    vh = v.conj().T
-    return nk.hermitize(v @ lpp @ vh + v @ lpz @ y.conj().T + y @ lpz.conj().swapaxes(-1, -2) @ vh)
+    v, y = dec.V[..., None, :, :], dec.Y[..., None, :, :]
+    vh = v.conj().swapaxes(-1, -2)
+    return nk.hermitize(v @ lpp @ vh + v @ lpz @ y.conj().swapaxes(-1, -2)
+                        + y @ lpz.conj().swapaxes(-1, -2) @ vh)
 
 
 def pairs(p: int):
@@ -49,9 +50,19 @@ def pairs(p: int):
     return combinations(range(p), 2)
 
 
+@cache
+def pair_index(p: int) -> tuple:
+    """The arrays of the first and of the second parameter of every pair, in :func:`pairs` order."""
+    ls, ms = np.triu_indices(p, 1)
+    ls.flags.writeable = ms.flags.writeable = False  # shared by every caller
+    return ls, ms
+
+
 def plus_null_blocks(dec: SupportDecomposition, drho) -> np.ndarray:
     """The +0 SLD blocks ``2 diag(q)^-1 V^dag (d rho) Y``, one per derivative."""
-    return 2.0 * (dec.V.conj().T @ np.asarray(drho, dtype=complex) @ dec.Y) / dec.q[:, None]
+    vh = dec.V.conj().swapaxes(-1, -2)[..., None, :, :]
+    d = np.asarray(drho, dtype=complex)
+    return 2.0 * (vh @ d @ dec.Y[..., None, :, :]) / dec.q[..., None, :, None]
 
 
 @dataclass(frozen=True)
@@ -61,7 +72,9 @@ class SLDSet:
     ``Lpp`` and ``Lpz`` stack the ++ and +0 blocks and ``full`` the
     full-space observables, whose 00 blocks are zero: complex arrays of shape
     ``(p, r+, r+)``, ``(p, r+, r0)`` and ``(p, n, n)``, indexed by parameter
-    first.
+    first. The SLDs of a stack of points (what :func:`compute_sld` returns
+    for a stacked split) have one more leading axis on every array, and so
+    does every quantity read off them.
     """
 
     Lpp: np.ndarray  # ++ blocks
@@ -70,20 +83,21 @@ class SLDSet:
 
     @property
     def n_params(self) -> int:
-        return len(self.full)
+        return self.full.shape[-3]
 
     @cached_property
     def commutators(self) -> np.ndarray:
         """``[L_l, L_m]`` of the full-space observables, stacked in :func:`pairs` order."""
-        f, n = self.full, self.full.shape[-1]
-        comms = [f[l] @ f[m] - f[m] @ f[l] for l, m in pairs(self.n_params)]
-        return np.array(comms).reshape(len(comms), n, n)
+        ls, ms = pair_index(self.n_params)
+        f_l, f_m = self.full[..., ls, :, :], self.full[..., ms, :, :]
+        return f_l @ f_m - f_m @ f_l
 
     @cached_property
     def pair_products(self) -> tuple:
         """``(A, B)`` with ``A[j, k] = Lpp_j Lpp_k`` and ``B[j, k] = Lpz_j Lpz_k^dag``."""
         lpp, lpz = self.Lpp, self.Lpz
-        return lpp[:, None] @ lpp[None, :], lpz[:, None] @ lpz.conj().swapaxes(-1, -2)[None, :]
+        return (lpp[..., :, None, :, :] @ lpp[..., None, :, :, :],
+                lpz[..., :, None, :, :] @ lpz.conj().swapaxes(-1, -2)[..., None, :, :, :])
 
     @cached_property
     def scales(self) -> np.ndarray:
@@ -103,27 +117,34 @@ def compute_sld(
     Raises :class:`SLDInconsistentError` when the assembled observable does
     not reproduce the derivative to ``sld_tol`` relative to ``||d_l rho||``
     (a vanishing derivative has a vanishing SLD and residual 0); that
-    typically signals bad derivatives or a misdetected rank.
+    typically signals bad derivatives or a misdetected rank. A stacked split
+    (see :func:`~qcrbsat.model.split_support`) with its ``(B, p, n, n)``
+    derivatives gives the stacked SLDs, row i equal to the single-point solve
+    bit for bit; the first failing point raises the error it raises alone.
     """
     q = dec.q
-    v = dec.V
+    v = dec.V[..., None, :, :]
+    vh = v.conj().swapaxes(-1, -2)
     d = np.asarray(drho, dtype=complex)
-    lpp = nk.hermitize(2.0 * (v.conj().T @ d @ v) / (q[:, None] + q[None, :]))
+    lpp = nk.hermitize(2.0 * (vh @ d @ v) / (q[..., :, None] + q[..., None, :])[..., None, :, :])
     lpz = plus_null_blocks(dec, d)
     full = _assemble(lpp, lpz, dec)
 
-    rho = v @ np.diag(q).astype(complex) @ v.conj().T
+    diag = np.zeros(q.shape + q.shape[-1:], dtype=complex)
+    diag[..., np.arange(q.shape[-1]), np.arange(q.shape[-1])] = q
+    rho = (dec.V @ diag @ dec.V.conj().swapaxes(-1, -2))[..., None, :, :]
     defect = (full @ rho + rho @ full) / 2.0 - d
-    scales = np.linalg.norm(d, axis=(1, 2))
-    residuals = np.linalg.norm(defect, axis=(1, 2)) / np.where(scales > 0, scales, 1.0)
-    bad = np.flatnonzero(residuals > sld_tol)
-    if bad.size:
-        l = int(bad[0])
+    scales = np.linalg.norm(d, axis=(-2, -1))
+    residuals = np.linalg.norm(defect, axis=(-2, -1)) / np.where(scales > 0, scales, 1.0)
+    bad = residuals > sld_tol
+    if bad.any():
+        l = int(bad.argmax()) % residuals.shape[-1]
+        r = float(residuals.reshape(-1)[bad.argmax()])
         raise SLDInconsistentError(
             f"SLD defining equation violated for parameter {l}: "
-            f"residual {residuals[l]:.3e} > {sld_tol:.1e}",
+            f"residual {r:.3e} > {sld_tol:.1e}",
             param=l,
-            residual=float(residuals[l]),
+            residual=r,
         )
     return SLDSet(Lpp=lpp, Lpz=lpz, full=full)
 
@@ -133,9 +154,11 @@ def qfim(dec: SupportDecomposition, slds: SLDSet) -> np.ndarray:
 
     Read off the pair products, ``F_jk = Re sum_i q_i (A_jk + B_jk)_ii``;
     only the support rows enter because rho vanishes outside the support.
-    The entries j <= k are mirrored below the diagonal.
+    The entries j <= k are mirrored below the diagonal. A stack of points
+    gives the ``(B, p, p)`` stack of matrices.
     """
     a, b = slds.pair_products
     diag = np.diagonal(a, axis1=-2, axis2=-1) + np.diagonal(b, axis1=-2, axis2=-1)
-    f = np.sum(dec.q * diag.real, axis=-1)
-    return np.where(np.triu(np.ones(f.shape, dtype=bool)), f, f.T)
+    f = np.sum(dec.q[..., None, None, :] * diag.real, axis=-1)
+    upper = np.triu(np.ones(f.shape[-2:], dtype=bool))
+    return np.where(upper, f, f.swapaxes(-1, -2))

@@ -222,14 +222,44 @@ class TestSweep:
         assert len(errors) == 1 and errors[0]["theta"][0] == 0.0
         assert len(good) == 1
 
-    def test_single_point_grid_matches_analyze(self, capsys):
-        code, rep = run(capsys, "sweep", "--model", "paper-qutrit",
-                        "--params", "d=0.6,c1=1,c2=0.7", "--grid", "0.3:0.3:1,0.5:0.5:1")
+    @staticmethod
+    def _entries_are_analyze_reports(capsys, base, grid):
+        """Each sweep entry is the `analyze` report at its point, or the error it raises."""
+        code, rep = run(capsys, "sweep", *base, "--grid", grid)
         assert code == 0
-        point = rep["sweep"][0]
-        code2, direct = run(capsys, "analyze", *QUTRIT)
-        assert point["verdict"] == direct["verdict"]
-        assert point["qfim"] == direct["qfim"]
+        axes = [np.linspace(*map(float, ax.split(":")[:2]), int(ax.split(":")[2]))
+                for ax in grid.split(",")]
+        thetas = [(float(a), float(b)) for a in axes[0] for b in axes[1]]
+        assert len(rep["sweep"]) == len(thetas)
+        for (a, b), entry in zip(thetas, rep["sweep"]):
+            code, direct = run(capsys, "analyze", *base, "--theta", f"{a!r},{b!r}")
+            if code:
+                assert entry == {"theta": [a, b], "error": direct["error"]}
+            else:
+                assert entry == direct
+        return rep["sweep"]
+
+    @pytest.mark.parametrize("scheme", ["analytic", "central_fd", "richardson"])
+    def test_entries_are_the_analyze_reports(self, capsys, scheme):
+        base = ["--model", "qutrit-phase-mixture", "--params", "d=0.3+0.4j,c1=1,c2=0.7",
+                "--scheme", scheme]
+        entries = self._entries_are_analyze_reports(capsys, base, "0.1:0.8:4,0.2:0.9:3")
+        assert all(e["verdict"] == "SATURABLE_CERTIFIED" for e in entries)
+
+    def test_error_entries_are_the_analyze_errors(self, capsys):
+        # theta_1 = 0 lies on the edge of the domain: those points fail alone, the rest certify
+        base = ["--model", "qutrit-phase-mixture", "--params", "d=0.6,c1=1,c2=0.7"]
+        entries = self._entries_are_analyze_reports(capsys, base, "0.0:0.6:3,0.2:0.8:3")
+        assert [e["error"]["type"] for e in entries[:3]] == ["DomainError"] * 3
+        assert all(e["verdict"] == "SATURABLE_CERTIFIED" for e in entries[3:])
+
+    def test_condition2prime_unchecked_beside_checked_points(self, capsys):
+        # theta_1 = 5e-6 puts condition 2's stencil outside the domain; theta_1 = 0.4 does not
+        base = ["--model", "qutrit-phase-mixture", "--params", "d=0.6,c1=1,c2=0.7"]
+        entries = self._entries_are_analyze_reports(capsys, base, "5e-6:0.4:2,0.3:0.6:2")
+        status = [e["conditions"]["condition2prime"]["status"] for e in entries]
+        assert status == ["NOT_CHECKED"] * 2 + ["PASSED"] * 2
+        assert all(e["verdict"] == "SATURABLE_CERTIFIED" for e in entries)
 
 
 class TestSchemes:
@@ -240,6 +270,16 @@ class TestSchemes:
         assert rep["inputs"]["scheme"] == "central_fd(h=1e-05)"
         assert rep["inputs"]["cond_tol"] == 1e-4  # FD default tolerance
         assert rep["verdict"] == "SATURABLE_CERTIFIED"
+        assert rep["fisher"]["saturated"] is True
+
+    def test_fd_null_outcome_judged_at_the_scheme_tolerance(self, capsys):
+        # the null outcome's derivative is O(h^2) from the stencil, not 1e-8 small, so it is
+        # judged at the scheme's 1e-4 like every other derivative, as analyze judges it
+        argv = [*QUTRIT, "--scheme", "central_fd", "--fd-step", "1e-3"]
+        code, rep = run(capsys, "analyze", *argv)
+        assert code == 0 and rep["verdict"] == "SATURABLE_CERTIFIED"
+        code, rep = run(capsys, "fisher", *argv)
+        assert code == 0
         assert rep["fisher"]["saturated"] is True
 
     def test_numeric_model_construct_and_fisher(self, capsys, tmp_path, qutrit_point):

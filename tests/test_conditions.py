@@ -868,7 +868,7 @@ class TestGaugeInvariance:
 
 
 class TestCondition2PrimeStencil:
-    """One evaluation of each map at the point and one per side of the stencil, and the
+    """One evaluation of each map at the point and one on its whole stencil, and the
     same result as before."""
 
     @staticmethod
@@ -890,8 +890,8 @@ class TestCondition2PrimeStencil:
             witness = dataclasses.replace(w, unitary_fn=self._counted(w.unitary_fn, counts, "U"))
         res = cond.verify_condition2prime(model, qutrit_point, witness)
         assert res.status == "PASSED"
-        # one call at the point, and one on each (p, p) stack of stencil points theta +/- h e_l
-        assert counts == {"V": 3, "U": 3 if with_witness else 0}
+        # one call at the point, and one on the (2, p, p) stack of stencil points theta +/- h e_l
+        assert counts == {"V": 2, "U": 2 if with_witness else 0}
 
     def test_support_basis_that_ignores_the_stack(self, qutrit_model, qutrit_point):
         fixed = qutrit_model.support_basis_fn(qutrit_point.theta)

@@ -1,0 +1,207 @@
+"""The stacked pipeline against single-point calls, bit for bit.
+
+A stack of B points through `evaluate_points`, `split_support`, `compute_sld`,
+`qfim`, the five pairwise checks, `verify_condition2prime` and
+`condition_reports` gives, row by row, exactly what B single-point calls
+give. A stack that holds a failing point raises, and a sweep run in chunks
+gives each point the entry `analyze` gives it.
+"""
+
+import dataclasses
+import json
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import qcrbsat as qs
+from qcrbsat import cli, jsonio
+from qcrbsat import conditions as cond
+from qcrbsat import model as md
+from qcrbsat.errors import QcrbSatError
+
+CASES = [
+    ("qutrit-phase-mixture", {"d": 0.6, "c1": 1.0, "c2": 0.7}),
+    ("qutrit-phase-mixture", {"d": 0.3 + 0.4j, "c1": 1.0, "c2": 0.7}),
+    ("paper-qutrit", {}),
+    ("pure-qubit-amp-phase", {}),
+    ("stationary-basis", {}),
+    ("theta-independent-support", {}),
+    ("diag-multinomial", {"dims": 2}),
+    ("diag-multinomial", {"dims": 3}),
+    ("diag-multinomial", {"dims": 4}),
+    ("random-rank-r", {"seed": 1, "n_s": 4, "r_plus": 2, "n_params": 2}),
+    ("random-rank-r", {"seed": 2, "n_s": 8, "r_plus": 4, "n_params": 3}),
+    ("random-rank-r", {"seed": 3, "n_s": 6, "r_plus": 2, "n_params": 2, "plant_cond4": False}),
+    ("random-rank-r", {"seed": 4, "n_s": 5, "r_plus": 5, "n_params": 2, "plant_cond1": False}),
+    ("random-rank-r", {"seed": 5, "n_s": 7, "r_plus": 1, "n_params": 2, "plant_cond4": False}),
+]
+SCHEMES = ["analytic", "central_fd", "richardson"]
+
+
+def _rank_switch():
+    """diag(1 - s_1 - s_2, s_1, s_2) with s_l = max(0, theta_l - 1/2)^2: the rank is 1, 2
+    or 3 by quadrant, so a stack of points splits into several (r+, r0) groups."""
+    def state(theta):
+        s = np.maximum(0.0, theta - 0.5) ** 2
+        out = np.zeros(theta.shape[:-1] + (3, 3), dtype=complex)
+        out[..., 0, 0] = 1.0 - s[..., 0] - s[..., 1]
+        out[..., 1, 1], out[..., 2, 2] = s[..., 0], s[..., 1]
+        return out
+
+    def derivative(theta):
+        ds = 2.0 * np.maximum(0.0, theta - 0.5)
+        out = np.zeros(theta.shape[:-1] + (2, 3, 3), dtype=complex)
+        out[..., 0, 0, 0], out[..., 0, 1, 1] = -ds[..., 0], ds[..., 0]
+        out[..., 1, 0, 0], out[..., 1, 2, 2] = -ds[..., 1], ds[..., 1]
+        return out
+
+    return md.StateModel(name="rank-switch", dim=3, n_params=2, state_fn=state,
+                         derivative_fn=derivative, domain=md.box([0.0, 0.0], [1.0, 1.0]))
+
+
+def _points(model, name, size, seed):
+    rng = np.random.default_rng(seed)
+    p = model.n_params
+    if name == "random-rank-r":
+        # consistent at the center only: nearby points pass, farther ones fail alone
+        return rng.choice([0.0, 1e-13, -1e-13, 1e-3, -0.05], size=(size, p))
+    lo, hi = model.domain.lo, model.domain.hi
+    thetas = lo + (hi - lo) * rng.uniform(0.02, 0.98, size=(size, p))
+    if name == "diag-multinomial":  # keep the last probability positive
+        thetas *= 0.9 / max(1.0, thetas.sum(axis=1).max())
+    return thetas
+
+
+def _same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+def _text(report):
+    out = []
+    jsonio.dump(report.to_dict(), out.append)
+    return "".join(out)
+
+
+def _witnesses(witness):
+    """The canonical path, and the model's own witness when it ships one."""
+    return [None] if witness is None else [None, witness]
+
+
+def _single(model, witness, theta, scheme):
+    sp = qs.evaluate(model, theta, scheme=scheme)
+    dec = qs.support_decomposition(sp)
+    slds = qs.compute_sld(dec, sp.drho, sld_tol=sp.deriv_tol)
+    tol = sp.deriv_tol
+    checks = (qs.check_full_commutativity(slds, tol),
+              qs.check_average_commutativity(sp.rho, slds, tol),
+              qs.check_partial_commutativity(dec, slds, tol), qs.check_condition1(slds, tol),
+              qs.check_condition3(slds, tol))
+    c2p = [qs.verify_condition2prime(model, sp, w, tol=max(tol, 1e-8)) for w in _witnesses(witness)]
+    report = qs.evaluate_conditions(sp, dec, slds, model=model, witness=witness,
+                                    rng=np.random.default_rng(7))
+    return sp, dec, slds, qs.qfim(dec, slds), checks, c2p, report
+
+
+def _stacked(model, witness, thetas, scheme):
+    """Per point, what `_single` returns, from one stacked pass per group."""
+    points = md.evaluate_points(model, thetas, scheme=scheme)
+    out = [None] * len(thetas)
+    for rows, dec in md.split_support(points.rho, points.drho, points.deriv_tol):
+        group = points.row(rows)
+        slds = qs.compute_sld(dec, group.drho, sld_tol=points.deriv_tol)
+        f_q = qs.qfim(dec, slds)
+        tol = points.deriv_tol
+        checks = (qs.check_full_commutativity(slds, tol),
+                  qs.check_average_commutativity(group.rho, slds, tol),
+                  qs.check_partial_commutativity(dec, slds, tol), qs.check_condition1(slds, tol),
+                  qs.check_condition3(slds, tol))
+        c2p = [qs.verify_condition2prime(model, group, w, tol=max(tol, 1e-8))
+               for w in _witnesses(witness)]
+        reports = cond.condition_reports(group, dec, slds, model=model, witness=witness,
+                                         rngs=(np.random.default_rng(7) for _ in rows))
+        for i, k in enumerate(rows.tolist()):
+            out[k] = (group.row(i), dec.row(i), qs.SLDSet(slds.Lpp[i], slds.Lpz[i], slds.full[i]),
+                      f_q[i], [c[i] for c in checks], [c[i] for c in c2p], reports[i])
+    return out
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(CASES), st.sampled_from(SCHEMES), st.integers(1, 9),
+       st.integers(0, 2**32 - 1))
+def test_stacked_rows_equal_single_point_calls(case, scheme, size, seed):
+    name, params = case
+    model, witness = qs.get(name, **params), qs.get_witness(name, **params)
+    _rows_equal_single_calls(model, witness, _points(model, name, size, seed), scheme)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(SCHEMES), st.integers(2, 12), st.integers(0, 2**32 - 1))
+def test_stacks_split_into_rank_groups(scheme, size, seed):
+    model = _rank_switch()
+    _rows_equal_single_calls(model, None, _points(model, model.name, size, seed), scheme)
+
+
+def _rows_equal_single_calls(model, witness, thetas, scheme):
+    singles = []
+    for theta in thetas:
+        try:
+            singles.append(_single(model, witness, theta, scheme))
+        except QcrbSatError as exc:
+            singles.append(exc)
+    ok = [i for i, s in enumerate(singles) if not isinstance(s, QcrbSatError)]
+    if len(ok) < len(thetas):
+        with pytest.raises(QcrbSatError):
+            _stacked(model, witness, thetas, scheme)
+    if not ok:
+        return
+    for i, got in zip(ok, _stacked(model, witness, thetas[ok], scheme)):
+        sp, dec, slds, f_q, checks, c2p, report = singles[i]
+        g_sp, g_dec, g_slds, g_f_q, g_checks, g_c2p, g_report = got
+        for a, b in ((sp.theta, g_sp.theta), (sp.rho, g_sp.rho), (sp.drho, g_sp.drho),
+                     (dec.q, g_dec.q), (dec.V, g_dec.V), (dec.Y, g_dec.Y),
+                     (dec.P_plus, g_dec.P_plus), (slds.Lpp, g_slds.Lpp),
+                     (slds.Lpz, g_slds.Lpz), (slds.full, g_slds.full), (f_q, g_f_q)):
+            _same(a, b)
+        assert list(checks) == g_checks
+        assert [dataclasses.asdict(r) for r in c2p] == [dataclasses.asdict(r) for r in g_c2p]
+        assert _text(report) == _text(g_report)
+
+
+def _report(argv):
+    args = cli.build_parser().parse_args(argv)
+    try:
+        out = cli._COMMANDS[args.command](args)
+    except QcrbSatError as exc:
+        out = {"error": exc.to_dict()}
+    text = []
+    jsonio.dump(out, text.append)
+    return json.loads("".join(text))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 4), st.integers(1, 7),
+       st.sampled_from(["analytic", "central_fd", "richardson"]))
+def test_chunked_sweep_entries_are_the_analyze_reports(n1, n2, chunk, scheme):
+    # chunks of `chunk` points; theta_1 = 0 fails and theta_1 = 5e-6 leaves condition 2' unchecked
+    base = ["--model", "qutrit-phase-mixture", "--params", "d=0.3+0.4j,c1=1,c2=0.7",
+            "--scheme", scheme, "--seed", "3"]
+    grid = f"0.0:0.8:{n1},5e-6:0.9:{n2}"
+    old = cli.SWEEP_ENTRIES
+    try:
+        cli.SWEEP_ENTRIES = chunk * (4 + 2) * 2 * 3 * 3
+        sweep = _report(["sweep", *base, "--grid", grid])["sweep"]
+    finally:
+        cli.SWEEP_ENTRIES = old
+    thetas = [(float(a), float(b)) for a in np.linspace(0.0, 0.8, n1)
+              for b in np.linspace(5e-6, 0.9, n2)]
+    assert len(sweep) == len(thetas)
+    for (a, b), entry in zip(thetas, sweep):
+        direct = _report(["analyze", *base, "--theta", f"{a!r},{b!r}"])
+        if "error" in direct:
+            assert entry == {"theta": [a, b], "error": direct["error"]}
+        else:
+            assert entry == direct
