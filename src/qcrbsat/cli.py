@@ -24,7 +24,7 @@ from . import fisher as fish
 from . import fixtures
 from . import jsonio
 from . import povm as povm_mod
-from .conditions import VERDICT_SATURABLE, condition_reports, evaluate_conditions
+from .conditions import VERDICT_SATURABLE, condition_reports
 from .errors import QcrbSatError, jsonable
 from .model import (
     StateAtPoint,
@@ -33,7 +33,6 @@ from .model import (
     parse_numeric_model,
     split_support,
     state_at,
-    support_decomposition,
 )
 from .sld import compute_sld, qfim
 
@@ -120,41 +119,35 @@ def cond_tol(args, sp: StateAtPoint) -> float:
     return args.cond_tol if args.cond_tol is not None else sp.deriv_tol
 
 
-def run_analysis(args, sp: StateAtPoint, model=None, witness=None):
-    """The core pipeline: decomposition, SLDs, information, conditions.
+def run_analyses(args, points: StateAtPoint, model=None, witness=None) -> list:
+    """The core pipeline at each point of a stack: decomposition, SLDs, information, conditions.
 
-    The SLD solve is checked at the condition tolerance or the scheme's, whichever is looser.
+    ``points`` is a stack of state points (see
+    :func:`~qcrbsat.model.evaluate_points`). The support split, the SLDs,
+    the QFIM, the pairwise checks and condition 2' run once per group of
+    points with equal (r+, r0); the W search and the verdict run per point,
+    each from ``default_rng(args.seed)``. The SLD solve is checked at the
+    condition tolerance or the scheme's, whichever is looser. Returns
+    ``(dec, slds, f_q, report)`` per point, each what the point gives
+    alone. A stack holding a failing point raises a :class:`QcrbSatError`
+    from one of its failing points.
     """
-    rng = np.random.default_rng(args.seed)
-    tol = cond_tol(args, sp)
-    dec = support_decomposition(sp, rank_tol=args.rank_tol)
-    slds = compute_sld(dec, sp.drho, sld_tol=max(tol, sp.deriv_tol))
-    f_q = qfim(dec, slds)
-    report = evaluate_conditions(sp, dec, slds, model=model, witness=witness, tol=tol, rng=rng)
-    return dec, slds, f_q, report
-
-
-def run_analyses(args, model, witness, thetas) -> list:
-    """:func:`run_analysis` at each point of a (B, p) stack, as one stacked pass.
-
-    Evaluation, the support split, the SLDs, the QFIM, the pairwise checks
-    and condition 2' run once per group of points with equal (r+, r0); the W
-    search and the verdict run per point. Returns ``(sp, dec, f_q, report)``
-    per point, each equal to the single-point analysis. The first point that
-    fails a check raises the error it raises alone.
-    """
-    points = evaluate_points(model, thetas, scheme=args.scheme, h=args.fd_step)
     tol = cond_tol(args, points)
-    out = [None] * len(thetas)
+    out = [None] * len(points.rho)
     for rows, dec in split_support(points.rho, points.drho, points.deriv_tol, args.rank_tol):
-        group = points.row(rows)
+        group = points if len(rows) == len(out) else points.row(rows)
         slds = compute_sld(dec, group.drho, sld_tol=max(tol, points.deriv_tol))
         f_q = qfim(dec, slds)
         reports = condition_reports(group, dec, slds, model=model, witness=witness, tol=tol,
                                     rngs=(np.random.default_rng(args.seed) for _ in rows))
         for i, (k, report) in enumerate(zip(rows.tolist(), reports)):
-            out[k] = (group.row(i), dec.row(i), f_q[i], report)
+            out[k] = (dec.row(i), slds.row(i), f_q[i], report)
     return out
+
+
+def run_analysis(args, sp: StateAtPoint, model=None, witness=None):
+    """:func:`run_analyses` at the one point ``sp``."""
+    return run_analyses(args, sp.row(None), model, witness)[0]
 
 
 def base_report(args, sp: StateAtPoint, model, dec, f_q, report) -> dict:
@@ -324,26 +317,22 @@ def cmd_simulate(args) -> dict:
 def _sweep_entries(args, model, witness, thetas) -> list:
     """The sweep entries of a (B, p) stack of grid points.
 
-    The stack is analyzed in one pass (:func:`run_analyses`). If any point
-    fails, each half is analyzed again on its own, down to single points,
-    which run the `analyze` path: a failing point's entry is the error it
-    raises alone, and every other entry is its report.
+    The stack is evaluated and analyzed in one pass (:func:`run_analyses`).
+    If that raises, each half runs again on its own, down to single points:
+    a failing point's entry is then the error it raises alone, what
+    `analyze` reports there, and every other entry is its report.
     """
-    if len(thetas) > 1:
-        try:
-            return [base_report(args, sp, model, dec, f_q, report)
-                    for sp, dec, f_q, report in run_analyses(args, model, witness, thetas)]
-        except QcrbSatError:
-            half = len(thetas) // 2
-            return (_sweep_entries(args, model, witness, thetas[:half])
-                    + _sweep_entries(args, model, witness, thetas[half:]))
-    theta = thetas[0]
     try:
-        sp = evaluate(model, theta, scheme=args.scheme, h=args.fd_step)
-        dec, slds, f_q, report = run_analysis(args, sp, model, witness)
-        return [base_report(args, sp, model, dec, f_q, report)]
+        points = evaluate_points(model, thetas, scheme=args.scheme, h=args.fd_step)
+        analyses = run_analyses(args, points, model, witness)
+        return [base_report(args, points.row(k), model, dec, f_q, report)
+                for k, (dec, _, f_q, report) in enumerate(analyses)]
     except QcrbSatError as exc:
-        return [{"theta": [float(x) for x in theta], "error": exc.to_dict()}]
+        if len(thetas) == 1:
+            return [{"theta": [float(x) for x in thetas[0]], "error": exc.to_dict()}]
+    half = len(thetas) // 2
+    return (_sweep_entries(args, model, witness, thetas[:half])
+            + _sweep_entries(args, model, witness, thetas[half:]))
 
 
 def cmd_sweep(args) -> dict:

@@ -38,7 +38,7 @@ from . import numkernel as nk
 from .errors import QcrbSatError, require_tolerance
 from .jsonio import ComplexMatrix
 from .model import (DEFAULT_RANK_TOL, DomainError, StateAtPoint, StateModel,
-                    SupportDecomposition, _basis_split, stencil, values_at)
+                    SupportDecomposition, _basis_split, stencil_points, values_at)
 from .sld import SLDSet, pair_index, pairs, plus_null_blocks
 
 VERDICT_SATURABLE = "SATURABLE_CERTIFIED"
@@ -83,13 +83,14 @@ def _pair_checks(slds: SLDSet, residuals: np.ndarray, tol: float) -> list:
     no positive ratio the worst pair and the scale are None. Returns the
     :class:`CommCheck` of every leading index, in C order.
     """
-    ls, ms = pair_index(slds.n_params)
-    s = slds.scales
-    pair_scales = (s[..., ls] * s[..., ms]).reshape(math.prod(s.shape[:-1]), len(ls)).tolist()
-    rows = residuals.reshape(math.prod(residuals.shape[:-1]), len(ls)).tolist()
-    pair = list(pairs(slds.n_params))
+    s = slds.scales[..., pair_index(slds.n_params)]
+    n_pairs = s.shape[-1]
+    pair_scales = (s[..., 0, :] * s[..., 1, :]).reshape(math.prod(s.shape[:-2]), n_pairs).tolist()
+    rows = residuals.reshape(math.prod(residuals.shape[:-1]), n_pairs).tolist()
+    pair = pairs(slds.n_params)
     checks = []
-    for row, scales in zip(rows, pair_scales * (len(rows) // len(pair_scales))):
+    for i, row in enumerate(rows):
+        scales = pair_scales[i % len(pair_scales)]
         worst, worst_pair, worst_scale = 0.0, None, None
         for k, (r, scale) in enumerate(zip(row, scales)):
             if scale and r / scale > worst:
@@ -111,19 +112,16 @@ def _average_residuals(rho: np.ndarray, slds: SLDSet) -> np.ndarray:
     Each modulus is Python's, as the complex scalar takes it: numpy's array
     modulus rounds differently.
     """
-    traces = np.trace(rho[..., None, :, :] @ slds.commutators, axis1=-2, axis2=-1)
+    traces = (rho[..., None, :, :] @ slds.commutators).trace(axis1=-2, axis2=-1)
     return np.array([abs(t) for t in traces.reshape(-1).tolist()]).reshape(traces.shape)
 
 
-def _block_residuals(slds: SLDSet) -> np.ndarray:
-    """The ``(3, ..., pairs)`` residuals read off the pair products: partial
-    commutativity ``||A_lm - A_ml + B_lm - B_ml||``, condition 1
-    ``||A_lm - A_ml||`` and condition 3 ``||B_lm - B_ml||``."""
+def _imbalances(slds: SLDSet) -> tuple:
+    """``A_lm - A_ml``, ``B_lm`` and ``B_ml`` of the pair products, for every pair."""
     a, b = slds.pair_products
-    ls, ms = pair_index(slds.n_params)
-    a_diff = a[..., ls, ms, :, :] - a[..., ms, ls, :, :]
-    b_lm, b_ml = b[..., ls, ms, :, :], b[..., ms, ls, :, :]
-    return nk.fro_stack(np.stack([a_diff + b_lm - b_ml, a_diff, b_lm - b_ml]))
+    lm = pair_index(slds.n_params)
+    a, b = a[..., lm, lm[::-1], :, :], b[..., lm, lm[::-1], :, :]  # (..., 2, pairs, r+, r+)
+    return a[..., 0, :, :, :] - a[..., 1, :, :, :], b[..., 0, :, :, :], b[..., 1, :, :, :]
 
 
 def check_full_commutativity(slds: SLDSet, tol: float = 1e-8):
@@ -138,12 +136,13 @@ def check_average_commutativity(rho: np.ndarray, slds: SLDSet, tol: float = 1e-8
 
 def check_condition1(slds: SLDSet, tol: float = 1e-8):
     """Commutators of the ++ blocks, ``A_lm - A_ml`` of the pair products."""
-    return _checks(slds, _block_residuals(slds)[1], tol)
+    return _checks(slds, nk.fro_stack(_imbalances(slds)[0]), tol)
 
 
 def check_condition3(slds: SLDSet, tol: float = 1e-8):
     """Anti-Hermitian part of the +0 cross products, ``B_lm - B_ml``."""
-    return _checks(slds, _block_residuals(slds)[2], tol)
+    _, b_lm, b_ml = _imbalances(slds)
+    return _checks(slds, nk.fro_stack(b_lm - b_ml), tol)
 
 
 def check_partial_commutativity(dec: SupportDecomposition, slds: SLDSet, tol: float = 1e-8):
@@ -152,18 +151,20 @@ def check_partial_commutativity(dec: SupportDecomposition, slds: SLDSet, tol: fl
     The identity holds by construction, since ``full`` is assembled from
     the same blocks. ``dec`` is not read.
     """
-    return _checks(slds, _block_residuals(slds)[0], tol)
+    a_diff, b_lm, b_ml = _imbalances(slds)
+    return _checks(slds, nk.fro_stack(a_diff + b_lm - b_ml), tol)
 
 
 def _all_pair_checks(rho: np.ndarray, slds: SLDSet, tol: float) -> list:
-    """The five pairwise checks of every point, in one pass: for each point, the
-    full, average and partial commutativity and conditions 1 and 3, as the
-    ``check_*`` functions give them."""
+    """The five pairwise checks of every point of a stack, in one pass: the full,
+    average and partial commutativity and conditions 1 and 3, as the ``check_*``
+    functions give them. Returns the flat list of the B points' full checks,
+    then their average ones, and so on: point i's five are ``checks[i::B]``."""
+    a_diff, b_lm, b_ml = _imbalances(slds)
+    blocks = nk.fro_stack(np.array([a_diff + b_lm - b_ml, a_diff, b_lm - b_ml]))
     residuals = np.concatenate([nk.fro_stack(slds.commutators)[None],
-                                _average_residuals(rho, slds)[None], _block_residuals(slds)])
-    checks = _pair_checks(slds, residuals, tol)
-    n = len(checks) // 5
-    return list(zip(*(checks[i * n:(i + 1) * n] for i in range(5))))
+                                _average_residuals(rho, slds)[None], blocks])
+    return _pair_checks(slds, residuals, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +218,7 @@ def verify_condition4_with_w(
     if w.shape != (r0, r0):
         raise nk.ShapeError(f"W has shape {w.shape}, expected ({r0}, {r0})")
     cols = lpz @ w  # column s of block l is cols[l, :, s]
-    norms = np.linalg.norm(cols, axis=1)  # (p, r0)
+    norms = nk.norm_stack(cols, axis=1)  # (p, r0)
     top = float(norms.max(initial=0.0))
     # all-zero blocks read every column vacuous against any positive scale
     scale = max(top, float(scale_floor)) or 1.0
@@ -233,12 +234,12 @@ def verify_condition4_with_w(
     inner = (ref.T.conj()[:, None, :] @ cols.swapaxes(1, 2)[..., None])[..., 0, 0].real
     # ratios vanish off the proportional columns, so there a residual is the column's norm
     ratios = inner / np.where(proportional, inner[ref_index, column], np.inf)
-    residuals = np.linalg.norm(cols - ratios[:, None] * ref, axis=1) / scale
+    residuals = nk.norm_stack(cols - ratios[:, None] * ref, axis=1) / scale
     worst = float((residuals * live).max(initial=0.0))  # a mixed column's is its largest norm
     lam = ratios[:, None] / np.where(ratios != 0, ratios, np.nan)
     column_status = ["proportional" if a else "mixed" if b else "vacuous"
                      for a, b in zip(proportional.tolist(), mixed.tolist())]
-    defect = nk.fro(w.conj().T @ w - np.eye(r0))
+    defect = nk.fro(w.conj().T @ w - nk.identity(r0))
     if defect > 1e-8:
         return False, lam, column_status, max(worst, defect)
     return worst <= tol and not mixed.any(), lam, column_status, worst
@@ -317,7 +318,7 @@ def find_w_condition4(
     _, r_plus, r0 = lpz.shape
 
     identity = np.eye(r0, dtype=complex)
-    norms = np.linalg.norm(lpz, axis=(1, 2))
+    norms = nk.norm_stack(lpz)
     candidates = [identity]
     if norms.max() > tol * scale_floor:
         candidates = [
@@ -421,17 +422,18 @@ def verify_condition2prime(
     cross identity between the +0 SLD blocks and ``2 dV_l^dag Y``.
 
     All map derivatives are central differences with step 1e-5 on the smooth
-    maps, from one :func:`~qcrbsat.model.stencil` of each map; when that
-    stencil would leave the model's domain, the condition is NOT_CHECKED.
-    Every per-parameter quantity is one ``(p, ...)`` stack, normed by
+    maps, each map run once on the one checked
+    :func:`~qcrbsat.model.stencil_points`; when that stencil would leave the
+    model's domain, the condition is NOT_CHECKED. Every per-parameter
+    quantity is one ``(p, ...)`` stack, normed by
     :func:`~qcrbsat.numkernel.fro_stack`.
 
     On a stack of points (``sp`` from :func:`~qcrbsat.model.evaluate_points`)
     it returns the list of results, one per point and each equal to the
     single-point result: each map runs once at the points and once on one
     stencil of them all, and the points whose stencil leaves the domain are
-    left out of it. The first point that fails a check raises the error it
-    raises alone.
+    left out of it. A stack holding a failing point raises a
+    :class:`~qcrbsat.errors.QcrbSatError` from one of its failing points.
     """
     theta = np.asarray(sp.theta, dtype=float)
     if theta.ndim == 1:
@@ -462,8 +464,7 @@ def _condition2prime(model, theta, rho, drho, deriv_tol, witness, null_povm, tol
     results: list = [None] * len(theta)
     rows = np.arange(len(theta))
     try:
-        v_plus, v_minus = stencil(model, model.support_basis_fn, theta, h, v.shape[1:],
-                                  what="support basis")
+        points = stencil_points(model, theta, h)
     except DomainError:  # leave out the points whose stencil leaves the domain
         fits = _stencil_fits(model, theta, h)
         for k in np.flatnonzero(~fits).tolist():
@@ -473,8 +474,9 @@ def _condition2prime(model, theta, rho, drho, deriv_tol, witness, null_povm, tol
         if not fits.any():
             return results
         rows, theta, v, drho, dec = rows[fits], theta[fits], v[fits], drho[fits], dec.row(fits)
-        v_plus, v_minus = stencil(model, model.support_basis_fn, theta, h, v.shape[1:],
-                                  what="support basis")
+        points = stencil_points(model, theta, h)
+    # both maps run on the one checked stencil: the support basis here, the witness below
+    v_plus, v_minus = values_at(model.support_basis_fn, points, v.shape[1:], what="support basis")
     dv = (v_plus - v_minus) / (2.0 * h)
     a = v[:, None].conj().swapaxes(-1, -2) @ dv  # V^dag dV_l, skew-Hermitian
 
@@ -490,7 +492,8 @@ def _condition2prime(model, theta, rho, drho, deriv_tol, witness, null_povm, tol
                 results[k] = Cond2PrimeResult(tol=tol, notes=[f"{note}; existence undecided"])
             keep = ~undecided
             rows, theta, drho, dec = rows[keep], theta[keep], drho[keep], dec.row(keep)
-            v_plus, v_minus, dv, a = v_plus[keep], v_minus[keep], dv[keep], a[keep]
+            points, v_plus, v_minus = points[:, keep], v_plus[keep], v_minus[keep]
+            dv, a = dv[keep], a[keep]
             if not rows.size:
                 return results
         witness = Cond2PrimeWitness(unitary_fn=lambda t: identity_path(t, r_plus),
@@ -499,35 +502,40 @@ def _condition2prime(model, theta, rho, drho, deriv_tol, witness, null_povm, tol
         notes.append("canonical witness generated from diagonal V^dag dV")
 
     u = values_at(witness.unitary_fn, theta, (r_plus, r_plus), InvalidWitnessError, "witness")
-    defect = fro(u.conj().swapaxes(-1, -2) @ u - np.eye(r_plus))
+    defect = fro(u.conj().swapaxes(-1, -2) @ u - nk.identity(r_plus))
     not_unitary = defect > 1e-10 * max(1.0, r_plus)
     if not_unitary.any():
         raise InvalidWitnessError("witness map is not unitary at this point",
                                   defect=float(defect[not_unitary.argmax()]))
     gens = np.zeros((p, r_plus)) if witness.generators is None else np.asarray(witness.generators)
-    if not canonical:
-        if gens.shape != (p, r_plus) or gens.dtype.kind not in "fiu":
-            raise InvalidWitnessError(f"generators must be a real ({p}, {r_plus}) array of the "
-                                      f"diagonals of D_l, got {gens.dtype} of shape {gens.shape}")
-        gens = np.repeat(gens[None], len(rows), axis=0)
-    d = gens[..., :, None] * np.eye(r_plus)  # the D_l, (R, p, r+, r+)
-    u_plus, u_minus = stencil(model, witness.unitary_fn, theta, h, (r_plus, r_plus),
-                              InvalidWitnessError, "witness")
+    if not canonical and (gens.shape != (p, r_plus) or gens.dtype.kind not in "fiu"):
+        raise InvalidWitnessError(f"generators must be a real ({p}, {r_plus}) array of the "
+                                  f"diagonals of D_l, got {gens.dtype} of shape {gens.shape}")
+    # the D_l: (R, p, r+, r+) for the canonical witness, (p, r+, r+) at every point otherwise
+    d = gens[..., :, None] * nk.identity(r_plus)
+    u_plus, u_minus = values_at(witness.unitary_fn, points, (r_plus, r_plus), InvalidWitnessError,
+                                "witness")
     du = (u_plus - u_minus) / (2.0 * h)
 
     pde, du_norm, a_norm = fro(np.array([du - u[:, None] @ (a + 1j * d), du, a]))
     d_norm = fro(d)
     pde_res = (pde / np.maximum(1.0, du_norm + a_norm + d_norm)).max(axis=-1, initial=0.0)
-    d_all_zero = (d_norm <= 1e-12).all(axis=-1)
+    zero = (d_norm <= 1e-12).all(axis=-1)  # per point, or one flag for a witness's generators
+    d_all_zero = zero if zero.ndim else np.full(len(rows), bool(zero))
     zero_path = "zero_generators" if witness.label == "user_supplied_U" else witness.label
 
-    dvt = (v_plus @ u_plus.conj().swapaxes(-1, -2)
-           - v_minus @ u_minus.conj().swapaxes(-1, -2)) / (2.0 * h)  # d(V U^dag)_l
-    projected, dvt_norm = fro(np.array([dec.P_plus[:, None] @ dvt, dvt]))
-    stationarity = (projected / np.maximum(1.0, dvt_norm)).max(axis=-1, initial=0.0)
+    null = null_povm is not None and len(null_povm) and dec.r_zero > 0
+    stationarity = np.zeros(len(rows))  # read where every D_l vanishes
+    if null or d_all_zero.any():
+        dvt = (v_plus @ u_plus.conj().swapaxes(-1, -2)
+               - v_minus @ u_minus.conj().swapaxes(-1, -2)) / (2.0 * h)  # d(V U^dag)_l
+    if d_all_zero.any():  # P+ d(V U^dag)_l = 0, at those points only
+        z = slice(None) if d_all_zero.all() else d_all_zero
+        projected, dvt_norm = fro(np.array([dec.P_plus[z, None] @ dvt[z], dvt[z]]))
+        stationarity[z] = (projected / np.maximum(1.0, dvt_norm)).max(axis=-1, initial=0.0)
 
     null_compat = [None] * len(rows)
-    if null_povm is not None and len(null_povm) and dec.r_zero > 0:
+    if null:
         y = dec.Y[:, None]
         yh = y.conj().swapaxes(-1, -2)
         blocks = yh @ dvt  # (R, p, r0, r+)
@@ -664,9 +672,10 @@ def evaluate_conditions(
 ) -> ConditionReport:
     """Run every saturability check and assemble the verdict (``tol`` must be finite and >= 0).
 
-    This is :func:`condition_reports` at one point.
+    This is :func:`condition_reports` on the point as a stack of one.
     """
-    return condition_reports(sp, dec, slds, model=model, witness=witness, tol=tol, rngs=[rng])[0]
+    return condition_reports(sp.row(None), dec.row(None), slds.row(None), model=model,
+                             witness=witness, tol=tol, rngs=[rng])[0]
 
 
 def condition_reports(
@@ -679,37 +688,35 @@ def condition_reports(
     tol: Optional[float] = None,
     rngs=None,
 ) -> list:
-    """The condition reports of one point, or of each point of a stack.
+    """The condition report of each point of a stack.
 
-    ``sp``, ``dec`` and ``slds`` hold one point, or a stack of points with
-    equal ``(r_plus, r_zero)`` (see :func:`~qcrbsat.model.split_support`).
-    The five pairwise checks and condition 2' run once on the stack; the W
+    ``sp``, ``dec`` and ``slds`` hold a stack of points with equal
+    ``(r_plus, r_zero)`` (see :func:`~qcrbsat.model.split_support`). The
+    five pairwise checks and condition 2' run once on the stack; the W
     search, its report and the verdict run per point, the W search of point
     i drawing from ``rngs[i]`` (an iterable of generators, one per point;
     None draws each from ``default_rng(0)``). Each report equals the one
-    :func:`evaluate_conditions` gives at that point. The first point that
-    fails a check raises the error it raises alone.
+    :func:`evaluate_conditions` gives at that point. A stack holding a
+    failing point raises a :class:`~qcrbsat.errors.QcrbSatError` from one
+    of its failing points.
     """
     tol = tol if tol is not None else sp.deriv_tol
     require_tolerance("cond_tol", tol)
-    stacked = slds.full.ndim == 4
     checks = _all_pair_checks(sp.rho, slds, tol)
-    lpz = slds.Lpz if stacked else slds.Lpz[None]
-    n_points = len(lpz)
-    full = slds.full if stacked else slds.full[None]
-    sld_scales = nk.fro_stack(full).max(axis=-1).tolist() if slds.n_params else [1.0] * n_points
-    rngs = rngs if rngs is not None else [None] * n_points
+    n = len(slds.full)
+    sld_scales = nk.fro_stack(slds.full).max(axis=-1).tolist() if slds.n_params else [1.0] * n
+    rngs = rngs if rngs is not None else [None] * n
     regime = "pure" if dec.r_plus == 1 else ("full_rank" if dec.r_zero == 0 else "rank_deficient")
-    reports = [
-        ConditionReport(
+    reports = []
+    for i, (lpz, rng, scale) in enumerate(zip(slds.Lpz, rngs, sld_scales)):
+        full_c, avg, partial, c1, c3 = checks[i::n]
+        reports.append(ConditionReport(
             regime=regime, full_comm=full_c, avg_comm=avg, partial_comm=partial, cond1=c1,
-            cond3=c3, cond4=find_w_condition4(lpz_i, tol, rng=rng, scale_floor=scale),
-            cond2prime=None, tol=tol)
-        for (full_c, avg, partial, c1, c3), lpz_i, rng, scale in zip(checks, lpz, rngs, sld_scales)
-    ]
+            cond3=c3, cond4=find_w_condition4(lpz, tol, rng=rng, scale_floor=scale),
+            cond2prime=None, tol=tol))
     if model is not None and sp.theta is not None:
-        c2p = verify_condition2prime(model, sp, witness, tol=max(tol, 1e-8))
-        for report, result in zip(reports, c2p if stacked else [c2p]):
+        for report, result in zip(reports, verify_condition2prime(model, sp, witness,
+                                                                  tol=max(tol, 1e-8))):
             report.cond2prime = result
     for report in reports:
         report.verdict, report.reasoning = verdict(report, dec.r_plus, dec.r_zero)

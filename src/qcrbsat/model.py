@@ -132,8 +132,9 @@ class StateAtPoint:
 
     A stack of B points (what :func:`evaluate_points` returns) has one more
     leading axis on every array: ``theta`` ``(B, p)``, ``rho`` ``(B, n, n)``
-    and ``drho`` ``(B, p, n, n)``, checked as one stack; the first failing
-    point raises the error it raises alone. :meth:`row` gives point i.
+    and ``drho`` ``(B, p, n, n)``, checked as one stack: a stack holding an
+    invalid point raises an error of one of its invalid points.
+    :meth:`row` gives point i.
     """
 
     theta: Optional[np.ndarray]
@@ -165,7 +166,8 @@ class StateAtPoint:
         return self.drho.shape[-3]
 
     def row(self, i) -> "StateAtPoint":
-        """Point ``i`` of a stack (an index array gives a sub-stack)."""
+        """Point ``i`` of a stack (an index array gives a sub-stack, and ``None``
+        a single point as a stack of one)."""
         return _row(self, i, ("theta", "rho", "drho"))
 
     @property
@@ -264,8 +266,8 @@ def _validate_densities(rho: np.ndarray) -> np.ndarray:
     if not finite.all():
         rho = np.where(finite[:, None, None], rho, 0.0)  # the finite states are judged below
     adj = rho.conj().swapaxes(1, 2)
-    defect = nk.fro_stack(rho - adj)
-    not_herm = defect > HERM_TOL * np.maximum(1.0, nk.fro_stack(rho))
+    defect, norm = nk.fro_stack(np.array([rho - adj, rho]))
+    not_herm = defect > HERM_TOL * np.maximum(1.0, norm)
     herm = (rho + adj) / 2.0
     trace = herm.trace(axis1=1, axis2=2).real
     off_trace = np.abs(trace - 1.0) > TRACE_TOL
@@ -297,8 +299,8 @@ def _validate_drho(drho: np.ndarray, tol: float) -> np.ndarray:
     if not finite.all():
         drho = np.where(finite[..., None, None], drho, 0.0)  # the finite ones are judged below
     adj = drho.conj().swapaxes(-1, -2)
-    bound = tol * nk.fro_stack(drho)
-    defect = nk.fro_stack(drho - adj)
+    norm, defect = nk.fro_stack(np.array([drho, drho - adj]))
+    bound = tol * norm
     herm = (drho + adj) / 2.0
     trace = np.abs(herm.trace(axis1=-2, axis2=-1))
     not_herm = defect > bound
@@ -322,21 +324,16 @@ def _first(theta: np.ndarray, bad: np.ndarray) -> np.ndarray:
     return theta.reshape(-1, theta.shape[-1])[bad.argmax()]
 
 
-def stencil(model: StateModel, fn, theta: np.ndarray, h, shape: tuple,
-            error: type = InvalidStateError, what: str = "state") -> tuple:
-    """The stacks of ``fn(theta + s e_l)`` and of ``fn(theta - s e_l)``, l = 0..p-1,
-    for every step ``s`` of ``h``, from one call of ``fn`` on all of their points.
+def stencil_points(model: StateModel, theta: np.ndarray, h) -> np.ndarray:
+    """The points ``theta + s e_l`` and ``theta - s e_l``, l = 0..p-1, for every step ``s``
+    of ``h``, as one ``(2,) + h.shape + theta.shape[:-1] + (p, p)`` array.
 
     ``theta`` is one ``(p,)`` point or a ``(..., p)`` stack of them and ``h`` one
-    step or an array of steps; each returned stack has shape
-    ``h.shape + theta.shape[:-1] + (p,) + shape``. ``fn`` is a map on the
-    parameters of ``model`` that broadcasts over the leading axes of theta
-    (see :func:`values_at`, which checks what it returns and raises ``error``
-    otherwise). Before the call, step by step, each ``s`` must be a finite
+    step or an array of steps. First, step by step, each ``s`` must be a finite
     positive number that moves every parameter of every point both ways
     (``theta_l +/- s`` differs from ``theta_l`` in floating point), and every
     stencil point must lie inside the open domain of ``model``; otherwise
-    :class:`DomainError` is raised for the first failing point.
+    :class:`DomainError` is raised, naming a failing point.
     """
     theta = np.asarray(theta, dtype=float)
     steps = np.asarray(h, dtype=float)
@@ -354,10 +351,26 @@ def stencil(model: StateModel, fn, theta: np.ndarray, h, shape: tuple,
             raise DomainError(f"theta {t.tolist()} +/- {s} leaves the domain of {model.name}",
                               theta=t)
     p = theta.shape[-1]
-    offsets = (steps[..., None, None] * np.eye(p)).reshape(
+    offsets = (steps[..., None, None] * nk.identity(p)).reshape(
         steps.shape + (1,) * (theta.ndim - 1) + (p, p))
     base = theta[..., None, :]
-    values = values_at(fn, np.array([base + offsets, base - offsets]), shape, error, what)
+    return np.array([base + offsets, base - offsets])
+
+
+def stencil(model: StateModel, fn, theta: np.ndarray, h, shape: tuple,
+            error: type = InvalidStateError, what: str = "state") -> tuple:
+    """The stacks of ``fn(theta + s e_l)`` and of ``fn(theta - s e_l)``, l = 0..p-1,
+    for every step ``s`` of ``h``, from one call of ``fn`` on all of their points.
+
+    ``theta`` is one ``(p,)`` point or a ``(..., p)`` stack of them and ``h`` one
+    step or an array of steps; each returned stack has shape
+    ``h.shape + theta.shape[:-1] + (p,) + shape``. ``fn`` is a map on the
+    parameters of ``model`` that broadcasts over the leading axes of theta
+    (see :func:`values_at`, which checks what it returns and raises ``error``
+    otherwise). The steps and the stencil points are checked before the call
+    (see :func:`stencil_points`).
+    """
+    values = values_at(fn, stencil_points(model, theta, h), shape, error, what)
     return values[0], values[1]
 
 
@@ -392,7 +405,8 @@ def state_at(model: StateModel, theta) -> np.ndarray:
     model's dimension; returns it hermitized. A (B, p) stack of points gives
     the (B, n, n) stack of states from one call of ``state_fn`` on the stack,
     each equal bit for bit to its single-point value; the checks run once
-    over the stack, and a failing point raises the error it raises alone.
+    over the stack, and a stack holding a failing point raises an error of
+    one of its failing points.
     """
     theta = np.asarray(theta, dtype=float)
     stack = _check_points(model, theta)
@@ -440,7 +454,8 @@ def evaluate_points(
     map runs once on the stack: ``state_fn`` and ``derivative_fn``, or one
     :func:`stencil` of ``state_fn`` that holds every finite-difference point
     (both steps of "richardson"); the states and derivatives are checked as
-    one stack. The first point that fails a check raises the error it raises
+    one stack. A stack holding a failing point raises an error of one of its
+    failing points; the error a point raises alone comes from evaluating it
     alone.
     """
     return _evaluate_stack(model, _check_points(model, thetas), scheme, h)
@@ -480,14 +495,18 @@ def fix_phases(m: np.ndarray) -> np.ndarray:
     division and modulus round differently, and the rotated columns feed
     every later bit of the split.
     """
-    m = np.array(m, dtype=complex)
+    return _rotate_columns(np.array(m, dtype=complex))
+
+
+def _rotate_columns(m: np.ndarray) -> np.ndarray:
+    """:func:`fix_phases` in place on the complex array ``m``; returns it."""
     if not m.size:
         return m
-    stack = m.reshape(-1, *m.shape[-2:])
-    k, r = len(stack), m.shape[-1]
-    top = stack[np.arange(k)[:, None], np.abs(stack).argmax(axis=-2), np.arange(r)]
-    phase = np.array([abs(z) / z if abs(z) > 0 else 1.0 for z in top.reshape(-1)], dtype=complex)
-    return m * phase.reshape(*m.shape[:-2], 1, r)
+    cols = m.swapaxes(-1, -2).reshape(-1, m.shape[-2])  # every column of every matrix
+    top = cols[np.arange(len(cols)), np.abs(cols).argmax(axis=1)]
+    phase = np.array([a / z if (a := abs(z)) > 0 else 1.0 for z in top], dtype=complex)
+    m *= phase.reshape(m.shape[:-2] + (1, m.shape[-1]))
+    return m
 
 
 def _columns(m: np.ndarray) -> np.ndarray:
@@ -495,7 +514,7 @@ def _columns(m: np.ndarray) -> np.ndarray:
     each matrix stored column by column, as numpy stores the columns it picks
     from a matrix by a mask: the products downstream read that layout, and
     their bits depend on it."""
-    return fix_phases(np.ascontiguousarray(m.swapaxes(-1, -2)).swapaxes(-1, -2))
+    return _rotate_columns(np.array(m.swapaxes(-1, -2), dtype=complex, order="C").swapaxes(-1, -2))
 
 
 def _split(drho, tol: float, q, V, Y) -> SupportDecomposition:
@@ -538,21 +557,20 @@ def split_support(rho: np.ndarray, drho: np.ndarray, deriv_tol: float,
     by ``(r_plus, r_zero)``: returns a list of ``(rows, dec)``, ``rows`` the
     ascending indices of a group's points and ``dec`` their stacked
     :class:`SupportDecomposition`, whose row i equals
-    ``support_decomposition`` at point ``rows[i]`` bit for bit. The first
-    point that fails a check raises the error it raises alone (see
-    :func:`support_decomposition`).
+    ``support_decomposition`` at point ``rows[i]`` bit for bit. A stack
+    holding a failing point raises a :class:`QcrbSatError` from one of its
+    failing points (see :func:`support_decomposition`).
     """
     require_tolerance("rank_tol", rank_tol)
     w, vecs = np.linalg.eigh(rho)
-    cut = rank_tol * w[:, -1]
+    cut = rank_tol * w[:, -1:]
     # eigenvalues ascend, so the null space takes the first r0 columns and the support the last r+
-    n = rho.shape[-1]
-    r0 = (w <= cut[:, None]).sum(axis=1)
-    rp = (w >= AMBIGUITY_FACTOR * cut[:, None]).sum(axis=1)
-    if (r0 + rp < n).any():
-        k = int((r0 + rp < n).argmax())
-        c = float(cut[k])
-        amb = w[k][r0[k]:n - rp[k]]
+    null = w <= cut
+    ambiguous = ~(null | (w >= AMBIGUITY_FACTOR * cut))
+    if ambiguous.any():
+        k = int(ambiguous.any(axis=1).argmax())
+        c = float(cut[k, 0])
+        amb = w[k][ambiguous[k]]
         raise RankAmbiguousError(
             "eigenvalue(s) inside the rank ambiguity band "
             f"({c:.3e}, {AMBIGUITY_FACTOR * c:.3e}): {amb.tolist()}",
@@ -560,15 +578,18 @@ def split_support(rho: np.ndarray, drho: np.ndarray, deriv_tol: float,
             band=[c, AMBIGUITY_FACTOR * c],
         )
 
-    keys = r0 * (n + 1) + rp
+    # every column is a null or a support one, so the columns of all are fixed at once
+    r0 = null.sum(axis=1)
+    keys, cols = sorted(set(r0.tolist())), _columns(vecs)
     groups = []
-    for key in [int(keys[0])] if (keys == keys[0]).all() else np.unique(keys).tolist():
-        rows = np.flatnonzero(keys == key)
-        z, r = divmod(key, n + 1)
-        w_g, vecs_g, drho_g = (w, vecs, drho) if len(rows) == len(keys) else (
-            w[rows], vecs[rows], drho[rows])
-        V, Y = _columns(vecs_g[..., n - r:]), _columns(vecs_g[..., :z])
-        groups.append((rows, _split(drho_g, deriv_tol, w_g[:, n - r:], V, Y)))
+    for z in keys:
+        if len(keys) == 1:  # the whole stack
+            rows, w_g, cols_g, drho_g = np.arange(len(r0)), w, cols, drho
+        else:
+            rows = np.flatnonzero(r0 == z)
+            w_g, cols_g, drho_g = w[rows], cols[rows], drho[rows]
+        groups.append((rows, _split(drho_g, deriv_tol, w_g[:, z:], cols_g[..., z:],
+                                    cols_g[..., :z])))
     return groups
 
 
@@ -591,8 +612,8 @@ def support_decomposition(sp: StateAtPoint, rank_tol: float = DEFAULT_RANK_TOL) 
 
 def _basis_split(rho, drho, deriv_tol: float, V, rank_tol: float) -> SupportDecomposition:
     """:func:`decomposition_from_basis` for a (B, n, n) stack of states and a
-    (B, n, r) stack of bases, checked as one stack: the first failing point
-    raises the error it raises alone."""
+    (B, n, r) stack of bases, checked as one stack: a stack holding a failing
+    point raises an error of one of its failing points."""
     V = np.asarray(V, dtype=complex)
     B, n = rho.shape[:2]
     if V.ndim != 3 or V.shape[0] != B or V.shape[1] != n or V.shape[2] > n:
@@ -600,10 +621,9 @@ def _basis_split(rho, drho, deriv_tol: float, V, rank_tol: float) -> SupportDeco
     r = V.shape[-1]
     vh = V.conj().swapaxes(-1, -2)
     m = vh @ rho @ V
-    q = np.diagonal(m, axis1=-2, axis2=-1).real.copy()
-    diag = np.zeros(m.shape)
-    diag[:, np.arange(r), np.arange(r)] = q
-    defect, off = nk.fro_stack(np.array([vh @ V - np.eye(r), m - diag]))
+    q = m.diagonal(axis1=-2, axis2=-1).real.copy()
+    eye = nk.identity(r)
+    defect, off = nk.fro_stack(np.array([vh @ V - eye, m - q[..., None] * eye]))
     if (defect > 1e-10 * max(1.0, r)).any():
         raise InvalidStateError("support basis is not an isometry")
     rho_scale = 1e-8 * np.maximum(1.0, nk.fro_stack(rho))
@@ -619,7 +639,7 @@ def _basis_split(rho, drho, deriv_tol: float, V, rank_tol: float) -> SupportDeco
         raise InvalidStateError("supplied basis includes null directions", q=q[nulls.argmax()])
 
     # the completion I - V V^dag is a projector: its eigenvalues near 1 (above 0.5) come last
-    _, vecs = np.linalg.eigh(nk.hermitize(np.eye(n) - V @ vh))
+    _, vecs = np.linalg.eigh(nk.hermitize(nk.identity(n) - V @ vh))
     Y = _columns(vecs[..., r:])
     if (nk.fro_stack(rho @ Y) > rho_scale).any():
         raise InvalidStateError("completed null basis is not annihilated by the state")

@@ -51,14 +51,29 @@ def fro_stack(a: np.ndarray) -> np.ndarray:
     """:func:`fro` of every matrix of a stack ``(..., m, n)``, bit for bit, in one pass.
 
     The stack is read C-contiguous, so each norm equals ``fro`` of the
-    C-contiguous copy of its matrix: its sum of squares is a stacked
-    ``(1, mn) @ (mn, 1)`` product, one BLAS dot with the strides ``fro`` takes.
-    Returns the ``(...)`` array of norms.
+    C-contiguous copy of its matrix: its sum of squares is ``np.vecdot`` of
+    the real parts plus that of the imaginary parts, one BLAS dot each with
+    the strides ``fro`` takes. Returns the ``(...)`` array of norms.
     """
-    a = np.ascontiguousarray(a)
-    x = a.reshape(*a.shape[:-2], 1, a.shape[-2] * a.shape[-1])
+    x = np.ascontiguousarray(a)
+    x = x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
     re, im = x.real, x.imag
-    return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0]
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+
+
+def norm_stack(a: np.ndarray, axis=(-2, -1)) -> np.ndarray:
+    """``np.linalg.norm(a, axis=axis)`` bit for bit, for one axis or two: the 2-norm of
+    every vector or the Frobenius norm of every matrix of a stack, summed as numpy sums,
+    without the dispatch of ``np.linalg.norm``."""
+    return np.sqrt(np.add.reduce((a.conj() * a).real, axis=axis))
+
+
+@functools.cache
+def identity(n: int) -> np.ndarray:
+    """The real ``n x n`` identity, one read-only array shared by every caller."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
 def opnorm(a: np.ndarray):
@@ -83,7 +98,7 @@ def _require_square(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"{what} must be square, got shape {a.shape}", shape=list(a.shape))
-    if not np.all(np.isfinite(a.view(float))):
+    if not np.isfinite(a.view(float)).all():
         raise ShapeError(f"{what} has non-finite entries")
     return a
 

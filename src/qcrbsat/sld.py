@@ -36,33 +36,39 @@ class SLDInconsistentError(QcrbSatError):
     pass
 
 
-def _assemble(lpp: np.ndarray, lpz: np.ndarray, dec: SupportDecomposition) -> np.ndarray:
+def _assemble(lpp: np.ndarray, lpz: np.ndarray, v: np.ndarray, vh: np.ndarray,
+              y: np.ndarray) -> np.ndarray:
     """Full-space observables ``V Lpp V^dag + V Lpz Y^dag + Y Lpz^dag V^dag`` of
     stacked ++ and +0 blocks, hermitized; their 00 block is zero."""
-    v, y = dec.V[..., None, :, :], dec.Y[..., None, :, :]
-    vh = v.conj().swapaxes(-1, -2)
     return nk.hermitize(v @ lpp @ vh + v @ lpz @ y.conj().swapaxes(-1, -2)
                         + y @ lpz.conj().swapaxes(-1, -2) @ vh)
 
 
-def pairs(p: int):
+@cache
+def pairs(p: int) -> tuple:
     """Parameter pairs (l, m), l < m, in the order every pairwise quantity uses."""
-    return combinations(range(p), 2)
+    return tuple(combinations(range(p), 2))
 
 
 @cache
-def pair_index(p: int) -> tuple:
-    """The arrays of the first and of the second parameter of every pair, in :func:`pairs` order."""
-    ls, ms = np.triu_indices(p, 1)
-    ls.flags.writeable = ms.flags.writeable = False  # shared by every caller
-    return ls, ms
+def pair_index(p: int) -> np.ndarray:
+    """The (2, pairs) array of the first and of the second parameter of every pair, in
+    :func:`pairs` order: ``x[..., pair_index(p), :, :]`` stacks both members of every pair
+    of a ``(..., p, m, n)`` stack in one gather."""
+    index = np.array(np.triu_indices(p, 1))
+    index.flags.writeable = False  # shared by every caller
+    return index
 
 
 def plus_null_blocks(dec: SupportDecomposition, drho) -> np.ndarray:
     """The +0 SLD blocks ``2 diag(q)^-1 V^dag (d rho) Y``, one per derivative."""
     vh = dec.V.conj().swapaxes(-1, -2)[..., None, :, :]
-    d = np.asarray(drho, dtype=complex)
-    return 2.0 * (vh @ d @ dec.Y[..., None, :, :]) / dec.q[..., None, :, None]
+    return _plus_null(vh, np.asarray(drho, dtype=complex), dec.Y[..., None, :, :], dec.q)
+
+
+def _plus_null(vh: np.ndarray, d: np.ndarray, y: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """:func:`plus_null_blocks` from ``V^dag`` and ``Y`` with their parameter axis."""
+    return 2.0 * (vh @ d @ y) / q[..., None, :, None]
 
 
 @dataclass(frozen=True)
@@ -85,11 +91,15 @@ class SLDSet:
     def n_params(self) -> int:
         return self.full.shape[-3]
 
+    def row(self, i) -> "SLDSet":
+        """The SLDs of point ``i`` of a stack."""
+        return SLDSet(Lpp=self.Lpp[i], Lpz=self.Lpz[i], full=self.full[i])
+
     @cached_property
     def commutators(self) -> np.ndarray:
         """``[L_l, L_m]`` of the full-space observables, stacked in :func:`pairs` order."""
-        ls, ms = pair_index(self.n_params)
-        f_l, f_m = self.full[..., ls, :, :], self.full[..., ms, :, :]
+        f = self.full[..., pair_index(self.n_params), :, :]
+        f_l, f_m = f[..., 0, :, :, :], f[..., 1, :, :, :]
         return f_l @ f_m - f_m @ f_l
 
     @cached_property
@@ -106,7 +116,7 @@ class SLDSet:
         A change of support or null basis does not move it, and it vanishes
         only where ``d_l rho = 0``.
         """
-        return np.linalg.norm(np.concatenate([self.Lpp, self.Lpz], axis=-1), axis=(-2, -1))
+        return nk.norm_stack(np.concatenate([self.Lpp, self.Lpz], axis=-1))
 
 
 def compute_sld(
@@ -120,22 +130,21 @@ def compute_sld(
     typically signals bad derivatives or a misdetected rank. A stacked split
     (see :func:`~qcrbsat.model.split_support`) with its ``(B, p, n, n)``
     derivatives gives the stacked SLDs, row i equal to the single-point solve
-    bit for bit; the first failing point raises the error it raises alone.
+    bit for bit; a failing point raises for its first failing parameter.
     """
     q = dec.q
-    v = dec.V[..., None, :, :]
+    v, y = dec.V[..., None, :, :], dec.Y[..., None, :, :]  # with a parameter axis
     vh = v.conj().swapaxes(-1, -2)
     d = np.asarray(drho, dtype=complex)
     lpp = nk.hermitize(2.0 * (vh @ d @ v) / (q[..., :, None] + q[..., None, :])[..., None, :, :])
-    lpz = plus_null_blocks(dec, d)
-    full = _assemble(lpp, lpz, dec)
+    lpz = _plus_null(vh, d, y, q)
+    full = _assemble(lpp, lpz, v, vh, y)
 
-    diag = np.zeros(q.shape + q.shape[-1:], dtype=complex)
-    diag[..., np.arange(q.shape[-1]), np.arange(q.shape[-1])] = q
-    rho = (dec.V @ diag @ dec.V.conj().swapaxes(-1, -2))[..., None, :, :]
+    # V diag(q) V^dag, with V diag(q) taken as the column scaling it equals
+    rho = (v * q[..., None, None, :]) @ vh
     defect = (full @ rho + rho @ full) / 2.0 - d
-    scales = np.linalg.norm(d, axis=(-2, -1))
-    residuals = np.linalg.norm(defect, axis=(-2, -1)) / np.where(scales > 0, scales, 1.0)
+    scales = nk.norm_stack(d)
+    residuals = nk.norm_stack(defect) / np.where(scales > 0, scales, 1.0)
     bad = residuals > sld_tol
     if bad.any():
         l = int(bad.argmax()) % residuals.shape[-1]
@@ -158,7 +167,8 @@ def qfim(dec: SupportDecomposition, slds: SLDSet) -> np.ndarray:
     gives the ``(B, p, p)`` stack of matrices.
     """
     a, b = slds.pair_products
-    diag = np.diagonal(a, axis1=-2, axis2=-1) + np.diagonal(b, axis1=-2, axis2=-1)
+    diag = a.diagonal(axis1=-2, axis2=-1) + b.diagonal(axis1=-2, axis2=-1)
     f = np.sum(dec.q[..., None, None, :] * diag.real, axis=-1)
-    upper = np.triu(np.ones(f.shape[-2:], dtype=bool))
-    return np.where(upper, f, f.swapaxes(-1, -2))
+    ls, ms = pair_index(slds.n_params)
+    f[..., ms, ls] = f[..., ls, ms]  # the lower triangle mirrors the upper
+    return f

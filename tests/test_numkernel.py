@@ -169,6 +169,34 @@ class TestFroStack:
             for index in np.ndindex(*a.shape[:-2]):
                 assert got[index] == nk.fro(np.ascontiguousarray(a[index]))
 
+    def test_long_rows_bit_for_bit(self):
+        # rows long enough for the BLAS dot to block its sums
+        rng = np.random.default_rng(5)
+        for shape in ((2, 64, 64), (3, 17, 33), (1, 128, 96)):
+            a = rng.standard_normal(shape) * 1e3 + 1j * rng.standard_normal(shape)
+            for x in (a, a.swapaxes(-1, -2), a.real.copy()):
+                got = nk.fro_stack(x)
+                assert [float(g) for g in got] == [nk.fro(np.ascontiguousarray(m)) for m in x]
+
+
+class TestNormStack:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_equals_numpy_norm_bit_for_bit(self, data):
+        dtype = np.dtype(data.draw(st.sampled_from([np.complex128, np.float64])))
+        a = data.draw(arrays(dtype, array_shapes(min_dims=2, max_dims=4, min_side=0, max_side=6),
+                             elements=from_dtype(dtype, allow_nan=False)))
+        axis = data.draw(st.sampled_from([(-2, -1), -1, 1]))
+        # huge entries: both sides overflow to inf (and inf * 0 to nan) alike
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _bits(nk.norm_stack(a, axis=axis)) == _bits(np.linalg.norm(a, axis=axis))
+
+    def test_identity_is_shared_and_read_only(self):
+        eye = nk.identity(3)
+        assert eye is nk.identity(3) and _bits(eye) == _bits(np.eye(3))
+        with pytest.raises(ValueError):
+            eye[0, 0] = 2.0
+
 
 def _bits(a):
     a = np.asarray(a)
