@@ -124,9 +124,10 @@ def run_analyses(args, points: StateAtPoint, model=None, witness=None) -> list:
 
     ``points`` is a stack of state points (see
     :func:`~qcrbsat.model.evaluate_points`). The support split, the SLDs,
-    the QFIM, the pairwise checks and condition 2' run once per group of
-    points with equal (r+, r0); the W search and the verdict run per point,
-    each from ``default_rng(args.seed)``. The SLD solve is checked at the
+    the QFIM, the pairwise checks, the W search and condition 2' run once
+    per group of points with equal (r+, r0); the verdict runs per point. A
+    point's W search draws from a ``default_rng(args.seed)`` of its own,
+    made only if it draws. The SLD solve is checked at the
     condition tolerance or the scheme's, whichever is looser. Returns
     ``(dec, slds, f_q, report)`` per point, each what the point gives
     alone. A stack holding a failing point raises a :class:`QcrbSatError`
@@ -139,7 +140,7 @@ def run_analyses(args, points: StateAtPoint, model=None, witness=None) -> list:
         slds = compute_sld(dec, group.drho, sld_tol=max(tol, points.deriv_tol))
         f_q = qfim(dec, slds)
         reports = condition_reports(group, dec, slds, model=model, witness=witness, tol=tol,
-                                    rngs=(np.random.default_rng(args.seed) for _ in rows))
+                                    rngs=lambda _: np.random.default_rng(args.seed))
         for i, (k, report) in enumerate(zip(rows.tolist(), reports)):
             out[k] = (dec.row(i), slds.row(i), f_q[i], report)
     return out

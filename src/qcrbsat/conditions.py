@@ -21,9 +21,12 @@ commutativity of the SLDs are reported diagnostics. The searches (for
 ``W``, for canonical witnesses) are heuristic; only the verifier's residuals
 certify anything, so a failed search degrades to UNKNOWN, and condition 4
 is refuted only through a failed condition 3. The W search tries two
-constructions on the stacked ``(p, r+, r0)`` +0 blocks, a pseudo-inverse
-one and, for r+ = 1, a real-rows one, and then the identity; every
-candidate, unitarity included, goes through :func:`verify_condition4_with_w`.
+constructions on the +0 blocks, a pseudo-inverse one and, for r+ = 1, a
+real-rows one, and then the identity; every candidate, unitarity included,
+goes through the verifier. It runs on a ``(B, p, r+, r0)`` stack of points
+(see :func:`_find_w_stack`): the block norms, the pseudo-inverses and each
+round of verification are one pass over the stack, while the joint
+diagonalization (r0 > 1 only) and the real-rows construction run per point.
 """
 
 from __future__ import annotations
@@ -209,44 +212,69 @@ def verify_condition4_with_w(
     that vanishes for some parameters but not others is mixed, fails, and
     reads its largest norm as residual. ``scale_floor`` lets callers anchor
     the scale to the full SLD norms so that +0 blocks consisting of pure
-    roundoff count as vanished. Every column of every block is checked at
-    once, on the stack ``lpz @ W``.
+    roundoff count as vanished. This is :func:`_verify_stack` on a stack of
+    one.
     """
     lpz = np.asarray(lpz, dtype=complex)
-    p, r0 = len(lpz), lpz.shape[-1]
+    r0 = lpz.shape[-1]
     w = np.asarray(w, dtype=complex)
     if w.shape != (r0, r0):
         raise nk.ShapeError(f"W has shape {w.shape}, expected ({r0}, {r0})")
-    cols = lpz @ w  # column s of block l is cols[l, :, s]
-    norms = nk.norm_stack(cols, axis=1)  # (p, r0)
-    top = float(norms.max(initial=0.0))
-    # all-zero blocks read every column vacuous against any positive scale
-    scale = max(top, float(scale_floor)) or 1.0
+    ok, lam, column_status, worst = _verify_stack(lpz[None], w[None], tol,
+                                                  np.array([scale_floor], dtype=float))
+    return ok[0], lam[0], column_status[0], worst[0]
 
-    live = norms > tol * scale
-    proportional = live.all(axis=0)
-    mixed = live.any(axis=0) & ~proportional
-    ref_index, column = norms.argmax(axis=0), np.arange(r0)
-    ref = cols[ref_index, :, column].T  # (r+, r0): column s of its block with the largest norm
+
+_COLUMN_STATUS = ("vacuous", "mixed", "proportional")
+
+
+def _verify_stack(lpz: np.ndarray, w: np.ndarray, tol: float, scale_floor: np.ndarray):
+    """:func:`verify_condition4_with_w` at every point of a stack, in one pass.
+
+    ``lpz`` is the ``(B, p, r+, r0)`` stack of +0 blocks, ``w`` the
+    ``(B, r0, r0)`` candidates and ``scale_floor`` the ``(B,)`` floors.
+    Every column of every block of every point is checked at once, on the
+    stack ``lpz @ W``. Returns the list of ``ok`` flags, the ``(B, p, p,
+    r0)`` ratios, the lists of column statuses and the list of residuals,
+    each row what its point gives alone.
+    """
+    cols = lpz @ w[:, None]  # column s of block l at point b is cols[b, l, :, s]
+    norms = nk.norm_stack(cols, axis=2)  # (B, p, r0)
+    # all-zero blocks read every column vacuous against any positive scale
+    scale = np.maximum(norms.max(axis=(1, 2), initial=0.0), scale_floor)
+    scale[scale == 0.0] = 1.0
+
+    live = norms > tol * scale[:, None, None]
+    proportional = live.all(axis=1)
+    mixed = live.any(axis=1) & ~proportional
+    point, column = np.arange(len(cols))[:, None], np.arange(cols.shape[-1])
+    ref_index = norms.argmax(axis=1)  # (B, r0)
+    # (B, r0, r+): column s of its block with the largest norm, as row s
+    ref = cols[point, ref_index, :, column]
     # Re <ref_s, column s of block l>, one BLAS dot product per column as
     # np.vdot takes it: a summation of its own would move the ratios' digits
     # wherever the inner product cancels
-    inner = (ref.T.conj()[:, None, :] @ cols.swapaxes(1, 2)[..., None])[..., 0, 0].real
+    inner = (ref.conj()[:, None, :, None, :] @ cols.swapaxes(2, 3)[..., None])[..., 0, 0].real
     # ratios vanish off the proportional columns, so there a residual is the column's norm
-    ratios = inner / np.where(proportional, inner[ref_index, column], np.inf)
-    residuals = nk.norm_stack(cols - ratios[:, None] * ref, axis=1) / scale
-    worst = float((residuals * live).max(initial=0.0))  # a mixed column's is its largest norm
-    lam = ratios[:, None] / np.where(ratios != 0, ratios, np.nan)
-    column_status = ["proportional" if a else "mixed" if b else "vacuous"
-                     for a, b in zip(proportional.tolist(), mixed.tolist())]
-    defect = nk.fro(w.conj().T @ w - nk.identity(r0))
-    if defect > 1e-8:
-        return False, lam, column_status, max(worst, defect)
-    return worst <= tol and not mixed.any(), lam, column_status, worst
+    top = inner[point, ref_index, column][:, None]
+    ratios = inner / np.where(proportional[:, None], top, np.inf)  # (B, p, r0)
+    residuals = nk.norm_stack(cols - ratios[:, :, None] * ref.swapaxes(1, 2)[:, None], axis=2)
+    residuals /= scale[:, None, None]
+    worst = (residuals * live).max(axis=(1, 2), initial=0.0)  # a mixed column's is its largest norm
+    lam = ratios[:, :, None] / np.where(ratios != 0, ratios, np.nan)[:, None]
+    column_status = [[_COLUMN_STATUS[k] for k in row]
+                     for row in (2 * proportional + mixed).tolist()]
+    r0 = w.shape[-1]
+    defect = nk.fro_stack(w.conj().swapaxes(1, 2) @ w - nk.identity(r0))
+    not_unitary = defect > 1e-8
+    ok = ~not_unitary & (worst <= tol) & ~mixed.any(axis=1)
+    return (ok.tolist(), lam, column_status,
+            np.where(not_unitary, np.maximum(worst, defect), worst).tolist())
 
 
-def _candidate_w_pinv(lpz: np.ndarray, ref: int, tol: float, rng) -> Optional[np.ndarray]:
-    """A joint eigenbasis of ``M_l = pinv(Lpz_ref) Lpz_l`` on all of C^{r0}.
+def _candidate_w_pinv(lpz: np.ndarray, ref: np.ndarray, tol: float, rng) -> tuple:
+    """Joint eigenbases of ``M_l = pinv(Lpz_ref) Lpz_l`` on all of C^{r0}, at each point of a
+    ``(B, p, r+, r0)`` stack whose reference blocks are ``ref``.
 
     Suppose ``L_l = C Λ_l W^dag`` with every Λ_l real diagonal, no mixed
     column (one that vanishes for some parameters but not all) and C
@@ -257,16 +285,30 @@ def _candidate_w_pinv(lpz: np.ndarray, ref: int, tol: float, rng) -> Optional[np
     (the kernel among them) and is a valid W. When the family does not
     commute or is not scalar on a cluster, the joint diagonalization
     refuses and there is no candidate.
+
+    The pseudo-inverses and the ``M_l`` are one stacked computation. For
+    r0 = 1 the joint eigenbasis of a (finite) family is ``[[1]]``, what
+    :func:`~qcrbsat.numkernel.joint_eigenprojectors` returns for it; any
+    other family is diagonalized on its own, drawing from ``rng(k)``, the
+    generator of point k. Returns the ``(B, r0, r0)`` stack of bases and
+    the ``(B,)`` flags of the points that have one.
     """
-    m = np.linalg.pinv(lpz[ref], rcond=1e-10) @ lpz
-    # each M_l enters as its Hermitian and anti-Hermitian parts, in turn
-    family = np.stack([nk.hermitize(m), (m - m.conj().swapaxes(-1, -2)) / 2j], axis=1)
-    try:
-        spectrum = nk.joint_eigenprojectors(family.reshape(-1, *m.shape[1:]),
-                                            tol=max(tol, 1e-10), rng=rng)
-    except (nk.NotCommutingError, nk.JointDiagonalizationError):
-        return None
-    return spectrum.basis
+    b, p, _, r0 = lpz.shape
+    m = np.linalg.pinv(lpz[np.arange(b), ref], rcond=1e-10)[:, None] @ lpz
+    alone = np.flatnonzero(~np.isfinite(m).all(axis=(1, 2, 3)) if r0 == 1 else np.ones(b))
+    bases = np.ones((b, r0, r0), dtype=complex)
+    found = np.ones(b, dtype=bool)
+    if alone.size:
+        m = m[alone]
+        # each M_l enters as its Hermitian and anti-Hermitian parts, in turn
+        family = np.stack([nk.hermitize(m), (m - m.conj().swapaxes(-1, -2)) / 2j], axis=2)
+        for k, family_k in zip(alone.tolist(), family.reshape(len(alone), 2 * p, r0, r0)):
+            try:
+                spectrum = nk.joint_eigenprojectors(family_k, tol=max(tol, 1e-10), rng=rng(k))
+                bases[k] = spectrum.basis
+            except (nk.NotCommutingError, nk.JointDiagonalizationError):
+                found[k] = False
+    return bases, found
 
 
 def _candidate_w_totally_real(rows: np.ndarray, tol: float, rng) -> Optional[np.ndarray]:
@@ -312,47 +354,86 @@ def find_w_condition4(
     fitted real ratios; everything else is UNKNOWN. The refutation
     (CERTIFIED_NO) is condition 3's:
     :class:`ConditionReport` reads it off a failed condition 3.
+
+    The search runs on stacks of points, and this is it on a stack of one
+    (see :func:`_find_w_stack`): the block norms, the pseudo-inverses and
+    each candidate's verification are one pass over the stack, and only the
+    joint diagonalization of an r0 > 1 family and the real-rows
+    construction run per point. Only those two steps draw from ``rng``
+    (``default_rng(0)`` when None).
     """
-    rng = rng if rng is not None else np.random.default_rng(0)
     lpz = np.asarray(lpz, dtype=complex)
-    _, r_plus, r0 = lpz.shape
+    rngs = (lambda _: rng) if rng is not None else None
+    return _find_w_stack(lpz[None], tol, np.array([scale_floor], dtype=float), rngs)[0]
 
-    identity = np.eye(r0, dtype=complex)
-    norms = nk.norm_stack(lpz)
-    candidates = [identity]
-    if norms.max() > tol * scale_floor:
-        candidates = [
-            _candidate_w_pinv(lpz, int(norms.argmax()), tol, rng),
-            _candidate_w_totally_real(lpz[:, 0], tol, rng) if r_plus == 1 else None,
-            identity,
-        ]
 
-    residuals = []
-    for w in candidates:
-        if w is None:
-            continue
-        ok, lam, column_status, res = verify_condition4_with_w(lpz, w, tol, scale_floor)
-        if ok:
-            return Cond4Result(
-                status=COND4_YES,
-                W=w,
-                lambdas=lam,
-                column_status=column_status,
-                residual=res,
-                tol=tol,
-                notes=[] if r0 else ["no null directions"],
-            )
-        residuals.append(res)
+def _find_w_stack(lpz: np.ndarray, tol: float, scale_floor: np.ndarray, rngs=None) -> list:
+    """:func:`find_w_condition4` at every point of a ``(B, p, r+, r0)`` stack of +0 blocks.
 
-    return Cond4Result(
-        status=COND4_UNKNOWN,
-        W=None,
-        lambdas=None,
-        column_status=None,
-        residual=min(residuals),
-        tol=tol,
-        notes=["search exhausted without a verified W; existence undecided"],
-    )
+    The block norms, the vacuous test, the pseudo-inverses and each round
+    of candidates' verification run once on the stack; the joint
+    diagonalization runs per point where r0 > 1, and the real-rows
+    construction per point that reaches it. Each candidate goes on only to
+    the points no earlier one was accepted at. ``rngs(b)`` gives point b's
+    generator (``default_rng(0)`` when ``rngs`` is None), made when its
+    search first draws. The r0 = 1 eigenbasis skips the 2p mixture draws
+    the joint diagonalization makes, so a point that goes on to the
+    real-rows construction takes them first. Returns the
+    :class:`Cond4Result` of every point, each what the point gives alone.
+    """
+    b, p, r_plus, r0 = lpz.shape
+    norms = nk.norm_stack(lpz)  # (B, p)
+    live = np.flatnonzero(norms.max(axis=1) > tol * scale_floor)
+    results: list = [None] * b
+    tried = [[] for _ in range(b)]  # the residuals of the refused candidates, in turn
+
+    def attempt(rows, ws):
+        """Verify the candidates ``ws`` at the points ``rows`` that have none accepted yet."""
+        oks, lams, statuses, residuals = _verify_stack(lpz[rows], ws, tol, scale_floor[rows])
+        for k, (i, ok, res) in enumerate(zip(rows, oks, residuals)):
+            if ok:  # W and the ratios are copied, so no result holds on to the group's stacks
+                results[i] = Cond4Result(status=COND4_YES, W=ws[k].copy(), lambdas=lams[k].copy(),
+                                         column_status=statuses[k], residual=res, tol=tol,
+                                         notes=[] if r0 else ["no null directions"])
+            else:
+                tried[i].append(res)
+
+    rngs = rngs or (lambda _: np.random.default_rng(0))
+    generators: dict = {}
+
+    def rng(i):
+        if i not in generators:
+            generators[i] = rngs(i)
+        return generators[i]
+
+    if live.size:
+        ws, found = _candidate_w_pinv(lpz[live], norms[live].argmax(axis=1), tol,
+                                      lambda k: rng(int(live[k])))
+        if found.any():
+            attempt(live[found].tolist(), ws[found])
+    if r_plus == 1:
+        rows, ws = [], []
+        for i in live.tolist():
+            if results[i] is None:
+                if i not in generators:  # an r0 = 1 point: take the mixture draws it skipped
+                    rng(i).standard_normal(2 * p)
+                w = _candidate_w_totally_real(lpz[i, :, 0], tol, rng(i))
+                if w is not None:
+                    rows.append(i)
+                    ws.append(w)
+        if rows:
+            attempt(rows, np.array(ws))
+    rows = [i for i, r in enumerate(results) if r is None]
+    if rows:
+        attempt(rows, np.tile(np.eye(r0, dtype=complex), (len(rows), 1, 1)))
+
+    for i, r in enumerate(results):
+        if r is None:
+            results[i] = Cond4Result(
+                status=COND4_UNKNOWN, W=None, lambdas=None, column_status=None,
+                residual=min(tried[i]), tol=tol,
+                notes=["search exhausted without a verified W; existence undecided"])
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -672,10 +753,12 @@ def evaluate_conditions(
 ) -> ConditionReport:
     """Run every saturability check and assemble the verdict (``tol`` must be finite and >= 0).
 
-    This is :func:`condition_reports` on the point as a stack of one.
+    This is :func:`condition_reports` on the point as a stack of one, its W
+    search drawing from ``rng``.
     """
     return condition_reports(sp.row(None), dec.row(None), slds.row(None), model=model,
-                             witness=witness, tol=tol, rngs=[rng])[0]
+                             witness=witness, tol=tol,
+                             rngs=(lambda _: rng) if rng is not None else None)[0]
 
 
 def condition_reports(
@@ -692,28 +775,27 @@ def condition_reports(
 
     ``sp``, ``dec`` and ``slds`` hold a stack of points with equal
     ``(r_plus, r_zero)`` (see :func:`~qcrbsat.model.split_support`). The
-    five pairwise checks and condition 2' run once on the stack; the W
-    search, its report and the verdict run per point, the W search of point
-    i drawing from ``rngs[i]`` (an iterable of generators, one per point;
-    None draws each from ``default_rng(0)``). Each report equals the one
-    :func:`evaluate_conditions` gives at that point. A stack holding a
-    failing point raises a :class:`~qcrbsat.errors.QcrbSatError` from one
-    of its failing points.
+    five pairwise checks, the W search (see :func:`_find_w_stack`) and
+    condition 2' run once on the stack; the reports and the verdict are
+    per point. ``rngs(i)`` gives the generator the W search of point i
+    draws from, made only if it draws (None: ``default_rng(0)``). Each
+    report equals the one :func:`evaluate_conditions` gives at that point.
+    A stack holding a failing point raises a
+    :class:`~qcrbsat.errors.QcrbSatError` from one of its failing points.
     """
     tol = tol if tol is not None else sp.deriv_tol
     require_tolerance("cond_tol", tol)
     checks = _all_pair_checks(sp.rho, slds, tol)
     n = len(slds.full)
-    sld_scales = nk.fro_stack(slds.full).max(axis=-1).tolist() if slds.n_params else [1.0] * n
-    rngs = rngs if rngs is not None else [None] * n
+    sld_scales = nk.fro_stack(slds.full).max(axis=-1) if slds.n_params else np.ones(n)
+    cond4 = _find_w_stack(slds.Lpz, tol, sld_scales, rngs)
     regime = "pure" if dec.r_plus == 1 else ("full_rank" if dec.r_zero == 0 else "rank_deficient")
     reports = []
-    for i, (lpz, rng, scale) in enumerate(zip(slds.Lpz, rngs, sld_scales)):
+    for i, c4 in enumerate(cond4):
         full_c, avg, partial, c1, c3 = checks[i::n]
         reports.append(ConditionReport(
             regime=regime, full_comm=full_c, avg_comm=avg, partial_comm=partial, cond1=c1,
-            cond3=c3, cond4=find_w_condition4(lpz, tol, rng=rng, scale_floor=scale),
-            cond2prime=None, tol=tol))
+            cond3=c3, cond4=c4, cond2prime=None, tol=tol))
     if model is not None and sp.theta is not None:
         for report, result in zip(reports, verify_condition2prime(model, sp, witness,
                                                                   tol=max(tol, 1e-8))):

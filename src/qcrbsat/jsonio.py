@@ -26,7 +26,6 @@ FLUSH_PARTS = 4096
 # Arrays with more axes than a matrix of [re, im] pairs are written one
 # leading-axis slice at a time, so no more than one matrix's text is held.
 LEAF_NDIM = 3
-_INF = float("inf")
 
 
 class SchemaError(QcrbSatError):
@@ -50,14 +49,12 @@ class ComplexMatrix(list):
         super().__init__(self.pairs.tolist())
 
 
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _floatstr(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == _INF:
-        return "Infinity"
-    if x == -_INF:
-        return "-Infinity"
-    return float.__repr__(x)
+    text = float.__repr__(x)
+    return _NONFINITE.get(text, text)
 
 
 def _scalar_text(o):
@@ -75,6 +72,16 @@ def _scalar_text(o):
     if isinstance(o, float):
         return _floatstr(o)
     return None
+
+
+# The text of a scalar by its exact type; subclasses go through _scalar_text.
+_SCALARS = {
+    str: encode_basestring_ascii,
+    float: _floatstr,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
 
 
 def _keystr(k) -> str:
@@ -110,15 +117,28 @@ def _layout(shape: tuple, level: int):
     return head, table[rolled].tolist(), "".join(close)
 
 
+class _Newlines(dict):
+    """``"\n"`` and the indentation of each nesting level, made on first use."""
+
+    def __missing__(self, level: int) -> str:
+        text = self[level] = "\n" + INDENT * level
+        return text
+
+
 def dump(obj, write, *, sort_keys: bool = True) -> None:
     """Write ``obj`` through ``write`` as ``json.dumps(obj, indent=2, sort_keys=sort_keys)``.
 
     The text goes out in pieces, so the whole document never exists as one
     string. Values ``json.dumps`` refuses raise the same ``TypeError``.
+    Each value's handler comes from a table keyed by its exact type, and
+    the text before each string key, its comma, newline and indentation
+    included, is made once per level and dump.
     """
     parts: list = []
     append = parts.append
     layouts: dict = {}
+    key_texts: dict = {}  # level -> {key: ',<newline>"key": '}
+    newline = _Newlines()
 
     def flush():
         write("".join(parts))
@@ -146,51 +166,82 @@ def dump(obj, write, *, sort_keys: bool = True) -> None:
         if a.ndim <= LEAF_NDIM:
             leaf(a, level)
             return
-        inner = "\n" + INDENT * (level + 1)
+        inner = newline[level + 1]
         append("[" + inner)
         for i, sub in enumerate(a):
             if i:
                 append("," + inner)
             array(sub, level + 1)
-        append("\n" + INDENT * level + "]")
+        append(newline[level] + "]")
 
-    def value(o, level):
+    def sequence(o, level):
+        if not o:
+            append("[]")
+            return
+        inner = newline[level + 1]
+        append("[" + inner)
+        sep = "," + inner
+        for i, v in enumerate(o):
+            if i:
+                append(sep)
+            scalar = _SCALARS.get(type(v))
+            if scalar is None:
+                containers.get(type(v), other)(v, level + 1)
+            else:
+                append(scalar(v))
+            if len(parts) >= FLUSH_PARTS:
+                flush()
+        append(newline[level] + "]")
+
+    def mapping(o, level):
+        if not o:
+            append("{}")
+            return
+        texts = key_texts.get(level)
+        if texts is None:
+            texts = key_texts[level] = {}
+        for i, (k, v) in enumerate(sorted(o.items()) if sort_keys else o.items()):
+            text = texts.get(k) if type(k) is str else None
+            if text is None:
+                text = "," + newline[level + 1] + _keystr(k) + ": "
+                if type(k) is str:
+                    texts[k] = text
+            append(text if i else "{" + text[1:])  # the first key opens the object
+            scalar = _SCALARS.get(type(v))
+            if scalar is None:
+                containers.get(type(v), other)(v, level + 1)
+            else:
+                append(scalar(v))
+            if len(parts) >= FLUSH_PARTS:
+                flush()
+        append(newline[level] + "}")
+
+    def matrix(o, level):
+        if o.pairs.size:
+            array(o.pairs, level)
+        else:
+            sequence(o, level)
+
+    def other(o, level):
+        """A value whose exact type has no handler: subclasses, or what JSON refuses."""
         text = _scalar_text(o)
         if text is not None:
             append(text)
-        elif isinstance(o, ComplexMatrix) and o.pairs.size:
-            array(o.pairs, level)
+        elif isinstance(o, ComplexMatrix):
+            matrix(o, level)
         elif isinstance(o, (list, tuple)):
-            if not o:
-                append("[]")
-                return
-            inner = "\n" + INDENT * (level + 1)
-            append("[" + inner)
-            for i, v in enumerate(o):
-                if i:
-                    append("," + inner)
-                value(v, level + 1)
-                if len(parts) >= FLUSH_PARTS:
-                    flush()
-            append("\n" + INDENT * level + "]")
+            sequence(o, level)
         elif isinstance(o, dict):
-            if not o:
-                append("{}")
-                return
-            inner = "\n" + INDENT * (level + 1)
-            append("{" + inner)
-            for i, (k, v) in enumerate(sorted(o.items()) if sort_keys else o.items()):
-                if i:
-                    append("," + inner)
-                append(_keystr(k) + ": ")
-                value(v, level + 1)
-                if len(parts) >= FLUSH_PARTS:
-                    flush()
-            append("\n" + INDENT * level + "}")
+            mapping(o, level)
         else:
             raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
-    value(obj, 0)
+    containers = {list: sequence, tuple: sequence, dict: mapping, ComplexMatrix: matrix}
+    scalar = _SCALARS.get(type(obj))
+    if scalar is None:
+        containers.get(type(obj), other)(obj, 0)
+    else:
+        append(scalar(obj))
     flush()
 
 

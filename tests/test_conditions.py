@@ -155,6 +155,17 @@ class TestCondition4:
         res = cond.find_w_condition4(crafted_cond3_pass_cond4_fail())
         assert res.status == cond.COND4_UNKNOWN
 
+    def test_unknown_keeps_the_smallest_residual(self):
+        # a mixed column refuses every candidate; the pinv one comes closest, ahead of the identity
+        lpz = _mixed_blocks(np.random.default_rng(2))[0]
+        ref = np.argmax(np.linalg.norm(lpz, axis=(1, 2)))
+        ws, found = cond._candidate_w_pinv(lpz[None], ref[None], 1e-8,
+                                           lambda _: np.random.default_rng(0))
+        tried = [cond.verify_condition4_with_w(lpz, w)[3] for w in (ws[0], np.eye(2))]
+        assert found[0] and tried[0] < tried[1]
+        res = cond.find_w_condition4(lpz)
+        assert res.status == cond.COND4_UNKNOWN and res.residual == min(tried)
+
     def test_vanishing_columns(self):
         lpz = _planted_blocks(np.random.default_rng(9), 3, 3, 2, vanish=1)[0]
         sp = _point_from_plus_null(lpz, np.random.default_rng(9))
@@ -587,9 +598,9 @@ class TestWSearchProperties:
         rng = np.random.default_rng(seed)
         vanish = int(rng.integers(0, r0))
         lpz, _, lam = _planted_blocks(rng, p, r0 + extra, r0, vanish, float(spread))
-        w = cond._candidate_w_pinv(lpz, int(np.argmax(np.linalg.norm(lpz, axis=(1, 2)))),
-                                   1e-8, rng)
-        assert w is not None and cond.verify_condition4_with_w(lpz, w)[0]
+        ref = np.argmax(np.linalg.norm(lpz, axis=(1, 2)))
+        w, found = cond._candidate_w_pinv(lpz[None], ref[None], 1e-8, lambda _: rng)
+        assert found[0] and cond.verify_condition4_with_w(lpz, w[0])[0]
         res = self._certified(lpz)
         _same_columns(res.lambdas, lam, rtol=1e-6)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qcrbsat import cli, jsonio
 from qcrbsat import model as md
@@ -28,6 +29,19 @@ def reference(obj, sort_keys=True) -> str:
 def payload(*argv):
     args = cli.build_parser().parse_args(list(argv))
     return cli._COMMANDS[args.command](args)
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+_MATRICES = hnp.arrays(np.complex128,
+                       hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=3),
+                       elements=st.complex_numbers(allow_nan=True, allow_infinity=True))
+# Nested dicts, lists and tuples of every kind of value a report holds, edge floats included.
+DOCUMENTS = st.recursive(
+    st.text() | st.integers() | _FLOATS | st.sampled_from([-0.0, 5e-324, -5e-324])
+    | st.booleans() | st.none() | _FLOATS.map(np.float64) | _MATRICES.map(ComplexMatrix),
+    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(st.text(), children, max_size=4)),
+    max_leaves=30)
 
 
 class TestWriterMatchesJsonDumps:
@@ -111,6 +125,12 @@ class TestWriterMatchesJsonDumps:
                 dumped({"x": [bad]})
         with pytest.raises(TypeError):
             dumped({(1, 2): 0})
+
+    @settings(max_examples=200, deadline=None)
+    @given(DOCUMENTS)
+    def test_random_documents(self, obj):
+        for sort_keys in (True, False):
+            assert dumped(obj, sort_keys=sort_keys) == reference(obj, sort_keys=sort_keys)
 
     def test_output_is_streamed(self):
         pieces = []

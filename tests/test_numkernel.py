@@ -288,8 +288,10 @@ class TestJointEigenprojectorsMatchLoop:
         pv.construct_optimal(dec, slds, W=rep.cond4.W, lambdas=rep.cond4.lambdas,
                              rng=np.random.default_rng(0))
         monkeypatch.undo()
-        # the W search's pinv family, then the ++ blocks of the construction
-        assert [c[0][0].shape for c in calls] == [(n_w, n_w), (dec.r_plus, dec.r_plus)]
+        # the W search's pinv family (none at r0 = 1, whose joint eigenbasis is [[1]]), then
+        # the ++ blocks of the construction
+        w_search = [(n_w, n_w)] if n_w > 1 else []
+        assert [c[0][0].shape for c in calls] == w_search + [(dec.r_plus, dec.r_plus)]
         for family, tol, rng in calls:
             _assert_matches_loop(family, tol, rng)
 

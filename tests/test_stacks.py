@@ -3,8 +3,9 @@
 A stack of B points through `evaluate_points`, `split_support`, `compute_sld`,
 `qfim`, the five pairwise checks, `verify_condition2prime` and
 `condition_reports` gives, row by row, exactly what B single-point calls
-give. A stack that holds a failing point raises, and a sweep run in chunks
-gives each point the entry `analyze` gives it.
+give; so does the stacked W search against `find_w_condition4`. A stack that
+holds a failing point raises, and a sweep run in chunks gives each point the
+entry `analyze` gives it.
 """
 
 import dataclasses
@@ -19,7 +20,10 @@ import qcrbsat as qs
 from qcrbsat import cli, jsonio
 from qcrbsat import conditions as cond
 from qcrbsat import model as md
+from qcrbsat import numkernel as nk
 from qcrbsat.errors import QcrbSatError
+from test_conditions import (_mixed_blocks, _planted_blocks, crafted_cond3_pass_cond4_fail,
+                             pure_real_multinomial_point)
 
 CASES = [
     ("qutrit-phase-mixture", {"d": 0.6, "c1": 1.0, "c2": 0.7}),
@@ -122,7 +126,7 @@ def _stacked(model, witness, thetas, scheme):
         c2p = [qs.verify_condition2prime(model, group, w, tol=max(tol, 1e-8))
                for w in _witnesses(witness)]
         reports = cond.condition_reports(group, dec, slds, model=model, witness=witness,
-                                         rngs=(np.random.default_rng(7) for _ in rows))
+                                         rngs=lambda _: np.random.default_rng(7))
         for i, k in enumerate(rows.tolist()):
             out[k] = (group.row(i), dec.row(i), qs.SLDSet(slds.Lpp[i], slds.Lpz[i], slds.full[i]),
                       f_q[i], [c[i] for c in checks], [c[i] for c in c2p], reports[i])
@@ -205,3 +209,118 @@ def test_chunked_sweep_entries_are_the_analyze_reports(n1, n2, chunk, scheme):
             assert entry == {"theta": [a, b], "error": direct["error"]}
         else:
             assert entry == direct
+
+
+def _same_cond4(got, want):
+    assert (got.status, got.column_status, repr(got.residual), got.tol, got.notes) == (
+        want.status, want.column_status, repr(want.residual), want.tol, want.notes)
+    for a, b in ((got.W, want.W), (got.lambdas, want.lambdas)):
+        assert (a is None) == (b is None)
+        if a is not None:
+            _same(a, b)
+
+
+def _stacked_cond4(lpz, floors, seed=11, tol=1e-8):
+    """The stacked W search of ``lpz``, each row checked against `find_w_condition4` alone."""
+    lpz, floors = np.array(lpz, dtype=complex), np.array(floors, dtype=float)
+    got = cond._find_w_stack(lpz, tol, floors, lambda _: np.random.default_rng(seed))
+    for block, floor, res in zip(lpz, floors, got):
+        _same_cond4(res, cond.find_w_condition4(block, tol, rng=np.random.default_rng(seed),
+                                                scale_floor=floor))
+    return [r.status for r in got]
+
+
+def _model_blocks(name, params, thetas):
+    """The +0 blocks and SLD scales of a registry model at each point, one point at a time."""
+    model = qs.get(name, **params)
+    blocks, floors = [], []
+    for theta in thetas:
+        sp = qs.evaluate(model, theta)
+        slds = qs.compute_sld(qs.support_decomposition(sp), sp.drho, sld_tol=sp.deriv_tol)
+        blocks.append(slds.Lpz)
+        floors.append(max(nk.fro(f) for f in slds.full))
+    return blocks, floors
+
+
+def _pure_qutrit_blocks(theta):
+    sp = pure_real_multinomial_point(theta)
+    return qs.compute_sld(qs.support_decomposition(sp), sp.drho).Lpz
+
+
+@pytest.mark.parametrize("name, params, statuses", [
+    ("diag-multinomial", {"dims": 3}, {cond.COND4_YES}),  # r0 = 0
+    ("qutrit-phase-mixture", {"d": 0.6, "c1": 1.0, "c2": 0.7}, {cond.COND4_YES}),  # r0 = 1
+    ("qutrit-phase-mixture", {"d": 0.3 + 0.4j, "c1": 1.0, "c2": 0.7}, {cond.COND4_YES}),
+    ("pure-qubit-amp-phase", {}, {cond.COND4_UNKNOWN}),  # r+ = r0 = 1
+])
+def test_stacked_w_search_on_model_points(name, params, statuses):
+    model = qs.get(name, **params)
+    thetas = _points(model, name, 12, seed=4)
+    assert set(_stacked_cond4(*_model_blocks(name, params, thetas))) == statuses
+
+
+@pytest.mark.parametrize("planted", [True, False])
+def test_stacked_w_search_on_random_rank_r(planted):
+    # r0 > 1: one instance per seed at its consistent center, all of one shape
+    blocks, floors = [], []
+    for seed in range(1, 6):
+        b, f = _model_blocks("random-rank-r", {"seed": seed, "n_s": 8, "r_plus": 4,
+                                               "n_params": 3, "plant_cond4": planted},
+                             [np.zeros(3)])
+        blocks += b
+        floors += f
+    want = cond.COND4_YES if planted else cond.COND4_UNKNOWN
+    assert set(_stacked_cond4(blocks, floors)) == {want}
+
+
+def test_stacked_w_search_mixes_candidates():
+    rng = np.random.default_rng(2)
+    # r+ = 1, r0 = 2: the pinv candidate aligns one live column; the pure qutrit and the
+    # planted rows need the real-rows candidate; random rows get UNKNOWN; zeros are vacuous
+    phase = np.exp(0.7j)
+    one_column = np.array([[[0.3 * phase, 0.0]], [[-0.7 * phase, 0.0]]])
+    random_rows = rng.standard_normal((2, 1, 2)) + 1j * rng.standard_normal((2, 1, 2))
+    rows = [one_column, _pure_qutrit_blocks((0.3, 0.45)), random_rows,
+            _planted_blocks(rng, 2, 1, 2)[0], np.zeros((2, 1, 2)),
+            _pure_qutrit_blocks((0.1, 0.6))]
+    statuses = _stacked_cond4(rows, [0.0, 0.0, 1.0, 0.0, 1.0, 0.5])
+    assert statuses == ["CERTIFIED_YES", "CERTIFIED_YES", "UNKNOWN", "CERTIFIED_YES",
+                        "CERTIFIED_YES", "CERTIFIED_YES"]
+    # r+ = r0 = 2: planted (pinv), crafted and a mixed column (UNKNOWN), zero and roundoff
+    # blocks (vacuous)
+    blocks = [_planted_blocks(rng, 2, 2, 2)[0], crafted_cond3_pass_cond4_fail(),
+              _planted_blocks(rng, 2, 2, 2, vanish=1)[0], np.zeros((2, 2, 2)),
+              _mixed_blocks(rng)[0][:2, :2, :2], 1e-12 * _planted_blocks(rng, 2, 2, 2)[0]]
+    statuses = _stacked_cond4(blocks, [0.0, 0.0, 1.0, 0.0, 0.0, 1.0])
+    assert statuses == ["CERTIFIED_YES", "UNKNOWN", "CERTIFIED_YES", "CERTIFIED_YES", "UNKNOWN",
+                        "CERTIFIED_YES"]
+    # r+ = r0 = 1: real rows (pinv), complex rows (UNKNOWN after every candidate)
+    z = rng.standard_normal((3, 2, 1, 1)) + 1j * rng.standard_normal((3, 2, 1, 1))
+    assert _stacked_cond4([z[0].real, z[1], z[2]], [0.0] * 3) == [
+        "CERTIFIED_YES", "UNKNOWN", "UNKNOWN"]
+
+
+def test_stacked_w_search_all_vacuous():
+    assert _stacked_cond4(np.zeros((4, 2, 2, 3)), [0.0, 1.0, 2.0, 0.0]) == ["CERTIFIED_YES"] * 4
+    tiny = 1e-12 * np.ones((3, 2, 2, 2))
+    assert _stacked_cond4(tiny, [1.0] * 3) == ["CERTIFIED_YES"] * 3
+
+
+def test_w_search_makes_a_generator_only_where_it_draws():
+    made = []
+
+    def rngs(_):
+        made.append(np.random.default_rng(5))
+        return made[-1]
+
+    blocks, floors = _model_blocks("qutrit-phase-mixture", {"d": 0.6, "c1": 1.0, "c2": 0.7},
+                                   [np.array([0.3, 0.5]), np.array([0.6, 0.2])])
+    cond._find_w_stack(np.array(blocks), 1e-8, np.array(floors), rngs)
+    assert made == []  # r0 = 1, accepted by the pinv candidate: nothing drawn
+    # the pure qubit goes on to the real-rows step, past the 2p mixture draws of the
+    # joint diagonalization of its 1x1 family, which the r0 = 1 shortcut skipped
+    blocks, floors = _model_blocks("pure-qubit-amp-phase", {}, [np.array([0.7, 0.3])])
+    cond._find_w_stack(np.array(blocks), 1e-8, np.array(floors), rngs)
+    expected = np.random.default_rng(5)
+    expected.standard_normal(4)
+    assert len(made) == 1 and made[0].bit_generator.state == expected.bit_generator.state
