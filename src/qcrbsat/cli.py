@@ -254,7 +254,7 @@ def cmd_construct_povm(args) -> dict:
     out["povm"] = povm_mod.povm_to_json(povm)
     out["saturation_certificate"] = cert.to_dict()
     if args.povm_output:
-        jsonio.write_json(out["povm"], args.povm_output, sort_keys=False)
+        _write(out["povm"], args.povm_output, "--povm-output", sort_keys=False)
     return out
 
 
@@ -419,6 +419,16 @@ _COMMANDS = {
 }
 
 
+def _write(obj, path, option: str, **kw) -> None:
+    """:func:`~qcrbsat.jsonio.write_json` to ``path``, the file ``option`` names; one that
+    cannot be written raises a :class:`QcrbSatError` naming both."""
+    try:
+        jsonio.write_json(obj, path, **kw)
+    except OSError as exc:
+        raise QcrbSatError(f"cannot write {option} {path!r}: {exc.strerror or exc}",
+                           option=option, path=path) from exc
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -426,13 +436,15 @@ def main(argv=None) -> int:
         if args.seed < 0:  # refused here, not by the first generator a command seeds
             raise QcrbSatError(f"--seed must be a non-negative integer, got {args.seed}",
                                option="--seed", value=args.seed)
-        payload = _COMMANDS[args.command](args)
+        _write(_COMMANDS[args.command](args), args.output or None, "--output")
+        return 0
     except QcrbSatError as exc:
-        jsonio.write_json({"schema_version": SCHEMA_VERSION, "error": exc.to_dict()},
-                          args.output or None)
-        return 1
-    jsonio.write_json(payload, args.output or None)
-    return 0
+        error = {"schema_version": SCHEMA_VERSION, "error": exc.to_dict()}
+    try:
+        _write(error, args.output or None, "--output")
+    except QcrbSatError:  # to stdout when --output cannot be written
+        jsonio.write_json(error, None)
+    return 1
 
 
 if __name__ == "__main__":

@@ -11,16 +11,16 @@ quantum Cramér-Rao bound hinges on the structure of the SLD blocks:
   and yields an explicit projective measurement),
 * and, for a complete characterization, a unitary path ``U(theta)`` solving
   a first-order PDE system tied to a smooth support-basis map
-  ("condition 2'", verified here for supplied or canonical witnesses only).
+  ("condition 2'", verified here for a supplied witness only).
 
 Every check reports a scale-normalized residual next to its tolerance; the
 pairwise checks read pair (l, m) relative to ``s_l s_m`` of
 :attr:`~qcrbsat.sld.SLDSet.scales`. The verdict (see :func:`verdict`) reads
 conditions 1, 3 and 4 only; full, average and partial (support-projected)
-commutativity of the SLDs are reported diagnostics. The searches (for
-``W``, for canonical witnesses) are heuristic; only the verifier's residuals
-certify anything, so a failed search degrades to UNKNOWN, and condition 4
-is refuted only through a failed condition 3. The W search tries two
+commutativity of the SLDs are reported diagnostics. The search for ``W``
+is heuristic; only the verifier's residuals certify anything, so a failed
+search degrades to UNKNOWN, and condition 4 is refuted only through a
+failed condition 3. The W search tries two
 constructions on the +0 blocks, a pseudo-inverse one and, for r+ = 1, a
 real-rows one, and then the identity; every candidate, unitarity included,
 goes through the verifier. It runs on a ``(B, p, r+, r0)`` stack of points
@@ -40,8 +40,8 @@ import numpy as np
 from . import numkernel as nk
 from .errors import QcrbSatError, require_tolerance
 from .jsonio import ComplexMatrix
-from .model import (DEFAULT_RANK_TOL, DomainError, StateAtPoint, StateModel,
-                    SupportDecomposition, _basis_split, stencil_points, values_at)
+from .model import (DEFAULT_RANK_TOL, InvalidStateError, StateAtPoint, StateModel,
+                    SupportDecomposition, _basis_split, stencil_fits, stencil_points, values_at)
 from .sld import SLDSet, pair_index, pairs, plus_null_blocks
 
 VERDICT_SATURABLE = "SATURABLE_CERTIFIED"
@@ -472,7 +472,7 @@ class Cond2PrimeResult:
     """Condition 2' residuals; the defaults record it undecided, with the reason in ``notes``."""
 
     status: str = "NOT_CHECKED"  # PASSED | FAILED | NOT_CHECKED
-    path: str = "not_checked"  # diagonal_VdV | user_supplied_U | zero_generators | not_checked
+    path: str = "not_checked"  # the witness label | zero_generators | not_checked
     pde_residual: Optional[float] = None
     stationarity_residual: Optional[float] = None
     null_compat_residual: Optional[float] = None
@@ -496,24 +496,26 @@ def verify_condition2prime(
 
     Checks, each reported as a normalized residual: (a) the PDE
     ``dU_l = U (V^dag dV_l + i D_l)``; (b) when every D_l vanishes, the
-    consequence ``P+ d(V U^dag)_l = 0``; (c) when no witness is supplied but
-    every ``V^dag dV_l`` is diagonal, the canonical witness ``U = I``,
-    ``D_l = i V^dag dV_l`` is generated and checked; (d) compatibility of a
-    supplied null measurement with the rotated basis derivatives; (e) the
-    cross identity between the +0 SLD blocks and ``2 dV_l^dag Y``.
+    consequence ``P+ d(V U^dag)_l = 0``; (c) compatibility of a supplied
+    null measurement with the rotated basis derivatives; (d) the cross
+    identity between the +0 SLD blocks and ``2 dV_l^dag Y``. Without a
+    witness the condition is NOT_CHECKED and no map runs.
 
     All map derivatives are central differences with step 1e-5 on the smooth
-    maps, each map run once on the one checked
-    :func:`~qcrbsat.model.stencil_points`; when that stencil would leave the
-    model's domain, the condition is NOT_CHECKED. Every per-parameter
+    maps, each map run once on the one :func:`~qcrbsat.model.stencil_points`;
+    where :func:`~qcrbsat.model.stencil_fits` refuses that stencil (it would
+    leave the model's domain or round to theta), the condition is
+    NOT_CHECKED. A non-finite value of either map is refused, an
+    :class:`~qcrbsat.model.InvalidStateError` for the support basis and an
+    :class:`InvalidWitnessError` for the witness. Every per-parameter
     quantity is one ``(p, ...)`` stack, normed by
     :func:`~qcrbsat.numkernel.fro_stack`.
 
     On a stack of points (``sp`` from :func:`~qcrbsat.model.evaluate_points`)
     it returns the list of results, one per point and each equal to the
-    single-point result: each map runs once at the points and once on one
-    stencil of them all, and the points whose stencil leaves the domain are
-    left out of it. A stack holding a failing point raises a
+    single-point result: the support basis runs once at the points, the
+    witness once at the points whose stencil fits, and each once on one
+    stencil of those. A stack holding a failing point raises a
     :class:`~qcrbsat.errors.QcrbSatError` from one of its failing points.
     """
     theta = np.asarray(sp.theta, dtype=float)
@@ -523,97 +525,73 @@ def verify_condition2prime(
     return _condition2prime(model, theta, sp.rho, sp.drho, sp.deriv_tol, witness, null_povm, tol)
 
 
-def _stencil_fits(model: StateModel, theta: np.ndarray, h: float) -> np.ndarray:
-    """Per point of a (B, p) stack: ``theta +/- h`` moves every parameter and stays inside
-    the domain."""
-    moves = ((theta + h != theta) & (theta - h != theta)).all(axis=1)
-    return moves & ((theta > model.domain.lo + h) & (theta < model.domain.hi - h)).all(axis=1)
+def _stencil_values(fn, points: np.ndarray, shape: tuple, error: type, what: str) -> tuple:
+    """The values of ``fn`` at the ``(2, ...)`` stencil ``points``, ``theta + h e_l`` and
+    ``theta - h e_l`` (see :func:`~qcrbsat.model.values_at`); a non-finite one raises."""
+    values = values_at(fn, points, shape, error, what)
+    if not np.isfinite(values).all():
+        raise error(f"{what} map has non-finite values on the stencil theta +/- h")
+    return values[0], values[1]
 
 
 def _condition2prime(model, theta, rho, drho, deriv_tol, witness, null_povm, tol) -> list:
     """:func:`verify_condition2prime` at the (B, p) stack ``theta``, whose states and
     derivatives are ``rho`` and ``drho``."""
-    if model.support_basis_fn is None:
-        return [Cond2PrimeResult(tol=tol, notes=["model exposes no smooth support-basis map"])
-                for _ in theta]
+    if model.support_basis_fn is None or witness is None:
+        note = ("model exposes no smooth support-basis map" if model.support_basis_fn is None
+                else "no witness supplied; existence undecided")
+        return [Cond2PrimeResult(tol=tol, notes=[note]) for _ in theta]
 
     fro = nk.fro_stack
     p, h = drho.shape[-3], 1e-5
     v = values_at(model.support_basis_fn, theta, None, what="support basis")
     dec = _basis_split(rho, drho, deriv_tol, v, DEFAULT_RANK_TOL)
     r_plus = dec.r_plus
-    results: list = [None] * len(theta)
-    rows = np.arange(len(theta))
-    try:
-        points = stencil_points(model, theta, h)
-    except DomainError:  # leave out the points whose stencil leaves the domain
-        fits = _stencil_fits(model, theta, h)
-        for k in np.flatnonzero(~fits).tolist():
-            results[k] = Cond2PrimeResult(tol=tol, notes=[
-                f"the stencil theta +/- h with h = {h:g} leaves the domain of {model.name}; "
-                "existence undecided"])
-        if not fits.any():
-            return results
-        rows, theta, v, drho, dec = rows[fits], theta[fits], v[fits], drho[fits], dec.row(fits)
-        points = stencil_points(model, theta, h)
+    fits = stencil_fits(model, theta, h)
+    note = (f"the stencil theta +/- h with h = {h:g} leaves the domain of {model.name}; "
+            "existence undecided")
+    results = [None if f else Cond2PrimeResult(tol=tol, notes=[note]) for f in fits.tolist()]
+    if not fits.any():
+        return results
+    rows = np.flatnonzero(fits)
+    if rows.size < len(theta):  # the stencil and the witness take the points whose stencil fits
+        theta, v, drho, dec = theta[rows], v[rows], drho[rows], dec.row(rows)
+    points = stencil_points(model, theta, h)
     # both maps run on the one checked stencil: the support basis here, the witness below
-    v_plus, v_minus = values_at(model.support_basis_fn, points, v.shape[1:], what="support basis")
+    v_plus, v_minus = _stencil_values(model.support_basis_fn, points, v.shape[1:],
+                                      InvalidStateError, "support basis")
     dv = (v_plus - v_minus) / (2.0 * h)
     a = v[:, None].conj().swapaxes(-1, -2) @ dv  # V^dag dV_l, skew-Hermitian
 
-    notes = []
-    canonical = witness is None
-    if canonical:
-        off_diagonal, whole = fro(np.array([np.where(np.eye(r_plus, dtype=bool), 0.0, a), a]))
-        diag_res = (off_diagonal / np.maximum(1.0, whole)).max(axis=-1, initial=0.0)
-        undecided = diag_res > max(tol, 1e-6)
-        if undecided.any():
-            for k, res in zip(rows[undecided].tolist(), diag_res[undecided].tolist()):
-                note = f"no witness supplied and V^dag dV is not diagonal (residual {res:.3e})"
-                results[k] = Cond2PrimeResult(tol=tol, notes=[f"{note}; existence undecided"])
-            keep = ~undecided
-            rows, theta, drho, dec = rows[keep], theta[keep], drho[keep], dec.row(keep)
-            points, v_plus, v_minus = points[:, keep], v_plus[keep], v_minus[keep]
-            dv, a = dv[keep], a[keep]
-            if not rows.size:
-                return results
-        witness = Cond2PrimeWitness(unitary_fn=lambda t: identity_path(t, r_plus),
-                                    generators=(1j * a.diagonal(axis1=-2, axis2=-1)).real,
-                                    label="diagonal_VdV")
-        notes.append("canonical witness generated from diagonal V^dag dV")
-
     u = values_at(witness.unitary_fn, theta, (r_plus, r_plus), InvalidWitnessError, "witness")
     defect = fro(u.conj().swapaxes(-1, -2) @ u - nk.identity(r_plus))
-    not_unitary = defect > 1e-10 * max(1.0, r_plus)
+    not_unitary = ~(defect <= 1e-10 * max(1.0, r_plus))  # a non-finite defect is refused too
     if not_unitary.any():
         raise InvalidWitnessError("witness map is not unitary at this point",
                                   defect=float(defect[not_unitary.argmax()]))
     gens = np.zeros((p, r_plus)) if witness.generators is None else np.asarray(witness.generators)
-    if not canonical and (gens.shape != (p, r_plus) or gens.dtype.kind not in "fiu"):
-        raise InvalidWitnessError(f"generators must be a real ({p}, {r_plus}) array of the "
-                                  f"diagonals of D_l, got {gens.dtype} of shape {gens.shape}")
-    # the D_l: (R, p, r+, r+) for the canonical witness, (p, r+, r+) at every point otherwise
-    d = gens[..., :, None] * nk.identity(r_plus)
-    u_plus, u_minus = values_at(witness.unitary_fn, points, (r_plus, r_plus), InvalidWitnessError,
-                                "witness")
+    if gens.shape != (p, r_plus) or gens.dtype.kind not in "fiu" or not np.isfinite(gens).all():
+        raise InvalidWitnessError(f"generators must be a finite real ({p}, {r_plus}) array of "
+                                  f"the diagonals of D_l, got {gens.dtype} of shape {gens.shape}")
+    d = gens[:, :, None] * nk.identity(r_plus)  # the (p, r+, r+) D_l, the same at every point
+    u_plus, u_minus = _stencil_values(witness.unitary_fn, points, (r_plus, r_plus),
+                                      InvalidWitnessError, "witness")
     du = (u_plus - u_minus) / (2.0 * h)
 
     pde, du_norm, a_norm = fro(np.array([du - u[:, None] @ (a + 1j * d), du, a]))
     d_norm = fro(d)
     pde_res = (pde / np.maximum(1.0, du_norm + a_norm + d_norm)).max(axis=-1, initial=0.0)
-    zero = (d_norm <= 1e-12).all(axis=-1)  # per point, or one flag for a witness's generators
-    d_all_zero = zero if zero.ndim else np.full(len(rows), bool(zero))
-    zero_path = "zero_generators" if witness.label == "user_supplied_U" else witness.label
+    zero = bool((d_norm <= 1e-12).all())
+    path = "zero_generators" if zero and witness.label == "user_supplied_U" else witness.label
 
     null = null_povm is not None and len(null_povm) and dec.r_zero > 0
-    stationarity = np.zeros(len(rows))  # read where every D_l vanishes
-    if null or d_all_zero.any():
+    if null or zero:
         dvt = (v_plus @ u_plus.conj().swapaxes(-1, -2)
                - v_minus @ u_minus.conj().swapaxes(-1, -2)) / (2.0 * h)  # d(V U^dag)_l
-    if d_all_zero.any():  # P+ d(V U^dag)_l = 0, at those points only
-        z = slice(None) if d_all_zero.all() else d_all_zero
-        projected, dvt_norm = fro(np.array([dec.P_plus[z, None] @ dvt[z], dvt[z]]))
-        stationarity[z] = (projected / np.maximum(1.0, dvt_norm)).max(axis=-1, initial=0.0)
+    stationarity = [None] * len(rows)
+    if zero:  # every D_l vanishes, so P+ d(V U^dag)_l = 0
+        projected, dvt_norm = fro(np.array([dec.P_plus[:, None] @ dvt, dvt]))
+        stationarity = (projected / np.maximum(1.0, dvt_norm)).max(axis=-1, initial=0.0).tolist()
 
     null_compat = [None] * len(rows)
     if null:
@@ -644,16 +622,13 @@ def _condition2prime(model, theta, rho, drho, deriv_tol, witness, null_povm, tol
     cross, lpz_norm, ident_norm = fro(np.array([lpz - ident, lpz, ident]))
     cross_res = (cross / np.maximum(1.0, lpz_norm + ident_norm)).max(axis=-1, initial=0.0)
 
-    for k, pde_r, cross_r, stat_r, null_r, zero in zip(
-            rows.tolist(), pde_res.tolist(), cross_res.tolist(), stationarity.tolist(),
-            null_compat, d_all_zero.tolist()):
-        stat_r = stat_r if zero else None
+    for k, pde_r, cross_r, stat_r, null_r in zip(
+            rows.tolist(), pde_res.tolist(), cross_res.tolist(), stationarity, null_compat):
         checked = (pde_r, cross_r, stat_r, null_r)
         results[k] = Cond2PrimeResult(
             status="PASSED" if all(r <= tol for r in checked if r is not None) else "FAILED",
-            path=zero_path if zero else witness.label, pde_residual=pde_r,
-            stationarity_residual=stat_r, null_compat_residual=null_r,
-            cross_identity_residual=cross_r, tol=tol, notes=list(notes))
+            path=path, pde_residual=pde_r, stationarity_residual=stat_r,
+            null_compat_residual=null_r, cross_identity_residual=cross_r, tol=tol)
     return results
 
 

@@ -324,30 +324,38 @@ def _first(theta: np.ndarray, bad: np.ndarray) -> np.ndarray:
     return theta.reshape(-1, theta.shape[-1])[bad.argmax()]
 
 
+def _moves(theta: np.ndarray, h: float) -> np.ndarray:
+    """Per point of a ``(..., p)`` stack: every ``theta_l +/- h`` differs from ``theta_l``."""
+    return ((theta + h != theta) & (theta - h != theta)).all(axis=-1)
+
+
+def stencil_fits(model: StateModel, theta: np.ndarray, h: float) -> np.ndarray:
+    """Per point of a ``(..., p)`` stack, whether the step ``h`` moves it (:func:`_moves`)
+    and its stencil ``theta +/- h e_l`` lies inside the open domain of ``model``."""
+    inside = ((theta > model.domain.lo + h) & (theta < model.domain.hi - h)).all(axis=-1)
+    return _moves(theta, h) & inside
+
+
 def stencil_points(model: StateModel, theta: np.ndarray, h) -> np.ndarray:
     """The points ``theta + s e_l`` and ``theta - s e_l``, l = 0..p-1, for every step ``s``
     of ``h``, as one ``(2,) + h.shape + theta.shape[:-1] + (p, p)`` array.
 
     ``theta`` is one ``(p,)`` point or a ``(..., p)`` stack of them and ``h`` one
     step or an array of steps. First, step by step, each ``s`` must be a finite
-    positive number that moves every parameter of every point both ways
-    (``theta_l +/- s`` differs from ``theta_l`` in floating point), and every
-    stencil point must lie inside the open domain of ``model``; otherwise
-    :class:`DomainError` is raised, naming a failing point.
+    positive number whose stencil fits every point (see :func:`stencil_fits`);
+    otherwise :class:`DomainError` is raised, naming the first failing point.
     """
     theta = np.asarray(theta, dtype=float)
     steps = np.asarray(h, dtype=float)
     for s in steps.reshape(-1).tolist():
         if not (math.isfinite(s) and s > 0):
             raise DomainError(f"finite-difference step must be a finite positive number, got {s}")
-        still = (theta + s == theta) | (theta - s == theta)
-        if still.any():
-            t = _first(theta, still.reshape(-1, theta.shape[-1]).any(axis=1))
-            raise DomainError(f"finite-difference step {s:g} does not move theta {t.tolist()}: "
-                              "theta +/- h rounds to theta", theta=t, step=s)
-        inside = (theta > model.domain.lo + s) & (theta < model.domain.hi - s)
-        if not inside.all():
-            t = _first(theta, ~inside.reshape(-1, theta.shape[-1]).all(axis=1))
+        fits = stencil_fits(model, theta, s)
+        if not fits.all():
+            t = _first(theta, ~fits)
+            if not _moves(t, s):
+                raise DomainError(f"finite-difference step {s:g} does not move theta "
+                                  f"{t.tolist()}: theta +/- h rounds to theta", theta=t, step=s)
             raise DomainError(f"theta {t.tolist()} +/- {s} leaves the domain of {model.name}",
                               theta=t)
     p = theta.shape[-1]
@@ -624,7 +632,7 @@ def _basis_split(rho, drho, deriv_tol: float, V, rank_tol: float) -> SupportDeco
     q = m.diagonal(axis1=-2, axis2=-1).real.copy()
     eye = nk.identity(r)
     defect, off = nk.fro_stack(np.array([vh @ V - eye, m - q[..., None] * eye]))
-    if (defect > 1e-10 * max(1.0, r)).any():
+    if not (defect <= 1e-10 * max(1.0, r)).all():  # a non-finite basis fails here too
         raise InvalidStateError("support basis is not an isometry")
     rho_scale = 1e-8 * np.maximum(1.0, nk.fro_stack(rho))
     bad = off > rho_scale

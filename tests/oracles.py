@@ -534,7 +534,9 @@ def verify_condition2prime_loop(
     rank_tol: float = 1e-10,
 ):
     """The condition-2' verifier with one map evaluation per difference quotient."""
-    if model.support_basis_fn is None:
+    if model.support_basis_fn is None or witness is None:
+        note = ("model exposes no smooth support-basis map" if model.support_basis_fn is None
+                else "no witness supplied; existence undecided")
         return cond.Cond2PrimeResult(
             status="NOT_CHECKED",
             path="not_checked",
@@ -543,7 +545,7 @@ def verify_condition2prime_loop(
             null_compat_residual=None,
             cross_identity_residual=None,
             tol=tol,
-            notes=["model exposes no smooth support-basis map"],
+            notes=[note],
         )
 
     theta = np.asarray(sp.theta, dtype=float)
@@ -554,33 +556,6 @@ def verify_condition2prime_loop(
     r_plus = dec.r_plus
     dv = [_map_derivative_loop(v_fn, theta, l, h) for l in range(p)]
     a = [v.conj().T @ dv[l] for l in range(p)]  # V^dag dV_l, skew-Hermitian
-
-    notes = []
-    path = "not_checked"
-    if witness is None:
-        diag_res = max(_fro(x - np.diag(np.diag(x))) / max(1.0, _fro(x)) for x in a) if p else 0.0
-        if diag_res <= max(tol, 1e-6):
-            d_canon = np.array([(1j * np.diag(x)).real for x in a])
-            witness = cond.Cond2PrimeWitness(
-                unitary_fn=lambda _theta: np.eye(r_plus, dtype=complex),
-                generators=d_canon,
-                label="diagonal_VdV",
-            )
-            notes.append("canonical witness generated from diagonal V^dag dV")
-        else:
-            return cond.Cond2PrimeResult(
-                status="NOT_CHECKED",
-                path="not_checked",
-                pde_residual=None,
-                stationarity_residual=None,
-                null_compat_residual=None,
-                cross_identity_residual=None,
-                tol=tol,
-                notes=[
-                    "no witness supplied and V^dag dV is not diagonal "
-                    f"(residual {diag_res:.3e}); existence undecided"
-                ],
-            )
 
     u = np.asarray(witness.unitary_fn(theta), dtype=complex)
     if u.shape != (r_plus, r_plus) or _fro(u.conj().T @ u - np.eye(r_plus)) > 1e-10 * max(
@@ -660,7 +635,7 @@ def verify_condition2prime_loop(
         null_compat_residual=null_compat_res,
         cross_identity_residual=cross_res,
         tol=tol,
-        notes=notes,
+        notes=[],
     )
 
 

@@ -586,6 +586,26 @@ class TestOptions:
         assert error["detail"] == {"option": "--seed", "value": -1}
         assert "--seed" in error["message"]
 
+    @pytest.mark.parametrize("case", ["missing directory", "a directory", "povm-output"])
+    def test_unwritable_output_file(self, capsys, tmp_path, case):
+        # the error report goes to --output when it can be written, else to stdout
+        report, missing = tmp_path / "report.json", str(tmp_path / "nowhere" / "x.json")
+        argv, option, path = {
+            "missing directory": (["analyze", *QUTRIT, "--output", missing], "--output", missing),
+            "a directory": (["analyze", *QUTRIT, "--output", str(tmp_path)], "--output",
+                            str(tmp_path)),
+            "povm-output": (["construct-povm", *QUTRIT, "--povm-output", missing, "--output",
+                             str(report)], "--povm-output", missing),
+        }[case]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        text = report.read_text() if option == "--povm-output" else captured.out
+        error = json.loads(text)["error"]
+        assert error["type"] == "QcrbSatError"
+        assert error["detail"] == {"option": option, "path": path}
+        assert option in error["message"] and path in error["message"]
+
     def test_boolean_params(self, capsys):
         assert parse_params("a=true,b=False,c=TRUE,d=1,e=x") == {
             "a": True, "b": False, "c": True, "d": 1, "e": "x"}

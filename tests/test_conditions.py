@@ -643,7 +643,7 @@ class TestWSearchProperties:
 
 
 def constant_basis_model():
-    """A p = 1 family on a fixed support basis: V^dag dV = 0, so the canonical witness has D = 0."""
+    """A p = 1 family on a fixed support basis: V^dag dV = 0, so U = I with D = 0 is a witness."""
     b = np.eye(3, dtype=complex)[:, :2]
 
     def state(theta):
@@ -673,15 +673,20 @@ class TestCondition2Prime:
     def test_constant_basis_trivial(self):
         m = constant_basis_model()
         sp = qs.evaluate(m, [0.3])
-        res = cond.verify_condition2prime(m, sp, None)
+        witness = cond.Cond2PrimeWitness(unitary_fn=lambda theta: cond.identity_path(theta, 2))
+        res = cond.verify_condition2prime(m, sp, witness)
         assert res.status == "PASSED"
-        assert res.path == "diagonal_VdV"
+        assert res.path == "zero_generators"
         assert res.pde_residual <= 1e-12
 
-    def test_canonical_diagonal_path_on_qutrit(self, qutrit_model, qutrit_point):
-        res = cond.verify_condition2prime(qutrit_model, qutrit_point, None)
-        assert res.status == "PASSED"
-        assert res.path == "diagonal_VdV"
+    def test_no_witness_is_not_checked_and_runs_no_map(self, qutrit_model, qutrit_point):
+        counts = {"V": 0}
+        counted = TestCondition2PrimeStencil._counted(qutrit_model.support_basis_fn, counts, "V")
+        model = dataclasses.replace(qutrit_model, support_basis_fn=counted)
+        res = cond.verify_condition2prime(model, qutrit_point, None)
+        assert res.status == "NOT_CHECKED" and res.path == "not_checked"
+        assert res.notes == ["no witness supplied; existence undecided"]
+        assert res.pde_residual is None and counts == {"V": 0}
 
     def test_null_povm_compatibility(self, qutrit_model, qutrit_point, qutrit_dec, qutrit_slds):
         from qcrbsat import povm as pv
@@ -711,6 +716,7 @@ class TestCondition2Prime:
     @pytest.mark.parametrize("generators", [
         np.zeros(2), np.zeros((2, 3)), np.zeros((1, 2)), np.zeros((2, 2, 2)),
         [np.eye(2), np.eye(2)], np.zeros((2, 2), dtype=complex), np.zeros((2, 2), dtype=bool),
+        np.full((2, 2), np.nan),
     ])
     def test_generators_of_another_form_rejected(self, qutrit_model, qutrit_point, generators):
         # the one form is a real (p, r+) array of the diagonals of D_l; here p = r+ = 2
@@ -900,20 +906,21 @@ class TestCondition2PrimeStencil:
             w = qs.get_witness("qutrit-phase-mixture", d=0.6, c1=1.0, c2=0.7)
             witness = dataclasses.replace(w, unitary_fn=self._counted(w.unitary_fn, counts, "U"))
         res = cond.verify_condition2prime(model, qutrit_point, witness)
-        assert res.status == "PASSED"
-        # one call at the point, and one on the (2, p, p) stack of stencil points theta +/- h e_l
-        assert counts == {"V": 2, "U": 2 if with_witness else 0}
+        assert res.status == ("PASSED" if with_witness else "NOT_CHECKED")
+        # one call at the point, and one on the (2, p, p) stack of stencil points theta +/- h e_l;
+        # without a witness, none
+        assert counts == ({"V": 2, "U": 2} if with_witness else {"V": 0, "U": 0})
 
     def test_support_basis_that_ignores_the_stack(self, qutrit_model, qutrit_point):
         fixed = qutrit_model.support_basis_fn(qutrit_point.theta)
         model = dataclasses.replace(qutrit_model, support_basis_fn=lambda theta: fixed)
         with pytest.raises(md.InvalidStateError, match=r"support basis map returned shape \(3, 2\)"):
-            cond.verify_condition2prime(model, qutrit_point)
+            cond.verify_condition2prime(model, qutrit_point, qs.get_witness("paper-qutrit"))
 
     def test_support_basis_of_another_shape_at_the_point(self, qutrit_model, qutrit_point):
         model = dataclasses.replace(qutrit_model, support_basis_fn=lambda theta: np.ones(3))
         with pytest.raises(md.InvalidStateError, match=r"basis has shape \(3,\)"):
-            cond.verify_condition2prime(model, qutrit_point)
+            cond.verify_condition2prime(model, qutrit_point, qs.get_witness("paper-qutrit"))
 
     def test_support_basis_failing_at_the_point_is_typed(self, qutrit_model, qutrit_point,
                                                           qutrit_dec, qutrit_slds):
@@ -924,8 +931,32 @@ class TestCondition2PrimeStencil:
 
         model = dataclasses.replace(qutrit_model, support_basis_fn=basis)
         with pytest.raises(md.InvalidStateError, match="support basis map failed") as exc:
-            qs.evaluate_conditions(qutrit_point, qutrit_dec, qutrit_slds, model=model)
+            qs.evaluate_conditions(qutrit_point, qutrit_dec, qutrit_slds, model=model,
+                                   witness=qs.get_witness("paper-qutrit"))
         assert isinstance(exc.value.__cause__, ValueError) and str(exc.value.__cause__) == "boom"
+
+    @pytest.mark.parametrize("where", ["point", "stencil"])
+    @pytest.mark.parametrize("which, error, message", [
+        ("support basis", md.InvalidStateError, "support basis"),
+        ("witness", cond.InvalidWitnessError, "witness map"),
+    ])
+    def test_non_finite_map_values_refused(self, qutrit_model, qutrit_point, which, error,
+                                           message, where):
+        # a single point reaches a map as (p,), its stencil as a (2, 1, p, p) stack
+        def poisoned(fn):
+            def wrapped(theta):
+                hit = where == "point" or np.ndim(theta) > 1
+                return fn(theta) * (np.nan if hit else 1.0)
+
+            return wrapped
+
+        model, witness = qutrit_model, qs.get_witness("paper-qutrit")
+        if which == "support basis":
+            model = dataclasses.replace(model, support_basis_fn=poisoned(model.support_basis_fn))
+        else:
+            witness = dataclasses.replace(witness, unitary_fn=poisoned(witness.unitary_fn))
+        with pytest.raises(error, match=message):
+            cond.verify_condition2prime(model, qutrit_point, witness)
 
     def test_witness_written_for_one_point(self, qutrit_model, qutrit_point):
         # the witness as a per-point map: on the (p, p) stencil stack np.diag gets rows
@@ -950,16 +981,15 @@ class TestCondition2PrimeStencil:
         ("stationary-basis", [0.3, -0.4]),
         ("fixed-basis", [0.3]),
     ])
-    @pytest.mark.parametrize("case", ["canonical", "witness", "witness+null"])
+    @pytest.mark.parametrize("case", ["witness", "witness+null"])
     def test_matches_per_derivative_oracle(self, name, theta, case):
         from qcrbsat import povm as pv
 
         model = constant_basis_model() if name == "fixed-basis" else qs.get(name)
         sp = qs.evaluate(model, theta)
-        witness, nulls = None, None
-        if case != "canonical":
-            witness = qs.get_witness(name) if name != "fixed-basis" else cond.Cond2PrimeWitness(
-                unitary_fn=lambda theta: cond.identity_path(theta, 2))
+        nulls = None
+        witness = qs.get_witness(name) if name != "fixed-basis" else cond.Cond2PrimeWitness(
+            unitary_fn=lambda theta: cond.identity_path(theta, 2))
         if case == "witness+null":
             dec = qs.support_decomposition(sp)
             slds = qs.compute_sld(dec, sp.drho)
@@ -993,3 +1023,40 @@ class TestCondition2PrimeStencil:
         assert "h = 1e-05" in res.notes[0] and res.pde_residual is None
         assert seen and all(np.all((t > 0.0) & (t < 1.0)) for t in seen)
         assert rep.verdict == "SATURABLE_CERTIFIED"
+
+    def test_not_checked_exactly_where_the_stencil_is_refused(self):
+        # on (1e11, 1e13), theta +/- 1e-5 moves theta only below 2^37 ~ 1.37e11, and the
+        # point one float above 1e11 has its stencil on the boundary
+        lo, hi = 1e11, 1e13
+        b = np.eye(3, dtype=complex)[:, :2]
+        flip = b @ np.diag([1.0, -1.0]).astype(complex) @ b.conj().T
+
+        def state(theta):
+            q = theta[..., 0] / (2.0 * hi)
+            return (b * np.stack([q, 1.0 - q], axis=-1)[..., None, :]) @ b.conj().T
+
+        model = md.StateModel(
+            name="wide-box", dim=3, n_params=1, state_fn=state,
+            derivative_fn=lambda theta: np.broadcast_to(
+                flip / (2.0 * hi), np.shape(theta)[:-1] + (1, 3, 3)),
+            domain=md.box([lo], [hi]),
+            support_basis_fn=lambda theta: np.broadcast_to(b, np.shape(theta)[:-1] + b.shape),
+        )
+        witness = cond.Cond2PrimeWitness(unitary_fn=lambda theta: cond.identity_path(theta, 2))
+        up = np.nextafter(lo, hi)
+        thetas = np.array([[1.2e11], [up], [5e12], [np.nextafter(np.nextafter(up, hi), hi)],
+                           [2e11], [np.nextafter(hi, lo)], [1.3e11]])
+        stacked = cond.verify_condition2prime(model, md.evaluate_points(model, thetas), witness)
+        kinds = []
+        for theta, res in zip(thetas, stacked):
+            single = cond.verify_condition2prime(model, md.evaluate(model, theta), witness)
+            assert dataclasses.asdict(res) == dataclasses.asdict(single)
+            try:
+                md.stencil_points(model, theta, 1e-5)
+            except md.DomainError as exc:
+                assert res.status == "NOT_CHECKED" and res.pde_residual is None
+                kinds.append("rounds" if "rounds to theta" in str(exc) else "leaves")
+            else:
+                assert res.status == "PASSED" and res.path == "zero_generators"
+                kinds.append("fits")
+        assert kinds == ["fits", "leaves", "rounds", "fits", "rounds", "rounds", "fits"]

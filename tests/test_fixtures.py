@@ -23,10 +23,10 @@ MAP_CASES = [
 
 def _maps(name, params):
     """The model and its maps that take stacks: the state, the derivatives, the support
-    basis and the shipped witness where the model has them, and the canonical witness U = I."""
+    basis and the shipped witness where the model has them, and the identity path U = I."""
     model = qs.get(name, **params)
     maps = {"state": model.state_fn, "derivative": model.derivative_fn,
-            "canonical witness": lambda t: cond.identity_path(t, 3)}
+            "identity path": lambda t: cond.identity_path(t, 3)}
     if model.support_basis_fn is not None:
         maps["support basis"] = model.support_basis_fn
     witness = qs.get_witness(name, **params)
@@ -135,6 +135,14 @@ class TestRegistry:
         for name in ("paper-qutrit", "theta-independent-support", "stationary-basis"):
             assert qs.get_witness(name) is not None
         assert qs.get_witness("diag-multinomial") is None
+
+    @pytest.mark.parametrize("case", MAP_CASES)
+    def test_every_support_basis_map_ships_a_witness(self, case):
+        # condition 2' checks only a supplied witness, so without one the CLI reports would
+        # read NOT_CHECKED where a support-basis map could be checked
+        name, params = case
+        if qs.get(name, **params).support_basis_fn is not None:
+            assert qs.get_witness(name, **params) is not None
 
 
 class TestQutritFamily:

@@ -91,7 +91,7 @@ def _text(report):
 
 
 def _witnesses(witness):
-    """The canonical path, and the model's own witness when it ships one."""
+    """No witness, and the model's own witness when it ships one."""
     return [None] if witness is None else [None, witness]
 
 
