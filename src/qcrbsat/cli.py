@@ -94,9 +94,11 @@ def parse_grid(text: str):
 
 
 def _registry_model(args):
-    """The ``--model`` built from ``--params``, and its condition-2' witness (or None)."""
+    """The ``--model`` built from ``--params``, and its condition-2' witness (None when it
+    ships none or without ``--diagnostics``, which alone runs condition 2')."""
     params = parse_params(args.params)
-    return fixtures.get(args.model, **params), fixtures.get_witness(args.model, **params)
+    witness = fixtures.get_witness(args.model, **params) if args.diagnostics else None
+    return fixtures.get(args.model, **params), witness
 
 
 def _load_state(args):
@@ -124,8 +126,9 @@ def run_analyses(args, points: StateAtPoint, model=None, witness=None) -> list:
 
     ``points`` is a stack of state points (see
     :func:`~qcrbsat.model.evaluate_points`). The support split, the SLDs,
-    the QFIM, the pairwise checks, the W search and condition 2' run once
-    per group of points with equal (r+, r0); the verdict runs per point. A
+    the QFIM, the pairwise checks, the W search and, with ``--diagnostics``,
+    condition 2' run once per group of points with equal (r+, r0); the
+    verdict runs per point. A
     point's W search draws from a ``default_rng(args.seed)`` of its own,
     made only if it draws. The SLD solve is checked at the
     condition tolerance or the scheme's, whichever is looser. Returns
@@ -140,7 +143,8 @@ def run_analyses(args, points: StateAtPoint, model=None, witness=None) -> list:
         slds = compute_sld(dec, group.drho, sld_tol=max(tol, points.deriv_tol))
         f_q = qfim(dec, slds)
         reports = condition_reports(group, dec, slds, model=model, witness=witness, tol=tol,
-                                    rngs=lambda _: np.random.default_rng(args.seed))
+                                    rngs=lambda _: np.random.default_rng(args.seed),
+                                    diagnostics=args.diagnostics)
         for i, (k, report) in enumerate(zip(rows.tolist(), reports)):
             out[k] = (dec.row(i), slds.row(i), f_q[i], report)
     return out
@@ -382,6 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--cond-tol", type=float, default=None,
                         help="condition tolerance (default: per derivative scheme)")
     common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--diagnostics", action="store_true",
+                        help="also compute full and partial commutativity and condition 2', "
+                        "which the verdict does not read (null otherwise)")
     common.add_argument("--output", help="write the JSON report here instead of stdout")
 
     parser = argparse.ArgumentParser(

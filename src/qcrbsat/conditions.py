@@ -16,8 +16,13 @@ quantum Cramér-Rao bound hinges on the structure of the SLD blocks:
 Every check reports a scale-normalized residual next to its tolerance; the
 pairwise checks read pair (l, m) relative to ``s_l s_m`` of
 :attr:`~qcrbsat.sld.SLDSet.scales`. The verdict (see :func:`verdict`) reads
-conditions 1, 3 and 4 only; full, average and partial (support-projected)
-commutativity of the SLDs are reported diagnostics. The search for ``W``
+conditions 1, 3 and 4 only, and average (weak) commutativity is reported
+beside them. Full and partial (support-projected) commutativity and
+condition 2' decide nothing, so they run only on request (``diagnostics``
+of :func:`condition_reports`, the CLI's ``--diagnostics``) and read null
+otherwise: partial commutativity's matrix is the sum of condition 1's and
+condition 3's, and condition 2' is not checked against the corrected
+theorem. The search for ``W``
 is heuristic; only the verifier's residuals certify anything, so a failed
 search degrades to UNKNOWN, and condition 4 is refuted only through a
 failed condition 3. The W search tries two
@@ -41,7 +46,8 @@ from . import numkernel as nk
 from .errors import QcrbSatError, require_tolerance
 from .jsonio import ComplexMatrix
 from .model import (DEFAULT_RANK_TOL, InvalidStateError, StateAtPoint, StateModel,
-                    SupportDecomposition, _basis_split, stencil_fits, stencil_points, values_at)
+                    SupportDecomposition, _basis_split, stencil_points, stencil_refusals,
+                    values_at)
 from .sld import SLDSet, pair_index, pairs, plus_null_blocks
 
 VERDICT_SATURABLE = "SATURABLE_CERTIFIED"
@@ -158,16 +164,23 @@ def check_partial_commutativity(dec: SupportDecomposition, slds: SLDSet, tol: fl
     return _checks(slds, nk.fro_stack(a_diff + b_lm - b_ml), tol)
 
 
-def _all_pair_checks(rho: np.ndarray, slds: SLDSet, tol: float) -> list:
-    """The five pairwise checks of every point of a stack, in one pass: the full,
-    average and partial commutativity and conditions 1 and 3, as the ``check_*``
-    functions give them. Returns the flat list of the B points' full checks,
-    then their average ones, and so on: point i's five are ``checks[i::B]``."""
+def _all_pair_checks(rho: np.ndarray, slds: SLDSet, tol: float, diagnostics: bool) -> list:
+    """The pairwise checks of every point of a stack, in one pass, as the ``check_*``
+    functions give them. Returns per point the tuple of its full, average and
+    partial commutativity and condition 1 and 3 checks. The full and partial
+    ones are computed only with ``diagnostics``; otherwise they are None."""
     a_diff, b_lm, b_ml = _imbalances(slds)
-    blocks = nk.fro_stack(np.array([a_diff + b_lm - b_ml, a_diff, b_lm - b_ml]))
-    residuals = np.concatenate([nk.fro_stack(slds.commutators)[None],
-                                _average_residuals(rho, slds)[None], blocks])
-    return _pair_checks(slds, residuals, tol)
+    blocks = [a_diff, b_lm - b_ml] + ([a_diff + b_lm - b_ml] if diagnostics else [])
+    residuals = [_average_residuals(rho, slds)[None], nk.fro_stack(np.array(blocks))]
+    if diagnostics:
+        residuals.append(nk.fro_stack(slds.commutators)[None])
+    residuals = np.concatenate(residuals)
+    checks = _pair_checks(slds, residuals, tol)
+    n = len(checks) // len(residuals)  # point i's checks are checks[i::n]
+    if diagnostics:
+        return [(full, avg, partial, c1, c3)
+                for avg, c1, c3, partial, full in (checks[i::n] for i in range(n))]
+    return [(None, avg, None, c1, c3) for avg, c1, c3 in (checks[i::n] for i in range(n))]
 
 
 # ---------------------------------------------------------------------------
@@ -503,9 +516,10 @@ def verify_condition2prime(
 
     All map derivatives are central differences with step 1e-5 on the smooth
     maps, each map run once on the one :func:`~qcrbsat.model.stencil_points`;
-    where :func:`~qcrbsat.model.stencil_fits` refuses that stencil (it would
-    leave the model's domain or round to theta), the condition is
-    NOT_CHECKED. A non-finite value of either map is refused, an
+    where :func:`~qcrbsat.model.stencil_refusals` refuses that stencil (it
+    would round to theta or leave the model's domain), the condition is
+    NOT_CHECKED, and its note gives that reason. A non-finite value of
+    either map is refused, an
     :class:`~qcrbsat.model.InvalidStateError` for the support basis and an
     :class:`InvalidWitnessError` for the witness. Every per-parameter
     quantity is one ``(p, ...)`` stack, normed by
@@ -547,10 +561,11 @@ def _condition2prime(model, theta, rho, drho, deriv_tol, witness, null_povm, tol
     v = values_at(model.support_basis_fn, theta, None, what="support basis")
     dec = _basis_split(rho, drho, deriv_tol, v, DEFAULT_RANK_TOL)
     r_plus = dec.r_plus
-    fits = stencil_fits(model, theta, h)
-    note = (f"the stencil theta +/- h with h = {h:g} leaves the domain of {model.name}; "
-            "existence undecided")
-    results = [None if f else Cond2PrimeResult(tol=tol, notes=[note]) for f in fits.tolist()]
+    refusals = stencil_refusals(model, theta, h)
+    results = [None if why is None else Cond2PrimeResult(
+        tol=tol, notes=[f"the stencil theta +/- h with h = {h:g} {why}; existence undecided"])
+        for why in refusals]
+    fits = np.array([why is None for why in refusals])
     if not fits.any():
         return results
     rows = np.flatnonzero(fits)
@@ -639,10 +654,17 @@ def _condition2prime(model, theta, rho, drho, deriv_tol, witness, null_povm, tol
 
 @dataclass
 class ConditionReport:
+    """The checks of one point and its verdict.
+
+    ``full_comm``, ``partial_comm`` and ``cond2prime`` are diagnostics the
+    verdict does not read. :meth:`to_dict` writes them only when
+    ``diagnostics`` is set, and null otherwise, whatever the fields hold.
+    """
+
     regime: str  # pure | full_rank | rank_deficient
-    full_comm: CommCheck
+    full_comm: Optional[CommCheck]
     avg_comm: CommCheck
-    partial_comm: CommCheck
+    partial_comm: Optional[CommCheck]
     cond1: CommCheck
     cond3: CommCheck
     cond4: Cond4Result
@@ -650,6 +672,7 @@ class ConditionReport:
     verdict: str = ""
     reasoning: list = field(default_factory=list)
     tol: float = 1e-8
+    diagnostics: bool = False
 
     def __post_init__(self):
         # Condition 3 is necessary for condition 4, so its failure refutes an undecided search.
@@ -663,15 +686,18 @@ class ConditionReport:
             )
 
     def to_dict(self) -> dict:
+        def diagnostic(check):
+            return check.to_dict() if self.diagnostics and check is not None else None
+
         return {
             "regime": self.regime,
-            "full_commutativity": self.full_comm.to_dict(),
+            "full_commutativity": diagnostic(self.full_comm),
             "average_commutativity": self.avg_comm.to_dict(),
-            "partial_commutativity": self.partial_comm.to_dict(),
+            "partial_commutativity": diagnostic(self.partial_comm),
             "condition1": self.cond1.to_dict(),
             "condition3": self.cond3.to_dict(),
             "condition4": self.cond4.to_dict(),
-            "condition2prime": self.cond2prime.to_dict() if self.cond2prime else None,
+            "condition2prime": diagnostic(self.cond2prime),
             "verdict": self.verdict,
             "reasoning": list(self.reasoning),
             "tol": self.tol,
@@ -725,15 +751,18 @@ def evaluate_conditions(
     witness: Optional[Cond2PrimeWitness] = None,
     tol: Optional[float] = None,
     rng: np.random.Generator | None = None,
+    diagnostics: bool = False,
 ) -> ConditionReport:
-    """Run every saturability check and assemble the verdict (``tol`` must be finite and >= 0).
+    """Run the saturability checks and assemble the verdict (``tol`` must be finite and >= 0).
 
     This is :func:`condition_reports` on the point as a stack of one, its W
-    search drawing from ``rng``.
+    search drawing from ``rng``. Full and partial commutativity and
+    condition 2' run only with ``diagnostics``.
     """
     return condition_reports(sp.row(None), dec.row(None), slds.row(None), model=model,
                              witness=witness, tol=tol,
-                             rngs=(lambda _: rng) if rng is not None else None)[0]
+                             rngs=(lambda _: rng) if rng is not None else None,
+                             diagnostics=diagnostics)[0]
 
 
 def condition_reports(
@@ -745,14 +774,20 @@ def condition_reports(
     witness: Optional[Cond2PrimeWitness] = None,
     tol: Optional[float] = None,
     rngs=None,
+    diagnostics: bool = False,
 ) -> list:
     """The condition report of each point of a stack.
 
     ``sp``, ``dec`` and ``slds`` hold a stack of points with equal
     ``(r_plus, r_zero)`` (see :func:`~qcrbsat.model.split_support`). The
-    five pairwise checks, the W search (see :func:`_find_w_stack`) and
-    condition 2' run once on the stack; the reports and the verdict are
-    per point. ``rngs(i)`` gives the generator the W search of point i
+    pairwise checks and the W search (see :func:`_find_w_stack`) run once
+    on the stack; the reports and the verdict are per point. By default
+    the pairwise checks are the ones the verdict reads, conditions 1 and 3,
+    and average commutativity; the report's full and partial commutativity
+    and condition 2' are None and write null. With ``diagnostics`` those
+    three are computed too, condition 2' once on the stack (when ``model``
+    is given and the points have a theta; ``witness`` is read only then).
+    ``rngs(i)`` gives the generator the W search of point i
     draws from, made only if it draws (None: ``default_rng(0)``). Each
     report equals the one :func:`evaluate_conditions` gives at that point.
     A stack holding a failing point raises a
@@ -760,18 +795,16 @@ def condition_reports(
     """
     tol = tol if tol is not None else sp.deriv_tol
     require_tolerance("cond_tol", tol)
-    checks = _all_pair_checks(sp.rho, slds, tol)
+    checks = _all_pair_checks(sp.rho, slds, tol, diagnostics)
     n = len(slds.full)
     sld_scales = nk.fro_stack(slds.full).max(axis=-1) if slds.n_params else np.ones(n)
     cond4 = _find_w_stack(slds.Lpz, tol, sld_scales, rngs)
     regime = "pure" if dec.r_plus == 1 else ("full_rank" if dec.r_zero == 0 else "rank_deficient")
-    reports = []
-    for i, c4 in enumerate(cond4):
-        full_c, avg, partial, c1, c3 = checks[i::n]
-        reports.append(ConditionReport(
-            regime=regime, full_comm=full_c, avg_comm=avg, partial_comm=partial, cond1=c1,
-            cond3=c3, cond4=c4, cond2prime=None, tol=tol))
-    if model is not None and sp.theta is not None:
+    reports = [ConditionReport(regime=regime, full_comm=full_c, avg_comm=avg, partial_comm=partial,
+                               cond1=c1, cond3=c3, cond4=c4, cond2prime=None, tol=tol,
+                               diagnostics=diagnostics)
+               for (full_c, avg, partial, c1, c3), c4 in zip(checks, cond4)]
+    if diagnostics and model is not None and sp.theta is not None:
         for report, result in zip(reports, verify_condition2prime(model, sp, witness,
                                                                   tol=max(tol, 1e-8))):
             report.cond2prime = result

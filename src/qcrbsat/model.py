@@ -336,6 +336,15 @@ def stencil_fits(model: StateModel, theta: np.ndarray, h: float) -> np.ndarray:
     return _moves(theta, h) & inside
 
 
+def stencil_refusals(model: StateModel, theta: np.ndarray, h: float) -> list:
+    """Per point of a ``(B, p)`` stack, None where :func:`stencil_fits` holds, else why
+    not, as :func:`stencil_points` says it: ``"rounds to theta"`` where the step ``h``
+    does not move the point, else ``"leaves the domain of <model name>"``."""
+    moves = _moves(theta, h).tolist()
+    return [None if fits else "rounds to theta" if not m else f"leaves the domain of {model.name}"
+            for fits, m in zip(stencil_fits(model, theta, h).tolist(), moves)]
+
+
 def stencil_points(model: StateModel, theta: np.ndarray, h) -> np.ndarray:
     """The points ``theta + s e_l`` and ``theta - s e_l``, l = 0..p-1, for every step ``s``
     of ``h``, as one ``(2,) + h.shape + theta.shape[:-1] + (p, p)`` array.
@@ -343,7 +352,8 @@ def stencil_points(model: StateModel, theta: np.ndarray, h) -> np.ndarray:
     ``theta`` is one ``(p,)`` point or a ``(..., p)`` stack of them and ``h`` one
     step or an array of steps. First, step by step, each ``s`` must be a finite
     positive number whose stencil fits every point (see :func:`stencil_fits`);
-    otherwise :class:`DomainError` is raised, naming the first failing point.
+    otherwise :class:`DomainError` is raised, naming the first failing point and
+    the reason :func:`stencil_refusals` gives for it.
     """
     theta = np.asarray(theta, dtype=float)
     steps = np.asarray(h, dtype=float)
@@ -353,11 +363,11 @@ def stencil_points(model: StateModel, theta: np.ndarray, h) -> np.ndarray:
         fits = stencil_fits(model, theta, s)
         if not fits.all():
             t = _first(theta, ~fits)
+            why = stencil_refusals(model, t[None], s)[0]
             if not _moves(t, s):
                 raise DomainError(f"finite-difference step {s:g} does not move theta "
-                                  f"{t.tolist()}: theta +/- h rounds to theta", theta=t, step=s)
-            raise DomainError(f"theta {t.tolist()} +/- {s} leaves the domain of {model.name}",
-                              theta=t)
+                                  f"{t.tolist()}: theta +/- h {why}", theta=t, step=s)
+            raise DomainError(f"theta {t.tolist()} +/- {s} {why}", theta=t)
     p = theta.shape[-1]
     offsets = (steps[..., None, None] * nk.identity(p)).reshape(
         steps.shape + (1,) * (theta.ndim - 1) + (p, p))

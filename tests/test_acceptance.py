@@ -145,7 +145,7 @@ def test_criterion_5_implication_metamorphics():
         sp = qs.evaluate(m, np.zeros(m.n_params))
         dec = qs.support_decomposition(sp)
         slds = qs.compute_sld(dec, sp.drho)
-        rep = qs.evaluate_conditions(sp, dec, slds)
+        rep = qs.evaluate_conditions(sp, dec, slds, diagnostics=True)
         if rep.cond4.status == "CERTIFIED_YES" and not rep.cond3.passed:
             violations += 1
         if rep.cond1.passed and rep.cond3.passed and not rep.partial_comm.passed:

@@ -24,7 +24,7 @@ PURE_QUBIT = ["--model", "pure-qubit-amp-phase", "--theta", "0.7,0.3"]
 
 class TestAnalyze:
     def test_qutrit_certified(self, capsys):
-        code, rep = run(capsys, "analyze", *QUTRIT)
+        code, rep = run(capsys, "analyze", *QUTRIT, "--diagnostics")
         assert code == 0
         assert rep["verdict"] == "SATURABLE_CERTIFIED"
         assert rep["support"] == {"r_plus": 2, "r_zero": 1, "q": rep["support"]["q"]}
@@ -255,11 +255,68 @@ class TestSweep:
 
     def test_condition2prime_unchecked_beside_checked_points(self, capsys):
         # theta_1 = 5e-6 puts condition 2's stencil outside the domain; theta_1 = 0.4 does not
-        base = ["--model", "qutrit-phase-mixture", "--params", "d=0.6,c1=1,c2=0.7"]
+        base = ["--model", "qutrit-phase-mixture", "--params", "d=0.6,c1=1,c2=0.7",
+                "--diagnostics"]
         entries = self._entries_are_analyze_reports(capsys, base, "5e-6:0.4:2,0.3:0.6:2")
         status = [e["conditions"]["condition2prime"]["status"] for e in entries]
         assert status == ["NOT_CHECKED"] * 2 + ["PASSED"] * 2
         assert all(e["verdict"] == "SATURABLE_CERTIFIED" for e in entries)
+
+
+DIAGNOSTICS = ("full_commutativity", "partial_commutativity", "condition2prime")
+
+
+class TestDiagnostics:
+    """Without --diagnostics a report is the --diagnostics one with its three diagnostics null."""
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", *QUTRIT],
+        ["analyze", *PURE_QUBIT],
+        ["analyze", "--model", "qutrit-phase-mixture", "--params", "d=0.3+0.4j,c1=1,c2=0.7",
+         "--theta", "5e-6,0.5"],  # condition 2' reads NOT_CHECKED with --diagnostics
+        ["analyze", "--model", "random-rank-r", "--params", "seed=3,n_s=6,plant_cond4=false",
+         "--theta", "0,0"],
+        ["fisher", *QUTRIT],
+        ["fisher", "--model", "diag-multinomial", "--theta", "0.2,0.3", "--scheme", "central_fd"],
+        ["construct-povm", *QUTRIT],
+        ["simulate", *QUTRIT, "--trials", "2000"],
+        # error entries, entries whose condition 2' reads NOT_CHECKED and checked ones
+        ["sweep", "--model", "qutrit-phase-mixture", "--params", "d=0.6,c1=1,c2=0.7",
+         "--grid", "0.0:0.6:3,5e-6:0.8:3"],
+    ])
+    def test_default_is_the_diagnostics_report_with_three_nulls(self, capsys, argv):
+        code, default = run(capsys, *argv)
+        code_on, on = run(capsys, *argv, "--diagnostics")
+        assert code == code_on == 0
+        entries, entries_on = default.get("sweep", [default]), on.get("sweep", [on])
+        assert any("conditions" in e for e in entries)
+        for entry, entry_on in zip(entries, entries_on):
+            if "error" in entry:
+                continue
+            for key in DIAGNOSTICS:
+                assert entry["conditions"][key] is None
+                assert entry_on["conditions"][key] is not None  # registry models only
+                entry_on["conditions"][key] = None
+        assert default == on
+
+    def test_numeric_model_has_no_condition2prime_either_way(self, capsys, tmp_path,
+                                                              qutrit_point):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(md.state_to_numeric_model(qutrit_point)))
+        _, default = run(capsys, "analyze", "--numeric-model", str(path))
+        _, on = run(capsys, "analyze", "--numeric-model", str(path), "--diagnostics")
+        assert on["conditions"]["condition2prime"] is None
+        assert on["conditions"]["partial_commutativity"]["passed"]
+        for key in DIAGNOSTICS:
+            assert default["conditions"][key] is None
+            on["conditions"][key] = None
+        assert default == on
+
+    def test_default_run_builds_no_witness(self, capsys, monkeypatch):
+        asked = []
+        monkeypatch.setattr(cli.fixtures, "get_witness", lambda *a, **k: asked.append(a))
+        assert run(capsys, "analyze", *QUTRIT)[0] == 0
+        assert asked == []
 
 
 class TestSchemes:

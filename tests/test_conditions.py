@@ -59,7 +59,7 @@ class TestElementaryChecks:
         sp = qs.evaluate(m, [0.4])
         dec = qs.support_decomposition(sp)
         slds = qs.compute_sld(dec, sp.drho)
-        rep = qs.evaluate_conditions(sp, dec, slds)
+        rep = qs.evaluate_conditions(sp, dec, slds, diagnostics=True)
         assert rep.full_comm.passed and rep.avg_comm.passed and rep.partial_comm.passed
         assert rep.verdict == cond.VERDICT_SATURABLE
 
@@ -89,7 +89,7 @@ class TestElementaryChecks:
         )
 
     def test_qutrit_passes_everything(self, qutrit_point, qutrit_dec, qutrit_slds):
-        rep = qs.evaluate_conditions(qutrit_point, qutrit_dec, qutrit_slds)
+        rep = qs.evaluate_conditions(qutrit_point, qutrit_dec, qutrit_slds, diagnostics=True)
         assert rep.partial_comm.residual <= 1e-10
         assert rep.cond1.passed and rep.cond3.passed
         assert rep.cond4.status == cond.COND4_YES
@@ -116,6 +116,67 @@ class TestElementaryChecks:
             assert check.worst_pair == (0, 2)
             assert check.scale == pytest.approx(2.0, rel=1e-15)
             assert check.residual == pytest.approx(np.sqrt(8.0) / 2.0, rel=1e-15)
+
+
+def test_constructor_built_report_writes_the_diagnostics_null(
+        qutrit_model, qutrit_point, qutrit_dec, qutrit_slds):
+    # a caller that runs each check itself and builds the report from them, with no flag
+    sp, dec, slds = qutrit_point, qutrit_dec, qutrit_slds
+    witness = qs.get_witness("paper-qutrit")
+    scale = max(nk.fro(full) for full in slds.full)
+    rep = cond.ConditionReport(
+        regime="rank_deficient", full_comm=cond.check_full_commutativity(slds),
+        avg_comm=cond.check_average_commutativity(sp.rho, slds),
+        partial_comm=cond.check_partial_commutativity(dec, slds),
+        cond1=cond.check_condition1(slds), cond3=cond.check_condition3(slds),
+        cond4=cond.find_w_condition4(slds.Lpz, scale_floor=scale),
+        cond2prime=cond.verify_condition2prime(qutrit_model, sp, witness, null_povm=None))
+    rep.verdict, rep.reasoning = cond.verdict(rep, dec.r_plus, dec.r_zero)
+    written = rep.to_dict()
+    assert [written[k] for k in ("full_commutativity", "partial_commutativity",
+                                 "condition2prime")] == [None] * 3
+    kw = dict(model=qutrit_model, witness=witness)
+    assert written == qs.evaluate_conditions(sp, dec, slds, **kw).to_dict()
+    on = dataclasses.replace(rep, diagnostics=True).to_dict()
+    assert on == qs.evaluate_conditions(sp, dec, slds, **kw, diagnostics=True).to_dict()
+    assert on["condition2prime"] == rep.cond2prime.to_dict()
+
+
+class TestPartialCommutativityImplied:
+    """Partial commutativity adds no decision to conditions 1 and 3.
+
+    Its matrix ``A_lm - A_ml + B_lm - B_ml`` is the sum of condition 1's and
+    condition 3's, so by the triangle inequality its worst normalized
+    residual is at most the sum of theirs. It is also the ++ block of the
+    full commutator ``[L_l, L_m]``, so its Frobenius norm is at most the
+    full one. Both hold in exact arithmetic; the test allows
+    ``SLACK_PER_DIM * n_s * eps`` on the residuals, which are in units of
+    ``s_l s_m``. The full SLDs are assembled from the blocks in the
+    n_s-dimensional basis and have Frobenius norm at most sqrt(2) s_l, so
+    each of the matrix products a residual sums is off by at most
+    gamma_{n_s} ||X|| ||Y|| <= n_s eps s_l s_m (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., section 3.5), and a
+    residual sums four of them besides the assembly and the norm's own
+    rounding. Equal-in-exact-arithmetic residuals were seen 7 eps apart at
+    n_s <= 8.
+    """
+
+    SLACK_PER_DIM = 8
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**16), st.integers(2, 8), st.data())
+    def test_partial_residual_bounded(self, seed, n_s, data):
+        r_plus = data.draw(st.integers(1, n_s), label="r_plus")
+        p = data.draw(st.integers(2, 4), label="n_params")
+        m = qs.get("random-rank-r", seed=seed, n_s=n_s, r_plus=r_plus, n_params=p,
+                   plant_cond1=data.draw(st.booleans(), label="plant_cond1"), plant_cond4=False)
+        sp = qs.evaluate(m, np.zeros(p))
+        dec = qs.support_decomposition(sp)
+        rep = qs.evaluate_conditions(sp, dec, qs.compute_sld(dec, sp.drho), diagnostics=True)
+        slack = self.SLACK_PER_DIM * n_s * np.finfo(float).eps
+        partial = rep.partial_comm.residual
+        assert partial <= rep.cond1.residual + rep.cond3.residual + slack
+        assert partial <= rep.full_comm.residual + slack
 
 
 class TestCondition4:
@@ -394,7 +455,8 @@ class TestStackedAgainstReference:
         # with no pair of positive ratio, no s_l s_m is the worst one: the scale is null
         sp = qs.evaluate(qs.get(name), theta)
         dec = qs.support_decomposition(sp)
-        report = qs.evaluate_conditions(sp, dec, qs.compute_sld(dec, sp.drho)).to_dict()
+        report = qs.evaluate_conditions(sp, dec, qs.compute_sld(dec, sp.drho),
+                                        diagnostics=True).to_dict()
         for key in checks:
             assert report[key]["worst_pair"] is None and report[key]["scale"] is None, key
 
@@ -419,7 +481,7 @@ class TestImplicationChain:
         sp = qs.evaluate(m, [0.0, 0.0])
         dec = qs.support_decomposition(sp)
         slds = qs.compute_sld(dec, sp.drho)
-        rep = qs.evaluate_conditions(sp, dec, slds)
+        rep = qs.evaluate_conditions(sp, dec, slds, diagnostics=True)
         if rep.cond4.status == cond.COND4_YES:
             assert rep.cond3.passed
         if rep.cond1.passed and rep.cond3.passed:
@@ -756,7 +818,7 @@ class TestVerdict:
         )
         dec = qs.support_decomposition(sp)
         slds = qs.compute_sld(dec, sp.drho)
-        rep = qs.evaluate_conditions(sp, dec, slds)
+        rep = qs.evaluate_conditions(sp, dec, slds, diagnostics=True)
         assert rep.cond1.passed and rep.cond3.passed and rep.partial_comm.passed
         assert rep.cond4.status == cond.COND4_UNKNOWN
         assert rep.verdict == cond.VERDICT_INCONCLUSIVE
@@ -863,7 +925,7 @@ class TestGaugeInvariance:
     def test_verdict_invariant_under_rebasing(self, qutrit_point):
         dec = qs.support_decomposition(qutrit_point)
         slds = qs.compute_sld(dec, qutrit_point.drho)
-        rep = qs.evaluate_conditions(qutrit_point, dec, slds)
+        rep = qs.evaluate_conditions(qutrit_point, dec, slds, diagnostics=True)
 
         rng = np.random.default_rng(13)
         t = np.exp(1j * rng.uniform(0, 2 * np.pi)) * np.eye(1)
@@ -872,7 +934,7 @@ class TestGaugeInvariance:
             r_plus=dec.r_plus, r_zero=dec.r_zero,
         )
         slds2 = qs.compute_sld(dec2, qutrit_point.drho)
-        rep2 = qs.evaluate_conditions(qutrit_point, dec2, slds2)
+        rep2 = qs.evaluate_conditions(qutrit_point, dec2, slds2, diagnostics=True)
         assert rep2.verdict == rep.verdict
         for name in ("full_comm", "avg_comm", "partial_comm", "cond1", "cond3"):
             assert getattr(rep2, name).passed == getattr(rep, name).passed
@@ -932,7 +994,7 @@ class TestCondition2PrimeStencil:
         model = dataclasses.replace(qutrit_model, support_basis_fn=basis)
         with pytest.raises(md.InvalidStateError, match="support basis map failed") as exc:
             qs.evaluate_conditions(qutrit_point, qutrit_dec, qutrit_slds, model=model,
-                                   witness=qs.get_witness("paper-qutrit"))
+                                   witness=qs.get_witness("paper-qutrit"), diagnostics=True)
         assert isinstance(exc.value.__cause__, ValueError) and str(exc.value.__cause__) == "boom"
 
     @pytest.mark.parametrize("where", ["point", "stencil"])
@@ -1017,7 +1079,7 @@ class TestCondition2PrimeStencil:
         sp = qs.evaluate(model, theta)
         dec = qs.support_decomposition(sp)
         rep = qs.evaluate_conditions(sp, dec, qs.compute_sld(dec, sp.drho), model=model,
-                                     witness=witness)
+                                     witness=witness, diagnostics=True)
         res = rep.cond2prime
         assert res.status == "NOT_CHECKED" and res.path == "not_checked"
         assert "h = 1e-05" in res.notes[0] and res.pde_residual is None
@@ -1055,7 +1117,14 @@ class TestCondition2PrimeStencil:
                 md.stencil_points(model, theta, 1e-5)
             except md.DomainError as exc:
                 assert res.status == "NOT_CHECKED" and res.pde_residual is None
-                kinds.append("rounds" if "rounds to theta" in str(exc) else "leaves")
+                kind = "rounds" if "rounds to theta" in str(exc) else "leaves"
+                # the note names the reason the refusal gives for that point
+                why = "rounds to theta" if kind == "rounds" else "leaves the domain of wide-box"
+                assert why in str(exc)
+                assert res.notes == [f"the stencil theta +/- h with h = 1e-05 {why}; "
+                                     "existence undecided"]
+                assert md.stencil_refusals(model, theta[None], 1e-5) == [why]
+                kinds.append(kind)
             else:
                 assert res.status == "PASSED" and res.path == "zero_generators"
                 kinds.append("fits")

@@ -2,10 +2,10 @@
 
 A stack of B points through `evaluate_points`, `split_support`, `compute_sld`,
 `qfim`, the five pairwise checks, `verify_condition2prime` and
-`condition_reports` gives, row by row, exactly what B single-point calls
-give; so does the stacked W search against `find_w_condition4`. A stack that
-holds a failing point raises, and a sweep run in chunks gives each point the
-entry `analyze` gives it.
+`condition_reports`, with diagnostics off and on, gives, row by row, exactly
+what B single-point calls give; so does the stacked W search against
+`find_w_condition4`. A stack that holds a failing point raises, and a sweep
+run in chunks gives each point the entry `analyze` gives it.
 """
 
 import dataclasses
@@ -105,9 +105,10 @@ def _single(model, witness, theta, scheme):
               qs.check_partial_commutativity(dec, slds, tol), qs.check_condition1(slds, tol),
               qs.check_condition3(slds, tol))
     c2p = [qs.verify_condition2prime(model, sp, w, tol=max(tol, 1e-8)) for w in _witnesses(witness)]
-    report = qs.evaluate_conditions(sp, dec, slds, model=model, witness=witness,
-                                    rng=np.random.default_rng(7))
-    return sp, dec, slds, qs.qfim(dec, slds), checks, c2p, report
+    reports = [qs.evaluate_conditions(sp, dec, slds, model=model, witness=witness,
+                                      rng=np.random.default_rng(7), diagnostics=diagnostics)
+               for diagnostics in (False, True)]
+    return sp, dec, slds, qs.qfim(dec, slds), checks, c2p, reports
 
 
 def _stacked(model, witness, thetas, scheme):
@@ -125,11 +126,13 @@ def _stacked(model, witness, thetas, scheme):
                   qs.check_condition3(slds, tol))
         c2p = [qs.verify_condition2prime(model, group, w, tol=max(tol, 1e-8))
                for w in _witnesses(witness)]
-        reports = cond.condition_reports(group, dec, slds, model=model, witness=witness,
-                                         rngs=lambda _: np.random.default_rng(7))
+        reports = [cond.condition_reports(group, dec, slds, model=model, witness=witness,
+                                          rngs=lambda _: np.random.default_rng(7),
+                                          diagnostics=diagnostics)
+                   for diagnostics in (False, True)]
         for i, k in enumerate(rows.tolist()):
             out[k] = (group.row(i), dec.row(i), qs.SLDSet(slds.Lpp[i], slds.Lpz[i], slds.full[i]),
-                      f_q[i], [c[i] for c in checks], [c[i] for c in c2p], reports[i])
+                      f_q[i], [c[i] for c in checks], [c[i] for c in c2p], [r[i] for r in reports])
     return out
 
 
@@ -163,8 +166,8 @@ def _rows_equal_single_calls(model, witness, thetas, scheme):
     if not ok:
         return
     for i, got in zip(ok, _stacked(model, witness, thetas[ok], scheme)):
-        sp, dec, slds, f_q, checks, c2p, report = singles[i]
-        g_sp, g_dec, g_slds, g_f_q, g_checks, g_c2p, g_report = got
+        sp, dec, slds, f_q, checks, c2p, reports = singles[i]
+        g_sp, g_dec, g_slds, g_f_q, g_checks, g_c2p, g_reports = got
         for a, b in ((sp.theta, g_sp.theta), (sp.rho, g_sp.rho), (sp.drho, g_sp.drho),
                      (dec.q, g_dec.q), (dec.V, g_dec.V), (dec.Y, g_dec.Y),
                      (dec.P_plus, g_dec.P_plus), (slds.Lpp, g_slds.Lpp),
@@ -172,7 +175,12 @@ def _rows_equal_single_calls(model, witness, thetas, scheme):
             _same(a, b)
         assert list(checks) == g_checks
         assert [dataclasses.asdict(r) for r in c2p] == [dataclasses.asdict(r) for r in g_c2p]
-        assert _text(report) == _text(g_report)
+        assert [_text(r) for r in reports] == [_text(r) for r in g_reports]
+        off, on = g_reports
+        assert (off.full_comm, off.partial_comm, off.cond2prime) == (None, None, None)
+        assert (on.full_comm, on.avg_comm, on.partial_comm, on.cond1, on.cond3) == tuple(checks)
+        # the switch adds the three diagnostics and moves nothing else
+        assert _text(dataclasses.replace(on, diagnostics=False)) == _text(off)
 
 
 def _report(argv):
