@@ -101,9 +101,17 @@ def _registry_model(args):
     return fixtures.get(args.model, **params), witness
 
 
+def _refuse_options(args, source: str, *options) -> None:
+    """Refuse any of ``options`` given beside ``source``, which leaves them unread."""
+    given = [o for o in options if getattr(args, o[2:].replace("-", "_")) not in (None, "")]
+    if given:
+        raise QcrbSatError(f"{source} does not read {', '.join(given)}", options=given)
+
+
 def _load_state(args):
     """Resolve the state source; returns (model_or_None, state_point, witness)."""
     if args.numeric_model:
+        _refuse_options(args, "--numeric-model", "--model", "--params", "--theta")
         sp = parse_numeric_model(args.numeric_model)
         return None, sp, None
     if not args.model:
@@ -345,6 +353,7 @@ def cmd_sweep(args) -> dict:
     stacked entries (see :func:`_sweep_entries`)."""
     if not args.model:
         raise QcrbSatError("sweep requires --model (numeric models are single-point)")
+    _refuse_options(args, "sweep", "--theta", "--numeric-model")
     model, witness = _registry_model(args)
     axes = parse_grid(args.grid)
     if len(axes) != model.n_params:

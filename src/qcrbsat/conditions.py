@@ -25,13 +25,14 @@ condition 3's, and condition 2' is not checked against the corrected
 theorem. The search for ``W``
 is heuristic; only the verifier's residuals certify anything, so a failed
 search degrades to UNKNOWN, and condition 4 is refuted only through a
-failed condition 3. The W search tries two
-constructions on the +0 blocks, a pseudo-inverse one and, for r+ = 1, a
-real-rows one, and then the identity; every candidate, unitarity included,
-goes through the verifier. It runs on a ``(B, p, r+, r0)`` stack of points
-(see :func:`_find_w_stack`): the block norms, the pseudo-inverses and each
-round of verification are one pass over the stack, while the joint
-diagonalization (r0 > 1 only) and the real-rows construction run per point.
+failed condition 3. The W search tries one construction on the +0
+blocks, chosen by their shape, and then the identity: none at r0 <= 1,
+the real-rows one at r+ = 1 and the pseudo-inverse one otherwise; every
+candidate, unitarity included, goes through the verifier. It runs on a
+``(B, p, r+, r0)`` stack of points (see :func:`_find_w_stack`): the block
+norms, the pseudo-inverses and each round of verification are one pass
+over the stack, while the joint diagonalization and the real-rows
+construction run per point.
 """
 
 from __future__ import annotations
@@ -299,28 +300,22 @@ def _candidate_w_pinv(lpz: np.ndarray, ref: np.ndarray, tol: float, rng) -> tupl
     commute or is not scalar on a cluster, the joint diagonalization
     refuses and there is no candidate.
 
-    The pseudo-inverses and the ``M_l`` are one stacked computation. For
-    r0 = 1 the joint eigenbasis of a (finite) family is ``[[1]]``, what
-    :func:`~qcrbsat.numkernel.joint_eigenprojectors` returns for it; any
-    other family is diagonalized on its own, drawing from ``rng(k)``, the
+    The pseudo-inverses and the ``M_l`` are one stacked computation; each
+    family is diagonalized on its own, drawing from ``rng(k)``, the
     generator of point k. Returns the ``(B, r0, r0)`` stack of bases and
     the ``(B,)`` flags of the points that have one.
     """
     b, p, _, r0 = lpz.shape
     m = np.linalg.pinv(lpz[np.arange(b), ref], rcond=1e-10)[:, None] @ lpz
-    alone = np.flatnonzero(~np.isfinite(m).all(axis=(1, 2, 3)) if r0 == 1 else np.ones(b))
+    # each M_l enters as its Hermitian and anti-Hermitian parts, in turn
+    family = np.stack([nk.hermitize(m), (m - m.conj().swapaxes(-1, -2)) / 2j], axis=2)
     bases = np.ones((b, r0, r0), dtype=complex)
     found = np.ones(b, dtype=bool)
-    if alone.size:
-        m = m[alone]
-        # each M_l enters as its Hermitian and anti-Hermitian parts, in turn
-        family = np.stack([nk.hermitize(m), (m - m.conj().swapaxes(-1, -2)) / 2j], axis=2)
-        for k, family_k in zip(alone.tolist(), family.reshape(len(alone), 2 * p, r0, r0)):
-            try:
-                spectrum = nk.joint_eigenprojectors(family_k, tol=max(tol, 1e-10), rng=rng(k))
-                bases[k] = spectrum.basis
-            except (nk.NotCommutingError, nk.JointDiagonalizationError):
-                found[k] = False
+    for k, family_k in enumerate(family.reshape(b, 2 * p, r0, r0)):
+        try:
+            bases[k] = nk.joint_eigenprojectors(family_k, tol=max(tol, 1e-10), rng=rng(k)).basis
+        except (nk.NotCommutingError, nk.JointDiagonalizationError):
+            found[k] = False
     return bases, found
 
 
@@ -358,22 +353,19 @@ def find_w_condition4(
 ) -> Cond4Result:
     """Decide the column-alignment condition on the +0 blocks.
 
-    Candidates are the pinv construction (see :func:`_candidate_w_pinv`),
-    for r+ = 1 the real-rows construction (see
-    :func:`_candidate_w_totally_real`), and the identity; when every block
-    is below ``tol * scale_floor``, an empty null space included, the
-    identity alone. CERTIFIED_YES comes with the first candidate
-    :func:`verify_condition4_with_w` accepts, unitarity included, and its
-    fitted real ratios; everything else is UNKNOWN. The refutation
-    (CERTIFIED_NO) is condition 3's:
+    One construction runs, chosen by the shape, and then the identity is
+    tried: at r0 <= 1 none, since every unitary W is then a phase and
+    decides as the identity does; at r+ = 1 the real-rows construction (see
+    :func:`_candidate_w_totally_real`); otherwise the pinv construction (see
+    :func:`_candidate_w_pinv`). When every block is below
+    ``tol * scale_floor`` the identity alone is tried. CERTIFIED_YES comes
+    with the first candidate :func:`verify_condition4_with_w` accepts,
+    unitarity included, and its fitted real ratios; everything else is
+    UNKNOWN. The refutation (CERTIFIED_NO) is condition 3's:
     :class:`ConditionReport` reads it off a failed condition 3.
 
-    The search runs on stacks of points, and this is it on a stack of one
-    (see :func:`_find_w_stack`): the block norms, the pseudo-inverses and
-    each candidate's verification are one pass over the stack, and only the
-    joint diagonalization of an r0 > 1 family and the real-rows
-    construction run per point. Only those two steps draw from ``rng``
-    (``default_rng(0)`` when None).
+    This is :func:`_find_w_stack` on a stack of one. Only the construction
+    draws from ``rng`` (``default_rng(0)`` when None).
     """
     lpz = np.asarray(lpz, dtype=complex)
     rngs = (lambda _: rng) if rng is not None else None
@@ -383,20 +375,20 @@ def find_w_condition4(
 def _find_w_stack(lpz: np.ndarray, tol: float, scale_floor: np.ndarray, rngs=None) -> list:
     """:func:`find_w_condition4` at every point of a ``(B, p, r+, r0)`` stack of +0 blocks.
 
-    The block norms, the vacuous test, the pseudo-inverses and each round
-    of candidates' verification run once on the stack; the joint
-    diagonalization runs per point where r0 > 1, and the real-rows
-    construction per point that reaches it. Each candidate goes on only to
-    the points no earlier one was accepted at. ``rngs(b)`` gives point b's
-    generator (``default_rng(0)`` when ``rngs`` is None), made when its
-    search first draws. The r0 = 1 eigenbasis skips the 2p mixture draws
-    the joint diagonalization makes, so a point that goes on to the
-    real-rows construction takes them first. Returns the
-    :class:`Cond4Result` of every point, each what the point gives alone.
+    The stack's shape picks one construction: none at r0 <= 1, the
+    real-rows one at r+ = 1, the pinv one otherwise. It runs at the points
+    whose blocks are not all below ``tol * scale_floor``, and the identity
+    then goes on to the points it left undecided. The block norms, the
+    vacuous test, the pseudo-inverses and each round of verification run
+    once on the stack; the joint diagonalization and the real-rows
+    construction run per point, drawing from ``rngs(b)``, point b's
+    generator (``default_rng(0)`` when ``rngs`` is None), which is made
+    only there. Returns the :class:`Cond4Result` of every point, each what
+    the point gives alone.
     """
-    b, p, r_plus, r0 = lpz.shape
+    b, _, r_plus, r0 = lpz.shape
     norms = nk.norm_stack(lpz)  # (B, p)
-    live = np.flatnonzero(norms.max(axis=1) > tol * scale_floor)
+    live = np.flatnonzero(norms.max(axis=1) > tol * scale_floor) if r0 > 1 else np.arange(0)
     results: list = [None] * b
     tried = [[] for _ in range(b)]  # the residuals of the refused candidates, in turn
 
@@ -412,30 +404,16 @@ def _find_w_stack(lpz: np.ndarray, tol: float, scale_floor: np.ndarray, rngs=Non
                 tried[i].append(res)
 
     rngs = rngs or (lambda _: np.random.default_rng(0))
-    generators: dict = {}
-
-    def rng(i):
-        if i not in generators:
-            generators[i] = rngs(i)
-        return generators[i]
-
-    if live.size:
+    if live.size and r_plus == 1:
+        ws = {i: _candidate_w_totally_real(lpz[i, :, 0], tol, rngs(i)) for i in live.tolist()}
+        rows = [i for i, w in ws.items() if w is not None]
+        if rows:
+            attempt(rows, np.array([ws[i] for i in rows]))
+    elif live.size:
         ws, found = _candidate_w_pinv(lpz[live], norms[live].argmax(axis=1), tol,
-                                      lambda k: rng(int(live[k])))
+                                      lambda k: rngs(int(live[k])))
         if found.any():
             attempt(live[found].tolist(), ws[found])
-    if r_plus == 1:
-        rows, ws = [], []
-        for i in live.tolist():
-            if results[i] is None:
-                if i not in generators:  # an r0 = 1 point: take the mixture draws it skipped
-                    rng(i).standard_normal(2 * p)
-                w = _candidate_w_totally_real(lpz[i, :, 0], tol, rng(i))
-                if w is not None:
-                    rows.append(i)
-                    ws.append(w)
-        if rows:
-            attempt(rows, np.array(ws))
     rows = [i for i, r in enumerate(results) if r is None]
     if rows:
         attempt(rows, np.tile(np.eye(r0, dtype=complex), (len(rows), 1, 1)))
@@ -788,7 +766,7 @@ def condition_reports(
     three are computed too, condition 2' once on the stack (when ``model``
     is given and the points have a theta; ``witness`` is read only then).
     ``rngs(i)`` gives the generator the W search of point i
-    draws from, made only if it draws (None: ``default_rng(0)``). Each
+    draws from, made only where a construction runs (None: ``default_rng(0)``). Each
     report equals the one :func:`evaluate_conditions` gives at that point.
     A stack holding a failing point raises a
     :class:`~qcrbsat.errors.QcrbSatError` from one of its failing points.

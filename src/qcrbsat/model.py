@@ -505,19 +505,14 @@ def evaluate(
     return _evaluate_stack(model, _check_points(model, theta)[:1], scheme, h).row(0)
 
 
-def fix_phases(m: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-modulus entry is real positive.
-
-    ``m`` is one matrix or a stack of them. Each phase ``|z| / z`` is taken in
-    numpy's complex scalar arithmetic, one column at a time: the array
-    division and modulus round differently, and the rotated columns feed
-    every later bit of the split.
-    """
-    return _rotate_columns(np.array(m, dtype=complex))
-
-
 def _rotate_columns(m: np.ndarray) -> np.ndarray:
-    """:func:`fix_phases` in place on the complex array ``m``; returns it."""
+    """Rotate each column of the complex array ``m``, one matrix or a stack of them,
+    in place so that its largest-modulus entry is real positive; returns ``m``.
+
+    Each phase ``|z| / z`` is taken in numpy's complex scalar arithmetic, one
+    column at a time: the array division and modulus round differently, and
+    the rotated columns feed every later bit of the split.
+    """
     if not m.size:
         return m
     cols = m.swapaxes(-1, -2).reshape(-1, m.shape[-2])  # every column of every matrix
@@ -528,7 +523,7 @@ def _rotate_columns(m: np.ndarray) -> np.ndarray:
 
 
 def _columns(m: np.ndarray) -> np.ndarray:
-    """Phase-fixed columns of each matrix of a stack (see :func:`fix_phases`),
+    """Phase-fixed columns of each matrix of a stack (see :func:`_rotate_columns`),
     each matrix stored column by column, as numpy stores the columns it picks
     from a matrix by a mask: the products downstream read that layout, and
     their bits depend on it."""

@@ -365,6 +365,30 @@ class TestUsageErrors:
         code, rep = run(capsys, "analyze", "--model", "paper-qutrit", "--theta", "x,y")
         assert code == 1
 
+    @pytest.mark.parametrize("extra, given", [
+        (["--model", "qutrit-phase-mixture", "--theta", "0.3,0.5"], ["--model", "--theta"]),
+        (["--params", "d=0.6"], ["--params"]),
+        (["--theta", "0.3,0.5"], ["--theta"]),
+    ])
+    def test_numeric_model_refuses_the_registry_options(self, capsys, tmp_path, qutrit_point,
+                                                        extra, given):
+        # the file holds the whole state: the options would be dropped unread
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(md.state_to_numeric_model(qutrit_point)))
+        code, rep = run(capsys, "analyze", "--numeric-model", str(path), *extra)
+        assert code == 1
+        assert rep["error"]["type"] == "QcrbSatError"
+        assert rep["error"]["detail"] == {"options": given}
+        assert rep["error"]["message"] == f"--numeric-model does not read {', '.join(given)}"
+
+    def test_sweep_refuses_theta(self, capsys):
+        code, rep = run(capsys, "sweep", *QUTRIT[:-2], "--grid", "0.1:0.9:3,0.1:0.9:3",
+                        "--theta", "9,9")
+        assert code == 1
+        assert rep["error"]["type"] == "QcrbSatError"
+        assert rep["error"]["detail"] == {"options": ["--theta"]}
+        assert "--theta" in rep["error"]["message"]
+
     @pytest.mark.parametrize("grid", ["0.1:0.9:x,0.1:0.9:3", "0.1:0.9:2.5,0.1:0.9:3",
                                       "a:0.9:3,0.1:0.9:3"])
     def test_malformed_grid(self, capsys, grid):

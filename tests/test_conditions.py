@@ -680,6 +680,50 @@ class TestWSearchProperties:
         # vanishing columns are fixed: the rows' real rank is r0 - vanish
         assert res.column_status.count("vacuous") >= vanish
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 4),
+           st.sampled_from(["planted", "random", "one_vanishing", "zero"]),
+           st.floats(-np.pi, np.pi))
+    def test_a_phase_decides_as_the_identity_at_one_null_direction(self, seed, p, r_plus, kind,
+                                                                    phi):
+        # at r0 = 1 every unitary W is a phase, so the search tries the identity alone
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            lpz = rng.standard_normal((p, r_plus, 1)) + 1j * rng.standard_normal((p, r_plus, 1))
+        else:
+            lpz = _planted_blocks(rng, p, r_plus, 1, vanish=int(kind == "zero"))[0]
+        if kind == "one_vanishing":  # mixed for p >= 2
+            lpz[0] = 0.0
+        phase = cond.verify_condition4_with_w(lpz, [[np.exp(1j * phi)]])
+        one = cond.verify_condition4_with_w(lpz, [[1.0]])
+        assert (phase[0], phase[2]) == (one[0], one[2])
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 4), st.integers(0, 3),
+           st.sampled_from(["proportional", "planted", "random"]))
+    def test_real_rows_verify_wherever_pinv_does_at_one_support_direction(self, seed, p, r0,
+                                                                          vanish, kind):
+        # at r+ = 1 the search runs the real-rows construction in place of the pinv one
+        rng = np.random.default_rng(seed)
+        vanish = min(vanish, r0 - 1)
+        if kind == "proportional":  # real multiples of one row, `vanish` of its entries zero
+            row = rng.standard_normal(r0) + 1j * rng.standard_normal(r0)
+            row[rng.permutation(r0)[:vanish]] = 0.0
+            scales = rng.uniform(0.2, 1.0, p) * rng.choice([-1.0, 1.0], p)
+            lpz = scales[:, None, None] * row
+        elif kind == "planted":
+            lpz = _planted_blocks(rng, p, 1, r0, vanish)[0]
+        else:
+            lpz = rng.standard_normal((p, 1, r0)) + 1j * rng.standard_normal((p, 1, r0))
+        ref = np.argmax(np.linalg.norm(lpz, axis=(1, 2)))
+        ws, found = cond._candidate_w_pinv(lpz[None], ref[None], 1e-8, lambda _: rng)
+        pinv_verifies = found[0] and cond.verify_condition4_with_w(lpz, ws[0])[0]
+        w = cond._candidate_w_totally_real(lpz[:, 0], 1e-8, rng)
+        if pinv_verifies:
+            assert w is not None and cond.verify_condition4_with_w(lpz, w)[0]
+        if kind == "proportional":  # where the pinv W verifies, so the claim is not vacuous
+            assert pinv_verifies
+
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 3), st.integers(1, 3), st.booleans())
     def test_agrees_with_grid_oracle(self, seed, p, r_plus, planted):

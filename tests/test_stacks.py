@@ -283,8 +283,8 @@ def test_stacked_w_search_on_random_rank_r(planted):
 
 def test_stacked_w_search_mixes_candidates():
     rng = np.random.default_rng(2)
-    # r+ = 1, r0 = 2: the pinv candidate aligns one live column; the pure qutrit and the
-    # planted rows need the real-rows candidate; random rows get UNKNOWN; zeros are vacuous
+    # r+ = 1, r0 = 2, the real-rows candidate: it aligns one live column, the pure qutrit and
+    # the planted rows; random rows get UNKNOWN; zeros are vacuous
     phase = np.exp(0.7j)
     one_column = np.array([[[0.3 * phase, 0.0]], [[-0.7 * phase, 0.0]]])
     random_rows = rng.standard_normal((2, 1, 2)) + 1j * rng.standard_normal((2, 1, 2))
@@ -302,7 +302,7 @@ def test_stacked_w_search_mixes_candidates():
     statuses = _stacked_cond4(blocks, [0.0, 0.0, 1.0, 0.0, 0.0, 1.0])
     assert statuses == ["CERTIFIED_YES", "UNKNOWN", "CERTIFIED_YES", "CERTIFIED_YES", "UNKNOWN",
                         "CERTIFIED_YES"]
-    # r+ = r0 = 1: real rows (pinv), complex rows (UNKNOWN after every candidate)
+    # r+ = r0 = 1, the identity alone: real rows, complex rows (UNKNOWN)
     z = rng.standard_normal((3, 2, 1, 1)) + 1j * rng.standard_normal((3, 2, 1, 1))
     assert _stacked_cond4([z[0].real, z[1], z[2]], [0.0] * 3) == [
         "CERTIFIED_YES", "UNKNOWN", "UNKNOWN"]
@@ -324,11 +324,29 @@ def test_w_search_makes_a_generator_only_where_it_draws():
     blocks, floors = _model_blocks("qutrit-phase-mixture", {"d": 0.6, "c1": 1.0, "c2": 0.7},
                                    [np.array([0.3, 0.5]), np.array([0.6, 0.2])])
     cond._find_w_stack(np.array(blocks), 1e-8, np.array(floors), rngs)
-    assert made == []  # r0 = 1, accepted by the pinv candidate: nothing drawn
-    # the pure qubit goes on to the real-rows step, past the 2p mixture draws of the
-    # joint diagonalization of its 1x1 family, which the r0 = 1 shortcut skipped
+    assert made == []  # r0 = 1: the identity alone, nothing drawn
+    # the pure qubit (r+ = r0 = 1) tries the identity alone too
     blocks, floors = _model_blocks("pure-qubit-amp-phase", {}, [np.array([0.7, 0.3])])
     cond._find_w_stack(np.array(blocks), 1e-8, np.array(floors), rngs)
-    expected = np.random.default_rng(5)
-    expected.standard_normal(4)
-    assert len(made) == 1 and made[0].bit_generator.state == expected.bit_generator.state
+    assert made == []
+    # an r+ = 1, r0 = 2 point runs the real-rows construction, which draws from its generator
+    cond._find_w_stack(_pure_qutrit_blocks((0.3, 0.45))[None], 1e-8, np.array([0.0]), rngs)
+    assert len(made) == 1
+    assert made[0].bit_generator.state != np.random.default_rng(5).bit_generator.state
+
+
+@pytest.mark.parametrize("name, params", [
+    ("qutrit-phase-mixture", {"d": 0.6, "c1": 1.0, "c2": 0.7}),  # r0 = 1
+    ("pure-qubit-amp-phase", {}),  # r+ = r0 = 1
+    ("diag-multinomial", {"dims": 3}),  # r0 = 0
+])
+def test_w_search_below_two_null_directions_tries_the_identity_alone(monkeypatch, name, params):
+    model = qs.get(name, **params)
+    blocks, floors = _model_blocks(name, params, _points(model, name, 6, seed=8))
+
+    def refused(*args):
+        raise AssertionError("the pinv construction ran at r0 <= 1")
+
+    monkeypatch.setattr(cond, "_candidate_w_pinv", refused)
+    got = cond._find_w_stack(np.array(blocks), 1e-8, np.array(floors))
+    assert all(r.W is None or np.array_equal(r.W, np.eye(r.W.shape[0])) for r in got)
