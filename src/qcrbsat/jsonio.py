@@ -4,7 +4,8 @@ Complex matrices travel as nested ``[re, im]`` pairs. :class:`ComplexMatrix`
 is those nested lists together with the float array they were made from;
 :func:`dump` writes a payload piece by piece as exactly the text of
 ``json.dumps(obj, indent=2, sort_keys=True)``, rendering each
-:class:`ComplexMatrix` from its array in one pass instead of float by float.
+:class:`ComplexMatrix` from its array in one pass instead of float by float,
+and :func:`write_json` rewrites a report file in place.
 :func:`parse_complex_matrix` reads a matrix back, and :func:`load` is the
 one reader of input files.
 """
@@ -12,6 +13,8 @@ one reader of input files.
 from __future__ import annotations
 
 import json
+import os
+import stat
 import sys
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
@@ -26,6 +29,16 @@ FLUSH_PARTS = 4096
 # Arrays with more axes than a matrix of [re, im] pairs are written one
 # leading-axis slice at a time, so no more than one matrix's text is held.
 LEAF_NDIM = 3
+# Bounds of the texts kept for the whole process: the newline and key texts
+# of the first MEMO_LEVELS nesting levels, at most MEMO_KEYS string keys of
+# at most MEMO_KEY_CHARS characters per level, and the layouts of at most
+# MEMO_LAYOUTS arrays of at most MEMO_LAYOUT_FLOATS floats. What falls
+# outside is made again for each report (a large layout once per report).
+MEMO_LEVELS = 32
+MEMO_KEYS = 256
+MEMO_KEY_CHARS = 64
+MEMO_LAYOUTS = 64
+MEMO_LAYOUT_FLOATS = 4096
 
 
 class SchemaError(QcrbSatError):
@@ -118,11 +131,20 @@ def _layout(shape: tuple, level: int):
 
 
 class _Newlines(dict):
-    """``"\n"`` and the indentation of each nesting level, made on first use."""
+    """``"\n"`` and the indentation of each nesting level, kept below ``MEMO_LEVELS``."""
 
     def __missing__(self, level: int) -> str:
-        text = self[level] = "\n" + INDENT * level
+        text = "\n" + INDENT * level
+        if level < MEMO_LEVELS:
+            self[level] = text
         return text
+
+
+_NEWLINES = _Newlines()
+# Per level, each string key's text ',<newline>"key": ' (see MEMO_KEYS).
+_KEY_TEXTS = tuple({} for _ in range(MEMO_LEVELS))
+# (shape, level) -> _layout(shape, level) of small arrays (see MEMO_LAYOUTS).
+_LAYOUTS: dict = {}
 
 
 def dump(obj, write, *, sort_keys: bool = True) -> None:
@@ -130,15 +152,16 @@ def dump(obj, write, *, sort_keys: bool = True) -> None:
 
     The text goes out in pieces, so the whole document never exists as one
     string. Values ``json.dumps`` refuses raise the same ``TypeError``.
-    Each value's handler comes from a table keyed by its exact type, and
-    the text before each string key, its comma, newline and indentation
-    included, is made once per level and dump.
+    Each value's handler comes from a table keyed by its exact type. The
+    indentation of each level, the text before each string key (its comma,
+    newline and indentation included) and the layout of each small array
+    are made once per process, within the ``MEMO_*`` bounds; a large array's
+    layout is made once per dump and dropped with it.
     """
     parts: list = []
     append = parts.append
-    layouts: dict = {}
-    key_texts: dict = {}  # level -> {key: ',<newline>"key": '}
-    newline = _Newlines()
+    layouts: dict = {}  # layouts outside the process-wide bounds, for this dump only
+    newline = _NEWLINES
 
     def flush():
         write("".join(parts))
@@ -146,9 +169,12 @@ def dump(obj, write, *, sort_keys: bool = True) -> None:
 
     def leaf(a, level):
         key = (a.shape, level)
-        if key not in layouts:
-            layouts[key] = _layout(a.shape, level)
-        head, seps, tail = layouts[key]
+        layout = _LAYOUTS.get(key) or layouts.get(key)
+        if layout is None:
+            layout = _layout(a.shape, level)
+            small = a.size <= MEMO_LAYOUT_FLOATS and len(_LAYOUTS) < MEMO_LAYOUTS
+            (_LAYOUTS if small else layouts)[key] = layout
+        head, seps, tail = layout
         flat = a.ravel().tolist()
         text = list(map(float.__repr__, flat))
         if not np.isfinite(a).all():
@@ -197,14 +223,12 @@ def dump(obj, write, *, sort_keys: bool = True) -> None:
         if not o:
             append("{}")
             return
-        texts = key_texts.get(level)
-        if texts is None:
-            texts = key_texts[level] = {}
+        texts = _KEY_TEXTS[level] if level < MEMO_LEVELS else {}
         for i, (k, v) in enumerate(sorted(o.items()) if sort_keys else o.items()):
             text = texts.get(k) if type(k) is str else None
             if text is None:
                 text = "," + newline[level + 1] + _keystr(k) + ": "
-                if type(k) is str:
+                if type(k) is str and len(texts) < MEMO_KEYS and len(k) <= MEMO_KEY_CHARS:
                     texts[k] = text
             append(text if i else "{" + text[1:])  # the first key opens the object
             scalar = _SCALARS.get(type(v))
@@ -249,14 +273,30 @@ def write_json(obj, path=None, *, sort_keys: bool = True) -> None:
     """Write ``obj`` and a newline to ``path``, or to stdout when ``path`` is None.
 
     The bytes equal ``json.dumps(obj, indent=2, sort_keys=sort_keys) + "\\n"``.
+    An existing file is rewritten in place and then, when longer, cut to
+    the written length, also when ``dump`` raises part way, so no byte of
+    its old text is left. It is not truncated on open: ext4 (``auto_da_alloc``) forces
+    the blocks of a file truncated and written again out to disk at close,
+    and the next truncation waits for that writeback. A new file gets the
+    mode ``open(path, "w")`` gives it; a path that is not a regular file,
+    such as ``/dev/null`` or a pipe, is written and never cut.
     """
     if path is None:
         dump(obj, sys.stdout.write, sort_keys=sort_keys)
         sys.stdout.write("\n")
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        dump(obj, fh.write, sort_keys=sort_keys)
-        fh.write("\n")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8") as fh:
+        try:
+            dump(obj, fh.write, sort_keys=sort_keys)
+            fh.write("\n")
+            fh.flush()
+        finally:  # text still buffered after a failure lands at the cut
+            info = os.fstat(fd)
+            if stat.S_ISREG(info.st_mode):
+                end = os.lseek(fd, 0, os.SEEK_CUR)
+                if info.st_size > end:
+                    os.ftruncate(fd, end)
 
 
 def load(source):

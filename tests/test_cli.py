@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -686,6 +687,23 @@ class TestOptions:
         assert error["type"] == "QcrbSatError"
         assert error["detail"] == {"option": option, "path": path}
         assert option in error["message"] and path in error["message"]
+
+    def test_output_to_a_device(self, capsys):
+        assert main(["analyze", *QUTRIT, "--output", os.devnull]) == 0
+        assert capsys.readouterr() == ("", "")
+
+    def test_short_report_over_a_long_one(self, tmp_path):
+        # the file is rewritten in place and cut: no tail of the sweep is left
+        fresh, reused = tmp_path / "a.json", tmp_path / "r.json"
+        grid = ["--grid", "0.1:0.9:3,0.1:0.9:3"]
+        assert main(["analyze", *QUTRIT, "--output", str(fresh)]) == 0
+        assert main(["sweep", *QUTRIT[:4], *grid, "--output", str(reused)]) == 0
+        assert reused.stat().st_size > fresh.stat().st_size
+        assert main(["analyze", *QUTRIT, "--output", str(reused)]) == 0
+        assert reused.read_bytes() == fresh.read_bytes()
+        assert main(["sweep", *QUTRIT[:4], *grid, "--output", str(fresh)]) == 0
+        assert main(["sweep", *QUTRIT[:4], *grid, "--output", str(reused)]) == 0
+        assert reused.read_bytes() == fresh.read_bytes()
 
     def test_boolean_params(self, capsys):
         assert parse_params("a=true,b=False,c=TRUE,d=1,e=x") == {

@@ -1,6 +1,8 @@
 import io
 import json
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -127,10 +129,12 @@ class TestWriterMatchesJsonDumps:
             dumped({(1, 2): 0})
 
     @settings(max_examples=200, deadline=None)
-    @given(DOCUMENTS)
-    def test_random_documents(self, obj):
-        for sort_keys in (True, False):
-            assert dumped(obj, sort_keys=sort_keys) == reference(obj, sort_keys=sort_keys)
+    @given(st.lists(DOCUMENTS, min_size=1, max_size=4))
+    def test_random_documents(self, docs):
+        # one process dumps them all, through the texts the earlier ones left behind
+        for sort_keys in (True, False, True):
+            for obj in docs:
+                assert dumped(obj, sort_keys=sort_keys) == reference(obj, sort_keys=sort_keys)
 
     def test_output_is_streamed(self):
         pieces = []
@@ -139,6 +143,119 @@ class TestWriterMatchesJsonDumps:
         assert "".join(pieces) == reference(obj)
         assert len(pieces) > 3
         assert max(map(len, pieces)) < len("".join(pieces)) / 2
+
+
+class TestProcessWideTexts:
+    def test_interleaved_payloads(self):
+        # the same keys and shapes at other levels, in either key order
+        analyze, sweep = payload("analyze", *QUTRIT), payload(
+            "sweep", "--model", "paper-qutrit", "--params", "d=0.6,c1=1,c2=0.7",
+            "--grid", "0.1:0.9:2,0.2:0.8:2")
+        povm = payload("construct-povm", *QUTRIT)
+        docs = [analyze, {"deeper": analyze}, sweep, [[povm]], {"a": [analyze, sweep]},
+                povm, {"z": {"y": {"x": povm}}}, sweep["sweep"], analyze]
+        for sort_keys in (True, False, True):
+            for obj in docs:
+                assert dumped(obj, sort_keys=sort_keys) == reference(obj, sort_keys=sort_keys)
+
+    def test_key_texts_stop_at_the_bound(self, monkeypatch):
+        monkeypatch.setattr(jsonio, "_KEY_TEXTS", tuple({} for _ in range(jsonio.MEMO_LEVELS)))
+        obj = {"r": {f"k{i:04d}": i for i in range(jsonio.MEMO_KEYS + 50)}}
+        obj["r"]["x" * (jsonio.MEMO_KEY_CHARS + 1)] = "long"
+        for sort_keys in (True, False, True):
+            assert dumped(obj, sort_keys=sort_keys) == reference(obj, sort_keys=sort_keys)
+            assert len(jsonio._KEY_TEXTS[1]) == jsonio.MEMO_KEYS
+        assert all(len(k) <= jsonio.MEMO_KEY_CHARS for k in jsonio._KEY_TEXTS[1])
+
+    def test_nesting_beyond_the_kept_levels(self, monkeypatch):
+        monkeypatch.setattr(jsonio, "_NEWLINES", jsonio._Newlines())
+        obj = [1.5]
+        for i in range(jsonio.MEMO_LEVELS + 8):
+            obj = {"k": obj, "n": i} if i % 2 else [obj, None]
+        assert dumped(obj) == reference(obj)
+        assert dumped(obj, sort_keys=False) == reference(obj, sort_keys=False)
+        assert max(jsonio._NEWLINES) == jsonio.MEMO_LEVELS - 1
+
+    def test_large_layouts_are_not_kept(self):
+        rng = np.random.default_rng(5)
+        big = ComplexMatrix(rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256)))
+        before = dict(jsonio._LAYOUTS)
+        obj = {"basis": big, "stack": ComplexMatrix(np.ones((2, 64, 64)))}
+        assert dumped(obj) == reference(obj)
+        assert jsonio._LAYOUTS == before
+
+    def test_small_layouts_stop_at_the_bound(self, monkeypatch):
+        monkeypatch.setattr(jsonio, "_LAYOUTS", {})
+        monkeypatch.setattr(jsonio, "MEMO_LAYOUTS", 2)
+        rng = np.random.default_rng(6)
+        obj = {f"m{n}": ComplexMatrix(rng.standard_normal((n, n))) for n in range(1, 6)}
+        for sort_keys in (True, False, True):
+            assert dumped(obj, sort_keys=sort_keys) == reference(obj, sort_keys=sort_keys)
+            assert len(jsonio._LAYOUTS) == 2
+
+
+class TestRewriteInPlace:
+    def test_short_over_long_and_long_over_short(self, tmp_path):
+        small = payload("analyze", *QUTRIT)
+        large = payload("sweep", "--model", "paper-qutrit", "--params", "d=0.6,c1=1,c2=0.7",
+                        "--grid", "0.1:0.9:3,0.2:0.8:3")
+        path = tmp_path / "r.json"
+        for obj in (large, small, large, small, small):
+            jsonio.write_json(obj, path)
+            assert path.read_bytes() == (reference(obj) + "\n").encode("utf-8")
+
+    def test_not_truncated_on_open(self, tmp_path, monkeypatch):
+        # truncating on open is what makes ext4 force the rewritten blocks out at close
+        flags, os_open = [], os.open
+
+        def recording(path, flag, *args):
+            flags.append(flag)
+            return os_open(path, flag, *args)
+
+        monkeypatch.setattr(os, "open", recording)
+        jsonio.write_json({"a": 1}, tmp_path / "r.json")
+        assert flags and not any(f & os.O_TRUNC for f in flags)
+
+    def test_device_is_written_and_not_cut(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a file that is not regular is only written")
+
+        monkeypatch.setattr(os, "ftruncate", refuse)
+        monkeypatch.setattr(os, "lseek", refuse)
+        jsonio.write_json(payload("analyze", *QUTRIT), os.devnull)
+
+    def test_pipe_is_written_and_not_cut(self, tmp_path):
+        obj, path, read = payload("analyze", *QUTRIT), tmp_path / "fifo", []
+        os.mkfifo(path)
+        reader = threading.Thread(target=lambda: read.append(path.read_bytes()))
+        reader.start()
+        jsonio.write_json(obj, path)
+        reader.join()
+        assert read == [(reference(obj) + "\n").encode("utf-8")]
+
+    def test_failure_leaves_no_byte_of_the_old_report(self, tmp_path):
+        path = tmp_path / "r.json"
+        jsonio.write_json({"old": ["o" * 60] * (2 * jsonio.FLUSH_PARTS)}, path)
+        old = path.read_text()
+        # enough values to flush several times before the unserializable one
+        good = {"a": list(range(3 * jsonio.FLUSH_PARTS))}
+        with pytest.raises(TypeError):
+            jsonio.write_json({**good, "b": object()}, path)
+        text, new = path.read_text(), reference({**good, "b": None})
+        assert 0 < len(text) < len(old)
+        assert new.startswith(text)
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_new_file_mode(self, tmp_path, umask):
+        previous = os.umask(umask)
+        try:
+            with open(tmp_path / "plain.json", "w", encoding="utf-8") as fh:
+                fh.write("{}\n")
+            jsonio.write_json({}, tmp_path / "report.json")
+        finally:
+            os.umask(previous)
+        plain, report = os.stat(tmp_path / "plain.json"), os.stat(tmp_path / "report.json")
+        assert report.st_mode == plain.st_mode
 
 
 def loop_parse(obj):
