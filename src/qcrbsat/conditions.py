@@ -15,7 +15,12 @@ quantum Cramér-Rao bound hinges on the structure of the SLD blocks:
 
 Every check reports a scale-normalized residual next to its tolerance; the
 pairwise checks read pair (l, m) relative to ``s_l s_m`` of
-:attr:`~qcrbsat.sld.SLDSet.scales`. The verdict (see :func:`verdict`) reads
+:attr:`~qcrbsat.sld.SLDSet.scales`. Conditions 1 and 3 and partial
+commutativity read the SLD pair products; average commutativity reads
+``|tr(rho [L_l, L_m])| = 2 |Im tr(rho L_l L_m)|`` off the same weighted
+trace whose real part is the QFIM (see
+:attr:`~qcrbsat.sld.SLDSet.weighted_traces`), and only full commutativity
+forms the full-space commutators. The verdict (see :func:`verdict`) reads
 conditions 1, 3 and 4 only, and average (weak) commutativity is reported
 beside them. Full and partial (support-projected) commutativity and
 condition 2' decide nothing, so they run only on request (``diagnostics``
@@ -84,46 +89,29 @@ class CommCheck:
         }
 
 
-def _pair_checks(slds: SLDSet, residuals: np.ndarray, tol: float) -> list:
+def _checks(slds: SLDSet, residuals: np.ndarray, tol: float):
     """The worst pair of ``residuals[..., (l, m)] / (s_l s_m)``, with ``s`` = :attr:`SLDSet.scales`.
 
     ``residuals`` follow :func:`~qcrbsat.sld.pairs` on the last axis, and
-    their leading axes end in those of the SLDs. A pair with ``s_l s_m = 0``
+    their leading axes are those of the SLDs. A pair with ``s_l s_m = 0``
     has vanishing support rows and reads 0. Ties keep the first pair; with
-    no positive ratio the worst pair and the scale are None. Returns the
-    :class:`CommCheck` of every leading index, in C order.
+    no positive ratio the worst pair and the scale are None. Returns one
+    :class:`CommCheck`, or for a stack of points the list of them.
     """
     s = slds.scales[..., pair_index(slds.n_params)]
     n_pairs = s.shape[-1]
-    pair_scales = (s[..., 0, :] * s[..., 1, :]).reshape(math.prod(s.shape[:-2]), n_pairs).tolist()
-    rows = residuals.reshape(math.prod(residuals.shape[:-1]), n_pairs).tolist()
+    n_rows = math.prod(residuals.shape[:-1])
+    pair_scales = (s[..., 0, :] * s[..., 1, :]).reshape(n_rows, n_pairs).tolist()
     pair = pairs(slds.n_params)
     checks = []
-    for i, row in enumerate(rows):
-        scales = pair_scales[i % len(pair_scales)]
+    for row, scales in zip(residuals.reshape(n_rows, n_pairs).tolist(), pair_scales):
         worst, worst_pair, worst_scale = 0.0, None, None
         for k, (r, scale) in enumerate(zip(row, scales)):
             if scale and r / scale > worst:
                 worst, worst_pair, worst_scale = r / scale, pair[k], scale
         checks.append(CommCheck(residual=worst, scale=worst_scale, tol=tol, passed=worst <= tol,
                                 worst_pair=worst_pair))
-    return checks
-
-
-def _checks(slds: SLDSet, residuals: np.ndarray, tol: float):
-    """One :class:`CommCheck`, or for a stack of points the list of them."""
-    checks = _pair_checks(slds, residuals, tol)
     return checks if residuals.ndim > 1 else checks[0]
-
-
-def _average_residuals(rho: np.ndarray, slds: SLDSet) -> np.ndarray:
-    """|tr(rho [L_l, L_m])| for every pair.
-
-    Each modulus is Python's, as the complex scalar takes it: numpy's array
-    modulus rounds differently.
-    """
-    traces = (rho[..., None, :, :] @ slds.commutators).trace(axis1=-2, axis2=-1)
-    return np.array([abs(t) for t in traces.reshape(-1).tolist()]).reshape(traces.shape)
 
 
 def _imbalances(slds: SLDSet) -> tuple:
@@ -140,8 +128,14 @@ def check_full_commutativity(slds: SLDSet, tol: float = 1e-8):
 
 
 def check_average_commutativity(rho: np.ndarray, slds: SLDSet, tol: float = 1e-8):
-    """|tr(rho [L_l, L_m])| for every pair."""
-    return _checks(slds, _average_residuals(rho, slds), tol)
+    """|tr(rho [L_l, L_m])| for every pair, read as ``2 |Im Z_lm|`` of
+    :attr:`~qcrbsat.sld.SLDSet.weighted_traces`.
+
+    ``rho`` is not read, since ``slds`` carries the support weights; it
+    stays for the callers that pass it, the benchmark's replay among them.
+    """
+    ls, ms = pair_index(slds.n_params)
+    return _checks(slds, 2.0 * np.abs(slds.weighted_traces[1][..., ls, ms]), tol)
 
 
 def check_condition1(slds: SLDSet, tol: float = 1e-8):
@@ -159,29 +153,11 @@ def check_partial_commutativity(dec: SupportDecomposition, slds: SLDSet, tol: fl
     """Support-projected commutators P+ [L_l, L_m] P+, as ``A_lm - A_ml + B_lm - B_ml``.
 
     The identity holds by construction, since ``full`` is assembled from
-    the same blocks. ``dec`` is not read.
+    the same blocks. ``dec`` is not read; it stays for the callers that
+    pass it, the benchmark's replay among them.
     """
     a_diff, b_lm, b_ml = _imbalances(slds)
     return _checks(slds, nk.fro_stack(a_diff + b_lm - b_ml), tol)
-
-
-def _all_pair_checks(rho: np.ndarray, slds: SLDSet, tol: float, diagnostics: bool) -> list:
-    """The pairwise checks of every point of a stack, in one pass, as the ``check_*``
-    functions give them. Returns per point the tuple of its full, average and
-    partial commutativity and condition 1 and 3 checks. The full and partial
-    ones are computed only with ``diagnostics``; otherwise they are None."""
-    a_diff, b_lm, b_ml = _imbalances(slds)
-    blocks = [a_diff, b_lm - b_ml] + ([a_diff + b_lm - b_ml] if diagnostics else [])
-    residuals = [_average_residuals(rho, slds)[None], nk.fro_stack(np.array(blocks))]
-    if diagnostics:
-        residuals.append(nk.fro_stack(slds.commutators)[None])
-    residuals = np.concatenate(residuals)
-    checks = _pair_checks(slds, residuals, tol)
-    n = len(checks) // len(residuals)  # point i's checks are checks[i::n]
-    if diagnostics:
-        return [(full, avg, partial, c1, c3)
-                for avg, c1, c3, partial, full in (checks[i::n] for i in range(n))]
-    return [(None, avg, None, c1, c3) for avg, c1, c3 in (checks[i::n] for i in range(n))]
 
 
 # ---------------------------------------------------------------------------
@@ -758,8 +734,9 @@ def condition_reports(
 
     ``sp``, ``dec`` and ``slds`` hold a stack of points with equal
     ``(r_plus, r_zero)`` (see :func:`~qcrbsat.model.split_support`). The
-    pairwise checks and the W search (see :func:`_find_w_stack`) run once
-    on the stack; the reports and the verdict are per point. By default
+    pairwise checks are the ``check_*`` functions, each called once on the
+    stack, and the W search (see :func:`_find_w_stack`) runs once on it;
+    the reports and the verdict are per point. By default
     the pairwise checks are the ones the verdict reads, conditions 1 and 3,
     and average commutativity; the report's full and partial commutativity
     and condition 2' are None and write null. With ``diagnostics`` those
@@ -773,15 +750,18 @@ def condition_reports(
     """
     tol = tol if tol is not None else sp.deriv_tol
     require_tolerance("cond_tol", tol)
-    checks = _all_pair_checks(sp.rho, slds, tol, diagnostics)
     n = len(slds.full)
+    full = check_full_commutativity(slds, tol) if diagnostics else [None] * n
+    partial = check_partial_commutativity(dec, slds, tol) if diagnostics else [None] * n
     sld_scales = nk.fro_stack(slds.full).max(axis=-1) if slds.n_params else np.ones(n)
-    cond4 = _find_w_stack(slds.Lpz, tol, sld_scales, rngs)
+    checks = zip(full, check_average_commutativity(sp.rho, slds, tol), partial,
+                 check_condition1(slds, tol), check_condition3(slds, tol),
+                 _find_w_stack(slds.Lpz, tol, sld_scales, rngs))
     regime = "pure" if dec.r_plus == 1 else ("full_rank" if dec.r_zero == 0 else "rank_deficient")
-    reports = [ConditionReport(regime=regime, full_comm=full_c, avg_comm=avg, partial_comm=partial,
+    reports = [ConditionReport(regime=regime, full_comm=full_c, avg_comm=avg, partial_comm=part,
                                cond1=c1, cond3=c3, cond4=c4, cond2prime=None, tol=tol,
                                diagnostics=diagnostics)
-               for (full_c, avg, partial, c1, c3), c4 in zip(checks, cond4)]
+               for full_c, avg, part, c1, c3, c4 in checks]
     if diagnostics and model is not None and sp.theta is not None:
         for report, result in zip(reports, verify_condition2prime(model, sp, witness,
                                                                   tol=max(tol, 1e-8))):

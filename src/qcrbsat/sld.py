@@ -10,13 +10,15 @@ represented by its support rows alone, the ++ and +0 blocks (the projected
 SLDs the saturation conditions are stated in); its full-space observable has
 a zero 00 block by construction, which minimizes the operator norm.
 
-An :class:`SLDSet` holds the p SLDs stacked: each block and the full-space
-observables are one complex ``(p, ., .)`` array, and every parameter is
-solved in one pass. Computed once on first use, it carries the pair products
-``A[j, k] = Lpp_j Lpp_k`` and ``B[j, k] = Lpz_j Lpz_k^dag`` that the QFIM,
-conditions 1 and 3 and partial commutativity read, the full-space
-commutators that the full and average commutativity checks read, and the
-per-parameter scales that every pairwise check divides by.
+An :class:`SLDSet` holds the p SLDs stacked, each block and the full-space
+observables one complex ``(p, ., .)`` array solved in one pass, and the
+state's support weights ``q``. Computed once on first use, it carries the
+pair products ``A[j, k] = Lpp_j Lpp_k`` and ``B[j, k] = Lpz_j Lpz_k^dag``
+that conditions 1 and 3 and partial commutativity read, their weighted
+trace ``Z_jk = tr(rho L_j L_k)`` (Re Z is the QFIM, and
+``tr(rho [L_j, L_k]) = 2i Im Z_jk``), the per-parameter scales every
+pairwise check divides by, and, for the full-commutativity diagnostic
+alone, the full-space commutators.
 """
 
 from __future__ import annotations
@@ -78,14 +80,16 @@ class SLDSet:
     ``Lpp`` and ``Lpz`` stack the ++ and +0 blocks and ``full`` the
     full-space observables, whose 00 blocks are zero: complex arrays of shape
     ``(p, r+, r+)``, ``(p, r+, r0)`` and ``(p, n, n)``, indexed by parameter
-    first. The SLDs of a stack of points (what :func:`compute_sld` returns
-    for a stacked split) have one more leading axis on every array, and so
-    does every quantity read off them.
+    first. ``q`` holds the state's ``(r+,)`` support weights. The SLDs of a
+    stack of points (what :func:`compute_sld` returns for a stacked split)
+    have one more leading axis on every array, and so does every quantity
+    read off them.
     """
 
     Lpp: np.ndarray  # ++ blocks
     Lpz: np.ndarray  # +0 blocks
     full: np.ndarray  # full-space observables, 00 blocks zero
+    q: np.ndarray  # support weights of the state
 
     @property
     def n_params(self) -> int:
@@ -93,7 +97,7 @@ class SLDSet:
 
     def row(self, i) -> "SLDSet":
         """The SLDs of point ``i`` of a stack."""
-        return SLDSet(Lpp=self.Lpp[i], Lpz=self.Lpz[i], full=self.full[i])
+        return SLDSet(Lpp=self.Lpp[i], Lpz=self.Lpz[i], full=self.full[i], q=self.q[i])
 
     @cached_property
     def commutators(self) -> np.ndarray:
@@ -108,6 +112,15 @@ class SLDSet:
         lpp, lpz = self.Lpp, self.Lpz
         return (lpp[..., :, None, :, :] @ lpp[..., None, :, :, :],
                 lpz[..., :, None, :, :] @ lpz.conj().swapaxes(-1, -2)[..., None, :, :, :])
+
+    @cached_property
+    def weighted_traces(self) -> tuple:
+        """``(Re Z, Im Z)``, ``Z[j, k] = tr(rho L_j L_k) = sum_i q_i (A_jk + B_jk)_ii``: rho
+        vanishes off the support. Each part is a real sum; a complex one rounds differently."""
+        a, b = self.pair_products
+        diag = a.diagonal(axis1=-2, axis2=-1) + b.diagonal(axis1=-2, axis2=-1)
+        q = self.q[..., None, None, :]
+        return np.sum(q * diag.real, axis=-1), np.sum(q * diag.imag, axis=-1)
 
     @cached_property
     def scales(self) -> np.ndarray:
@@ -155,20 +168,19 @@ def compute_sld(
             param=l,
             residual=r,
         )
-    return SLDSet(Lpp=lpp, Lpz=lpz, full=full)
+    return SLDSet(Lpp=lpp, Lpz=lpz, full=full, q=q)
 
 
 def qfim(dec: SupportDecomposition, slds: SLDSet) -> np.ndarray:
     """Quantum Fisher information matrix F_jk = Re tr(rho L_j L_k).
 
-    Read off the pair products, ``F_jk = Re sum_i q_i (A_jk + B_jk)_ii``;
-    only the support rows enter because rho vanishes outside the support.
-    The entries j <= k are mirrored below the diagonal. A stack of points
-    gives the ``(B, p, p)`` stack of matrices.
+    This is ``Re Z`` of :attr:`SLDSet.weighted_traces`, its entries j <= k
+    mirrored below the diagonal. A stack of points gives the ``(B, p, p)``
+    stack of matrices. ``dec`` is not read, since ``slds`` carries the
+    support weights; it stays for the callers that pass it, the benchmark's
+    replay among them.
     """
-    a, b = slds.pair_products
-    diag = a.diagonal(axis1=-2, axis2=-1) + b.diagonal(axis1=-2, axis2=-1)
-    f = np.sum(dec.q[..., None, None, :] * diag.real, axis=-1)
+    f = slds.weighted_traces[0].copy()
     ls, ms = pair_index(slds.n_params)
     f[..., ms, ls] = f[..., ls, ms]  # the lower triangle mirrors the upper
     return f

@@ -232,16 +232,23 @@ def full_commutativity_loop(full, scales):
     return worst, worst_pair, scale
 
 
-def average_commutativity_loop(rho, full, scales):
-    """Also returns the (p, p) matrix of |tr(rho [L_l, L_m])|."""
+def average_commutativity_loop(rho, q, lpp, lpz, full, scales):
+    """|tr(rho [L_l, L_m])| as 2 |Im sum_i q_i (Lpp_l Lpp_m + Lpz_l Lpz_m^dag)_ii|.
+
+    Each value is asserted to equal the commutator form |tr(rho [L_l, L_m])|
+    of the full-space observables to 1e-12 s_l s_m. Also returns the (p, p)
+    matrix of the values.
+    """
     p = len(full)
     vals = np.zeros((p, p))
     worst, worst_pair, scale = 0.0, None, None
     for l, m in _loop_pairs(p):
-        comm = full[l] @ full[m] - full[m] @ full[l]
-        v = abs(complex(np.trace(rho @ comm)))
-        vals[l, m] = vals[m, l] = v
+        product = lpp[l] @ lpp[m] + lpz[l] @ lpz[m].conj().T
+        v = 2.0 * abs(float(np.sum(q * np.diag(product).imag)))
         s = scales[l] * scales[m]
+        comm = full[l] @ full[m] - full[m] @ full[l]
+        assert abs(v - abs(complex(np.trace(rho @ comm)))) <= 1e-12 * s
+        vals[l, m] = vals[m, l] = v
         if v / s > worst:
             worst, worst_pair, scale = v / s, (l, m), s
     return worst, worst_pair, scale, vals

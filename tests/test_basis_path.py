@@ -171,6 +171,75 @@ def test_fisher_reports_agree_in_both_forms(capsys, tmp_path, name):
 
 
 # ---------------------------------------------------------------------------
+# The vacuous branches: both forms must read the same decisions and records.
+# ---------------------------------------------------------------------------
+
+
+def _certified(name, params, theta):
+    sp = qs.evaluate(qs.get(name, **params), theta)
+    dec = qs.support_decomposition(sp)
+    slds = qs.compute_sld(dec, sp.drho)
+    rep = qs.evaluate_conditions(sp, dec, slds)
+    optimal = pv.construct_optimal(dec, slds, W=rep.cond4.W, rng=np.random.default_rng(0))
+    return sp, dec, slds, optimal
+
+
+def _records_in_both_forms(povm, labels, dec, slds, tol):
+    """Per form, basis then elements, each record's ``(constants, residuals, vacuous, passed)``."""
+    forms = (pv.POVM(basis=povm.basis, ranks=povm.ranks, classification=list(labels)),
+             pv.POVM(elements=povm.elements, classification=list(labels)))
+    records = [[(r.constants, r.residuals, r.vacuous, r.passed)
+                for r in pv.verify_saturation_structural(form, dec, slds, tol=tol).records]
+               for form in forms]
+    basis, elements = records
+    for (c, r, v, ok), (c_e, r_e, v_e, ok_e) in zip(basis, elements):
+        assert (list(c), list(r), v, ok) == (list(c_e), list(r_e), v_e, ok_e)
+        for got, want in ((c, c_e), (r, r_e)):
+            assert all(abs(got[key] - want[key]) <= AGREE for key in want)
+    return elements
+
+
+def test_null_pairs_of_a_theta_independent_support_are_vacuous():
+    # the support does not move, so every +0 block is rounding (about 1e-15)
+    sp, dec, slds, optimal = _certified("theta-independent-support", {}, [0.2, 0.3])
+    assert np.abs(slds.Lpz).max() <= 1e-14
+    labels = pv.classify_elements(optimal, sp.rho, dec)
+    assert labels.count("null") == 1
+    records = _records_in_both_forms(optimal, labels, dec, slds, sp.deriv_tol)
+    assert records[labels.index("null")] == ({}, {}, [(0, 1), (1, 0)], True)
+
+
+def test_null_pair_with_a_vanishing_reference_fails_with_its_norm():
+    # theta_0 moves the qutrit within its support (d_0 rho = P+ d_0 rho P+), so Lpz_0 = 0:
+    # E_00 Lpz_0^dag vanishes while E_00 Lpz_1^dag does not, and pair (1, 0) has no
+    # reference to fit against; it fails with ||E_00 Lpz_1^dag|| / (||E_00|| s_1)
+    sp, dec, _, optimal = _certified(*INSTANCES["qutrit"])
+    drho = sp.drho.copy()
+    drho[0] = dec.P_plus @ drho[0] @ dec.P_plus
+    slds = qs.compute_sld(dec, drho)
+    assert np.abs(slds.Lpz[0]).max() <= 1e-14
+    labels = pv.classify_elements(optimal, sp.rho, dec)
+    k = labels.index("null")
+    constants, residuals, vacuous, passed = _records_in_both_forms(
+        optimal, labels, dec, slds, sp.deriv_tol)[k]
+    e00 = dec.Y.conj().T @ optimal.elements[k] @ dec.Y
+    want = nk.fro(e00 @ slds.Lpz[1].conj().T) / (nk.fro(e00) * slds.scales[1])
+    assert want > sp.deriv_tol
+    assert (list(constants), vacuous, passed) == ([(0, 1)], [], False)
+    assert residuals[(1, 0)] == want
+
+
+def test_regular_label_on_an_element_outside_the_support_is_vacuous():
+    # the null element relabelled regular has E P+ = 0: every parameter reads vacuous
+    sp, dec, slds, optimal = _certified(*INSTANCES["qutrit"])
+    labels = pv.classify_elements(optimal, sp.rho, dec)
+    k = labels.index("null")
+    labels[k] = "regular"
+    records = _records_in_both_forms(optimal, labels, dec, slds, sp.deriv_tol)
+    assert records[k] == ({}, {}, [0, 1], True)
+
+
+# ---------------------------------------------------------------------------
 # Soundness of the Gram bound on perturbed bases: a scaled column or two
 # columns mixed non-orthogonally.
 # ---------------------------------------------------------------------------
@@ -192,12 +261,7 @@ def _bases():
     out = [(pv.random_projective_povm(5, rng).basis, (1,) * 5),
            (nk.haar_unitary(6, rng), (2, 1, 3))]
     for name in ("qutrit", "zero-pp-blocks", "planted-8"):
-        model, params, theta = INSTANCES[name]
-        sp = qs.evaluate(qs.get(model, **params), theta)
-        dec = qs.support_decomposition(sp)
-        slds = qs.compute_sld(dec, sp.drho)
-        rep = qs.evaluate_conditions(sp, dec, slds)
-        povm = pv.construct_optimal(dec, slds, W=rep.cond4.W, rng=np.random.default_rng(0))
+        povm = _certified(*INSTANCES[name])[-1]
         out.append((povm.basis, povm.ranks))
     return out
 

@@ -453,6 +453,35 @@ class TestUsageErrors:
         assert repr(name) in rep["error"]["message"]
 
 
+class TestTypedRefusals:
+    """Each refusal writes its typed error report to --output, exits 1 and prints nothing."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze", "--model", "paper-qutrit", "--params", "d=0.6,,c1=1", "--theta", "0.3,0.5"],
+         "malformed parameter '', expected k=v"),
+        (["sweep", "--model", "paper-qutrit", "--grid", "0.1:0.5:0,0.1:0.9:3"],
+         "grid axis needs at least one point, got 0"),
+        (["analyze", "--model", "paper-qutrit"], "--theta is required with --model"),
+        (["sweep", "--grid", "0.1:0.9:3,0.1:0.9:3"],
+         "sweep requires --model (numeric models are single-point)"),
+        (["sweep", "--model", "paper-qutrit", "--grid", "0.1:0.9:3"],
+         "grid has 1 axes, model has 2 parameters"),
+        (["simulate", *QUTRIT, "--trials", "0"], "need at least one trial, got 0"),
+        (["simulate", "--numeric-model", "{qutrit}", "--trials", "1000", "--estimator"],
+         "the estimator study needs a registry model"),
+    ])
+    def test_refusal_is_a_report(self, capsys, tmp_path, qutrit_point, argv, message):
+        qutrit = tmp_path / "qutrit.json"
+        qutrit.write_text(json.dumps(md.state_to_numeric_model(qutrit_point)))
+        out = tmp_path / "out.json"
+        code = main([a.format(qutrit=qutrit) for a in argv] + ["--output", str(out)])
+        assert code == 1
+        assert capsys.readouterr() == ("", "")
+        rep = json.loads(out.read_text())
+        assert rep["error"]["type"] == "QcrbSatError"
+        assert rep["error"]["message"] == message
+
+
 class TestInputFiles:
     """Malformed or mismatched input files give a typed error report and exit code 1."""
 

@@ -110,7 +110,8 @@ class TestElementaryChecks:
         # (0, 2) and (1, 2) have the same commutator and the same scale s_l s_m = 2
         z, x = np.diag([1.0, -1.0]).astype(complex), np.array([[0, 1], [1, 0]], dtype=complex)
         lpp = np.array([z, z, x])
-        slds = SLDSet(Lpp=lpp, Lpz=np.zeros((3, 2, 0), dtype=complex), full=lpp)
+        slds = SLDSet(Lpp=lpp, Lpz=np.zeros((3, 2, 0), dtype=complex), full=lpp,
+                      q=np.array([0.5, 0.5]))
         for check in (cond.check_condition1(slds), cond.check_full_commutativity(slds),
                       cond.check_partial_commutativity(None, slds)):
             assert check.worst_pair == (0, 2)
@@ -140,6 +141,15 @@ def test_constructor_built_report_writes_the_diagnostics_null(
     on = dataclasses.replace(rep, diagnostics=True).to_dict()
     assert on == qs.evaluate_conditions(sp, dec, slds, **kw, diagnostics=True).to_dict()
     assert on["condition2prime"] == rep.cond2prime.to_dict()
+
+
+@pytest.mark.parametrize("diagnostics", [False, True])
+def test_commutators_only_for_the_full_diagnostic(qutrit_point, qutrit_dec, diagnostics):
+    # the default path reads average commutativity off the weighted trace, not a commutator
+    sp, dec = qutrit_point.row(None), qutrit_dec.row(None)
+    slds = qs.compute_sld(dec, sp.drho)
+    cond.condition_reports(sp, dec, slds, diagnostics=diagnostics)
+    assert ("commutators" in slds.__dict__) == diagnostics
 
 
 class TestPartialCommutativityImplied:
@@ -432,7 +442,7 @@ class TestStackedAgainstReference:
             ref = full_commutativity_loop(s.full, scales)
             self._same(cond.check_full_commutativity(s, tol), ref, tol)
             avg = cond.check_average_commutativity(sp.rho, s, tol)
-            ref = average_commutativity_loop(sp.rho, s.full, scales)
+            ref = average_commutativity_loop(sp.rho, dec.q, s.Lpp, s.Lpz, s.full, scales)
             self._same(avg, ref, tol)
             if avg.worst_pair is not None:
                 assert avg.residual * avg.scale == pytest.approx(ref[3][avg.worst_pair], rel=1e-12)

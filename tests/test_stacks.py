@@ -131,8 +131,9 @@ def _stacked(model, witness, thetas, scheme):
                                           diagnostics=diagnostics)
                    for diagnostics in (False, True)]
         for i, k in enumerate(rows.tolist()):
-            out[k] = (group.row(i), dec.row(i), qs.SLDSet(slds.Lpp[i], slds.Lpz[i], slds.full[i]),
-                      f_q[i], [c[i] for c in checks], [c[i] for c in c2p], [r[i] for r in reports])
+            out[k] = (group.row(i), dec.row(i),
+                      qs.SLDSet(slds.Lpp[i], slds.Lpz[i], slds.full[i], slds.q[i]), f_q[i],
+                      [c[i] for c in checks], [c[i] for c in c2p], [r[i] for r in reports])
     return out
 
 
