@@ -196,10 +196,7 @@ def _construct_from_report(dec, slds, report, seed):
             verdict=report.verdict,
             reasoning=report.reasoning,
         )
-    rng = np.random.default_rng(seed)
-    return povm_mod.construct_optimal(
-        dec, slds, W=report.cond4.W, lambdas=report.cond4.lambdas, rng=rng
-    )
+    return povm_mod.construct_optimal(dec, slds, W=report.cond4.W, rng=np.random.default_rng(seed))
 
 
 def _supplied_povm(args, sp: StateAtPoint):

@@ -424,7 +424,6 @@ class Cond2PrimeWitness:
 
     unitary_fn: Callable[[np.ndarray], np.ndarray]
     generators: Optional[np.ndarray] = None
-    label: str = "user_supplied_U"
 
 
 def identity_path(theta, r: int) -> np.ndarray:
@@ -439,7 +438,7 @@ class Cond2PrimeResult:
     """Condition 2' residuals; the defaults record it undecided, with the reason in ``notes``."""
 
     status: str = "NOT_CHECKED"  # PASSED | FAILED | NOT_CHECKED
-    path: str = "not_checked"  # the witness label | zero_generators | not_checked
+    path: str = "not_checked"  # user_supplied_U | zero_generators | not_checked
     pde_residual: Optional[float] = None
     stationarity_residual: Optional[float] = None
     null_compat_residual: Optional[float] = None
@@ -551,7 +550,7 @@ def _condition2prime(model, theta, rho, drho, deriv_tol, witness, null_povm, tol
     d_norm = fro(d)
     pde_res = (pde / np.maximum(1.0, du_norm + a_norm + d_norm)).max(axis=-1, initial=0.0)
     zero = bool((d_norm <= 1e-12).all())
-    path = "zero_generators" if zero and witness.label == "user_supplied_U" else witness.label
+    path = "zero_generators" if zero else "user_supplied_U"
 
     null = null_povm is not None and len(null_povm) and dec.r_zero > 0
     if null or zero:

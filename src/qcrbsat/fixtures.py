@@ -59,6 +59,12 @@ def _as_bool(name: str, value) -> bool:
     return bool(value)
 
 
+def _require(ok: bool, name: str, need: str) -> None:
+    """Refuse the parameter ``name`` unless ``ok``; ``need`` says what it must be."""
+    if not ok:
+        raise ParameterError(f"parameter {name!r} {need}", parameter=name)
+
+
 def _constant(values: np.ndarray):
     """A map with the value ``values`` at every point of a stack of points."""
     return lambda theta: np.broadcast_to(values, np.shape(theta)[:-1] + values.shape)
@@ -75,10 +81,9 @@ def _constant(values: np.ndarray):
 def qutrit_phase_mixture(d=0.6, c1=1.0, c2=0.7) -> StateModel:
     d = _as_complex("d", d)
     c1, c2 = _as_real("c1", c1), _as_real("c2", c2)
-    if not (0.0 < abs(d) < 1.0):
-        raise ParameterError(f"need 0 < |d| < 1, got |d| = {abs(d)}")
-    if c1 == 0.0 or c2 == 0.0:
-        raise ParameterError("c1 and c2 must be nonzero")
+    _require(0.0 < abs(d) < 1.0, "d", f"needs 0 < |d| < 1, got |d| = {abs(d)}")
+    _require(c1 != 0.0, "c1", "must be nonzero")
+    _require(c2 != 0.0, "c2", "must be nonzero")
     s = np.sqrt(1.0 - abs(d) ** 2)
     arg = float(np.angle(d))
 
@@ -147,7 +152,7 @@ def _qutrit_witness(d=0.6, c1=1.0, c2=0.7) -> Cond2PrimeWitness:
         out[..., 1, 1] = phase
         return out
 
-    return Cond2PrimeWitness(unitary_fn=u, generators=None, label="user_supplied_U")
+    return Cond2PrimeWitness(unitary_fn=u, generators=None)
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +162,7 @@ def _qutrit_witness(d=0.6, c1=1.0, c2=0.7) -> Cond2PrimeWitness:
 
 def diag_multinomial(dims=3) -> StateModel:
     dims = _as_int("dims", dims)
-    if dims < 2:
-        raise ParameterError(f"need dims >= 2, got {dims}")
+    _require(dims >= 2, "dims", f"must be at least 2, got {dims}")
     p = dims - 1
 
     def state(theta):
@@ -275,8 +279,8 @@ def theta_independent_support() -> StateModel:
 
 def stationary_basis(c1=1.0, c2=0.7) -> StateModel:
     c1, c2 = _as_real("c1", c1), _as_real("c2", c2)
-    if c1 == 0.0 or c2 == 0.0:
-        raise ParameterError("c1 and c2 must be nonzero")
+    _require(c1 != 0.0, "c1", "must be nonzero")
+    _require(c2 != 0.0, "c2", "must be nonzero")
     g = np.zeros((4, 4), dtype=complex)
     g[:2, 2:] = np.array([[1.0, 0.5], [0.3, -0.2]])
     g[2:, :2] = g[:2, 2:].conj().T
@@ -330,15 +334,14 @@ def random_rank_r(
 ) -> StateModel:
     seed, n_s, r_plus = _as_int("seed", seed), _as_int("n_s", n_s), _as_int("r_plus", r_plus)
     n_params = _as_int("n_params", n_params)
-    if seed < 0:
-        raise ParameterError(f"parameter 'seed' must be non-negative, got {seed}", parameter="seed")
+    _require(seed >= 0, "seed", f"must be non-negative, got {seed}")
     plant_cond1 = _as_bool("plant_cond1", plant_cond1)
     plant_cond4 = _as_bool("plant_cond4", plant_cond4)
     r_zero = n_s - r_plus
-    if r_plus < 1 or r_zero < 0:
-        raise ParameterError(f"invalid sizes n_s={n_s}, r_plus={r_plus}")
-    if plant_cond4 and r_zero > r_plus:
-        raise ParameterError("planting column alignment needs r_zero <= r_plus")
+    _require(1 <= r_plus <= n_s, "r_plus", f"must be between 1 and n_s = {n_s}, got {r_plus}")
+    _require(n_params >= 1, "n_params", f"must be at least 1, got {n_params}")
+    _require(not plant_cond4 or r_zero <= r_plus, "plant_cond4", "needs r_zero <= r_plus to "
+             f"plant column alignment, got r_zero = {r_zero}, r_plus = {r_plus}")
     rng = np.random.default_rng(seed)
 
     u = nk.haar_unitary(n_s, rng)

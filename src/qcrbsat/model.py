@@ -88,8 +88,8 @@ class StateModel:
     A map written with ``theta[..., l]`` for parameter l, and with stacked
     entries filled by index (``out[..., i, j] = ...``), broadcasts; each
     stacked value must equal the single-point value bit for bit.
-    :func:`evaluate`, :func:`state_at` and :func:`stencil` call the maps
-    through :func:`values_at`, which refuses another shape or a bare numpy
+    :func:`evaluate_points` and :func:`state_at` call the maps through
+    :func:`values_at`, which refuses another shape or a bare numpy
     error with an :class:`InvalidStateError` naming the map.
 
     ``derivative_fn`` is optional; finite differences of ``state_fn`` stand in
@@ -319,30 +319,18 @@ def _validate_drho(drho: np.ndarray, tol: float) -> np.ndarray:
     return herm
 
 
-def _first(theta: np.ndarray, bad: np.ndarray) -> np.ndarray:
-    """The first point of the stack ``theta`` whose flag in ``bad`` is set."""
-    return theta.reshape(-1, theta.shape[-1])[bad.argmax()]
-
-
-def _moves(theta: np.ndarray, h: float) -> np.ndarray:
-    """Per point of a ``(..., p)`` stack: every ``theta_l +/- h`` differs from ``theta_l``."""
-    return ((theta + h != theta) & (theta - h != theta)).all(axis=-1)
-
-
-def stencil_fits(model: StateModel, theta: np.ndarray, h: float) -> np.ndarray:
-    """Per point of a ``(..., p)`` stack, whether the step ``h`` moves it (:func:`_moves`)
-    and its stencil ``theta +/- h e_l`` lies inside the open domain of ``model``."""
-    inside = ((theta > model.domain.lo + h) & (theta < model.domain.hi - h)).all(axis=-1)
-    return _moves(theta, h) & inside
-
-
 def stencil_refusals(model: StateModel, theta: np.ndarray, h: float) -> list:
-    """Per point of a ``(B, p)`` stack, None where :func:`stencil_fits` holds, else why
-    not, as :func:`stencil_points` says it: ``"rounds to theta"`` where the step ``h``
-    does not move the point, else ``"leaves the domain of <model name>"``."""
-    moves = _moves(theta, h).tolist()
-    return [None if fits else "rounds to theta" if not m else f"leaves the domain of {model.name}"
-            for fits, m in zip(stencil_fits(model, theta, h).tolist(), moves)]
+    """Why the stencil ``theta +/- h e_l`` may not be taken, per point of one ``(p,)``
+    point or a ``(..., p)`` stack, in flat point order: None where the step ``h``
+    moves every coordinate and the stencil lies inside the open domain of
+    ``model``, else ``"rounds to theta"`` where the step does not move the point,
+    else ``"leaves the domain of <model name>"``."""
+    theta = np.asarray(theta, dtype=float)
+    flat = theta.reshape(-1, theta.shape[-1])
+    moves = ((flat + h != flat) & (flat - h != flat)).all(axis=1).tolist()
+    inside = ((flat > model.domain.lo + h) & (flat < model.domain.hi - h)).all(axis=1).tolist()
+    leaves = f"leaves the domain of {model.name}"
+    return [None if m and i else leaves if m else "rounds to theta" for m, i in zip(moves, inside)]
 
 
 def stencil_points(model: StateModel, theta: np.ndarray, h) -> np.ndarray:
@@ -351,45 +339,27 @@ def stencil_points(model: StateModel, theta: np.ndarray, h) -> np.ndarray:
 
     ``theta`` is one ``(p,)`` point or a ``(..., p)`` stack of them and ``h`` one
     step or an array of steps. First, step by step, each ``s`` must be a finite
-    positive number whose stencil fits every point (see :func:`stencil_fits`);
-    otherwise :class:`DomainError` is raised, naming the first failing point and
-    the reason :func:`stencil_refusals` gives for it.
+    positive number whose stencil every point may take; otherwise
+    :class:`DomainError` is raised, naming the first point that
+    :func:`stencil_refusals` refuses and its reason.
     """
     theta = np.asarray(theta, dtype=float)
     steps = np.asarray(h, dtype=float)
     for s in steps.reshape(-1).tolist():
         if not (math.isfinite(s) and s > 0):
             raise DomainError(f"finite-difference step must be a finite positive number, got {s}")
-        fits = stencil_fits(model, theta, s)
-        if not fits.all():
-            t = _first(theta, ~fits)
-            why = stencil_refusals(model, t[None], s)[0]
-            if not _moves(t, s):
-                raise DomainError(f"finite-difference step {s:g} does not move theta "
-                                  f"{t.tolist()}: theta +/- h {why}", theta=t, step=s)
-            raise DomainError(f"theta {t.tolist()} +/- {s} {why}", theta=t)
+        for k, why in enumerate(stencil_refusals(model, theta, s)):
+            if why:
+                t = theta.reshape(-1, theta.shape[-1])[k]
+                if why == "rounds to theta":
+                    raise DomainError(f"finite-difference step {s:g} does not move theta "
+                                      f"{t.tolist()}: theta +/- h {why}", theta=t, step=s)
+                raise DomainError(f"theta {t.tolist()} +/- {s} {why}", theta=t)
     p = theta.shape[-1]
     offsets = (steps[..., None, None] * nk.identity(p)).reshape(
         steps.shape + (1,) * (theta.ndim - 1) + (p, p))
     base = theta[..., None, :]
     return np.array([base + offsets, base - offsets])
-
-
-def stencil(model: StateModel, fn, theta: np.ndarray, h, shape: tuple,
-            error: type = InvalidStateError, what: str = "state") -> tuple:
-    """The stacks of ``fn(theta + s e_l)`` and of ``fn(theta - s e_l)``, l = 0..p-1,
-    for every step ``s`` of ``h``, from one call of ``fn`` on all of their points.
-
-    ``theta`` is one ``(p,)`` point or a ``(..., p)`` stack of them and ``h`` one
-    step or an array of steps; each returned stack has shape
-    ``h.shape + theta.shape[:-1] + (p,) + shape``. ``fn`` is a map on the
-    parameters of ``model`` that broadcasts over the leading axes of theta
-    (see :func:`values_at`, which checks what it returns and raises ``error``
-    otherwise). The steps and the stencil points are checked before the call
-    (see :func:`stencil_points`).
-    """
-    values = values_at(fn, stencil_points(model, theta, h), shape, error, what)
-    return values[0], values[1]
 
 
 def _check_points(model: StateModel, theta) -> np.ndarray:
@@ -432,8 +402,23 @@ def state_at(model: StateModel, theta) -> np.ndarray:
     return rho if theta.ndim == 2 else rho[0]
 
 
-def _evaluate_stack(model: StateModel, thetas: np.ndarray, scheme: str, h: float) -> StateAtPoint:
-    """The state points at a checked (B, p) stack of points (see :func:`evaluate_points`)."""
+def evaluate_points(
+    model: StateModel,
+    thetas,
+    scheme: str = "auto",
+    h: float = DEFAULT_FD_STEP,
+) -> StateAtPoint:
+    """The state points at a (B, p) stack of points, as one stacked :class:`StateAtPoint`.
+
+    Row i equals ``evaluate(model, thetas[i], scheme, h)`` bit for bit. Each
+    map runs once on the stack: ``state_fn`` and ``derivative_fn``, or
+    ``state_fn`` once more on the :func:`stencil_points` that hold every
+    finite-difference point (both steps of "richardson"); the states and
+    derivatives are checked as one stack. A stack holding a failing point
+    raises an error of one of its failing points; the error a point raises
+    alone comes from evaluating it alone.
+    """
+    thetas = _check_points(model, thetas)
     if scheme == "auto":
         scheme = "analytic" if model.derivative_fn is not None else "central_fd"
     if scheme == "analytic" and model.derivative_fn is None:
@@ -447,7 +432,7 @@ def _evaluate_stack(model: StateModel, thetas: np.ndarray, scheme: str, h: float
         drho = values_at(model.derivative_fn, thetas, (model.n_params, n, n), what="derivative")
     else:
         steps = np.array([h] if scheme == "central_fd" else [h, h / 2.0])
-        plus, minus = stencil(model, model.state_fn, thetas, steps, (n, n))
+        plus, minus = values_at(model.state_fn, stencil_points(model, thetas, steps), (n, n))
         central = nk.hermitize((plus - minus) / (2.0 * steps)[:, None, None, None, None])
         drho = central[0] if scheme == "central_fd" else (4.0 * central[1] - central[0]) / 3.0
 
@@ -460,32 +445,13 @@ def _evaluate_stack(model: StateModel, thetas: np.ndarray, scheme: str, h: float
     )
 
 
-def evaluate_points(
-    model: StateModel,
-    thetas,
-    scheme: str = "auto",
-    h: float = DEFAULT_FD_STEP,
-) -> StateAtPoint:
-    """The state points at a (B, p) stack of points, as one stacked :class:`StateAtPoint`.
-
-    Row i equals ``evaluate(model, thetas[i], scheme, h)`` bit for bit. Each
-    map runs once on the stack: ``state_fn`` and ``derivative_fn``, or one
-    :func:`stencil` of ``state_fn`` that holds every finite-difference point
-    (both steps of "richardson"); the states and derivatives are checked as
-    one stack. A stack holding a failing point raises an error of one of its
-    failing points; the error a point raises alone comes from evaluating it
-    alone.
-    """
-    return _evaluate_stack(model, _check_points(model, thetas), scheme, h)
-
-
 def evaluate(
     model: StateModel,
     theta,
     scheme: str = "auto",
     h: float = DEFAULT_FD_STEP,
 ) -> StateAtPoint:
-    """Evaluate rho and all parameter derivatives at a point.
+    """Evaluate rho and all parameter derivatives at one ``(p,)`` point.
 
     ``scheme`` is one of "auto", "analytic", "central_fd", "richardson";
     "auto" uses analytic derivatives when the model provides them. The
@@ -494,15 +460,20 @@ def evaluate(
     refuses a value of another shape or a bare numpy error with an
     :class:`InvalidStateError` naming the map. The finite-difference schemes
     take every central difference
-    ``(rho(theta + h e_l) - rho(theta - h e_l)) / 2h`` from one
-    :func:`stencil`, which first checks the step and that ``theta +/- h``
-    stays inside the open domain; "richardson" takes the steps ``h`` and
-    ``h / 2`` in that one stencil and combines them into
-    ``(4 D(h/2) - D(h)) / 3``. The state and its derivatives are validated
-    where the returned :class:`StateAtPoint` is made. This is
-    :func:`evaluate_points` on a stack of one point.
+    ``(rho(theta + h e_l) - rho(theta - h e_l)) / 2h`` from one call of
+    ``state_fn`` on the :func:`stencil_points`, which first check the step
+    and that ``theta +/- h`` stays inside the open domain; "richardson"
+    takes the steps ``h`` and ``h / 2`` in that one call and combines them
+    into ``(4 D(h/2) - D(h)) / 3``. The state and its derivatives are
+    validated where the returned :class:`StateAtPoint` is made. This is
+    :func:`evaluate_points` on a stack of one point; a theta of any other
+    shape, a stack of one point included, raises :class:`DomainError`.
     """
-    return _evaluate_stack(model, _check_points(model, theta)[:1], scheme, h).row(0)
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim != 1:
+        raise DomainError(f"theta has shape {theta.shape}, expected ({model.n_params},)",
+                          theta=theta)
+    return evaluate_points(model, theta, scheme, h).row(0)
 
 
 def _rotate_columns(m: np.ndarray) -> np.ndarray:

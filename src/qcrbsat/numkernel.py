@@ -191,13 +191,6 @@ def joint_eigenprojectors(
     m = len(stack)
 
     rng = rng if rng is not None else np.random.default_rng(0)
-    if n == 1:
-        # Scalars are jointly diagonal. The mixture coefficients are still
-        # drawn, so the caller's later draws from rng stay the same.
-        rng.standard_normal(m)
-        return JointSpectrum(labels=stack[None, :, 0, 0].real.copy(), basis=_ONE.copy(),
-                             block_dims=(1,))
-
     norms = [fro(a) for a in stack]
     products = stack[:, None] @ stack[None, :]
     residuals = np.zeros((m, m))

@@ -290,6 +290,8 @@ def construct_optimal(
     it, and the clusters do not depend on how the parameters are scaled.
     Each block is divided by its parameter's ``s_l``, not by its own norm:
     a ++ block that is rounding noise next to ``s_l`` stays noise.
+    ``lambdas`` is not read; it stays for the callers that pass it, the
+    benchmark's replay among them.
     """
     s = np.where(slds.scales > 0, slds.scales, 1.0)
     spectrum = nk.joint_eigenprojectors(slds.Lpp / s[:, None, None], tol=tol, rng=rng)
@@ -314,7 +316,6 @@ def construct_optimal(
         meta={
             "regular_labels": spectrum.labels * s,
             "chi": spectrum.chi,
-            "cond4_lambdas": lambdas,
         },
     )
     diag = validate(povm)

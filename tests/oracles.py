@@ -583,9 +583,7 @@ def verify_condition2prime_loop(
         pde_res = max(pde_res, _fro(du[l] - rhs) / scale)
 
     d_all_zero = all(_fro(d) <= 1e-12 for d in d_mats)
-    path = witness.label
-    if witness.label == "user_supplied_U" and d_all_zero:
-        path = "zero_generators"
+    path = "zero_generators" if d_all_zero else "user_supplied_U"
 
     stationarity_res = None
     vt_fn = lambda th: np.asarray(v_fn(th), dtype=complex) @ np.asarray(

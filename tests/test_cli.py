@@ -444,6 +444,16 @@ class TestUsageErrors:
         ("diag-multinomial", "dims=true", "0.3", "dims"),
         ("random-rank-r", "seed=3,n_s=6,r_plus=3,plant_cond1=no", "0,0", "plant_cond1"),
         ("random-rank-r", "seed=3,n_s=6,r_plus=3,plant_cond4=0", "0,0", "plant_cond4"),
+        # out of range
+        ("paper-qutrit", "d=1.5", "0.3,0.5", "d"),
+        ("paper-qutrit", "c1=0", "0.3,0.5", "c1"),
+        ("stationary-basis", "c2=0", "0.3,-0.4", "c2"),
+        ("diag-multinomial", "dims=1", "0.3", "dims"),
+        ("random-rank-r", "seed=1,n_s=4,r_plus=0", "0,0", "r_plus"),
+        ("random-rank-r", "seed=1,n_s=4,r_plus=5", "0,0", "r_plus"),
+        ("random-rank-r", "seed=1,n_s=4,r_plus=2,n_params=0", "0", "n_params"),
+        ("random-rank-r", "seed=1,n_s=4,r_plus=2,n_params=-1", "0", "n_params"),
+        ("random-rank-r", "seed=1,n_s=6,r_plus=2", "0,0", "plant_cond4"),
     ])
     def test_malformed_model_parameter(self, capsys, model, params, theta, name):
         code, rep = run(capsys, "analyze", "--model", model, "--params", params, "--theta", theta)

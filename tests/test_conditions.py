@@ -999,6 +999,35 @@ class TestGaugeInvariance:
         )
         assert ok and worst <= 1e-10
 
+    POINTS = {
+        **CORPUS,
+        "diag-multinomial": ("diag-multinomial", {"dims": 4}, [0.2, 0.3, 0.1]),
+        "stationary-basis": ("stationary-basis", {}, [0.3, -0.4]),
+        "theta-independent-support": ("theta-independent-support", {}, [0.3, 0.4]),
+    }
+
+    @pytest.mark.parametrize("name", POINTS)
+    def test_support_rephasing_through_a_supplied_basis(self, name):
+        # split_support fixes every column's phase, so only a supplied basis
+        # V diag(e^{i phi}) moves the support gauge (and the completed null basis)
+        model, params, theta = self.POINTS[name]
+        sp = qs.evaluate(qs.get(model, **params), np.array(theta, dtype=float))
+        dec = qs.support_decomposition(sp)
+        slds = qs.compute_sld(dec, sp.drho)
+        base, f_q = _analyze(sp, dec, slds), qs.qfim(dec, slds)
+        for seed in range(5):
+            phi = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, dec.r_plus)
+            dec2 = qs.decomposition_from_basis(sp, dec.V * np.exp(1j * phi))
+            slds2 = qs.compute_sld(dec2, sp.drho)
+            rep = _analyze(sp, dec2, slds2)
+            assert rep.verdict == base.verdict, seed
+            assert (rep.cond1.passed, rep.cond3.passed) == (base.cond1.passed, base.cond3.passed)
+            assert rep.cond4.status == base.cond4.status, seed
+            assert np.abs(qs.qfim(dec2, slds2) - f_q).max() <= 1e-12, seed
+            for got, ref in ((rep.cond1, base.cond1), (rep.cond3, base.cond3),
+                             (rep.avg_comm, base.avg_comm)):
+                assert abs(got.residual - ref.residual) <= 1e-12, seed
+
 
 class TestCondition2PrimeStencil:
     """One evaluation of each map at the point and one on its whole stencil, and the

@@ -56,13 +56,13 @@ class TestMapsBroadcast:
 
     @pytest.mark.parametrize("case", MAP_CASES)
     def test_stencil_stacks_equal_points(self, case):
-        # the (p, p) stacks that `stencil` hands each map, against one call per point
+        # the (p, p) stencil stacks each map is handed, against one call per point
         model, maps = _maps(*case)
         theta = (model.domain.lo + model.domain.hi) / 2.0
         h = 1e-3 * np.min(model.domain.hi - model.domain.lo)
         for what, fn in maps.items():
             shape = np.shape(fn(theta))
-            plus, minus = md.stencil(model, fn, theta, h, shape)
+            plus, minus = md.values_at(fn, md.stencil_points(model, theta, h), shape)
             for stack, sign in ((plus, 1.0), (minus, -1.0)):
                 points = np.array([fn(t) for t in theta + sign * h * np.eye(len(theta))])
                 assert stack.tobytes() == points.astype(complex).tobytes(), what

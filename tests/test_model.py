@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,23 @@ class TestEvaluate:
     def test_domain_violation(self, qutrit_model):
         with pytest.raises(md.DomainError):
             qs.evaluate(qutrit_model, [1.2, 0.5])
+
+    @pytest.mark.parametrize("rows", [2, 1])
+    def test_stack_refused(self, qutrit_model, rows):
+        # evaluate takes one (p,) point; a stack, even of one point, is evaluate_points'
+        theta = np.array([[0.3, 0.5], [0.4, 0.6]])[:rows]
+        message = f"theta has shape {theta.shape}, expected (2,)"
+        with pytest.raises(md.DomainError, match=re.escape(message)):
+            qs.evaluate(qutrit_model, theta)
+
+    @pytest.mark.parametrize("scheme", ["analytic", "central_fd", "richardson"])
+    def test_stack_rows_equal_points(self, qutrit_model, scheme):
+        thetas = np.array([[0.3, 0.5], [0.4, 0.6]])
+        stacked = md.evaluate_points(qutrit_model, thetas, scheme=scheme)
+        for i, theta in enumerate(thetas):
+            one = qs.evaluate(qutrit_model, theta, scheme=scheme)
+            assert stacked.rho[i].tobytes() == one.rho.tobytes()
+            assert stacked.drho[i].tobytes() == one.drho.tobytes()
 
     def test_fd_needs_margin(self, qutrit_model):
         with pytest.raises(md.DomainError):
