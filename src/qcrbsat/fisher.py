@@ -30,6 +30,8 @@ scales it), so a measurement that passes validation passes them.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -405,29 +407,83 @@ def simulate(dist: MeasurementDistribution, trials: int, seed: int) -> MonteCarl
 # ---------------------------------------------------------------------------
 # Optional estimator study: batched maximum likelihood, every batch fitted at
 # once. A likelihood maps a (B, p) stack of points to the (B, M) outcome
-# probabilities, so each step of the search is one call on a stack.
+# probabilities, so each step of the search is one call on a stack of the
+# batches still searching.
 # ---------------------------------------------------------------------------
 
+# Brent's golden-section fraction (3 - sqrt 5)/2; the square root of the
+# double's machine epsilon, which scales each search's tolerance; and the
+# bound on a search's steps, above the ~40 golden steps a bracket needs.
+_GOLD = (3.0 - math.sqrt(5.0)) / 2.0
+_SQRT_EPS = math.sqrt(sys.float_info.epsilon)
+BRENT_STEPS = 100
 
-def _golden_section(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray):
-    """Golden-section minimum of each row's function over its bracket [lo_b, hi_b].
 
-    ``f`` maps a (B,) vector of abscissae to the (B,) values; each of the 40
-    steps evaluates it once, at the one new interior point of every bracket,
-    so row b follows exactly the scalar search on its own bracket.
+def _brent(f: Callable[[np.ndarray, np.ndarray], np.ndarray], x, fx, lo, hi):
+    """Brent minimum of each row's function over its bracket (lo_b, hi_b).
+
+    Row b starts at x_b, strictly inside its bracket, with ``fx_b`` its value.
+    Each step is a golden-section step or, where it is safe, the minimum of
+    the parabola through the row's three best points (R. P. Brent,
+    *Algorithms for Minimization without Derivatives*, 1973, ch. 5). A row
+    stops once ``|x - m| <= 2t - (b - a)/2``, with [a, b] its current bracket,
+    m its middle and ``t = sqrt(eps) (|x| + hi - lo)``, or after
+    ``BRENT_STEPS`` steps. ``f(u, rows)`` maps the abscissae of the rows
+    still searching (their indices ``rows``) to their values; each step calls
+    it once, at points strictly inside each row's (a, b). Every update is
+    elementwise, so row b follows exactly the scalar search on its own
+    bracket. Returns the (B,) minima and their values.
     """
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - phi * (b - a), a + phi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(40):
-        left = fc < fd  # the minimum lies in [a, d]: d becomes the new b
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        x = np.where(left, b - phi * (b - a), a + phi * (b - a))
-        fx = f(x)
-        c, d = np.where(left, x, d), np.where(left, c, x)
-        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
-    return (a + b) / 2.0
+    x, fx = np.asarray(x, dtype=float), np.asarray(fx, dtype=float)
+    x_out, f_out = x.copy(), fx.copy()
+    rows, a, b, span = np.arange(len(x)), lo, hi, hi - lo
+    v = w = x
+    fv = fw = fx
+    d = e = np.zeros_like(x)
+    for _ in range(BRENT_STEPS):
+        m = 0.5 * (a + b)
+        tol = _SQRT_EPS * (np.abs(x) + span)
+        tol2 = 2.0 * tol
+        going = np.abs(x - m) > tol2 - 0.5 * (b - a)
+        if not going.all():  # finished rows are written out and leave the stack
+            x_out[rows[~going]], f_out[rows[~going]] = x[~going], fx[~going]
+            rows, a, b, span, m, tol, tol2, x, fx, v, fv, w, fw, d, e = (
+                s[going] for s in (rows, a, b, span, m, tol, tol2, x, fx, v, fv, w, fw, d, e)
+            )
+            if not len(rows):
+                break
+        # the parabola through (x, fx), (w, fw), (v, fv) has its minimum at x + p/q;
+        # where q = 0 the step is not taken
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            p = np.where(q > 0.0, -p, p)
+            q = np.abs(q)
+            parabolic = ((np.abs(e) > tol) & (np.abs(p) < np.abs(0.5 * q * e))
+                         & (p > q * (a - x)) & (p < q * (b - x)))
+            step = p / q
+            u = x + step
+        step = np.where((u - a < tol2) | (b - u < tol2), np.where(x < m, tol, -tol), step)
+        golden = np.where(x >= m, a - x, b - x)
+        d, e = np.where(parabolic, step, _GOLD * golden), np.where(parabolic, d, golden)
+        u = np.where(np.abs(d) >= tol, x + d, np.where(d > 0.0, x + tol, x - tol))
+        fu = f(u, rows)
+        better = fu <= fx
+        # u better: the bracket's side beyond x goes; u worse: the side beyond u
+        cut_b = better == (u < x)
+        edge = np.where(better, x, u)
+        a, b = np.where(cut_b, a, edge), np.where(cut_b, edge, b)
+        shift_w = better | (fu <= fw) | (w == x)
+        new_v = ~shift_w & ((fu <= fv) | (v == x) | (v == w))
+        v = np.where(shift_w, w, np.where(new_v, u, v))
+        fv = np.where(shift_w, fw, np.where(new_v, fu, fv))
+        w = np.where(better, x, np.where(shift_w, u, w))
+        fw = np.where(better, fx, np.where(shift_w, fu, fw))
+        x, fx = np.where(better, u, x), np.where(better, fu, fx)
+    x_out[rows], f_out[rows] = x, fx
+    return x_out, f_out
 
 
 def negative_log_likelihood(counts: np.ndarray, probs) -> np.ndarray:
@@ -450,32 +506,31 @@ def max_likelihood_estimate(
 ) -> np.ndarray:
     """Local maximum-likelihood fits of a (B, M) counts stack, one per row.
 
-    Four sweeps of golden-section search per coordinate, every row started
-    at ``theta0``; returns the (B, p) estimates. Each bracket is the
-    coordinate +/- ``radius``, cut to the ``domain`` box when one is given;
-    the search evaluates only points strictly inside its bracket, so it
-    never leaves the open box. Each row's negative log-likelihood is its own
-    dot product (see ``negative_log_likelihood``), so the fits equal one-batch
-    fits bit for bit.
+    Four sweeps of Brent search (``_brent``) per coordinate, every row
+    started at ``theta0``; returns the (B, p) estimates. Each search starts
+    at the row's current coordinate with the bracket that coordinate +/-
+    ``radius``, cut to the ``domain`` box when one is given, and evaluates
+    only points strictly inside it, so it never leaves the open box. A row
+    stops at Brent's rule, relative to its own bracket, and drops out of the
+    stack the likelihood is called on. Each row's negative log-likelihood is
+    its own dot product (see ``negative_log_likelihood``), so the fits equal
+    one-batch fits bit for bit.
     """
     counts = np.asarray(counts, dtype=float)
-
-    def nll(thetas):
-        return negative_log_likelihood(counts, likelihood(thetas))
-
     theta = np.tile(np.asarray(theta0, dtype=float), (len(counts), 1))
+    fx = negative_log_likelihood(counts, likelihood(theta))
     for _ in range(4):
         for i in range(theta.shape[1]):
 
-            def f1(x, i=i):
-                t = theta.copy()
+            def f1(x, rows, i=i):
+                t = theta[rows]
                 t[:, i] = x
-                return nll(t)
+                return negative_log_likelihood(counts[rows], likelihood(t))
 
             lo, hi = theta[:, i] - radius, theta[:, i] + radius
             if domain is not None:
                 lo, hi = np.maximum(lo, domain.lo[i]), np.minimum(hi, domain.hi[i])
-            theta[:, i] = _golden_section(f1, lo, hi)
+            theta[:, i], fx = _brent(f1, theta[:, i], fx, lo, hi)
     return theta
 
 
@@ -493,13 +548,15 @@ def estimator_study(
 ) -> dict:
     """Covariance of batched maximum-likelihood estimates around theta0.
 
-    All batches are fitted together (``max_likelihood_estimate``).
+    All batches are fitted together (``max_likelihood_estimate``), and each
+    likelihood call carries only the batches whose search is still running.
     ``prob_fn`` maps one (p,) point to its (M,) outcome probabilities, and
-    is called point by point; with ``stacked=True`` it already maps a (B, p)
-    stack to (B, M), which is how the CLI calls it (``state_at`` and
-    ``probabilities`` on stacks). The per-point form remains for callers
-    that time the likelihood call by call. ``domain``, the model's
-    parameter box, cuts each search bracket (see ``max_likelihood_estimate``).
+    is called point by point; with ``stacked=True`` it already maps a stack
+    of points to its (rows, M) probabilities, which is how the CLI calls it
+    (``state_at`` and ``probabilities`` on stacks). The per-point form
+    remains for callers that time the likelihood call by call. ``domain``,
+    the model's parameter box, cuts each search bracket (see
+    ``max_likelihood_estimate``).
 
     Needs at least two batches: one estimate has no covariance. Each
     parameter's ``bound_ratio`` is N Var / [F_c^-1]_ll with N the batch size

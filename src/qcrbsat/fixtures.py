@@ -335,6 +335,7 @@ def random_rank_r(
     seed, n_s, r_plus = _as_int("seed", seed), _as_int("n_s", n_s), _as_int("r_plus", r_plus)
     n_params = _as_int("n_params", n_params)
     _require(seed >= 0, "seed", f"must be non-negative, got {seed}")
+    _require(n_s >= 1, "n_s", f"must be at least 1, got {n_s}")
     plant_cond1 = _as_bool("plant_cond1", plant_cond1)
     plant_cond4 = _as_bool("plant_cond4", plant_cond4)
     r_zero = n_s - r_plus

@@ -347,9 +347,10 @@ def central_difference_loop(model, theta, h, richardson=False):
 
 
 # ---------------------------------------------------------------------------
-# The maximum-likelihood fit as it was before batches were fitted in lock
-# step: one batch at a time, one scalar golden-section search per coordinate
-# and sweep, the likelihood called point by point.
+# The maximum-likelihood fit one batch at a time: one scalar line search per
+# coordinate and sweep, the likelihood called point by point. `brent_loop` is
+# the lock-step search's scalar form; `golden_section_loop` is the 40-step
+# golden-section search it replaced, kept as the accuracy reference.
 # ---------------------------------------------------------------------------
 
 
@@ -370,13 +371,71 @@ def golden_section_loop(f, lo, hi):
     return (a + b) / 2.0
 
 
+def brent_loop(f, x, lo, hi):
+    """Brent's minimization of f over (lo, hi) from x, written with scalars
+    (Brent 1973, ch. 5, procedure localmin), with the tolerance
+    t = sqrt(eps) (|x| + hi - lo) and at most 100 steps."""
+    gold = (3.0 - np.sqrt(5.0)) / 2.0
+    sqrt_eps = float(np.sqrt(np.finfo(float).eps))
+    a, b = lo, hi
+    fx = f(x)
+    v = w = x
+    fv = fw = fx
+    d = e = 0.0
+    for _ in range(100):
+        m = 0.5 * (a + b)
+        tol = sqrt_eps * (abs(x) + (hi - lo))
+        tol2 = 2.0 * tol
+        if abs(x - m) <= tol2 - 0.5 * (b - a):
+            break
+        parabolic = False
+        if abs(e) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            if abs(p) < abs(0.5 * q * e) and p > q * (a - x) and p < q * (b - x):
+                parabolic = True
+                e, d = d, p / q
+                if x + d - a < tol2 or b - (x + d) < tol2:
+                    d = tol if x < m else -tol
+        if not parabolic:
+            e = a - x if x >= m else b - x
+            d = gold * e
+        if abs(d) >= tol:
+            u = x + d
+        else:
+            u = x + tol if d > 0.0 else x - tol
+        fu = f(u)
+        if fu <= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x
+
+
 def negative_log_likelihood_loop(counts, probs):
     """The lock-step fit's negative log-likelihood as it was taken: one ``np.dot`` per row."""
     logp = np.log(np.clip(np.asarray(probs, dtype=float), 1e-300, None))
     return -np.array([np.dot(c, lp) for c, lp in zip(counts, logp)])
 
 
-def max_likelihood_estimate_loop(prob_fn, counts, theta0, radius=0.05):
+def max_likelihood_estimate_loop(prob_fn, counts, theta0, radius=0.05, golden=False):
+    """One batch's fit by Brent search, or by golden-section search when ``golden``."""
     counts = np.asarray(counts, dtype=float)
 
     def nll(theta):
@@ -392,7 +451,8 @@ def max_likelihood_estimate_loop(prob_fn, counts, theta0, radius=0.05):
                 t[i] = x
                 return nll(t)
 
-            theta[i] = golden_section_loop(f1, theta[i] - radius, theta[i] + radius)
+            lo, hi = theta[i] - radius, theta[i] + radius
+            theta[i] = golden_section_loop(f1, lo, hi) if golden else brent_loop(f1, theta[i], lo, hi)
     return theta
 
 

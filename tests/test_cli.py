@@ -449,6 +449,8 @@ class TestUsageErrors:
         ("paper-qutrit", "c1=0", "0.3,0.5", "c1"),
         ("stationary-basis", "c2=0", "0.3,-0.4", "c2"),
         ("diag-multinomial", "dims=1", "0.3", "dims"),
+        ("random-rank-r", "seed=1,n_s=0,r_plus=0", "0,0", "n_s"),
+        ("random-rank-r", "seed=1,n_s=-2,r_plus=1", "0,0", "n_s"),
         ("random-rank-r", "seed=1,n_s=4,r_plus=0", "0,0", "r_plus"),
         ("random-rank-r", "seed=1,n_s=4,r_plus=5", "0,0", "r_plus"),
         ("random-rank-r", "seed=1,n_s=4,r_plus=2,n_params=0", "0", "n_params"),

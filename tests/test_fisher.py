@@ -12,6 +12,7 @@ from qcrbsat import povm as pv
 from qcrbsat.cli import main
 from qcrbsat.model import DomainError
 from oracles import (
+    brent_loop,
     classical_fim_bruteforce,
     evaluate_prob_fn,
     max_likelihood_estimate_loop,
@@ -401,23 +402,22 @@ class TestNegativeLogLikelihood:
 
 class TestLockStepFit:
     """All batches are fitted at once; each estimate must equal the one-batch
-    scalar fit of the oracle exactly, on the stacked and the per-point path."""
+    scalar fit of the oracle exactly, on the stacked and the per-point path,
+    and lie within 1e-6 of the one-batch golden-section fit."""
 
     @staticmethod
     def _assert_study_is_the_loop(model, povm, dist, theta0, batches, batch_size, seed):
         per_point = _lean_prob_fn(model, povm)
-        expected = [
-            max_likelihood_estimate_loop(
-                per_point, fi.sample_outcomes(dist, batch_size, seed + b), theta0
-            ).tolist()
-            for b in range(batches)
-        ]
+        counts = [fi.sample_outcomes(dist, batch_size, seed + b) for b in range(batches)]
+        expected = [max_likelihood_estimate_loop(per_point, c, theta0).tolist() for c in counts]
+        golden = [max_likelihood_estimate_loop(per_point, c, theta0, golden=True) for c in counts]
         kw = dict(batches=batches, batch_size=batch_size, seed=seed)
         stacked = fi.estimator_study(_stacked_likelihood(model, povm), dist, theta0,
                                      stacked=True, **kw)
         adapted = fi.estimator_study(per_point, dist, theta0, **kw)
         assert stacked["estimates"] == expected
         assert stacked == adapted
+        assert np.max(np.abs(np.array(expected) - golden)) <= 1e-6
 
     @pytest.mark.parametrize("seed", [1, 7])
     def test_qutrit_forty_batches(self, qutrit_model, qutrit_point, seed):
@@ -436,9 +436,25 @@ class TestLockStepFit:
         dist = fi.outcome_distribution(sp.rho, sp.drho, povm, qs.support_decomposition(sp))
         self._assert_study_is_the_loop(multinomial_model, povm, dist, sp.theta, 6, 10_000, 3)
 
+    def test_forty_batch_fit_halves_the_likelihood_calls(self, qutrit_model, qutrit_point):
+        # the 40-step golden-section search took 4 sweeps x 2 coordinates x 42 calls = 336,
+        # each on all 40 batches (13,440 points)
+        povm, dist = _optimal(qutrit_point)
+        likelihood = _stacked_likelihood(qutrit_model, povm)
+        rows = []
+
+        def counted(thetas):
+            rows.append(len(thetas))
+            return likelihood(thetas)
+
+        fi.estimator_study(counted, dist, qutrit_point.theta, batches=40, batch_size=5000, seed=1,
+                           stacked=True, domain=qutrit_model.domain)
+        assert len(rows) < 168
+        assert sum(rows) < 13_440 // 2
+
     def test_fit_leaving_the_domain_raises_on_both_paths(self, qutrit_model, qutrit_point):
         povm, dist = _optimal(qutrit_point)
-        kw = dict(batches=3, batch_size=1000, seed=0, radius=2.0)  # first point at -0.17
+        kw = dict(batches=3, batch_size=1000, seed=0, radius=2.0)  # first step to 0.3 - 0.76
         with pytest.raises(DomainError):
             fi.estimator_study(_stacked_likelihood(qutrit_model, povm), dist,
                                qutrit_point.theta, stacked=True, **kw)
@@ -479,6 +495,51 @@ class TestLockStepFit:
         assert probs.shape == (5, 3)
         for theta, row in zip(thetas, probs):
             assert np.array_equal(row, fi.probabilities(qs.state_at(qutrit_model, theta), elements))
+
+
+class TestBrentSearch:
+    """The lock-step Brent search on random brackets, some cut to a domain box:
+    every abscissa lies strictly inside its row's bracket, each row is the
+    scalar search bit for bit, and a finished row is no longer evaluated."""
+
+    @staticmethod
+    def _values(u, kind, c):
+        """Row functions by kind: 0 a parabola with its minimum inside the bracket,
+        1 at its lower edge, 2 beyond its upper edge; 3 a kink; 4 a constant."""
+        return np.select([kind == 4, kind == 3], [np.ones_like(u), np.abs(u - c)], (u - c) * (u - c))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12))
+    def test_abscissae_inside_the_bracket_and_rows_are_the_scalar_search(self, seed, n):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-2.0, 2.0, n)
+        radius = 10.0 ** rng.uniform(-6.0, 1.0, n)
+        lo, hi = x - radius, x + radius
+        cut = rng.uniform(size=n) < 0.5  # cut to a box whose edges lie between x and x +/- radius
+        lo = np.where(cut, x - radius * rng.uniform(0.01, 1.0, n), lo)
+        hi = np.where(cut, x + radius * rng.uniform(0.01, 1.0, n), hi)
+        kind = rng.integers(0, 5, n)
+        c = np.select([kind == 1, kind == 2], [lo, hi + radius], rng.uniform(lo, hi))
+        asked = []
+
+        def f(u, rows):
+            asked.extend(zip(rows.tolist(), u.tolist()))
+            return self._values(u, kind[rows], c[rows])
+
+        got, f_got = fi._brent(f, x, self._values(x, kind, c), lo, hi)
+        for b, u in asked:
+            assert lo[b] < u < hi[b]
+        assert np.array_equal(f_got, self._values(got, kind, c))
+        for b in range(n):
+            scalar_asked = []
+
+            def f_b(u, b=b):
+                scalar_asked.append(u)
+                return float(self._values(np.array([u]), kind[b:b + 1], c[b:b + 1])[0])
+
+            assert got[b] == brent_loop(f_b, x[b], lo[b], hi[b])
+            # the scalar search also evaluates its start, which the lock-step search is given
+            assert [u for r, u in asked if r == b] == scalar_asked[1:]
 
 
 class TestBelowBoundFlag:
