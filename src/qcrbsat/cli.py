@@ -45,6 +45,11 @@ class NotCertifiedError(QcrbSatError):
     pass
 
 
+def _usage(message: str, option: str, value=None) -> QcrbSatError:
+    """A refusal of a command-line value; its detail names the option and the value."""
+    return QcrbSatError(message, option=option, value=value)
+
+
 def parse_params(text: str) -> dict:
     """Parse "k=v,k=v" into typed values (bool, int, float, complex, or string).
 
@@ -55,7 +60,7 @@ def parse_params(text: str) -> dict:
         return out
     for chunk in text.split(","):
         if "=" not in chunk:
-            raise QcrbSatError(f"malformed parameter {chunk!r}, expected k=v")
+            raise _usage(f"malformed parameter {chunk!r}, expected k=v", "--params", text)
         key, raw = chunk.split("=", 1)
         if raw.strip().lower() in ("true", "false"):
             out[key.strip()] = raw.strip().lower() == "true"
@@ -75,20 +80,23 @@ def parse_theta(text: str) -> np.ndarray:
     try:
         return np.array([float(x) for x in text.split(",")])
     except ValueError:
-        raise QcrbSatError(f"malformed theta {text!r}, expected comma-separated floats")
+        raise _usage(f"malformed theta {text!r}, expected comma-separated floats", "--theta", text)
 
 
 def parse_grid(text: str):
-    """Per-axis "start:stop:count" specs, comma separated."""
+    """Per-axis "start:stop:count" specs, comma separated, with finite ends."""
     axes = []
     for chunk in text.split(","):
         try:
             start, stop, count = chunk.split(":")
             start, stop, count = float(start), float(stop), int(count)
         except ValueError:  # not three fields, or not two reals and an integer
-            raise QcrbSatError(f"malformed grid axis {chunk!r}, expected start:stop:count") from None
+            raise _usage(f"malformed grid axis {chunk!r}, expected start:stop:count",
+                         "--grid", text) from None
         if count < 1:
-            raise QcrbSatError(f"grid axis needs at least one point, got {count}")
+            raise _usage(f"grid axis needs at least one point, got {count}", "--grid", text)
+        if not (np.isfinite(start) and np.isfinite(stop)):  # nan or inf would reach the report
+            raise _usage(f"grid axis {chunk!r} needs a finite start and stop", "--grid", text)
         axes.append(np.linspace(start, stop, count))
     return axes
 
@@ -115,10 +123,10 @@ def _load_state(args):
         sp = parse_numeric_model(args.numeric_model)
         return None, sp, None
     if not args.model:
-        raise QcrbSatError("either --model or --numeric-model is required")
+        raise _usage("either --model or --numeric-model is required", "--model")
     model, witness = _registry_model(args)
     if args.theta is None:
-        raise QcrbSatError("--theta is required with --model")
+        raise _usage("--theta is required with --model", "--theta")
     theta = parse_theta(args.theta)
     sp = evaluate(model, theta, scheme=args.scheme, h=args.fd_step)
     return model, sp, witness
@@ -136,9 +144,7 @@ def run_analyses(args, points: StateAtPoint, model=None, witness=None) -> list:
     :func:`~qcrbsat.model.evaluate_points`). The support split, the SLDs,
     the QFIM, the pairwise checks, the W search and, with ``--diagnostics``,
     condition 2' run once per group of points with equal (r+, r0); the
-    verdict runs per point. A
-    point's W search draws from a ``default_rng(args.seed)`` of its own,
-    made only if it draws. The SLD solve is checked at the
+    verdict runs per point. The SLD solve is checked at the
     condition tolerance or the scheme's, whichever is looser. Returns
     ``(dec, slds, f_q, report)`` per point, each what the point gives
     alone. A stack holding a failing point raises a :class:`QcrbSatError`
@@ -151,7 +157,6 @@ def run_analyses(args, points: StateAtPoint, model=None, witness=None) -> list:
         slds = compute_sld(dec, group.drho, sld_tol=max(tol, points.deriv_tol))
         f_q = qfim(dec, slds)
         reports = condition_reports(group, dec, slds, model=model, witness=witness, tol=tol,
-                                    rngs=lambda _: np.random.default_rng(args.seed),
                                     diagnostics=args.diagnostics)
         for i, (k, report) in enumerate(zip(rows.tolist(), reports)):
             out[k] = (dec.row(i), slds.row(i), f_q[i], report)
@@ -188,7 +193,7 @@ def base_report(args, sp: StateAtPoint, model, dec, f_q, report) -> dict:
     }
 
 
-def _construct_from_report(dec, slds, report, seed):
+def _construct_from_report(dec, slds, report):
     if report.verdict != VERDICT_SATURABLE:
         raise NotCertifiedError(
             "refusing to construct a measurement: the saturability verdict is "
@@ -196,7 +201,7 @@ def _construct_from_report(dec, slds, report, seed):
             verdict=report.verdict,
             reasoning=report.reasoning,
         )
-    return povm_mod.construct_optimal(dec, slds, W=report.cond4.W, rng=np.random.default_rng(seed))
+    return povm_mod.construct_optimal(dec, slds, W=report.cond4.W)
 
 
 def _supplied_povm(args, sp: StateAtPoint):
@@ -257,7 +262,7 @@ def cmd_analyze(args) -> dict:
 def cmd_construct_povm(args) -> dict:
     model, sp, witness = _load_state(args)
     dec, slds, f_q, report = run_analysis(args, sp, model, witness)
-    povm = _construct_from_report(dec, slds, report, args.seed)
+    povm = _construct_from_report(dec, slds, report)
     cert = povm_mod.verify_saturation_structural(povm, dec, slds, tol=cond_tol(args, sp))
     out = base_report(args, sp, model, dec, f_q, report)
     out["povm"] = povm_mod.povm_to_json(povm)
@@ -273,7 +278,7 @@ def cmd_fisher(args) -> dict:
     g = _cost_matrix(args, sp)
     dec, slds, f_q, report = run_analysis(args, sp, model, witness)
     if povm is None:
-        povm = _construct_from_report(dec, slds, report, args.seed)
+        povm = _construct_from_report(dec, slds, report)
     povm_mod.classify_elements(povm, sp.rho, dec)
     cert = povm_mod.verify_saturation_structural(povm, dec, slds, tol=cond_tol(args, sp))
     dist = fish.outcome_distribution(sp.rho, sp.drho, povm, dec, deriv_tol=sp.deriv_tol)
@@ -298,14 +303,14 @@ def cmd_simulate(args) -> dict:
     povm = _supplied_povm(args, sp)
     dec, slds, f_q, report = run_analysis(args, sp, model, witness)
     if povm is None:
-        povm = _construct_from_report(dec, slds, report, args.seed)
+        povm = _construct_from_report(dec, slds, report)
     povm_mod.classify_elements(povm, sp.rho, dec)
     dist = fish.outcome_distribution(sp.rho, sp.drho, povm, dec, deriv_tol=sp.deriv_tol)
     comparison = _compare(dist, f_q, None, cond_tol(args, sp))
     record = fish.simulate(dist, trials=args.trials, seed=args.seed)
     if args.estimator:
         if model is None:
-            raise QcrbSatError("the estimator study needs a registry model")
+            raise _usage("the estimator study needs a registry model", "--model")
 
         elements = np.stack(povm.elements)
 
@@ -349,12 +354,13 @@ def cmd_sweep(args) -> dict:
     """Analyze every point of the grid, in chunks of at most :data:`SWEEP_ENTRIES`
     stacked entries (see :func:`_sweep_entries`)."""
     if not args.model:
-        raise QcrbSatError("sweep requires --model (numeric models are single-point)")
+        raise _usage("sweep requires --model (numeric models are single-point)", "--model")
     _refuse_options(args, "sweep", "--theta", "--numeric-model")
     model, witness = _registry_model(args)
     axes = parse_grid(args.grid)
     if len(axes) != model.n_params:
-        raise QcrbSatError(f"grid has {len(axes)} axes, model has {model.n_params} parameters")
+        raise _usage(f"grid has {len(axes)} axes, model has {model.n_params} parameters",
+                     "--grid", args.grid)
 
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=1)
@@ -446,9 +452,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.seed < 0:  # refused here, not by the first generator a command seeds
-            raise QcrbSatError(f"--seed must be a non-negative integer, got {args.seed}",
-                               option="--seed", value=args.seed)
+        if args.seed < 0:  # refused by every command, though simulate alone seeds a generator
+            raise _usage(f"--seed must be a non-negative integer, got {args.seed}",
+                         "--seed", args.seed)
         _write(_COMMANDS[args.command](args), args.output or None, "--output")
         return 0
     except QcrbSatError as exc:

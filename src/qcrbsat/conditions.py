@@ -262,7 +262,7 @@ def _verify_stack(lpz: np.ndarray, w: np.ndarray, tol: float, scale_floor: np.nd
             np.where(not_unitary, np.maximum(worst, defect), worst).tolist())
 
 
-def _candidate_w_pinv(lpz: np.ndarray, ref: np.ndarray, tol: float, rng) -> tuple:
+def _candidate_w_pinv(lpz: np.ndarray, ref: np.ndarray, tol: float) -> tuple:
     """Joint eigenbases of ``M_l = pinv(Lpz_ref) Lpz_l`` on all of C^{r0}, at each point of a
     ``(B, p, r+, r0)`` stack whose reference blocks are ``ref``.
 
@@ -277,9 +277,8 @@ def _candidate_w_pinv(lpz: np.ndarray, ref: np.ndarray, tol: float, rng) -> tupl
     refuses and there is no candidate.
 
     The pseudo-inverses and the ``M_l`` are one stacked computation; each
-    family is diagonalized on its own, drawing from ``rng(k)``, the
-    generator of point k. Returns the ``(B, r0, r0)`` stack of bases and
-    the ``(B,)`` flags of the points that have one.
+    family is diagonalized on its own. Returns the ``(B, r0, r0)`` stack of
+    bases and the ``(B,)`` flags of the points that have one.
     """
     b, p, _, r0 = lpz.shape
     m = np.linalg.pinv(lpz[np.arange(b), ref], rcond=1e-10)[:, None] @ lpz
@@ -289,13 +288,13 @@ def _candidate_w_pinv(lpz: np.ndarray, ref: np.ndarray, tol: float, rng) -> tupl
     found = np.ones(b, dtype=bool)
     for k, family_k in enumerate(family.reshape(b, 2 * p, r0, r0)):
         try:
-            bases[k] = nk.joint_eigenprojectors(family_k, tol=max(tol, 1e-10), rng=rng(k)).basis
+            bases[k] = nk.joint_eigenprojectors(family_k, tol=max(tol, 1e-10)).basis
         except (nk.NotCommutingError, nk.JointDiagonalizationError):
             found[k] = False
     return bases, found
 
 
-def _candidate_w_totally_real(rows: np.ndarray, tol: float, rng) -> Optional[np.ndarray]:
+def _candidate_w_totally_real(rows: np.ndarray, tol: float) -> Optional[np.ndarray]:
     """For a one-dimensional support, a W that makes every row real.
 
     ``rows`` is the ``(p, r0)`` stack R of the blocks. Condition 3 for
@@ -303,9 +302,9 @@ def _candidate_w_totally_real(rows: np.ndarray, tol: float, rng) -> Optional[np.
     ``X = [Re R, Im R]``, and for ``X = U Σ V^T`` the columns
     ``R^dag u_j / σ_j = a_j - i b_j``, with ``(a_j, b_j) = v_j``, are
     orthonormal and ``R R^dag u_j / σ_j = σ_j u_j`` is real. Their
-    orthogonal complement is ker R, so the rows vanish there. A random real
-    rotation of the real columns avoids accidental zero entries, which the
-    verifier reads as mixed columns.
+    orthogonal complement is ker R, so the rows vanish there. A generic real
+    rotation of the real columns (the Q factor of ``k x k`` mixing weights)
+    avoids accidental zero entries, which the verifier reads as mixed columns.
     """
     r0 = rows.shape[1]
     gram = rows @ rows.conj().T
@@ -316,7 +315,7 @@ def _candidate_w_totally_real(rows: np.ndarray, tol: float, rng) -> Optional[np.
     k = int(np.clip(np.sum(sigma > max(tol, 1e-10) * sigma[0]), 1, r0))
     real = (vt[:k, :r0] - 1j * vt[:k, r0:]).T  # (r0, k)
     complement = np.linalg.svd(real.conj().T)[2][k:].conj().T  # (r0, r0 - k)
-    rotation = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    rotation = np.linalg.qr(nk.mixing_weights(k * k).reshape(k, k))[0]
     return np.concatenate([real @ rotation, complement], axis=1)
 
 
@@ -340,15 +339,14 @@ def find_w_condition4(
     UNKNOWN. The refutation (CERTIFIED_NO) is condition 3's:
     :class:`ConditionReport` reads it off a failed condition 3.
 
-    This is :func:`_find_w_stack` on a stack of one. Only the construction
-    draws from ``rng`` (``default_rng(0)`` when None).
+    This is :func:`_find_w_stack` on a stack of one. ``rng`` is not read; it
+    stays for the callers that pass it, the benchmark's replay among them.
     """
     lpz = np.asarray(lpz, dtype=complex)
-    rngs = (lambda _: rng) if rng is not None else None
-    return _find_w_stack(lpz[None], tol, np.array([scale_floor], dtype=float), rngs)[0]
+    return _find_w_stack(lpz[None], tol, np.array([scale_floor], dtype=float))[0]
 
 
-def _find_w_stack(lpz: np.ndarray, tol: float, scale_floor: np.ndarray, rngs=None) -> list:
+def _find_w_stack(lpz: np.ndarray, tol: float, scale_floor: np.ndarray) -> list:
     """:func:`find_w_condition4` at every point of a ``(B, p, r+, r0)`` stack of +0 blocks.
 
     The stack's shape picks one construction: none at r0 <= 1, the
@@ -357,10 +355,8 @@ def _find_w_stack(lpz: np.ndarray, tol: float, scale_floor: np.ndarray, rngs=Non
     then goes on to the points it left undecided. The block norms, the
     vacuous test, the pseudo-inverses and each round of verification run
     once on the stack; the joint diagonalization and the real-rows
-    construction run per point, drawing from ``rngs(b)``, point b's
-    generator (``default_rng(0)`` when ``rngs`` is None), which is made
-    only there. Returns the :class:`Cond4Result` of every point, each what
-    the point gives alone.
+    construction run per point. Returns the :class:`Cond4Result` of every
+    point, each what the point gives alone.
     """
     b, _, r_plus, r0 = lpz.shape
     norms = nk.norm_stack(lpz)  # (B, p)
@@ -379,15 +375,13 @@ def _find_w_stack(lpz: np.ndarray, tol: float, scale_floor: np.ndarray, rngs=Non
             else:
                 tried[i].append(res)
 
-    rngs = rngs or (lambda _: np.random.default_rng(0))
     if live.size and r_plus == 1:
-        ws = {i: _candidate_w_totally_real(lpz[i, :, 0], tol, rngs(i)) for i in live.tolist()}
+        ws = {i: _candidate_w_totally_real(lpz[i, :, 0], tol) for i in live.tolist()}
         rows = [i for i, w in ws.items() if w is not None]
         if rows:
             attempt(rows, np.array([ws[i] for i in rows]))
     elif live.size:
-        ws, found = _candidate_w_pinv(lpz[live], norms[live].argmax(axis=1), tol,
-                                      lambda k: rngs(int(live[k])))
+        ws, found = _candidate_w_pinv(lpz[live], norms[live].argmax(axis=1), tol)
         if found.any():
             attempt(live[found].tolist(), ws[found])
     rows = [i for i, r in enumerate(results) if r is None]
@@ -703,19 +697,15 @@ def evaluate_conditions(
     model: Optional[StateModel] = None,
     witness: Optional[Cond2PrimeWitness] = None,
     tol: Optional[float] = None,
-    rng: np.random.Generator | None = None,
     diagnostics: bool = False,
 ) -> ConditionReport:
     """Run the saturability checks and assemble the verdict (``tol`` must be finite and >= 0).
 
-    This is :func:`condition_reports` on the point as a stack of one, its W
-    search drawing from ``rng``. Full and partial commutativity and
-    condition 2' run only with ``diagnostics``.
+    This is :func:`condition_reports` on the point as a stack of one. Full
+    and partial commutativity and condition 2' run only with ``diagnostics``.
     """
     return condition_reports(sp.row(None), dec.row(None), slds.row(None), model=model,
-                             witness=witness, tol=tol,
-                             rngs=(lambda _: rng) if rng is not None else None,
-                             diagnostics=diagnostics)[0]
+                             witness=witness, tol=tol, diagnostics=diagnostics)[0]
 
 
 def condition_reports(
@@ -726,7 +716,6 @@ def condition_reports(
     model: Optional[StateModel] = None,
     witness: Optional[Cond2PrimeWitness] = None,
     tol: Optional[float] = None,
-    rngs=None,
     diagnostics: bool = False,
 ) -> list:
     """The condition report of each point of a stack.
@@ -741,9 +730,7 @@ def condition_reports(
     and condition 2' are None and write null. With ``diagnostics`` those
     three are computed too, condition 2' once on the stack (when ``model``
     is given and the points have a theta; ``witness`` is read only then).
-    ``rngs(i)`` gives the generator the W search of point i
-    draws from, made only where a construction runs (None: ``default_rng(0)``). Each
-    report equals the one :func:`evaluate_conditions` gives at that point.
+    Each report equals the one :func:`evaluate_conditions` gives at that point.
     A stack holding a failing point raises a
     :class:`~qcrbsat.errors.QcrbSatError` from one of its failing points.
     """
@@ -755,7 +742,7 @@ def condition_reports(
     sld_scales = nk.fro_stack(slds.full).max(axis=-1) if slds.n_params else np.ones(n)
     checks = zip(full, check_average_commutativity(sp.rho, slds, tol), partial,
                  check_condition1(slds, tol), check_condition3(slds, tol),
-                 _find_w_stack(slds.Lpz, tol, sld_scales, rngs))
+                 _find_w_stack(slds.Lpz, tol, sld_scales))
     regime = "pure" if dec.r_plus == 1 else ("full_rank" if dec.r_zero == 0 else "rank_deficient")
     reports = [ConditionReport(regime=regime, full_comm=full_c, avg_comm=avg, partial_comm=part,
                                cond1=c1, cond3=c3, cond4=c4, cond2prime=None, tol=tol,

@@ -325,11 +325,10 @@ def compare(
 def sample_outcomes(dist: MeasurementDistribution, n: int, seed: int) -> np.ndarray:
     """Draw n outcomes; deterministic for a fixed seed."""
     if n < 1:
-        raise QcrbSatError(f"need at least one trial, got {n}")
+        raise QcrbSatError(f"need at least one trial, got {n}", trials=n)
     p = np.clip(dist.probs, 0.0, None)
     p = p / p.sum()
-    rng = np.random.default_rng(seed)
-    return rng.multinomial(n, p)
+    return np.random.default_rng(seed).multinomial(n, p)
 
 
 def empirical_fim(counts: np.ndarray, dist: MeasurementDistribution):
@@ -566,7 +565,8 @@ def estimator_study(
     ratio under that law's lower 1% point, ``bound_floor`` (Wilson-Hilferty).
     """
     if batches < 2:
-        raise QcrbSatError(f"the estimator study needs at least 2 batches, got {batches}")
+        raise QcrbSatError(f"the estimator study needs at least 2 batches, got {batches}",
+                           batches=batches)
     likelihood = prob_fn if stacked else (lambda ts: np.stack([prob_fn(t) for t in ts]))
     counts = np.stack([sample_outcomes(dist, batch_size, seed + b) for b in range(batches)])
     est = max_likelihood_estimate(likelihood, counts, theta0, radius=radius, domain=domain)

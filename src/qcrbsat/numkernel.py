@@ -2,9 +2,9 @@
 
 Joint eigenprojectors of commuting Hermitian families, and the norms and
 residual metrics the saturability checks are built on.
-Everything here is a pure function of its arguments; randomness (the mixing
-coefficients used for joint diagonalization) comes from a generator supplied
-by the caller so runs are reproducible.
+Everything here is a pure function of its arguments: the joint
+diagonalization mixes its family with the fixed weights of
+:func:`mixing_weights`, so no generator enters.
 """
 
 from __future__ import annotations
@@ -74,6 +74,15 @@ def identity(n: int) -> np.ndarray:
     eye = np.eye(n)
     eye.flags.writeable = False
     return eye
+
+
+@functools.cache
+def mixing_weights(count: int) -> np.ndarray:
+    """The first ``count`` values of ``np.random.default_rng(0).standard_normal``: fixed real
+    weights as generic as a random draw, one read-only array shared by every caller."""
+    weights = np.random.default_rng(0).standard_normal(count)
+    weights.flags.writeable = False
+    return weights
 
 
 def opnorm(a: np.ndarray):
@@ -158,11 +167,12 @@ def joint_eigenprojectors(
 ) -> JointSpectrum:
     """Joint eigenspaces of a family of commuting Hermitian matrices.
 
-    A random real mixture of the family is diagonalized first; its eigenvalue
-    clusters are then refined member by member, which keeps already-resolved
-    members scalar on every block. Pairwise commutator residuals above
-    ``tol`` (relative to the product of norms) are refused, and so is a
-    member that is not scalar on a block or that its labels do not rebuild.
+    A fixed real mixture of the family (:func:`mixing_weights`) is
+    diagonalized first; its eigenvalue clusters are then refined member by
+    member, which keeps already-resolved members scalar on every block.
+    Pairwise commutator residuals above ``tol`` (relative to the product of
+    norms) are refused, and so is a member that is not scalar on a block or
+    that its labels do not rebuild.
 
     Every threshold is ``tol`` times a norm of the family floored at 1, so
     the family is expected at unit scale: ``tol`` is relative for members
@@ -176,7 +186,8 @@ def joint_eigenprojectors(
     ``Q diag(labels) Q^dag`` per member for the reconstruction check. Basis,
     labels, refusals and their residuals are those of the member-by-member
     loop, bit for bit. The projectors are made on first read (see
-    :class:`JointSpectrum`).
+    :class:`JointSpectrum`). ``rng`` is not read; it stays for the callers
+    that pass it, the benchmark's replay among them.
     """
     if len(family) == 0:
         raise ShapeError("empty family")
@@ -190,7 +201,6 @@ def joint_eigenprojectors(
     stack = hermitize(np.array(squares))
     m = len(stack)
 
-    rng = rng if rng is not None else np.random.default_rng(0)
     norms = [fro(a) for a in stack]
     products = stack[:, None] @ stack[None, :]
     residuals = np.zeros((m, m))
@@ -210,8 +220,7 @@ def joint_eigenprojectors(
 
     scales = np.maximum(1.0, opnorm(stack))
 
-    coeffs = rng.standard_normal(m)
-    mixture = sum(c * a for c, a in zip(coeffs, stack))
+    mixture = sum(c * a for c, a in zip(mixing_weights(m), stack))
 
     w, basis = np.linalg.eigh(hermitize(mixture))
     mix_scale = max(1.0, float(np.max(np.abs(w))))

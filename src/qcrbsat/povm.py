@@ -290,11 +290,11 @@ def construct_optimal(
     it, and the clusters do not depend on how the parameters are scaled.
     Each block is divided by its parameter's ``s_l``, not by its own norm:
     a ++ block that is rounding noise next to ``s_l`` stays noise.
-    ``lambdas`` is not read; it stays for the callers that pass it, the
-    benchmark's replay among them.
+    ``lambdas`` and ``rng`` are not read; they stay for the callers that
+    pass them, the benchmark's replay among them.
     """
     s = np.where(slds.scales > 0, slds.scales, 1.0)
-    spectrum = nk.joint_eigenprojectors(slds.Lpp / s[:, None, None], tol=tol, rng=rng)
+    spectrum = nk.joint_eigenprojectors(slds.Lpp / s[:, None, None], tol=tol)
     columns = [dec.V @ spectrum.basis]
     if dec.r_zero > 0:
         if W is None:
@@ -453,9 +453,7 @@ def _element_fit(e, kind, dec, slds, tol):
 
 
 def random_projective_povm(n: int, rng: np.random.Generator) -> POVM:
-    u = nk.haar_unitary(n, rng)
-    ranks = (1,) * n
-    return POVM(basis=u, ranks=ranks)
+    return POVM(basis=nk.haar_unitary(n, rng), ranks=(1,) * n)
 
 
 def random_povm(n: int, m: int, rng: np.random.Generator) -> POVM:
@@ -463,8 +461,7 @@ def random_povm(n: int, m: int, rng: np.random.Generator) -> POVM:
     for _ in range(m):
         z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         mats.append(z @ z.conj().T)
-    total = sum(mats)
-    w, v = np.linalg.eigh(nk.hermitize(total))
+    w, v = np.linalg.eigh(nk.hermitize(sum(mats)))
     inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
     return POVM(elements=[nk.hermitize(inv_sqrt @ a @ inv_sqrt) for a in mats])
 

@@ -475,7 +475,7 @@ class LoopSpectrum:
     block_dims: tuple
 
 
-def joint_eigenprojectors_loop(family, tol=1e-8, *, rng=None):
+def joint_eigenprojectors_loop(family, tol=1e-8):
     if len(family) == 0:
         raise nk.ShapeError("empty family")
     mats = [nk.hermitize(nk._require_square(a, f"family[{i}]")) for i, a in enumerate(family)]
@@ -501,8 +501,8 @@ def joint_eigenprojectors_loop(family, tol=1e-8, *, rng=None):
 
     scales = np.array([max(1.0, float(np.linalg.norm(a, 2))) for a in mats])
 
-    rng = rng if rng is not None else np.random.default_rng(0)
-    coeffs = rng.standard_normal(len(mats))
+    # the fixed mixing weights: the first draws of a generator seeded with 0
+    coeffs = np.random.default_rng(0).standard_normal(len(mats))
     mixture = sum(c * a for c, a in zip(coeffs, mats))
 
     w, basis = np.linalg.eigh(nk.hermitize(mixture))

@@ -48,7 +48,7 @@ def _pipeline(model, theta, scheme="auto", tol=None):
     dec = qs.support_decomposition(sp)
     slds = qs.compute_sld(dec, sp.drho, sld_tol=tol)
     f_q = qs.qfim(dec, slds)
-    rep = qs.evaluate_conditions(sp, dec, slds, tol=tol, rng=np.random.default_rng(0))
+    rep = qs.evaluate_conditions(sp, dec, slds, tol=tol)
     return sp, dec, slds, f_q, rep
 
 
@@ -62,9 +62,7 @@ def test_criterion_1_qutrit_grid_end_to_end():
                 start = time.perf_counter()
                 sp, dec, slds, f_q, rep = _pipeline(model, [t1, t2], scheme=scheme, tol=tol)
                 assert rep.verdict == "SATURABLE_CERTIFIED", (scheme, t1, t2)
-                povm = pv.construct_optimal(
-                    dec, slds, W=rep.cond4.W, tol=tol, rng=np.random.default_rng(0)
-                )
+                povm = pv.construct_optimal(dec, slds, W=rep.cond4.W, tol=tol)
                 assert povm.n_outcomes == 3
                 assert pv.validate(povm)["projective"]
                 dist = fi.outcome_distribution(sp.rho, sp.drho, povm, dec)
@@ -99,7 +97,7 @@ def test_criterion_3_full_rank_oracle():
     model = qs.get("diag-multinomial", dims=3)
     theta = [1 / 3, 1 / 3]
     sp, dec, slds, f_q, rep = _pipeline(model, theta)
-    povm = pv.construct_optimal(dec, slds, W=rep.cond4.W, rng=np.random.default_rng(0))
+    povm = pv.construct_optimal(dec, slds, W=rep.cond4.W)
     dist = fi.outcome_distribution(sp.rho, sp.drho, povm, dec)
     f_c = fi.classical_fim(dist)
     oracle = multinomial_fisher(theta)
@@ -176,7 +174,7 @@ def _criterion6_pairs():
         povms = []
         if rep.verdict == "SATURABLE_CERTIFIED":
             povms.append(
-                pv.construct_optimal(dec, slds, W=rep.cond4.W, rng=np.random.default_rng(0))
+                pv.construct_optimal(dec, slds, W=rep.cond4.W)
             )
         povms.append(pv.POVM(elements=[np.diag(r).astype(complex) for r in np.eye(n)]))
         povms.append(pv.POVM(elements=[np.eye(n)]))
@@ -247,7 +245,7 @@ def test_criterion_8_monte_carlo():
     start = time.perf_counter()
     model = qs.get("paper-qutrit", d=D, c1=C1, c2=C2)
     sp, dec, slds, f_q, rep = _pipeline(model, [0.3, 0.5])
-    povm = pv.construct_optimal(dec, slds, W=rep.cond4.W, rng=np.random.default_rng(0))
+    povm = pv.construct_optimal(dec, slds, W=rep.cond4.W)
     dist = fi.outcome_distribution(sp.rho, sp.drho, povm, dec)
     f_c = fi.classical_fim(dist)
     rec = fi.simulate(dist, trials=1_000_000, seed=42)

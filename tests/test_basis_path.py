@@ -47,7 +47,7 @@ def instance(request):
     slds = qs.compute_sld(dec, sp.drho)
     rep = qs.evaluate_conditions(sp, dec, slds)
     assert rep.verdict == "SATURABLE_CERTIFIED"
-    optimal = pv.construct_optimal(dec, slds, W=rep.cond4.W, rng=np.random.default_rng(0))
+    optimal = pv.construct_optimal(dec, slds, W=rep.cond4.W)
     if request.param == "zero-pp-blocks":
         assert max(optimal.ranks) > 1  # the one regular element spans the support
     return request.param, sp, dec, slds, optimal
@@ -180,7 +180,7 @@ def _certified(name, params, theta):
     dec = qs.support_decomposition(sp)
     slds = qs.compute_sld(dec, sp.drho)
     rep = qs.evaluate_conditions(sp, dec, slds)
-    optimal = pv.construct_optimal(dec, slds, W=rep.cond4.W, rng=np.random.default_rng(0))
+    optimal = pv.construct_optimal(dec, slds, W=rep.cond4.W)
     return sp, dec, slds, optimal
 
 

@@ -11,6 +11,7 @@ from qcrbsat import fisher as fi
 from qcrbsat import model as md
 from qcrbsat import povm as pv
 from qcrbsat.cli import main, parse_params
+from test_conditions import pure_real_multinomial_point
 
 
 def run(capsys, *argv):
@@ -166,6 +167,70 @@ class TestFisher:
                 "their information is left out of F_c"
             ]
             assert rep["fisher"]["saturated"] is False
+
+
+PLANTED = ["--model", "random-rank-r", "--params", "seed=3,n_s=8,r_plus=4,n_params=3"]
+
+
+class TestSeedIndependence:
+    """``--seed`` seeds only simulate's sampling: every other report is a function of the
+    state that records the seed, equal at every seed but for ``inputs.seed``."""
+
+    @staticmethod
+    def _pure_qutrit(tmp_path, n_params):
+        # real amplitudes, r+ = 1 and r0 = 2: the W search takes the real-rows construction
+        sp = pure_real_multinomial_point()
+        sp = md.StateAtPoint(theta=None, rho=sp.rho, drho=sp.drho[:n_params], scheme="analytic")
+        path = tmp_path / f"pure{n_params}.json"
+        path.write_text(json.dumps(md.state_to_numeric_model(sp)))
+        return ["--numeric-model", str(path)]
+
+    @staticmethod
+    def _reports(tmp_path, argv, extra=()):
+        """The report of ``argv`` (and the files ``extra`` names) at seeds 0 and 7."""
+        out = []
+        for seed in (0, 7):
+            named = {flag: tmp_path / f"{flag[2:]}{seed}.json" for flag in ("--output", *extra)}
+            assert main([*argv, "--seed", str(seed),
+                         *(x for flag, path in named.items() for x in (flag, str(path)))]) == 0
+            out.append({flag: path.read_bytes() for flag, path in named.items()})
+        return out
+
+    @staticmethod
+    def _without_seed(report):
+        entries = report["sweep"] if "sweep" in report else [report]
+        for entry in entries:
+            assert entry.get("inputs", {}).pop("seed", 0) in (0, 7)
+        return report
+
+    @pytest.mark.parametrize("state", ["planted", "pure1", "pure2"])
+    @pytest.mark.parametrize("command", ["analyze", "construct-povm", "fisher"])
+    def test_reports_equal_but_for_the_seed(self, tmp_path, state, command):
+        argv = ([*PLANTED, "--theta", "0,0,0"] if state == "planted"
+                else self._pure_qutrit(tmp_path, int(state[-1])))
+        extra = ("--povm-output",) if command == "construct-povm" else ()
+        a, b = self._reports(tmp_path, [command, *argv], extra)
+        assert json.loads(a["--output"])["verdict"] == "SATURABLE_CERTIFIED"
+        assert a["--output"] != b["--output"]  # the seed is recorded
+        assert (self._without_seed(json.loads(a["--output"]))
+                == self._without_seed(json.loads(b["--output"])))
+        if extra:
+            assert a["--povm-output"] == b["--povm-output"]
+
+    def test_sweep_equal_but_for_the_seed(self, tmp_path):
+        # a certified point and one whose state is not positive semidefinite
+        a, b = self._reports(tmp_path, ["sweep", *PLANTED, "--grid", "0:0.001:2,0:0:1,0:0:1"])
+        a, b = (self._without_seed(json.loads(r["--output"])) for r in (a, b))
+        assert [e.get("verdict") for e in a["sweep"]] == ["SATURABLE_CERTIFIED", None]
+        assert a == b
+
+    def test_simulate_samples_by_the_seed(self, tmp_path):
+        a, b = self._reports(tmp_path, ["simulate", *PLANTED, "--theta", "0,0,0",
+                                        "--trials", "1000"])
+        a, b = (self._without_seed(json.loads(r["--output"])) for r in (a, b))
+        assert a["monte_carlo"]["counts"] != b["monte_carlo"]["counts"]
+        del a["monte_carlo"], b["monte_carlo"]
+        assert a == b
 
 
 class TestSimulate:
@@ -468,21 +533,44 @@ class TestUsageErrors:
 class TestTypedRefusals:
     """Each refusal writes its typed error report to --output, exits 1 and prints nothing."""
 
-    @pytest.mark.parametrize("argv, message", [
+    @pytest.mark.parametrize("argv, message, detail", [
         (["analyze", "--model", "paper-qutrit", "--params", "d=0.6,,c1=1", "--theta", "0.3,0.5"],
-         "malformed parameter '', expected k=v"),
+         "malformed parameter '', expected k=v", {"option": "--params", "value": "d=0.6,,c1=1"}),
+        (["analyze", "--model", "paper-qutrit", "--theta", "0.3,x"],
+         "malformed theta '0.3,x', expected comma-separated floats",
+         {"option": "--theta", "value": "0.3,x"}),
+        (["sweep", "--model", "paper-qutrit", "--grid", "0.1:0.9:x,0.1:0.9:3"],
+         "malformed grid axis '0.1:0.9:x', expected start:stop:count",
+         {"option": "--grid", "value": "0.1:0.9:x,0.1:0.9:3"}),
         (["sweep", "--model", "paper-qutrit", "--grid", "0.1:0.5:0,0.1:0.9:3"],
-         "grid axis needs at least one point, got 0"),
-        (["analyze", "--model", "paper-qutrit"], "--theta is required with --model"),
+         "grid axis needs at least one point, got 0",
+         {"option": "--grid", "value": "0.1:0.5:0,0.1:0.9:3"}),
+        # a non-finite end would write nan or inf into the report's theta, which is not JSON
+        (["sweep", "--model", "paper-qutrit", "--grid", "nan:0.9:2,0.1:0.9:1"],
+         "grid axis 'nan:0.9:2' needs a finite start and stop",
+         {"option": "--grid", "value": "nan:0.9:2,0.1:0.9:1"}),
+        (["sweep", "--model", "paper-qutrit", "--grid", "0.1:0.9:1,0.1:inf:2"],
+         "grid axis '0.1:inf:2' needs a finite start and stop",
+         {"option": "--grid", "value": "0.1:0.9:1,0.1:inf:2"}),
+        (["sweep", "--model", "paper-qutrit", "--grid", "0.1:0.9:1,-inf:0.9:1"],
+         "grid axis '-inf:0.9:1' needs a finite start and stop",
+         {"option": "--grid", "value": "0.1:0.9:1,-inf:0.9:1"}),
+        (["analyze", "--theta", "0.3,0.5"], "either --model or --numeric-model is required",
+         {"option": "--model", "value": None}),
+        (["analyze", "--model", "paper-qutrit"], "--theta is required with --model",
+         {"option": "--theta", "value": None}),
         (["sweep", "--grid", "0.1:0.9:3,0.1:0.9:3"],
-         "sweep requires --model (numeric models are single-point)"),
+         "sweep requires --model (numeric models are single-point)",
+         {"option": "--model", "value": None}),
         (["sweep", "--model", "paper-qutrit", "--grid", "0.1:0.9:3"],
-         "grid has 1 axes, model has 2 parameters"),
-        (["simulate", *QUTRIT, "--trials", "0"], "need at least one trial, got 0"),
+         "grid has 1 axes, model has 2 parameters", {"option": "--grid", "value": "0.1:0.9:3"}),
+        (["simulate", *QUTRIT, "--trials", "0"], "need at least one trial, got 0", {"trials": 0}),
+        (["simulate", *QUTRIT, "--trials", "1000", "--batches", "1", "--estimator"],
+         "the estimator study needs at least 2 batches, got 1", {"batches": 1}),
         (["simulate", "--numeric-model", "{qutrit}", "--trials", "1000", "--estimator"],
-         "the estimator study needs a registry model"),
+         "the estimator study needs a registry model", {"option": "--model", "value": None}),
     ])
-    def test_refusal_is_a_report(self, capsys, tmp_path, qutrit_point, argv, message):
+    def test_refusal_is_a_report(self, capsys, tmp_path, qutrit_point, argv, message, detail):
         qutrit = tmp_path / "qutrit.json"
         qutrit.write_text(json.dumps(md.state_to_numeric_model(qutrit_point)))
         out = tmp_path / "out.json"
@@ -492,6 +580,7 @@ class TestTypedRefusals:
         rep = json.loads(out.read_text())
         assert rep["error"]["type"] == "QcrbSatError"
         assert rep["error"]["message"] == message
+        assert rep["error"]["detail"] == detail
 
 
 class TestInputFiles:
@@ -624,6 +713,7 @@ class TestInputFiles:
         assert code == 1
         assert rep["error"]["type"] == "QcrbSatError"
         assert "at least 2 batches" in rep["error"]["message"]
+        assert rep["error"]["detail"] == {"batches": int(batches)}
 
     def test_estimator_needs_a_trial_per_batch(self, capsys, monkeypatch):
         drawn = []

@@ -230,8 +230,7 @@ class TestCondition4:
         # a mixed column refuses every candidate; the pinv one comes closest, ahead of the identity
         lpz = _mixed_blocks(np.random.default_rng(2))[0]
         ref = np.argmax(np.linalg.norm(lpz, axis=(1, 2)))
-        ws, found = cond._candidate_w_pinv(lpz[None], ref[None], 1e-8,
-                                           lambda _: np.random.default_rng(0))
+        ws, found = cond._candidate_w_pinv(lpz[None], ref[None], 1e-8)
         tried = [cond.verify_condition4_with_w(lpz, w)[3] for w in (ws[0], np.eye(2))]
         assert found[0] and tried[0] < tried[1]
         res = cond.find_w_condition4(lpz)
@@ -393,8 +392,7 @@ class TestGillMassar:
                 assert self._gill_massar(sp, dec, slds, povm) <= bound
         rep = _analyze(sp, dec, slds)
         if rep.verdict == cond.VERDICT_SATURABLE:
-            povm = pv.construct_optimal(dec, slds, W=rep.cond4.W, lambdas=rep.cond4.lambdas,
-                                        rng=np.random.default_rng(0))
+            povm = pv.construct_optimal(dec, slds, W=rep.cond4.W, lambdas=rep.cond4.lambdas)
             assert self._gill_massar(sp, dec, slds, povm) <= bound
 
 
@@ -671,7 +669,7 @@ class TestWSearchProperties:
         vanish = int(rng.integers(0, r0))
         lpz, _, lam = _planted_blocks(rng, p, r0 + extra, r0, vanish, float(spread))
         ref = np.argmax(np.linalg.norm(lpz, axis=(1, 2)))
-        w, found = cond._candidate_w_pinv(lpz[None], ref[None], 1e-8, lambda _: rng)
+        w, found = cond._candidate_w_pinv(lpz[None], ref[None], 1e-8)
         assert found[0] and cond.verify_condition4_with_w(lpz, w[0])[0]
         res = self._certified(lpz)
         _same_columns(res.lambdas, lam, rtol=1e-6)
@@ -683,7 +681,7 @@ class TestWSearchProperties:
         rng = np.random.default_rng(seed)
         vanish = int(rng.integers(0, r0))
         lpz, _, _ = _planted_blocks(rng, p, 1, r0, vanish, float(spread))
-        w = cond._candidate_w_totally_real(lpz[:, 0], 1e-8, rng)
+        w = cond._candidate_w_totally_real(lpz[:, 0], 1e-8)
         assert w is not None and cond.verify_condition4_with_w(lpz, w)[0]
         res = self._certified(lpz)
         # any real rotation of the real columns aligns the rows, so only the
@@ -726,9 +724,9 @@ class TestWSearchProperties:
         else:
             lpz = rng.standard_normal((p, 1, r0)) + 1j * rng.standard_normal((p, 1, r0))
         ref = np.argmax(np.linalg.norm(lpz, axis=(1, 2)))
-        ws, found = cond._candidate_w_pinv(lpz[None], ref[None], 1e-8, lambda _: rng)
+        ws, found = cond._candidate_w_pinv(lpz[None], ref[None], 1e-8)
         pinv_verifies = found[0] and cond.verify_condition4_with_w(lpz, ws[0])[0]
-        w = cond._candidate_w_totally_real(lpz[:, 0], 1e-8, rng)
+        w = cond._candidate_w_totally_real(lpz[:, 0], 1e-8)
         if pinv_verifies:
             assert w is not None and cond.verify_condition4_with_w(lpz, w)[0]
         if kind == "proportional":  # where the pinv W verifies, so the claim is not vacuous
@@ -808,9 +806,7 @@ class TestCondition2Prime:
         from qcrbsat import povm as pv
 
         rep = qs.evaluate_conditions(qutrit_point, qutrit_dec, qutrit_slds)
-        popt = pv.construct_optimal(
-            qutrit_dec, qutrit_slds, W=rep.cond4.W, rng=np.random.default_rng(0)
-        )
+        popt = pv.construct_optimal(qutrit_dec, qutrit_slds, W=rep.cond4.W)
         nulls = [e for e, k in zip(popt.elements, popt.classification) if k == "null"]
         res = cond.verify_condition2prime(
             qutrit_model, qutrit_point, qs.get_witness("paper-qutrit"), null_povm=nulls
@@ -1139,7 +1135,7 @@ class TestCondition2PrimeStencil:
             dec = qs.support_decomposition(sp)
             slds = qs.compute_sld(dec, sp.drho)
             rep = qs.evaluate_conditions(sp, dec, slds)
-            popt = pv.construct_optimal(dec, slds, W=rep.cond4.W, rng=np.random.default_rng(0))
+            popt = pv.construct_optimal(dec, slds, W=rep.cond4.W)
             nulls = [e for e, k in zip(popt.elements, popt.classification) if k == "null"]
         new = cond.verify_condition2prime(model, sp, witness, null_povm=nulls)
         old = verify_condition2prime_loop(model, sp, witness, null_povm=nulls)

@@ -24,9 +24,7 @@ from oracles import (
 @pytest.fixture()
 def qutrit_optimal(qutrit_point, qutrit_dec, qutrit_slds):
     rep = qs.evaluate_conditions(qutrit_point, qutrit_dec, qutrit_slds)
-    povm = pv.construct_optimal(
-        qutrit_dec, qutrit_slds, W=rep.cond4.W, rng=np.random.default_rng(0)
-    )
+    povm = pv.construct_optimal(qutrit_dec, qutrit_slds, W=rep.cond4.W)
     dist = fi.outcome_distribution(qutrit_point.rho, qutrit_point.drho, povm, qutrit_dec)
     return povm, dist
 
@@ -305,7 +303,7 @@ def _optimal(sp):
     slds = qs.compute_sld(dec, sp.drho)
     rep = qs.evaluate_conditions(sp, dec, slds)
     assert rep.verdict == "SATURABLE_CERTIFIED"
-    povm = pv.construct_optimal(dec, slds, W=rep.cond4.W, rng=np.random.default_rng(0))
+    povm = pv.construct_optimal(dec, slds, W=rep.cond4.W)
     return povm, fi.outcome_distribution(sp.rho, sp.drho, povm, dec)
 
 

@@ -1,5 +1,3 @@
-import copy
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,7 +39,7 @@ class TestJointEigenprojectors:
         q = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))[0]
         lab = np.array([[1.0, 1.0, 2.0, 2.0, 3.0], [0.5, 0.5, 0.5, 1.5, 1.5]])
         family = [q @ np.diag(lab[i]) @ q.conj().T for i in range(2)]
-        spec = nk.joint_eigenprojectors(family, rng=np.random.default_rng(11))
+        spec = nk.joint_eigenprojectors(family)
         assert spec.chi == 4  # joint tuples (1,.5), (2,.5), (2,1.5), (3,1.5)
         total = sum(spec.projectors)
         assert nk.fro(total - np.eye(5)) <= 1e-10
@@ -56,8 +54,8 @@ class TestJointEigenprojectors:
             q @ np.diag([1.0, 2.0, 2.0, 3.0]) @ q.conj().T,
             q @ np.diag([5.0, 5.0, 6.0, 6.0]) @ q.conj().T,
         ]
-        s1 = nk.joint_eigenprojectors(fam, rng=np.random.default_rng(0))
-        s2 = nk.joint_eigenprojectors(fam[::-1], rng=np.random.default_rng(0))
+        s1 = nk.joint_eigenprojectors(fam)
+        s2 = nk.joint_eigenprojectors(fam[::-1])
         assert s1.chi == s2.chi
         # match blocks through their label tuples (order of members swaps)
         for k in range(s1.chi):
@@ -76,8 +74,8 @@ class TestJointEigenprojectors:
 
     def test_seeded_mixture_reproducible(self):
         fam = [np.diag([1.0, 2.0, 3.0]), np.diag([1.0, 1.0, 2.0])]
-        s1 = nk.joint_eigenprojectors(fam, rng=np.random.default_rng(42))
-        s2 = nk.joint_eigenprojectors(fam, rng=np.random.default_rng(42))
+        s1 = nk.joint_eigenprojectors(fam)
+        s2 = nk.joint_eigenprojectors(fam)
         assert np.array_equal(s1.labels, s2.labels)
         for p1, p2 in zip(s1.projectors, s2.projectors):
             assert np.array_equal(p1, p2)
@@ -95,7 +93,7 @@ class TestJointEigenprojectors:
         rng = np.random.default_rng(9)
         q = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[0]
         fam = [q @ np.diag(rng.integers(0, 3, 6).astype(float)) @ q.conj().T for _ in range(3)]
-        spec = nk.joint_eigenprojectors(fam, rng=rng)
+        spec = nk.joint_eigenprojectors(fam)
         assert sum(spec.block_dims) == 6
 
     def test_one_spectral_norm_per_member(self, monkeypatch):
@@ -197,31 +195,36 @@ class TestNormStack:
         with pytest.raises(ValueError):
             eye[0, 0] = 2.0
 
+    @pytest.mark.parametrize("count", [1, 3, 16])
+    def test_mixing_weights_are_shared_read_only_seed_zero_draws(self, count):
+        weights = nk.mixing_weights(count)
+        assert weights is nk.mixing_weights(count)
+        assert _bits(weights) == _bits(np.random.default_rng(0).standard_normal(count))
+        with pytest.raises(ValueError):
+            weights[0] = 2.0
+
 
 def _bits(a):
     a = np.asarray(a)
     return a.dtype.str, a.shape, a.tobytes()
 
 
-def _assert_matches_loop(family, tol=1e-8, rng=None):
-    """Projectors, labels, basis, block sizes and the generator's next draw, bit for bit."""
-    rng = rng if rng is not None else np.random.default_rng(0)
-    rng_new, rng_old = copy.deepcopy(rng), copy.deepcopy(rng)
-    new = nk.joint_eigenprojectors(family, tol, rng=rng_new)
-    old = joint_eigenprojectors_loop(family, tol, rng=rng_old)
+def _assert_matches_loop(family, tol=1e-8):
+    """Projectors, labels, basis and block sizes, bit for bit."""
+    new = nk.joint_eigenprojectors(family, tol)
+    old = joint_eigenprojectors_loop(family, tol)
     assert [_bits(p) for p in new.projectors] == [_bits(p) for p in old.projectors]
     assert _bits(new.labels) == _bits(old.labels)
     assert _bits(new.basis) == _bits(old.basis)
     assert new.block_dims == old.block_dims
-    assert _bits(rng_new.standard_normal(3)) == _bits(rng_old.standard_normal(3))
     return new
 
 
 def _same_error(exc_type, family, tol=1e-8):
     with pytest.raises(exc_type) as new:
-        nk.joint_eigenprojectors(family, tol, rng=np.random.default_rng(0))
+        nk.joint_eigenprojectors(family, tol)
     with pytest.raises(exc_type) as old:
-        joint_eigenprojectors_loop(family, tol, rng=np.random.default_rng(0))
+        joint_eigenprojectors_loop(family, tol)
     assert str(new.value) == str(old.value)
     assert new.value.to_dict() == old.value.to_dict()
 
@@ -251,7 +254,7 @@ class TestJointEigenprojectorsMatchLoop:
         _rotated([[1.0, 1.0, 2.0, 2.0], [3.0, 4.0, 3.0, 4.0]], seed=2),
     ], ids=["diag", "diag-pair", "rotated", "rotated-pair"])
     def test_all_singleton_clusters(self, family):
-        assert _assert_matches_loop(family, rng=np.random.default_rng(5)).block_dims == (1,) * len(family[0])
+        assert _assert_matches_loop(family).block_dims == (1,) * len(family[0])
 
     @pytest.mark.parametrize("family", [
         [np.diag([1.0, 1.0, 2.0, 3.0, 3.0, 3.0])],
@@ -261,7 +264,7 @@ class TestJointEigenprojectorsMatchLoop:
                   [4.0, 4.0, 4.0, 4.0, 4.0, 4.0]], seed=4),
     ], ids=["diag", "diag-pair", "rotated-pair", "rotated-triple"])
     def test_mixed_degenerate_clusters(self, family):
-        spec = _assert_matches_loop(family, rng=np.random.default_rng(6))
+        spec = _assert_matches_loop(family)
         assert 1 in spec.block_dims and max(spec.block_dims) > 1
 
     @pytest.mark.parametrize("name, params, theta, n_w", [
@@ -275,25 +278,24 @@ class TestJointEigenprojectorsMatchLoop:
         calls = []
         loop = nk.joint_eigenprojectors
 
-        def record(family, tol=1e-8, *, rng=None):
-            calls.append(([np.array(a) for a in family], tol, copy.deepcopy(rng)))
-            return loop(family, tol, rng=rng)
+        def record(family, tol=1e-8):
+            calls.append(([np.array(a) for a in family], tol))
+            return loop(family, tol)
 
         monkeypatch.setattr(nk, "joint_eigenprojectors", record)
         sp = qs.evaluate(qs.get(name, **params), theta)
         dec = qs.support_decomposition(sp)
         slds = qs.compute_sld(dec, sp.drho)
-        rep = qs.evaluate_conditions(sp, dec, slds, rng=np.random.default_rng(0))
+        rep = qs.evaluate_conditions(sp, dec, slds)
         assert rep.verdict == cond.VERDICT_SATURABLE
-        pv.construct_optimal(dec, slds, W=rep.cond4.W, lambdas=rep.cond4.lambdas,
-                             rng=np.random.default_rng(0))
+        pv.construct_optimal(dec, slds, W=rep.cond4.W, lambdas=rep.cond4.lambdas)
         monkeypatch.undo()
         # the W search's pinv family (none at r0 = 1, whose joint eigenbasis is [[1]]), then
         # the ++ blocks of the construction
         w_search = [(n_w, n_w)] if n_w > 1 else []
         assert [c[0][0].shape for c in calls] == w_search + [(dec.r_plus, dec.r_plus)]
-        for family, tol, rng in calls:
-            _assert_matches_loop(family, tol, rng)
+        for family, tol in calls:
+            _assert_matches_loop(family, tol)
 
     def test_same_refusals(self):
         _same_error(nk.NotCommutingError, [X, Z])
@@ -368,8 +370,7 @@ def commuting_families(draw):
 
 class TestJointEigenprojectorsProperty:
     @settings(max_examples=150, deadline=None)
-    @given(family=commuting_families(), tol=st.sampled_from([1e-8, 1e-10]),
-           seed=st.integers(0, 2**16))
-    def test_matches_loop(self, family, tol, seed):
-        spec = _assert_matches_loop(family, tol, np.random.default_rng(seed))
+    @given(family=commuting_families(), tol=st.sampled_from([1e-8, 1e-10]))
+    def test_matches_loop(self, family, tol):
+        spec = _assert_matches_loop(family, tol)
         assert sum(spec.block_dims) == len(family[0])

@@ -11,10 +11,10 @@ from qcrbsat import povm as pv
 from qcrbsat.jsonio import SchemaError
 
 
-def optimal_for(sp, dec, slds, seed=0):
+def optimal_for(sp, dec, slds):
     rep = qs.evaluate_conditions(sp, dec, slds)
     assert rep.verdict == "SATURABLE_CERTIFIED"
-    return pv.construct_optimal(dec, slds, W=rep.cond4.W, rng=np.random.default_rng(seed))
+    return pv.construct_optimal(dec, slds, W=rep.cond4.W)
 
 
 class TestValidate:
@@ -263,9 +263,7 @@ class TestElementsOnDemand:
 class TestStructuralCertificate:
     def test_constructed_povm_certifies(self, qutrit_point, qutrit_dec, qutrit_slds):
         rep = qs.evaluate_conditions(qutrit_point, qutrit_dec, qutrit_slds)
-        povm = pv.construct_optimal(
-            qutrit_dec, qutrit_slds, W=rep.cond4.W, rng=np.random.default_rng(0)
-        )
+        povm = pv.construct_optimal(qutrit_dec, qutrit_slds, W=rep.cond4.W)
         cert = pv.verify_saturation_structural(povm, qutrit_dec, qutrit_slds)
         assert cert.passed
         # regular constants equal the joint eigenvalue labels

@@ -106,7 +106,7 @@ def _single(model, witness, theta, scheme):
               qs.check_condition3(slds, tol))
     c2p = [qs.verify_condition2prime(model, sp, w, tol=max(tol, 1e-8)) for w in _witnesses(witness)]
     reports = [qs.evaluate_conditions(sp, dec, slds, model=model, witness=witness,
-                                      rng=np.random.default_rng(7), diagnostics=diagnostics)
+                                      diagnostics=diagnostics)
                for diagnostics in (False, True)]
     return sp, dec, slds, qs.qfim(dec, slds), checks, c2p, reports
 
@@ -127,7 +127,6 @@ def _stacked(model, witness, thetas, scheme):
         c2p = [qs.verify_condition2prime(model, group, w, tol=max(tol, 1e-8))
                for w in _witnesses(witness)]
         reports = [cond.condition_reports(group, dec, slds, model=model, witness=witness,
-                                          rngs=lambda _: np.random.default_rng(7),
                                           diagnostics=diagnostics)
                    for diagnostics in (False, True)]
         for i, k in enumerate(rows.tolist()):
@@ -229,13 +228,12 @@ def _same_cond4(got, want):
             _same(a, b)
 
 
-def _stacked_cond4(lpz, floors, seed=11, tol=1e-8):
+def _stacked_cond4(lpz, floors, tol=1e-8):
     """The stacked W search of ``lpz``, each row checked against `find_w_condition4` alone."""
     lpz, floors = np.array(lpz, dtype=complex), np.array(floors, dtype=float)
-    got = cond._find_w_stack(lpz, tol, floors, lambda _: np.random.default_rng(seed))
+    got = cond._find_w_stack(lpz, tol, floors)
     for block, floor, res in zip(lpz, floors, got):
-        _same_cond4(res, cond.find_w_condition4(block, tol, rng=np.random.default_rng(seed),
-                                                scale_floor=floor))
+        _same_cond4(res, cond.find_w_condition4(block, tol, scale_floor=floor))
     return [r.status for r in got]
 
 
@@ -313,27 +311,6 @@ def test_stacked_w_search_all_vacuous():
     assert _stacked_cond4(np.zeros((4, 2, 2, 3)), [0.0, 1.0, 2.0, 0.0]) == ["CERTIFIED_YES"] * 4
     tiny = 1e-12 * np.ones((3, 2, 2, 2))
     assert _stacked_cond4(tiny, [1.0] * 3) == ["CERTIFIED_YES"] * 3
-
-
-def test_w_search_makes_a_generator_only_where_it_draws():
-    made = []
-
-    def rngs(_):
-        made.append(np.random.default_rng(5))
-        return made[-1]
-
-    blocks, floors = _model_blocks("qutrit-phase-mixture", {"d": 0.6, "c1": 1.0, "c2": 0.7},
-                                   [np.array([0.3, 0.5]), np.array([0.6, 0.2])])
-    cond._find_w_stack(np.array(blocks), 1e-8, np.array(floors), rngs)
-    assert made == []  # r0 = 1: the identity alone, nothing drawn
-    # the pure qubit (r+ = r0 = 1) tries the identity alone too
-    blocks, floors = _model_blocks("pure-qubit-amp-phase", {}, [np.array([0.7, 0.3])])
-    cond._find_w_stack(np.array(blocks), 1e-8, np.array(floors), rngs)
-    assert made == []
-    # an r+ = 1, r0 = 2 point runs the real-rows construction, which draws from its generator
-    cond._find_w_stack(_pure_qutrit_blocks((0.3, 0.45))[None], 1e-8, np.array([0.0]), rngs)
-    assert len(made) == 1
-    assert made[0].bit_generator.state != np.random.default_rng(5).bit_generator.state
 
 
 @pytest.mark.parametrize("name, params", [
