@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 import numpy as np
@@ -440,17 +441,19 @@ _COMMANDS = {
 
 def _write(obj, path, option: str, **kw) -> None:
     """:func:`~qcrbsat.jsonio.write_json` to ``path``, the file ``option`` names; one that
-    cannot be written raises a :class:`QcrbSatError` naming both."""
+    cannot be written raises a :class:`QcrbSatError` naming both. A reader that
+    closes stdout early raises :class:`BrokenPipeError`."""
     try:
         jsonio.write_json(obj, path, **kw)
     except OSError as exc:
+        if path is None and isinstance(exc, BrokenPipeError):
+            raise
         raise QcrbSatError(f"cannot write {option} {path!r}: {exc.strerror or exc}",
                            option=option, path=path) from exc
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run(args) -> int:
+    """Run the command and write its report, or the error it raises; the exit code."""
     try:
         if args.seed < 0:  # refused by every command, though simulate alone seeds a generator
             raise _usage(f"--seed must be a non-negative integer, got {args.seed}",
@@ -464,6 +467,16 @@ def main(argv=None) -> int:
     except QcrbSatError:  # to stdout when --output cannot be written
         jsonio.write_json(error, None)
     return 1
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except BrokenPipeError:  # stdout's reader is gone: no report can reach it
+        # the interpreter flushes stdout once more at exit; that flush goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

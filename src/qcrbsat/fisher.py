@@ -114,15 +114,14 @@ def outcome_distribution(
     outcome is singular when some ``|d_l p_k|`` exceeds ``deriv_tol`` times
     ``||d_l rho||``: the derivative scheme's tolerance, the cut every other
     layer judges derivatives at.
-    A basis measurement is read through its basis (:mod:`basisform`); any
-    other element by element.
+
+    Every number is read from the measurement's factor ``F``
+    (:mod:`basisform`): ``p_k = tr(B_k^dag rho B_k)`` from one product
+    ``X F`` per operator, and the null information from ``F^dag Y``, so no
+    dense element is formed whatever form the measurement came in.
     """
     p = len(drho)
-    states = np.concatenate([rho[None], drho])
-    if povm.basis is not None:
-        traces = basisform.traces(povm.basis, povm.ranks, states)
-    else:
-        traces = probabilities(states, np.stack(povm.elements))
+    traces = basisform.traces(povm.factor, povm.ranks, np.concatenate([rho[None], drho]))
     probs, dprobs = traces[0], traces[1:]
     # |tr(X (sum_k E_k - I))| <= ||X|| ||sum_k E_k - I||, and tr(rho E_k) >= min eig(E_k)
     sum_tol = VALID_TOL * max(1.0, len(rho))
@@ -153,12 +152,7 @@ def outcome_distribution(
     lpz = plus_null_blocks(dec, drho)
     structural = ~support_mask
     structural[singular] = False
-    if povm.basis is not None:
-        infos = _basis_null_infos(povm, dec, lpz, structural)
-    else:
-        q_lpz = dec.q[:, None] * lpz
-        infos = (_element_null_info(povm.elements[k], dec, lpz, q_lpz)
-                 for k in np.flatnonzero(structural).tolist())
+    infos = _null_infos(povm, dec, lpz, structural)
     null_info = []
     for k, info in zip(np.flatnonzero(structural).tolist(), infos):
         w = np.linalg.eigvalsh(info)
@@ -174,27 +168,15 @@ def outcome_distribution(
     )
 
 
-def _element_null_info(e, dec: SupportDecomposition, lpz, q_lpz) -> np.ndarray:
-    """``Re tr(Lpz_l^dag diag(q) Lpz_m E_00)`` of one dense element; ``q_lpz = diag(q) Lpz``."""
-    p = len(lpz)
-    e00 = dec.Y.conj().T @ e @ dec.Y
-    info = np.zeros((p, p))
-    for l in range(p):
-        for mm in range(l, p):
-            val = float(np.trace(lpz[l].conj().T @ q_lpz[mm] @ e00).real)
-            info[l, mm] = info[mm, l] = val
-    return info
-
-
-def _basis_null_infos(povm: POVM, dec: SupportDecomposition, lpz: np.ndarray, keep) -> np.ndarray:
-    """The null information of the basis elements ``keep`` marks, in element order.
+def _null_infos(povm: POVM, dec: SupportDecomposition, lpz: np.ndarray, keep) -> np.ndarray:
+    """The null information of the elements ``keep`` marks, in element order.
 
     With ``Z_l = C^dag Lpz_l^dag`` the rows of :func:`basisform.null_terms`,
     ``tr(Lpz_l^dag diag(q) Lpz_m C C^dag) = sum_ij Z_l[i, j] q_j conj(Z_m[i, j])``;
-    the upper triangle is mirrored, as on the element path.
+    the upper triangle is mirrored.
     """
     infos = np.zeros((povm.n_outcomes, len(lpz), len(lpz)))
-    for idx, _, z in basisform.null_terms(povm.basis, povm.ranks, dec, lpz, keep):
+    for idx, _, z in basisform.null_terms(povm.factor, povm.ranks, dec, lpz, keep):
         full = np.einsum("lkij,mkij->klm", z * dec.q, z.conj()).real
         infos[idx] = np.triu(full) + np.triu(full, 1).swapaxes(1, 2)
     return infos[keep]

@@ -9,9 +9,11 @@ pairwise, ``E_00 (Lpz_l^dag - c Lpz_m^dag) = 0`` with real constants. The
 certificate below fits those constants by least squares and treats any
 imaginary residue as part of the failure residual.
 
-A measurement comes in one of two forms. A projective measurement built
-from one basis keeps it, and every check reads that basis through
-:mod:`basisform`; any other measurement is checked element by element.
+Every measurement is held as one factor ``F``, ``n x R``, whose column
+blocks ``B_k`` give the elements ``E_k = B_k B_k^dag``, and every check reads
+``F`` through :mod:`basisform`. A projective measurement built from one basis
+has that basis as its factor; a list of elements is factored on load. The
+form a measurement came in decides only how it is written.
 """
 
 from __future__ import annotations
@@ -68,15 +70,21 @@ class _Elements:
 class POVM:
     """A finite measurement: PSD elements summing to the identity.
 
-    A projective measurement built from one basis also keeps that ``basis``
-    (an ``n x n`` matrix, unitary when the measurement is valid) and the
-    widths ``ranks`` of the column blocks its elements project onto, and is
-    given by those alone: its ``elements``, the blocks' projectors (see
-    :func:`elements_from_basis`), are made on first read. Validation,
-    classification, the certificate and the outcome distribution of such a
-    measurement read the basis, and reports write it instead of the
-    elements, so none of them makes the elements.
-    A measurement without a basis is read element by element.
+    Every measurement holds one ``factor`` ``F = [B_1 ... B_M]``, an
+    ``n x R`` matrix whose column blocks ``B_k``, ``ranks[k]`` columns wide,
+    give the elements ``E_k = B_k B_k^dag``. Classification, the certificate
+    and the outcome distribution read ``F`` (see :mod:`basisform`).
+
+    A projective measurement built from one basis keeps that ``basis`` (an
+    ``n x n`` matrix, unitary when the measurement is valid) as its factor,
+    and is given by it and ``ranks`` alone: its ``elements`` are made on
+    first read (see :func:`elements_from_basis`), and reports write the
+    basis instead. A measurement given by its ``elements`` keeps them as
+    given, for reports and the likelihood, and is factored once, here: one
+    stacked ``eigh`` of their Hermitian parts gives ``B_k = V_k sqrt(w_k)``
+    over the eigenvalues ``w`` above eigh's resolution ``n eps ||E_k||_op``
+    (the rest are zero to rounding, so a projective list has ``R = n``), and
+    the same eigendata give its validation diagnostics (see :func:`validate`).
     """
 
     elements: Optional[list] = _Elements()
@@ -84,6 +92,7 @@ class POVM:
     meta: dict = field(default_factory=dict)
     basis: Optional[np.ndarray] = None
     ranks: Optional[tuple] = None
+    factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.basis is not None:
@@ -97,6 +106,7 @@ class POVM:
                     f"a basis of shape {self.basis.shape} with blocks {self.ranks} "
                     "does not describe a measurement"
                 )
+            self.factor = self.basis
         else:
             self.elements = [np.asarray(e, dtype=complex) for e in self.elements or ()]
             if not self.elements:
@@ -107,14 +117,21 @@ class POVM:
                     raise InvalidPOVMError(
                         f"element {k} has shape {e.shape}, expected ({n}, {n})", element=k
                     )
+            stack = np.array(self.elements)
+            w, v = np.linalg.eigh(nk.hermitize(stack))
+            # an eigenvalue within eigh's resolution n eps ||E_k|| of 0 is 0, and adds no column
+            keep = w > n * np.finfo(float).eps * np.abs(w).max(axis=1, keepdims=True)
+            self.ranks = tuple(keep.sum(axis=1).tolist())
+            self.factor = v.transpose(1, 0, 2)[:, keep] * np.sqrt(w[keep])
+            self._checks = _element_checks(self.elements, stack, w, v)
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.ranks) if self.basis is not None else len(self.elements)
+        return len(self.ranks)
 
     @property
     def dim(self) -> int:
-        return len(self.basis) if self.basis is not None else self.elements[0].shape[0]
+        return len(self.factor)
 
 
 def validate(povm: POVM, tol: float = VALID_TOL) -> dict:
@@ -126,32 +143,16 @@ def validate(povm: POVM, tol: float = VALID_TOL) -> dict:
     measurement is complete, Hermitian and positive semidefinite.
     ``projectivity_residual`` bounds from above every ``||E_i^2 - E_i||``
     and ``||[E_i, E_j]||`` (Frobenius). A basis measurement is read from its
-    Gram matrix (see :func:`basisform.validate`). Otherwise, when the elements'
-    eigenvalues above 1/2 number n in total, the commutators are bounded
-    through one Gram matrix of those eigenvectors (see
-    :func:`_commutator_bound`); failing that each pair's commutator is
-    computed.
+    Gram matrix (see :func:`basisform.validate`), a list of elements from
+    the diagnostics its factorization left (see :func:`_element_checks`).
     """
     n = povm.dim
     if povm.basis is not None:
         completeness, min_eigs, herm_defects, proj_res = basisform.validate(povm.basis, povm.ranks)
         hermitian = [True] * len(herm_defects)  # B_k B_k^dag is stored hermitized
     else:
-        total = sum(povm.elements)
-        completeness = nk.fro(total - np.eye(n))
-        stack = np.array(povm.elements)
-        herm_defects = [nk.herm_defect(e) for e in povm.elements]
-        hermitian = (np.array(herm_defects) <= tol * nk.fro_stack(stack)).tolist()
-        w, v = np.linalg.eigh((stack + stack.conj().transpose(0, 2, 1)) / 2.0)
-        min_eigs = [float(x) for x in w[:, 0]]
-        proj_res = float(np.max(np.linalg.norm(stack @ stack - stack, axis=(1, 2))))
-        upper = w > 0.5
-        if upper.sum() == n:
-            proj_res = max(proj_res, _commutator_bound(w, v, upper, np.array(herm_defects)))
-        else:
-            for i, e in enumerate(povm.elements):
-                for f in povm.elements[i + 1:]:
-                    proj_res = max(proj_res, nk.fro(e @ f - f @ e))
+        completeness, min_eigs, herm_defects, norms, proj_res = povm._checks
+        hermitian = (np.array(herm_defects) <= tol * norms).tolist()
     psd_ok = all(m >= -tol for m in min_eigs)
     complete = completeness <= tol * max(1.0, n)
     projective = proj_res <= tol * max(1.0, n)
@@ -168,6 +169,30 @@ def validate(povm: POVM, tol: float = VALID_TOL) -> dict:
         "valid": complete and psd_ok and all(hermitian),
         "tol": tol,
     }
+
+
+def _element_checks(elements, stack, w, v):
+    """``(completeness, min_eigs, herm_defects, norms, proj_res)`` of a list of elements.
+
+    ``stack`` holds the elements and ``w, v`` the eigendata of their
+    Hermitian parts, so the minimum eigenvalues, negative ones included,
+    are ``w[:, 0]``. When the eigenvalues above 1/2 number n in total, the
+    commutators are bounded through one Gram matrix of those eigenvectors
+    (see :func:`_commutator_bound`); failing that each pair's commutator is
+    computed.
+    """
+    n = stack.shape[-1]
+    completeness = nk.fro(sum(elements) - np.eye(n))
+    herm_defects = [nk.herm_defect(e) for e in elements]
+    proj_res = float(np.max(np.linalg.norm(stack @ stack - stack, axis=(1, 2))))
+    upper = w > 0.5
+    if upper.sum() == n:
+        proj_res = max(proj_res, _commutator_bound(w, v, upper, np.array(herm_defects)))
+    else:
+        for i, e in enumerate(elements):
+            for f in elements[i + 1:]:
+                proj_res = max(proj_res, nk.fro(e @ f - f @ e))
+    return completeness, [float(x) for x in w[:, 0]], herm_defects, nk.fro_stack(stack), proj_res
 
 
 def _commutator_bound(w, v, upper, herm_defects) -> float:
@@ -235,20 +260,11 @@ def classify_elements(povm: POVM, rho: np.ndarray, dec: SupportDecomposition) ->
 
     Null elements must vanish on the ++ and +0 blocks (anything else is
     incompatible with positivity at zero probability); the first violation
-    raises :class:`StructureViolationError`. A basis measurement takes its
-    probabilities and blocks from :mod:`basisform`.
+    raises :class:`StructureViolationError`. The probabilities and blocks
+    are read from the factor (see :mod:`basisform`).
     """
-    if povm.basis is not None:
-        null = basisform.traces(povm.basis, povm.ranks, rho[None])[0] <= PROB_TOL
-        blocks = basisform.support_block_norms(povm.basis, povm.ranks, dec, null)
-    else:
-        null, blocks = [], []
-        for k, e in enumerate(povm.elements):
-            null.append(float(np.trace(rho @ e).real) <= PROB_TOL)
-            if null[-1]:
-                epp = dec.V.conj().T @ e @ dec.V
-                epz = dec.V.conj().T @ e @ dec.Y
-                blocks.append((k, nk.fro(epp), nk.fro(epz), max(1.0, nk.fro(e))))
+    null = basisform.traces(povm.factor, povm.ranks, rho[None])[0] <= PROB_TOL
+    blocks = basisform.support_block_norms(povm.factor, povm.ranks, dec, null)
     for k, pp, pz, scale in blocks:
         if pp > 1e-8 * scale or pz > 1e-8 * scale:
             raise StructureViolationError(
@@ -358,13 +374,6 @@ class SaturationCertificate:
         }
 
 
-def _fit_real(a: np.ndarray, b: np.ndarray):
-    """Least-squares real constant c minimizing ||a - c b||; returns (c, resid)."""
-    denom = float(np.vdot(b.ravel(), b.ravel()).real)
-    c = float(np.vdot(b.ravel(), a.ravel()).real) / denom
-    return c, float(np.linalg.norm(a - c * b))
-
-
 def verify_saturation_structural(
     povm: POVM,
     dec: SupportDecomposition,
@@ -376,18 +385,14 @@ def verify_saturation_structural(
     Regular elements are tested in full space against
     ``E L_l P+ = c E P+``; null elements against the reduced pairwise
     relation on the +0 blocks. Constraints whose right-hand side vanishes
-    are recorded as vacuous rather than pass/fail. A basis measurement is
-    fitted on row blocks (see :func:`basisform.fits`).
+    are recorded as vacuous rather than pass/fail. The constants are fitted
+    on the factor's row blocks (see :func:`basisform.fits`).
     """
     if povm.classification is None:
         rho = dec.V @ np.diag(dec.q).astype(complex) @ dec.V.conj().T
         classify_elements(povm, rho, dec)
 
-    if povm.basis is not None:
-        fits = basisform.fits(povm.basis, povm.ranks, povm.classification, dec, slds, tol)
-    else:
-        fits = [_element_fit(e, kind, dec, slds, tol)
-                for e, kind in zip(povm.elements, povm.classification)]
+    fits = basisform.fits(povm.factor, povm.ranks, povm.classification, dec, slds, tol)
     records = [
         ElementCertificate(index=k, kind=kind, constants=constants, residuals=residuals,
                            vacuous=vacuous, passed=passed)
@@ -395,56 +400,6 @@ def verify_saturation_structural(
         in enumerate(zip(povm.classification, fits))
     ]
     return SaturationCertificate(records=records, passed=all(r.passed for r in records), tol=tol)
-
-
-def _relative(residual: float, scale: float) -> float:
-    """``residual / scale``; a zero scale reads as a vanishing residual."""
-    return residual / scale if scale else 0.0
-
-
-def _element_fit(e, kind, dec, slds, tol):
-    """One element's ``(constants, residuals, vacuous, passed)``, from the dense element.
-
-    Scales are the element's norm times the SLD support norms ``s_l`` of
-    :attr:`~qcrbsat.sld.SLDSet.scales`: ``||E L_l P+|| <= ||E|| s_l`` for a
-    regular element, and ``||E_00 Lpz_l^dag|| <= ||E_00|| s_l`` for a null one.
-    """
-    p = slds.n_params
-    s = slds.scales.tolist()
-    constants, residuals, vacuous = {}, {}, []
-    passed = True
-    if kind == "regular":
-        b = e @ dec.P_plus
-        e_norm = nk.fro(e)
-        if nk.fro(b) <= tol * e_norm:
-            return constants, residuals, list(range(p)), passed
-        for l in range(p):
-            c, res = _fit_real(e @ slds.full[l] @ dec.P_plus, b)
-            constants[l] = c
-            residuals[l] = _relative(res, e_norm * s[l])
-            passed = passed and residuals[l] <= tol
-    else:
-        e00 = dec.Y.conj().T @ e @ dec.Y
-        e00_norm = nk.fro(e00)
-        for l in range(p):
-            for m in range(p):
-                if l == m:
-                    continue
-                a = e00 @ slds.Lpz[l].conj().T
-                b = e00 @ slds.Lpz[m].conj().T
-                if nk.fro(b) <= tol * e00_norm * s[m]:
-                    res = _relative(nk.fro(a), e00_norm * s[l])
-                    if res <= tol:
-                        vacuous.append((l, m))
-                    else:
-                        residuals[(l, m)] = res
-                        passed = False
-                    continue
-                c, res = _fit_real(a, b)
-                constants[(l, m)] = c
-                residuals[(l, m)] = _relative(res, e00_norm * s[l])
-                passed = passed and residuals[(l, m)] <= tol
-    return constants, residuals, vacuous, passed
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +426,7 @@ def random_povm(n: int, m: int, rng: np.random.Generator) -> POVM:
 #
 # A measurement with a basis is written as that basis and its block widths,
 # ``{"n_s", "basis", "ranks", "classification"}``: n^2 numbers instead of
-# M n^2. Any other measurement is written element by element,
+# M n^2. Any other measurement is written element by element, as given,
 # ``{"n_s", "elements", "classification"}``. The reader takes both and
 # ignores any other key.
 # ---------------------------------------------------------------------------

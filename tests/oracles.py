@@ -754,9 +754,9 @@ def parse_complex_matrix_loop(obj, n: int, what: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# The measurement checks as they were before basis measurements were read
-# through their basis: every one works on the M dense elements, whatever
-# form the measurement has.
+# The measurement checks on the M dense elements, element by element,
+# whatever form the measurement has; the library reads every measurement
+# through its factor instead.
 # ---------------------------------------------------------------------------
 
 

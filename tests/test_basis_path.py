@@ -1,17 +1,19 @@
-"""A basis measurement is checked through its basis; the checks must agree
+"""Every measurement is checked through its factor; the checks must agree
 with the element-by-element loops of ``oracles.py``.
 
-Every measurement is given twice: in basis form (the checks read ``U``) and
-in element form (the checks read the dense elements, as the loops do).
-Decisions must be equal in both forms; numbers must agree within 1e-12 in
-basis form and exactly in element form.
+Every measurement is given twice: in basis form (the factor is the basis)
+and in element form (the elements, factored on load). Decisions must equal
+the loops' in both forms, and numbers must agree with them within 1e-12.
+Validation of an element list reads the eigendata of its factorization and
+equals the loop exactly.
 """
 
+import functools
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qcrbsat as qs
@@ -93,16 +95,13 @@ def test_classification_agrees(instance):
         assert pv.classify_elements(povm, sp.rho, dec) == ref
 
 
-def _assert_records_agree(cert, ref, exact):
+def _assert_records_agree(cert, ref):
     assert len(cert.records) == len(ref)
     for rec, (kind, constants, residuals, vacuous, passed) in zip(cert.records, ref):
         assert (rec.kind, rec.vacuous, rec.passed) == (kind, vacuous, passed)
         for got, want in ((rec.constants, constants), (rec.residuals, residuals)):
             assert list(got) == list(want)
-            if exact:
-                assert got == want
-            else:
-                assert all(abs(got[key] - want[key]) <= AGREE for key in want)
+            assert all(abs(got[key] - want[key]) <= AGREE for key in want)
     assert cert.passed == all(r[-1] for r in ref)
 
 
@@ -111,37 +110,41 @@ def test_certificate_agrees(instance):
     for povm in measurements(optimal):
         labels = classify_elements_loop(povm, sp.rho, dec)
         ref = verify_saturation_structural_loop(povm, labels, dec, slds, tol=sp.deriv_tol)
-        for form, exact in ((element_form(povm), True), (povm, False)):
+        for form in (element_form(povm), povm):
             form.classification = labels
             cert = pv.verify_saturation_structural(form, dec, slds, tol=sp.deriv_tol)
-            _assert_records_agree(cert, ref, exact)
+            _assert_records_agree(cert, ref)
     assert pv.verify_saturation_structural(optimal, dec, slds, tol=sp.deriv_tol).passed
+
+
+def _assert_distribution_agrees(sp, dec, f_q, povm):
+    """The outcome distribution and the Fisher comparison equal the loops' within AGREE."""
+    probs, dprobs, singular, null_info = outcome_distribution_loop(sp.rho, sp.drho, povm, dec)
+    dist = fi.outcome_distribution(sp.rho, sp.drho, povm, dec)
+    assert np.max(np.abs(dist.probs - probs)) <= AGREE
+    assert np.max(np.abs(dist.dprobs - dprobs)) <= AGREE
+    assert dist.singular == singular
+    assert [r.index for r in dist.null_info] == list(null_info)
+    for rec in dist.null_info:
+        info, rank1 = null_info[rec.index]
+        assert rec.rank1 == rank1
+        assert np.max(np.abs(rec.info - info)) <= AGREE
+    if not singular:
+        ref = fi.compare(classical_fim_loop(probs, dprobs, null_info), f_q, tol=sp.deriv_tol)
+        cmp = fi.compare(fi.classical_fim(dist), f_q, tol=sp.deriv_tol)
+        assert cmp.saturated == ref.saturated
+        assert np.max(np.abs(cmp.F_c - ref.F_c)) <= AGREE
+        assert abs(cmp.gap - ref.gap) <= AGREE
+        assert abs(cmp.psd_violation - ref.psd_violation) <= AGREE
+    return dist
 
 
 def test_distribution_and_fisher_agree(instance):
     _, sp, dec, slds, optimal = instance
     f_q = qs.qfim(dec, slds)
     for povm in measurements(optimal):
-        probs, dprobs, singular, null_info = outcome_distribution_loop(sp.rho, sp.drho, povm, dec)
-        ref_cmp = fi.compare(classical_fim_loop(probs, dprobs, null_info), f_q, tol=sp.deriv_tol) \
-            if not singular else None
-        for form, tol in ((element_form(povm), 0.0), (povm, AGREE)):
-            dist = fi.outcome_distribution(sp.rho, sp.drho, form, dec)
-            assert np.max(np.abs(dist.probs - probs)) <= tol
-            assert np.max(np.abs(dist.dprobs - dprobs)) <= tol
-            assert dist.singular == singular
-            assert [r.index for r in dist.null_info] == list(null_info)
-            for rec in dist.null_info:
-                info, rank1 = null_info[rec.index]
-                assert rec.rank1 == rank1
-                assert np.max(np.abs(rec.info - info)) <= tol
-            if singular:
-                continue
-            cmp = fi.compare(fi.classical_fim(dist), f_q, tol=sp.deriv_tol)
-            assert cmp.saturated == ref_cmp.saturated
-            assert np.max(np.abs(cmp.F_c - ref_cmp.F_c)) <= tol
-            assert abs(cmp.gap - ref_cmp.gap) <= tol
-            assert abs(cmp.psd_violation - ref_cmp.psd_violation) <= tol
+        for form in (element_form(povm), povm):
+            _assert_distribution_agrees(sp, dec, f_q, form)
     dist = fi.outcome_distribution(sp.rho, sp.drho, optimal, dec)
     assert fi.compare(fi.classical_fim(dist), f_q, tol=sp.deriv_tol).saturated
 
@@ -237,6 +240,101 @@ def test_regular_label_on_an_element_outside_the_support_is_vacuous():
     labels[k] = "regular"
     records = _records_in_both_forms(optimal, labels, dec, slds, sp.deriv_tol)
     assert records[k] == ({}, {}, [0, 1], True)
+
+
+# ---------------------------------------------------------------------------
+# Measurements that are not one basis: element lists with more columns than
+# rows, projective lists of mixed ranks, and lists with null outcomes, each
+# factored on load. The checks must reach the loops' decisions, and the
+# Fisher information must obey Gill-Massar in either form.
+# ---------------------------------------------------------------------------
+
+STATES = ("qutrit", "diag-multinomial", "zero-pp-blocks", "planted-8")
+KINDS = ("random", "projective", "null", "optimal")
+
+
+@functools.cache
+def _state(name):
+    return _certified(*INSTANCES[name])
+
+
+def _forms(kind, dec, optimal, rng, m):
+    """The measurement of one kind in each form it comes in, element form first.
+
+    ``random``: m full-rank elements, ``R = m n``. ``projective``: one basis
+    cut into blocks of mixed widths. ``null``: m random elements on the
+    support beside rank-one projectors onto random null directions, whose
+    outcomes are null at the state. ``optimal``: the constructed measurement.
+    """
+    n = dec.V.shape[0]
+    if kind == "random":
+        return [pv.random_povm(n, m, rng)]
+    if kind == "null":
+        support = [dec.V @ e @ dec.V.conj().T for e in pv.random_povm(dec.r_plus, m, rng).elements]
+        null = (dec.Y @ nk.haar_unitary(dec.r_zero, rng)).T
+        return [pv.POVM(elements=support + [np.outer(y, y.conj()) for y in null])]
+    if kind == "projective":
+        cuts = np.sort(rng.choice(np.arange(1, n), size=min(m, n) - 1, replace=False))
+        basis = pv.POVM(basis=nk.haar_unitary(n, rng), ranks=np.diff([0, *cuts, n]))
+    else:
+        basis = optimal
+    return [element_form(basis), basis]
+
+
+cases = st.tuples(st.sampled_from(STATES), st.sampled_from(KINDS),
+                  st.integers(0, 2**32 - 1), st.integers(2, 5))
+
+
+@settings(max_examples=80, deadline=None)
+@given(cases)
+def test_factored_measurements_agree_with_the_loops(case):
+    name, kind, seed, m = case
+    sp, dec, slds, optimal = _state(name)
+    assume(kind != "null" or dec.r_zero > 0)
+    f_q = qs.qfim(dec, slds)
+    for povm in _forms(kind, dec, optimal, np.random.default_rng(seed), m):
+        if kind == "random":
+            assert sum(povm.ranks) == m * povm.dim > povm.dim
+        if povm.basis is None:
+            assert pv.validate(povm) == validate_loop(povm)
+        labels = classify_elements_loop(povm, sp.rho, dec)
+        assert pv.classify_elements(povm, sp.rho, dec) == labels
+        assert ("null" in labels) == (kind in ("null", "optimal") and dec.r_zero > 0)
+        ref = verify_saturation_structural_loop(povm, labels, dec, slds, tol=sp.deriv_tol)
+        _assert_records_agree(pv.verify_saturation_structural(povm, dec, slds, tol=sp.deriv_tol),
+                              ref)
+        _assert_distribution_agrees(sp, dec, f_q, povm)
+
+
+def test_zero_element_has_rank_zero_and_reads_zero():
+    # an element with no eigenvalue above rounding adds no column to the factor
+    sp, dec, slds, optimal = _state("qutrit")
+    povm = pv.POVM(elements=[np.zeros((3, 3)), *optimal.elements, np.zeros((3, 3))])
+    assert povm.ranks == (0, 1, 1, 1, 0) and povm.factor.shape == (3, 3)
+    assert pv.validate(povm) == validate_loop(povm)
+    labels = classify_elements_loop(povm, sp.rho, dec)
+    assert pv.classify_elements(povm, sp.rho, dec) == labels == ["null", *labels[1:4], "null"]
+    ref = verify_saturation_structural_loop(povm, labels, dec, slds, tol=sp.deriv_tol)
+    _assert_records_agree(pv.verify_saturation_structural(povm, dec, slds, tol=sp.deriv_tol), ref)
+    dist = _assert_distribution_agrees(sp, dec, qs.qfim(dec, slds), povm)
+    assert dist.probs[0] == dist.probs[-1] == 0.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(cases)
+def test_gill_massar_in_both_forms(case):
+    # tr(F_Q^+ F_c) <= d - 1 for every single-copy measurement (Gill & Massar, PRA 61,
+    # 042312), with the limiting information of the null outcomes in F_c
+    name, kind, seed, m = case
+    sp, dec, slds, optimal = _state(name)
+    assume(kind != "null" or dec.r_zero > 0)
+    f_q_pinv = np.linalg.pinv(qs.qfim(dec, slds))
+    for povm in _forms(kind, dec, optimal, np.random.default_rng(seed), m):
+        dist = fi.outcome_distribution(sp.rho, sp.drho, povm, dec)
+        if kind == "optimal" and dec.r_zero > 0:
+            assert dist.null_info and all(rec.rank1 for rec in dist.null_info)
+        value = float(np.trace(f_q_pinv @ fi.classical_fim(dist)))
+        assert value <= (sp.dim - 1) * (1 + 1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -875,3 +878,21 @@ class TestParserReuse:
         rep = json.loads(fresh)
         assert rep["inputs"]["seed"] == 0
         assert rep["inputs"]["cond_tol"] == md.derivative_tol("analytic") > 0
+
+
+class TestClosedStdout:
+    def test_reader_closing_early_leaves_no_traceback(self):
+        # the 9x9 sweep writes about 0.2 MB, more than a pipe holds, so the writer meets
+        # the closed pipe: it exits 1 and writes nothing more, to stderr either
+        src = str(Path(qs.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        argv = [sys.executable, "-m", "qcrbsat.cli", "sweep", "--model", "qutrit-phase-mixture",
+                "--params", "d=0.6,c1=1,c2=0.7", "--grid", "0.1:0.9:9,0.1:0.9:9"]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert len(proc.stdout.read(20)) == 20
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert b"Traceback" not in err
+        assert err == b""

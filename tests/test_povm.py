@@ -147,13 +147,26 @@ class TestClassify:
         assert labels == ["null", "regular"]
 
     def test_structure_violation(self, qutrit_point, qutrit_dec):
-        # zero probability but a nonzero +0 block: impossible for a PSD element
+        # the projector onto y + a x has probability q_x a^2 / (1 + a^2) = 3e-13, below
+        # PROB_TOL, but a +0 block of about a = 1e-6: not a null element, and not regular
         x = qutrit_dec.V[:, 0]
         y = qutrit_dec.Y[:, 0]
+        a = 1e-6
+        w = (y + a * x) / np.sqrt(1 + a * a)
+        e = np.outer(w, w.conj())
+        p = pv.POVM(elements=[e, np.eye(3) - e])
+        assert pv.validate(p)["valid"]
+        with pytest.raises(pv.StructureViolationError) as err:
+            pv.classify_elements(p, qutrit_point.rho, qutrit_dec)
+        assert err.value.detail["element"] == 0
+        assert err.value.detail["pz_residual"] == pytest.approx(a, rel=1e-6)
+        # zero probability with a +0 block and no ++ block needs a negative eigenvalue,
+        # which validation reports before any classification
         bad = np.outer(x, y.conj()) + np.outer(y, x.conj())
         p = pv.POVM(elements=[bad, np.eye(3) - bad])
-        with pytest.raises(pv.StructureViolationError):
-            pv.classify_elements(p, qutrit_point.rho, qutrit_dec)
+        assert pv.validate(p)["min_eigenvalues"][0] == pytest.approx(-1.0)
+        with pytest.raises(pv.InvalidPOVMError):
+            pv.require_valid(p)
 
 
 class TestConstructOptimal:
