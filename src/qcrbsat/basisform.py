@@ -171,11 +171,12 @@ def fits(f: np.ndarray, ranks, classification, dec: SupportDecomposition, slds: 
     out = [None] * len(ranks)
     regular = np.array(classification) == "regular"
     if regular.any():
-        g = f.conj().T @ f
+        g = f.conj().T @ f if f.shape[1] <= f.shape[0] else None  # R > n: G_kk alone
         fp = f.conj().T @ dec.P_plus
         fl = f.conj().T @ (slds.full @ dec.P_plus)
         for idx, cols in _rank_groups(ranks, regular):
-            gkk = g[cols[:, :, None], cols[:, None, :]]
+            gkk = (f.T[cols].conj() @ f.T[cols].swapaxes(1, 2) if g is None
+                   else g[cols[:, :, None], cols[:, None, :]])
             rr, ss = fp[cols], fl[:, cols]  # (count, r, n), (p, count, r, n)
             e_norm = np.linalg.norm(gkk, axis=(1, 2))
             bb = _block_inner(gkk, rr, rr)  # ||E P+||^2

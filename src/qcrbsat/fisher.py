@@ -41,7 +41,7 @@ from . import basisform
 from . import numkernel as nk
 from .errors import QcrbSatError
 from .model import Box, SupportDecomposition
-from .povm import POVM, PROB_TOL, VALID_TOL
+from .povm import POVM, PROB_TOL, VALID_TOL, require_held
 from .sld import plus_null_blocks
 
 
@@ -117,9 +117,10 @@ def outcome_distribution(
 
     Every number is read from the measurement's factor ``F``
     (:mod:`basisform`): ``p_k = tr(B_k^dag rho B_k)`` from one product
-    ``X F`` per operator, and the null information from ``F^dag Y``, so no
-    dense element is formed whatever form the measurement came in.
+    ``X F`` per operator, and the null information from ``F^dag Y``; an
+    element ``F`` does not hold is refused (:func:`~qcrbsat.povm.require_held`).
     """
+    require_held(povm)
     p = len(drho)
     traces = basisform.traces(povm.factor, povm.ranks, np.concatenate([rho[None], drho]))
     probs, dprobs = traces[0], traces[1:]

@@ -84,7 +84,7 @@ class POVM:
     stacked ``eigh`` of their Hermitian parts gives ``B_k = V_k sqrt(w_k)``
     over the eigenvalues ``w`` above eigh's resolution ``n eps ||E_k||_op``
     (the rest are zero to rounding, so a projective list has ``R = n``), and
-    the same eigendata give its validation diagnostics (see :func:`validate`).
+    keeps those eigendata ``(w, v)`` as ``eigen`` for :func:`validate`.
     """
 
     elements: Optional[list] = _Elements()
@@ -93,6 +93,7 @@ class POVM:
     basis: Optional[np.ndarray] = None
     ranks: Optional[tuple] = None
     factor: np.ndarray = field(init=False, repr=False, compare=False)
+    eigen: Optional[tuple] = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.basis is not None:
@@ -102,10 +103,8 @@ class POVM:
             self.ranks = tuple(int(r) for r in self.ranks)
             n = len(self.basis)
             if self.basis.shape != (n, n) or sum(self.ranks) != n or min(self.ranks) < 1:
-                raise InvalidPOVMError(
-                    f"a basis of shape {self.basis.shape} with blocks {self.ranks} "
-                    "does not describe a measurement"
-                )
+                raise InvalidPOVMError(f"a basis of shape {self.basis.shape} with blocks "
+                                       f"{self.ranks} does not describe a measurement")
             self.factor = self.basis
         else:
             self.elements = [np.asarray(e, dtype=complex) for e in self.elements or ()]
@@ -114,16 +113,13 @@ class POVM:
             n = self.elements[0].shape[0]
             for k, e in enumerate(self.elements):
                 if e.shape != (n, n):
-                    raise InvalidPOVMError(
-                        f"element {k} has shape {e.shape}, expected ({n}, {n})", element=k
-                    )
-            stack = np.array(self.elements)
-            w, v = np.linalg.eigh(nk.hermitize(stack))
+                    raise InvalidPOVMError(f"element {k} has shape {e.shape}, expected ({n}, {n})",
+                                           element=k)
+            w, v = self.eigen = np.linalg.eigh(nk.hermitize(np.array(self.elements)))
             # an eigenvalue within eigh's resolution n eps ||E_k|| of 0 is 0, and adds no column
             keep = w > n * np.finfo(float).eps * np.abs(w).max(axis=1, keepdims=True)
             self.ranks = tuple(keep.sum(axis=1).tolist())
             self.factor = v.transpose(1, 0, 2)[:, keep] * np.sqrt(w[keep])
-            self._checks = _element_checks(self.elements, stack, w, v)
 
     @property
     def n_outcomes(self) -> int:
@@ -144,15 +140,27 @@ def validate(povm: POVM, tol: float = VALID_TOL) -> dict:
     ``projectivity_residual`` bounds from above every ``||E_i^2 - E_i||``
     and ``||[E_i, E_j]||`` (Frobenius). A basis measurement is read from its
     Gram matrix (see :func:`basisform.validate`), a list of elements from
-    the diagnostics its factorization left (see :func:`_element_checks`).
+    the eigendata of its load: when their eigenvalues above 1/2 number n in
+    total, the commutators are bounded through one Gram matrix of those
+    eigenvectors (see :func:`_commutator_bound`), else computed pair by pair.
     """
     n = povm.dim
     if povm.basis is not None:
         completeness, min_eigs, herm_defects, proj_res = basisform.validate(povm.basis, povm.ranks)
         hermitian = [True] * len(herm_defects)  # B_k B_k^dag is stored hermitized
     else:
-        completeness, min_eigs, herm_defects, norms, proj_res = povm._checks
-        hermitian = (np.array(herm_defects) <= tol * norms).tolist()
+        w, v = povm.eigen
+        min_eigs, herm_defects, hermitian = _spectral_checks(povm, tol)
+        completeness = nk.fro(sum(povm.elements) - np.eye(n))
+        stack = np.array(povm.elements)
+        proj_res = float(np.max(np.linalg.norm(stack @ stack - stack, axis=(1, 2))))
+        upper = w > 0.5
+        if upper.sum() == n:
+            proj_res = max(proj_res, _commutator_bound(w, v, upper, np.array(herm_defects)))
+        else:
+            for i, e in enumerate(povm.elements):
+                for f in povm.elements[i + 1:]:
+                    proj_res = max(proj_res, nk.fro(e @ f - f @ e))
     psd_ok = all(m >= -tol for m in min_eigs)
     complete = completeness <= tol * max(1.0, n)
     projective = proj_res <= tol * max(1.0, n)
@@ -171,28 +179,11 @@ def validate(povm: POVM, tol: float = VALID_TOL) -> dict:
     }
 
 
-def _element_checks(elements, stack, w, v):
-    """``(completeness, min_eigs, herm_defects, norms, proj_res)`` of a list of elements.
-
-    ``stack`` holds the elements and ``w, v`` the eigendata of their
-    Hermitian parts, so the minimum eigenvalues, negative ones included,
-    are ``w[:, 0]``. When the eigenvalues above 1/2 number n in total, the
-    commutators are bounded through one Gram matrix of those eigenvectors
-    (see :func:`_commutator_bound`); failing that each pair's commutator is
-    computed.
-    """
-    n = stack.shape[-1]
-    completeness = nk.fro(sum(elements) - np.eye(n))
-    herm_defects = [nk.herm_defect(e) for e in elements]
-    proj_res = float(np.max(np.linalg.norm(stack @ stack - stack, axis=(1, 2))))
-    upper = w > 0.5
-    if upper.sum() == n:
-        proj_res = max(proj_res, _commutator_bound(w, v, upper, np.array(herm_defects)))
-    else:
-        for i, e in enumerate(elements):
-            for f in elements[i + 1:]:
-                proj_res = max(proj_res, nk.fro(e @ f - f @ e))
-    return completeness, [float(x) for x in w[:, 0]], herm_defects, nk.fro_stack(stack), proj_res
+def _spectral_checks(povm: POVM, tol: float):
+    """``(min_eigs, herm_defects, hermitian)`` of a list of elements (see :func:`validate`)."""
+    herm_defects = [nk.herm_defect(e) for e in povm.elements]
+    hermitian = (np.array(herm_defects) <= tol * nk.fro_stack(np.array(povm.elements))).tolist()
+    return [float(x) for x in povm.eigen[0][:, 0]], herm_defects, hermitian
 
 
 def _commutator_bound(w, v, upper, herm_defects) -> float:
@@ -241,6 +232,22 @@ def require_valid(povm: POVM) -> dict:
     return diag
 
 
+def require_held(povm: POVM) -> None:
+    """Refuse an element its factor does not hold, with :class:`StructureViolationError`.
+
+    The factor of an element list holds the positive part of each element's
+    Hermitian part: all of an element that :func:`validate` finds Hermitian
+    and positive semidefinite at :data:`VALID_TOL`, and part of any other.
+    """
+    if povm.eigen is not None:  # a basis measurement's elements are B_k B_k^dag exactly
+        for k, (low, defect, ok) in enumerate(zip(*_spectral_checks(povm, VALID_TOL))):
+            if low < -VALID_TOL or not ok:
+                raise StructureViolationError(
+                    f"element {k} is not Hermitian positive semidefinite (lowest eigenvalue "
+                    f"{low:.3e}, ||E - E^dag|| = {defect:.3e}); its factor holds part of it",
+                    element=k, min_eigenvalue=low, herm_defect=defect)
+
+
 def elements_from_basis(basis: np.ndarray, ranks) -> list:
     """Projectors ``E_k = B_k B_k^dag`` onto consecutive column blocks of ``basis``.
 
@@ -260,9 +267,10 @@ def classify_elements(povm: POVM, rho: np.ndarray, dec: SupportDecomposition) ->
 
     Null elements must vanish on the ++ and +0 blocks (anything else is
     incompatible with positivity at zero probability); the first violation
-    raises :class:`StructureViolationError`. The probabilities and blocks
-    are read from the factor (see :mod:`basisform`).
+    raises :class:`StructureViolationError`, as :func:`require_held` does.
+    The probabilities and blocks are read from the factor (see :mod:`basisform`).
     """
+    require_held(povm)
     null = basisform.traces(povm.factor, povm.ranks, rho[None])[0] <= PROB_TOL
     blocks = basisform.support_block_norms(povm.factor, povm.ranks, dec, null)
     for k, pp, pz, scale in blocks:
@@ -386,8 +394,9 @@ def verify_saturation_structural(
     ``E L_l P+ = c E P+``; null elements against the reduced pairwise
     relation on the +0 blocks. Constraints whose right-hand side vanishes
     are recorded as vacuous rather than pass/fail. The constants are fitted
-    on the factor's row blocks (see :func:`basisform.fits`).
+    on the factor's row blocks (see :func:`basisform.fits` and :func:`require_held`).
     """
+    require_held(povm)
     if povm.classification is None:
         rho = dec.V @ np.diag(dec.q).astype(complex) @ dec.V.conj().T
         classify_elements(povm, rho, dec)
@@ -437,11 +446,7 @@ def povm_to_json(povm: POVM) -> dict:
         body = {"elements": ComplexMatrix(povm.elements)}
     else:
         body = {"basis": ComplexMatrix(povm.basis), "ranks": list(povm.ranks)}
-    return {
-        "n_s": povm.dim,
-        **body,
-        "classification": povm.classification,
-    }
+    return {"n_s": povm.dim, **body, "classification": povm.classification}
 
 
 def povm_from_json(source) -> POVM:
@@ -465,7 +470,6 @@ def povm_from_json(source) -> POVM:
                 and sum(ranks) == n):
             raise SchemaError(f"ranks must be positive integers summing to n_s = {n}")
         elements = None
-        m = len(ranks)
     else:
         basis = ranks = None
         if not isinstance(data["elements"], list):
@@ -473,16 +477,11 @@ def povm_from_json(source) -> POVM:
         elements = [
             parse_complex_matrix(e, n, f"elements[{k}]") for k, e in enumerate(data["elements"])
         ]
-        m = len(elements)
+    m = len(ranks if elements is None else elements)
     classification = data.get("classification")
     if classification is not None and not (
         isinstance(classification, list) and len(classification) == m
         and all(c in ("regular", "null") for c in classification)
     ):
         raise SchemaError(f"classification must hold {m} entries, each 'regular' or 'null'")
-    return POVM(
-        elements=elements,
-        classification=classification,
-        basis=basis,
-        ranks=ranks,
-    )
+    return POVM(elements=elements, classification=classification, basis=basis, ranks=ranks)

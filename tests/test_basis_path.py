@@ -320,6 +320,40 @@ def test_zero_element_has_rank_zero_and_reads_zero():
     assert dist.probs[0] == dist.probs[-1] == 0.0
 
 
+def test_non_psd_null_element_is_refused_as_by_the_loop():
+    # zero probability and a +0 block: the loop refuses the element; the factor holds only
+    # its positive part, whose probability is q_x / 2, so the element itself is refused
+    sp, dec, _, _ = _state("qutrit")
+    x, y = dec.V[:, 0], dec.Y[:, 0]
+    bad = np.outer(x, y.conj()) + np.outer(y, x.conj())
+    povm = pv.POVM(elements=[bad, np.eye(3) - bad])
+    for classify in (classify_elements_loop, pv.classify_elements):
+        with pytest.raises(pv.StructureViolationError) as err:
+            classify(povm, sp.rho, dec)
+        assert err.value.detail["element"] == 0
+
+
+def test_many_full_rank_elements_form_no_gram_of_all_columns():
+    # 128 full-rank 16 x 16 elements: R = 2048 columns, whose whole R x R Gram alone
+    # takes 64 MB; the checks stay far below it
+    import tracemalloc
+
+    n, m = 16, 128
+    sp = qs.evaluate(qs.get("random-rank-r", seed=3, n_s=n, r_plus=8, n_params=3), [0.0] * 3)
+    dec = qs.support_decomposition(sp)
+    slds = qs.compute_sld(dec, sp.drho)
+    povm = pv.random_povm(n, m, np.random.default_rng(0))
+    assert sum(povm.ranks) == n * m
+    tracemalloc.start()
+    try:
+        pv.verify_saturation_structural(povm, dec, slds, tol=sp.deriv_tol)
+        fi.outcome_distribution(sp.rho, sp.drho, povm, dec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * (n * m) ** 2 / 4
+
+
 @settings(max_examples=80, deadline=None)
 @given(cases)
 def test_gill_massar_in_both_forms(case):

@@ -160,13 +160,37 @@ class TestClassify:
             pv.classify_elements(p, qutrit_point.rho, qutrit_dec)
         assert err.value.detail["element"] == 0
         assert err.value.detail["pz_residual"] == pytest.approx(a, rel=1e-6)
-        # zero probability with a +0 block and no ++ block needs a negative eigenvalue,
-        # which validation reports before any classification
+        # zero probability but a nonzero +0 block: impossible for a PSD element
         bad = np.outer(x, y.conj()) + np.outer(y, x.conj())
         p = pv.POVM(elements=[bad, np.eye(3) - bad])
-        assert pv.validate(p)["min_eigenvalues"][0] == pytest.approx(-1.0)
-        with pytest.raises(pv.InvalidPOVMError):
-            pv.require_valid(p)
+        with pytest.raises(pv.StructureViolationError):
+            pv.classify_elements(p, qutrit_point.rho, qutrit_dec)
+
+    def test_elements_the_factor_does_not_hold_are_refused(
+        self, qutrit_point, qutrit_dec, qutrit_slds
+    ):
+        # the factor keeps the positive part of each element's Hermitian part; an element
+        # with more than that is refused by every check that reads the factor, also when
+        # its probability is positive
+        x, y = qutrit_dec.V[:, 0], qutrit_dec.Y[:, 0]
+        px = np.outer(x, x.conj())
+        tilt = 1e-3 * np.outer(y, y.conj())  # E_0 = P_x - tilt has eigenvalue -1e-3
+        skew = 1e-3 * (np.outer(x, y.conj()) - np.outer(y, x.conj()))  # anti-Hermitian
+        for elements, key in (([px - tilt, np.eye(3) - px + tilt], "min_eigenvalue"),
+                              ([np.eye(3) / 2 + skew, np.eye(3) / 2 - skew], "herm_defect")):
+            p = pv.POVM(elements=elements)
+            diag = pv.validate(p)
+            assert diag["complete"] and not diag["valid"]
+            assert np.trace(qutrit_point.rho @ elements[0]).real > pv.PROB_TOL
+            for check in (
+                lambda: pv.classify_elements(p, qutrit_point.rho, qutrit_dec),
+                lambda: pv.verify_saturation_structural(p, qutrit_dec, qutrit_slds),
+                lambda: fi.outcome_distribution(qutrit_point.rho, qutrit_point.drho, p, qutrit_dec),
+            ):
+                with pytest.raises(pv.StructureViolationError) as err:
+                    check()
+                assert err.value.detail["element"] == 0
+                assert abs(err.value.detail[key]) > pv.VALID_TOL
 
 
 class TestConstructOptimal:
