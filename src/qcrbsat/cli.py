@@ -28,6 +28,8 @@ from . import povm as povm_mod
 from .conditions import VERDICT_SATURABLE, condition_reports
 from .errors import QcrbSatError, jsonable
 from .model import (
+    DEFAULT_FD_STEP,
+    DEFAULT_RANK_TOL,
     StateAtPoint,
     evaluate,
     evaluate_points,
@@ -102,14 +104,6 @@ def parse_grid(text: str):
     return axes
 
 
-def _registry_model(args):
-    """The ``--model`` built from ``--params``, and its condition-2' witness (None when it
-    ships none or without ``--diagnostics``, which alone runs condition 2')."""
-    params = parse_params(args.params)
-    witness = fixtures.get_witness(args.model, **params) if args.diagnostics else None
-    return fixtures.get(args.model, **params), witness
-
-
 def _refuse_options(args, source: str, *options) -> None:
     """Refuse any of ``options`` given beside ``source``, which leaves them unread."""
     given = [o for o in options if getattr(args, o[2:].replace("-", "_")) not in (None, "")]
@@ -118,19 +112,19 @@ def _refuse_options(args, source: str, *options) -> None:
 
 
 def _load_state(args):
-    """Resolve the state source; returns (model_or_None, state_point, witness)."""
+    """Resolve the state source; returns (model_or_None, state_point)."""
     if args.numeric_model:
         _refuse_options(args, "--numeric-model", "--model", "--params", "--theta")
         sp = parse_numeric_model(args.numeric_model)
-        return None, sp, None
+        return None, sp
     if not args.model:
         raise _usage("either --model or --numeric-model is required", "--model")
-    model, witness = _registry_model(args)
+    model = fixtures.get(args.model, **parse_params(args.params))
     if args.theta is None:
         raise _usage("--theta is required with --model", "--theta")
     theta = parse_theta(args.theta)
     sp = evaluate(model, theta, scheme=args.scheme, h=args.fd_step)
-    return model, sp, witness
+    return model, sp
 
 
 def cond_tol(args, sp: StateAtPoint) -> float:
@@ -138,7 +132,7 @@ def cond_tol(args, sp: StateAtPoint) -> float:
     return args.cond_tol if args.cond_tol is not None else sp.deriv_tol
 
 
-def run_analyses(args, points: StateAtPoint, model=None, witness=None) -> list:
+def run_analyses(args, points: StateAtPoint, model=None) -> list:
     """The core pipeline at each point of a stack: decomposition, SLDs, information, conditions.
 
     ``points`` is a stack of state points (see
@@ -157,16 +151,16 @@ def run_analyses(args, points: StateAtPoint, model=None, witness=None) -> list:
         group = points if len(rows) == len(out) else points.row(rows)
         slds = compute_sld(dec, group.drho, sld_tol=max(tol, points.deriv_tol))
         f_q = qfim(dec, slds)
-        reports = condition_reports(group, dec, slds, model=model, witness=witness, tol=tol,
+        reports = condition_reports(group, dec, slds, model=model, tol=tol,
                                     diagnostics=args.diagnostics)
         for i, (k, report) in enumerate(zip(rows.tolist(), reports)):
             out[k] = (dec.row(i), slds.row(i), f_q[i], report)
     return out
 
 
-def run_analysis(args, sp: StateAtPoint, model=None, witness=None):
+def run_analysis(args, sp: StateAtPoint, model=None):
     """:func:`run_analyses` at the one point ``sp``."""
-    return run_analyses(args, sp.row(None), model, witness)[0]
+    return run_analyses(args, sp.row(None), model)[0]
 
 
 def base_report(args, sp: StateAtPoint, model, dec, f_q, report) -> dict:
@@ -255,14 +249,14 @@ def _compare(dist, f_q, g, tol) -> fish.FisherComparison:
 
 
 def cmd_analyze(args) -> dict:
-    model, sp, witness = _load_state(args)
-    dec, slds, f_q, report = run_analysis(args, sp, model, witness)
+    model, sp = _load_state(args)
+    dec, slds, f_q, report = run_analysis(args, sp, model)
     return base_report(args, sp, model, dec, f_q, report)
 
 
 def cmd_construct_povm(args) -> dict:
-    model, sp, witness = _load_state(args)
-    dec, slds, f_q, report = run_analysis(args, sp, model, witness)
+    model, sp = _load_state(args)
+    dec, slds, f_q, report = run_analysis(args, sp, model)
     povm = _construct_from_report(dec, slds, report)
     cert = povm_mod.verify_saturation_structural(povm, dec, slds, tol=cond_tol(args, sp))
     out = base_report(args, sp, model, dec, f_q, report)
@@ -274,10 +268,10 @@ def cmd_construct_povm(args) -> dict:
 
 
 def cmd_fisher(args) -> dict:
-    model, sp, witness = _load_state(args)
+    model, sp = _load_state(args)
     povm = _supplied_povm(args, sp)
     g = _cost_matrix(args, sp)
-    dec, slds, f_q, report = run_analysis(args, sp, model, witness)
+    dec, slds, f_q, report = run_analysis(args, sp, model)
     if povm is None:
         povm = _construct_from_report(dec, slds, report)
     povm_mod.classify_elements(povm, sp.rho, dec)
@@ -300,9 +294,9 @@ def cmd_simulate(args) -> dict:
             trials=args.trials,
             batches=args.batches,
         )
-    model, sp, witness = _load_state(args)
+    model, sp = _load_state(args)
     povm = _supplied_povm(args, sp)
-    dec, slds, f_q, report = run_analysis(args, sp, model, witness)
+    dec, slds, f_q, report = run_analysis(args, sp, model)
     if povm is None:
         povm = _construct_from_report(dec, slds, report)
     povm_mod.classify_elements(povm, sp.rho, dec)
@@ -330,7 +324,7 @@ def cmd_simulate(args) -> dict:
     return out
 
 
-def _sweep_entries(args, model, witness, thetas) -> list:
+def _sweep_entries(args, model, thetas) -> list:
     """The sweep entries of a (B, p) stack of grid points.
 
     The stack is evaluated and analyzed in one pass (:func:`run_analyses`).
@@ -340,15 +334,15 @@ def _sweep_entries(args, model, witness, thetas) -> list:
     """
     try:
         points = evaluate_points(model, thetas, scheme=args.scheme, h=args.fd_step)
-        analyses = run_analyses(args, points, model, witness)
+        analyses = run_analyses(args, points, model)
         return [base_report(args, points.row(k), model, dec, f_q, report)
                 for k, (dec, _, f_q, report) in enumerate(analyses)]
     except QcrbSatError as exc:
         if len(thetas) == 1:
             return [{"theta": [float(x) for x in thetas[0]], "error": exc.to_dict()}]
     half = len(thetas) // 2
-    return (_sweep_entries(args, model, witness, thetas[:half])
-            + _sweep_entries(args, model, witness, thetas[half:]))
+    return (_sweep_entries(args, model, thetas[:half])
+            + _sweep_entries(args, model, thetas[half:]))
 
 
 def cmd_sweep(args) -> dict:
@@ -357,7 +351,7 @@ def cmd_sweep(args) -> dict:
     if not args.model:
         raise _usage("sweep requires --model (numeric models are single-point)", "--model")
     _refuse_options(args, "sweep", "--theta", "--numeric-model")
-    model, witness = _registry_model(args)
+    model = fixtures.get(args.model, **parse_params(args.params))
     axes = parse_grid(args.grid)
     if len(axes) != model.n_params:
         raise _usage(f"grid has {len(axes)} axes, model has {model.n_params} parameters",
@@ -370,7 +364,7 @@ def cmd_sweep(args) -> dict:
     chunk = max(1, SWEEP_ENTRIES // ((4 + p) * p * n * n))
     reports = []
     for start in range(0, len(points), chunk):
-        reports += _sweep_entries(args, model, witness, points[start:start + chunk])
+        reports += _sweep_entries(args, model, points[start:start + chunk])
     return {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "qcrbsat", "version": __version__},
@@ -394,8 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--numeric-model", help="single-point numeric model JSON file")
     common.add_argument("--scheme", default="auto",
                         choices=["auto", "analytic", "central_fd", "richardson"])
-    common.add_argument("--fd-step", type=float, default=1e-5)
-    common.add_argument("--rank-tol", type=float, default=1e-10)
+    common.add_argument("--fd-step", type=float, default=DEFAULT_FD_STEP)
+    common.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
     common.add_argument("--cond-tol", type=float, default=None,
                         help="condition tolerance (default: per derivative scheme)")
     common.add_argument("--seed", type=int, default=0)

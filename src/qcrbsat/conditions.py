@@ -51,9 +51,9 @@ import numpy as np
 from . import numkernel as nk
 from .errors import QcrbSatError, require_tolerance
 from .jsonio import ComplexMatrix
-from .model import (DEFAULT_RANK_TOL, InvalidStateError, StateAtPoint, StateModel,
-                    SupportDecomposition, _basis_split, stencil_points, stencil_refusals,
-                    values_at)
+from .model import (DEFAULT_FD_STEP, DEFAULT_RANK_TOL, InvalidStateError, StateAtPoint,
+                    StateModel, SupportDecomposition, _basis_split, stencil_points,
+                    stencil_refusals, values_at)
 from .sld import SLDSet, pair_index, pairs, plus_null_blocks
 
 VERDICT_SATURABLE = "SATURABLE_CERTIFIED"
@@ -435,7 +435,6 @@ class Cond2PrimeResult:
     path: str = "not_checked"  # user_supplied_U | zero_generators | not_checked
     pde_residual: Optional[float] = None
     stationarity_residual: Optional[float] = None
-    null_compat_residual: Optional[float] = None
     cross_identity_residual: Optional[float] = None
     tol: float = 1e-8
     notes: list = field(default_factory=list)
@@ -449,20 +448,22 @@ def verify_condition2prime(
     sp: StateAtPoint,
     witness: Optional[Cond2PrimeWitness] = None,
     *,
-    null_povm: Optional[Sequence[np.ndarray]] = None,
+    null_povm: None = None,
     tol: float = 1e-8,
 ):
     """Verify a witness for the support-basis PDE condition at one point.
 
     Checks, each reported as a normalized residual: (a) the PDE
     ``dU_l = U (V^dag dV_l + i D_l)``; (b) when every D_l vanishes, the
-    consequence ``P+ d(V U^dag)_l = 0``; (c) compatibility of a supplied
-    null measurement with the rotated basis derivatives; (d) the cross
-    identity between the +0 SLD blocks and ``2 dV_l^dag Y``. Without a
-    witness the condition is NOT_CHECKED and no map runs.
+    consequence ``P+ d(V U^dag)_l = 0``; (c) the cross identity between
+    the +0 SLD blocks and ``2 dV_l^dag Y``. Without a witness the
+    condition is NOT_CHECKED and no map runs. Null measurements are not
+    checked here: :func:`~qcrbsat.povm.verify_saturation_structural`
+    decides them, so a ``null_povm`` other than None is refused.
 
-    All map derivatives are central differences with step 1e-5 on the smooth
-    maps, each map run once on the one :func:`~qcrbsat.model.stencil_points`;
+    All map derivatives are central differences with step
+    :data:`~qcrbsat.model.DEFAULT_FD_STEP` on the smooth maps, each map run
+    once on the one :func:`~qcrbsat.model.stencil_points`;
     where :func:`~qcrbsat.model.stencil_refusals` refuses that stencil (it
     would round to theta or leave the model's domain), the condition is
     NOT_CHECKED, and its note gives that reason. A non-finite value of
@@ -479,11 +480,14 @@ def verify_condition2prime(
     stencil of those. A stack holding a failing point raises a
     :class:`~qcrbsat.errors.QcrbSatError` from one of its failing points.
     """
+    if null_povm is not None:
+        raise QcrbSatError("condition 2' checks no null measurement; "
+                           "povm.verify_saturation_structural decides it")
     theta = np.asarray(sp.theta, dtype=float)
     if theta.ndim == 1:
         return _condition2prime(model, theta[None], sp.rho[None], sp.drho[None], sp.deriv_tol,
-                                witness, null_povm, tol)[0]
-    return _condition2prime(model, theta, sp.rho, sp.drho, sp.deriv_tol, witness, null_povm, tol)
+                                witness, tol)[0]
+    return _condition2prime(model, theta, sp.rho, sp.drho, sp.deriv_tol, witness, tol)
 
 
 def _stencil_values(fn, points: np.ndarray, shape: tuple, error: type, what: str) -> tuple:
@@ -495,7 +499,7 @@ def _stencil_values(fn, points: np.ndarray, shape: tuple, error: type, what: str
     return values[0], values[1]
 
 
-def _condition2prime(model, theta, rho, drho, deriv_tol, witness, null_povm, tol) -> list:
+def _condition2prime(model, theta, rho, drho, deriv_tol, witness, tol) -> list:
     """:func:`verify_condition2prime` at the (B, p) stack ``theta``, whose states and
     derivatives are ``rho`` and ``drho``."""
     if model.support_basis_fn is None or witness is None:
@@ -504,7 +508,7 @@ def _condition2prime(model, theta, rho, drho, deriv_tol, witness, null_povm, tol
         return [Cond2PrimeResult(tol=tol, notes=[note]) for _ in theta]
 
     fro = nk.fro_stack
-    p, h = drho.shape[-3], 1e-5
+    p, h = drho.shape[-3], DEFAULT_FD_STEP
     v = values_at(model.support_basis_fn, theta, None, what="support basis")
     dec = _basis_split(rho, drho, deriv_tol, v, DEFAULT_RANK_TOL)
     r_plus = dec.r_plus
@@ -546,51 +550,25 @@ def _condition2prime(model, theta, rho, drho, deriv_tol, witness, null_povm, tol
     zero = bool((d_norm <= 1e-12).all())
     path = "zero_generators" if zero else "user_supplied_U"
 
-    null = null_povm is not None and len(null_povm) and dec.r_zero > 0
-    if null or zero:
-        dvt = (v_plus @ u_plus.conj().swapaxes(-1, -2)
-               - v_minus @ u_minus.conj().swapaxes(-1, -2)) / (2.0 * h)  # d(V U^dag)_l
     stationarity = [None] * len(rows)
     if zero:  # every D_l vanishes, so P+ d(V U^dag)_l = 0
+        dvt = (v_plus @ u_plus.conj().swapaxes(-1, -2)
+               - v_minus @ u_minus.conj().swapaxes(-1, -2)) / (2.0 * h)  # d(V U^dag)_l
         projected, dvt_norm = fro(np.array([dec.P_plus[:, None] @ dvt, dvt]))
         stationarity = (projected / np.maximum(1.0, dvt_norm)).max(axis=-1, initial=0.0).tolist()
-
-    null_compat = [None] * len(rows)
-    if null:
-        y = dec.Y[:, None]
-        yh = y.conj().swapaxes(-1, -2)
-        blocks = yh @ dvt  # (R, p, r0, r+)
-        e00 = yh @ np.asarray(null_povm, dtype=complex) @ y  # (R, k, r0, r0)
-        # (R, k, p, r0, r+): pair (l, m) compares prod[..., l, :, :] and prod[..., m, :, :]
-        prod = e00[:, :, None] @ blocks[:, None]
-        norms, b_norms = fro(prod), fro(blocks)
-        outer = np.maximum(b_norms[:, :, None], b_norms[:, None, :])
-        scale = np.maximum(1.0, fro(e00)[..., None, None] * outer[:, None])
-        lhs_small = norms[..., :, None] <= tol * scale
-        rhs_small = norms[..., None, :] <= tol * scale
-        # Re <prod_m, prod_l>, one BLAS dot product per pair as np.vdot takes it
-        flat = prod.reshape(*norms.shape, 1, -1)
-        inner = (flat.conj()[..., None, :, :, :]
-                 @ flat.swapaxes(-1, -2)[..., :, None, :, :])[..., 0, 0].real
-        ratio = inner / np.where(rhs_small, 1.0, inner.diagonal(axis1=-2, axis2=-1)[..., None, :])
-        fit = fro(prod[..., :, None, :, :]
-                  - ratio[..., None, None] * prod[..., None, :, :, :]) / scale
-        res = np.where(rhs_small, np.where(lhs_small, 0.0, norms[..., :, None] / scale), fit)
-        null_compat = np.where(np.eye(p, dtype=bool), 0.0, res).max(
-            axis=(-3, -2, -1), initial=0.0).tolist()
 
     lpz = plus_null_blocks(dec, drho)
     ident = 2.0 * dv.conj().swapaxes(-1, -2) @ dec.Y[:, None]
     cross, lpz_norm, ident_norm = fro(np.array([lpz - ident, lpz, ident]))
     cross_res = (cross / np.maximum(1.0, lpz_norm + ident_norm)).max(axis=-1, initial=0.0)
 
-    for k, pde_r, cross_r, stat_r, null_r in zip(
-            rows.tolist(), pde_res.tolist(), cross_res.tolist(), stationarity, null_compat):
-        checked = (pde_r, cross_r, stat_r, null_r)
+    for k, pde_r, cross_r, stat_r in zip(rows.tolist(), pde_res.tolist(), cross_res.tolist(),
+                                         stationarity):
+        checked = (pde_r, cross_r, stat_r)
         results[k] = Cond2PrimeResult(
             status="PASSED" if all(r <= tol for r in checked if r is not None) else "FAILED",
             path=path, pde_residual=pde_r, stationarity_residual=stat_r,
-            null_compat_residual=null_r, cross_identity_residual=cross_r, tol=tol)
+            cross_identity_residual=cross_r, tol=tol)
     return results
 
 
@@ -695,7 +673,6 @@ def evaluate_conditions(
     slds: SLDSet,
     *,
     model: Optional[StateModel] = None,
-    witness: Optional[Cond2PrimeWitness] = None,
     tol: Optional[float] = None,
     diagnostics: bool = False,
 ) -> ConditionReport:
@@ -704,8 +681,8 @@ def evaluate_conditions(
     This is :func:`condition_reports` on the point as a stack of one. Full
     and partial commutativity and condition 2' run only with ``diagnostics``.
     """
-    return condition_reports(sp.row(None), dec.row(None), slds.row(None), model=model,
-                             witness=witness, tol=tol, diagnostics=diagnostics)[0]
+    return condition_reports(sp.row(None), dec.row(None), slds.row(None), model=model, tol=tol,
+                             diagnostics=diagnostics)[0]
 
 
 def condition_reports(
@@ -714,7 +691,6 @@ def condition_reports(
     slds: SLDSet,
     *,
     model: Optional[StateModel] = None,
-    witness: Optional[Cond2PrimeWitness] = None,
     tol: Optional[float] = None,
     diagnostics: bool = False,
 ) -> list:
@@ -728,8 +704,8 @@ def condition_reports(
     the pairwise checks are the ones the verdict reads, conditions 1 and 3,
     and average commutativity; the report's full and partial commutativity
     and condition 2' are None and write null. With ``diagnostics`` those
-    three are computed too, condition 2' once on the stack (when ``model``
-    is given and the points have a theta; ``witness`` is read only then).
+    three are computed too, condition 2' once on the stack against
+    ``model.witness`` (when ``model`` is given and the points have a theta).
     Each report equals the one :func:`evaluate_conditions` gives at that point.
     A stack holding a failing point raises a
     :class:`~qcrbsat.errors.QcrbSatError` from one of its failing points.
@@ -749,7 +725,7 @@ def condition_reports(
                                diagnostics=diagnostics)
                for full_c, avg, part, c1, c3, c4 in checks]
     if diagnostics and model is not None and sp.theta is not None:
-        for report, result in zip(reports, verify_condition2prime(model, sp, witness,
+        for report, result in zip(reports, verify_condition2prime(model, sp, model.witness,
                                                                   tol=max(tol, 1e-8))):
             report.cond2prime = result
     for report in reports:

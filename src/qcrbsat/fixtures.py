@@ -2,7 +2,8 @@
 
 Each entry wires a :class:`~qcrbsat.model.StateModel` with analytic
 derivatives where closed forms exist, plus (when the family admits one) a
-smooth support-basis map and a PDE witness for the condition-2' checks.
+smooth support-basis map and, as ``StateModel.witness``, a PDE witness for
+the condition-2' checks, built from the parameters the builder has checked.
 The planted synthetic generator produces rank-deficient instances whose
 block structure satisfies the certifiable conditions by construction,
 without integrating a family: the state and its derivatives are consistent
@@ -129,6 +130,13 @@ def qutrit_phase_mixture(d=0.6, c1=1.0, c2=0.7) -> StateModel:
         v[..., 2, 1] = s
         return v
 
+    def witness_path(theta):
+        phase = np.exp(1j * abs(d) ** 2 * phi(theta))
+        out = np.zeros(phase.shape + (2, 2), dtype=complex)
+        out[..., 0, 0] = 1.0
+        out[..., 1, 1] = phase
+        return out
+
     return StateModel(
         name="qutrit-phase-mixture",
         dim=3,
@@ -138,21 +146,8 @@ def qutrit_phase_mixture(d=0.6, c1=1.0, c2=0.7) -> StateModel:
         support_basis_fn=support_basis,
         domain=box([0.0, 0.0], [1.0, 1.0]),
         params={"d": d, "c1": c1, "c2": c2},
+        witness=Cond2PrimeWitness(unitary_fn=witness_path),
     )
-
-
-def _qutrit_witness(d=0.6, c1=1.0, c2=0.7) -> Cond2PrimeWitness:
-    d = _as_complex("d", d)
-    dd = abs(d) ** 2
-
-    def u(theta):
-        phase = np.exp(1j * dd * (c1 * theta[..., 0] + c2 * theta[..., 1]))
-        out = np.zeros(phase.shape + (2, 2), dtype=complex)
-        out[..., 0, 0] = 1.0
-        out[..., 1, 1] = phase
-        return out
-
-    return Cond2PrimeWitness(unitary_fn=u, generators=None)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +262,7 @@ def theta_independent_support() -> StateModel:
         support_basis_fn=support_basis,
         domain=box([0.0, 0.0], [1.0, 1.0]),
         params={},
+        witness=Cond2PrimeWitness(unitary_fn=_ti_gauge_path),
     )
 
 
@@ -314,6 +310,7 @@ def stationary_basis(c1=1.0, c2=0.7) -> StateModel:
         support_basis_fn=support_basis,
         domain=box([-2.0, -2.0], [2.0, 2.0]),
         params={"c1": c1, "c2": c2},
+        witness=Cond2PrimeWitness(unitary_fn=lambda theta: identity_path(theta, 2)),
     )
 
 
@@ -454,12 +451,6 @@ def get(name: str, **params) -> StateModel:
 
 
 def get_witness(name: str, **params):
-    """PDE witness for models that ship one, else None."""
-    key = _ALIASES.get(name, name)
-    if key == "qutrit-phase-mixture":
-        return _qutrit_witness(**params)
-    if key == "theta-independent-support":
-        return Cond2PrimeWitness(unitary_fn=_ti_gauge_path, generators=None)
-    if key == "stationary-basis":
-        return Cond2PrimeWitness(unitary_fn=lambda theta: identity_path(theta, 2), generators=None)
-    return None
+    """The PDE witness of a registered model, ``get(name, **params).witness``; None
+    when it ships none."""
+    return get(name, **params).witness

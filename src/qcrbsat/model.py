@@ -96,6 +96,8 @@ class StateModel:
     for it. ``support_basis_fn`` returns a smooth isometry whose columns are
     support eigenvectors; its derivatives are always central differences of
     the map itself, never from per-point eigenvectors (whose gauge is arbitrary).
+    ``witness`` is the model's :class:`~qcrbsat.conditions.Cond2PrimeWitness`
+    for that map, which condition 2' checks; None when it ships none.
     """
 
     name: str
@@ -106,6 +108,7 @@ class StateModel:
     derivative_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     support_basis_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     params: dict | None = None
+    witness: object = None
 
 
 def _row(value, i, fields: tuple):

@@ -595,7 +595,6 @@ def verify_condition2prime_loop(
     sp,
     witness=None,
     *,
-    null_povm=None,
     h: float = 1e-5,
     tol: float = 1e-8,
     rank_tol: float = 1e-10,
@@ -609,7 +608,6 @@ def verify_condition2prime_loop(
             path="not_checked",
             pde_residual=None,
             stationarity_residual=None,
-            null_compat_residual=None,
             cross_identity_residual=None,
             tol=tol,
             notes=[note],
@@ -656,29 +654,6 @@ def verify_condition2prime_loop(
             scale = max(1.0, _fro(dvt[l]))
             stationarity_res = max(stationarity_res, _fro(dec.P_plus @ dvt[l]) / scale)
 
-    null_compat_res = None
-    if null_povm is not None and len(null_povm) and dec.r_zero > 0:
-        null_compat_res = 0.0
-        y = dec.Y
-        blocks = [y.conj().T @ dvt[l] for l in range(p)]
-        for e in null_povm:
-            e00 = y.conj().T @ np.asarray(e, dtype=complex) @ y
-            for l in range(p):
-                for m in range(p):
-                    if l == m:
-                        continue
-                    lhs = e00 @ blocks[l]
-                    rhs = e00 @ blocks[m]
-                    scale = max(1.0, _fro(e00) * max(_fro(blocks[l]), _fro(blocks[m])))
-                    if _fro(rhs) <= tol * scale:
-                        res = 0.0 if _fro(lhs) <= tol * scale else _fro(lhs) / scale
-                    else:
-                        c = float(np.vdot(rhs.ravel(), lhs.ravel()).real) / float(
-                            np.vdot(rhs.ravel(), rhs.ravel()).real
-                        )
-                        res = _fro(lhs - c * rhs) / scale
-                    null_compat_res = max(null_compat_res, res)
-
     lpz = plus_null_blocks(dec, sp.drho)
     cross_res = 0.0
     for l in range(p):
@@ -689,15 +664,12 @@ def verify_condition2prime_loop(
     checked = [pde_res, cross_res]
     if stationarity_res is not None:
         checked.append(stationarity_res)
-    if null_compat_res is not None:
-        checked.append(null_compat_res)
     status = "PASSED" if all(r <= tol for r in checked) else "FAILED"
     return cond.Cond2PrimeResult(
         status=status,
         path=path,
         pde_residual=pde_res,
         stationarity_residual=stationarity_res,
-        null_compat_residual=null_compat_res,
         cross_identity_residual=cross_res,
         tol=tol,
         notes=[],

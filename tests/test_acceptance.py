@@ -208,9 +208,8 @@ def test_criterion_6_structural_iff_fisher_equality():
 def test_criterion_7_basis_map_identities():
     # witness check on the qutrit family
     model = qs.get("corrigendum-lcss", d=D, c1=C1, c2=C2)
-    witness = qs.get_witness("corrigendum-lcss", d=D, c1=C1, c2=C2)
     sp = qs.evaluate(model, [0.3, 0.5])
-    res = verify_condition2prime(model, sp, witness)
+    res = verify_condition2prime(model, sp, model.witness)
     assert res.status == "PASSED"
     assert res.pde_residual <= 1e-8
     assert res.stationarity_residual <= 1e-8

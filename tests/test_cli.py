@@ -381,11 +381,31 @@ class TestDiagnostics:
             on["conditions"][key] = None
         assert default == on
 
-    def test_default_run_builds_no_witness(self, capsys, monkeypatch):
-        asked = []
-        monkeypatch.setattr(cli.fixtures, "get_witness", lambda *a, **k: asked.append(a))
+    def test_default_run_calls_no_witness_map(self, capsys, monkeypatch):
+        asked, get = [], cli.fixtures.get
+
+        def get_counted(name, **params):
+            model = get(name, **params)
+            u = model.witness.unitary_fn
+            return dataclasses.replace(model, witness=dataclasses.replace(
+                model.witness, unitary_fn=lambda theta: asked.append(theta) or u(theta)))
+
+        monkeypatch.setattr(cli.fixtures, "get", get_counted)
         assert run(capsys, "analyze", *QUTRIT)[0] == 0
         assert asked == []
+        assert run(capsys, "analyze", *QUTRIT, "--diagnostics")[0] == 0
+        assert asked
+
+    @pytest.mark.parametrize("argv", [["analyze", "--theta", "0.3,0.5"],
+                                      ["sweep", "--grid", "0.1:0.9:2,0.1:0.9:2"]])
+    def test_unknown_parameter_is_refused_by_name(self, capsys, argv):
+        # the witness comes with the model, so --params is read once, by the model's builder
+        code = main([*argv, "--model", "qutrit-phase-mixture", "--params", "foo=1",
+                     "--diagnostics"])
+        out, err = capsys.readouterr()
+        assert code == 1 and err == ""
+        error = json.loads(out)["error"]
+        assert error["type"] == "ParameterError" and error["detail"] == {"parameter": "foo"}
 
 
 class TestSchemes:

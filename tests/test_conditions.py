@@ -10,7 +10,7 @@ import qcrbsat as qs
 from qcrbsat import conditions as cond
 from qcrbsat import model as md
 from qcrbsat import numkernel as nk
-from qcrbsat.errors import InvalidToleranceError
+from qcrbsat.errors import InvalidToleranceError, QcrbSatError
 from qcrbsat.sld import SLDSet
 from oracles import (
     average_commutativity_loop,
@@ -123,7 +123,7 @@ def test_constructor_built_report_writes_the_diagnostics_null(
         qutrit_model, qutrit_point, qutrit_dec, qutrit_slds):
     # a caller that runs each check itself and builds the report from them, with no flag
     sp, dec, slds = qutrit_point, qutrit_dec, qutrit_slds
-    witness = qs.get_witness("paper-qutrit")
+    witness = qutrit_model.witness
     scale = max(nk.fro(full) for full in slds.full)
     rep = cond.ConditionReport(
         regime="rank_deficient", full_comm=cond.check_full_commutativity(slds),
@@ -136,7 +136,7 @@ def test_constructor_built_report_writes_the_diagnostics_null(
     written = rep.to_dict()
     assert [written[k] for k in ("full_commutativity", "partial_commutativity",
                                  "condition2prime")] == [None] * 3
-    kw = dict(model=qutrit_model, witness=witness)
+    kw = dict(model=qutrit_model)
     assert written == qs.evaluate_conditions(sp, dec, slds, **kw).to_dict()
     on = dataclasses.replace(rep, diagnostics=True).to_dict()
     assert on == qs.evaluate_conditions(sp, dec, slds, **kw, diagnostics=True).to_dict()
@@ -776,7 +776,7 @@ def constant_basis_model():
 
 class TestCondition2Prime:
     def test_lcss_witness(self, qutrit_model, qutrit_point):
-        witness = qs.get_witness("corrigendum-lcss", d=0.6, c1=1.0, c2=0.7)
+        witness = qs.get("corrigendum-lcss", d=0.6, c1=1.0, c2=0.7).witness
         res = cond.verify_condition2prime(qutrit_model, qutrit_point, witness)
         assert res.status == "PASSED"
         assert res.path == "zero_generators"
@@ -802,17 +802,10 @@ class TestCondition2Prime:
         assert res.notes == ["no witness supplied; existence undecided"]
         assert res.pde_residual is None and counts == {"V": 0}
 
-    def test_null_povm_compatibility(self, qutrit_model, qutrit_point, qutrit_dec, qutrit_slds):
-        from qcrbsat import povm as pv
-
-        rep = qs.evaluate_conditions(qutrit_point, qutrit_dec, qutrit_slds)
-        popt = pv.construct_optimal(qutrit_dec, qutrit_slds, W=rep.cond4.W)
-        nulls = [e for e, k in zip(popt.elements, popt.classification) if k == "null"]
-        res = cond.verify_condition2prime(
-            qutrit_model, qutrit_point, qs.get_witness("paper-qutrit"), null_povm=nulls
-        )
-        assert res.status == "PASSED"
-        assert res.null_compat_residual <= 1e-8
+    def test_null_measurement_is_left_to_the_certificate(self, qutrit_model, qutrit_point):
+        with pytest.raises(QcrbSatError, match="povm.verify_saturation_structural"):
+            cond.verify_condition2prime(qutrit_model, qutrit_point, qutrit_model.witness,
+                                        null_povm=[np.eye(3)])
 
     def test_missing_support_basis(self, multinomial_model):
         sp = qs.evaluate(multinomial_model, [0.3, 0.3])
@@ -832,12 +825,12 @@ class TestCondition2Prime:
     ])
     def test_generators_of_another_form_rejected(self, qutrit_model, qutrit_point, generators):
         # the one form is a real (p, r+) array of the diagonals of D_l; here p = r+ = 2
-        witness = dataclasses.replace(qs.get_witness("paper-qutrit"), generators=generators)
+        witness = dataclasses.replace(qutrit_model.witness, generators=generators)
         with pytest.raises(cond.InvalidWitnessError, match=r"real \(2, 2\) array"):
             cond.verify_condition2prime(qutrit_model, qutrit_point, witness)
 
     def test_real_generators_enter_the_pde(self, qutrit_model, qutrit_point):
-        base = qs.get_witness("paper-qutrit")
+        base = qutrit_model.witness
         zero = cond.verify_condition2prime(qutrit_model, qutrit_point, base)
         shifted = cond.verify_condition2prime(
             qutrit_model, qutrit_point, dataclasses.replace(base, generators=np.ones((2, 2))))
@@ -1044,7 +1037,7 @@ class TestCondition2PrimeStencil:
             qutrit_model, support_basis_fn=self._counted(qutrit_model.support_basis_fn, counts, "V"))
         witness = None
         if with_witness:
-            w = qs.get_witness("qutrit-phase-mixture", d=0.6, c1=1.0, c2=0.7)
+            w = qutrit_model.witness
             witness = dataclasses.replace(w, unitary_fn=self._counted(w.unitary_fn, counts, "U"))
         res = cond.verify_condition2prime(model, qutrit_point, witness)
         assert res.status == ("PASSED" if with_witness else "NOT_CHECKED")
@@ -1056,12 +1049,12 @@ class TestCondition2PrimeStencil:
         fixed = qutrit_model.support_basis_fn(qutrit_point.theta)
         model = dataclasses.replace(qutrit_model, support_basis_fn=lambda theta: fixed)
         with pytest.raises(md.InvalidStateError, match=r"support basis map returned shape \(3, 2\)"):
-            cond.verify_condition2prime(model, qutrit_point, qs.get_witness("paper-qutrit"))
+            cond.verify_condition2prime(model, qutrit_point, model.witness)
 
     def test_support_basis_of_another_shape_at_the_point(self, qutrit_model, qutrit_point):
         model = dataclasses.replace(qutrit_model, support_basis_fn=lambda theta: np.ones(3))
         with pytest.raises(md.InvalidStateError, match=r"basis has shape \(3,\)"):
-            cond.verify_condition2prime(model, qutrit_point, qs.get_witness("paper-qutrit"))
+            cond.verify_condition2prime(model, qutrit_point, model.witness)
 
     def test_support_basis_failing_at_the_point_is_typed(self, qutrit_model, qutrit_point,
                                                           qutrit_dec, qutrit_slds):
@@ -1073,7 +1066,7 @@ class TestCondition2PrimeStencil:
         model = dataclasses.replace(qutrit_model, support_basis_fn=basis)
         with pytest.raises(md.InvalidStateError, match="support basis map failed") as exc:
             qs.evaluate_conditions(qutrit_point, qutrit_dec, qutrit_slds, model=model,
-                                   witness=qs.get_witness("paper-qutrit"), diagnostics=True)
+                                   diagnostics=True)
         assert isinstance(exc.value.__cause__, ValueError) and str(exc.value.__cause__) == "boom"
 
     @pytest.mark.parametrize("where", ["point", "stencil"])
@@ -1091,7 +1084,7 @@ class TestCondition2PrimeStencil:
 
             return wrapped
 
-        model, witness = qutrit_model, qs.get_witness("paper-qutrit")
+        model, witness = qutrit_model, qutrit_model.witness
         if which == "support basis":
             model = dataclasses.replace(model, support_basis_fn=poisoned(model.support_basis_fn))
         else:
@@ -1122,26 +1115,15 @@ class TestCondition2PrimeStencil:
         ("stationary-basis", [0.3, -0.4]),
         ("fixed-basis", [0.3]),
     ])
-    @pytest.mark.parametrize("case", ["witness", "witness+null"])
-    def test_matches_per_derivative_oracle(self, name, theta, case):
-        from qcrbsat import povm as pv
-
+    def test_matches_per_derivative_oracle(self, name, theta):
         model = constant_basis_model() if name == "fixed-basis" else qs.get(name)
         sp = qs.evaluate(model, theta)
-        nulls = None
-        witness = qs.get_witness(name) if name != "fixed-basis" else cond.Cond2PrimeWitness(
+        witness = model.witness if name != "fixed-basis" else cond.Cond2PrimeWitness(
             unitary_fn=lambda theta: cond.identity_path(theta, 2))
-        if case == "witness+null":
-            dec = qs.support_decomposition(sp)
-            slds = qs.compute_sld(dec, sp.drho)
-            rep = qs.evaluate_conditions(sp, dec, slds)
-            popt = pv.construct_optimal(dec, slds, W=rep.cond4.W)
-            nulls = [e for e, k in zip(popt.elements, popt.classification) if k == "null"]
-        new = cond.verify_condition2prime(model, sp, witness, null_povm=nulls)
-        old = verify_condition2prime_loop(model, sp, witness, null_povm=nulls)
+        new = cond.verify_condition2prime(model, sp, witness)
+        old = verify_condition2prime_loop(model, sp, witness)
         assert new.status == "PASSED"
         assert dataclasses.asdict(new) == dataclasses.asdict(old)
-        assert (new.null_compat_residual is not None) == (case == "witness+null")
 
     def test_stencil_at_the_boundary_is_not_checked(self, qutrit_model):
         # theta - h e_0 would leave the box (0, 1)^2; no map may be called there
@@ -1151,14 +1133,14 @@ class TestCondition2PrimeStencil:
         def recorded(fn):
             return lambda th: seen.append(np.array(th)) or fn(th)
 
-        model = dataclasses.replace(qutrit_model,
-                                    support_basis_fn=recorded(qutrit_model.support_basis_fn))
-        w = qs.get_witness("qutrit-phase-mixture", d=0.6, c1=1.0, c2=0.7)
-        witness = dataclasses.replace(w, unitary_fn=recorded(w.unitary_fn))
+        w = qutrit_model.witness
+        model = dataclasses.replace(
+            qutrit_model, support_basis_fn=recorded(qutrit_model.support_basis_fn),
+            witness=dataclasses.replace(w, unitary_fn=recorded(w.unitary_fn)))
         sp = qs.evaluate(model, theta)
         dec = qs.support_decomposition(sp)
         rep = qs.evaluate_conditions(sp, dec, qs.compute_sld(dec, sp.drho), model=model,
-                                     witness=witness, diagnostics=True)
+                                     diagnostics=True)
         res = rep.cond2prime
         assert res.status == "NOT_CHECKED" and res.path == "not_checked"
         assert "h = 1e-05" in res.notes[0] and res.pde_residual is None
@@ -1208,3 +1190,9 @@ class TestCondition2PrimeStencil:
                 assert res.status == "PASSED" and res.path == "zero_generators"
                 kinds.append("fits")
         assert kinds == ["fits", "leaves", "rounds", "fits", "rounds", "rounds", "fits"]
+
+
+def test_w_of_another_shape_refused():
+    lpz = np.ones((2, 2, 2), dtype=complex)
+    with pytest.raises(nk.ShapeError, match=r"W has shape \(3, 3\), expected \(2, 2\)"):
+        cond.verify_condition4_with_w(lpz, np.eye(3))

@@ -651,3 +651,34 @@ class TestScaleInvariance:
         fisher = rep["fisher"]
         assert fisher["notes"] == []
         assert fisher["cost_classical"] == pytest.approx(fisher["cost_quantum"], rel=1e-6)
+
+
+def _qubit():
+    """A full-rank qubit point, its decomposition and the computational-basis measurement."""
+    sp = md.StateAtPoint(theta=None, rho=np.diag([0.6, 0.4]).astype(complex),
+                         drho=np.diag([1.0, -1.0])[None].astype(complex), scheme="analytic")
+    return sp, md.support_decomposition(sp), pv.POVM(basis=np.eye(2), ranks=(1, 1))
+
+
+@pytest.mark.parametrize("case, message", [
+    ("negative probability", r"negative outcome probability -5\.000e-01 of outcome 1"),
+    ("derivative sum", r"probability derivatives do not sum to the derivative traces: \[1\.0\]"),
+    ("asymmetric information", "classical information matrix is not symmetric"),
+    ("counts shape", r"counts shape \(3,\) does not match \(2,\)"),
+])
+def test_refusals(case, message):
+    sp, dec, basis = _qubit()
+    calls = {
+        "negative probability": lambda: fi.outcome_distribution(
+            np.diag([1.5, -0.5]).astype(complex), sp.drho, basis, dec),
+        # one element: complete where the state lives, not where its derivative moves it
+        "derivative sum": lambda: fi.outcome_distribution(
+            np.diag([1.0, 0.0]).astype(complex), sp.drho, pv.POVM(elements=[np.diag([1.0, 0.0])]),
+            dec),
+        "asymmetric information": lambda: fi.compare(np.array([[1.0, 1.0], [0.0, 1.0]]),
+                                                     np.eye(2)),
+        "counts shape": lambda: fi.empirical_fim(
+            np.array([1, 2, 3]), fi.outcome_distribution(sp.rho, sp.drho, basis, dec)),
+    }
+    with pytest.raises(qs.QcrbSatError, match=message):
+        calls[case]()

@@ -29,9 +29,8 @@ def _maps(name, params):
             "identity path": lambda t: cond.identity_path(t, 3)}
     if model.support_basis_fn is not None:
         maps["support basis"] = model.support_basis_fn
-    witness = qs.get_witness(name, **params)
-    if witness is not None:
-        maps["witness"] = witness.unitary_fn
+    if model.witness is not None:
+        maps["witness"] = model.witness.unitary_fn
     return model, maps
 
 
@@ -133,7 +132,9 @@ class TestRegistry:
 
     def test_witnesses_exposed(self):
         for name in ("paper-qutrit", "theta-independent-support", "stationary-basis"):
+            assert qs.get(name).witness is not None
             assert qs.get_witness(name) is not None
+        assert qs.get("diag-multinomial").witness is None
         assert qs.get_witness("diag-multinomial") is None
 
     @pytest.mark.parametrize("case", MAP_CASES)
@@ -141,8 +142,9 @@ class TestRegistry:
         # condition 2' checks only a supplied witness, so without one the CLI reports would
         # read NOT_CHECKED where a support-basis map could be checked
         name, params = case
-        if qs.get(name, **params).support_basis_fn is not None:
-            assert qs.get_witness(name, **params) is not None
+        model = qs.get(name, **params)
+        if model.support_basis_fn is not None:
+            assert model.witness is not None
 
 
 class TestQutritFamily:

@@ -531,3 +531,23 @@ class TestNumericModel:
     def test_missing_key(self):
         with pytest.raises(md.SchemaError):
             qs.parse_numeric_model({"n_s": 2, "p": 1, "rho": []})
+
+
+@pytest.mark.parametrize("case, error, message", [
+    ("empty box", md.DomainError, "invalid box"),
+    ("analytic without derivatives", md.DomainError, "qutrit-phase-mixture has no analytic"),
+    ("unknown scheme", md.DomainError, "unknown derivative scheme 'forward'"),
+    ("derivative count", md.SchemaError, "drho must hold 2 matrices"),
+])
+def test_refusals(qutrit_model, case, error, message):
+    theta = np.array([[0.3, 0.5]])
+    calls = {
+        "empty box": lambda: md.box([0.0, 1.0], [1.0, 1.0]),
+        "analytic without derivatives": lambda: md.evaluate_points(
+            dataclasses.replace(qutrit_model, derivative_fn=None), theta, scheme="analytic"),
+        "unknown scheme": lambda: md.evaluate_points(qutrit_model, theta, scheme="forward"),
+        "derivative count": lambda: md.parse_numeric_model(
+            {"n_s": 1, "p": 2, "rho": [[[1, 0]]], "drho": [[[[0, 0]]]]}),
+    }
+    with pytest.raises(error, match=message):
+        calls[case]()

@@ -267,6 +267,18 @@ class TestJointEigenprojectorsMatchLoop:
         spec = _assert_matches_loop(family)
         assert 1 in spec.block_dims and max(spec.block_dims) > 1
 
+    def test_clusters_the_mixture_splits_merge_on_equal_labels(self):
+        # the large labels cancel in the fixed mixture, which so splits the last two
+        # directions by L tol c_0 ~ 1.3e-6 > tol; every member's labels there agree within
+        # tol times its scale, so the two clusters merge into one block
+        c = nk.mixing_weights(2)
+        k, big, tol = -c[0] / c[1], 1e3, 1e-8
+        family = [np.diag([0.0, big, big * (1 + tol / 2)]),
+                  np.diag([0.0, k * big, k * big * (1 - tol / 2)])]
+        w = np.linalg.eigvalsh(c[0] * family[0] + c[1] * family[1])
+        assert w[2] - w[1] > tol
+        assert _assert_matches_loop(family, tol).block_dims == (1, 2)
+
     @pytest.mark.parametrize("name, params, theta, n_w", [
         ("qutrit-phase-mixture", dict(d=0.6, c1=1.0, c2=0.7), [0.3, 0.5], 1),
         ("qutrit-phase-mixture", dict(d=0.6, c1=1.0, c2=0.7), [0.8, 0.1], 1),
@@ -374,3 +386,8 @@ class TestJointEigenprojectorsProperty:
     def test_matches_loop(self, family, tol):
         spec = _assert_matches_loop(family, tol)
         assert sum(spec.block_dims) == len(family[0])
+
+
+def test_empty_family_refused():
+    with pytest.raises(nk.ShapeError, match="empty family"):
+        nk.joint_eigenprojectors([])

@@ -437,3 +437,18 @@ class TestRandomGenerators:
         p = pv.random_povm(3, 4, rng)
         diag = pv.validate(p)
         assert diag["valid"]
+
+
+@pytest.mark.parametrize("case, error, message", [
+    ("no element", pv.InvalidPOVMError, "needs at least one element"),
+    ("ragged elements", pv.InvalidPOVMError, r"element 1 has shape \(3, 3\), expected \(2, 2\)"),
+    ("W shape", nk.ShapeError, r"W has shape \(2, 2\), expected \(1, 1\)"),
+])
+def test_refusals(qutrit_dec, qutrit_slds, case, error, message):
+    calls = {
+        "no element": lambda: pv.POVM(elements=[]),
+        "ragged elements": lambda: pv.POVM(elements=[np.eye(2), np.eye(3)]),
+        "W shape": lambda: pv.construct_optimal(qutrit_dec, qutrit_slds, W=np.eye(2)),
+    }
+    with pytest.raises(error, match=message):
+        calls[case]()

@@ -90,12 +90,12 @@ def _text(report):
     return "".join(out)
 
 
-def _witnesses(witness):
+def _witnesses(model):
     """No witness, and the model's own witness when it ships one."""
-    return [None] if witness is None else [None, witness]
+    return [None] if model.witness is None else [None, model.witness]
 
 
-def _single(model, witness, theta, scheme):
+def _single(model, theta, scheme):
     sp = qs.evaluate(model, theta, scheme=scheme)
     dec = qs.support_decomposition(sp)
     slds = qs.compute_sld(dec, sp.drho, sld_tol=sp.deriv_tol)
@@ -104,14 +104,13 @@ def _single(model, witness, theta, scheme):
               qs.check_average_commutativity(sp.rho, slds, tol),
               qs.check_partial_commutativity(dec, slds, tol), qs.check_condition1(slds, tol),
               qs.check_condition3(slds, tol))
-    c2p = [qs.verify_condition2prime(model, sp, w, tol=max(tol, 1e-8)) for w in _witnesses(witness)]
-    reports = [qs.evaluate_conditions(sp, dec, slds, model=model, witness=witness,
-                                      diagnostics=diagnostics)
+    c2p = [qs.verify_condition2prime(model, sp, w, tol=max(tol, 1e-8)) for w in _witnesses(model)]
+    reports = [qs.evaluate_conditions(sp, dec, slds, model=model, diagnostics=diagnostics)
                for diagnostics in (False, True)]
     return sp, dec, slds, qs.qfim(dec, slds), checks, c2p, reports
 
 
-def _stacked(model, witness, thetas, scheme):
+def _stacked(model, thetas, scheme):
     """Per point, what `_single` returns, from one stacked pass per group."""
     points = md.evaluate_points(model, thetas, scheme=scheme)
     out = [None] * len(thetas)
@@ -125,9 +124,8 @@ def _stacked(model, witness, thetas, scheme):
                   qs.check_partial_commutativity(dec, slds, tol), qs.check_condition1(slds, tol),
                   qs.check_condition3(slds, tol))
         c2p = [qs.verify_condition2prime(model, group, w, tol=max(tol, 1e-8))
-               for w in _witnesses(witness)]
-        reports = [cond.condition_reports(group, dec, slds, model=model, witness=witness,
-                                          diagnostics=diagnostics)
+               for w in _witnesses(model)]
+        reports = [cond.condition_reports(group, dec, slds, model=model, diagnostics=diagnostics)
                    for diagnostics in (False, True)]
         for i, k in enumerate(rows.tolist()):
             out[k] = (group.row(i), dec.row(i),
@@ -141,31 +139,31 @@ def _stacked(model, witness, thetas, scheme):
        st.integers(0, 2**32 - 1))
 def test_stacked_rows_equal_single_point_calls(case, scheme, size, seed):
     name, params = case
-    model, witness = qs.get(name, **params), qs.get_witness(name, **params)
-    _rows_equal_single_calls(model, witness, _points(model, name, size, seed), scheme)
+    model = qs.get(name, **params)
+    _rows_equal_single_calls(model, _points(model, name, size, seed), scheme)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(SCHEMES), st.integers(2, 12), st.integers(0, 2**32 - 1))
 def test_stacks_split_into_rank_groups(scheme, size, seed):
     model = _rank_switch()
-    _rows_equal_single_calls(model, None, _points(model, model.name, size, seed), scheme)
+    _rows_equal_single_calls(model, _points(model, model.name, size, seed), scheme)
 
 
-def _rows_equal_single_calls(model, witness, thetas, scheme):
+def _rows_equal_single_calls(model, thetas, scheme):
     singles = []
     for theta in thetas:
         try:
-            singles.append(_single(model, witness, theta, scheme))
+            singles.append(_single(model, theta, scheme))
         except QcrbSatError as exc:
             singles.append(exc)
     ok = [i for i, s in enumerate(singles) if not isinstance(s, QcrbSatError)]
     if len(ok) < len(thetas):
         with pytest.raises(QcrbSatError):
-            _stacked(model, witness, thetas, scheme)
+            _stacked(model, thetas, scheme)
     if not ok:
         return
-    for i, got in zip(ok, _stacked(model, witness, thetas[ok], scheme)):
+    for i, got in zip(ok, _stacked(model, thetas[ok], scheme)):
         sp, dec, slds, f_q, checks, c2p, reports = singles[i]
         g_sp, g_dec, g_slds, g_f_q, g_checks, g_c2p, g_reports = got
         for a, b in ((sp.theta, g_sp.theta), (sp.rho, g_sp.rho), (sp.drho, g_sp.drho),
