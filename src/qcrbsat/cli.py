@@ -163,20 +163,35 @@ def run_analysis(args, sp: StateAtPoint, model=None):
     return run_analyses(args, sp.row(None), model)[0]
 
 
-def base_report(args, sp: StateAtPoint, model, dec, f_q, report) -> dict:
+def report_header(args, sp: StateAtPoint, model) -> dict:
+    """The report fields that are the same at every point of one command: the
+    ``tool`` block, and ``inputs`` with ``theta`` left None."""
     return {
-        "schema_version": SCHEMA_VERSION,
         "tool": {"name": "qcrbsat", "version": __version__},
         "inputs": {
             "model": model.name if model is not None else None,
             "params": jsonable(model.params) if model is not None else None,
             "numeric_model": bool(args.numeric_model),
-            "theta": None if sp.theta is None else [float(x) for x in sp.theta],
+            "theta": None,
             "scheme": sp.scheme_label(),
             "rank_tol": args.rank_tol,
             "cond_tol": cond_tol(args, sp),
             "seed": args.seed,
         },
+    }
+
+
+def base_report(args, sp: StateAtPoint, model, dec, f_q, report, header=None) -> dict:
+    """The report of one point; ``header`` is :func:`report_header` of the command,
+    made here when not given."""
+    header = header or report_header(args, sp, model)
+    inputs = dict(header["inputs"])
+    if sp.theta is not None:
+        inputs["theta"] = sp.theta.tolist()
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "tool": header["tool"],
+        "inputs": inputs,
         "support": {
             "r_plus": dec.r_plus,
             "r_zero": dec.r_zero,
@@ -324,25 +339,29 @@ def cmd_simulate(args) -> dict:
     return out
 
 
-def _sweep_entries(args, model, thetas) -> list:
+def _sweep_entries(args, model, thetas, header: dict) -> list:
     """The sweep entries of a (B, p) stack of grid points.
 
     The stack is evaluated and analyzed in one pass (:func:`run_analyses`).
     If that raises, each half runs again on its own, down to single points:
     a failing point's entry is then the error it raises alone, what
     `analyze` reports there, and every other entry is its report.
+    ``header`` is the command's :func:`report_header`, filled from the
+    first stack evaluated when empty.
     """
     try:
         points = evaluate_points(model, thetas, scheme=args.scheme, h=args.fd_step)
         analyses = run_analyses(args, points, model)
-        return [base_report(args, points.row(k), model, dec, f_q, report)
+        if not header:
+            header.update(report_header(args, points, model))
+        return [base_report(args, points.row(k), model, dec, f_q, report, header)
                 for k, (dec, _, f_q, report) in enumerate(analyses)]
     except QcrbSatError as exc:
         if len(thetas) == 1:
             return [{"theta": [float(x) for x in thetas[0]], "error": exc.to_dict()}]
     half = len(thetas) // 2
-    return (_sweep_entries(args, model, thetas[:half])
-            + _sweep_entries(args, model, thetas[half:]))
+    return (_sweep_entries(args, model, thetas[:half], header)
+            + _sweep_entries(args, model, thetas[half:], header))
 
 
 def cmd_sweep(args) -> dict:
@@ -362,9 +381,9 @@ def cmd_sweep(args) -> dict:
     # the largest per-point stacks: the Richardson stencil (4p states) and the pair products
     p, n = model.n_params, model.dim
     chunk = max(1, SWEEP_ENTRIES // ((4 + p) * p * n * n))
-    reports = []
+    reports, header = [], {}
     for start in range(0, len(points), chunk):
-        reports += _sweep_entries(args, model, points[start:start + chunk])
+        reports += _sweep_entries(args, model, points[start:start + chunk], header)
     return {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "qcrbsat", "version": __version__},

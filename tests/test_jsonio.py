@@ -3,6 +3,7 @@ import json
 import os
 import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +47,57 @@ DOCUMENTS = st.recursive(
     max_leaves=30)
 
 
+class _Str(str):
+    """A string subclass, which json.dumps writes as the string it holds."""
+
+
+# Floats a slot may take, the ones whose text is easy to get wrong among them.
+_SLOT_FLOATS = st.sampled_from([0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324,
+                                1e16, 0.1]) | st.floats()
+_SLOT_TEXTS = st.sampled_from(["%", "%s", "%d%%", "naïve ☃"]) | st.text(max_size=3)
+# Keys, with the template's own "%" in some, and a few that are not strings.
+_KEYS = _SLOT_TEXTS | st.integers(-2, 2)
+# What each scalar slot of an entry shape draws, per entry.
+_SLOTS = {
+    "float": _SLOT_FLOATS,
+    "int": st.integers(),
+    "bool": st.booleans(),
+    "str": _SLOT_TEXTS,
+    "none": st.none(),
+    "turns": st.integers(-3, 3) | _SLOT_FLOATS | st.booleans(),  # int, float and bool by turns
+    "float64": _SLOT_FLOATS | _SLOT_FLOATS.map(np.float64),
+    "strsub": _SLOT_TEXTS | _SLOT_TEXTS.map(_Str),
+    "matrix": _MATRICES.map(ComplexMatrix),  # a matrix of changing shape
+}
+_ELEMENTS = st.complex_numbers(allow_nan=True, allow_infinity=True)
+# Entry shapes: nested ("dict", [(key, shape), ...]) and ("list", [shape, ...]) over slots and
+# ("fixed", shape), a matrix of one shape.
+_SHAPES = st.recursive(
+    st.sampled_from(sorted(_SLOTS)) | hnp.array_shapes(min_dims=1, max_dims=4, max_side=2).map(
+        lambda shape: ("fixed", shape)),
+    lambda children: (st.lists(children, max_size=3).map(lambda c: ("list", c))
+                      | st.lists(st.tuples(_KEYS, children), max_size=3,
+                                 unique_by=lambda kv: kv[0]).map(lambda c: ("dict", c))),
+    max_leaves=12)
+
+
+def _entry(data, shape):
+    """A value of ``shape``, its scalars drawn afresh; now and then a tuple for a list, and
+    a dict's keys in another order."""
+    if isinstance(shape, str):
+        return data.draw(_SLOTS[shape])
+    kind, inner = shape
+    if kind == "fixed":
+        return ComplexMatrix(data.draw(hnp.arrays(np.complex128, inner, elements=_ELEMENTS)))
+    if kind == "list":
+        seq = [_entry(data, s) for s in inner]
+        return tuple(seq) if data.draw(st.integers(0, 9)) == 0 else seq
+    order = list(range(len(inner)))
+    if data.draw(st.integers(0, 9)) == 0:
+        order = data.draw(st.permutations(order))
+    return {inner[i][0]: _entry(data, inner[i][1]) for i in order}
+
+
 class TestWriterMatchesJsonDumps:
     @pytest.mark.parametrize(
         "argv",
@@ -58,8 +110,13 @@ class TestWriterMatchesJsonDumps:
             ["simulate", *QUTRIT, "--trials", "2000", "--batches", "2", "--estimator"],
             ["sweep", "--model", "paper-qutrit", "--params", "d=0.6,c1=1,c2=0.7",
              "--grid", "0.0:1.0:3,0.1:0.9:2"],
+            # entries of mixed shapes: an error first, and the diagnostics' null and filled checks
+            ["sweep", "--model", "paper-qutrit", "--grid", "0.0:0.5:2,0.5:0.5:1"],
+            ["sweep", "--model", "pure-qubit-amp-phase", "--grid", "0.3:1.2:3,-2.0:2.0:3",
+             "--diagnostics"],
         ],
-        ids=["analyze", "construct-povm", "fisher", "fisher-rank-r", "simulate", "sweep"],
+        ids=["analyze", "construct-povm", "fisher", "fisher-rank-r", "simulate", "sweep",
+             "sweep-error-first", "sweep-diagnostics"],
     )
     def test_reports(self, argv):
         obj = payload(*argv)
@@ -136,6 +193,32 @@ class TestWriterMatchesJsonDumps:
             for obj in docs:
                 assert dumped(obj, sort_keys=sort_keys) == reference(obj, sort_keys=sort_keys)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(_KEYS, _SHAPES), max_size=4, unique_by=lambda kv: kv[0]),
+           st.integers(2, 40), st.booleans(), st.data())
+    def test_lists_of_one_entry_shape(self, fields, count, odd, data):
+        shape = ("dict", fields)
+        entries = [_entry(data, shape) for _ in range(count)]
+        if odd:  # one entry of another shape, anywhere
+            other = data.draw(st.dictionaries(st.text(max_size=3), DOCUMENTS, max_size=3))
+            entries.insert(data.draw(st.integers(0, count)), other)
+        for obj in (entries, {"k": [entries, 1]}):
+            for sort_keys in (True, False):
+                try:
+                    expected = reference(obj, sort_keys=sort_keys)
+                except TypeError:  # keys that do not sort: both refuse
+                    with pytest.raises(TypeError):
+                        dumped(obj, sort_keys=sort_keys)
+                else:
+                    assert dumped(obj, sort_keys=sort_keys) == expected
+
+    def test_more_entry_shapes_than_plans(self):
+        # each entry's list has its own length: the shapes beyond PLAN_SHAPES take the walk
+        entries = [{"x": [0.5] * (i % (2 * jsonio.PLAN_SHAPES)), "n": i} for i in range(100)]
+        entries[7] = {"x": [np.float64(0.5)], "n": (1, 2)}
+        for sort_keys in (True, False):
+            assert dumped(entries, sort_keys=sort_keys) == reference(entries, sort_keys=sort_keys)
+
     def test_output_is_streamed(self):
         pieces = []
         obj = {"elements": ComplexMatrix(np.ones((3, 8, 8))), "rows": list(range(10000))}
@@ -143,6 +226,26 @@ class TestWriterMatchesJsonDumps:
         assert "".join(pieces) == reference(obj)
         assert len(pieces) > 3
         assert max(map(len, pieces)) < len("".join(pieces)) / 2
+        # a list of dicts of one shape goes out one batch of entries at a time
+        entries = [{"i": i, "x": i / 7, "name": f"e{i}", "ok": i % 2 == 0, "none": None,
+                    "m": ComplexMatrix(np.full((2, 2), i + 0.5j)), "q": [i / 3, [-i / 9]]}
+                   for i in range(1024)]
+        obj = {"entries": entries}
+        pieces = []
+        jsonio.dump(obj, pieces.append)
+        assert "".join(pieces) == reference(obj)
+        longest = max(len(json.dumps(e, indent=2).replace("\n", "\n    ")) for e in entries)
+        assert len(pieces) >= len(entries) // jsonio.PLAN_BATCH
+        assert max(map(len, pieces)) <= jsonio.PLAN_BATCH * (longest + len(",\n    ")) + 64
+        lengths = []
+        tracemalloc.start()
+        try:
+            jsonio.dump(obj, lambda text: lengths.append(len(text)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(lengths) == len(reference(obj))
+        assert peak < 1 << 20
 
 
 class TestProcessWideTexts:
