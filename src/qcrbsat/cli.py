@@ -132,35 +132,36 @@ def cond_tol(args, sp: StateAtPoint) -> float:
     return args.cond_tol if args.cond_tol is not None else sp.deriv_tol
 
 
-def run_analyses(args, points: StateAtPoint, model=None) -> list:
-    """The core pipeline at each point of a stack: decomposition, SLDs, information, conditions.
+def run_analyses(args, points: StateAtPoint, model=None):
+    """The core pipeline on a stack: decomposition, SLDs, information, conditions.
 
     ``points`` is a stack of state points (see
     :func:`~qcrbsat.model.evaluate_points`). The support split, the SLDs,
     the QFIM, the pairwise checks, the W search and, with ``--diagnostics``,
     condition 2' run once per group of points with equal (r+, r0); the
     verdict runs per point. The SLD solve is checked at the
-    condition tolerance or the scheme's, whichever is looser. Returns
-    ``(dec, slds, f_q, report)`` per point, each what the point gives
-    alone. A stack holding a failing point raises a :class:`QcrbSatError`
-    from one of its failing points.
+    condition tolerance or the scheme's, whichever is looser. Yields
+    ``(rows, dec, slds, f_q, reports)`` per group: ``rows`` the group's
+    indices into the stack, ``dec``, ``slds`` and ``f_q`` its stacked
+    arrays and ``reports`` one per row, each what the point gives alone.
+    No per-point object is built: a caller reads the rows it needs. A
+    stack holding a failing point raises a :class:`QcrbSatError` from one
+    of its failing points.
     """
     tol = cond_tol(args, points)
-    out = [None] * len(points.rho)
     for rows, dec in split_support(points.rho, points.drho, points.deriv_tol, args.rank_tol):
-        group = points if len(rows) == len(out) else points.row(rows)
+        group = points if len(rows) == len(points.rho) else points.row(rows)
         slds = compute_sld(dec, group.drho, sld_tol=max(tol, points.deriv_tol))
         f_q = qfim(dec, slds)
         reports = condition_reports(group, dec, slds, model=model, tol=tol,
                                     diagnostics=args.diagnostics)
-        for i, (k, report) in enumerate(zip(rows.tolist(), reports)):
-            out[k] = (dec.row(i), slds.row(i), f_q[i], report)
-    return out
+        yield rows, dec, slds, f_q, reports
 
 
 def run_analysis(args, sp: StateAtPoint, model=None):
-    """:func:`run_analyses` at the one point ``sp``."""
-    return run_analyses(args, sp.row(None), model)[0]
+    """``(dec, slds, f_q, report)`` of :func:`run_analyses` at the one point ``sp``."""
+    (_, dec, slds, f_q, reports), = run_analyses(args, sp.row(None), model)
+    return dec.row(0), slds.row(0), f_q[0], reports[0]
 
 
 def report_header(args, sp: StateAtPoint, model) -> dict:
@@ -182,22 +183,22 @@ def report_header(args, sp: StateAtPoint, model) -> dict:
 
 
 def base_report(args, sp: StateAtPoint, model, dec, f_q, report, header=None) -> dict:
-    """The report of one point; ``header`` is :func:`report_header` of the command,
-    made here when not given."""
-    header = header or report_header(args, sp, model)
-    inputs = dict(header["inputs"])
-    if sp.theta is not None:
-        inputs["theta"] = sp.theta.tolist()
+    """The report of the one point ``sp``: :func:`_entry` of its values. ``header`` is
+    :func:`report_header` of the command, made here when not given."""
+    theta = None if sp.theta is None else sp.theta.tolist()
+    return _entry(header or report_header(args, sp, model), theta, dec.r_plus, dec.r_zero,
+                  dec.q.tolist(), f_q.tolist(), report)
+
+
+def _entry(header: dict, theta, r_plus: int, r_zero: int, q: list, f_q: list, report) -> dict:
+    """A point's report from the command's ``header`` and the point's values, its arrays
+    as lists (``theta`` None for a numeric model)."""
     return {
         "schema_version": SCHEMA_VERSION,
         "tool": header["tool"],
-        "inputs": inputs,
-        "support": {
-            "r_plus": dec.r_plus,
-            "r_zero": dec.r_zero,
-            "q": dec.q.tolist(),
-        },
-        "qfim": f_q.tolist(),
+        "inputs": {**header["inputs"], "theta": theta},
+        "support": {"r_plus": r_plus, "r_zero": r_zero, "q": q},
+        "qfim": f_q,
         "conditions": report.to_dict(),
         "verdict": report.verdict,
     }
@@ -342,20 +343,23 @@ def cmd_simulate(args) -> dict:
 def _sweep_entries(args, model, thetas, header: dict) -> list:
     """The sweep entries of a (B, p) stack of grid points.
 
-    The stack is evaluated and analyzed in one pass (:func:`run_analyses`).
-    If that raises, each half runs again on its own, down to single points:
-    a failing point's entry is then the error it raises alone, what
-    `analyze` reports there, and every other entry is its report.
-    ``header`` is the command's :func:`report_header`, filled from the
-    first stack evaluated when empty.
+    The stack is evaluated and analyzed in one pass (:func:`run_analyses`),
+    and each entry is :func:`_entry` of its support group's arrays, each
+    read through one ``tolist``. If that raises, each half runs again on its
+    own, down to single points: a failing point's entry is then the error it
+    raises alone, what `analyze` reports there, and every other entry is its
+    report. ``header`` is the command's :func:`report_header`, filled from
+    the first stack evaluated when empty.
     """
     try:
         points = evaluate_points(model, thetas, scheme=args.scheme, h=args.fd_step)
-        analyses = run_analyses(args, points, model)
         if not header:
             header.update(report_header(args, points, model))
-        return [base_report(args, points.row(k), model, dec, f_q, report, header)
-                for k, (dec, _, f_q, report) in enumerate(analyses)]
+        entries, theta = [None] * len(thetas), points.theta.tolist()
+        for rows, dec, _, f_q, reports in run_analyses(args, points, model):
+            for k, q, f, report in zip(rows.tolist(), dec.q.tolist(), f_q.tolist(), reports):
+                entries[k] = _entry(header, theta[k], dec.r_plus, dec.r_zero, q, f, report)
+        return entries
     except QcrbSatError as exc:
         if len(thetas) == 1:
             return [{"theta": [float(x) for x in thetas[0]], "error": exc.to_dict()}]

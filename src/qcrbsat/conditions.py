@@ -179,14 +179,18 @@ class Cond4Result:
         return {
             "status": self.status,
             "W": ComplexMatrix(self.W) if self.W is not None else None,
-            "lambdas": None
-            if self.lambdas is None
-            else np.where(np.isnan(self.lambdas), None, self.lambdas).tolist(),
+            "lambdas": None if self.lambdas is None else _nan_as_none(self.lambdas),
             "column_status": self.column_status,
             "residual": self.residual,
             "tol": self.tol,
             "notes": list(self.notes),
         }
+
+
+def _nan_as_none(a: np.ndarray) -> list:
+    """``a.tolist()`` with None in place of NaN."""
+    nan = np.isnan(a)
+    return np.where(nan, None, a).tolist() if nan.any() else a.tolist()
 
 
 def verify_condition4_with_w(

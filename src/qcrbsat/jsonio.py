@@ -72,16 +72,20 @@ class ComplexMatrix(list):
     """Nested ``[re, im]`` lists of a complex array (or stack of arrays).
 
     Equal to, and serialized by ``json.dumps`` like, the plain nested lists.
-    ``pairs`` holds the same numbers as a float array of shape ``(..., 2)``;
-    :func:`dump` encodes ``pairs``, so edits made to the lists afterwards do
-    not reach its output.
+    ``pairs`` holds the same numbers as a float array of shape ``(..., 2)``,
+    of a complex128 array the float64 view of a C-ordered copy; :func:`dump`
+    encodes ``pairs``, so edits made to the lists afterwards do not reach
+    its output.
     """
 
     __slots__ = ("pairs",)
 
     def __init__(self, m):
         a = np.asarray(m)
-        self.pairs = np.stack([a.real, a.imag], axis=-1).astype(float, copy=False)
+        if a.dtype == np.complex128:  # reshaped first: a 0-d array has no view
+            self.pairs = np.array(a, order="C").reshape(a.shape + (1,)).view(np.float64)
+        else:
+            self.pairs = np.stack([a.real, a.imag], axis=-1).astype(float, copy=False)
         super().__init__(self.pairs.tolist())
 
 

@@ -248,6 +248,37 @@ class TestWriterMatchesJsonDumps:
         assert peak < 1 << 20
 
 
+_SIGNED_ZEROS = st.sampled_from([complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)])
+_PAIR_SHAPES = hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=4)
+_PAIR_INPUTS = (
+    hnp.arrays(np.complex128, _PAIR_SHAPES,
+               elements=st.complex_numbers(allow_nan=True, allow_infinity=True) | _SIGNED_ZEROS)
+    | hnp.arrays(np.complex64, _PAIR_SHAPES,
+                 elements=st.complex_numbers(width=64, allow_nan=True, allow_infinity=True)))
+# Views of an input: as it is, transposed, negatively strided and strided.
+_LAYOUTS = {
+    "as is": lambda a: a,
+    "transposed": lambda a: a.T,
+    "reversed": lambda a: a[::-1] if a.ndim else a,
+    "last axis reversed": lambda a: a[..., ::-2] if a.ndim else a,
+}
+
+
+class TestComplexMatrixPairs:
+    @settings(max_examples=200, deadline=None)
+    @given(_PAIR_INPUTS, st.sampled_from(sorted(_LAYOUTS)))
+    def test_pairs_are_the_stacked_parts_bit_for_bit(self, a, layout):
+        m = _LAYOUTS[layout](a)
+        want = np.stack([m.real, m.imag], axis=-1).astype(float)
+        cm = ComplexMatrix(m)
+        assert cm.pairs.dtype == want.dtype and cm.pairs.shape == want.shape
+        assert np.array_equal(cm.pairs.view(np.int64), want.view(np.int64))
+        assert json.dumps(cm) == json.dumps(want.tolist())
+        # pairs hold their own numbers: a later edit of the input does not reach them
+        m[...] = 7 - 3j
+        assert np.array_equal(cm.pairs.view(np.int64), want.view(np.int64))
+
+
 class TestProcessWideTexts:
     def test_interleaved_payloads(self):
         # the same keys and shapes at other levels, in either key order

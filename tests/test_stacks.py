@@ -8,7 +8,9 @@ what B single-point calls give; so does the stacked W search against
 run in chunks gives each point the entry `analyze` gives it.
 """
 
+import contextlib
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -17,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import qcrbsat as qs
-from qcrbsat import cli, jsonio
+from qcrbsat import cli, fixtures, jsonio
 from qcrbsat import conditions as cond
 from qcrbsat import model as md
 from qcrbsat import numkernel as nk
@@ -192,29 +194,74 @@ def _report(argv):
     return json.loads("".join(text))
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(1, 5), st.integers(1, 4), st.integers(1, 7),
-       st.sampled_from(["analytic", "central_fd", "richardson"]))
-def test_chunked_sweep_entries_are_the_analyze_reports(n1, n2, chunk, scheme):
-    # chunks of `chunk` points; theta_1 = 0 fails and theta_1 = 5e-6 leaves condition 2' unchecked
-    base = ["--model", "qutrit-phase-mixture", "--params", "d=0.3+0.4j,c1=1,c2=0.7",
-            "--scheme", scheme, "--seed", "3"]
-    grid = f"0.0:0.8:{n1},5e-6:0.9:{n2}"
+def _sweep_and_analyze(base, axes, chunk):
+    """Sweep the grid ``axes``, ``(start, stop, count)`` each, in chunks of ``chunk`` points,
+    and assert that each entry is what `analyze` reports at its point, its error if it
+    fails, in the same JSON text. Returns the entries."""
+    grid = ",".join(f"{a!r}:{b!r}:{n}" for a, b, n in axes)
     old = cli.SWEEP_ENTRIES
     try:
         cli.SWEEP_ENTRIES = chunk * (4 + 2) * 2 * 3 * 3
         sweep = _report(["sweep", *base, "--grid", grid])["sweep"]
     finally:
         cli.SWEEP_ENTRIES = old
-    thetas = [(float(a), float(b)) for a in np.linspace(0.0, 0.8, n1)
-              for b in np.linspace(5e-6, 0.9, n2)]
+    thetas = list(itertools.product(*(np.linspace(a, b, n).tolist() for a, b, n in axes)))
     assert len(sweep) == len(thetas)
-    for (a, b), entry in zip(thetas, sweep):
-        direct = _report(["analyze", *base, "--theta", f"{a!r},{b!r}"])
+    for theta, entry in zip(thetas, sweep):
+        direct = _report(["analyze", *base, "--theta", ",".join(map(repr, theta))])
         if "error" in direct:
-            assert entry == {"theta": [a, b], "error": direct["error"]}
-        else:
-            assert entry == direct
+            direct = {"theta": list(theta), "error": direct["error"]}
+        assert json.dumps(entry, sort_keys=True) == json.dumps(direct, sort_keys=True)
+    return sweep
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 4), st.integers(1, 7),
+       st.sampled_from(["analytic", "central_fd", "richardson"]), st.booleans())
+def test_chunked_sweep_entries_are_the_analyze_reports(n1, n2, chunk, scheme, diagnostics):
+    # chunks of `chunk` points; theta_1 = 0 fails and theta_1 = 5e-6 leaves condition 2' unchecked
+    base = ["--model", "qutrit-phase-mixture", "--params", "d=0.3+0.4j,c1=1,c2=0.7",
+            "--scheme", scheme, "--seed", "3", *(["--diagnostics"] if diagnostics else [])]
+    _sweep_and_analyze(base, [(0.0, 0.8, n1), (5e-6, 0.9, n2)], chunk)
+
+
+@contextlib.contextmanager
+def _registered(model):
+    """`fixtures.get` resolves ``model.name`` to ``model`` inside the block."""
+    get = fixtures.get
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fixtures, "get", lambda name, **kw: model if name == model.name
+                   else get(name, **kw))
+        yield
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 4), st.integers(1, 7), st.booleans())
+def test_sweep_entries_of_several_rank_groups_are_the_analyze_reports(n1, n2, chunk,
+                                                                       diagnostics):
+    model = _rank_switch()
+    base = ["--model", model.name, *(["--diagnostics"] if diagnostics else [])]
+    with _registered(model):
+        _sweep_and_analyze(base, [(0.2, 0.8, n1), (0.3, 0.7, n2)], chunk)
+
+
+@pytest.mark.parametrize("diagnostics", [False, True])
+def test_one_chunk_of_several_rank_groups(diagnostics):
+    # theta_0 in (0.2, 0.5, 0.8), theta_1 in (0.3, 0.7): one chunk of six points in three
+    # (r+, r0) groups, (1, 2) of two points, (2, 1) of three and (3, 0) of one
+    model = _rank_switch()
+    base = ["--model", model.name, *(["--diagnostics"] if diagnostics else [])]
+    with _registered(model):
+        sweep = _sweep_and_analyze(base, [(0.2, 0.8, 3), (0.3, 0.7, 2)], 6)
+    ranks = [(e["support"]["r_plus"], e["support"]["r_zero"]) for e in sweep]
+    assert ranks == [(1, 2), (2, 1), (1, 2), (2, 1), (2, 1), (3, 0)]
+    # the +0 blocks vanish, so every column is vacuous and its ratios NaN, written null
+    for entry in sweep:
+        if entry["support"]["r_zero"]:
+            cond4 = entry["conditions"]["condition4"]
+            assert cond4["status"] == "CERTIFIED_YES"
+            assert set(np.ravel(cond4["lambdas"]).tolist()) == {None}
+    assert all(e["conditions"]["condition2prime"] is not None for e in sweep) == diagnostics
 
 
 def _same_cond4(got, want):
